@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .core import (
     DenseTrunc,
     InvalidWeightsError,
-    Rational,
     Seq,
     SingularMatrixError,
     Triangle,
@@ -20,7 +19,6 @@ from .core import (
     identity,
     invert,
     rat,
-    seq_eval,
     transform_seq,
     truncate,
 )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from .core import (
     Seq,
     SingularMatrixError,
     Triangle,
+    compose,
     invert,
     rat,
     truncate,
@@ -31,6 +33,9 @@ from .matclass import BandedMatrix, UnsupportedClassError, apply_general
 from .spaces import SpaceId
 
 MAX_TRUNCATION = 4096
+# Keeps the power tail's denominators (k+1)^p under 12 * 64 = 768 bits at
+# the deepest truncation.
+MAX_POWER = 64
 
 
 class SpecError(ValueError):
@@ -45,6 +50,34 @@ def _load_spec(text: str, what: str):
         except json.JSONDecodeError as exc:
             raise SpecError(f"bad {what} JSON at position {exc.pos}: {exc.msg}") from None
     return text  # shorthand word, resolved by the caller
+
+
+def _spec_rat(value, what: str) -> Fraction:
+    try:
+        return rat(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise SpecError(f"bad rational in {what}: {exc}") from None
+
+
+def _spec_rats(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise SpecError(f"{what} must be a list of rationals")
+    return [_spec_rat(v, what) for v in values]
+
+
+def _spec_int(value, what: str, lo: int, hi: float = math.inf) -> int:
+    """An integer field (JSON int or decimal string) in [lo, hi]."""
+    number = None
+    if isinstance(value, str):
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        number = value
+    if number is None or not lo <= number <= hi:
+        raise SpecError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------- sequences
@@ -70,13 +103,12 @@ def _seq_from_obj(raw):
         raw = _SEQ_SHORTHAND[raw]
     if not isinstance(raw, dict):
         raise SpecError("sequence spec must be an object or shorthand word")
-    try:
-        prefix = [rat(v) for v in raw.get("prefix", [])]
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SpecError(f"bad rational in prefix: {exc}") from None
+    prefix = _spec_rats(raw.get("prefix", []), "prefix")
     tail = raw.get("tail", {"kind": "zero"})
     if isinstance(tail, str):
         tail = {"kind": tail}
+    if not isinstance(tail, dict):
+        raise SpecError("sequence tail must be an object or kind word")
     kind = tail.get("kind")
     if kind not in _TAIL_KINDS:
         raise SpecError(f"unknown tail kind {kind!r}; choose from {_TAIL_KINDS}")
@@ -87,23 +119,21 @@ def _seq_from_obj(raw):
         tail_fn = lambda k: Fraction(0)
         support = max(len(prefix) - 1, 0)
     elif kind == "const":
-        c = rat(tail.get("c", "0"))
+        c = _spec_rat(tail.get("c", "0"), "const tail c")
         resolved["tail"]["c"] = str(c)
         tail_fn = lambda k: c
     elif kind == "harmonic":
         tail_fn = lambda k: Fraction(1, k + 1)
     elif kind == "power":
-        p = int(tail.get("p", 1))
-        if p < 1:
-            raise SpecError("power tail requires a positive integer p")
+        p = _spec_int(tail.get("p", 1), "power tail p", 1, MAX_POWER)
         resolved["tail"]["p"] = p
         tail_fn = lambda k: Fraction(1, (k + 1) ** p)
     elif kind == "geometric":
-        r = rat(tail.get("r", "1/2"))
+        r = _spec_rat(tail.get("r", "1/2"), "geometric tail r")
         resolved["tail"]["r"] = str(r)
         tail_fn = lambda k: r**k
     else:  # unit
-        j = int(tail.get("j", 0))
+        j = _spec_int(tail.get("j", 0), "unit tail j", 0)
         resolved["tail"]["j"] = j
         tail_fn = lambda k: Fraction(1) if k == j else Fraction(0)
         support = max(len(prefix) - 1, j)
@@ -140,7 +170,7 @@ def parse_matrix_spec(text: str):
 
 
 def _build_matrix(raw):
-    if not isinstance(raw, dict) or "kind" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SpecError("matrix spec must be an object with a 'kind' field")
     kind = raw["kind"]
     if kind in _SIMPLE_MATRICES:
@@ -162,25 +192,21 @@ def _build_matrix(raw):
             raise SpecError("inverse_of requires a triangle with nonzero diagonal")
         return invert(inner), {"kind": "inverse_of", "of": inner_spec}
     if kind == "compose":
-        parts = [_build_matrix(p) for p in raw.get("of", [])]
+        of = raw.get("of")
+        parts = [_build_matrix(p) for p in of] if isinstance(of, list) else []
         if len(parts) < 2 or not all(isinstance(m, Triangle) for m, _ in parts):
             raise SpecError("compose requires a list of at least two triangle specs")
         matrix = parts[0][0]
-        from .core import compose as _compose
-
         for m, _ in parts[1:]:
-            matrix = _compose(matrix, m)
+            matrix = compose(matrix, m)
         return matrix, {"kind": "compose", "of": [s for _, s in parts]}
     if kind == "banded":
         rows = raw.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SpecError("banded spec requires a nonempty 'rows' list")
-        try:
-            matrix = BandedMatrix.from_rows(rows)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SpecError(f"bad rational in banded rows: {exc}") from None
-        resolved_rows = [[str(v) for v in (rat(x) for x in row)] for row in rows]
-        return matrix, {"kind": "banded", "rows": resolved_rows}
+        values = [_spec_rats(row, "banded rows") for row in rows]
+        matrix = BandedMatrix.from_rows(values)
+        return matrix, {"kind": "banded", "rows": [[str(v) for v in row] for row in values]}
     raise SpecError(f"unknown matrix kind {kind!r}")
 
 
@@ -193,6 +219,8 @@ def parse_domain_spec(text: str):
     raw = _load_spec(text, "domain spec")
     if isinstance(raw, str):
         raw = {"label": raw}
+    if not isinstance(raw, dict):
+        raise SpecError("domain spec must be an object or a label")
     label = raw.get("label")
     if label == "C":
         return builders.cesaro_domain(), {"label": "C"}
@@ -235,16 +263,10 @@ def _emit_json(args, obj: dict) -> None:
     _emit(args, json.dumps(obj, indent=2, ensure_ascii=True))
 
 
-def _check_depth(n: int) -> None:
-    if not 1 <= n <= MAX_TRUNCATION:
-        raise SpecError(f"--n must be in [1, {MAX_TRUNCATION}], got {n}")
-
-
 # ----------------------------------------------------------------- commands
 
 
 def cmd_matrix(args) -> int:
-    _check_depth(args.n)
     matrix, resolved = parse_matrix_spec(args.spec)
     dense = truncate(matrix, args.n)
     if args.format == "csv":
@@ -257,7 +279,6 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    _check_depth(args.n)
     matrix, m_spec = parse_matrix_spec(args.matrix)
     x, x_spec = parse_seq_spec(args.x)
     coords = apply_general(matrix, x, args.n)
@@ -286,17 +307,14 @@ def cmd_membership(args) -> int:
     x, x_spec = parse_seq_spec(args.x)
     space = _space(args.space)
     spec = {"x": x_spec, "space": space.value}
-    try:
-        if args.domain:
-            matrix, m_spec = parse_matrix_spec(args.domain)
-            if not isinstance(matrix, Triangle):
-                raise SpecError("membership domain must be a triangle spec")
-            spec["domain"] = m_spec
-            report = spaces.domain_membership(x, matrix, space, args.n)
-        else:
-            report = spaces.membership(x, space, args.n)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    if args.domain:
+        matrix, m_spec = parse_matrix_spec(args.domain)
+        if not isinstance(matrix, Triangle):
+            raise SpecError("membership domain must be a triangle spec")
+        spec["domain"] = m_spec
+        report = spaces.domain_membership(x, matrix, space, args.n)
+    else:
+        report = spaces.membership(x, space, args.n)
     _emit_json(args, _envelope("membership", spec, args.n, "report", report.to_dict()))
     return 0
 
@@ -304,14 +322,7 @@ def cmd_membership(args) -> int:
 def cmd_dual(args) -> int:
     a, a_spec = parse_seq_spec(args.a)
     domain, d_spec = parse_domain_spec(args.domain)
-    if args.kind not in duals.DUAL_KINDS:
-        raise SpecError(f"--kind must be one of {duals.DUAL_KINDS}")
-    try:
-        report = duals.dual_test(domain, a, args.kind, args.n)
-    except ValueError as exc:
-        if isinstance(exc, InvalidWeightsError):
-            raise
-        raise SpecError(str(exc)) from None
+    report = duals.dual_test(domain, a, args.kind, args.n)
     spec = {"a": a_spec, "domain": d_spec, "kind": args.kind}
     _emit_json(args, _envelope("dual", spec, args.n, "report", report.to_dict()))
     return 0
@@ -327,30 +338,20 @@ def cmd_matclass(args) -> int:
         "domain": d_spec,
         "y": y.value,
     }
-    try:
-        if args.direction == "from_domain":
-            if not isinstance(matrix, BandedMatrix):
-                raise SpecError(
-                    "from_domain requires a banded matrix spec (finite row supports)"
-                )
-            report = matclass.class_test_from_domain(matrix, domain, y, args.n)
-        else:
-            report = matclass.class_test_into_domain(matrix, domain, y, args.n)
-    except UnsupportedClassError:
-        raise
-    except ValueError as exc:
-        if isinstance(exc, (InvalidWeightsError, SpecError)):
-            raise
-        raise SpecError(str(exc)) from None
+    if args.direction == "from_domain":
+        if not isinstance(matrix, BandedMatrix):
+            raise SpecError(
+                "from_domain requires a banded matrix spec (finite row supports)"
+            )
+        report = matclass.class_test_from_domain(matrix, domain, y, args.n)
+    else:
+        report = matclass.class_test_into_domain(matrix, domain, y, args.n)
     _emit_json(args, _envelope("matclass", spec, args.n, "report", report.to_dict()))
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify.run_suite(args.suite, args.n, args.seed)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
+    report = verify.run_suite(args.suite, args.n, args.seed)
     envelope = {
         "tool": "bvdomains",
         "version": __version__,
@@ -421,16 +422,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place where exceptions become exit codes.
+
+    Mathematical errors are tested first because InvalidWeightsError and
+    UnsupportedClassError are ValueErrors too; every other ValueError,
+    SpecError included, is a usage error.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.n <= MAX_TRUNCATION:
+            raise SpecError(f"--n must be in [1, {MAX_TRUNCATION}], got {args.n}")
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SingularMatrixError, InvalidWeightsError, UnsupportedClassError) as exc:
         print(f"mathematical error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,8 +2,12 @@
 
 Every scalar is a ``fractions.Fraction``, so all identities checked elsewhere in
 the package are bit-exact rather than tolerance-based.  Sequences and matrices
-are lazy (index -> value closures) with internally synchronized memoization, so
-a single object may be shared across threads.
+are lazy (index -> value closures) with memoized entries, and a single object
+may be shared across threads.  Memo lookups take no lock: entry closures are
+pure, so the worst a race can do is compute one value twice and store equal
+results.  What is built by appending, whose rows a race could misalign, is
+synchronized: the forward-substitution rows of an inverse here, and the
+running sums and bounds built by the other modules.
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -72,19 +74,16 @@ class Seq:
         self.support_bound = support_bound
         self.label = label
         self._cache: dict[int, Fraction] = {}
-        self._lock = threading.RLock()
 
     def __call__(self, k: int) -> Fraction:
         if k < 0:
             raise IndexError(f"sequence index must be >= 0, got {k}")
         if self.support_bound is not None and k > self.support_bound:
             return ZERO
-        with self._lock:
-            value = self._cache.get(k)
-            if value is None:
-                value = rat(self._eval(k))
-                self._cache[k] = value
-            return value
+        value = self._cache.get(k)
+        if value is None:
+            value = self._cache[k] = rat(self._eval(k))
+        return value
 
     def __repr__(self):
         return f"Seq({self.label})"
@@ -114,11 +113,6 @@ class Seq:
         )
 
 
-def seq_eval(x: Seq, k: int) -> Fraction:
-    """Evaluate x at index k (honors the finite-support short-circuit)."""
-    return x(k)
-
-
 class Triangle:
     """A lazily evaluated infinite lower-triangular matrix.
 
@@ -138,7 +132,6 @@ class Triangle:
         self.diag_nonzero = diag_nonzero
         self.label = label
         self._cache: dict[tuple[int, int], Fraction] = {}
-        self._lock = threading.RLock()
         self._inverse: Optional[Triangle] = None
 
     def entry(self, n: int, k: int) -> Fraction:
@@ -146,22 +139,23 @@ class Triangle:
             raise IndexError(f"matrix indices must be >= 0, got ({n}, {k})")
         if k > n:
             return ZERO
-        with self._lock:
-            value = self._cache.get((n, k))
-            if value is None:
-                value = rat(self._entry(n, k))
-                self._cache[(n, k)] = value
-            return value
+        value = self._cache.get((n, k))
+        if value is None:
+            value = self._cache[(n, k)] = rat(self._entry(n, k))
+        return value
+
+    def row_bound(self, n: int) -> int:
+        """Largest possibly-nonzero column of row n."""
+        return n
 
     def __repr__(self):
         return f"Triangle({self.label})"
 
     def inverse(self) -> "Triangle":
         """The forward-substitution inverse, computed and shared lazily."""
-        with self._lock:
-            if self._inverse is None:
-                self._inverse = _build_inverse(self)
-            return self._inverse
+        if self._inverse is None:
+            self._inverse = _build_inverse(self)
+        return self._inverse
 
 
 def identity() -> Triangle:
@@ -203,52 +197,44 @@ def dense_identity(n_size: int) -> DenseTrunc:
 def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    n_size = a.size
+    # row n of the product accumulates a[n][j] * (row j of b) over j, so a
+    # zero in either factor costs no Fraction arithmetic
     rows = []
-    for n in range(n_size):
-        arow = a.values[n]
-        row = []
-        for k in range(n_size):
-            acc = ZERO
-            for j in range(n_size):
-                if arow[j]:
-                    acc += arow[j] * b.values[j][k]
-            row.append(acc)
+    for arow in a.values:
+        row = [ZERO] * a.size
+        for a_nj, brow in zip(arow, b.values):
+            if a_nj:
+                for k, b_jk in enumerate(brow):
+                    if b_jk:
+                        row[k] += a_nj * b_jk
         rows.append(tuple(row))
-    return DenseTrunc(n_size, tuple(rows))
+    return DenseTrunc(a.size, tuple(rows))
 
 
-def apply(t: Triangle, x: Seq, n_size: int) -> list:
-    """First n_size coordinates of the transform Tx.
+def _coordinate(m, x: Seq, n: int) -> Fraction:
+    """Coordinate n of the transform Mx: sum of m(n,k) x(k) over k <= m.row_bound(n).
 
-    For a triangle each coordinate is the finite sum over k <= n, which is the
-    full transform coordinate, not an approximation.
+    Every row of a triangle or banded matrix has finite support, so this is
+    the full transform coordinate, not an approximation.
     """
+    acc = ZERO
+    for k in range(m.row_bound(n) + 1):
+        c = m.entry(n, k)
+        if c:
+            acc += c * x(k)
+    return acc
+
+
+def apply(m, x: Seq, n_size: int) -> list:
+    """First n_size coordinates of the transform Mx (M a Triangle or BandedMatrix)."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
-    out = []
-    for n in range(n_size):
-        acc = ZERO
-        for k in range(n + 1):
-            c = t.entry(n, k)
-            if c:
-                acc += c * x(k)
-        out.append(acc)
-    return out
+    return [_coordinate(m, x, n) for n in range(n_size)]
 
 
 def transform_seq(t: Triangle, x: Seq) -> Seq:
     """The transform Tx as a lazy Seq."""
-
-    def coord(n: int) -> Fraction:
-        acc = ZERO
-        for k in range(n + 1):
-            c = t.entry(n, k)
-            if c:
-                acc += c * x(k)
-        return acc
-
-    return Seq(coord, label=f"{t.label}*{x.label}")
+    return Seq(lambda n: _coordinate(t, x, n), label=f"{t.label}*{x.label}")
 
 
 def compose(a: Triangle, b: Triangle) -> Triangle:

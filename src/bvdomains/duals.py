@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 from .core import Seq, Triangle, ZERO, invert
 from .builders import Domain, RieszWeights, WeightPair
-from .spaces import classify_trend, fmt, policy_dict
+from .spaces import _check_n, _stats_dict, classify_trend, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
 # the last window is at most this; policy, not a theorem.
@@ -87,15 +87,20 @@ def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) ->
 
 
 def cond_l1_linf(m, n: int) -> tuple:
-    """sup |entry| over the N/4, N/2, N leading squares (condition for (l1:linf))."""
+    """sup |entry| over the N/4, N/2, N leading squares (condition for (l1:linf)).
+
+    One pass grows the square by its last row and column, so each entry of
+    the N x N square is read once and the smaller squares are checkpoints.
+    """
     _check_n(n)
     out = []
-    for size in (n // 4, n // 2, n):
-        best = ZERO
-        for row in range(size):
-            for col in range(size):
-                best = max(best, abs(m.entry(row, col)))
-        out.append((size, best))
+    best = ZERO
+    for last in range(n):
+        for i in range(last):
+            best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
+        best = max(best, abs(m.entry(last, last)))
+        if last + 1 in (n // 4, n // 2, n):
+            out.append((last + 1, best))
     return tuple(out)
 
 
@@ -122,27 +127,21 @@ def cond_l1_c(m, n: int) -> tuple:
 
 
 def cond_l1_l1(m, n: int) -> tuple:
-    """max_k of column absolute sums over the three leading squares ((l1:l1))."""
+    """max_k of column absolute sums over the three leading squares ((l1:l1)).
+
+    Like cond_l1_linf, one pass over the N x N square: the running column
+    sums take the new last row, then the new last column is summed.
+    """
     _check_n(n)
     out = []
-    for size in (n // 4, n // 2, n):
-        best = ZERO
-        for col in range(size):
-            acc = ZERO
-            for row in range(size):
-                acc += abs(m.entry(row, col))
-            best = max(best, acc)
-        out.append((size, best))
+    sums: list[Fraction] = []
+    for last in range(n):
+        for col in range(last):
+            sums[col] += abs(m.entry(last, col))
+        sums.append(sum((abs(m.entry(row, last)) for row in range(last + 1)), ZERO))
+        if last + 1 in (n // 4, n // 2, n):
+            out.append((last + 1, max(sums)))
     return tuple(out)
-
-
-def _check_n(n: int):
-    if n < 8 or n % 4 != 0:
-        raise ValueError(f"truncation must be a multiple of 4 and >= 8, got {n}")
-
-
-def _stats_dict(stats: tuple) -> list:
-    return [{"index": i, "value": fmt(v)} for i, v in stats]
 
 
 def _columns_dict(cols: tuple) -> list:
@@ -157,6 +156,21 @@ def _columns_dict(cols: tuple) -> list:
     ]
 
 
+def conditions_dict(kind, sup_entry, column_limits, column_l1) -> dict:
+    """The serialized condition statistics of a dual kind, absent ones omitted.
+
+    Column l1 sums decide alpha and are auxiliary data for beta.
+    """
+    block: dict = {}
+    if sup_entry is not None:
+        block["sup_entry"] = _stats_dict(sup_entry)
+    if column_limits is not None:
+        block["column_limits"] = _columns_dict(column_limits)
+    if column_l1 is not None:
+        block["column_l1" if kind == "alpha" else "column_l1_aux"] = _stats_dict(column_l1)
+    return block
+
+
 @dataclass(frozen=True)
 class DualReport:
     kind: str
@@ -168,20 +182,14 @@ class DualReport:
     cross_check: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        conditions: dict = {}
-        if self.cond_sup_entry is not None:
-            conditions["sup_entry"] = _stats_dict(self.cond_sup_entry)
-        if self.cond_column_limits is not None:
-            conditions["column_limits"] = _columns_dict(self.cond_column_limits)
-        if self.cond_column_l1 is not None:
-            key = "column_l1" if self.kind == "alpha" else "column_l1_aux"
-            conditions[key] = _stats_dict(self.cond_column_l1)
         policy = policy_dict()
         policy["oscillation_tolerance"] = str(OSCILLATION_TOL)
         return {
             "kind": self.kind,
             "n": self.n,
-            "conditions": conditions,
+            "conditions": conditions_dict(
+                self.kind, self.cond_sup_entry, self.cond_column_limits, self.cond_column_l1
+            ),
             "verdict": self.verdict,
             "cross_check": self.cross_check,
             "policy": policy,

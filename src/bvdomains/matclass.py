@@ -14,18 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .core import Seq, Triangle, ZERO, invert, rat
+from .core import Seq, Triangle, ZERO, apply, invert, rat
 from .builders import Domain
-from .duals import (
-    DualReport,
-    _check_n,
-    _condition_stats,
-    _condition_verdict,
-    _stats_dict,
-    _columns_dict,
-    dual_test,
-)
-from .spaces import SpaceId, policy_dict
+from .duals import _condition_stats, _condition_verdict, conditions_dict, dual_test
+from .spaces import SpaceId, _check_n, policy_dict
 
 
 class UnsupportedClassError(ValueError):
@@ -61,7 +53,6 @@ class BandedMatrix:
         self.row_count = row_count
         self.label = label
         self._cache: dict[tuple[int, int], Fraction] = {}
-        self._lock = threading.Lock()
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 0 or k < 0:
@@ -70,12 +61,10 @@ class BandedMatrix:
             return ZERO
         if k > self.row_bound(n):
             return ZERO
-        with self._lock:
-            value = self._cache.get((n, k))
-            if value is None:
-                value = rat(self._entry(n, k))
-                self._cache[(n, k)] = value
-            return value
+        value = self._cache.get((n, k))
+        if value is None:
+            value = self._cache[(n, k)] = rat(self._entry(n, k))
+        return value
 
     def row_seq(self, n: int) -> Seq:
         """Row n as a finitely supported Seq."""
@@ -112,19 +101,9 @@ class BandedMatrix:
 Matrixish = Union[Triangle, BandedMatrix]
 
 
-def apply_general(m: Matrixish, x: Seq, n_size: int) -> list:
-    """First n_size coordinates of Mx for a triangle or banded matrix; each
-    coordinate is a finite sum over the row's support."""
-    out = []
-    for n in range(n_size):
-        bound = n if isinstance(m, Triangle) else m.row_bound(n)
-        acc = ZERO
-        for k in range(bound + 1):
-            c = m.entry(n, k)
-            if c:
-                acc += c * x(k)
-        out.append(acc)
-    return out
+# Triangles and banded matrices both declare row_bound, so the one coordinate
+# loop in core serves both.
+apply_general = apply
 
 
 def row_transform_E(a: BandedMatrix, domain_matrix: Triangle) -> BandedMatrix:
@@ -214,15 +193,11 @@ def _target_condition(m, y: SpaceId, n: int):
     kind = _Y_TO_KIND[y]
     sup_entry, column_limits, column_l1 = _condition_stats(kind, m, n)
     verdict = _condition_verdict(kind, sup_entry, column_limits, column_l1)
-    block: dict = {"target": y.value}
-    if sup_entry is not None:
-        block["sup_entry"] = _stats_dict(sup_entry)
-    if column_limits is not None:
-        block["column_limits"] = _columns_dict(column_limits)
-    if column_l1 is not None:
-        key = "column_l1" if kind == "alpha" else "column_l1_aux"
-        block[key] = _stats_dict(column_l1)
-    block["verdict"] = verdict
+    block = {
+        "target": y.value,
+        **conditions_dict(kind, sup_entry, column_limits, column_l1),
+        "verdict": verdict,
+    }
     return block, verdict
 
 

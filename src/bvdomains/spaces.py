@@ -51,6 +51,10 @@ def fmt(value: Fraction) -> str:
     return str(value)
 
 
+def _stats_dict(stats: tuple) -> list:
+    return [{"index": i, "value": fmt(v)} for i, v in stats]
+
+
 def classify_trend(s1: Fraction, s2: Fraction, s3: Fraction) -> str:
     """Verdict from the statistics at N/4, N/2, N (exact comparisons)."""
     if s1 > 0 and s3 >= DIVERGENCE_FACTOR * s1:
@@ -75,17 +79,13 @@ class MembershipReport:
         d = {
             "space": self.space.value,
             "n": self.n,
-            "checkpoints": [
-                {"index": i, "value": fmt(v)} for i, v in self.checkpoints
-            ],
+            "checkpoints": _stats_dict(self.checkpoints),
             "growth_ratio": None if self.growth_ratio is None else fmt(self.growth_ratio),
             "verdict": self.verdict,
             "policy": policy_dict(),
         }
         if self.aux_checkpoints is not None:
-            d["aux_checkpoints"] = [
-                {"index": i, "value": fmt(v)} for i, v in self.aux_checkpoints
-            ]
+            d["aux_checkpoints"] = _stats_dict(self.aux_checkpoints)
         return d
 
 
@@ -149,6 +149,7 @@ def _statistic(x: Seq, space: SpaceId, idx: int) -> Fraction:
 
 
 def _check_n(n: int):
+    """The truncation rule shared by every checkpointed statistic."""
     if n < 8 or n % 4 != 0:
         raise ValueError(f"truncation must be a multiple of 4 and >= 8, got {n}")
 

@@ -16,7 +16,6 @@ from typing import Optional
 from . import builders, duals, matclass, spaces
 from .core import (
     Seq,
-    Triangle,
     ZERO,
     apply,
     compose,
@@ -487,10 +486,9 @@ def run_suite(suite: str, n: int, seed: int) -> dict:
     """Run one suite (or all) and return a deterministic report dict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if n < 8 or n % 4 != 0 or n > 256:
-        raise ValueError(
-            f"suite truncation must be a multiple of 4 in [8, 256], got {n}"
-        )
+    spaces._check_n(n)
+    if n > 256:
+        raise ValueError(f"suite truncation must be <= 256, got {n}")
     rng = random.Random(seed)
     runners = {
         "identities": suite_identities,

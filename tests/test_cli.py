@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvdomains.cli import (
     SpecError,
@@ -178,6 +182,32 @@ def test_exit_code_usage_errors(capsys):
     assert code == 2
     code, out, err = run_cli(capsys, "membership", "--x", "e", "--space", "l2")
     assert code == 2
+    # malformed spec fields are rejected with one line, never a traceback
+    bad_x = [
+        '{"tail": {"kind": "const", "c": "abc"}}',
+        '{"tail": {"kind": "const", "c": 1.5}}',
+        '{"tail": {"kind": "const", "c": "1/0"}}',
+        '{"tail": {"kind": "power", "p": "x"}}',
+        '{"tail": {"kind": "power", "p": 1000000000}}',
+        '{"tail": {"kind": "geometric", "r": "x"}}',
+        '{"tail": {"kind": "unit", "j": "x"}}',
+        '{"tail": 7}',
+        '{"prefix": "12"}',
+    ]
+    cases = [["membership", "--x", x, "--space", "l1", "--n", "8"] for x in bad_x]
+    cases.append(["dual", "--a", "e", "--domain", "[1]", "--kind", "beta", "--n", "8"])
+    # one --n bound for every command, checked before any work
+    for command in (
+        ["membership", "--x", "e", "--space", "l1"],
+        ["dual", "--a", "e", "--domain", "C", "--kind", "beta"],
+        ["matclass", "--direction", "into_domain", "--matrix", "delta", "--domain", "C", "--y", "l1"],
+        ["verify"],
+    ):
+        cases.append(command + ["--n", "100000"])
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_exit_code_mathematical_error(capsys):
@@ -191,6 +221,16 @@ def test_exit_code_mathematical_error(capsys):
     )
     assert code == 3
     assert "mathematical error" in err
+    code, out, err = run_cli(
+        capsys,
+        "membership",
+        "--x", "e",
+        "--space", "l1",
+        "--domain",
+        '{"kind": "weighted", "u": {"prefix": ["0"], "tail": "harmonic"}, "v": "e"}',
+        "--n", "8",
+    )
+    assert code == 3 and err.startswith("mathematical error:")
 
 
 def test_matclass_unsupported_class_exit_code(capsys):
@@ -240,3 +280,70 @@ def test_verify_command(capsys):
     doc = json.loads(out)
     assert doc["report"]["summary"]["failed"] == 0
     assert doc["report"]["suite"] == "identities"
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["0", "1", "-1/2", "3", "abc", "1/0", ""]),
+    st.sampled_from([0.5, 1.5]),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+_TAILS = st.one_of(
+    st.sampled_from(["zero", "const", "harmonic", "power", "geometric", "unit", "cubic"]),
+    st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(["const", "power", "geometric", "unit", "zero"]), _SCALARS)},
+        optional={"c": _SCALARS, "p": _SCALARS, "r": _SCALARS, "j": _SCALARS},
+    ),
+    _SCALARS,
+)
+_SEQS = st.one_of(
+    st.sampled_from(["e", "zero", "harmonic", "nonsense"]),
+    st.fixed_dictionaries(
+        {}, optional={"prefix": st.one_of(st.lists(_SCALARS, max_size=3), _SCALARS), "tail": _TAILS}
+    ),
+    _SCALARS,
+)
+_MATRICES = st.one_of(
+    st.sampled_from(["delta", "sum", "cesaro", "phi", "inverse_of(phi)", "hilbert"]),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["weighted", "gamma", "riesz", "sigma_riesz", "compose", "banded", "inverse_of"])},
+        optional={
+            "u": _SEQS,
+            "v": _SEQS,
+            "q": _SEQS,
+            "of": st.one_of(st.lists(st.sampled_from([{"kind": "delta"}, {"kind": "cesaro"}, "x"]), max_size=3), _SCALARS),
+            "rows": st.one_of(st.lists(st.lists(_SCALARS, max_size=3), max_size=3), _SCALARS),
+        },
+    ),
+    _SCALARS,
+)
+_DOMAINS = st.one_of(
+    st.sampled_from(["C", "G", "R", "Z"]),
+    st.fixed_dictionaries(
+        {"label": st.one_of(st.sampled_from(["G", "R"]), _SCALARS)},
+        optional={"u": _SEQS, "v": _SEQS, "q": _SEQS},
+    ),
+    _SCALARS,
+)
+_ARGVS = st.one_of(
+    st.tuples(st.just("membership"), _SEQS, st.sampled_from(["l1", "bv", "c0"]), st.one_of(st.none(), _MATRICES)).map(
+        lambda t: ["membership", f"--x={json.dumps(t[1])}", "--space", t[2]]
+        + ([] if t[3] is None else [f"--domain={json.dumps(t[3])}"])
+    ),
+    st.tuples(_SEQS, _DOMAINS, st.sampled_from(["alpha", "beta", "gamma"])).map(
+        lambda t: ["dual", f"--a={json.dumps(t[0])}", f"--domain={json.dumps(t[1])}", "--kind", t[2]]
+    ),
+    _MATRICES.map(lambda m: ["matrix", f"--spec={json.dumps(m)}"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ARGVS)
+def test_fuzz_specs_exit_cleanly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv + ["--n", "8"])
+    assert code in (0, 2, 3)
+    assert code == 0 or err.getvalue().count("\n") == 1

@@ -15,7 +15,6 @@ from bvdomains.core import (
     identity,
     invert,
     rat,
-    seq_eval,
     transform_seq,
     truncate,
 )
@@ -85,7 +84,7 @@ def test_apply_examples():
 
 
 def test_seq_eval_and_support_bound():
-    assert seq_eval(Seq.constant(1), 7) == 1
+    assert Seq.constant(1)(7) == 1
     e3 = Seq.unit(3)
     assert e3(3) == 1 and e3(4) == 0
     harmonic = Seq(lambda k: F(1, k + 1))

@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +28,7 @@ from bvdomains.duals import (
     closed_form_beta_matrix,
     dual_test,
 )
+from bvdomains.matclass import BandedMatrix
 
 E = Seq.constant(1, "e")
 
@@ -85,6 +89,10 @@ def test_cond_l1_linf_cases():
     assert [v for _, v in cond_l1_linf(delta(), 16)] == [1, 1, 1]
     grows = cond_l1_linf(invert(phi()), 16)
     assert [v for _, v in grows] == [4, 8, 16]
+    # nonzero entries above the diagonal: each checkpoint against a rescan
+    m = BandedMatrix(lambda n, k: F(k - 2 * n, n + 1), lambda n: n + 3)
+    for size, v in cond_l1_linf(m, 16):
+        assert v == max(abs(m.entry(r, c)) for r in range(size) for c in range(size))
 
 
 def test_cond_l1_c_cases():
@@ -100,6 +108,11 @@ def test_cond_l1_l1_cases():
     assert [v for _, v in cond_l1_l1(identity(), 16)] == [1, 1, 1]
     assert [v for _, v in cond_l1_l1(sigma_sum(), 16)] == [4, 8, 16]
     assert [v for _, v in cond_l1_l1(delta(), 16)] == [2, 2, 2]
+    m = BandedMatrix(lambda n, k: F(k - 2 * n, n + 1), lambda n: n + 3)
+    for size, v in cond_l1_l1(m, 16):
+        assert v == max(
+            sum((abs(m.entry(r, c)) for r in range(size)), F(0)) for c in range(size)
+        )
 
 
 def test_cond_rejects_bad_truncation():
@@ -179,3 +192,41 @@ def test_report_conditions_by_kind():
     assert set(beta["conditions"]) == {"sup_entry", "column_limits", "column_l1_aux"}
     gamma = dual_test(phi(), a, "gamma", 16).to_dict()
     assert set(gamma["conditions"]) == {"sup_entry"}
+
+
+def test_appended_rows_are_consistent_across_threads():
+    """Inverse rows and beta_assoc columns grow by appending under a lock;
+    four threads reading entries in different orders see the serial values."""
+    n = 20
+    q = Seq(lambda k: F(k + 1), label="k+1")
+    a = Seq(lambda k: F(1, k + 2))
+    cells = [(row, col) for row in range(n) for col in range(row + 1)]
+
+    def build():
+        return invert(phi()), beta_assoc(sigma_riesz(RieszWeights(q)), a)
+
+    expected = [{c: m.entry(*c) for c in cells} for m in build()]
+    shared = build()
+    seen = [[] for _ in range(4)]
+
+    def read(i):
+        order = cells[:]
+        random.Random(i).shuffle(order)
+        for cell in order:
+            for which, m in enumerate(shared):
+                seen[i].append((which, cell, m.entry(*cell)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in seen:
+        assert len(got) == 2 * len(cells)
+        assert all(value == expected[which][cell] for which, cell, value in got)
