@@ -3,6 +3,12 @@
 The composed domain matrices (phi, gamma, sigma_riesz) are *defined* as
 compose(delta(), mean) and never by printed closed forms; the closed forms are
 provided separately as independent oracles (``*_closed_form``).
+
+Each named triangle declares its exact inverse: delta and the partial-sum
+matrix invert each other, as do the Cesaro mean and its closed-form inverse,
+and the weighted and Riesz means have bidiagonal inverses.  A domain matrix
+therefore inverts through its factors' inverses, never by forward
+substitution.
 """
 
 from __future__ import annotations
@@ -27,35 +33,41 @@ from .core import (
 def delta() -> Triangle:
     """Backward difference matrix: 1 on the diagonal, -1 on the first subdiagonal."""
     return Triangle(
-        lambda n, k: ONE if k == n else (-ONE if k == n - 1 else ZERO),
+        lambda n, k: ONE if k == n else -ONE,
         diag_nonzero=True,
         label="delta",
+        band=1,
+        known_inverse=sigma_sum,
     )
 
 
 def sigma_sum() -> Triangle:
     """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
-    return Triangle(lambda n, k: ONE, diag_nonzero=True, label="sum")
+    return Triangle(
+        lambda n, k: ONE, diag_nonzero=True, label="sum", known_inverse=delta
+    )
 
 
 def cesaro() -> Triangle:
     """Cesaro mean of order one: row n averages the first n+1 terms."""
     return Triangle(
-        lambda n, k: Fraction(1, n + 1), diag_nonzero=True, label="cesaro"
+        lambda n, k: Fraction(1, n + 1),
+        diag_nonzero=True,
+        label="cesaro",
+        known_inverse=cesaro_inverse,
     )
 
 
 def cesaro_inverse() -> Triangle:
     """Closed-form inverse of the Cesaro mean: x_n = (n+1)y_n - n*y_{n-1}."""
 
-    def entry(n, k):
-        if k == n:
-            return Fraction(n + 1)
-        if k == n - 1:
-            return Fraction(-n)
-        return ZERO
-
-    return Triangle(entry, diag_nonzero=True, label="cesaro_inv")
+    return Triangle(
+        lambda n, k: Fraction(n + 1) if k == n else Fraction(-n),
+        diag_nonzero=True,
+        label="cesaro_inv",
+        band=1,
+        known_inverse=cesaro,
+    )
 
 
 @dataclass(frozen=True)
@@ -114,16 +126,42 @@ class RieszWeights:
 
 
 def weighted_mean(w: WeightPair) -> Triangle:
-    """Generalized weighted (factorable) mean: entry(n,k) = u_n * v_k."""
+    """Generalized weighted (factorable) mean: entry(n,k) = u_n * v_k.
+
+    Its inverse is bidiagonal: 1/(u_n v_n) on the diagonal and
+    -1/(u_{n-1} v_n) below it.
+    """
+
+    def inverse_entry(n, k):
+        if k == n:
+            return 1 / (w.u_at(n) * w.v_at(n))
+        return -1 / (w.u_at(n - 1) * w.v_at(n))
+
     return Triangle(
-        lambda n, k: w.u_at(n) * w.v_at(k), diag_nonzero=True, label="weighted"
+        lambda n, k: w.u_at(n) * w.v_at(k),
+        diag_nonzero=True,
+        label="weighted",
+        known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
     )
 
 
 def riesz(r: RieszWeights) -> Triangle:
-    """Riesz mean: entry(n,k) = q_k / Q_n."""
+    """Riesz mean: entry(n,k) = q_k / Q_n.
+
+    Its inverse is bidiagonal: Q_n/q_n on the diagonal and -Q_{n-1}/q_n
+    below it.
+    """
+
+    def inverse_entry(n, k):
+        if k == n:
+            return r.big_q(n) / r.q_at(n)
+        return -r.big_q(n - 1) / r.q_at(n)
+
     return Triangle(
-        lambda n, k: r.q_at(k) / r.big_q(n), diag_nonzero=True, label="riesz"
+        lambda n, k: r.q_at(k) / r.big_q(n),
+        diag_nonzero=True,
+        label="riesz",
+        known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
     )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -36,6 +37,15 @@ MAX_TRUNCATION = 4096
 # Keeps the power tail's denominators (k+1)^p under 12 * 64 = 768 bits at
 # the deepest truncation.
 MAX_POWER = 64
+# A rational literal has at most this many characters and a decimal exponent
+# of at most this magnitude, so parsing it cannot build a huge integer.
+MAX_LITERAL = 256
+# Matrix specs nest at most this deep (a compose of p parts puts its parts
+# p-1 levels down), which keeps spec parsing and entry evaluation far from
+# the interpreter's recursion limit.
+MAX_SPEC_DEPTH = 32
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
 
 
 class SpecError(ValueError):
@@ -49,10 +59,22 @@ def _load_spec(text: str, what: str):
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise SpecError(f"bad {what} JSON at position {exc.pos}: {exc.msg}") from None
+        except RecursionError:
+            raise SpecError(f"{what} JSON is nested too deeply") from None
     return text  # shorthand word, resolved by the caller
 
 
 def _spec_rat(value, what: str) -> Fraction:
+    if isinstance(value, (str, int)):
+        text = str(value)
+        exponent = _EXPONENT.search(text)
+        if len(text) > MAX_LITERAL or (
+            exponent and int(exponent.group(1).replace("_", "") or "0") > MAX_LITERAL
+        ):
+            raise SpecError(
+                f"rational literal in {what} is longer than {MAX_LITERAL} characters"
+                f" or has an exponent beyond {MAX_LITERAL}"
+            )
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -166,10 +188,12 @@ def parse_matrix_spec(text: str):
             raw = {"kind": "inverse_of", "of": {"kind": word[11:-1]}}
         else:
             raw = {"kind": word}
-    return _build_matrix(raw)
+    return _build_matrix(raw, 0)
 
 
-def _build_matrix(raw):
+def _build_matrix(raw, depth: int):
+    if depth > MAX_SPEC_DEPTH:
+        raise SpecError(f"matrix spec nests deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SpecError("matrix spec must be an object with a 'kind' field")
     kind = raw["kind"]
@@ -187,13 +211,15 @@ def _build_matrix(raw):
         build = builders.riesz if kind == "riesz" else builders.sigma_riesz
         return build(weights), {"kind": kind, "q": q_spec}
     if kind == "inverse_of":
-        inner, inner_spec = _build_matrix(raw.get("of", {}))
+        inner, inner_spec = _build_matrix(raw.get("of", {}), depth + 1)
         if not isinstance(inner, Triangle) or not inner.diag_nonzero:
             raise SpecError("inverse_of requires a triangle with nonzero diagonal")
         return invert(inner), {"kind": "inverse_of", "of": inner_spec}
     if kind == "compose":
         of = raw.get("of")
-        parts = [_build_matrix(p) for p in of] if isinstance(of, list) else []
+        parts = []
+        if isinstance(of, list):
+            parts = [_build_matrix(p, depth + max(len(of) - 1, 1)) for p in of]
         if len(parts) < 2 or not all(isinstance(m, Triangle) for m, _ in parts):
             raise SpecError("compose requires a list of at least two triangle specs")
         matrix = parts[0][0]

@@ -8,6 +8,14 @@ pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
 synchronized: the forward-substitution rows of an inverse here, and the
 running sums and bounds built by the other modules.
+
+A triangle may declare a band (its number of nonzero subdiagonals) and a
+known inverse.  ``compose`` sums only over the overlap of its factors' bands
+and inverts a product through its factors' inverses, so the domain matrices
+built from named triangles invert at O(1) cost per entry.  Generic forward
+substitution (``_build_inverse``) is the fallback for a triangle with no
+known inverse, and the independent oracle the fast inverses are checked
+against.
 """
 
 from __future__ import annotations
@@ -119,7 +127,10 @@ class Triangle:
     Entries above the diagonal are identically zero by construction: the
     accessor returns 0 for k > n without consulting the entry closure.
     ``diag_nonzero`` asserts every diagonal entry is nonzero, which is the
-    precondition for forward-substitution inversion.
+    precondition for inversion.  ``band``, when present, declares that only
+    that many subdiagonals are nonzero; entries below them are 0 without
+    consulting the closure.  ``known_inverse``, when present, builds the
+    exact inverse without forward substitution.
     """
 
     def __init__(
@@ -127,17 +138,21 @@ class Triangle:
         entry_fn: Callable[[int, int], Fraction],
         diag_nonzero: bool = False,
         label: str = "triangle",
+        band: Optional[int] = None,
+        known_inverse: Optional[Callable[[], "Triangle"]] = None,
     ):
         self._entry = entry_fn
         self.diag_nonzero = diag_nonzero
         self.label = label
+        self.band = band
+        self.known_inverse = known_inverse
         self._cache: dict[tuple[int, int], Fraction] = {}
         self._inverse: Optional[Triangle] = None
 
     def entry(self, n: int, k: int) -> Fraction:
         if n < 0 or k < 0:
             raise IndexError(f"matrix indices must be >= 0, got ({n}, {k})")
-        if k > n:
+        if k > n or (self.band is not None and n - k > self.band):
             return ZERO
         value = self._cache.get((n, k))
         if value is None:
@@ -152,9 +167,18 @@ class Triangle:
         return f"Triangle({self.label})"
 
     def inverse(self) -> "Triangle":
-        """The forward-substitution inverse, computed and shared lazily."""
+        """The inverse, computed and shared lazily: the known inverse when one
+        is declared, else forward substitution.  The inverse links back to
+        this triangle, so inverting it again costs nothing."""
         if self._inverse is None:
-            self._inverse = _build_inverse(self)
+            if self.known_inverse is None:
+                inv = _build_inverse(self)
+            else:
+                inv = self.known_inverse()
+                inv.label = f"inverse({self.label})"
+            inv._inverse = self
+            inv.known_inverse = lambda: self
+            self._inverse = inv
         return self._inverse
 
 
@@ -238,20 +262,33 @@ def transform_seq(t: Triangle, x: Seq) -> Seq:
 
 
 def compose(a: Triangle, b: Triangle) -> Triangle:
-    """Matrix product A.B of triangles ("B first, then A"); again a triangle."""
+    """Matrix product A.B of triangles ("B first, then A"); again a triangle.
+
+    Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
+    nonzero.  The product's band is the sum of the factors' bands, and when
+    both factors have known inverses the product is inverted as
+    inverse(B).inverse(A).
+    """
 
     def entry(n: int, k: int) -> Fraction:
+        lo = k if a.band is None else max(k, n - a.band)
+        hi = n if b.band is None else min(n, k + b.band)
         acc = ZERO
-        for j in range(k, n + 1):
+        for j in range(lo, hi + 1):
             c = a.entry(n, j)
             if c:
                 acc += c * b.entry(j, k)
         return acc
 
+    known_inverse = None
+    if a.known_inverse is not None and b.known_inverse is not None:
+        known_inverse = lambda: compose(b.inverse(), a.inverse())
     return Triangle(
         entry,
         diag_nonzero=a.diag_nonzero and b.diag_nonzero,
         label=f"{a.label}.{b.label}",
+        band=None if a.band is None or b.band is None else a.band + b.band,
+        known_inverse=known_inverse,
     )
 
 

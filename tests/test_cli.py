@@ -193,9 +193,17 @@ def test_exit_code_usage_errors(capsys):
         '{"tail": {"kind": "unit", "j": "x"}}',
         '{"tail": 7}',
         '{"prefix": "12"}',
+        # literals and nesting are bounded before any work
+        '{"tail": {"kind": "geometric", "r": "1e1000"}}',
+        '{"prefix": ["' + "1" * 1000 + '"]}',
+        "[" * 5000,
     ]
     cases = [["membership", "--x", x, "--space", "l1", "--n", "8"] for x in bad_x]
     cases.append(["dual", "--a", "e", "--domain", "[1]", "--kind", "beta", "--n", "8"])
+    deep = '{"kind": "delta"}'
+    for _ in range(400):
+        deep = '{"kind": "inverse_of", "of": %s}' % deep
+    cases.append(["matrix", "--spec", deep, "--n", "4"])
     # one --n bound for every command, checked before any work
     for command in (
         ["membership", "--x", "e", "--space", "l1"],

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bvdomains.core import Seq, identity, invert
+from bvdomains.core import Seq, Triangle, compose, identity, invert
 from bvdomains.builders import (
     RieszWeights,
     WeightPair,
@@ -196,14 +196,21 @@ def test_report_conditions_by_kind():
 
 def test_appended_rows_are_consistent_across_threads():
     """Inverse rows and beta_assoc columns grow by appending under a lock;
-    four threads reading entries in different orders see the serial values."""
+    four threads reading entries in different orders see the serial values.
+    The Hilbert-like factor has no known inverse, so its product is inverted
+    by forward substitution."""
     n = 20
     q = Seq(lambda k: F(k + 1), label="k+1")
     a = Seq(lambda k: F(1, k + 2))
     cells = [(row, col) for row in range(n) for col in range(row + 1)]
 
     def build():
-        return invert(phi()), beta_assoc(sigma_riesz(RieszWeights(q)), a)
+        hilbert = Triangle(lambda n, k: F(1, n + k + 1), diag_nonzero=True)
+        return (
+            invert(phi()),
+            beta_assoc(sigma_riesz(RieszWeights(q)), a),
+            invert(compose(delta(), hilbert)),
+        )
 
     expected = [{c: m.entry(*c) for c in cells} for m in build()]
     shared = build()
@@ -228,5 +235,5 @@ def test_appended_rows_are_consistent_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for got in seen:
-        assert len(got) == 2 * len(cells)
+        assert len(got) == len(shared) * len(cells)
         assert all(value == expected[which][cell] for which, cell, value in got)

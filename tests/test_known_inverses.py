@@ -1,0 +1,179 @@
+"""Known inverses and band supports against the forward-substitution oracle.
+
+Named triangles carry their exact inverses and ``compose`` inverts a product
+through its factors, so ``invert`` on the domain matrices never runs forward
+substitution.  ``core._build_inverse`` stays the fallback and is the oracle
+every fast inverse is compared with here, entry by entry.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bvdomains import core
+from bvdomains.builders import (
+    RieszWeights,
+    WeightPair,
+    cesaro,
+    cesaro_domain,
+    cesaro_inverse,
+    delta,
+    gamma,
+    phi,
+    riesz,
+    riesz_domain,
+    sigma_riesz,
+    sigma_sum,
+    weighted_domain,
+    weighted_mean,
+)
+from bvdomains.core import Seq, Triangle, compose, dense_mul, invert, truncate
+from bvdomains.duals import DUAL_KINDS, dual_test
+from bvdomains.matclass import BandedMatrix, class_test_from_domain
+from bvdomains.spaces import SpaceId
+
+N = 40
+
+
+def harmonic_pair():
+    return WeightPair(
+        Seq(lambda n: F(1, n + 2), label="1/(n+2)"),
+        Seq(lambda k: F(k + 1, 3), label="(k+1)/3"),
+    )
+
+
+def linear_riesz():
+    return RieszWeights(Seq(lambda k: F(k + 1), label="k+1"))
+
+
+def geometric_riesz():
+    return RieszWeights(Seq(lambda k: F(2) ** k, label="2^k"))
+
+
+NAMED = {
+    "delta": delta,
+    "sum": sigma_sum,
+    "cesaro": cesaro,
+    "cesaro_inv": cesaro_inverse,
+    "weighted": lambda: weighted_mean(harmonic_pair()),
+    "riesz": lambda: riesz(linear_riesz()),
+    "riesz_2^k": lambda: riesz(geometric_riesz()),
+    "phi": phi,
+    "gamma": lambda: gamma(harmonic_pair()),
+    "sigma": lambda: sigma_riesz(linear_riesz()),
+    "sigma_2^k": lambda: sigma_riesz(geometric_riesz()),
+    "three_factor": lambda: compose(delta(), compose(cesaro(), riesz(geometric_riesz()))),
+}
+
+
+def assert_same_entries(got, expected, n):
+    for row in range(n):
+        for col in range(row + 1):
+            assert got.entry(row, col) == expected.entry(row, col), (row, col)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_known_inverse_matches_forward_substitution(name):
+    t = NAMED[name]()
+    inv = invert(t)
+    assert inv.label == f"inverse({t.label})"
+    assert_same_entries(inv, core._build_inverse(NAMED[name]()), N)
+    assert invert(inv) is t
+
+
+@pytest.mark.parametrize("name", ["cesaro", "gamma", "sigma_2^k", "three_factor"])
+def test_double_inverse_matches_forward_substitution(name):
+    oracle = core._build_inverse(core._build_inverse(NAMED[name]()))
+    assert_same_entries(invert(invert(NAMED[name]())), oracle, N)
+
+
+def test_product_of_inverses_inverts_through_its_factors(monkeypatch):
+    monkeypatch.setattr(core, "_build_inverse", _no_fallback)
+    back = invert(compose(invert(delta()), invert(cesaro())))
+    assert_same_entries(back, compose(cesaro(), delta()), 12)
+
+
+positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(positive, min_size=1, max_size=4),
+    st.lists(positive, min_size=1, max_size=4),
+    st.lists(positive, min_size=1, max_size=4),
+)
+def test_known_inverse_property_over_weights(us, vs, qs):
+    def cycle(values):
+        return Seq(lambda k: values[k % len(values)])
+
+    n = 8
+    for build in (
+        lambda: weighted_mean(WeightPair(cycle(us), cycle(vs))),
+        lambda: gamma(WeightPair(cycle(us), cycle(vs))),
+        lambda: riesz(RieszWeights(cycle(qs))),
+        lambda: sigma_riesz(RieszWeights(cycle(qs))),
+    ):
+        assert_same_entries(invert(build()), core._build_inverse(build()), n)
+
+
+def _no_fallback(t):
+    raise AssertionError(f"forward substitution ran on {t.label}")
+
+
+def test_domain_duals_and_classes_never_fall_back(monkeypatch):
+    monkeypatch.setattr(core, "_build_inverse", _no_fallback)
+    domains = [
+        cesaro_domain(),
+        weighted_domain(harmonic_pair()),
+        riesz_domain(geometric_riesz()),
+    ]
+    a = Seq(lambda k: F(1, (k + 1) ** 2))
+    banded = BandedMatrix.from_rows([["1", "-1"], ["0", "1/2", "2"]])
+    for domain in domains:
+        for kind in DUAL_KINDS:
+            assert dual_test(domain, a, kind, 32).verdict
+        assert class_test_from_domain(banded, domain, SpaceId.L1, 32).verdict
+
+
+def test_compose_reads_only_band_overlap():
+    def bidiagonal(label):
+        return Triangle(
+            lambda n, k: F(n + 1) if n == k else F(-1, n + 1),
+            diag_nonzero=True,
+            label=label,
+            band=1,
+        )
+
+    def count_reads(t):
+        reads = []
+        entry = t.entry
+
+        def counted(n, k):
+            reads.append((n, k))
+            return entry(n, k)
+
+        t.entry = counted
+        return reads
+
+    a, b = bidiagonal("a"), bidiagonal("b")
+    product = compose(a, b)
+    assert product.band == 2
+    expected = dense_mul(truncate(a, 20), truncate(b, 20))
+    a_reads, b_reads = count_reads(a), count_reads(b)
+    for n in range(20):
+        for k in range(n + 1):
+            a_reads.clear()
+            b_reads.clear()
+            assert product.entry(n, k) == expected[n, k]
+            assert len(a_reads) <= 2 and len(b_reads) <= 2, (n, k)
+
+
+def test_band_short_circuits_the_closure():
+    def entry(n, k):
+        assert n - k <= 1, (n, k)
+        return F(1)
+
+    t = Triangle(entry, diag_nonzero=True, band=1)
+    assert [t.entry(5, k) for k in range(7)] == [0, 0, 0, 0, 1, 1, 0]
