@@ -9,6 +9,7 @@ characterization transforms, and truncation-based membership diagnostics.
 __version__ = "0.1.0"
 
 from .core import (
+    BandedMatrix,
     DenseTrunc,
     InvalidWeightsError,
     Seq,
@@ -51,7 +52,6 @@ from .spaces import (
 )
 from .duals import DualReport, alpha_assoc, beta_assoc, dual_test
 from .matclass import (
-    BandedMatrix,
     ClassReport,
     UnsupportedClassError,
     class_test_from_domain,

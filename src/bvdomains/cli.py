@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from . import __version__, builders, duals, matclass, spaces, verify
 from .core import (
+    BandedMatrix,
     InvalidWeightsError,
     Seq,
     SingularMatrixError,
@@ -30,7 +31,7 @@ from .core import (
     rat,
     truncate,
 )
-from .matclass import BandedMatrix, UnsupportedClassError, apply_general
+from .matclass import UnsupportedClassError, apply_general
 from .spaces import SpaceId
 
 MAX_TRUNCATION = 4096
@@ -135,14 +136,14 @@ def _seq_from_obj(raw):
     if kind not in _TAIL_KINDS:
         raise SpecError(f"unknown tail kind {kind!r}; choose from {_TAIL_KINDS}")
 
-    resolved = {"prefix": [str(v) for v in prefix], "tail": {"kind": kind}}
+    resolved = {"prefix": [spaces.fmt(v) for v in prefix], "tail": {"kind": kind}}
     support = None
     if kind == "zero":
         tail_fn = lambda k: Fraction(0)
         support = max(len(prefix) - 1, 0)
     elif kind == "const":
         c = _spec_rat(tail.get("c", "0"), "const tail c")
-        resolved["tail"]["c"] = str(c)
+        resolved["tail"]["c"] = spaces.fmt(c)
         tail_fn = lambda k: c
     elif kind == "harmonic":
         tail_fn = lambda k: Fraction(1, k + 1)
@@ -152,7 +153,7 @@ def _seq_from_obj(raw):
         tail_fn = lambda k: Fraction(1, (k + 1) ** p)
     elif kind == "geometric":
         r = _spec_rat(tail.get("r", "1/2"), "geometric tail r")
-        resolved["tail"]["r"] = str(r)
+        resolved["tail"]["r"] = spaces.fmt(r)
         tail_fn = lambda k: r**k
     else:  # unit
         j = _spec_int(tail.get("j", 0), "unit tail j", 0)
@@ -180,7 +181,8 @@ _SIMPLE_MATRICES = {
 
 
 def parse_matrix_spec(text: str):
-    """Parse a MatrixSpec into (Triangle-or-BandedMatrix, resolved dict)."""
+    """Parse a MatrixSpec into (matrix, resolved dict); every kind but
+    ``banded`` is a Triangle."""
     raw = _load_spec(text, "matrix spec")
     if isinstance(raw, str):
         word = raw
@@ -232,7 +234,7 @@ def _build_matrix(raw, depth: int):
             raise SpecError("banded spec requires a nonempty 'rows' list")
         values = [_spec_rats(row, "banded rows") for row in rows]
         matrix = BandedMatrix.from_rows(values)
-        return matrix, {"kind": "banded", "rows": [[str(v) for v in row] for row in values]}
+        return matrix, {"kind": "banded", "rows": [[spaces.fmt(v) for v in row] for row in values]}
     raise SpecError(f"unknown matrix kind {kind!r}")
 
 
@@ -296,10 +298,10 @@ def cmd_matrix(args) -> int:
     matrix, resolved = parse_matrix_spec(args.spec)
     dense = truncate(matrix, args.n)
     if args.format == "csv":
-        lines = [",".join(str(v) for v in row) for row in dense.values]
+        lines = [",".join(spaces.fmt(v) for v in row) for row in dense.values]
         _emit(args, "\n".join(lines))
     else:
-        entries = [[str(v) for v in row] for row in dense.values]
+        entries = [[spaces.fmt(v) for v in row] for row in dense.values]
         _emit_json(args, _envelope("matrix", resolved, args.n, "entries", entries))
     return 0
 
@@ -309,12 +311,12 @@ def cmd_transform(args) -> int:
     x, x_spec = parse_seq_spec(args.x)
     coords = apply_general(matrix, x, args.n)
     if args.format == "csv":
-        _emit(args, "\n".join(str(v) for v in coords))
+        _emit(args, "\n".join(spaces.fmt(v) for v in coords))
     else:
         spec = {"matrix": m_spec, "x": x_spec}
         _emit_json(
             args,
-            _envelope("transform", spec, args.n, "coordinates", [str(v) for v in coords]),
+            _envelope("transform", spec, args.n, "coordinates", [spaces.fmt(v) for v in coords]),
         )
     return 0
 
@@ -365,7 +367,7 @@ def cmd_matclass(args) -> int:
         "y": y.value,
     }
     if args.direction == "from_domain":
-        if not isinstance(matrix, BandedMatrix):
+        if isinstance(matrix, Triangle):
             raise SpecError(
                 "from_domain requires a banded matrix spec (finite row supports)"
             )

@@ -1,4 +1,4 @@
-"""Exact lazy primitives: rational scalars, infinite sequences, triangle matrices.
+"""Exact lazy primitives: rational scalars, infinite sequences, lazy matrices.
 
 Every scalar is a ``fractions.Fraction``, so all identities checked elsewhere in
 the package are bit-exact rather than tolerance-based.  Sequences and matrices
@@ -7,15 +7,18 @@ may be shared across threads.  Memo lookups take no lock: entry closures are
 pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
 synchronized: the forward-substitution rows of an inverse here, and the
-running sums and bounds built by the other modules.
+running sums built by the other modules.
 
-A triangle may declare a band (its number of nonzero subdiagonals) and a
-known inverse.  ``compose`` sums only over the overlap of its factors' bands
-and inverts a product through its factors' inverses, so the domain matrices
-built from named triangles invert at O(1) cost per entry.  Generic forward
-substitution (``_build_inverse``) is the fallback for a triangle with no
-known inverse, and the independent oracle the fast inverses are checked
-against.
+There is one matrix class, ``BandedMatrix``: row n is supported in
+``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
+``Triangle`` is its lower-triangular kind, the one that can be inverted, and
+may carry a known inverse.  ``compose`` is the only matrix product: it sums
+over the overlap of its factors' supports, returns a Triangle when both
+factors are triangles, and inverts a product through its factors' inverses,
+so the domain matrices built from named triangles invert at O(1) cost per
+entry.  Generic forward substitution (``_build_inverse``) is the fallback for
+a triangle with no known inverse, and the independent oracle the fast
+inverses are checked against.
 """
 
 from __future__ import annotations
@@ -121,50 +124,94 @@ class Seq:
         )
 
 
-class Triangle:
-    """A lazily evaluated infinite lower-triangular matrix.
+class BandedMatrix:
+    """A lazily evaluated infinite matrix whose every row has finite support.
 
-    Entries above the diagonal are identically zero by construction: the
-    accessor returns 0 for k > n without consulting the entry closure.
-    ``diag_nonzero`` asserts every diagonal entry is nonzero, which is the
-    precondition for inversion.  ``band``, when present, declares that only
-    that many subdiagonals are nonzero; entries below them are 0 without
-    consulting the closure.  ``known_inverse``, when present, builds the
-    exact inverse without forward substitution.
+    Row n can be nonzero only in columns ``[n - band, row_bound(n)]``; entries
+    outside are 0 without consulting the entry closure.  ``row_bound`` is a
+    callable, and when it is omitted the matrix is lower triangular
+    (``row_bound(n) = n``).  ``band``, when present, is the number of nonzero
+    subdiagonals.  ``row_count``, when present, declares every row from that
+    index on to be zero (a wholly finite matrix).  ``diag_nonzero`` asserts
+    every diagonal entry is nonzero, the precondition for inversion, and
+    ``known_inverse``, when present, builds the exact inverse without forward
+    substitution.  The finite row supports are what make every product and
+    transform coordinate an exact finite sum.
     """
 
     def __init__(
         self,
         entry_fn: Callable[[int, int], Fraction],
-        diag_nonzero: bool = False,
-        label: str = "triangle",
+        row_bound: Optional[Callable[[int], int]] = None,
+        row_count: Optional[int] = None,
+        label: str = "matrix",
         band: Optional[int] = None,
+        diag_nonzero: bool = False,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
     ):
         self._entry = entry_fn
-        self.diag_nonzero = diag_nonzero
+        self._row_bound = row_bound
+        self.row_count = row_count
         self.label = label
         self.band = band
+        self.diag_nonzero = diag_nonzero
         self.known_inverse = known_inverse
+        self._inverse: Optional[Triangle] = None  # set by Triangle.inverse
+        # rows are supported in [n - band, n]: entry's fast path
+        self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
-        self._inverse: Optional[Triangle] = None
 
     def entry(self, n: int, k: int) -> Fraction:
+        # a zero above a lower-triangular diagonal is the most common read,
+        # so it is answered first; a cached entry is known to be in support,
+        # so other row bounds are consulted only on a cache miss
+        if k > n and n >= 0 and self._lower:
+            return ZERO
         if n < 0 or k < 0:
             raise IndexError(f"matrix indices must be >= 0, got ({n}, {k})")
-        if k > n or (self.band is not None and n - k > self.band):
+        if self.band is not None and n - k > self.band:
             return ZERO
         value = self._cache.get((n, k))
         if value is None:
+            if not self._lower and k > self.row_bound(n):
+                return ZERO
             value = self._cache[(n, k)] = rat(self._entry(n, k))
         return value
 
     def row_bound(self, n: int) -> int:
-        """Largest possibly-nonzero column of row n."""
-        return n
+        """Largest possibly-nonzero column of row n; -1 for a zero row."""
+        if self.row_count is not None and n >= self.row_count:
+            return -1
+        return n if self._row_bound is None else self._row_bound(n)
+
+    def row_seq(self, n: int) -> Seq:
+        """Row n as a finitely supported Seq."""
+        return Seq(
+            lambda k: self.entry(n, k),
+            support_bound=self.row_bound(n),
+            label=f"{self.label}[row {n}]",
+        )
 
     def __repr__(self):
-        return f"Triangle({self.label})"
+        return f"{type(self).__name__}({self.label})"
+
+    @staticmethod
+    def from_rows(rows, label: str = "banded") -> "BandedMatrix":
+        """A finite matrix from explicit row literals (zero beyond them)."""
+        data = [[rat(v) for v in row] for row in rows]
+        return BandedMatrix(
+            lambda n, k: data[n][k],
+            lambda n: len(data[n]) - 1,
+            row_count=len(data),
+            label=label,
+        )
+
+
+class Triangle(BandedMatrix):
+    """A lower-triangular BandedMatrix: the kind that can be inverted.
+
+    Construct it without ``row_bound`` or ``row_count``.
+    """
 
     def inverse(self) -> "Triangle":
         """The inverse, computed and shared lazily: the known inverse when one
@@ -190,7 +237,7 @@ def identity() -> Triangle:
 
 @dataclass(frozen=True)
 class DenseTrunc:
-    """The N x N leading principal submatrix of a Triangle, held exactly."""
+    """The N x N leading principal submatrix of a matrix, held exactly."""
 
     size: int
     values: tuple  # tuple of row tuples of Fraction
@@ -201,8 +248,7 @@ class DenseTrunc:
 
 
 def truncate(source, n_size: int) -> DenseTrunc:
-    """Materialize the leading n_size x n_size block of any entry-addressable
-    matrix (Triangle, BandedMatrix, ...)."""
+    """Materialize the leading n_size x n_size block of a matrix."""
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
     rows = tuple(
@@ -238,8 +284,8 @@ def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
 def _coordinate(m, x: Seq, n: int) -> Fraction:
     """Coordinate n of the transform Mx: sum of m(n,k) x(k) over k <= m.row_bound(n).
 
-    Every row of a triangle or banded matrix has finite support, so this is
-    the full transform coordinate, not an approximation.
+    Every row has finite support, so this is the full transform coordinate,
+    not an approximation.
     """
     acc = ZERO
     for k in range(m.row_bound(n) + 1):
@@ -250,29 +296,38 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
 
 
 def apply(m, x: Seq, n_size: int) -> list:
-    """First n_size coordinates of the transform Mx (M a Triangle or BandedMatrix)."""
+    """First n_size coordinates of the transform Mx."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
     return [_coordinate(m, x, n) for n in range(n_size)]
 
 
-def transform_seq(t: Triangle, x: Seq) -> Seq:
+def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy Seq."""
     return Seq(lambda n: _coordinate(t, x, n), label=f"{t.label}*{x.label}")
 
 
-def compose(a: Triangle, b: Triangle) -> Triangle:
-    """Matrix product A.B of triangles ("B first, then A"); again a triangle.
+def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
+    """Matrix product A.B ("B first, then A"); a Triangle when both are.
 
     Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
-    nonzero.  The product's band is the sum of the factors' bands, and when
-    both factors have known inverses the product is inverted as
-    inverse(B).inverse(A).
+    nonzero: j in a's row n support, j >= k when B is lower triangular, and
+    j within B's band and rows.  The product's band is the sum of the
+    factors' bands, its rows end where A's rows end, and when both factors
+    have known inverses it is inverted as inverse(B).inverse(A).
     """
+    a_lower, a_band = a._lower, a.band
+    b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
 
     def entry(n: int, k: int) -> Fraction:
-        lo = k if a.band is None else max(k, n - a.band)
-        hi = n if b.band is None else min(n, k + b.band)
+        lo = k if b_lower else 0
+        if a_band is not None and n - a_band > lo:
+            lo = n - a_band
+        hi = n if a_lower else a.row_bound(n)
+        if b_band is not None and k + b_band < hi:
+            hi = k + b_band
+        if b_rows is not None and b_rows <= hi:
+            hi = b_rows - 1
         acc = ZERO
         for j in range(lo, hi + 1):
             c = a.entry(n, j)
@@ -280,14 +335,30 @@ def compose(a: Triangle, b: Triangle) -> Triangle:
                 acc += c * b.entry(j, k)
         return acc
 
+    row_bound = a._row_bound
+    if not b_lower:
+        bounds: dict[int, int] = {}
+
+        def row_bound(n: int) -> int:
+            # the furthest column of B's rows 0..a.row_bound(n)
+            bound = bounds.get(n)
+            if bound is None:
+                bound = bounds[n] = max(
+                    (b.row_bound(j) for j in range(a.row_bound(n) + 1)), default=-1
+                )
+            return bound
+
     known_inverse = None
     if a.known_inverse is not None and b.known_inverse is not None:
         known_inverse = lambda: compose(b.inverse(), a.inverse())
-    return Triangle(
+    triangles = isinstance(a, Triangle) and isinstance(b, Triangle)
+    return (Triangle if triangles else BandedMatrix)(
         entry,
-        diag_nonzero=a.diag_nonzero and b.diag_nonzero,
+        row_bound,
+        row_count=a.row_count,
         label=f"{a.label}.{b.label}",
-        band=None if a.band is None or b.band is None else a.band + b.band,
+        band=None if a_band is None or b_band is None else a_band + b_band,
+        diag_nonzero=a.diag_nonzero and b.diag_nonzero,
         known_inverse=known_inverse,
     )
 

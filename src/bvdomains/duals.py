@@ -183,7 +183,7 @@ class DualReport:
 
     def to_dict(self) -> dict:
         policy = policy_dict()
-        policy["oscillation_tolerance"] = str(OSCILLATION_TOL)
+        policy["oscillation_tolerance"] = fmt(OSCILLATION_TOL)
         return {
             "kind": self.kind,
             "n": self.n,

@@ -41,14 +41,22 @@ POLICY_NOTE = (
 
 def policy_dict() -> dict:
     return {
-        "growth_delta": str(GROWTH_DELTA),
-        "divergence_factor": str(DIVERGENCE_FACTOR),
+        "growth_delta": fmt(GROWTH_DELTA),
+        "divergence_factor": fmt(DIVERGENCE_FACTOR),
         "note": POLICY_NOTE,
     }
 
 
 def fmt(value: Fraction) -> str:
-    return str(value)
+    """The exact ``p/q`` text of a rational; every rational in the output
+    passes through here."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise ValueError(
+            "a result has too many digits to print; use a smaller --n or smaller"
+            " spec parameters (power p, geometric r, rational literals)"
+        ) from None
 
 
 def _stats_dict(stats: tuple) -> list:

@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import builders, duals, matclass, spaces
 from .core import (
+    BandedMatrix,
     Seq,
     ZERO,
     _build_inverse,
@@ -26,7 +27,6 @@ from .core import (
     transform_seq,
     truncate,
 )
-from .matclass import BandedMatrix
 
 SUITES = ("identities", "bases", "duals", "matclass", "all")
 
@@ -52,7 +52,7 @@ def _entries_equal(name, pairs):
             return CheckResult(
                 name,
                 False,
-                {"position": pos, "expected": str(expected), "got": str(got)},
+                {"position": pos, "expected": spaces.fmt(expected), "got": spaces.fmt(got)},
             )
     return CheckResult(name, True)
 
@@ -392,8 +392,8 @@ def suite_duals(n: int, rng) -> list:
                     False,
                     {
                         "case": case,
-                        "column_l1": [str(brute_l1), str(got_l1)],
-                        "sup": [str(brute_sup), str(got_sup)],
+                        "column_l1": [spaces.fmt(brute_l1), spaces.fmt(got_l1)],
+                        "sup": [spaces.fmt(brute_sup), spaces.fmt(got_sup)],
                     },
                 )
             )
@@ -432,10 +432,7 @@ def suite_matclass(n: int, rng) -> list:
             z = _rand_finite_seq(rng, label=f"z{case}")
             f = matclass.left_transform_F(b, dom.matrix)
             fz = matclass.apply_general(f, z, n)
-            bz = Seq(lambda i, _b=b, _z=z: sum(
-                (_b.entry(i, k) * _z(k) for k in range(_b.row_bound(i) + 1)), ZERO
-            ))
-            phi_bz = apply(dom.matrix, bz, n)
+            phi_bz = apply(dom.matrix, transform_seq(b, z), n)
             result = _entries_equal(
                 f"transform_identity_F[{dom.label}]",
                 (([i], phi_bz[i], fz[i]) for i in range(n)),

@@ -212,10 +212,18 @@ def test_exit_code_usage_errors(capsys):
         ["verify"],
     ):
         cases.append(command + ["--n", "100000"])
-    for argv in cases:
+    # results with more digits than Python prints name what to make smaller
+    too_long = [
+        ["membership", "--x", '{"tail": {"kind": "power", "p": 64}}', "--space", "l1", "--n", "256"],
+        ["membership", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--space", "l1", "--n", "64"],
+        ["transform", "--matrix", "sum", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--n", "64"],
+    ]
+    for argv in cases + too_long:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+        if argv in too_long:
+            assert "--n" in err and "power p" in err and "geometric r" in err, err
 
 
 def test_exit_code_mathematical_error(capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdomains.core import (
+    BandedMatrix,
     Seq,
     SingularMatrixError,
     Triangle,
@@ -18,7 +19,7 @@ from bvdomains.core import (
     transform_seq,
     truncate,
 )
-from bvdomains.builders import cesaro, delta, sigma_sum
+from bvdomains.builders import cesaro, cesaro_inverse, delta, phi, sigma_sum
 
 
 def dense_solve_inverse(dense):
@@ -104,9 +105,63 @@ def test_compose_delta_cesaro_matches_dense_product():
 
 def test_compose_delta_sum_is_identity():
     t = compose(delta(), sigma_sum())
+    assert isinstance(t, Triangle)
     for n in range(8):
         for k in range(8):
             assert t.entry(n, k) == (1 if n == k else 0)
+
+
+# rows of length 2, 0 and 5, then rows 3.. zero: a finite matrix whose row
+# supports are neither monotone nor triangular
+FINITE_ROWS = [["1", "-1"], [], ["0", "1/2", "2", "0", "-3"], ["5"]]
+FACTORS = {
+    "finite": lambda: BandedMatrix.from_rows(FINITE_ROWS, label="finite"),
+    "phi": phi,
+    "delta": delta,
+    "sum": sigma_sum,
+    "cesaro_inv": cesaro_inverse,
+}
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        ("finite", "phi"),
+        ("finite", "cesaro_inv"),
+        ("phi", "finite"),
+        ("delta", "finite"),
+        ("sum", "finite"),
+        ("finite", "finite"),
+    ],
+)
+def test_compose_with_finite_rows_matches_dense_oracle(left, right):
+    # 12 > every row length, so the truncated oracle sums over every j
+    size = 12
+    a, b = FACTORS[left](), FACTORS[right]()
+    product = compose(a, b)
+    assert not isinstance(product, Triangle)
+    assert product.row_count == a.row_count
+    assert truncate(product, size) == dense_mul(truncate(a, size), truncate(b, size))
+
+
+@pytest.mark.parametrize(
+    "left,right,bounds",
+    [
+        # E-shaped: A's own row supports
+        ("finite", "phi", [1, -1, 4, 0, -1, -1, -1, -1]),
+        # F-shaped: the running max of B's row supports
+        ("delta", "finite", [1, 1, 4, 4, 4, 4, 4, 4]),
+        ("finite", "finite", [1, -1, 4, 1, -1, -1, -1, -1]),
+        ("phi", "sum", list(range(8))),
+    ],
+)
+def test_compose_row_bound_covers_every_nonzero_entry(left, right, bounds):
+    a, b = FACTORS[left](), FACTORS[right]()
+    product = compose(a, b)
+    oracle = dense_mul(truncate(a, 12), truncate(b, 12))
+    assert [product.row_bound(n) for n in range(8)] == bounds
+    for n in range(8):
+        assert not any(oracle[n, k] for k in range(bounds[n] + 1, 12)), n
 
 
 def test_invert_against_substitution_oracle():

@@ -2,7 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from bvdomains.core import Seq, Triangle, identity, invert, transform_seq
+from bvdomains.core import (
+    Seq,
+    Triangle,
+    dense_mul,
+    identity,
+    invert,
+    transform_seq,
+    truncate,
+)
 from bvdomains.builders import (
     WeightPair,
     cesaro_domain,
@@ -38,8 +46,7 @@ def test_banded_from_rows_entries_and_bounds():
 def test_apply_general_matches_triangle_apply():
     x = Seq.from_values(["1", "-1", "1/2"])
     tri = phi()
-    banded = BandedMatrix.from_triangle(tri)
-    got = apply_general(banded, x, 8)
+    got = apply_general(tri, x, 8)
     col = transform_seq(tri, x)
     assert got == [col(i) for i in range(8)]
     finite = BandedMatrix.from_rows([["1", "1"]])
@@ -60,7 +67,7 @@ def test_row_transform_E_single_row_oracle():
 
 def test_row_transform_E_identity_recovers_inverse():
     dom = phi()
-    a = BandedMatrix.from_triangle(identity())
+    a = identity()
     e = row_transform_E(a, dom)
     inv = invert(dom)
     for n in range(8):
@@ -74,6 +81,21 @@ def test_left_transform_F_delta_sum_is_identity():
     for n in range(8):
         for k in range(8):
             assert f.entry(n, k) == (1 if n == k else 0)
+
+
+def test_left_transform_F_reads_a_triangle_only_on_and_below_its_diagonal():
+    t = sigma_sum()
+    reads = []
+    entry = t.entry
+
+    def counted(n, k):
+        reads.append((n, k))
+        return entry(n, k)
+
+    t.entry = counted
+    f = left_transform_F(t, phi())
+    assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))
+    assert reads and all(k <= n for n, k in reads)
 
 
 def test_left_transform_F_banded_bounds_are_cumulative():
@@ -108,7 +130,7 @@ def test_class_from_domain_summation_diverges():
     # the summation matrix sends e (which is in the Cesaro bv domain) to the
     # unbounded sequence (1, 2, 3, ...), and the E transform shows it: a
     # diagonal growing like n+1
-    a = BandedMatrix.from_triangle(sigma_sum())
+    a = sigma_sum()
     report = class_test_from_domain(a, cesaro_domain(), SpaceId.LINF, 16)
     assert report.verdict == "likely_not_in_class"
     stats = report.transformed_condition["sup_entry"]
