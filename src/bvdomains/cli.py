@@ -193,6 +193,17 @@ def parse_matrix_spec(text: str):
     return _build_matrix(raw, 0)
 
 
+def _weight_pair(raw: dict):
+    u, u_spec = _seq_from_obj(raw.get("u", ""))
+    v, v_spec = _seq_from_obj(raw.get("v", ""))
+    return builders.WeightPair(u, v), {"u": u_spec, "v": v_spec}
+
+
+def _riesz_weights(raw: dict):
+    q, q_spec = _seq_from_obj(raw.get("q", ""))
+    return builders.RieszWeights(q), {"q": q_spec}
+
+
 def _build_matrix(raw, depth: int):
     if depth > MAX_SPEC_DEPTH:
         raise SpecError(f"matrix spec nests deeper than {MAX_SPEC_DEPTH} levels")
@@ -202,16 +213,13 @@ def _build_matrix(raw, depth: int):
     if kind in _SIMPLE_MATRICES:
         return _SIMPLE_MATRICES[kind](), {"kind": kind}
     if kind in ("weighted", "gamma"):
-        u, u_spec = _seq_from_obj(raw.get("u", ""))
-        v, v_spec = _seq_from_obj(raw.get("v", ""))
-        pair = builders.WeightPair(u, v)
+        pair, spec = _weight_pair(raw)
         build = builders.weighted_mean if kind == "weighted" else builders.gamma
-        return build(pair), {"kind": kind, "u": u_spec, "v": v_spec}
+        return build(pair), {"kind": kind, **spec}
     if kind in ("riesz", "sigma_riesz"):
-        q, q_spec = _seq_from_obj(raw.get("q", ""))
-        weights = builders.RieszWeights(q)
+        weights, spec = _riesz_weights(raw)
         build = builders.riesz if kind == "riesz" else builders.sigma_riesz
-        return build(weights), {"kind": kind, "q": q_spec}
+        return build(weights), {"kind": kind, **spec}
     if kind == "inverse_of":
         inner, inner_spec = _build_matrix(raw.get("of", {}), depth + 1)
         if not isinstance(inner, Triangle) or not inner.diag_nonzero:
@@ -253,14 +261,11 @@ def parse_domain_spec(text: str):
     if label == "C":
         return builders.cesaro_domain(), {"label": "C"}
     if label == "G":
-        u, u_spec = _seq_from_obj(raw.get("u", ""))
-        v, v_spec = _seq_from_obj(raw.get("v", ""))
-        dom = builders.weighted_domain(builders.WeightPair(u, v))
-        return dom, {"label": "G", "u": u_spec, "v": v_spec}
+        pair, spec = _weight_pair(raw)
+        return builders.weighted_domain(pair), {"label": "G", **spec}
     if label == "R":
-        q, q_spec = _seq_from_obj(raw.get("q", ""))
-        dom = builders.riesz_domain(builders.RieszWeights(q))
-        return dom, {"label": "R", "q": q_spec}
+        weights, spec = _riesz_weights(raw)
+        return builders.riesz_domain(weights), {"label": "R", **spec}
     raise SpecError(f"unknown domain label {label!r}; choose C, G, or R")
 
 
@@ -454,7 +459,8 @@ def main(argv=None) -> int:
 
     Mathematical errors are tested first because InvalidWeightsError and
     UnsupportedClassError are ValueErrors too; every other ValueError,
-    SpecError included, is a usage error.
+    SpecError included, is a usage error, and so is an --out file that
+    cannot be written.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -467,6 +473,11 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if args.out is None:
+            raise
+        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -4,6 +4,9 @@ The alpha-dual matrix is diag(a) . inverse(domain); the beta/gamma matrix
 accumulates b_nk = sum_{j=k}^{n} a_j * inverse(domain)_jk.
 Each dual kind is decided (heuristically, at truncation) by the matrix-class
 conditions for (l1:l1), (l1:c), (l1:linf) evaluated on the associated matrix.
+The statistics live in one dict keyed by report name (``condition_stats``),
+which one serializer writes (``conditions_dict``) and one verdict function
+reads (``condition_verdict``); ``matclass`` uses the same three functions.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional, Union
 
 from .core import Seq, Triangle, ZERO, invert
 from .builders import Domain, RieszWeights, WeightPair
-from .spaces import _check_n, _stats_dict, classify_trend, fmt, policy_dict
+from .spaces import _check_n, _stats_dict, classify_trend, combine_verdicts, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
 # the last window is at most this; policy, not a theorem.
@@ -146,38 +149,61 @@ def cond_l1_l1(m, n: int) -> tuple:
 
 def _columns_dict(cols: tuple) -> list:
     return [
-        {
-            "k": c["k"],
-            "oscillation": fmt(c["oscillation"]),
-            "limit_estimate": fmt(c["limit_estimate"]),
-            "converged": c["converged"],
-        }
+        {**c, "oscillation": fmt(c["oscillation"]), "limit_estimate": fmt(c["limit_estimate"])}
         for c in cols
     ]
 
 
-def conditions_dict(kind, sup_entry, column_limits, column_l1) -> dict:
-    """The serialized condition statistics of a dual kind, absent ones omitted.
+def verdict_stats(kind: str, m, n: int) -> dict:
+    """The statistics that decide a dual kind on matrix m, keyed by report
+    name: column l1 sums (alpha), sup-entry (gamma), sup-entry and column
+    limits (beta)."""
+    if kind == "alpha":
+        return {"column_l1": cond_l1_l1(m, n)}
+    stats = {"sup_entry": cond_l1_linf(m, n)}
+    if kind == "beta":
+        stats["column_limits"] = cond_l1_c(m, n)
+    return stats
 
-    Column l1 sums decide alpha and are auxiliary data for beta.
-    """
-    block: dict = {}
-    if sup_entry is not None:
-        block["sup_entry"] = _stats_dict(sup_entry)
-    if column_limits is not None:
-        block["column_limits"] = _columns_dict(column_limits)
-    if column_l1 is not None:
-        block["column_l1" if kind == "alpha" else "column_l1_aux"] = _stats_dict(column_l1)
-    return block
+
+def condition_stats(kind: str, m, n: int) -> dict:
+    """The reported condition statistics of a dual kind on matrix m: the
+    deciding ones, plus the column l1 sums as auxiliary data for beta."""
+    stats = verdict_stats(kind, m, n)
+    if kind == "beta":
+        stats["column_l1_aux"] = cond_l1_l1(m, n)
+    return stats
+
+
+def conditions_dict(stats: dict) -> dict:
+    """The serialized form of keyed condition statistics."""
+    return {
+        name: _columns_dict(value) if name == "column_limits" else _stats_dict(value)
+        for name, value in stats.items()
+    }
+
+
+def condition_verdict(stats: dict) -> str:
+    """The combined verdict of the deciding statistics: the trends of the
+    column l1 sums and the sup-entry, and each column limit, which counts as
+    likely_in when it converged.  Auxiliary statistics take no part."""
+    verdicts = [
+        classify_trend(*(v for _, v in stats[name]))
+        for name in ("column_l1", "sup_entry")
+        if name in stats
+    ]
+    verdicts += [
+        "likely_in" if c["converged"] else "inconclusive"
+        for c in stats.get("column_limits", ())
+    ]
+    return combine_verdicts(*verdicts)
 
 
 @dataclass(frozen=True)
 class DualReport:
     kind: str
     n: int
-    cond_sup_entry: Optional[tuple]  # sup-entry stats (beta, gamma)
-    cond_column_limits: Optional[tuple]  # per-column limit diagnostics (beta)
-    cond_column_l1: Optional[tuple]  # column l1-sum stats (alpha; auxiliary for beta)
+    conditions: dict  # condition statistics keyed by report name
     verdict: str
     cross_check: Optional[dict] = None
 
@@ -187,44 +213,11 @@ class DualReport:
         return {
             "kind": self.kind,
             "n": self.n,
-            "conditions": conditions_dict(
-                self.kind, self.cond_sup_entry, self.cond_column_limits, self.cond_column_l1
-            ),
+            "conditions": conditions_dict(self.conditions),
             "verdict": self.verdict,
             "cross_check": self.cross_check,
             "policy": policy,
         }
-
-
-def _condition_stats(kind: str, m, n: int):
-    """The condition statistics relevant to a dual kind, on matrix m."""
-    sup_entry = column_limits = column_l1 = None
-    if kind == "alpha":
-        column_l1 = cond_l1_l1(m, n)
-    elif kind == "beta":
-        sup_entry = cond_l1_linf(m, n)
-        column_limits = cond_l1_c(m, n)
-        # column l1 sums are informative for beta as well, but only as
-        # auxiliary data; the verdict rests on sup-entry and column limits
-        column_l1 = cond_l1_l1(m, n)
-    elif kind == "gamma":
-        sup_entry = cond_l1_linf(m, n)
-    else:
-        raise ValueError(f"unknown dual kind {kind!r}")
-    return sup_entry, column_limits, column_l1
-
-
-def _condition_verdict(kind, sup_entry, column_limits, column_l1) -> str:
-    if kind == "alpha":
-        return classify_trend(*(v for _, v in column_l1))
-    trend = classify_trend(*(v for _, v in sup_entry))
-    if kind == "gamma":
-        return trend
-    if trend == "likely_out":
-        return "likely_out"
-    if trend == "likely_in" and all(c["converged"] for c in column_limits):
-        return "likely_in"
-    return "inconclusive"
 
 
 def dual_test(
@@ -245,22 +238,21 @@ def dual_test(
         raise ValueError(f"unknown dual kind {kind!r}")
 
     assoc = alpha_assoc(matrix, a) if kind == "alpha" else beta_assoc(matrix, a)
-    sup_entry, column_limits, column_l1 = _condition_stats(kind, assoc, n)
+    conditions = condition_stats(kind, assoc, n)
 
     if a.support_bound is not None and a.support_bound <= n // 4:
         verdict = "certified_in"
     else:
-        verdict = _condition_verdict(kind, sup_entry, column_limits, column_l1)
+        verdict = condition_verdict(conditions)
 
     cross_check = None
     if weights is not None and kind in ("beta", "gamma"):
-        oracle = closed_form_beta_matrix(weights, a)
-        o_sup, o_cols, o_l1 = _condition_stats(kind, oracle, n)
+        oracle = verdict_stats(kind, closed_form_beta_matrix(weights, a), n)
+        shown = conditions_dict(oracle)
         cross_check = {
-            "sup_entry": _stats_dict(o_sup),
-            "match": o_sup == sup_entry and o_cols == column_limits,
+            "sup_entry": shown.pop("sup_entry"),
+            "match": all(oracle[name] == conditions[name] for name in oracle),
+            **shown,
         }
-        if o_cols is not None:
-            cross_check["column_limits"] = _columns_dict(o_cols)
 
-    return DualReport(kind, n, sup_entry, column_limits, column_l1, verdict, cross_check)
+    return DualReport(kind, n, conditions, verdict, cross_check)

@@ -16,8 +16,8 @@ from typing import Optional
 
 from .core import BandedMatrix, Triangle, apply, compose, invert
 from .builders import Domain
-from .duals import _condition_stats, _condition_verdict, conditions_dict, dual_test
-from .spaces import SpaceId, _check_n, policy_dict
+from .duals import condition_stats, condition_verdict, conditions_dict, dual_test
+from .spaces import SpaceId, _check_n, combine_verdicts, policy_dict
 
 
 class UnsupportedClassError(ValueError):
@@ -73,21 +73,19 @@ class ClassReport:
         }
 
 
+# (l1:Y) is decided by the same condition statistics as the dual kind of Y.
 _Y_TO_KIND = {SpaceId.L1: "alpha", SpaceId.C: "beta", SpaceId.LINF: "gamma"}
-# The testable condition set for (l1:Y) coincides with the one used for the
-# dual kind above: l1 -> column-l1 sums, c -> sup-entry + column limits,
-# linf -> sup-entry.
+_CLASS_VERDICTS = {
+    "likely_in": "likely_in_class",
+    "likely_out": "likely_not_in_class",
+    "inconclusive": "inconclusive",
+}
 
 
 def _target_condition(m, y: SpaceId, n: int):
-    kind = _Y_TO_KIND[y]
-    sup_entry, column_limits, column_l1 = _condition_stats(kind, m, n)
-    verdict = _condition_verdict(kind, sup_entry, column_limits, column_l1)
-    block = {
-        "target": y.value,
-        **conditions_dict(kind, sup_entry, column_limits, column_l1),
-        "verdict": verdict,
-    }
+    stats = condition_stats(_Y_TO_KIND[y], m, n)
+    verdict = condition_verdict(stats)
+    block = {"target": y.value, **conditions_dict(stats), "verdict": verdict}
     return block, verdict
 
 
@@ -109,15 +107,8 @@ def class_test_from_domain(
     )
     e = row_transform_E(a, domain.matrix)
     block, cond_verdict = _target_condition(e, y, n)
-
-    ok = {"certified_in", "likely_in"}
-    row_verdicts = [r.verdict for r in row_checks]
-    if cond_verdict == "likely_out" or "likely_out" in row_verdicts:
-        verdict = "likely_not_in_class"
-    elif cond_verdict == "likely_in" and all(v in ok for v in row_verdicts):
-        verdict = "likely_in_class"
-    else:
-        verdict = "inconclusive"
+    row_verdicts = (r.verdict for r in row_checks)
+    verdict = _CLASS_VERDICTS[combine_verdicts(cond_verdict, *row_verdicts)]
     return ClassReport("from_bv_domain", domain.label, y, n, row_checks, block, verdict)
 
 
@@ -131,8 +122,5 @@ def class_test_into_domain(
         raise UnsupportedClassError("into_bv_domain", y, (SpaceId.L1,))
     f = left_transform_F(b, domain.matrix)
     block, cond_verdict = _target_condition(f, SpaceId.L1, n)
-    verdict = {
-        "likely_in": "likely_in_class",
-        "likely_out": "likely_not_in_class",
-    }.get(cond_verdict, "inconclusive")
+    verdict = _CLASS_VERDICTS[combine_verdicts(cond_verdict)]
     return ClassReport("into_bv_domain", domain.label, y, n, None, block, verdict)

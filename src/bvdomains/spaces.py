@@ -74,6 +74,17 @@ def classify_trend(s1: Fraction, s2: Fraction, s3: Fraction) -> str:
     return "inconclusive"
 
 
+def combine_verdicts(*verdicts: str) -> str:
+    """The conservative verdict of several parts: likely_out if any part is
+    likely_out, likely_in if every part is certified_in or likely_in, else
+    inconclusive."""
+    if "likely_out" in verdicts:
+        return "likely_out"
+    if all(v in ("certified_in", "likely_in") for v in verdicts):
+        return "likely_in"
+    return "inconclusive"
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     space: SpaceId
@@ -182,14 +193,7 @@ def membership(x: Seq, space: SpaceId, n: int) -> MembershipReport:
     if space is SpaceId.BV0:
         aux = tuple((i, _statistic(x, SpaceId.C0, i)) for i in indices)
         if not certified:
-            a1, a2, a3 = (v for _, v in aux)
-            aux_verdict = classify_trend(a1, a2, a3)
-            if "likely_out" in (verdict, aux_verdict):
-                verdict = "likely_out"
-            elif verdict == "likely_in" and aux_verdict == "likely_in":
-                verdict = "likely_in"
-            else:
-                verdict = "inconclusive"
+            verdict = combine_verdicts(verdict, classify_trend(*(v for _, v in aux)))
     return MembershipReport(space, n, stats, ratio, verdict, aux)
 
 

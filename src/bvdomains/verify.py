@@ -57,6 +57,21 @@ def _entries_equal(name, pairs):
     return CheckResult(name, True)
 
 
+def _first_failure(name, cases) -> CheckResult:
+    """The first failing result of a lazy run of cases, else one pass named
+    name.  Cases after the first failure never run, so they draw nothing from
+    the seeded generator."""
+    return next((result for result in cases if not result.passed), CheckResult(name, True))
+
+
+def _case_equal(name, case, expected, got, n):
+    """Compare the first n coordinates of one randomized case; a failure records the case."""
+    result = _entries_equal(name, (([i], expected[i], got[i]) for i in range(n)))
+    if not result.passed:
+        result.counterexample["case"] = case
+    return result
+
+
 def _matrices_equal(name, a, b, n):
     return _entries_equal(
         name,
@@ -237,19 +252,12 @@ def suite_bases(n: int, rng) -> list:
     checks = []
     domains = _standard_domains()
     for dom in domains:
-        t = dom.matrix
-        for k in range(min(32, n // 2)):
-            got = apply(t, builders.basis_column(t, k), n)
-            unit = Seq.unit(k)
-            result = _entries_equal(
-                f"basis_application[{dom.label},k={k}]",
-                (([i], unit(i), got[i]) for i in range(n)),
+        checks.append(
+            _first_failure(
+                f"basis_application[{dom.label}]",
+                (_basis_application(dom, k, n) for k in range(min(32, n // 2))),
             )
-            if not result.passed:
-                checks.append(result)
-                break
-        else:
-            checks.append(CheckResult(f"basis_application[{dom.label}]", True))
+        )
 
     col = builders.basis_column(builders.delta(), 3)
     checks.append(
@@ -277,28 +285,37 @@ def suite_bases(n: int, rng) -> list:
     )
 
     for dom in domains:
-        t = dom.matrix
-        for case in range(5):
-            x = _rand_finite_seq(rng, label=f"x{case}")
-            top = x.support_bound
-            y = apply(t, x, top + 1)
-            rebuilt = [
-                sum(
-                    (y[k] * builders.basis_column(t, k)(i) for k in range(top + 1)),
-                    ZERO,
-                )
-                for i in range(top + 1)
-            ]
-            result = _entries_equal(
-                f"basis_reconstruction[{dom.label},case={case}]",
-                (([i], x(i), rebuilt[i]) for i in range(top + 1)),
+        checks.append(
+            _first_failure(
+                f"basis_reconstruction[{dom.label}]",
+                (_basis_reconstruction(dom, case, rng) for case in range(5)),
             )
-            if not result.passed:
-                checks.append(result)
-                break
-        else:
-            checks.append(CheckResult(f"basis_reconstruction[{dom.label}]", True))
+        )
     return checks
+
+
+def _basis_application(dom, k: int, n: int) -> CheckResult:
+    got = apply(dom.matrix, builders.basis_column(dom.matrix, k), n)
+    unit = Seq.unit(k)
+    return _entries_equal(
+        f"basis_application[{dom.label},k={k}]",
+        (([i], unit(i), got[i]) for i in range(n)),
+    )
+
+
+def _basis_reconstruction(dom, case: int, rng) -> CheckResult:
+    t = dom.matrix
+    x = _rand_finite_seq(rng, label=f"x{case}")
+    top = x.support_bound
+    y = apply(t, x, top + 1)
+    rebuilt = [
+        sum((y[k] * builders.basis_column(t, k)(i) for k in range(top + 1)), ZERO)
+        for i in range(top + 1)
+    ]
+    return _entries_equal(
+        f"basis_reconstruction[{dom.label},case={case}]",
+        (([i], x(i), rebuilt[i]) for i in range(top + 1)),
+    )
 
 
 def suite_duals(n: int, rng) -> list:
@@ -321,23 +338,11 @@ def suite_duals(n: int, rng) -> list:
     )
 
     for wi, w in enumerate(_weight_pairs()):
+        name = f"beta_cross_check[G,w={wi}]"
         dom = builders.weighted_domain(w)
-        ok = True
-        for case in range(3):
-            a = _rand_finite_seq(rng, label=f"a{case}")
-            report = duals.dual_test(dom, a, "beta", n)
-            if not report.cross_check["match"]:
-                checks.append(
-                    CheckResult(
-                        f"beta_cross_check[G,w={wi}]",
-                        False,
-                        {"case": case, "detail": report.cross_check},
-                    )
-                )
-                ok = False
-                break
-        if ok:
-            checks.append(CheckResult(f"beta_cross_check[G,w={wi}]", True))
+        checks.append(
+            _first_failure(name, (_beta_cross_check(name, dom, case, n, rng) for case in range(3)))
+        )
 
     for dom in _standard_domains():
         for kind in duals.DUAL_KINDS:
@@ -373,77 +378,54 @@ def suite_duals(n: int, rng) -> list:
     )
     checks.append(CheckResult("riesz_cesaro_dual_coincidence", same))
 
-    for case in range(5):
-        m = _rand_banded(rng, label=f"m{case}")
-        dense = truncate(m, n)
-        brute_l1 = max(
-            sum((abs(dense.values[row][col]) for row in range(n)), ZERO)
-            for col in range(n)
+    checks.append(
+        _first_failure(
+            "condition_brute_force_agreement",
+            (_condition_brute_force(case, n, rng) for case in range(5)),
         )
-        brute_sup = max(
-            abs(dense.values[row][col]) for row in range(n) for col in range(n)
-        )
-        got_l1 = duals.cond_l1_l1(m, n)[-1][1]
-        got_sup = duals.cond_l1_linf(m, n)[-1][1]
-        if got_l1 != brute_l1 or got_sup != brute_sup:
-            checks.append(
-                CheckResult(
-                    "condition_brute_force_agreement",
-                    False,
-                    {
-                        "case": case,
-                        "column_l1": [spaces.fmt(brute_l1), spaces.fmt(got_l1)],
-                        "sup": [spaces.fmt(brute_sup), spaces.fmt(got_sup)],
-                    },
-                )
-            )
-            break
-    else:
-        checks.append(CheckResult("condition_brute_force_agreement", True))
+    )
     return checks
+
+
+def _beta_cross_check(name: str, dom, case: int, n: int, rng) -> CheckResult:
+    a = _rand_finite_seq(rng, label=f"a{case}")
+    cross_check = duals.dual_test(dom, a, "beta", n).cross_check
+    match = cross_check["match"]
+    return CheckResult(name, match, None if match else {"case": case, "detail": cross_check})
+
+
+def _condition_brute_force(case: int, n: int, rng) -> CheckResult:
+    m = _rand_banded(rng, label=f"m{case}")
+    dense = truncate(m, n)
+    brute_l1 = max(
+        sum((abs(dense.values[row][col]) for row in range(n)), ZERO) for col in range(n)
+    )
+    brute_sup = max(abs(dense.values[row][col]) for row in range(n) for col in range(n))
+    got_l1 = duals.cond_l1_l1(m, n)[-1][1]
+    got_sup = duals.cond_l1_linf(m, n)[-1][1]
+    if got_l1 == brute_l1 and got_sup == brute_sup:
+        return CheckResult("condition_brute_force_agreement", True)
+    return CheckResult(
+        "condition_brute_force_agreement",
+        False,
+        {
+            "case": case,
+            "column_l1": [spaces.fmt(brute_l1), spaces.fmt(got_l1)],
+            "sup": [spaces.fmt(brute_sup), spaces.fmt(got_sup)],
+        },
+    )
 
 
 def suite_matclass(n: int, rng) -> list:
     checks = []
     for dom in _standard_domains():
-        ok = True
-        for case in range(5):
-            a = _rand_banded(rng, label=f"A{case}")
-            x = _rand_finite_seq(rng, label=f"x{case}")
-            e = matclass.row_transform_E(a, dom.matrix)
-            y = transform_seq(dom.matrix, x)
-            ax = matclass.apply_general(a, x, n)
-            ey = matclass.apply_general(e, y, n)
-            result = _entries_equal(
-                f"transform_identity_E[{dom.label}]",
-                (([i], ax[i], ey[i]) for i in range(n)),
+        for name, run_case in (
+            (f"transform_identity_E[{dom.label}]", _transform_identity_E),
+            (f"transform_identity_F[{dom.label}]", _transform_identity_F),
+        ):
+            checks.append(
+                _first_failure(name, (run_case(name, dom, case, n, rng) for case in range(5)))
             )
-            if not result.passed:
-                result.counterexample["case"] = case
-                checks.append(result)
-                ok = False
-                break
-        if ok:
-            checks.append(CheckResult(f"transform_identity_E[{dom.label}]", True))
-
-        ok = True
-        for case in range(5):
-            b = _rand_banded(rng, label=f"B{case}")
-            z = _rand_finite_seq(rng, label=f"z{case}")
-            f = matclass.left_transform_F(b, dom.matrix)
-            fz = matclass.apply_general(f, z, n)
-            phi_bz = apply(dom.matrix, transform_seq(b, z), n)
-            result = _entries_equal(
-                f"transform_identity_F[{dom.label}]",
-                (([i], phi_bz[i], fz[i]) for i in range(n)),
-            )
-            if not result.passed:
-                result.counterexample["case"] = case
-                checks.append(result)
-                ok = False
-                break
-        if ok:
-            checks.append(CheckResult(f"transform_identity_F[{dom.label}]", True))
 
         report = matclass.class_test_into_domain(
             invert(dom.matrix), dom, spaces.SpaceId.L1, n
@@ -481,6 +463,25 @@ def suite_matclass(n: int, rng) -> list:
         )
     )
     return checks
+
+
+def _transform_identity_E(name: str, dom, case: int, n: int, rng) -> CheckResult:
+    a = _rand_banded(rng, label=f"A{case}")
+    x = _rand_finite_seq(rng, label=f"x{case}")
+    e = matclass.row_transform_E(a, dom.matrix)
+    y = transform_seq(dom.matrix, x)
+    ax = matclass.apply_general(a, x, n)
+    ey = matclass.apply_general(e, y, n)
+    return _case_equal(name, case, ax, ey, n)
+
+
+def _transform_identity_F(name: str, dom, case: int, n: int, rng) -> CheckResult:
+    b = _rand_banded(rng, label=f"B{case}")
+    z = _rand_finite_seq(rng, label=f"z{case}")
+    f = matclass.left_transform_F(b, dom.matrix)
+    fz = matclass.apply_general(f, z, n)
+    phi_bz = apply(dom.matrix, transform_seq(b, z), n)
+    return _case_equal(name, case, phi_bz, fz, n)
 
 
 def run_suite(suite: str, n: int, seed: int) -> dict:

@@ -175,7 +175,7 @@ def test_matclass_requires_banded_for_from_direction(capsys):
     assert "banded" in err
 
 
-def test_exit_code_usage_errors(capsys):
+def test_exit_code_usage_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "matrix", "--spec", "hilbert")
     assert code == 2 and "error:" in err
     code, out, err = run_cli(capsys, "matrix", "--spec", "delta", "--n", "0")
@@ -218,12 +218,19 @@ def test_exit_code_usage_errors(capsys):
         ["membership", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--space", "l1", "--n", "64"],
         ["transform", "--matrix", "sum", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--n", "64"],
     ]
-    for argv in cases + too_long:
+    # an --out path that cannot be written: a directory, or inside a missing one
+    unwritable = [
+        ["matrix", "--spec", "cesaro", "--n", "4", "--out", str(out_path)]
+        for out_path in (tmp_path, tmp_path / "missing" / "x.json")
+    ]
+    for argv in cases + too_long + unwritable:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
         if argv in too_long:
             assert "--n" in err and "power p" in err and "geometric r" in err, err
+        if argv in unwritable:
+            assert "--out" in err and argv[-1] in err, err
 
 
 def test_exit_code_mathematical_error(capsys):

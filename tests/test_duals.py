@@ -2,10 +2,12 @@ import json
 import random
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from bvdomains import duals
 from bvdomains.core import Seq, Triangle, compose, identity, invert
 from bvdomains.builders import (
     RieszWeights,
@@ -28,7 +30,8 @@ from bvdomains.duals import (
     closed_form_beta_matrix,
     dual_test,
 )
-from bvdomains.matclass import BandedMatrix
+from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
+from bvdomains.spaces import SpaceId
 
 E = Seq.constant(1, "e")
 
@@ -192,6 +195,40 @@ def test_report_conditions_by_kind():
     assert set(beta["conditions"]) == {"sup_entry", "column_limits", "column_l1_aux"}
     gamma = dual_test(phi(), a, "gamma", 16).to_dict()
     assert set(gamma["conditions"]) == {"sup_entry"}
+
+
+@pytest.fixture
+def cond_calls(monkeypatch):
+    """Counts calls of the condition statistics made through their duals names."""
+    calls = Counter()
+    for name in ("cond_l1_linf", "cond_l1_c", "cond_l1_l1"):
+        def counted(m, n, name=name, orig=getattr(duals, name)):
+            calls[name] += 1
+            return orig(m, n)
+
+        monkeypatch.setattr(duals, name, counted)
+    return calls
+
+
+def test_verdicts_reach_condition_statistics_through_duals_names(cond_calls):
+    dual_test(cesaro_domain(), E, "beta", 16)
+    assert cond_calls == {"cond_l1_linf": 1, "cond_l1_c": 1, "cond_l1_l1": 1}
+    cond_calls.clear()
+    row = BandedMatrix.from_rows([["1", "1"]])
+    # four beta row checks, then (l1:l1) on E
+    class_test_from_domain(row, cesaro_domain(), SpaceId.L1, 16)
+    assert cond_calls == {"cond_l1_linf": 4, "cond_l1_c": 4, "cond_l1_l1": 5}
+    cond_calls.clear()
+    class_test_into_domain(row, cesaro_domain(), SpaceId.L1, 16)
+    assert cond_calls == {"cond_l1_l1": 1}
+
+
+def test_beta_cross_check_runs_only_the_compared_statistics(cond_calls):
+    """The closed-form oracle gets sup-entry and column limits, which the
+    match compares, and no column l1 sums."""
+    report = dual_test(weighted_domain(harmonic_pair()), Seq.from_values(["1", "2"]), "beta", 16)
+    assert report.cross_check["match"] is True
+    assert cond_calls == {"cond_l1_linf": 2, "cond_l1_c": 2, "cond_l1_l1": 1}
 
 
 def test_appended_rows_are_consistent_across_threads():

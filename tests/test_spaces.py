@@ -10,6 +10,7 @@ from bvdomains.spaces import (
     bv_norm_prefix,
     classical_dual,
     classify_trend,
+    combine_verdicts,
     domain_membership,
     membership,
 )
@@ -98,6 +99,24 @@ def test_classify_trend_edge_cases():
     assert classify_trend(F(0), F(0), F(0)) == "likely_in"
     assert classify_trend(F(1), F(1), F(1)) == "likely_in"
     assert classify_trend(F(1), F(3, 2), F(2)) == "likely_out"
+
+
+VERDICTS = ("certified_in", "likely_in", "inconclusive", "likely_out")
+# COMBINED[first][j] is the combined verdict of first and VERDICTS[j]
+COMBINED = {
+    "certified_in": ("likely_in", "likely_in", "inconclusive", "likely_out"),
+    "likely_in": ("likely_in", "likely_in", "inconclusive", "likely_out"),
+    "inconclusive": ("inconclusive", "inconclusive", "inconclusive", "likely_out"),
+    "likely_out": ("likely_out", "likely_out", "likely_out", "likely_out"),
+}
+
+
+@pytest.mark.parametrize("first", VERDICTS)
+@pytest.mark.parametrize("second", VERDICTS)
+def test_combine_verdicts_truth_table(first, second):
+    expected = COMBINED[first][VERDICTS.index(second)]
+    assert combine_verdicts(first, second) == expected
+    assert combine_verdicts(second, first) == expected
 
 
 def test_classical_dual_table():
