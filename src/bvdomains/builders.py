@@ -8,7 +8,9 @@ Each named triangle declares its exact inverse: delta and the partial-sum
 matrix invert each other, as do the Cesaro mean and its closed-form inverse,
 and the weighted and Riesz means have bidiagonal inverses.  A domain matrix
 therefore inverts through its factors' inverses, never by forward
-substitution.
+substitution.  Its inverse, a bidiagonal mean inverse times the partial-sum
+matrix, is a diagonal plus a strictly lower part constant along each row, and
+declares those generators.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .core import (
     compose,
     invert,
     rat,
+    row_generators,
 )
 
 
@@ -165,25 +168,36 @@ def riesz(r: RieszWeights) -> Triangle:
     )
 
 
+def _domain_matrix(mean: Triangle, label: str) -> Triangle:
+    """delta composed after a mean with a bidiagonal inverse X.  The inverse
+    X . sum has X(n, n) on the diagonal and X(n, n) + X(n, n-1) everywhere
+    below it in row n, so it declares row generators."""
+    t = compose(delta(), mean)
+    t.label = label
+    product_inverse = t.known_inverse
+
+    def known_inverse() -> Triangle:
+        inv = product_inverse()
+        inv.generators = row_generators(inv)
+        return inv
+
+    t.known_inverse = known_inverse
+    return t
+
+
 def phi() -> Triangle:
     """Domain matrix of bv(C): delta composed after the Cesaro mean."""
-    t = compose(delta(), cesaro())
-    t.label = "phi"
-    return t
+    return _domain_matrix(cesaro(), "phi")
 
 
 def gamma(w: WeightPair) -> Triangle:
     """Domain matrix of bv(G): delta composed after the weighted mean."""
-    t = compose(delta(), weighted_mean(w))
-    t.label = "gamma"
-    return t
+    return _domain_matrix(weighted_mean(w), "gamma")
 
 
 def sigma_riesz(r: RieszWeights) -> Triangle:
     """Domain matrix of bv(R): delta composed after the Riesz mean."""
-    t = compose(delta(), riesz(r))
-    t.label = "sigma"
-    return t
+    return _domain_matrix(riesz(r), "sigma")
 
 
 def phi_closed_form() -> Triangle:

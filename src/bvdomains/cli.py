@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -283,6 +285,24 @@ def _envelope(command: str, spec: dict, n: int, payload_key: str, payload) -> di
     }
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing the --out file would, before any work.
+
+    The file is not opened here, because opening truncates it and a later
+    failure would then leave it empty.
+    """
+    parent = os.path.dirname(path) or "."
+    code = None
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    if code is not None:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _emit(args, text: str) -> None:
     data = text if text.endswith("\n") else text + "\n"
     if getattr(args, "out", None):
@@ -460,13 +480,15 @@ def main(argv=None) -> int:
     Mathematical errors are tested first because InvalidWeightsError and
     UnsupportedClassError are ValueErrors too; every other ValueError,
     SpecError included, is a usage error, and so is an --out file that
-    cannot be written.
+    cannot be written, which is found before the command runs.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if not 1 <= args.n <= MAX_TRUNCATION:
             raise SpecError(f"--n must be in [1, {MAX_TRUNCATION}], got {args.n}")
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except (SingularMatrixError, InvalidWeightsError, UnsupportedClassError) as exc:
         print(f"mathematical error: {exc}", file=sys.stderr)

@@ -19,6 +19,13 @@ so the domain matrices built from named triangles invert at O(1) cost per
 entry.  Generic forward substitution (``_build_inverse``) is the fallback for
 a triangle with no known inverse, and the independent oracle the fast
 inverses are checked against.
+
+A triangle may also declare generators: lists (diag, col, row) with
+entry(n, n) = diag[n] and entry(n, k) = col[k] + row[n] below the diagonal.
+The domain inverses are a diagonal plus a strictly lower part constant along
+each row (``row_generators``), and the dual matrices built from them keep the
+form, so their condition statistics need O(N) generator values instead of
+O(N^2) entries.
 """
 
 from __future__ import annotations
@@ -135,7 +142,10 @@ class BandedMatrix:
     index on to be zero (a wholly finite matrix).  ``diag_nonzero`` asserts
     every diagonal entry is nonzero, the precondition for inversion, and
     ``known_inverse``, when present, builds the exact inverse without forward
-    substitution.  The finite row supports are what make every product and
+    substitution.  ``generators``, when present, maps a size N to lists
+    (diag, col, row) over the indices below N such that entry(n, n) = diag[n]
+    and entry(n, k) = col[k] + row[n] for k < n; it is declared only on lower
+    triangles.  The finite row supports are what make every product and
     transform coordinate an exact finite sum.
     """
 
@@ -148,6 +158,7 @@ class BandedMatrix:
         band: Optional[int] = None,
         diag_nonzero: bool = False,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
+        generators: Optional[Callable[[int], tuple]] = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
@@ -156,6 +167,7 @@ class BandedMatrix:
         self.band = band
         self.diag_nonzero = diag_nonzero
         self.known_inverse = known_inverse
+        self.generators = generators
         self._inverse: Optional[Triangle] = None  # set by Triangle.inverse
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
@@ -227,6 +239,23 @@ class Triangle(BandedMatrix):
             inv.known_inverse = lambda: self
             self._inverse = inv
         return self._inverse
+
+
+def row_generators(t: Triangle) -> Callable[[int], tuple]:
+    """Generators of a triangle that is a diagonal plus a strictly lower part
+    constant along each row, read from its own entries: diag[j] = t(j, j),
+    col = 0 and row[j] = t(j, j - 1), so N values take O(N) entry reads."""
+
+    def generators(size: int) -> tuple:
+        diag, row = [], []
+        for j in range(size):
+            # row j below its diagonal first, as an entry scan reads it, so an
+            # invalid weight is reported at the same index either way
+            row.append(t.entry(j, j - 1) if j else ZERO)
+            diag.append(t.entry(j, j))
+        return diag, [ZERO] * size, row
+
+    return generators
 
 
 def identity() -> Triangle:

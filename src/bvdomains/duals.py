@@ -7,13 +7,24 @@ conditions for (l1:l1), (l1:c), (l1:linf) evaluated on the associated matrix.
 The statistics live in one dict keyed by report name (``condition_stats``),
 which one serializer writes (``conditions_dict``) and one verdict function
 reads (``condition_verdict``); ``matclass`` uses the same three functions.
+
+The domain inverses declare generators: a diagonal delta_j plus a strictly
+lower part p_j constant along row j.  The alpha matrix then has a_k delta_k on
+the diagonal and a_n p_n below it, and the beta matrix is b_nk = c_k + P_n
+with P_n = a_1 p_1 + ... + a_n p_n and c_k = a_k delta_k - P_k; the closed-form
+cross-check matrix declares the same form from the weights.  The three
+statistics compute from these generators in O(N log N) when a matrix declares
+them, and scan its entries otherwise (E, F, a bare triangle domain); the scans
+are also the oracle the generator path is checked against.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from .core import Seq, Triangle, ZERO, invert
@@ -27,12 +38,39 @@ OSCILLATION_TOL = Fraction(1, 10**6)
 DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
+def _scaled_rows(inv: Triangle, a: Seq, size: int) -> tuple:
+    """diag(a) . inv as (diagonal, row-constant lower part), from the
+    generators of an inverse whose col part is zero, as a domain inverse's is."""
+    diag, _, row = inv.generators(size)
+    return [a(j) * d for j, d in enumerate(diag)], [a(j) * p for j, p in enumerate(row)]
+
+
+def _column_sums(diag: list, lower: list) -> tuple:
+    """Generators of the column partial sums of the triangle with diagonal
+    diag and row-constant lower part lower: entry(n, k) = c_k + P_n with
+    P_n = lower[1] + ... + lower[n] and c_k = diag[k] - P_k."""
+    prefix = list(accumulate(lower[1:], initial=ZERO))
+    return diag, [d - p for d, p in zip(diag, prefix)], prefix
+
+
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
-    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse."""
+    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
+
+    It declares generators (a_k delta_k on the diagonal, a_n p_n below it)
+    when the inverse declares them.
+    """
     inv = invert(domain_matrix)
+    generators = None
+    if inv.generators is not None:
+
+        def generators(size: int) -> tuple:
+            diag, row = _scaled_rows(inv, a, size)
+            return diag, [ZERO] * size, row
+
     return Triangle(
         lambda n, k: a(n) * inv.entry(n, k),
         label=f"alpha_assoc({domain_matrix.label})",
+        generators=generators,
     )
 
 
@@ -40,7 +78,11 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
     """Matrix of partial sums sum_{k<=n} a_k x_k in the y coordinates.
 
     entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk, held as per-column
-    running sums so deep probes stay linear instead of quadratic.
+    running sums so a scan of the N x N square stays quadratic instead of
+    cubic.  When the inverse declares generators, so does this matrix
+    (entry(n, k) = c_k + P_n), and the condition statistics read those
+    instead of its entries; the running sums serve the scans of other
+    domains and the oracle checks.
     """
     inv = invert(domain_matrix)
     columns: dict[int, list[Fraction]] = {}
@@ -54,7 +96,10 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
                 col.append(col[-1] + a(j) * inv.entry(j, k))
             return col[n - k]
 
-    return Triangle(entry, label=f"beta_assoc({domain_matrix.label})")
+    generators = None
+    if inv.generators is not None:
+        generators = lambda size: _column_sums(*_scaled_rows(inv, a, size))
+    return Triangle(entry, label=f"beta_assoc({domain_matrix.label})", generators=generators)
 
 
 def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) -> Triangle:
@@ -62,7 +107,8 @@ def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) ->
 
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
     c_j = (1/v_j)(1/u_j - 1/u_{j-1}) a_j below it; no inversion is involved,
-    so this is an independent oracle for beta_assoc on bv(G)/bv(R).
+    so this is an independent oracle for beta_assoc on bv(G)/bv(R).  Its
+    generators come from the same closed forms.
     """
     w = weights.as_weight_pair() if isinstance(weights, RieszWeights) else weights
 
@@ -72,21 +118,59 @@ def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) ->
     def step(j: int) -> Fraction:  # only probed for j >= 1
         return (1 / w.u_at(j) - 1 / w.u_at(j - 1)) * a(j) / w.v_at(j)
 
-    # prefix[j] = step(1) + ... + step(j), so the below-diagonal partial sums
-    # are differences of prefixes instead of per-entry loops
-    prefix: list[Fraction] = [ZERO]
-    lock = threading.Lock()
-
-    def prefix_at(j: int) -> Fraction:
-        with lock:
-            while len(prefix) <= j:
-                prefix.append(prefix[-1] + step(len(prefix)))
-            return prefix[j]
-
     def entry(n: int, k: int) -> Fraction:
-        return diag_term(k) + prefix_at(n) - prefix_at(k)
+        return diag_term(k) + sum((step(j) for j in range(k + 1, n + 1)), ZERO)
 
-    return Triangle(entry, label="closed_form_beta")
+    def generators(size: int) -> tuple:
+        return _column_sums(
+            [diag_term(j) for j in range(size)],
+            [step(j) if j else ZERO for j in range(size)],
+        )
+
+    return Triangle(entry, label="closed_form_beta", generators=generators)
+
+
+class _AbsSums:
+    """Sum of |x + v| over the values v inserted so far from a fixed list.
+
+    Fenwick trees (Fenwick 1994) of counts and of sums over the sorted ranks
+    of the list answer a query from the inserted values below -x, in
+    O(log N) exact operations per insertion and per query.
+    """
+
+    def __init__(self, values: list):
+        order = sorted(range(len(values)), key=values.__getitem__)
+        self._values = values
+        self._sorted = [values[i] for i in order]
+        self._rank = [0] * len(values)
+        for rank, i in enumerate(order, 1):
+            self._rank[i] = rank
+        self._counts = [0] * (len(values) + 1)
+        self._sums = [ZERO] * (len(values) + 1)
+        self._count, self._total = 0, ZERO
+
+    def insert(self, i: int) -> None:
+        """Insert values[i]."""
+        value = self._values[i]
+        self._count += 1
+        self._total += value
+        rank = self._rank[i]
+        while rank < len(self._counts):
+            self._counts[rank] += 1
+            self._sums[rank] += value
+            rank += rank & -rank
+
+    def query(self, x: Fraction) -> Fraction:
+        """Sum of |x + v| over the inserted v."""
+        # v < -x contributes -(x + v) and any other v contributes x + v;
+        # values tied with -x contribute 0 either way
+        rank = bisect_left(self._sorted, -x)
+        count, below = 0, ZERO
+        while rank:
+            count += self._counts[rank]
+            below += self._sums[rank]
+            rank -= rank & -rank
+        return x * (self._count - 2 * count) + self._total - 2 * below
 
 
 def cond_l1_linf(m, n: int) -> tuple:
@@ -94,10 +178,23 @@ def cond_l1_linf(m, n: int) -> tuple:
 
     One pass grows the square by its last row and column, so each entry of
     the N x N square is read once and the smaller squares are checkpoints.
+    With generators, the new row's entries below the diagonal are
+    col[k] + row[last], extremal at the extremes of col over k < last.
     """
     _check_n(n)
     out = []
     best = ZERO
+    if m.generators is not None:
+        diag, col, row = m.generators(n)
+        highs, lows = list(accumulate(col, max)), list(accumulate(col, min))
+        for last in range(n):
+            if last:
+                r = row[last]
+                best = max(best, abs(highs[last - 1] + r), abs(lows[last - 1] + r))
+            best = max(best, abs(diag[last]))
+            if last + 1 in (n // 4, n // 2, n):
+                out.append((last + 1, best))
+        return tuple(out)
     for last in range(n):
         for i in range(last):
             best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
@@ -111,32 +208,54 @@ def cond_l1_c(m, n: int) -> tuple:
     """Per-column limit diagnostics for the (l1:c) condition.
 
     For each column k < N/4: the oscillation of the entries over rows
-    [N/2, N] and the entry at row N as the limit estimate.
+    [N/2, N] and the entry at row N as the limit estimate.  With generators
+    those entries are col[k] + row[n], so the oscillation is that of row
+    over the window, the same for every column.
     """
     _check_n(n)
-    cols = []
-    for k in range(n // 4):
-        window = [m.entry(row, k) for row in range(n // 2, n + 1)]
+    if m.generators is not None:
+        _, col, row = m.generators(n + 1)
+        window = row[n // 2 :]
         osc = max(window) - min(window)
-        cols.append(
-            {
-                "k": k,
-                "oscillation": osc,
-                "limit_estimate": m.entry(n, k),
-                "converged": osc <= OSCILLATION_TOL,
-            }
-        )
-    return tuple(cols)
+        columns = [(osc, col[k] + row[n]) for k in range(n // 4)]
+    else:
+        columns = []
+        for k in range(n // 4):
+            window = [m.entry(row, k) for row in range(n // 2, n + 1)]
+            columns.append((max(window) - min(window), m.entry(n, k)))
+    return tuple(
+        {
+            "k": k,
+            "oscillation": osc,
+            "limit_estimate": limit,
+            "converged": osc <= OSCILLATION_TOL,
+        }
+        for k, (osc, limit) in enumerate(columns)
+    )
 
 
 def cond_l1_l1(m, n: int) -> tuple:
     """max_k of column absolute sums over the three leading squares ((l1:l1)).
 
     Like cond_l1_linf, one pass over the N x N square: the running column
-    sums take the new last row, then the new last column is summed.
+    sums take the new last row, then the new last column is summed.  With
+    generators, column k's sum at a checkpoint size is |diag[k]| plus the
+    sum of |col[k] + row[j]| over k < j < size: the sum over rows 1..size-1
+    less the one over rows 1..k, both from ``_AbsSums``.
     """
     _check_n(n)
     out = []
+    if m.generators is not None:
+        diag, col, row = m.generators(n)
+        below = _AbsSums(row)
+        bases = []  # |diag[k]| less the sum over rows 1..k
+        for last in range(n):
+            if last:
+                below.insert(last)
+            bases.append(abs(diag[last]) - below.query(col[last]))
+            if last + 1 in (n // 4, n // 2, n):
+                out.append((last + 1, max(b + below.query(c) for b, c in zip(bases, col))))
+        return tuple(out)
     sums: list[Fraction] = []
     for last in range(n):
         for col in range(last):

@@ -379,12 +379,17 @@ def suite_duals(n: int, rng) -> list:
     checks.append(CheckResult("riesz_cesaro_dual_coincidence", same))
 
     checks.append(
-        _first_failure(
-            "condition_brute_force_agreement",
-            (_condition_brute_force(case, n, rng) for case in range(5)),
-        )
+        _first_failure("condition_brute_force_agreement", _condition_cases(n, rng))
     )
     return checks
+
+
+def _condition_cases(n: int, rng):
+    """The condition statistics against brute force on five random finite
+    matrices, then their generator path against their entry scans."""
+    for case in range(5):
+        yield _condition_brute_force(case, n, rng)
+    yield _condition_generators(n)
 
 
 def _beta_cross_check(name: str, dom, case: int, n: int, rng) -> CheckResult:
@@ -414,6 +419,26 @@ def _condition_brute_force(case: int, n: int, rng) -> CheckResult:
             "sup": [spaces.fmt(brute_sup), spaces.fmt(got_sup)],
         },
     )
+
+
+def _condition_generators(n: int) -> CheckResult:
+    """The statistics of the alpha and beta matrices of the standard domains
+    from their generators equal those scanned from their entries.  The
+    sequence is fixed, so the check draws nothing from the seeded generator."""
+    a = Seq(lambda k: Fraction((-1) ** k, k + 1), label="alternating")
+    for dom in _standard_domains():
+        for kind, build in (("alpha", duals.alpha_assoc), ("beta", duals.beta_assoc)):
+            scanned = build(dom.matrix, a)
+            scanned.generators = None
+            if duals.condition_stats(kind, build(dom.matrix, a), n) != duals.condition_stats(
+                kind, scanned, n
+            ):
+                return CheckResult(
+                    "condition_brute_force_agreement",
+                    False,
+                    {"case": "generators", "domain": dom.label, "kind": kind},
+                )
+    return CheckResult("condition_brute_force_agreement", True)
 
 
 def suite_matclass(n: int, rng) -> list:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvdomains import duals
 from bvdomains.cli import (
     SpecError,
     main,
@@ -231,6 +232,33 @@ def test_exit_code_usage_errors(capsys, tmp_path):
             assert "--n" in err and "power p" in err and "geometric r" in err, err
         if argv in unwritable:
             assert "--out" in err and argv[-1] in err, err
+
+
+def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
+    """An --out path that cannot be written is a usage error found before the
+    command runs; a writable one is not opened before the work, so a failing
+    command leaves an existing file as it was."""
+
+    def no_work(*args):
+        raise AssertionError("dual_test ran")
+
+    monkeypatch.setattr(duals, "dual_test", no_work)
+    dual = ["dual", "--a", "harmonic", "--domain", "C", "--kind", "beta", "--n", "256"]
+    existing = tmp_path / "x.json"
+    existing.write_text("kept\n")
+    for out_path, reason in (
+        (tmp_path / "missing" / "x.json", "No such file or directory"),
+        (existing / "x.json", "Not a directory"),
+        (tmp_path, "Is a directory"),
+    ):
+        code, out, err = run_cli(capsys, *dual, "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --out {out_path}: {reason}\n"
+    code, out, err = run_cli(
+        capsys, "dual", "--a", "nonsense", "--domain", "C", "--kind", "beta", "--out", str(existing)
+    )
+    assert code == 2 and err.startswith("error: unknown sequence shorthand")
+    assert existing.read_text() == "kept\n"
 
 
 def test_exit_code_mathematical_error(capsys):

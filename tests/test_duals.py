@@ -6,9 +6,11 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvdomains import duals
-from bvdomains.core import Seq, Triangle, compose, identity, invert
+from bvdomains.core import InvalidWeightsError, Seq, Triangle, compose, identity, invert
 from bvdomains.builders import (
     RieszWeights,
     WeightPair,
@@ -28,6 +30,7 @@ from bvdomains.duals import (
     cond_l1_l1,
     cond_l1_linf,
     closed_form_beta_matrix,
+    condition_stats,
     dual_test,
 )
 from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
@@ -274,3 +277,148 @@ def test_appended_rows_are_consistent_across_threads():
     for got in seen:
         assert len(got) == len(shared) * len(cells)
         assert all(value == expected[which][cell] for which, cell, value in got)
+
+
+# --------------------------------------------------- generators against scans
+
+G_WEIGHTS = {
+    "harmonic": (lambda n: F(1, n + 2), lambda k: F(k + 1)),
+    "alternating": (lambda n: F((-1) ** n, n + 1), lambda k: F(1, k + 1)),
+    "odd": (lambda n: F(2, 2 * n + 1), lambda k: F(k + 2, 2)),
+    "growing": (lambda n: F(n + 1), lambda k: F(1, 2**k)),
+}
+R_WEIGHTS = {
+    "1": lambda k: F(1),
+    "1/(k+1)": lambda k: F(1, k + 1),
+    "k+1": lambda k: F(k + 1),
+    "2^k": lambda k: F(2) ** k,
+}
+DOMAINS = {
+    "C": cesaro_domain,
+    **{
+        f"G[{name}]": lambda u=u, v=v: weighted_domain(WeightPair(Seq(u), Seq(v)))
+        for name, (u, v) in G_WEIGHTS.items()
+    },
+    **{
+        f"R[{name}]": lambda q=q: riesz_domain(RieszWeights(Seq(q)))
+        for name, q in R_WEIGHTS.items()
+    },
+}
+# finite support, constant, alternating signs, and zeros that make the
+# partial sums P of the beta generators repeat
+SEQUENCES = {
+    "finite": lambda: Seq.from_values(["1", "-2", "1/3"]),
+    "const": lambda: Seq.constant(1),
+    "sign": lambda: Seq(lambda k: F((-1) ** k)),
+    "zero_prefix": lambda: Seq(lambda k: F(0) if k < 6 or k % 3 else F(1, k)),
+}
+
+
+def with_and_without_generators(build):
+    """The matrix build() makes, and the same matrix with its generators
+    removed, whose statistics scan its entries."""
+    fast, scanned = build(), build()
+    assert fast.generators is not None
+    scanned.generators = None
+    return fast, scanned
+
+
+def stats(kind, m, n):
+    try:
+        return condition_stats(kind, m, n)
+    except ValueError as exc:  # the truncation rule, checked ahead of either path
+        return str(exc)
+
+
+def assert_generators_match_scans(dom, a, n):
+    alpha = with_and_without_generators(lambda: alpha_assoc(dom.matrix, a))
+    beta = with_and_without_generators(lambda: beta_assoc(dom.matrix, a))
+    for kind, (fast, scanned) in (("alpha", alpha), ("beta", beta), ("gamma", beta)):
+        assert stats(kind, fast, n) == stats(kind, scanned, n), kind
+    if dom.weights is not None:
+        # the cross-check matrix's generators come from the weight closed
+        # forms; the scanned beta_assoc matrix has the same entries
+        closed = closed_form_beta_matrix(dom.weights, a)
+        assert closed.generators is not None
+        assert stats("beta", closed, n) == stats("beta", beta[1], n), "closed_form"
+    return stats("beta", beta[0], n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 16, 64])
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_generator_statistics_equal_the_scans(domain, n):
+    dom = DOMAINS[domain]()
+    for name in sorted(SEQUENCES):
+        beta = assert_generators_match_scans(dom, SEQUENCES[name](), n)
+        assert isinstance(beta, dict) == (n >= 8 and n % 4 == 0), name
+
+
+def test_generators_report_the_invalid_weight_the_scans_do():
+    """Both weights vanish at index 1; the generators read row 1 below its
+    diagonal first, as the scans do, so both paths name v[1]."""
+    zero_at_1 = Seq(lambda k: F(0) if k == 1 else F(1))
+    dom = weighted_domain(WeightPair(zero_at_1, zero_at_1))
+    for kind, assoc in (("alpha", alpha_assoc), ("beta", beta_assoc)):
+        for m in with_and_without_generators(lambda: assoc(dom.matrix, E)):
+            with pytest.raises(InvalidWeightsError, match=r"v\[1\]"):
+                condition_stats(kind, m, 16)
+
+
+positive = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(positive, min_size=1, max_size=5),
+    st.lists(positive, min_size=1, max_size=5),
+    st.lists(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-3, 4), F(2)]), min_size=1, max_size=20),
+    st.sampled_from([8, 12, 16]),
+)
+def test_generator_statistics_property(us, vs, values, n):
+    """Periodic positive weights on G and R and a prefix of small rationals,
+    zeros and repeats included, so the partial sums P tie."""
+    u = Seq(lambda k: us[k % len(us)])
+    v = Seq(lambda k: vs[k % len(vs)])
+    a = Seq.from_values(values)
+    for dom in (weighted_domain(WeightPair(u, v)), riesz_domain(RieszWeights(u))):
+        assert_generators_match_scans(dom, a, n)
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [cesaro_domain, lambda: riesz_domain(RieszWeights(Seq(lambda k: F(2) ** k)))],
+    ids=["C", "R[2^k]"],
+)
+def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
+    """A beta dual evaluates O(N) entries of the domain inverse (its
+    generators) and no entry of the beta_assoc matrix, cross-check included."""
+    n = 256
+    dom = domain()
+    inv = invert(dom.matrix)
+    evals, assoc_reads = [], []
+    closure = inv._entry
+
+    def counted_closure(row, col):
+        evals.append((row, col))
+        return closure(row, col)
+
+    inv._entry = counted_closure
+    build = duals.beta_assoc
+
+    def counted_beta_assoc(matrix, a):
+        m = build(matrix, a)
+        entry = m.entry
+
+        def counted_entry(row, col):
+            assoc_reads.append((row, col))
+            return entry(row, col)
+
+        m.entry = counted_entry
+        return m
+
+    monkeypatch.setattr(duals, "beta_assoc", counted_beta_assoc)
+    report = dual_test(dom, Seq(lambda k: F(1, k + 1)), "beta", n)
+    assert len(report.conditions["column_limits"]) == n // 4
+    assert dom.weights is None or report.cross_check["match"] is True
+    assert 0 < len(evals) <= 3 * n
+    assert assoc_reads == []
