@@ -11,6 +11,14 @@ therefore inverts through its factors' inverses, never by forward
 substitution.  Its inverse, a bidiagonal mean inverse times the partial-sum
 matrix, is a diagonal plus a strictly lower part constant along each row, and
 declares those generators.
+
+The partial-sum matrix, the Cesaro mean and the weighted and Riesz means are
+factorable, entry(n, k) = u(n) v(k) on and below the diagonal, and declare
+their factors: (1, 1), (1/(n+1), 1), (u_n, v_k) and (1/Q_n, q_k).  The
+weighted and Riesz factors read the weights through the validating accessors,
+so an invalid weight is reported as it is by the entries.  A product with one
+of them on the right costs O(N^2), not O(N^3), which also covers the domain
+matrices (delta times a mean) and their inverses (X times the sum matrix).
 """
 
 from __future__ import annotations
@@ -46,8 +54,13 @@ def delta() -> Triangle:
 
 def sigma_sum() -> Triangle:
     """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
+    one = lambda n: ONE
     return Triangle(
-        lambda n, k: ONE, diag_nonzero=True, label="sum", known_inverse=delta
+        lambda n, k: ONE,
+        diag_nonzero=True,
+        label="sum",
+        known_inverse=delta,
+        factors=(one, one),
     )
 
 
@@ -58,6 +71,7 @@ def cesaro() -> Triangle:
         diag_nonzero=True,
         label="cesaro",
         known_inverse=cesaro_inverse,
+        factors=(lambda n: Fraction(1, n + 1), lambda k: ONE),
     )
 
 
@@ -145,6 +159,7 @@ def weighted_mean(w: WeightPair) -> Triangle:
         diag_nonzero=True,
         label="weighted",
         known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
+        factors=(w.u_at, w.v_at),
     )
 
 
@@ -165,6 +180,7 @@ def riesz(r: RieszWeights) -> Triangle:
         diag_nonzero=True,
         label="riesz",
         known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
+        factors=(lambda n: 1 / r.big_q(n), r.q_at),
     )
 
 

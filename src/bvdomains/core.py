@@ -26,6 +26,13 @@ The domain inverses are a diagonal plus a strictly lower part constant along
 each row (``row_generators``), and the dual matrices built from them keep the
 form, so their condition statistics need O(N) generator values instead of
 O(N^2) entries.
+
+A triangle may also declare factors (u, v): entry(n, k) = u(n) v(k) on and
+below the diagonal, as in the partial-sum, Cesaro, weighted and Riesz means.
+``compose`` multiplies by such a triangle through suffix sums of each row of
+its left factor, built once per row, so a product of two full triangles costs
+O(N^2) operations instead of O(N^3).  The band-overlap sum serves every other
+right factor, and ``dense_mul`` of truncations is the oracle for both.
 """
 
 from __future__ import annotations
@@ -145,6 +152,8 @@ class BandedMatrix:
     substitution.  ``generators``, when present, maps a size N to lists
     (diag, col, row) over the indices below N such that entry(n, n) = diag[n]
     and entry(n, k) = col[k] + row[n] for k < n; it is declared only on lower
+    triangles.  ``factors``, when present, is a pair of callables (u, v) with
+    entry(n, k) = u(n) v(k) for 0 <= k <= n; it too is declared only on lower
     triangles.  The finite row supports are what make every product and
     transform coordinate an exact finite sum.
     """
@@ -159,6 +168,7 @@ class BandedMatrix:
         diag_nonzero: bool = False,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
         generators: Optional[Callable[[int], tuple]] = None,
+        factors: Optional[tuple] = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
@@ -168,6 +178,7 @@ class BandedMatrix:
         self.diag_nonzero = diag_nonzero
         self.known_inverse = known_inverse
         self.generators = generators
+        self.factors = factors
         self._inverse: Optional[Triangle] = None  # set by Triangle.inverse
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
@@ -344,25 +355,64 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     j within B's band and rows.  The product's band is the sum of the
     factors' bands, its rows end where A's rows end, and when both factors
     have known inverses it is inverted as inverse(B).inverse(A).
+
+    When B declares factors (u, v), entry (n,k) is v(k) S_n(max(k, lo)),
+    where [lo, hi] is A's row n support and S_n(m) sums a(n,j) u(j) over j
+    in [m, hi].  The first read of row n builds its suffix sums in one pass
+    over A's row, so an N x N block costs O(N^2) operations, not O(N^3), and
+    B's entries are never read.  The product's lower part has rank two, so
+    it declares no factors.
     """
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
 
-    def entry(n: int, k: int) -> Fraction:
-        lo = k if b_lower else 0
-        if a_band is not None and n - a_band > lo:
-            lo = n - a_band
-        hi = n if a_lower else a.row_bound(n)
-        if b_band is not None and k + b_band < hi:
-            hi = k + b_band
-        if b_rows is not None and b_rows <= hi:
-            hi = b_rows - 1
-        acc = ZERO
-        for j in range(lo, hi + 1):
-            c = a.entry(n, j)
-            if c:
-                acc += c * b.entry(j, k)
-        return acc
+    if b.factors is None:
+
+        def entry(n: int, k: int) -> Fraction:
+            lo = k if b_lower else 0
+            if a_band is not None and n - a_band > lo:
+                lo = n - a_band
+            hi = n if a_lower else a.row_bound(n)
+            if b_band is not None and k + b_band < hi:
+                hi = k + b_band
+            if b_rows is not None and b_rows <= hi:
+                hi = b_rows - 1
+            acc = ZERO
+            for j in range(lo, hi + 1):
+                c = a.entry(n, j)
+                if c:
+                    acc += c * b.entry(j, k)
+            return acc
+
+    else:
+        u, v = b.factors
+        suffixes: dict[int, tuple] = {}
+
+        def suffix_sums(n: int) -> tuple:
+            # (lo, sums) with sums[i] = S_n(lo + i), up to A's last nonzero
+            # in row n: past it the generic loop reads no v(k) either
+            lo = n - a_band if a_band is not None and n > a_band else 0
+            terms = []
+            for j in range(lo, (n if a_lower else a.row_bound(n)) + 1):
+                c = a.entry(n, j)
+                terms.append(c * u(j) if c else None)
+            while terms and terms[-1] is None:
+                terms.pop()
+            sums, acc = [], None
+            for term in reversed(terms):
+                if term is not None:
+                    acc = term if acc is None else acc + term
+                sums.append(acc)
+            sums.reverse()
+            return lo, sums
+
+        def entry(n: int, k: int) -> Fraction:
+            row = suffixes.get(n)
+            if row is None:
+                row = suffixes[n] = suffix_sums(n)
+            lo, sums = row
+            i = k - lo if k > lo else 0
+            return v(k) * sums[i] if i < len(sums) else ZERO
 
     row_bound = a._row_bound
     if not b_lower:

@@ -176,14 +176,23 @@ def suite_identities(n: int, rng) -> list:
             _matrices_equal(f"inverse_involution[{label}]", t, _build_inverse(invert(t)), n)
         )
 
+    # both sides take compose's factor path (cesaro and sum declare factors),
+    # so the generic dense product of truncations is compared too
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
-    left = truncate(compose(a, compose(b, c)), n)
-    right = truncate(compose(compose(a, b), c), n)
+
+    def associativity_cases():
+        left = truncate(compose(a, compose(b, c)), n)
+        right = truncate(compose(compose(a, b), c), n)
+        yield left, right
+        for x, y in ((b, c), (a, b)):
+            yield dense_mul(truncate(x, n), truncate(y, n)), truncate(compose(x, y), n)
+
     checks.append(
         _entries_equal(
             "compose_associativity",
             (
-                ([row, col], left.values[row][col], right.values[row][col])
+                ([row, col], expected.values[row][col], got.values[row][col])
+                for expected, got in associativity_cases()
                 for row in range(n)
                 for col in range(n)
             ),

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,8 @@ from bvdomains.builders import (
     sigma_sum,
     weighted_domain,
 )
+from bvdomains import matclass
+from bvdomains.duals import dual_test
 from bvdomains.matclass import (
     BandedMatrix,
     UnsupportedClassError,
@@ -83,19 +86,36 @@ def test_left_transform_F_delta_sum_is_identity():
             assert f.entry(n, k) == (1 if n == k else 0)
 
 
-def test_left_transform_F_reads_a_triangle_only_on_and_below_its_diagonal():
-    t = sigma_sum()
+def _counted_entries(m):
+    """Record every (n, k) read through m.entry."""
     reads = []
-    entry = t.entry
+    entry = m.entry
 
     def counted(n, k):
         reads.append((n, k))
         return entry(n, k)
 
-    t.entry = counted
+    m.entry = counted
+    return reads
+
+
+def test_left_transform_F_reads_a_triangle_only_on_and_below_its_diagonal():
+    # all ones like sigma_sum, but declaring no factors, so the generic loop runs
+    t = Triangle(lambda n, k: F(1), diag_nonzero=True, label="ones")
+    reads = _counted_entries(t)
     f = left_transform_F(t, phi())
     assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))
     assert reads and all(k <= n for n, k in reads)
+
+
+def test_left_transform_F_of_a_factorable_triangle_reads_each_domain_row_once():
+    b, dom = sigma_sum(), phi()
+    b_reads, dom_reads = _counted_entries(b), _counted_entries(dom)
+    f = left_transform_F(b, dom)
+    assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))
+    assert not b_reads
+    assert dom_reads and all(k <= n for n, k in dom_reads)
+    assert len(dom_reads) == len(set(dom_reads))
 
 
 def test_left_transform_F_banded_bounds_are_cumulative():
@@ -177,3 +197,24 @@ def test_class_report_serialization():
     assert len(d["row_dual_checks"]) == 4
     d2 = class_test_into_domain(identity(), cesaro_domain(), SpaceId.L1, 16).to_dict()
     assert d2["row_dual_checks"] is None
+
+
+@pytest.mark.parametrize("rows", ([["1", "1"]], [["1", "-1"], ["0", "1/2"], ["2"]]))
+def test_class_from_domain_checks_one_zero_row_for_all(rows, monkeypatch):
+    a = BandedMatrix.from_rows(rows)
+    weighted = weighted_domain(WeightPair(Seq.constant(1), Seq(lambda k: F(k + 1))))
+    for domain in (cesaro_domain(), weighted):
+        report = class_test_from_domain(a, domain, SpaceId.LINF, 32)
+        per_row = tuple(dual_test(domain, a.row_seq(row), "beta", 32) for row in range(8))
+        assert report.to_dict() == replace(report, row_dual_checks=per_row).to_dict()
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return dual_test(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matclass, "dual_test", counted)
+            assert class_test_from_domain(a, domain, SpaceId.LINF, 32) == report
+        assert len(calls) <= a.row_count + 1
