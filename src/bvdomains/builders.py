@@ -4,21 +4,25 @@ The composed domain matrices (phi, gamma, sigma_riesz) are *defined* as
 compose(delta(), mean) and never by printed closed forms; the closed forms are
 provided separately as independent oracles (``*_closed_form``).
 
+The Riesz mean R^q is the generalized weighted mean G(u, v) with u_n = 1/Q_n
+and v_k = q_k, so ``RieszWeights`` is a weight pair and ``riesz`` is
+``weighted_mean`` under its own label.
+
 Each named triangle declares its exact inverse: delta and the partial-sum
 matrix invert each other, as do the Cesaro mean and its closed-form inverse,
-and the weighted and Riesz means have bidiagonal inverses.  A domain matrix
-therefore inverts through its factors' inverses, never by forward
-substitution.  Its inverse, a bidiagonal mean inverse times the partial-sum
-matrix, is a diagonal plus a strictly lower part constant along each row, and
-declares those generators.
+and the weighted mean has a bidiagonal inverse.  A domain matrix therefore
+inverts through its factors' inverses, never by forward substitution.  Its
+inverse, a bidiagonal mean inverse times the partial-sum matrix, is a
+diagonal plus a strictly lower part constant along each row, and declares
+those generators.
 
-The partial-sum matrix, the Cesaro mean and the weighted and Riesz means are
-factorable, entry(n, k) = u(n) v(k) on and below the diagonal, and declare
-their factors: (1, 1), (1/(n+1), 1), (u_n, v_k) and (1/Q_n, q_k).  The
-weighted and Riesz factors read the weights through the validating accessors,
-so an invalid weight is reported as it is by the entries.  A product with one
-of them on the right costs O(N^2), not O(N^3), which also covers the domain
-matrices (delta times a mean) and their inverses (X times the sum matrix).
+The partial-sum matrix, the Cesaro mean and the weighted mean are factorable,
+entry(n, k) = u(n) v(k) on and below the diagonal, and declare their factors:
+(1, 1), (1/(n+1), 1) and (u_n, v_k).  The weighted factors read the weights
+through the validating accessors, so an invalid weight is reported as it is
+by the entries.  A product with one of them on the right costs O(N^2), not
+O(N^3), which also covers the domain matrices (delta times a mean) and their
+inverses (X times the sum matrix).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     Triangle,
     compose,
     invert,
-    rat,
     row_generators,
 )
 
@@ -45,7 +48,6 @@ def delta() -> Triangle:
     """Backward difference matrix: 1 on the diagonal, -1 on the first subdiagonal."""
     return Triangle(
         lambda n, k: ONE if k == n else -ONE,
-        diag_nonzero=True,
         label="delta",
         band=1,
         known_inverse=sigma_sum,
@@ -57,7 +59,6 @@ def sigma_sum() -> Triangle:
     one = lambda n: ONE
     return Triangle(
         lambda n, k: ONE,
-        diag_nonzero=True,
         label="sum",
         known_inverse=delta,
         factors=(one, one),
@@ -68,10 +69,9 @@ def cesaro() -> Triangle:
     """Cesaro mean of order one: row n averages the first n+1 terms."""
     return Triangle(
         lambda n, k: Fraction(1, n + 1),
-        diag_nonzero=True,
         label="cesaro",
         known_inverse=cesaro_inverse,
-        factors=(lambda n: Fraction(1, n + 1), lambda k: ONE),
+        factors=(Seq(lambda n: Fraction(1, n + 1), label="1/(n+1)"), lambda k: ONE),
     )
 
 
@@ -80,7 +80,6 @@ def cesaro_inverse() -> Triangle:
 
     return Triangle(
         lambda n, k: Fraction(n + 1) if k == n else Fraction(-n),
-        diag_nonzero=True,
         label="cesaro_inv",
         band=1,
         known_inverse=cesaro,
@@ -112,17 +111,26 @@ class WeightPair:
 
 @dataclass
 class RieszWeights:
-    """Positive weights q with partial sums Q_n = q_0 + ... + q_n (Q_{-1} = 0)."""
+    """Positive weights q with partial sums Q_n = q_0 + ... + q_n (Q_{-1} = 0).
+
+    They are also the weight pair u_n = 1/Q_n, v_k = q_k that turns G(u, v)
+    into R^q, read through ``u_at`` (memoized) and ``v_at``.
+    """
 
     q: Seq
     _sums: list = field(default_factory=list, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def __post_init__(self):
+        self.u_at = Seq(lambda n: 1 / self.big_q(n), label="1/Q")
 
     def q_at(self, k: int) -> Fraction:
         value = self.q(k)
         if value <= 0:
             raise InvalidWeightsError("q", k, value, "must be positive")
         return value
+
+    v_at = q_at
 
     def big_q(self, n: int) -> Fraction:
         if n < 0:
@@ -134,15 +142,11 @@ class RieszWeights:
                 self._sums.append(prev + self.q_at(m))
             return self._sums[n]
 
-    def as_weight_pair(self) -> WeightPair:
-        """The substitution u_n = 1/Q_n, v_k = q_k that turns G(u,v) into R^q."""
-        return WeightPair(
-            u=Seq(lambda n: 1 / self.big_q(n), label="1/Q"),
-            v=self.q,
-        )
+
+Weights = Union[WeightPair, RieszWeights]
 
 
-def weighted_mean(w: WeightPair) -> Triangle:
+def weighted_mean(w: Weights) -> Triangle:
     """Generalized weighted (factorable) mean: entry(n,k) = u_n * v_k.
 
     Its inverse is bidiagonal: 1/(u_n v_n) on the diagonal and
@@ -156,32 +160,21 @@ def weighted_mean(w: WeightPair) -> Triangle:
 
     return Triangle(
         lambda n, k: w.u_at(n) * w.v_at(k),
-        diag_nonzero=True,
         label="weighted",
-        known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
+        known_inverse=lambda: Triangle(inverse_entry, band=1),
         factors=(w.u_at, w.v_at),
     )
 
 
 def riesz(r: RieszWeights) -> Triangle:
-    """Riesz mean: entry(n,k) = q_k / Q_n.
+    """Riesz mean: entry(n,k) = q_k / Q_n, the weighted mean G(1/Q, q).
 
     Its inverse is bidiagonal: Q_n/q_n on the diagonal and -Q_{n-1}/q_n
     below it.
     """
-
-    def inverse_entry(n, k):
-        if k == n:
-            return r.big_q(n) / r.q_at(n)
-        return -r.big_q(n - 1) / r.q_at(n)
-
-    return Triangle(
-        lambda n, k: r.q_at(k) / r.big_q(n),
-        diag_nonzero=True,
-        label="riesz",
-        known_inverse=lambda: Triangle(inverse_entry, diag_nonzero=True, band=1),
-        factors=(lambda n: 1 / r.big_q(n), r.q_at),
-    )
+    t = weighted_mean(r)
+    t.label = "riesz"
+    return t
 
 
 def _domain_matrix(mean: Triangle, label: str) -> Triangle:
@@ -226,7 +219,7 @@ def phi_closed_form() -> Triangle:
             return Fraction(1, n + 1)
         return Fraction(-1, n * (n + 1))
 
-    return Triangle(entry, diag_nonzero=True, label="phi_closed")
+    return Triangle(entry, label="phi_closed")
 
 
 def gamma_closed_form(w: WeightPair) -> Triangle:
@@ -237,7 +230,7 @@ def gamma_closed_form(w: WeightPair) -> Triangle:
             return w.u_at(n) * w.v_at(k)
         return (w.u_at(n) - w.u_at(n - 1)) * w.v_at(k)
 
-    return Triangle(entry, diag_nonzero=True, label="gamma_closed")
+    return Triangle(entry, label="gamma_closed")
 
 
 def sigma_closed_form(r: RieszWeights) -> Triangle:
@@ -248,7 +241,7 @@ def sigma_closed_form(r: RieszWeights) -> Triangle:
             return r.q_at(n) / r.big_q(n)
         return (1 / r.big_q(n) - 1 / r.big_q(n - 1)) * r.q_at(k)
 
-    return Triangle(entry, diag_nonzero=True, label="sigma_closed")
+    return Triangle(entry, label="sigma_closed")
 
 
 def basis_column(t: Triangle, k: int) -> Seq:
@@ -261,16 +254,13 @@ def basis_column(t: Triangle, k: int) -> Seq:
     return Seq(lambda n: inv.entry(n, k), label=f"basis({t.label},{k})")
 
 
-Weights = Union[WeightPair, RieszWeights, None]
-
-
 @dataclass(frozen=True)
 class Domain:
     """A bv matrix domain: label C/G/R, its triangle, and the weights used."""
 
     label: str  # "C", "G", or "R"
     matrix: Triangle
-    weights: Weights = None
+    weights: Optional[Weights] = None
 
 
 def cesaro_domain() -> Domain:

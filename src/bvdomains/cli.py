@@ -224,7 +224,7 @@ def _build_matrix(raw, depth: int):
         return build(weights), {"kind": kind, **spec}
     if kind == "inverse_of":
         inner, inner_spec = _build_matrix(raw.get("of", {}), depth + 1)
-        if not isinstance(inner, Triangle) or not inner.diag_nonzero:
+        if not isinstance(inner, Triangle):
             raise SpecError("inverse_of requires a triangle with nonzero diagonal")
         return invert(inner), {"kind": "inverse_of", "of": inner_spec}
     if kind == "compose":

@@ -12,13 +12,14 @@ running sums built by the other modules.
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
 ``Triangle`` is its lower-triangular kind, the one that can be inverted, and
-may carry a known inverse.  ``compose`` is the only matrix product: it sums
-over the overlap of its factors' supports, returns a Triangle when both
-factors are triangles, and inverts a product through its factors' inverses,
-so the domain matrices built from named triangles invert at O(1) cost per
-entry.  Generic forward substitution (``_build_inverse``) is the fallback for
-a triangle with no known inverse, and the independent oracle the fast
-inverses are checked against.
+may carry a known inverse; a lower-triangular matrix that is never inverted
+(an associated dual matrix) is a plain ``BandedMatrix``.  ``compose`` is the
+only matrix product: it sums over the overlap of its factors' supports,
+returns a Triangle when both factors are triangles, and inverts a product
+through its factors' inverses, so the domain matrices built from named
+triangles invert at O(1) cost per entry.  Generic forward substitution
+(``_build_inverse``) is the fallback for a triangle with no known inverse,
+and the independent oracle the fast inverses are checked against.
 
 A triangle may also declare generators: lists (diag, col, row) with
 entry(n, n) = diag[n] and entry(n, k) = col[k] + row[n] below the diagonal.
@@ -28,7 +29,8 @@ form, so their condition statistics need O(N) generator values instead of
 O(N^2) entries.
 
 A triangle may also declare factors (u, v): entry(n, k) = u(n) v(k) on and
-below the diagonal, as in the partial-sum, Cesaro, weighted and Riesz means.
+below the diagonal, as in the partial-sum, Cesaro and weighted means (the
+Riesz mean among them).
 ``compose`` multiplies by such a triangle through suffix sums of each row of
 its left factor, built once per row, so a product of two full triangles costs
 O(N^2) operations instead of O(N^3).  The band-overlap sum serves every other
@@ -146,12 +148,11 @@ class BandedMatrix:
     callable, and when it is omitted the matrix is lower triangular
     (``row_bound(n) = n``).  ``band``, when present, is the number of nonzero
     subdiagonals.  ``row_count``, when present, declares every row from that
-    index on to be zero (a wholly finite matrix).  ``diag_nonzero`` asserts
-    every diagonal entry is nonzero, the precondition for inversion, and
-    ``known_inverse``, when present, builds the exact inverse without forward
-    substitution.  ``generators``, when present, maps a size N to lists
-    (diag, col, row) over the indices below N such that entry(n, n) = diag[n]
-    and entry(n, k) = col[k] + row[n] for k < n; it is declared only on lower
+    index on to be zero (a wholly finite matrix).  ``known_inverse``, when
+    present, builds the exact inverse without forward substitution.
+    ``generators``, when present, maps a size N to lists (diag, col, row)
+    over the indices below N such that entry(n, n) = diag[n] and
+    entry(n, k) = col[k] + row[n] for k < n; it is declared only on lower
     triangles.  ``factors``, when present, is a pair of callables (u, v) with
     entry(n, k) = u(n) v(k) for 0 <= k <= n; it too is declared only on lower
     triangles.  The finite row supports are what make every product and
@@ -165,7 +166,6 @@ class BandedMatrix:
         row_count: Optional[int] = None,
         label: str = "matrix",
         band: Optional[int] = None,
-        diag_nonzero: bool = False,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
         generators: Optional[Callable[[int], tuple]] = None,
         factors: Optional[tuple] = None,
@@ -175,11 +175,10 @@ class BandedMatrix:
         self.row_count = row_count
         self.label = label
         self.band = band
-        self.diag_nonzero = diag_nonzero
         self.known_inverse = known_inverse
         self.generators = generators
         self.factors = factors
-        self._inverse: Optional[Triangle] = None  # set by Triangle.inverse
+        self._inverse: Optional[Triangle] = None  # set by invert
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -233,23 +232,9 @@ class BandedMatrix:
 class Triangle(BandedMatrix):
     """A lower-triangular BandedMatrix: the kind that can be inverted.
 
-    Construct it without ``row_bound`` or ``row_count``.
+    Construct it without ``row_bound`` or ``row_count``.  Its diagonal is
+    meant to be nonzero; forward substitution reports the first zero it meets.
     """
-
-    def inverse(self) -> "Triangle":
-        """The inverse, computed and shared lazily: the known inverse when one
-        is declared, else forward substitution.  The inverse links back to
-        this triangle, so inverting it again costs nothing."""
-        if self._inverse is None:
-            if self.known_inverse is None:
-                inv = _build_inverse(self)
-            else:
-                inv = self.known_inverse()
-                inv.label = f"inverse({self.label})"
-            inv._inverse = self
-            inv.known_inverse = lambda: self
-            self._inverse = inv
-        return self._inverse
 
 
 def row_generators(t: Triangle) -> Callable[[int], tuple]:
@@ -270,9 +255,7 @@ def row_generators(t: Triangle) -> Callable[[int], tuple]:
 
 
 def identity() -> Triangle:
-    return Triangle(
-        lambda n, k: ONE if n == k else ZERO, diag_nonzero=True, label="identity"
-    )
+    return Triangle(lambda n, k: ONE if n == k else ZERO, label="identity")
 
 
 @dataclass(frozen=True)
@@ -429,7 +412,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
     known_inverse = None
     if a.known_inverse is not None and b.known_inverse is not None:
-        known_inverse = lambda: compose(b.inverse(), a.inverse())
+        known_inverse = lambda: compose(invert(b), invert(a))
     triangles = isinstance(a, Triangle) and isinstance(b, Triangle)
     return (Triangle if triangles else BandedMatrix)(
         entry,
@@ -437,7 +420,6 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         row_count=a.row_count,
         label=f"{a.label}.{b.label}",
         band=None if a_band is None or b_band is None else a_band + b_band,
-        diag_nonzero=a.diag_nonzero and b.diag_nonzero,
         known_inverse=known_inverse,
     )
 
@@ -470,18 +452,27 @@ def _build_inverse(t: Triangle) -> Triangle:
         ensure(n)
         return rows[n][k]
 
-    return Triangle(entry, diag_nonzero=True, label=f"inverse({t.label})")
+    return Triangle(entry, label=f"inverse({t.label})")
 
 
 def invert(t: Triangle) -> Triangle:
-    """Inverse of a triangle with nonzero diagonal.
+    """Inverse of a triangle, computed and shared lazily: the known inverse
+    when one is declared, else forward substitution.  The inverse links back
+    to t, so inverting it again costs nothing.
 
     The result satisfies truncate(T,N) . truncate(invert(T),N) = I_N exactly
     for every N.  A zero diagonal entry found while probing raises
     SingularMatrixError naming the offending row.
     """
-    if not t.diag_nonzero:
-        raise ValueError(
-            f"cannot invert {t.label}: diagonal is not declared nonzero"
-        )
-    return t.inverse()
+    if not isinstance(t, Triangle):
+        raise ValueError(f"cannot invert {t.label}: not a triangle")
+    if t._inverse is None:
+        if t.known_inverse is None:
+            inv = _build_inverse(t)
+        else:
+            inv = t.known_inverse()
+            inv.label = f"inverse({t.label})"
+        inv._inverse = t
+        inv.known_inverse = lambda: t
+        t._inverse = inv
+    return t._inverse

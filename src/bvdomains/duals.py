@@ -1,7 +1,8 @@
 """Associated matrices and truncation tests for the alpha/beta/gamma duals.
 
 The alpha-dual matrix is diag(a) . inverse(domain); the beta/gamma matrix
-accumulates b_nk = sum_{j=k}^{n} a_j * inverse(domain)_jk.
+accumulates b_nk = sum_{j=k}^{n} a_j * inverse(domain)_jk.  Both are lower
+triangular but never inverted, so they are plain ``BandedMatrix`` objects.
 Each dual kind is decided (heuristically, at truncation) by the matrix-class
 conditions for (l1:l1), (l1:c), (l1:linf) evaluated on the associated matrix.
 The statistics live in one dict keyed by report name (``condition_stats``),
@@ -12,10 +13,11 @@ The domain inverses declare generators: a diagonal delta_j plus a strictly
 lower part p_j constant along row j.  The alpha matrix then has a_k delta_k on
 the diagonal and a_n p_n below it, and the beta matrix is b_nk = c_k + P_n
 with P_n = a_1 p_1 + ... + a_n p_n and c_k = a_k delta_k - P_k; the closed-form
-cross-check matrix declares the same form from the weights.  The three
-statistics compute from these generators in O(N log N) when a matrix declares
-them, and scan its entries otherwise (E, F, a bare triangle domain); the scans
-are also the oracle the generator path is checked against.
+cross-check matrix declares the same form from the weights (u, v), which the
+Riesz weights provide as (1/Q, q).  The three statistics compute from these
+generators in O(N log N) when a matrix declares them, and scan its entries
+otherwise (E, F, a bare triangle domain); the scans are also the oracle the
+generator path is checked against.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Union
 
-from .core import Seq, Triangle, ZERO, invert
-from .builders import Domain, RieszWeights, WeightPair
+from .core import BandedMatrix, Seq, Triangle, ZERO, invert
+from .builders import Domain, Weights
 from .spaces import _check_n, _stats_dict, classify_trend, combine_verdicts, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
@@ -53,7 +55,7 @@ def _column_sums(diag: list, lower: list) -> tuple:
     return diag, [d - p for d, p in zip(diag, prefix)], prefix
 
 
-def alpha_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
+def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
 
     It declares generators (a_k delta_k on the diagonal, a_n p_n below it)
@@ -67,14 +69,14 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
             diag, row = _scaled_rows(inv, a, size)
             return diag, [ZERO] * size, row
 
-    return Triangle(
+    return BandedMatrix(
         lambda n, k: a(n) * inv.entry(n, k),
         label=f"alpha_assoc({domain_matrix.label})",
         generators=generators,
     )
 
 
-def beta_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
+def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix of partial sums sum_{k<=n} a_k x_k in the y coordinates.
 
     entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk, held as per-column
@@ -99,10 +101,10 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> Triangle:
     generators = None
     if inv.generators is not None:
         generators = lambda size: _column_sums(*_scaled_rows(inv, a, size))
-    return Triangle(entry, label=f"beta_assoc({domain_matrix.label})", generators=generators)
+    return BandedMatrix(entry, label=f"beta_assoc({domain_matrix.label})", generators=generators)
 
 
-def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) -> Triangle:
+def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     """The same beta/gamma matrix built from the weight closed forms only.
 
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
@@ -110,7 +112,6 @@ def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) ->
     so this is an independent oracle for beta_assoc on bv(G)/bv(R).  Its
     generators come from the same closed forms.
     """
-    w = weights.as_weight_pair() if isinstance(weights, RieszWeights) else weights
 
     def diag_term(k: int) -> Fraction:
         return a(k) / (w.u_at(k) * w.v_at(k))
@@ -127,7 +128,7 @@ def closed_form_beta_matrix(weights: Union[WeightPair, RieszWeights], a: Seq) ->
             [step(j) if j else ZERO for j in range(size)],
         )
 
-    return Triangle(entry, label="closed_form_beta", generators=generators)
+    return BandedMatrix(entry, label="closed_form_beta", generators=generators)
 
 
 class _AbsSums:

@@ -248,7 +248,6 @@ def test_acceptance_7_norm_facts():
             lambda n, k, rows=rows: rows[n][k]
             if n < len(rows)
             else (F(1) if n == k else F(0)),
-            diag_nonzero=True,
         )
         x = _rand_finite_seq(rng)
         ax = transform_seq(t, x)

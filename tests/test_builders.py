@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bvdomains.core import InvalidWeightsError, Seq, apply, invert, truncate
+from bvdomains.core import InvalidWeightsError, Seq, apply, compose, invert, truncate
 from bvdomains.builders import (
     RieszWeights,
     WeightPair,
@@ -97,6 +97,59 @@ def test_riesz_entries():
             assert unit.entry(n, k) == c.entry(n, k)
     for n in range(6):
         assert 0 < t.entry(n, n) <= 1
+
+
+RIESZ_Q = {
+    "1": lambda k: F(1),
+    "1/(k+1)": lambda k: F(1, k + 1),
+    "k+1": lambda k: F(k + 1),
+    "2^k": lambda k: F(2**k),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIESZ_Q))
+def test_riesz_is_the_weighted_mean_of_1_over_Q_and_q(name):
+    n_size = 40
+    q = [RIESZ_Q[name](k) for k in range(n_size)]
+    big_q = [sum(q[: n + 1], F(0)) for n in range(n_size)]
+    t = riesz(RieszWeights(Seq(RIESZ_Q[name])))
+    assert t.label == "riesz"
+    assert truncate(t, n_size).values == tuple(
+        tuple(q[k] / big_q[n] if k <= n else F(0) for k in range(n_size))
+        for n in range(n_size)
+    )
+    inverse = t.known_inverse()
+    for n in range(n_size):
+        for k in range(n_size):
+            if k == n:
+                expected = big_q[n] / q[n]
+            elif k == n - 1:
+                expected = -big_q[n - 1] / q[n]
+            else:
+                expected = F(0)
+            assert inverse.entry(n, k) == expected, (n, k)
+
+
+def test_gamma_closed_form_of_riesz_weights_is_sigma_closed_form():
+    r = RieszWeights(Seq(lambda k: F(1, k + 1)))
+    assert truncate(gamma_closed_form(r), 40) == truncate(sigma_closed_form(r), 40)
+
+
+def test_cesaro_times_riesz_reads_partial_sums_linearly(monkeypatch):
+    # u_n = 1/Q_n is memoized, so a product with the Riesz mean on the right
+    # computes each 1/Q_n once, not once per (row, column) pair
+    calls = []
+    big_q = RieszWeights.big_q
+
+    def counted(self, n):
+        calls.append(n)
+        return big_q(self, n)
+
+    monkeypatch.setattr(RieszWeights, "big_q", counted)
+    n_size = 64
+    r = RieszWeights(Seq(lambda k: F(1, k + 1)))
+    truncate(compose(cesaro(), riesz(r)), n_size)
+    assert len(calls) <= 2 * n_size
 
 
 def test_riesz_rejects_nonpositive_weight():

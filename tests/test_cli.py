@@ -398,3 +398,45 @@ def test_fuzz_specs_exit_cleanly(argv):
         code = main(argv + ["--n", "8"])
     assert code in (0, 2, 3)
     assert code == 0 or err.getvalue().count("\n") == 1
+
+
+# Invalid Riesz weights q and the stderr line each gives; the Riesz mean reads
+# u_n = 1/Q_n before v_k = q_k, and every reader goes row by row, so each
+# command reports the first invalid index.
+_ONES = {"kind": "const", "c": "1"}
+_INVALID_Q = [
+    ({"prefix": ["1", "0"], "tail": _ONES}, "q[1] = 0"),
+    ({"prefix": ["1", "1", "-1", "-1"], "tail": _ONES}, "q[2] = -1"),
+    ({"prefix": ["0"], "tail": {"kind": "const", "c": "-1"}}, "q[0] = 0"),
+    ({"prefix": ["1"] * 20 + ["-3"], "tail": _ONES}, "q[20] = -3"),
+]
+
+
+def _riesz_commands(q) -> dict:
+    riesz = {"kind": "riesz", "q": q}
+    sigma = {"kind": "sigma_riesz", "q": q}
+    domain = json.dumps({"label": "R", "q": q})
+    return {
+        "riesz": ["matrix", "--spec", json.dumps(riesz)],
+        "cesaro.riesz": ["matrix", "--spec", json.dumps({"kind": "compose", "of": [{"kind": "cesaro"}, riesz]})],
+        "riesz.delta": ["matrix", "--spec", json.dumps({"kind": "compose", "of": [riesz, {"kind": "delta"}]})],
+        "inverse_of(sigma_riesz)": ["matrix", "--spec", json.dumps({"kind": "inverse_of", "of": sigma})],
+        "transform": ["transform", "--matrix", json.dumps(riesz), "--x", "e"],
+        "membership": ["membership", "--x", "e", "--space", "l1", "--domain", json.dumps(sigma)],
+        **{
+            f"dual_{kind}": ["dual", "--a", "e", "--domain", domain, "--kind", kind]
+            for kind in ("alpha", "beta", "gamma")
+        },
+        "matclass_from": ["matclass", "--direction", "from_domain", "--matrix",
+                          '{"kind": "banded", "rows": [["1", "1"]]}', "--domain", domain, "--y", "linf"],
+        "matclass_into": ["matclass", "--direction", "into_domain", "--matrix", "delta",
+                          "--domain", domain, "--y", "l1"],
+    }
+
+
+@pytest.mark.parametrize("command", list(_riesz_commands(None)))
+@pytest.mark.parametrize("q,weight", _INVALID_Q, ids=["q1_zero", "q2_q3_negative", "q0_zero_tail_negative", "q20_negative"])
+def test_invalid_riesz_weights_exit_3_naming_the_first_invalid_index(capsys, q, weight, command):
+    code, out, err = run_cli(capsys, *_riesz_commands(q)[command], "--n", "32")
+    assert (code, out) == (3, "")
+    assert err == f"mathematical error: invalid weight {weight}: must be positive\n"

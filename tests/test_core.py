@@ -182,10 +182,11 @@ def test_invert_delta_is_summation():
 
 
 def test_invert_requires_diag_flag_and_detects_singularity():
-    plain = Triangle(lambda n, k: F(1))
+    # lower triangular, but a BandedMatrix: only a Triangle is inverted
+    plain = BandedMatrix(lambda n, k: F(1))
     with pytest.raises(ValueError):
         invert(plain)
-    bad = Triangle(lambda n, k: F(0) if n == k == 2 else F(1), diag_nonzero=True)
+    bad = Triangle(lambda n, k: F(0) if n == k == 2 else F(1))
     with pytest.raises(SingularMatrixError) as err:
         invert(bad).entry(3, 0)
     assert err.value.row == 2
@@ -206,7 +207,6 @@ def lower_triangles(draw, max_size=6):
     ]
     t = Triangle(
         lambda r, c: rows[r][c] if r < len(rows) else (F(1) if r == c else F(0)),
-        diag_nonzero=True,
     )
     return t, n
 

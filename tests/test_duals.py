@@ -246,7 +246,7 @@ def test_appended_rows_are_consistent_across_threads():
     cells = [(row, col) for row in range(n) for col in range(row + 1)]
 
     def build():
-        hilbert = Triangle(lambda n, k: F(1, n + k + 1), diag_nonzero=True)
+        hilbert = Triangle(lambda n, k: F(1, n + k + 1))
         return (
             invert(phi()),
             beta_assoc(sigma_riesz(RieszWeights(q)), a),

@@ -141,7 +141,6 @@ def test_compose_reads_only_band_overlap():
     def bidiagonal(label):
         return Triangle(
             lambda n, k: F(n + 1) if n == k else F(-1, n + 1),
-            diag_nonzero=True,
             label=label,
             band=1,
         )
@@ -175,5 +174,5 @@ def test_band_short_circuits_the_closure():
         assert n - k <= 1, (n, k)
         return F(1)
 
-    t = Triangle(entry, diag_nonzero=True, band=1)
+    t = Triangle(entry, band=1)
     assert [t.entry(5, k) for k in range(7)] == [0, 0, 0, 0, 1, 1, 0]
