@@ -6,7 +6,7 @@ provided separately as independent oracles (``*_closed_form``).
 
 The Riesz mean R^q is the generalized weighted mean G(u, v) with u_n = 1/Q_n
 and v_k = q_k, so ``RieszWeights`` is a weight pair and ``riesz`` is
-``weighted_mean`` under its own label.
+``weighted_mean`` applied to it.
 
 Each named triangle declares its exact inverse: delta and the partial-sum
 matrix invert each other, as do the Cesaro mean and its closed-form inverse,
@@ -48,7 +48,6 @@ def delta() -> Triangle:
     """Backward difference matrix: 1 on the diagonal, -1 on the first subdiagonal."""
     return Triangle(
         lambda n, k: ONE if k == n else -ONE,
-        label="delta",
         band=1,
         known_inverse=sigma_sum,
     )
@@ -57,21 +56,15 @@ def delta() -> Triangle:
 def sigma_sum() -> Triangle:
     """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
     one = lambda n: ONE
-    return Triangle(
-        lambda n, k: ONE,
-        label="sum",
-        known_inverse=delta,
-        factors=(one, one),
-    )
+    return Triangle(lambda n, k: ONE, known_inverse=delta, factors=(one, one))
 
 
 def cesaro() -> Triangle:
     """Cesaro mean of order one: row n averages the first n+1 terms."""
     return Triangle(
         lambda n, k: Fraction(1, n + 1),
-        label="cesaro",
         known_inverse=cesaro_inverse,
-        factors=(Seq(lambda n: Fraction(1, n + 1), label="1/(n+1)"), lambda k: ONE),
+        factors=(Seq(lambda n: Fraction(1, n + 1)), lambda k: ONE),
     )
 
 
@@ -80,7 +73,6 @@ def cesaro_inverse() -> Triangle:
 
     return Triangle(
         lambda n, k: Fraction(n + 1) if k == n else Fraction(-n),
-        label="cesaro_inv",
         band=1,
         known_inverse=cesaro,
     )
@@ -122,7 +114,7 @@ class RieszWeights:
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
-        self.u_at = Seq(lambda n: 1 / self.big_q(n), label="1/Q")
+        self.u_at = Seq(lambda n: 1 / self.big_q(n))
 
     def q_at(self, k: int) -> Fraction:
         value = self.q(k)
@@ -160,7 +152,6 @@ def weighted_mean(w: Weights) -> Triangle:
 
     return Triangle(
         lambda n, k: w.u_at(n) * w.v_at(k),
-        label="weighted",
         known_inverse=lambda: Triangle(inverse_entry, band=1),
         factors=(w.u_at, w.v_at),
     )
@@ -172,17 +163,14 @@ def riesz(r: RieszWeights) -> Triangle:
     Its inverse is bidiagonal: Q_n/q_n on the diagonal and -Q_{n-1}/q_n
     below it.
     """
-    t = weighted_mean(r)
-    t.label = "riesz"
-    return t
+    return weighted_mean(r)
 
 
-def _domain_matrix(mean: Triangle, label: str) -> Triangle:
+def _domain_matrix(mean: Triangle) -> Triangle:
     """delta composed after a mean with a bidiagonal inverse X.  The inverse
     X . sum has X(n, n) on the diagonal and X(n, n) + X(n, n-1) everywhere
     below it in row n, so it declares row generators."""
     t = compose(delta(), mean)
-    t.label = label
     product_inverse = t.known_inverse
 
     def known_inverse() -> Triangle:
@@ -196,17 +184,17 @@ def _domain_matrix(mean: Triangle, label: str) -> Triangle:
 
 def phi() -> Triangle:
     """Domain matrix of bv(C): delta composed after the Cesaro mean."""
-    return _domain_matrix(cesaro(), "phi")
+    return _domain_matrix(cesaro())
 
 
 def gamma(w: WeightPair) -> Triangle:
     """Domain matrix of bv(G): delta composed after the weighted mean."""
-    return _domain_matrix(weighted_mean(w), "gamma")
+    return _domain_matrix(weighted_mean(w))
 
 
 def sigma_riesz(r: RieszWeights) -> Triangle:
     """Domain matrix of bv(R): delta composed after the Riesz mean."""
-    return _domain_matrix(riesz(r), "sigma")
+    return _domain_matrix(riesz(r))
 
 
 def phi_closed_form() -> Triangle:
@@ -219,7 +207,7 @@ def phi_closed_form() -> Triangle:
             return Fraction(1, n + 1)
         return Fraction(-1, n * (n + 1))
 
-    return Triangle(entry, label="phi_closed")
+    return Triangle(entry)
 
 
 def gamma_closed_form(w: WeightPair) -> Triangle:
@@ -230,7 +218,7 @@ def gamma_closed_form(w: WeightPair) -> Triangle:
             return w.u_at(n) * w.v_at(k)
         return (w.u_at(n) - w.u_at(n - 1)) * w.v_at(k)
 
-    return Triangle(entry, label="gamma_closed")
+    return Triangle(entry)
 
 
 def sigma_closed_form(r: RieszWeights) -> Triangle:
@@ -241,7 +229,7 @@ def sigma_closed_form(r: RieszWeights) -> Triangle:
             return r.q_at(n) / r.big_q(n)
         return (1 / r.big_q(n) - 1 / r.big_q(n - 1)) * r.q_at(k)
 
-    return Triangle(entry, label="sigma_closed")
+    return Triangle(entry)
 
 
 def basis_column(t: Triangle, k: int) -> Seq:
@@ -251,7 +239,7 @@ def basis_column(t: Triangle, k: int) -> Seq:
     applying t to the result reproduces the k-th coordinate sequence.
     """
     inv = invert(t)
-    return Seq(lambda n: inv.entry(n, k), label=f"basis({t.label},{k})")
+    return Seq(lambda n: inv.entry(n, k))
 
 
 @dataclass(frozen=True)

@@ -168,7 +168,7 @@ def _seq_from_obj(raw):
             return prefix[k]
         return tail_fn(k)
 
-    return Seq(eval_fn, support_bound=support, label="spec"), resolved
+    return Seq(eval_fn, support_bound=support), resolved
 
 
 # ----------------------------------------------------------------- matrices
@@ -289,11 +289,14 @@ def _check_out(path: str) -> None:
     """Raise the OSError that writing the --out file would, before any work.
 
     The file is not opened here, because opening truncates it and a later
-    failure would then leave it empty.
+    failure would then leave it empty.  An empty path fails as ``open("")``
+    does.
     """
     parent = os.path.dirname(path) or "."
     code = None
-    if os.path.isdir(path):
+    if not path:
+        code = errno.ENOENT
+    elif os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOENT if not os.path.exists(parent) else errno.ENOTDIR
@@ -305,7 +308,7 @@ def _check_out(path: str) -> None:
 
 def _emit(args, text: str) -> None:
     data = text if text.endswith("\n") else text + "\n"
-    if getattr(args, "out", None):
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(data)
     else:

@@ -95,11 +95,9 @@ class Seq:
         self,
         eval_fn: Callable[[int], Fraction],
         support_bound: Optional[int] = None,
-        label: str = "seq",
     ):
         self._eval = eval_fn
         self.support_bound = support_bound
-        self.label = label
         self._cache: dict[int, Fraction] = {}
 
     def __call__(self, k: int) -> Fraction:
@@ -112,32 +110,24 @@ class Seq:
             value = self._cache[k] = rat(self._eval(k))
         return value
 
-    def __repr__(self):
-        return f"Seq({self.label})"
-
     @staticmethod
-    def from_values(values, label: str = "finite") -> "Seq":
+    def from_values(values) -> "Seq":
         """Finitely supported sequence given by a prefix of literals."""
         terms = [rat(v) for v in values]
         return Seq(
             lambda k: terms[k] if k < len(terms) else ZERO,
             support_bound=max(len(terms) - 1, 0),
-            label=label,
         )
 
     @staticmethod
-    def constant(c, label: Optional[str] = None) -> "Seq":
+    def constant(c) -> "Seq":
         value = rat(c)
-        return Seq(lambda k: value, label=label or f"const({value})")
+        return Seq(lambda k: value)
 
     @staticmethod
     def unit(j: int) -> "Seq":
         """The coordinate sequence with a single 1 at index j."""
-        return Seq(
-            lambda k: ONE if k == j else ZERO,
-            support_bound=j,
-            label=f"e({j})",
-        )
+        return Seq(lambda k: ONE if k == j else ZERO, support_bound=j)
 
 
 class BandedMatrix:
@@ -164,7 +154,6 @@ class BandedMatrix:
         entry_fn: Callable[[int, int], Fraction],
         row_bound: Optional[Callable[[int], int]] = None,
         row_count: Optional[int] = None,
-        label: str = "matrix",
         band: Optional[int] = None,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
         generators: Optional[Callable[[int], tuple]] = None,
@@ -173,7 +162,6 @@ class BandedMatrix:
         self._entry = entry_fn
         self._row_bound = row_bound
         self.row_count = row_count
-        self.label = label
         self.band = band
         self.known_inverse = known_inverse
         self.generators = generators
@@ -208,24 +196,16 @@ class BandedMatrix:
 
     def row_seq(self, n: int) -> Seq:
         """Row n as a finitely supported Seq."""
-        return Seq(
-            lambda k: self.entry(n, k),
-            support_bound=self.row_bound(n),
-            label=f"{self.label}[row {n}]",
-        )
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.label})"
+        return Seq(lambda k: self.entry(n, k), support_bound=self.row_bound(n))
 
     @staticmethod
-    def from_rows(rows, label: str = "banded") -> "BandedMatrix":
+    def from_rows(rows) -> "BandedMatrix":
         """A finite matrix from explicit row literals (zero beyond them)."""
         data = [[rat(v) for v in row] for row in rows]
         return BandedMatrix(
             lambda n, k: data[n][k],
             lambda n: len(data[n]) - 1,
             row_count=len(data),
-            label=label,
         )
 
 
@@ -255,7 +235,7 @@ def row_generators(t: Triangle) -> Callable[[int], tuple]:
 
 
 def identity() -> Triangle:
-    return Triangle(lambda n, k: ONE if n == k else ZERO, label="identity")
+    return Triangle(lambda n, k: ONE if n == k else ZERO)
 
 
 @dataclass(frozen=True)
@@ -327,7 +307,7 @@ def apply(m, x: Seq, n_size: int) -> list:
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy Seq."""
-    return Seq(lambda n: _coordinate(t, x, n), label=f"{t.label}*{x.label}")
+    return Seq(lambda n: _coordinate(t, x, n))
 
 
 def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
@@ -418,7 +398,6 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         entry,
         row_bound,
         row_count=a.row_count,
-        label=f"{a.label}.{b.label}",
         band=None if a_band is None or b_band is None else a_band + b_band,
         known_inverse=known_inverse,
     )
@@ -452,7 +431,7 @@ def _build_inverse(t: Triangle) -> Triangle:
         ensure(n)
         return rows[n][k]
 
-    return Triangle(entry, label=f"inverse({t.label})")
+    return Triangle(entry)
 
 
 def invert(t: Triangle) -> Triangle:
@@ -465,13 +444,9 @@ def invert(t: Triangle) -> Triangle:
     SingularMatrixError naming the offending row.
     """
     if not isinstance(t, Triangle):
-        raise ValueError(f"cannot invert {t.label}: not a triangle")
+        raise ValueError("cannot invert a matrix that is not a triangle")
     if t._inverse is None:
-        if t.known_inverse is None:
-            inv = _build_inverse(t)
-        else:
-            inv = t.known_inverse()
-            inv.label = f"inverse({t.label})"
+        inv = _build_inverse(t) if t.known_inverse is None else t.known_inverse()
         inv._inverse = t
         inv.known_inverse = lambda: t
         t._inverse = inv

@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 from .core import BandedMatrix, Seq, Triangle, ZERO, invert
 from .builders import Domain, Weights
-from .spaces import _check_n, _stats_dict, classify_trend, combine_verdicts, fmt, policy_dict
+from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
 # the last window is at most this; policy, not a theorem.
@@ -69,11 +69,7 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
             diag, row = _scaled_rows(inv, a, size)
             return diag, [ZERO] * size, row
 
-    return BandedMatrix(
-        lambda n, k: a(n) * inv.entry(n, k),
-        label=f"alpha_assoc({domain_matrix.label})",
-        generators=generators,
-    )
+    return BandedMatrix(lambda n, k: a(n) * inv.entry(n, k), generators=generators)
 
 
 def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
@@ -101,7 +97,7 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     generators = None
     if inv.generators is not None:
         generators = lambda size: _column_sums(*_scaled_rows(inv, a, size))
-    return BandedMatrix(entry, label=f"beta_assoc({domain_matrix.label})", generators=generators)
+    return BandedMatrix(entry, generators=generators)
 
 
 def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
@@ -128,7 +124,7 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
             [step(j) if j else ZERO for j in range(size)],
         )
 
-    return BandedMatrix(entry, label="closed_form_beta", generators=generators)
+    return BandedMatrix(entry, generators=generators)
 
 
 class _AbsSums:
@@ -182,7 +178,7 @@ def cond_l1_linf(m, n: int) -> tuple:
     With generators, the new row's entries below the diagonal are
     col[k] + row[last], extremal at the extremes of col over k < last.
     """
-    _check_n(n)
+    marks = checkpoints(n)
     out = []
     best = ZERO
     if m.generators is not None:
@@ -193,14 +189,14 @@ def cond_l1_linf(m, n: int) -> tuple:
                 r = row[last]
                 best = max(best, abs(highs[last - 1] + r), abs(lows[last - 1] + r))
             best = max(best, abs(diag[last]))
-            if last + 1 in (n // 4, n // 2, n):
+            if last + 1 in marks:
                 out.append((last + 1, best))
         return tuple(out)
     for last in range(n):
         for i in range(last):
             best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
         best = max(best, abs(m.entry(last, last)))
-        if last + 1 in (n // 4, n // 2, n):
+        if last + 1 in marks:
             out.append((last + 1, best))
     return tuple(out)
 
@@ -213,16 +209,16 @@ def cond_l1_c(m, n: int) -> tuple:
     those entries are col[k] + row[n], so the oscillation is that of row
     over the window, the same for every column.
     """
-    _check_n(n)
+    quarter, half, _ = checkpoints(n)
     if m.generators is not None:
         _, col, row = m.generators(n + 1)
-        window = row[n // 2 :]
+        window = row[half:]
         osc = max(window) - min(window)
-        columns = [(osc, col[k] + row[n]) for k in range(n // 4)]
+        columns = [(osc, col[k] + row[n]) for k in range(quarter)]
     else:
         columns = []
-        for k in range(n // 4):
-            window = [m.entry(row, k) for row in range(n // 2, n + 1)]
+        for k in range(quarter):
+            window = [m.entry(row, k) for row in range(half, n + 1)]
             columns.append((max(window) - min(window), m.entry(n, k)))
     return tuple(
         {
@@ -244,7 +240,7 @@ def cond_l1_l1(m, n: int) -> tuple:
     sum of |col[k] + row[j]| over k < j < size: the sum over rows 1..size-1
     less the one over rows 1..k, both from ``_AbsSums``.
     """
-    _check_n(n)
+    marks = checkpoints(n)
     out = []
     if m.generators is not None:
         diag, col, row = m.generators(n)
@@ -254,7 +250,7 @@ def cond_l1_l1(m, n: int) -> tuple:
             if last:
                 below.insert(last)
             bases.append(abs(diag[last]) - below.query(col[last]))
-            if last + 1 in (n // 4, n // 2, n):
+            if last + 1 in marks:
                 out.append((last + 1, max(b + below.query(c) for b, c in zip(bases, col))))
         return tuple(out)
     sums: list[Fraction] = []
@@ -262,7 +258,7 @@ def cond_l1_l1(m, n: int) -> tuple:
         for col in range(last):
             sums[col] += abs(m.entry(last, col))
         sums.append(sum((abs(m.entry(row, last)) for row in range(last + 1)), ZERO))
-        if last + 1 in (n // 4, n // 2, n):
+        if last + 1 in marks:
             out.append((last + 1, max(sums)))
     return tuple(out)
 
@@ -349,7 +345,7 @@ def dual_test(
     weights (G or R) is given and kind is beta/gamma, the report cross-checks
     the generic associated matrix against the weight-closed-form construction.
     """
-    _check_n(n)
+    quarter = checkpoints(n)[0]
     if isinstance(domain, Domain):
         matrix, weights = domain.matrix, domain.weights
     else:
@@ -360,7 +356,7 @@ def dual_test(
     assoc = alpha_assoc(matrix, a) if kind == "alpha" else beta_assoc(matrix, a)
     conditions = condition_stats(kind, assoc, n)
 
-    if a.support_bound is not None and a.support_bound <= n // 4:
+    if a.support_bound is not None and a.support_bound <= quarter:
         verdict = "certified_in"
     else:
         verdict = condition_verdict(conditions)

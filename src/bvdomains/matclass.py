@@ -17,7 +17,7 @@ from typing import Optional
 from .core import BandedMatrix, Triangle, apply, compose, invert
 from .builders import Domain
 from .duals import condition_stats, condition_verdict, conditions_dict, dual_test
-from .spaces import SpaceId, _check_n, combine_verdicts, policy_dict
+from .spaces import SpaceId, checkpoints, combine_verdicts, policy_dict
 
 
 class UnsupportedClassError(ValueError):
@@ -99,16 +99,14 @@ def class_test_from_domain(
     Every row from ``a.row_count`` on is the zero sequence, and a report
     carries no row index, so the first zero row's report serves them all.
     """
-    _check_n(n)
+    quarter = checkpoints(n)[0]
     if y not in (SpaceId.L1, SpaceId.C, SpaceId.LINF):
         raise UnsupportedClassError(
             "from_bv_domain", y, (SpaceId.L1, SpaceId.C, SpaceId.LINF)
         )
-    sampled = n // 4
-    if a.row_count is not None:
-        sampled = min(sampled, a.row_count + 1)
+    sampled = quarter if a.row_count is None else min(quarter, a.row_count + 1)
     checks = [dual_test(domain, a.row_seq(row), "beta", n) for row in range(sampled)]
-    row_checks = tuple(checks + checks[-1:] * (n // 4 - sampled))
+    row_checks = tuple(checks + checks[-1:] * (quarter - sampled))
     e = row_transform_E(a, domain.matrix)
     block, cond_verdict = _target_condition(e, y, n)
     row_verdicts = (r.verdict for r in row_checks)
@@ -121,7 +119,7 @@ def class_test_into_domain(
 ) -> ClassReport:
     """Test B in (Y : bv(domain)) at truncation n; only Y = l1 has a testable
     condition, via F = domain . B in (l1:l1)."""
-    _check_n(n)
+    checkpoints(n)
     if y is not SpaceId.L1:
         raise UnsupportedClassError("into_bv_domain", y, (SpaceId.L1,))
     f = left_transform_F(b, domain.matrix)

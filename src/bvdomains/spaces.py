@@ -167,10 +167,12 @@ def _statistic(x: Seq, space: SpaceId, idx: int) -> Fraction:
     raise ValueError(f"unknown space {space}")
 
 
-def _check_n(n: int):
-    """The truncation rule shared by every checkpointed statistic."""
+def checkpoints(n: int) -> tuple:
+    """The truncation rule shared by every checkpointed statistic: n must be
+    a multiple of 4 and >= 8, and the statistics are read at (N/4, N/2, N)."""
     if n < 8 or n % 4 != 0:
         raise ValueError(f"truncation must be a multiple of 4 and >= 8, got {n}")
+    return n // 4, n // 2, n
 
 
 def membership(x: Seq, space: SpaceId, n: int) -> MembershipReport:
@@ -179,8 +181,7 @@ def membership(x: Seq, space: SpaceId, n: int) -> MembershipReport:
     bv0 runs both of its defining statistics (variation and tail magnitude)
     and combines the verdicts conservatively.
     """
-    _check_n(n)
-    indices = (n // 4, n // 2, n)
+    indices = checkpoints(n)
     stats = tuple((i, _statistic(x, space, i)) for i in indices)
     s1, s2, s3 = (v for _, v in stats)
     ratio = s3 / s2 if s2 != 0 else None

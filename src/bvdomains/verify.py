@@ -99,44 +99,49 @@ def _rand_rat(rng) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
-def _rand_finite_seq(rng, max_len=8, label="rand") -> Seq:
+def _rand_finite_seq(rng, max_len=8) -> Seq:
     values = [_rand_rat(rng) for _ in range(rng.randint(1, max_len))]
     if all(v == 0 for v in values):
         values[0] = Fraction(1)
-    return Seq.from_values(values, label=label)
+    return Seq.from_values(values)
 
 
-def _rand_banded(rng, max_rows=6, max_width=5, label="rand_banded") -> BandedMatrix:
+def _rand_banded(rng, max_rows=6, max_width=5) -> BandedMatrix:
     rows = [
         [_rand_rat(rng) for _ in range(rng.randint(1, max_width))]
         for _ in range(rng.randint(1, max_rows))
     ]
-    return BandedMatrix.from_rows(rows, label=label)
+    return BandedMatrix.from_rows(rows)
 
 
 def _weight_pairs():
     return (
+        builders.WeightPair(Seq(lambda n: Fraction(1, n + 2)), Seq(lambda k: Fraction(k + 1))),
         builders.WeightPair(
-            Seq(lambda n: Fraction(1, n + 2), label="1/(n+2)"),
-            Seq(lambda k: Fraction(k + 1), label="k+1"),
+            Seq(lambda n: Fraction((-1) ** n, n + 1)), Seq(lambda k: Fraction(1, k + 1))
         ),
         builders.WeightPair(
-            Seq(lambda n: Fraction((-1) ** n, n + 1), label="(-1)^n/(n+1)"),
-            Seq(lambda k: Fraction(1, k + 1), label="1/(k+1)"),
-        ),
-        builders.WeightPair(
-            Seq(lambda n: Fraction(2, 2 * n + 1), label="2/(2n+1)"),
-            Seq(lambda k: Fraction(k + 2, 2), label="(k+2)/2"),
+            Seq(lambda n: Fraction(2, 2 * n + 1)), Seq(lambda k: Fraction(k + 2, 2))
         ),
     )
+
+
+def _cesaro_weight_pair():
+    """Fresh weights (1/(n+1), 1), which make G(u, v) the Cesaro mean."""
+    return builders.WeightPair(Seq(lambda n: Fraction(1, n + 1)), Seq.constant(1))
 
 
 def _riesz_weights():
     return (
-        builders.RieszWeights(Seq(lambda k: Fraction(2**k), label="2^k")),
-        builders.RieszWeights(Seq.constant(1, label="e")),
-        builders.RieszWeights(Seq(lambda k: Fraction(k + 1), label="k+1")),
+        builders.RieszWeights(Seq(lambda k: Fraction(2**k))),
+        _unit_riesz_weights(),
+        builders.RieszWeights(Seq(lambda k: Fraction(k + 1))),
     )
+
+
+def _unit_riesz_weights():
+    """Fresh weights q = 1, which make R^q the Cesaro mean."""
+    return builders.RieszWeights(Seq.constant(1))
 
 
 def _standard_domains():
@@ -199,7 +204,7 @@ def suite_identities(n: int, rng) -> list:
         )
     )
 
-    x = _rand_finite_seq(rng, label="x")
+    x = _rand_finite_seq(rng)
     composed = apply(compose(a, b), x, n)
     chained = apply(a, transform_seq(b, x), n)
     checks.append(
@@ -209,12 +214,7 @@ def suite_identities(n: int, rng) -> list:
         )
     )
 
-    cesaro_as_weighted = builders.weighted_mean(
-        builders.WeightPair(
-            Seq(lambda m: Fraction(1, m + 1), label="1/(n+1)"),
-            Seq.constant(1, label="e"),
-        )
-    )
+    cesaro_as_weighted = builders.weighted_mean(_cesaro_weight_pair())
     checks.append(
         _matrices_equal("specialization_weighted_to_cesaro", builders.cesaro(), cesaro_as_weighted, n)
     )
@@ -222,7 +222,7 @@ def suite_identities(n: int, rng) -> list:
         _matrices_equal(
             "specialization_riesz_to_cesaro",
             builders.cesaro(),
-            builders.riesz(builders.RieszWeights(Seq.constant(1, label="e"))),
+            builders.riesz(_unit_riesz_weights()),
             n,
         )
     )
@@ -314,7 +314,7 @@ def _basis_application(dom, k: int, n: int) -> CheckResult:
 
 def _basis_reconstruction(dom, case: int, rng) -> CheckResult:
     t = dom.matrix
-    x = _rand_finite_seq(rng, label=f"x{case}")
+    x = _rand_finite_seq(rng)
     top = x.support_bound
     y = apply(t, x, top + 1)
     rebuilt = [
@@ -329,7 +329,7 @@ def _basis_reconstruction(dom, case: int, rng) -> CheckResult:
 
 def suite_duals(n: int, rng) -> list:
     checks = []
-    a = _rand_finite_seq(rng, label="a")
+    a = _rand_finite_seq(rng)
     assoc = duals.alpha_assoc(builders.phi(), a)
     checks.append(
         _entries_equal(
@@ -355,7 +355,7 @@ def suite_duals(n: int, rng) -> list:
 
     for dom in _standard_domains():
         for kind in duals.DUAL_KINDS:
-            a = _rand_finite_seq(rng, max_len=min(8, n // 4), label="a")
+            a = _rand_finite_seq(rng, max_len=min(8, n // 4))
             report = duals.dual_test(dom, a, kind, n)
             checks.append(
                 CheckResult(
@@ -378,8 +378,8 @@ def suite_duals(n: int, rng) -> list:
             )
         )
 
-    unit_riesz = builders.sigma_riesz(builders.RieszWeights(Seq.constant(1, label="e")))
-    a = _rand_finite_seq(rng, label="a")
+    unit_riesz = builders.sigma_riesz(_unit_riesz_weights())
+    a = _rand_finite_seq(rng)
     same = all(
         duals.dual_test(builders.phi(), a, kind, n).to_dict()
         == duals.dual_test(unit_riesz, a, kind, n).to_dict()
@@ -402,14 +402,14 @@ def _condition_cases(n: int, rng):
 
 
 def _beta_cross_check(name: str, dom, case: int, n: int, rng) -> CheckResult:
-    a = _rand_finite_seq(rng, label=f"a{case}")
+    a = _rand_finite_seq(rng)
     cross_check = duals.dual_test(dom, a, "beta", n).cross_check
     match = cross_check["match"]
     return CheckResult(name, match, None if match else {"case": case, "detail": cross_check})
 
 
 def _condition_brute_force(case: int, n: int, rng) -> CheckResult:
-    m = _rand_banded(rng, label=f"m{case}")
+    m = _rand_banded(rng)
     dense = truncate(m, n)
     brute_l1 = max(
         sum((abs(dense.values[row][col]) for row in range(n)), ZERO) for col in range(n)
@@ -434,7 +434,7 @@ def _condition_generators(n: int) -> CheckResult:
     """The statistics of the alpha and beta matrices of the standard domains
     from their generators equal those scanned from their entries.  The
     sequence is fixed, so the check draws nothing from the seeded generator."""
-    a = Seq(lambda k: Fraction((-1) ** k, k + 1), label="alternating")
+    a = Seq(lambda k: Fraction((-1) ** k, k + 1))
     for dom in _standard_domains():
         for kind, build in (("alpha", duals.alpha_assoc), ("beta", duals.beta_assoc)):
             scanned = build(dom.matrix, a)
@@ -476,15 +476,10 @@ def suite_matclass(n: int, rng) -> list:
 
     cesaro_style = (
         builders.cesaro_domain(),
-        builders.weighted_domain(
-            builders.WeightPair(
-                Seq(lambda m: Fraction(1, m + 1), label="1/(n+1)"),
-                Seq.constant(1, label="e"),
-            )
-        ),
-        builders.riesz_domain(builders.RieszWeights(Seq.constant(1, label="e"))),
+        builders.weighted_domain(_cesaro_weight_pair()),
+        builders.riesz_domain(_unit_riesz_weights()),
     )
-    a = _rand_banded(rng, label="A")
+    a = _rand_banded(rng)
     blocks = [
         matclass.class_test_from_domain(a, dom, spaces.SpaceId.LINF, n).transformed_condition
         for dom in cesaro_style
@@ -500,8 +495,8 @@ def suite_matclass(n: int, rng) -> list:
 
 
 def _transform_identity_E(name: str, dom, case: int, n: int, rng) -> CheckResult:
-    a = _rand_banded(rng, label=f"A{case}")
-    x = _rand_finite_seq(rng, label=f"x{case}")
+    a = _rand_banded(rng)
+    x = _rand_finite_seq(rng)
     e = matclass.row_transform_E(a, dom.matrix)
     y = transform_seq(dom.matrix, x)
     ax = matclass.apply_general(a, x, n)
@@ -510,8 +505,8 @@ def _transform_identity_E(name: str, dom, case: int, n: int, rng) -> CheckResult
 
 
 def _transform_identity_F(name: str, dom, case: int, n: int, rng) -> CheckResult:
-    b = _rand_banded(rng, label=f"B{case}")
-    z = _rand_finite_seq(rng, label=f"z{case}")
+    b = _rand_banded(rng)
+    z = _rand_finite_seq(rng)
     f = matclass.left_transform_F(b, dom.matrix)
     fz = matclass.apply_general(f, z, n)
     phi_bz = apply(dom.matrix, transform_seq(b, z), n)
@@ -522,7 +517,7 @@ def run_suite(suite: str, n: int, seed: int) -> dict:
     """Run one suite (or all) and return a deterministic report dict."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    spaces._check_n(n)
+    spaces.checkpoints(n)
     if n > 256:
         raise ValueError(f"suite truncation must be <= 256, got {n}")
     rng = random.Random(seed)

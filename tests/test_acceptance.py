@@ -54,20 +54,20 @@ from bvdomains.spaces import SpaceId, bvA_norm_prefix, bv_norm_prefix
 N = 64
 
 HARMONIC_PAIR = WeightPair(
-    Seq(lambda n: F(1, n + 2), label="1/(n+2)"),
-    Seq(lambda k: F(k + 1), label="k+1"),
+    Seq(lambda n: F(1, n + 2)),
+    Seq(lambda k: F(k + 1)),
 )
-GEOMETRIC_RIESZ = RieszWeights(Seq(lambda k: F(2**k), label="2^k"))
+GEOMETRIC_RIESZ = RieszWeights(Seq(lambda k: F(2**k)))
 
 WEIGHT_PAIRS = (
     HARMONIC_PAIR,
     WeightPair(
-        Seq(lambda n: F((-1) ** n, n + 1), label="(-1)^n/(n+1)"),
-        Seq(lambda k: F(1, k + 1), label="1/(k+1)"),
+        Seq(lambda n: F((-1) ** n, n + 1)),
+        Seq(lambda k: F(1, k + 1)),
     ),
     WeightPair(
-        Seq(lambda n: F(2, 2 * n + 1), label="2/(2n+1)"),
-        Seq(lambda k: F(k + 2, 2), label="(k+2)/2"),
+        Seq(lambda n: F(2, 2 * n + 1)),
+        Seq(lambda k: F(k + 2, 2)),
     ),
 )
 

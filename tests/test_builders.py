@@ -21,18 +21,18 @@ from bvdomains.builders import (
     weighted_mean,
 )
 
-E = Seq.constant(1, "e")
+E = Seq.constant(1)
 
 
 def harmonic_pair():
     return WeightPair(
-        Seq(lambda n: F(1, n + 2), label="1/(n+2)"),
-        Seq(lambda k: F(k + 1), label="k+1"),
+        Seq(lambda n: F(1, n + 2)),
+        Seq(lambda k: F(k + 1)),
     )
 
 
 def geometric_riesz():
-    return RieszWeights(Seq(lambda k: F(2**k), label="2^k"))
+    return RieszWeights(Seq(lambda k: F(2**k)))
 
 
 def test_delta_entries():
@@ -113,7 +113,6 @@ def test_riesz_is_the_weighted_mean_of_1_over_Q_and_q(name):
     q = [RIESZ_Q[name](k) for k in range(n_size)]
     big_q = [sum(q[: n + 1], F(0)) for n in range(n_size)]
     t = riesz(RieszWeights(Seq(RIESZ_Q[name])))
-    assert t.label == "riesz"
     assert truncate(t, n_size).values == tuple(
         tuple(q[k] / big_q[n] if k <= n else F(0) for k in range(n_size))
         for n in range(n_size)

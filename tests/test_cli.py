@@ -250,6 +250,7 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
         (tmp_path / "missing" / "x.json", "No such file or directory"),
         (existing / "x.json", "Not a directory"),
         (tmp_path, "Is a directory"),
+        ("", "No such file or directory"),
     ):
         code, out, err = run_cli(capsys, *dual, "--out", str(out_path))
         assert (code, out) == (2, "")

@@ -71,7 +71,7 @@ def test_truncate_examples():
 
 
 def test_apply_examples():
-    e = Seq.constant(1, "e")
+    e = Seq.constant(1)
     assert apply(delta(), e, 3) == [F(1), F(0), F(0)]
     # direct-summation oracle for the Cesaro transform of e(0)
     e0 = Seq.unit(0)
@@ -115,7 +115,7 @@ def test_compose_delta_sum_is_identity():
 # supports are neither monotone nor triangular
 FINITE_ROWS = [["1", "-1"], [], ["0", "1/2", "2", "0", "-3"], ["5"]]
 FACTORS = {
-    "finite": lambda: BandedMatrix.from_rows(FINITE_ROWS, label="finite"),
+    "finite": lambda: BandedMatrix.from_rows(FINITE_ROWS),
     "phi": phi,
     "delta": delta,
     "sum": sigma_sum,

@@ -36,13 +36,13 @@ from bvdomains.duals import (
 from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
 from bvdomains.spaces import SpaceId
 
-E = Seq.constant(1, "e")
+E = Seq.constant(1)
 
 
 def harmonic_pair():
     return WeightPair(
-        Seq(lambda n: F(1, n + 2), label="1/(n+2)"),
-        Seq(lambda k: F(k + 1), label="k+1"),
+        Seq(lambda n: F(1, n + 2)),
+        Seq(lambda k: F(k + 1)),
     )
 
 
@@ -241,7 +241,7 @@ def test_appended_rows_are_consistent_across_threads():
     The Hilbert-like factor has no known inverse, so its product is inverted
     by forward substitution."""
     n = 20
-    q = Seq(lambda k: F(k + 1), label="k+1")
+    q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))
     cells = [(row, col) for row in range(n) for col in range(row + 1)]
 

@@ -129,7 +129,7 @@ def test_product_of_two_full_triangles_reads_quadratically_many_entries():
     a, b = builders.cesaro(), builders.sigma_sum()
     a_reads, b_reads = _counted_reads(a), _counted_reads(b)
     assert truncate(compose(a, b), size) == truncate(
-        BandedMatrix(lambda n, k: F(n - k + 1, n + 1), label="oracle"), size
+        BandedMatrix(lambda n, k: F(n - k + 1, n + 1)), size
     )
     assert len(a_reads) <= size * (size + 1) // 2
     assert not b_reads

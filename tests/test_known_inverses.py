@@ -39,17 +39,17 @@ N = 40
 
 def harmonic_pair():
     return WeightPair(
-        Seq(lambda n: F(1, n + 2), label="1/(n+2)"),
-        Seq(lambda k: F(k + 1, 3), label="(k+1)/3"),
+        Seq(lambda n: F(1, n + 2)),
+        Seq(lambda k: F(k + 1, 3)),
     )
 
 
 def linear_riesz():
-    return RieszWeights(Seq(lambda k: F(k + 1), label="k+1"))
+    return RieszWeights(Seq(lambda k: F(k + 1)))
 
 
 def geometric_riesz():
-    return RieszWeights(Seq(lambda k: F(2) ** k, label="2^k"))
+    return RieszWeights(Seq(lambda k: F(2) ** k))
 
 
 NAMED = {
@@ -78,7 +78,6 @@ def assert_same_entries(got, expected, n):
 def test_known_inverse_matches_forward_substitution(name):
     t = NAMED[name]()
     inv = invert(t)
-    assert inv.label == f"inverse({t.label})"
     assert_same_entries(inv, core._build_inverse(NAMED[name]()), N)
     assert invert(inv) is t
 
@@ -119,7 +118,7 @@ def test_known_inverse_property_over_weights(us, vs, qs):
 
 
 def _no_fallback(t):
-    raise AssertionError(f"forward substitution ran on {t.label}")
+    raise AssertionError("forward substitution ran")
 
 
 def test_domain_duals_and_classes_never_fall_back(monkeypatch):
@@ -138,12 +137,8 @@ def test_domain_duals_and_classes_never_fall_back(monkeypatch):
 
 
 def test_compose_reads_only_band_overlap():
-    def bidiagonal(label):
-        return Triangle(
-            lambda n, k: F(n + 1) if n == k else F(-1, n + 1),
-            label=label,
-            band=1,
-        )
+    def bidiagonal():
+        return Triangle(lambda n, k: F(n + 1) if n == k else F(-1, n + 1), band=1)
 
     def count_reads(t):
         reads = []
@@ -156,7 +151,7 @@ def test_compose_reads_only_band_overlap():
         t.entry = counted
         return reads
 
-    a, b = bidiagonal("a"), bidiagonal("b")
+    a, b = bidiagonal(), bidiagonal()
     product = compose(a, b)
     assert product.band == 2
     expected = dense_mul(truncate(a, 20), truncate(b, 20))

@@ -101,7 +101,7 @@ def _counted_entries(m):
 
 def test_left_transform_F_reads_a_triangle_only_on_and_below_its_diagonal():
     # all ones like sigma_sum, but declaring no factors, so the generic loop runs
-    t = Triangle(lambda n, k: F(1), label="ones")
+    t = Triangle(lambda n, k: F(1))
     reads = _counted_entries(t)
     f = left_transform_F(t, phi())
     assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))

@@ -8,6 +8,7 @@ from bvdomains.spaces import (
     SpaceId,
     bvA_norm_prefix,
     bv_norm_prefix,
+    checkpoints,
     classical_dual,
     classify_trend,
     combine_verdicts,
@@ -15,9 +16,9 @@ from bvdomains.spaces import (
     membership,
 )
 
-E = Seq.constant(1, "e")
-ALTERNATING = Seq(lambda k: F((-1) ** k), label="(-1)^k")
-HARMONIC = Seq(lambda k: F(1, k + 1), label="harmonic")
+E = Seq.constant(1)
+ALTERNATING = Seq(lambda k: F((-1) ** k))
+HARMONIC = Seq(lambda k: F(1, k + 1))
 
 
 def test_bv_norm_prefix_constant_and_unit():
@@ -52,6 +53,13 @@ def test_membership_requires_valid_truncation():
         membership(E, SpaceId.L1, 10)
     with pytest.raises(ValueError):
         membership(E, SpaceId.L1, 4)
+
+
+def test_checkpoints_are_the_quarter_half_and_whole_truncation():
+    assert checkpoints(8) == (2, 4, 8)
+    for n in (6, 10):
+        with pytest.raises(ValueError, match=f"multiple of 4 and >= 8, got {n}$"):
+            checkpoints(n)
 
 
 def test_membership_geometric_l1():
