@@ -260,13 +260,6 @@ def truncate(source, n_size: int) -> DenseTrunc:
     return DenseTrunc(n_size, rows)
 
 
-def dense_identity(n_size: int) -> DenseTrunc:
-    rows = tuple(
-        tuple(ONE if n == k else ZERO for k in range(n_size)) for n in range(n_size)
-    )
-    return DenseTrunc(n_size, rows)
-
-
 def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")

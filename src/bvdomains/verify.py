@@ -1,9 +1,11 @@
 """Bundled verification suites: every library identity checked at truncation.
 
 Each check compares two independently computed values (composition vs closed
-form, generic vs oracle, product vs identity) bit-exactly and records the
-first offending position on failure.  Randomized instances are drawn from a
-seeded generator so reports are reproducible byte for byte.
+form, generic vs oracle, product vs identity) bit-exactly.  Every such
+comparison goes through one of two helpers, ``_grid_equal`` over two
+(row, col) callables or ``_seq_equal`` over two index callables, which records
+the first offending position on failure.  Randomized instances are drawn from
+a seeded generator so reports are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from typing import Optional
 from . import builders, duals, matclass, spaces
 from .core import (
     BandedMatrix,
+    ONE,
     Seq,
     ZERO,
     _build_inverse,
     apply,
     compose,
-    dense_identity,
     dense_mul,
     invert,
     transform_seq,
@@ -64,35 +66,31 @@ def _first_failure(name, cases) -> CheckResult:
     return next((result for result in cases if not result.passed), CheckResult(name, True))
 
 
-def _case_equal(name, case, expected, got, n):
-    """Compare the first n coordinates of one randomized case; a failure records the case."""
-    result = _entries_equal(name, (([i], expected[i], got[i]) for i in range(n)))
-    if not result.passed:
-        result.counterexample["case"] = case
-    return result
-
-
-def _matrices_equal(name, a, b, n):
+def _grid_equal(name, expected, got, n, square=False):
+    """Compare two (row, col) callables over the lower triangle of the n x n
+    block, or over the whole block when square."""
     return _entries_equal(
         name,
         (
-            ([row, col], a.entry(row, col), b.entry(row, col))
+            ([row, col], expected(row, col), got(row, col))
             for row in range(n)
-            for col in range(row + 1)
+            for col in range(n if square else row + 1)
         ),
     )
 
 
-def _is_identity(name, dense):
-    ident = dense_identity(dense.size)
-    return _entries_equal(
-        name,
-        (
-            ([row, col], ident.values[row][col], dense.values[row][col])
-            for row in range(dense.size)
-            for col in range(dense.size)
-        ),
-    )
+def _seq_equal(name, expected, got, n):
+    """Compare two index callables over 0..n-1."""
+    return _entries_equal(name, (([i], expected(i), got(i)) for i in range(n)))
+
+
+def _cells(dense):
+    """The (row, col) callable reading a dense truncation."""
+    return lambda row, col: dense.values[row][col]
+
+
+def _identity(row, col):
+    return ONE if row == col else ZERO
 
 
 def _rand_rat(rng) -> Fraction:
@@ -132,11 +130,8 @@ def _cesaro_weight_pair():
 
 
 def _riesz_weights():
-    return (
-        builders.RieszWeights(Seq(lambda k: Fraction(2**k))),
-        _unit_riesz_weights(),
-        builders.RieszWeights(Seq(lambda k: Fraction(k + 1))),
-    )
+    """Fresh weights q = 2^k, those of the standard Riesz domain."""
+    return builders.RieszWeights(Seq(lambda k: Fraction(2**k)))
 
 
 def _unit_riesz_weights():
@@ -146,7 +141,7 @@ def _unit_riesz_weights():
 
 def _standard_domains():
     w = _weight_pairs()[0]
-    r = _riesz_weights()[0]
+    r = _riesz_weights()
     return (
         builders.cesaro_domain(),
         builders.weighted_domain(w),
@@ -157,7 +152,7 @@ def _standard_domains():
 def suite_identities(n: int, rng) -> list:
     checks = []
     w = _weight_pairs()[0]
-    r = _riesz_weights()[0]
+    r = _riesz_weights()
     named = [
         ("delta", builders.delta()),
         ("cesaro", builders.cesaro()),
@@ -170,36 +165,34 @@ def suite_identities(n: int, rng) -> list:
     for label, t in named:
         dense = truncate(t, n)
         dense_inv = truncate(invert(t), n)
-        checks.append(_is_identity(f"inverse_identity_right[{label}]", dense_mul(dense, dense_inv)))
-        checks.append(_is_identity(f"inverse_identity_left[{label}]", dense_mul(dense_inv, dense)))
+        for side, left, right in (("right", dense, dense_inv), ("left", dense_inv, dense)):
+            name = f"inverse_identity_{side}[{label}]"
+            got = _cells(dense_mul(left, right))
+            checks.append(_grid_equal(name, _identity, got, n, square=True))
 
     # forward substitution is the reference side here and in
     # closed_form_cesaro_inverse: invert(invert(t)) is t itself, and
     # invert(cesaro()) is built by cesaro_inverse()
     for label, t in named[:2] + [named[4]]:
-        checks.append(
-            _matrices_equal(f"inverse_involution[{label}]", t, _build_inverse(invert(t)), n)
-        )
+        twice = _build_inverse(invert(t))
+        checks.append(_grid_equal(f"inverse_involution[{label}]", t.entry, twice.entry, n))
 
     # both sides take compose's factor path (cesaro and sum declare factors),
     # so the generic dense product of truncations is compared too
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
 
-    def associativity_cases():
-        left = truncate(compose(a, compose(b, c)), n)
-        right = truncate(compose(compose(a, b), c), n)
-        yield left, right
+    def associativity_pairs():
+        yield truncate(compose(a, compose(b, c)), n), truncate(compose(compose(a, b), c), n)
         for x, y in ((b, c), (a, b)):
             yield dense_mul(truncate(x, n), truncate(y, n)), truncate(compose(x, y), n)
 
+    name = "compose_associativity"
     checks.append(
-        _entries_equal(
-            "compose_associativity",
+        _first_failure(
+            name,
             (
-                ([row, col], expected.values[row][col], got.values[row][col])
-                for expected, got in associativity_cases()
-                for row in range(n)
-                for col in range(n)
+                _grid_equal(name, _cells(expected), _cells(got), n, square=True)
+                for expected, got in associativity_pairs()
             ),
         )
     )
@@ -208,50 +201,33 @@ def suite_identities(n: int, rng) -> list:
     composed = apply(compose(a, b), x, n)
     chained = apply(a, transform_seq(b, x), n)
     checks.append(
-        _entries_equal(
-            "apply_compose_coherence",
-            (([i], composed[i], chained[i]) for i in range(n)),
-        )
+        _seq_equal("apply_compose_coherence", composed.__getitem__, chained.__getitem__, n)
     )
 
-    cesaro_as_weighted = builders.weighted_mean(_cesaro_weight_pair())
-    checks.append(
-        _matrices_equal("specialization_weighted_to_cesaro", builders.cesaro(), cesaro_as_weighted, n)
-    )
-    checks.append(
-        _matrices_equal(
-            "specialization_riesz_to_cesaro",
+    # every matrix is built fresh, so no check reads entries another one cached
+    for name, expected, got in (
+        (
+            "specialization_weighted_to_cesaro",
             builders.cesaro(),
-            builders.riesz(_unit_riesz_weights()),
-            n,
-        )
-    )
-
-    checks.append(_matrices_equal("closed_form_phi", builders.phi(), builders.phi_closed_form(), n))
-    checks.append(
-        _matrices_equal("closed_form_gamma", builders.gamma(w), builders.gamma_closed_form(w), n)
-    )
-    checks.append(
-        _matrices_equal("closed_form_sigma", builders.sigma_riesz(r), builders.sigma_closed_form(r), n)
-    )
-    checks.append(
-        _matrices_equal("closed_form_cesaro_inverse", _build_inverse(builders.cesaro()), builders.cesaro_inverse(), n)
-    )
+            builders.weighted_mean(_cesaro_weight_pair()),
+        ),
+        ("specialization_riesz_to_cesaro", builders.cesaro(), builders.riesz(_unit_riesz_weights())),
+        ("closed_form_phi", builders.phi(), builders.phi_closed_form()),
+        ("closed_form_gamma", builders.gamma(w), builders.gamma_closed_form(w)),
+        ("closed_form_sigma", builders.sigma_riesz(r), builders.sigma_closed_form(r)),
+        ("closed_form_cesaro_inverse", _build_inverse(builders.cesaro()), builders.cesaro_inverse()),
+    ):
+        checks.append(_grid_equal(name, expected.entry, got.entry, n))
 
     sample = truncate(builders.phi(), min(n, 16))
+
+    def canonical(row, col):
+        v = sample.values[row][col]
+        return v.denominator > 0 and Fraction(v.numerator, v.denominator) == v
+
     checks.append(
-        _entries_equal(
-            "rational_canonical_form",
-            (
-                (
-                    [row, col],
-                    True,
-                    v.denominator > 0 and Fraction(v.numerator, v.denominator) == v,
-                )
-                for row in range(sample.size)
-                for col in range(sample.size)
-                for v in [sample.values[row][col]]
-            ),
+        _grid_equal(
+            "rational_canonical_form", lambda row, col: True, canonical, sample.size, square=True
         )
     )
     return checks
@@ -268,28 +244,19 @@ def suite_bases(n: int, rng) -> list:
             )
         )
 
-    col = builders.basis_column(builders.delta(), 3)
+    step = builders.basis_column(builders.delta(), 3)
     checks.append(
-        _entries_equal(
-            "delta_basis_step_shape",
-            (([i], ZERO if i < 3 else Fraction(1), col(i)) for i in range(n)),
-        )
+        _seq_equal("delta_basis_step_shape", lambda i: ZERO if i < 3 else Fraction(1), step, n)
     )
 
-    r = _riesz_weights()[0]
+    r = _riesz_weights()
     inv_sigma = invert(builders.sigma_riesz(r))
     checks.append(
-        _entries_equal(
+        _grid_equal(
             "riesz_basis_degeneracy",
-            (
-                (
-                    [row, col_],
-                    r.big_q(col_) / r.q_at(col_) if row == col_ else Fraction(1),
-                    inv_sigma.entry(row, col_),
-                )
-                for row in range(n)
-                for col_ in range(row + 1)
-            ),
+            lambda row, col: r.big_q(col) / r.q_at(col) if row == col else Fraction(1),
+            inv_sigma.entry,
+            n,
         )
     )
 
@@ -305,11 +272,7 @@ def suite_bases(n: int, rng) -> list:
 
 def _basis_application(dom, k: int, n: int) -> CheckResult:
     got = apply(dom.matrix, builders.basis_column(dom.matrix, k), n)
-    unit = Seq.unit(k)
-    return _entries_equal(
-        f"basis_application[{dom.label},k={k}]",
-        (([i], unit(i), got[i]) for i in range(n)),
-    )
+    return _seq_equal(f"basis_application[{dom.label},k={k}]", Seq.unit(k), got.__getitem__, n)
 
 
 def _basis_reconstruction(dom, case: int, rng) -> CheckResult:
@@ -321,9 +284,8 @@ def _basis_reconstruction(dom, case: int, rng) -> CheckResult:
         sum((y[k] * builders.basis_column(t, k)(i) for k in range(top + 1)), ZERO)
         for i in range(top + 1)
     ]
-    return _entries_equal(
-        f"basis_reconstruction[{dom.label},case={case}]",
-        (([i], x(i), rebuilt[i]) for i in range(top + 1)),
+    return _seq_equal(
+        f"basis_reconstruction[{dom.label},case={case}]", x, rebuilt.__getitem__, top + 1
     )
 
 
@@ -332,17 +294,11 @@ def suite_duals(n: int, rng) -> list:
     a = _rand_finite_seq(rng)
     assoc = duals.alpha_assoc(builders.phi(), a)
     checks.append(
-        _entries_equal(
+        _grid_equal(
             "alpha_assoc_phi_closed_form",
-            (
-                (
-                    [row, col],
-                    (row + 1) * a(row) if row == col else a(row),
-                    assoc.entry(row, col),
-                )
-                for row in range(n)
-                for col in range(row + 1)
-            ),
+            lambda row, col: (row + 1) * a(row) if row == col else a(row),
+            assoc.entry,
+            n,
         )
     )
 
@@ -453,12 +409,12 @@ def _condition_generators(n: int) -> CheckResult:
 def suite_matclass(n: int, rng) -> list:
     checks = []
     for dom in _standard_domains():
-        for name, run_case in (
-            (f"transform_identity_E[{dom.label}]", _transform_identity_E),
-            (f"transform_identity_F[{dom.label}]", _transform_identity_F),
-        ):
+        for side in "EF":
+            name = f"transform_identity_{side}[{dom.label}]"
             checks.append(
-                _first_failure(name, (run_case(name, dom, case, n, rng) for case in range(5)))
+                _first_failure(
+                    name, (_transform_identity(side, name, dom, case, n, rng) for case in range(5))
+                )
             )
 
         report = matclass.class_test_into_domain(
@@ -494,23 +450,22 @@ def suite_matclass(n: int, rng) -> list:
     return checks
 
 
-def _transform_identity_E(name: str, dom, case: int, n: int, rng) -> CheckResult:
-    a = _rand_banded(rng)
+def _transform_identity(side: str, name: str, dom, case: int, n: int, rng) -> CheckResult:
+    """One random case of A x = E (D x) (side E) or D (B x) = F x (side F),
+    where D is the domain matrix; a failure records the case."""
+    m = _rand_banded(rng)
     x = _rand_finite_seq(rng)
-    e = matclass.row_transform_E(a, dom.matrix)
-    y = transform_seq(dom.matrix, x)
-    ax = matclass.apply_general(a, x, n)
-    ey = matclass.apply_general(e, y, n)
-    return _case_equal(name, case, ax, ey, n)
-
-
-def _transform_identity_F(name: str, dom, case: int, n: int, rng) -> CheckResult:
-    b = _rand_banded(rng)
-    z = _rand_finite_seq(rng)
-    f = matclass.left_transform_F(b, dom.matrix)
-    fz = matclass.apply_general(f, z, n)
-    phi_bz = apply(dom.matrix, transform_seq(b, z), n)
-    return _case_equal(name, case, phi_bz, fz, n)
+    if side == "E":
+        e = matclass.row_transform_E(m, dom.matrix)
+        expected = matclass.apply_general(m, x, n)
+        got = matclass.apply_general(e, transform_seq(dom.matrix, x), n)
+    else:
+        got = matclass.apply_general(matclass.left_transform_F(m, dom.matrix), x, n)
+        expected = apply(dom.matrix, transform_seq(m, x), n)
+    result = _seq_equal(name, expected.__getitem__, got.__getitem__, n)
+    if not result.passed:
+        result.counterexample["case"] = case
+    return result
 
 
 def run_suite(suite: str, n: int, seed: int) -> dict:

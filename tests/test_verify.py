@@ -4,6 +4,8 @@ Each case below makes one randomized or indexed case of a check fail.  The
 expected failing entries, report digests and next seeded draws were taken
 from the hand-written loops these checks replaced, so the reports stay
 byte-identical and the cases after the first failure still draw nothing.
+The whole reports of the suites at N=16, the self_check benchmark size, are
+pinned by their digests too.
 """
 
 import hashlib
@@ -13,7 +15,7 @@ import random
 import pytest
 
 from bvdomains import builders, duals, matclass, verify
-from bvdomains.core import Seq, compose
+from bvdomains.core import DenseTrunc, Seq, compose
 
 
 def _fail_on_call(monkeypatch, module, name, index, wrong):
@@ -26,6 +28,13 @@ def _fail_on_call(monkeypatch, module, name, index, wrong):
         return wrong(orig, *args) if len(calls) == index + 1 else orig(*args)
 
     monkeypatch.setattr(module, name, patched)
+
+
+def _bump(dense, row, col):
+    """dense with one added to its entry (row, col)."""
+    values = [list(r) for r in dense.values]
+    values[row][col] += 1
+    return DenseTrunc(dense.size, tuple(map(tuple, values)))
 
 
 CASES = [
@@ -74,6 +83,60 @@ CASES = [
         "c6ef769f3c9241d18ceffc4b5f55a48bad230228402ce3d8d171982b5e27ab34",
         40542650,
     ),
+    (
+        "identities",
+        (verify, "dense_mul", 0, lambda orig, a, b: _bump(orig(a, b), 2, 5)),
+        {
+            "name": "inverse_identity_right[delta]",
+            "status": "fail",
+            "counterexample": {"position": [2, 5], "expected": "0", "got": "1"},
+        },
+        "d7cf49e2fc0409e25b7601b00ceaa444161c7a3d9c68651cca112445ff1a684f",
+        278479249,
+    ),
+    (
+        "bases",
+        (
+            verify,
+            "invert",
+            0,
+            lambda orig, t: orig(builders.sigma_riesz(verify._unit_riesz_weights())),
+        ),
+        {
+            "name": "riesz_basis_degeneracy",
+            "status": "fail",
+            "counterexample": {"position": [1, 1], "expected": "3/2", "got": "2"},
+        },
+        "20ea2d726136f6e0294c9bef0f5c619c692176ec44d3dc7f8395a82daa97d0a3",
+        190504374,
+    ),
+    (
+        "duals",
+        (duals, "alpha_assoc", 0, lambda orig, t, a: orig(builders.cesaro(), a)),
+        {
+            "name": "alpha_assoc_phi_closed_form",
+            "status": "fail",
+            "counterexample": {"position": [1, 0], "expected": "-5/6", "got": "5/6"},
+        },
+        "2a23a304598155e9dc4ab97dc13100438dedb463ff46d0c8f0f53925320aeca1",
+        454175622,
+    ),
+    (
+        "matclass",
+        (matclass, "left_transform_F", 2, lambda orig, b, d: b),
+        {
+            "name": "transform_identity_F[C]",
+            "status": "fail",
+            "counterexample": {
+                "position": [1],
+                "expected": "-2077/1260",
+                "got": "-331/90",
+                "case": 2,
+            },
+        },
+        "95ab08bc49ba089344585c98ef1bf3081471e6c11b5be3692ed5c305ae94234a",
+        40542650,
+    ),
 ]
 
 
@@ -102,3 +165,31 @@ def test_first_failing_case_report(monkeypatch, suite, patch, failing, digest, n
     # the generator is where the reference loops left it: no case after the
     # failing one drew from it
     assert rngs[0].randint(0, 10**9) == next_draw
+
+
+SUITE_DIGESTS = {
+    ("identities", 0): "77736565cadd61affd539c7246f5274c46ec78e7172accf9a80b06abbea4a49f",
+    ("bases", 0): "44a89d8de49dfdeb32b5502a6d940645c876689fc4479c0764afed5135337622",
+    ("duals", 0): "ae8ad6575984b517e413d8f139162336283b08746e4ff08bcf0c87a87e470751",
+    ("matclass", 0): "556096788fadb152fe6e6d6b8839467e629abf72ab0ef720ab896df569efa0ff",
+    ("all", 0): "38dd6d1fa2af6b04831d2f180231240410ed8d48e70312141aae88a3b1bc34ee",
+    ("identities", 1): "4bac2719272e6354b7e9fb83dd562fe9e2b86b9a85423d4c228b2a0cb289d851",
+    ("bases", 1): "db25b3b4658fd4a467e58a5c8efd3f4f9f3939bc0f6b2f0fa293d28b329f5271",
+    ("duals", 1): "6f85864ed55129b59c1e55d53daa6d95011782ed222c0e513248ad6e824832ab",
+    ("matclass", 1): "b5b271c881a8e85dcdb5cca10a454b9f3f26619a086d1ce044b49683d295e966",
+    ("all", 1): "f8f1fbc2728755f469f9a4ff8dea360e08194a041283a7bc6e79ced5ad229cc8",
+    ("identities", 2): "b280faba1c2c2b9360fbaa048c81af9f1e262e35f3a2196c979aebef84371036",
+    ("bases", 2): "712730638f11ac2d83383c65694f2c87257f1d1101de29046be65296f74384a2",
+    ("duals", 2): "e984deae7a4752592abe153da619be807c0d76b52e1af37ba1002566a7e2566e",
+    ("matclass", 2): "fd17a374f7b85187a8ce5e779f55a100b6516fb25c235f1562dbac06c6ca3705",
+    ("all", 2): "1d797037e19865ca3d0082c880490ea328bfdef68c73084590904bef40b9da49",
+}
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+@pytest.mark.parametrize("seed", (0, 1, 2))
+def test_suite_report_digest_at_self_check_size(suite, seed):
+    report = verify.run_suite(suite, 16, seed)
+    assert report["summary"]["failed"] == 0
+    digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+    assert digest == SUITE_DIGESTS[suite, seed]
