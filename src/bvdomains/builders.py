@@ -11,36 +11,32 @@ and v_k = q_k, so ``RieszWeights`` is a weight pair and ``riesz`` is
 Each named triangle declares its exact inverse: delta and the partial-sum
 matrix invert each other, as do the Cesaro mean and its closed-form inverse,
 and the weighted mean has a bidiagonal inverse.  A domain matrix therefore
-inverts through its factors' inverses, never by forward substitution.  Its
-inverse, a bidiagonal mean inverse times the partial-sum matrix, is a
-diagonal plus a strictly lower part constant along each row, and declares
-those generators.
+inverts through its factors' inverses, never by forward substitution.
 
-The partial-sum matrix, the Cesaro mean and the weighted mean are factorable,
-entry(n, k) = u(n) v(k) on and below the diagonal, and declare their factors:
-(1, 1), (1/(n+1), 1) and (u_n, v_k).  The weighted factors read the weights
-through the validating accessors, so an invalid weight is reported as it is
-by the entries.  A product with one of them on the right costs O(N^2), not
-O(N^3), which also covers the domain matrices (delta times a mean) and their
-inverses (X times the sum matrix).
+The partial-sum matrix, the Cesaro mean and the weighted mean declare the
+one-term structure (u, v) of ``core``: (1, 1), (1/(n+1), 1) and (u_n, v_k),
+the last read through the validating accessors, so an invalid weight is
+reported as it is by the entries.  ``compose`` then gives each domain
+matrix, delta times a mean, the term (u_n - u_{n-1}, v_k) plus the excess
+u_{n-1} v_n, and its inverse, a bidiagonal X times the partial-sum matrix,
+the term (X(n, n) + X(n, n-1), 1) plus the excess -X(n, n-1).  A product
+with any of them on the right costs O(N^2), not O(N^3).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 from .core import (
     ONE,
-    ZERO,
     InvalidWeightsError,
     Seq,
     Triangle,
     compose,
     invert,
-    row_generators,
+    running_sum,
 )
 
 
@@ -55,8 +51,7 @@ def delta() -> Triangle:
 
 def sigma_sum() -> Triangle:
     """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
-    one = lambda n: ONE
-    return Triangle(lambda n, k: ONE, known_inverse=delta, factors=(one, one))
+    return Triangle(lambda n, k: ONE, known_inverse=delta, structure=([(None, None)], None))
 
 
 def cesaro() -> Triangle:
@@ -64,7 +59,7 @@ def cesaro() -> Triangle:
     return Triangle(
         lambda n, k: Fraction(1, n + 1),
         known_inverse=cesaro_inverse,
-        factors=(Seq(lambda n: Fraction(1, n + 1)), lambda k: ONE),
+        structure=([(Seq(lambda n: Fraction(1, n + 1)), None)], None),
     )
 
 
@@ -110,10 +105,9 @@ class RieszWeights:
     """
 
     q: Seq
-    _sums: list = field(default_factory=list, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self):
+        self.big_q = running_sum(self.q_at)
         self.u_at = Seq(lambda n: 1 / self.big_q(n))
 
     def q_at(self, k: int) -> Fraction:
@@ -123,16 +117,6 @@ class RieszWeights:
         return value
 
     v_at = q_at
-
-    def big_q(self, n: int) -> Fraction:
-        if n < 0:
-            return ZERO
-        with self._lock:
-            while len(self._sums) <= n:
-                m = len(self._sums)
-                prev = self._sums[m - 1] if m else ZERO
-                self._sums.append(prev + self.q_at(m))
-            return self._sums[n]
 
 
 Weights = Union[WeightPair, RieszWeights]
@@ -153,7 +137,7 @@ def weighted_mean(w: Weights) -> Triangle:
     return Triangle(
         lambda n, k: w.u_at(n) * w.v_at(k),
         known_inverse=lambda: Triangle(inverse_entry, band=1),
-        factors=(w.u_at, w.v_at),
+        structure=([(w.u_at, w.v_at)], None),
     )
 
 
@@ -166,35 +150,19 @@ def riesz(r: RieszWeights) -> Triangle:
     return weighted_mean(r)
 
 
-def _domain_matrix(mean: Triangle) -> Triangle:
-    """delta composed after a mean with a bidiagonal inverse X.  The inverse
-    X . sum has X(n, n) on the diagonal and X(n, n) + X(n, n-1) everywhere
-    below it in row n, so it declares row generators."""
-    t = compose(delta(), mean)
-    product_inverse = t.known_inverse
-
-    def known_inverse() -> Triangle:
-        inv = product_inverse()
-        inv.generators = row_generators(inv)
-        return inv
-
-    t.known_inverse = known_inverse
-    return t
-
-
 def phi() -> Triangle:
     """Domain matrix of bv(C): delta composed after the Cesaro mean."""
-    return _domain_matrix(cesaro())
+    return compose(delta(), cesaro())
 
 
 def gamma(w: WeightPair) -> Triangle:
     """Domain matrix of bv(G): delta composed after the weighted mean."""
-    return _domain_matrix(weighted_mean(w))
+    return compose(delta(), weighted_mean(w))
 
 
 def sigma_riesz(r: RieszWeights) -> Triangle:
     """Domain matrix of bv(R): delta composed after the Riesz mean."""
-    return _domain_matrix(riesz(r))
+    return compose(delta(), riesz(r))
 
 
 def phi_closed_form() -> Triangle:

@@ -6,8 +6,8 @@ are lazy (index -> value closures) with memoized entries, and a single object
 may be shared across threads.  Memo lookups take no lock: entry closures are
 pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
-synchronized: the forward-substitution rows of an inverse here, and the
-running sums built by the other modules.
+synchronized: the forward-substitution rows of an inverse and the sums of
+``running_sum``.
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
@@ -21,20 +21,13 @@ triangles invert at O(1) cost per entry.  Generic forward substitution
 (``_build_inverse``) is the fallback for a triangle with no known inverse,
 and the independent oracle the fast inverses are checked against.
 
-A triangle may also declare generators: lists (diag, col, row) with
-entry(n, n) = diag[n] and entry(n, k) = col[k] + row[n] below the diagonal.
-The domain inverses are a diagonal plus a strictly lower part constant along
-each row (``row_generators``), and the dual matrices built from them keep the
-form, so their condition statistics need O(N) generator values instead of
-O(N^2) entries.
-
-A triangle may also declare factors (u, v): entry(n, k) = u(n) v(k) on and
-below the diagonal, as in the partial-sum, Cesaro and weighted means (the
-Riesz mean among them).
-``compose`` multiplies by such a triangle through suffix sums of each row of
-its left factor, built once per row, so a product of two full triangles costs
-O(N^2) operations instead of O(N^3).  The band-overlap sum serves every other
-right factor, and ``dense_mul`` of truncations is the oracle for both.
+A lower triangle may declare a structure (``BandedMatrix``), the
+lower-semiseparable generator form of Vandebril, Van Barel and Mastronardi
+(2008) and Eidelman and Gohberg (1999).  ``compose`` multiplies by one in
+O(N^2) operations instead of O(N^3), and gives a bidiagonal triangle times
+one with no excess a structure, which is how the domain matrices and their
+inverses get theirs.  The band-overlap sum serves every other right factor,
+and ``dense_mul`` of truncations is the oracle for both.
 """
 
 from __future__ import annotations
@@ -42,6 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 ZERO = Fraction(0)
@@ -130,6 +124,31 @@ class Seq:
         return Seq(lambda k: ONE if k == j else ZERO, support_bound=j)
 
 
+def times(c: Fraction, f: Optional[Callable[[int], Fraction]], j: int) -> Fraction:
+    """c f(j), where a None f is the all-ones sequence of a structure term."""
+    return c if f is None else c * f(j)
+
+
+def add_all(values: list) -> Fraction:
+    """The sum of values, 0 when there are none, with no zero added first."""
+    return sum(values[1:], values[0]) if values else ZERO
+
+
+def running_sum(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
+    """n -> term(0) + ... + term(n) for n >= -1, memoized.  The sums are built
+    by appending, so they are locked."""
+    sums = [ZERO]  # sums[n + 1] is the sum up to n
+    lock = threading.Lock()
+
+    def total(n: int) -> Fraction:
+        with lock:
+            while len(sums) <= n + 1:
+                sums.append(sums[-1] + term(len(sums) - 1))
+            return sums[n + 1]
+
+    return total
+
+
 class BandedMatrix:
     """A lazily evaluated infinite matrix whose every row has finite support.
 
@@ -140,13 +159,12 @@ class BandedMatrix:
     subdiagonals.  ``row_count``, when present, declares every row from that
     index on to be zero (a wholly finite matrix).  ``known_inverse``, when
     present, builds the exact inverse without forward substitution.
-    ``generators``, when present, maps a size N to lists (diag, col, row)
-    over the indices below N such that entry(n, n) = diag[n] and
-    entry(n, k) = col[k] + row[n] for k < n; it is declared only on lower
-    triangles.  ``factors``, when present, is a pair of callables (u, v) with
-    entry(n, k) = u(n) v(k) for 0 <= k <= n; it too is declared only on lower
-    triangles.  The finite row supports are what make every product and
-    transform coordinate an exact finite sum.
+    ``structure``, when present, is a pair (terms, excess) with
+    entry(n, k) = sum of U(n) V(k) over the terms (U, V) for 0 <= k <= n,
+    plus excess(n) when k = n and excess is not None; U and V are
+    callables, or None for the all-ones sequence.  It is declared only on
+    lower triangles.  The finite row supports are what make every product
+    and transform coordinate an exact finite sum.
     """
 
     def __init__(
@@ -156,16 +174,14 @@ class BandedMatrix:
         row_count: Optional[int] = None,
         band: Optional[int] = None,
         known_inverse: Optional[Callable[[], "Triangle"]] = None,
-        generators: Optional[Callable[[int], tuple]] = None,
-        factors: Optional[tuple] = None,
+        structure: Optional[tuple] = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
         self.row_count = row_count
         self.band = band
         self.known_inverse = known_inverse
-        self.generators = generators
-        self.factors = factors
+        self.structure = structure
         self._inverse: Optional[Triangle] = None  # set by invert
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
@@ -215,23 +231,6 @@ class Triangle(BandedMatrix):
     Construct it without ``row_bound`` or ``row_count``.  Its diagonal is
     meant to be nonzero; forward substitution reports the first zero it meets.
     """
-
-
-def row_generators(t: Triangle) -> Callable[[int], tuple]:
-    """Generators of a triangle that is a diagonal plus a strictly lower part
-    constant along each row, read from its own entries: diag[j] = t(j, j),
-    col = 0 and row[j] = t(j, j - 1), so N values take O(N) entry reads."""
-
-    def generators(size: int) -> tuple:
-        diag, row = [], []
-        for j in range(size):
-            # row j below its diagonal first, as an entry scan reads it, so an
-            # invalid weight is reported at the same index either way
-            row.append(t.entry(j, j - 1) if j else ZERO)
-            diag.append(t.entry(j, j))
-        return diag, [ZERO] * size, row
-
-    return generators
 
 
 def identity() -> Triangle:
@@ -312,17 +311,19 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     factors' bands, its rows end where A's rows end, and when both factors
     have known inverses it is inverted as inverse(B).inverse(A).
 
-    When B declares factors (u, v), entry (n,k) is v(k) S_n(max(k, lo)),
-    where [lo, hi] is A's row n support and S_n(m) sums a(n,j) u(j) over j
-    in [m, hi].  The first read of row n builds its suffix sums in one pass
-    over A's row, so an N x N block costs O(N^2) operations, not O(N^3), and
-    B's entries are never read.  The product's lower part has rank two, so
-    it declares no factors.
+    When B declares a structure (terms, excess), entry (n,k) is the sum of
+    V(k) S_n(max(k, lo)) over the terms (U, V), plus a(n,k) excess(k), where
+    [lo, hi] is A's row n support and S_n(m) sums a(n,j) U(j) over j in
+    [m, hi].  The first read of row n builds its suffix sums in one pass per
+    term over A's row, so an N x N block costs O(N^2) operations, not
+    O(N^3), and B's entries are never read.  When A is bidiagonal and B's
+    structure has no excess, the product declares a structure with the
+    terms (S, V), where S(n) = a(n,n-1) U(n-1) + a(n,n) U(n).
     """
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
 
-    if b.factors is None:
+    if b.structure is None:
 
         def entry(n: int, k: int) -> Fraction:
             lo = k if b_lower else 0
@@ -341,34 +342,37 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return acc
 
     else:
-        u, v = b.factors
+        terms, excess = b.structure
         suffixes: dict[int, tuple] = {}
 
         def suffix_sums(n: int) -> tuple:
-            # (lo, sums) with sums[i] = S_n(lo + i), up to A's last nonzero
-            # in row n: past it the generic loop reads no v(k) either
+            # A's row n from lo to its last nonzero (past it the generic loop
+            # reads no V(k) either) and, per term, V and the sums S_n(lo + m)
             lo = n - a_band if a_band is not None and n > a_band else 0
-            terms = []
-            for j in range(lo, (n if a_lower else a.row_bound(n)) + 1):
-                c = a.entry(n, j)
-                terms.append(c * u(j) if c else None)
-            while terms and terms[-1] is None:
-                terms.pop()
-            sums, acc = [], None
-            for term in reversed(terms):
-                if term is not None:
-                    acc = term if acc is None else acc + term
-                sums.append(acc)
-            sums.reverse()
-            return lo, sums
+            coeffs = [a.entry(n, j) for j in range(lo, (n if a_lower else a.row_bound(n)) + 1)]
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            sums = []
+            for u, v in terms:
+                scaled = [times(c, u, lo + m) if c else ZERO for m, c in enumerate(coeffs)]
+                sums.append((v, list(accumulate(reversed(scaled)))[::-1]))
+            return lo, coeffs, sums
 
         def entry(n: int, k: int) -> Fraction:
             row = suffixes.get(n)
             if row is None:
                 row = suffixes[n] = suffix_sums(n)
-            lo, sums = row
+            lo, coeffs, sums = row
             i = k - lo if k > lo else 0
-            return v(k) * sums[i] if i < len(sums) else ZERO
+            if i >= len(coeffs):
+                return ZERO
+            acc = None
+            for v, column in sums:
+                term = column[i] if v is None else v(k) * column[i]
+                acc = term if acc is None else acc + term
+            if excess is not None and k >= lo and coeffs[i]:
+                acc += coeffs[i] * excess(k)
+            return acc
 
     row_bound = a._row_bound
     if not b_lower:
@@ -383,6 +387,23 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                 )
             return bound
 
+    structure = None
+    if b.structure is not None and excess is None and a_lower and a_band == 1:
+        # on the diagonal, B(n-1, n) = 0 leaves out a(n,n-1) U(n-1) V(n) of
+        # each term: the excess.  The subdiagonal is read first, as scans do
+
+        def lower(u):
+            return Seq(
+                lambda n: add_all([times(a.entry(n, j), u, j) for j in range(max(n - 1, 0), n + 1)])
+            )
+
+        def product_excess(n: int) -> Fraction:
+            if not n:
+                return ZERO
+            return -add_all([times(times(a.entry(n, n - 1), u, n - 1), v, n) for u, v in terms])
+
+        structure = [(lower(u), v) for u, v in terms], Seq(product_excess)
+
     known_inverse = None
     if a.known_inverse is not None and b.known_inverse is not None:
         known_inverse = lambda: compose(invert(b), invert(a))
@@ -393,6 +414,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         row_count=a.row_count,
         band=None if a_band is None or b_band is None else a_band + b_band,
         known_inverse=known_inverse,
+        structure=structure,
     )
 
 

@@ -9,27 +9,27 @@ The statistics live in one dict keyed by report name (``condition_stats``),
 which one serializer writes (``conditions_dict``) and one verdict function
 reads (``condition_verdict``); ``matclass`` uses the same three functions.
 
-The domain inverses declare generators: a diagonal delta_j plus a strictly
-lower part p_j constant along row j.  The alpha matrix then has a_k delta_k on
-the diagonal and a_n p_n below it, and the beta matrix is b_nk = c_k + P_n
-with P_n = a_1 p_1 + ... + a_n p_n and c_k = a_k delta_k - P_k; the closed-form
-cross-check matrix declares the same form from the weights (u, v), which the
-Riesz weights provide as (1/Q, q).  The three statistics compute from these
-generators in O(N log N) when a matrix declares them, and scan its entries
-otherwise (E, F, a bare triangle domain); the scans are also the oracle the
-generator path is checked against.
+The dual matrices derive the structure of ``core`` from the domain
+inverse's, sum_i U_i(j) V_i(k) plus e(j) on the diagonal: the alpha matrix
+has the terms (a U_i, V_i) and the excess a e, and the beta matrix the terms
+(P_i, V_i) and (1, c), with P_i the running sums of a U_i; the closed-form
+cross-check matrix declares the same beta form from the weights.  When
+every term is constant along rows or along columns, as it is for a domain
+inverse, a matrix is col[k] + row[n] below its diagonal, and the three
+statistics compute from those lists in O(N log N).  They scan any other
+matrix (E, F, a bare triangle domain), and the scans are also the oracle
+the structure path is checked against.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .core import BandedMatrix, Seq, Triangle, ZERO, invert
+from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, invert, running_sum, times
 from .builders import Domain, Weights
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
@@ -40,36 +40,40 @@ OSCILLATION_TOL = Fraction(1, 10**6)
 DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
-def _scaled_rows(inv: Triangle, a: Seq, size: int) -> tuple:
-    """diag(a) . inv as (diagonal, row-constant lower part), from the
-    generators of an inverse whose col part is zero, as a domain inverse's is."""
-    diag, _, row = inv.generators(size)
-    return [a(j) * d for j, d in enumerate(diag)], [a(j) * p for j, p in enumerate(row)]
-
-
-def _column_sums(diag: list, lower: list) -> tuple:
-    """Generators of the column partial sums of the triangle with diagonal
-    diag and row-constant lower part lower: entry(n, k) = c_k + P_n with
-    P_n = lower[1] + ... + lower[n] and c_k = diag[k] - P_k."""
-    prefix = list(accumulate(lower[1:], initial=ZERO))
-    return diag, [d - p for d, p in zip(diag, prefix)], prefix
+def _generators(m, size: int) -> Optional[tuple]:
+    """Lists (diag, col, row) below size with entry(n, n) = diag[n] and
+    entry(n, k) = col[k] + row[n] for k < n, when each term of m's structure
+    is constant along rows (U, None) or along columns (None, V); else None."""
+    if m.structure is None or any(u is not None and v is not None for u, v in m.structure[0]):
+        return None
+    terms, excess = m.structure
+    row_terms = [u for u, v in terms if v is None]
+    col_terms = [v for u, v in terms if v is not None]
+    diag, col, row = [], [], []
+    for j in range(size):
+        # row j below its diagonal first, as an entry scan reads it, so an
+        # invalid weight is reported at the same index either way
+        rows = [ONE if u is None else u(j) for u in row_terms]
+        cols = [v(j) for v in col_terms]
+        row.append(add_all(rows))
+        col.append(add_all(cols))
+        diag.append(add_all(rows + cols + ([] if excess is None else [excess(j)])))
+    return diag, col, row
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
 
-    It declares generators (a_k delta_k on the diagonal, a_n p_n below it)
-    when the inverse declares them.
+    It declares the terms (a U, V) and the excess a e when the inverse
+    declares the terms (U, V) and the excess e.
     """
     inv = invert(domain_matrix)
-    generators = None
-    if inv.generators is not None:
-
-        def generators(size: int) -> tuple:
-            diag, row = _scaled_rows(inv, a, size)
-            return diag, [ZERO] * size, row
-
-    return BandedMatrix(lambda n, k: a(n) * inv.entry(n, k), generators=generators)
+    structure = None
+    if inv.structure is not None:
+        terms, excess = inv.structure
+        scaled = [(lambda n, u=u: times(a(n), u, n), v) for u, v in terms]
+        structure = scaled, None if excess is None else lambda n: a(n) * excess(n)
+    return BandedMatrix(lambda n, k: a(n) * inv.entry(n, k), structure=structure)
 
 
 def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
@@ -77,27 +81,31 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
 
     entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk, held as per-column
     running sums so a scan of the N x N square stays quadratic instead of
-    cubic.  When the inverse declares generators, so does this matrix
-    (entry(n, k) = c_k + P_n), and the condition statistics read those
-    instead of its entries; the running sums serve the scans of other
-    domains and the oracle checks.
+    cubic.  When the inverse declares a structure, so does this matrix, and
+    the condition statistics read it instead of its entries; the running
+    column sums serve the scans of other domains and the oracle checks.
     """
     inv = invert(domain_matrix)
-    columns: dict[int, list[Fraction]] = {}
-    lock = threading.Lock()
+    columns: dict[int, Callable[[int], Fraction]] = {}
 
     def entry(n: int, k: int) -> Fraction:
-        with lock:
-            col = columns.setdefault(k, [a(k) * inv.entry(k, k)])
-            while len(col) <= n - k:
-                j = k + len(col)
-                col.append(col[-1] + a(j) * inv.entry(j, k))
-            return col[n - k]
+        col = columns.get(k)
+        if col is None:
+            col = columns[k] = running_sum(lambda i: a(k + i) * inv.entry(k + i, k))
+        return col(n - k)
 
-    generators = None
-    if inv.generators is not None:
-        generators = lambda size: _column_sums(*_scaled_rows(inv, a, size))
-    return BandedMatrix(entry, generators=generators)
+    structure = None
+    if inv.structure is not None:
+        terms, excess = inv.structure
+        sums = [running_sum(lambda j, u=u: times(a(j), u, j)) for u, _ in terms]
+
+        def col(k: int) -> Fraction:
+            # the j = k term of the sum, less the rows above k in each P_i(n)
+            above = [-times(p(k - 1), v, k) for p, (_, v) in zip(sums, terms)]
+            return add_all(above + ([] if excess is None else [a(k) * excess(k)]))
+
+        structure = [(p, v) for p, (_, v) in zip(sums, terms)] + [(None, Seq(col))], None
+    return BandedMatrix(entry, structure=structure)
 
 
 def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
@@ -106,7 +114,7 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
     c_j = (1/v_j)(1/u_j - 1/u_{j-1}) a_j below it; no inversion is involved,
     so this is an independent oracle for beta_assoc on bv(G)/bv(R).  Its
-    generators come from the same closed forms.
+    structure comes from the same closed forms.
     """
 
     def diag_term(k: int) -> Fraction:
@@ -118,13 +126,9 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     def entry(n: int, k: int) -> Fraction:
         return diag_term(k) + sum((step(j) for j in range(k + 1, n + 1)), ZERO)
 
-    def generators(size: int) -> tuple:
-        return _column_sums(
-            [diag_term(j) for j in range(size)],
-            [step(j) if j else ZERO for j in range(size)],
-        )
-
-    return BandedMatrix(entry, generators=generators)
+    steps = running_sum(lambda j: step(j) if j else ZERO)
+    columns = [(steps, None), (None, lambda k: diag_term(k) - steps(k))]
+    return BandedMatrix(entry, structure=(columns, None))
 
 
 class _AbsSums:
@@ -175,14 +179,14 @@ def cond_l1_linf(m, n: int) -> tuple:
 
     One pass grows the square by its last row and column, so each entry of
     the N x N square is read once and the smaller squares are checkpoints.
-    With generators, the new row's entries below the diagonal are
+    With generator lists, the new row's entries below the diagonal are
     col[k] + row[last], extremal at the extremes of col over k < last.
     """
     marks = checkpoints(n)
     out = []
     best = ZERO
-    if m.generators is not None:
-        diag, col, row = m.generators(n)
+    if (generators := _generators(m, n)) is not None:
+        diag, col, row = generators
         highs, lows = list(accumulate(col, max)), list(accumulate(col, min))
         for last in range(n):
             if last:
@@ -205,13 +209,13 @@ def cond_l1_c(m, n: int) -> tuple:
     """Per-column limit diagnostics for the (l1:c) condition.
 
     For each column k < N/4: the oscillation of the entries over rows
-    [N/2, N] and the entry at row N as the limit estimate.  With generators
-    those entries are col[k] + row[n], so the oscillation is that of row
+    [N/2, N] and the entry at row N as the limit estimate.  With generator
+    lists those entries are col[k] + row[n], so the oscillation is that of row
     over the window, the same for every column.
     """
     quarter, half, _ = checkpoints(n)
-    if m.generators is not None:
-        _, col, row = m.generators(n + 1)
+    if (generators := _generators(m, n + 1)) is not None:
+        _, col, row = generators
         window = row[half:]
         osc = max(window) - min(window)
         columns = [(osc, col[k] + row[n]) for k in range(quarter)]
@@ -236,14 +240,14 @@ def cond_l1_l1(m, n: int) -> tuple:
 
     Like cond_l1_linf, one pass over the N x N square: the running column
     sums take the new last row, then the new last column is summed.  With
-    generators, column k's sum at a checkpoint size is |diag[k]| plus the
+    generator lists, column k's sum at a checkpoint size is |diag[k]| plus the
     sum of |col[k] + row[j]| over k < j < size: the sum over rows 1..size-1
     less the one over rows 1..k, both from ``_AbsSums``.
     """
     marks = checkpoints(n)
     out = []
-    if m.generators is not None:
-        diag, col, row = m.generators(n)
+    if (generators := _generators(m, n)) is not None:
+        diag, col, row = generators
         below = _AbsSums(row)
         bases = []  # |diag[k]| less the sum over rows 1..k
         for last in range(n):

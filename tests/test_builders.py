@@ -138,15 +138,15 @@ def test_cesaro_times_riesz_reads_partial_sums_linearly(monkeypatch):
     # u_n = 1/Q_n is memoized, so a product with the Riesz mean on the right
     # computes each 1/Q_n once, not once per (row, column) pair
     calls = []
-    big_q = RieszWeights.big_q
-
-    def counted(self, n):
-        calls.append(n)
-        return big_q(self, n)
-
-    monkeypatch.setattr(RieszWeights, "big_q", counted)
-    n_size = 64
     r = RieszWeights(Seq(lambda k: F(1, k + 1)))
+    big_q = r.big_q
+
+    def counted(n):
+        calls.append(n)
+        return big_q(n)
+
+    monkeypatch.setattr(r, "big_q", counted)
+    n_size = 64
     truncate(compose(cesaro(), riesz(r)), n_size)
     assert len(calls) <= 2 * n_size
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -303,6 +304,29 @@ def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("matrix", "--spec", '{"kind":"compose","of":[{"kind":"cesaro"},{"kind":"phi"}]}'),
+            "27de704fd7dc3d0ddc6a36a6084cb1c8ee6947312c361ef5ab16d0f3e8c4d3a7",
+        ),
+        (
+            ("matclass", "--direction", "into_domain", "--matrix", "inverse_of(phi)")
+            + ("--domain", "C", "--y", "l1"),
+            "b05a16173ef48aae5f460d8c2196341ff1524defdac48b4cbea88fb13d3a2144",
+        ),
+    ],
+    ids=["compose_cesaro_phi", "into_domain_inverse_phi"],
+)
+def test_products_by_a_domain_factor_print_as_the_band_overlap_sum_did(capsys, argv, digest):
+    # digests of the output when compose took the band-overlap sum for every
+    # domain matrix and domain inverse on the right
+    code, out, _ = run_cli(capsys, *argv, "--n", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_matrix_round_trip_through_banded_spec(capsys):

@@ -17,11 +17,13 @@ from bvdomains.builders import (
     cesaro,
     cesaro_domain,
     delta,
+    gamma,
     phi,
     riesz_domain,
     sigma_riesz,
     sigma_sum,
     weighted_domain,
+    weighted_mean,
 )
 from bvdomains.duals import (
     alpha_assoc,
@@ -280,7 +282,7 @@ def test_appended_rows_are_consistent_across_threads():
         assert all(value == expected[which][cell] for which, cell, value in got)
 
 
-# --------------------------------------------------- generators against scans
+# ------------------------------------------- structure statistics against scans
 
 G_WEIGHTS = {
     "harmonic": (lambda n: F(1, n + 2), lambda k: F(k + 1)),
@@ -315,12 +317,12 @@ SEQUENCES = {
 }
 
 
-def with_and_without_generators(build):
-    """The matrix build() makes, and the same matrix with its generators
+def with_and_without_structure(build):
+    """The matrix build() makes, and the same matrix with its structure
     removed, whose statistics scan its entries."""
     fast, scanned = build(), build()
-    assert fast.generators is not None
-    scanned.generators = None
+    assert duals._generators(fast, 1) is not None
+    scanned.structure = None
     return fast, scanned
 
 
@@ -332,15 +334,15 @@ def stats(kind, m, n):
 
 
 def assert_generators_match_scans(dom, a, n):
-    alpha = with_and_without_generators(lambda: alpha_assoc(dom.matrix, a))
-    beta = with_and_without_generators(lambda: beta_assoc(dom.matrix, a))
+    alpha = with_and_without_structure(lambda: alpha_assoc(dom.matrix, a))
+    beta = with_and_without_structure(lambda: beta_assoc(dom.matrix, a))
     for kind, (fast, scanned) in (("alpha", alpha), ("beta", beta), ("gamma", beta)):
         assert stats(kind, fast, n) == stats(kind, scanned, n), kind
     if dom.weights is not None:
-        # the cross-check matrix's generators come from the weight closed
+        # the cross-check matrix's structure comes from the weight closed
         # forms; the scanned beta_assoc matrix has the same entries
         closed = closed_form_beta_matrix(dom.weights, a)
-        assert closed.generators is not None
+        assert duals._generators(closed, 1) is not None
         assert stats("beta", closed, n) == stats("beta", beta[1], n), "closed_form"
     return stats("beta", beta[0], n)
 
@@ -355,14 +357,26 @@ def test_generator_statistics_equal_the_scans(domain, n):
 
 
 def test_generators_report_the_invalid_weight_the_scans_do():
-    """Both weights vanish at index 1; the generators read row 1 below its
-    diagonal first, as the scans do, so both paths name v[1]."""
+    """Both weights vanish at index 1; the structure path reads row 1 below
+    its diagonal first, as the scans do, so both paths name v[1]."""
     zero_at_1 = Seq(lambda k: F(0) if k == 1 else F(1))
     dom = weighted_domain(WeightPair(zero_at_1, zero_at_1))
     for kind, assoc in (("alpha", alpha_assoc), ("beta", beta_assoc)):
-        for m in with_and_without_generators(lambda: assoc(dom.matrix, E)):
+        for m in with_and_without_structure(lambda: assoc(dom.matrix, E)):
             with pytest.raises(InvalidWeightsError, match=r"v\[1\]"):
                 condition_stats(kind, m, 16)
+
+
+def test_statistics_of_means_and_domain_matrices_equal_the_scans():
+    """The Cesaro mean and phi have one-sided terms, read as generator lists;
+    the term (u, v) of a weighted mean and of gamma is two-sided, so the
+    statistics scan those."""
+    w = WeightPair(Seq(lambda n: F(1, n + 2)), Seq(lambda k: F(k + 1)))
+    for build in (cesaro, lambda: weighted_mean(w), phi, lambda: gamma(w)):
+        plain = build()
+        plain.structure = None
+        for kind in ("alpha", "beta"):
+            assert condition_stats(kind, build(), 16) == condition_stats(kind, plain, 16)
 
 
 positive = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -391,19 +405,25 @@ def test_generator_statistics_property(us, vs, values, n):
     ids=["C", "R[2^k]"],
 )
 def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
-    """A beta dual evaluates O(N) entries of the domain inverse (its
-    generators) and no entry of the beta_assoc matrix, cross-check included."""
+    """A beta dual evaluates O(N) values of the domain inverse's structure,
+    no entry of the domain inverse and no entry of the beta_assoc matrix,
+    cross-check included."""
     n = 256
     dom = domain()
     inv = invert(dom.matrix)
-    evals, assoc_reads = [], []
-    closure = inv._entry
+    evals, inv_evals, assoc_reads = [], [], []
 
-    def counted_closure(row, col):
-        evals.append((row, col))
-        return closure(row, col)
+    def counted(log, fn):
+        def wrapper(*index):
+            log.append(index)
+            return fn(*index)
 
-    inv._entry = counted_closure
+        return wrapper
+
+    inv._entry = counted(inv_evals, inv._entry)
+    terms, excess = inv.structure
+    for seq in [u for u, _ in terms] + [excess]:
+        seq._eval = counted(evals, seq._eval)
     build = duals.beta_assoc
 
     def counted_beta_assoc(matrix, a):
@@ -422,4 +442,4 @@ def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
     assert len(report.conditions["column_limits"]) == n // 4
     assert dom.weights is None or report.cross_check["match"] is True
     assert 0 < len(evals) <= 3 * n
-    assert assoc_reads == []
+    assert inv_evals == assoc_reads == []

@@ -4,6 +4,10 @@ Each case below makes one randomized or indexed case of a check fail.  The
 expected failing entries, report digests and next seeded draws were taken
 from the hand-written loops these checks replaced, so the reports stay
 byte-identical and the cases after the first failure still draw nothing.
+Those of the compose and structure-vs-scan cases were taken before compose
+read the structure of a domain matrix or a domain inverse, and hold since;
+the canonical-form case could not fail while that check read the Fraction
+rather than its printed text.
 The whole reports of the suites at N=16, the self_check benchmark size, are
 pinned by their digests too.
 """
@@ -14,7 +18,7 @@ import random
 
 import pytest
 
-from bvdomains import builders, duals, matclass, verify
+from bvdomains import builders, duals, matclass, spaces, verify
 from bvdomains.core import DenseTrunc, Seq, compose
 
 
@@ -136,6 +140,46 @@ CASES = [
         },
         "95ab08bc49ba089344585c98ef1bf3081471e6c11b5be3692ed5c305ae94234a",
         40542650,
+    ),
+    (
+        # compose(cesaro, sum) of the second pair runs as compose(sum, cesaro),
+        # so its dense-product comparison fails and the products by phi and
+        # its inverse never run
+        "identities",
+        (verify, "compose", 4, lambda orig, x, y: orig(y, x)),
+        {
+            "name": "compose_associativity",
+            "status": "fail",
+            "counterexample": {"position": [1, 0], "expected": "1", "got": "3/2"},
+        },
+        "6c150317607c90b1a27d8cd02bb3b92bf216c911ff61bc37dd22b8f1220cdbe9",
+        278479249,
+    ),
+    (
+        # call 32 is the statistics of the G domain's alpha matrix from its
+        # structure, the third structure-vs-scan case
+        "duals",
+        (duals, "condition_stats", 32, lambda orig, kind, m, n: orig(kind, m, n - 4)),
+        {
+            "name": "condition_brute_force_agreement",
+            "status": "fail",
+            "counterexample": {"case": "generators", "domain": "G", "kind": "alpha"},
+        },
+        "246a6ead87203aecae5569edac771fddb331b80aabfe1c8a03bc29465f648e7d",
+        454175622,
+    ),
+    (
+        # phi(1, 1) = 1/2 printed as 2/4, which parses back to the same value
+        # but is not in lowest terms
+        "identities",
+        (spaces, "fmt", 17, lambda orig, v: "2/4"),
+        {
+            "name": "rational_canonical_form",
+            "status": "fail",
+            "counterexample": {"position": [1, 1], "expected": "True", "got": "False"},
+        },
+        "85b3353d68f485493eef5a964d3ae032d9c0dd698641615a9ae7a07b9216e4b3",
+        278479249,
     ),
 ]
 
