@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -422,7 +423,11 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------- entrypoint
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and the ``cmd_*`` functions it binds look up what they call
+    when they run."""
     parser = argparse.ArgumentParser(
         prog="bvdomains",
         description="Exact-arithmetic toolkit for bounded-variation matrix domains.",

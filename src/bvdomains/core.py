@@ -27,7 +27,11 @@ lower-semiseparable generator form of Vandebril, Van Barel and Mastronardi
 O(N^2) operations instead of O(N^3), and gives a bidiagonal triangle times
 one with no excess a structure, which is how the domain matrices and their
 inverses get theirs.  The band-overlap sum serves every other right factor,
-and ``dense_mul`` of truncations is the oracle for both.
+and ``dense_mul`` of truncations is the oracle for both.  ``apply`` and
+``transform_seq`` transform a sequence by a structured triangle through one
+running sum per term, so N coordinates cost O(N) operations and read no
+entry; every other matrix takes the entry loop ``_coordinate``, which is
+the oracle for the structured transform.
 """
 
 from __future__ import annotations
@@ -290,16 +294,44 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
     return acc
 
 
+def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
+    """n -> coordinate n of the transform Mx.
+
+    When m declares a structure (terms, excess), coordinate n is the sum of
+    U(n) P(n) over the terms (U, V), plus excess(n) x(n), where P(n) sums
+    V(k) x(k) over k <= n: one memoized running sum per term, so a
+    coordinate costs O(terms) once the sums reach n, and no entry of m is
+    read.  Any other matrix takes the entry loop ``_coordinate``, which is
+    also the oracle the structured path is checked against.
+    """
+    if m.structure is None:
+        return lambda n: _coordinate(m, x, n)
+    terms, excess = m.structure
+    sums = [running_sum(lambda k, v=v: x(k) if v is None else v(k) * x(k)) for _, v in terms]
+
+    def coordinate(n: int) -> Fraction:
+        # every U(n), then every V(n), then excess(n), the order in which the
+        # entry loop meets them at row n, so an invalid weight is reported
+        # at the same index either way
+        scales = [None if u is None else u(n) for u, _ in terms]
+        acc = add_all([p(n) if c is None else c * p(n) for c, p in zip(scales, sums)])
+        if excess is not None:
+            acc += excess(n) * x(n)
+        return acc
+
+    return coordinate
+
+
 def apply(m, x: Seq, n_size: int) -> list:
     """First n_size coordinates of the transform Mx."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
-    return [_coordinate(m, x, n) for n in range(n_size)]
+    return list(map(_coordinates(m, x), range(n_size)))
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy Seq."""
-    return Seq(lambda n: _coordinate(t, x, n))
+    return Seq(_coordinates(t, x))
 
 
 def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:

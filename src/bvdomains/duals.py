@@ -23,6 +23,7 @@ the structure path is checked against.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,22 +44,40 @@ DUAL_KINDS = ("alpha", "beta", "gamma")
 def _generators(m, size: int) -> Optional[tuple]:
     """Lists (diag, col, row) below size with entry(n, n) = diag[n] and
     entry(n, k) = col[k] + row[n] for k < n, when each term of m's structure
-    is constant along rows (U, None) or along columns (None, V); else None."""
+    is constant along rows (U, None) or along columns (None, V); else None.
+    The lists are kept on m and extended to the largest size asked for, so
+    the statistics of one matrix read each weight once."""
     if m.structure is None or any(u is not None and v is not None for u, v in m.structure[0]):
         return None
-    terms, excess = m.structure
+    grow = getattr(m, "_generator_lists", None)
+    if grow is None:
+        grow = m._generator_lists = _generator_lists(m.structure)
+    return grow(size)
+
+
+def _generator_lists(structure) -> Callable[[int], tuple]:
+    """size -> the lists (diag, col, row) of a structure below size, built by
+    appending and so locked."""
+    terms, excess = structure
     row_terms = [u for u, v in terms if v is None]
     col_terms = [v for u, v in terms if v is not None]
     diag, col, row = [], [], []
-    for j in range(size):
-        # row j below its diagonal first, as an entry scan reads it, so an
-        # invalid weight is reported at the same index either way
-        rows = [ONE if u is None else u(j) for u in row_terms]
-        cols = [v(j) for v in col_terms]
-        row.append(add_all(rows))
-        col.append(add_all(cols))
-        diag.append(add_all(rows + cols + ([] if excess is None else [excess(j)])))
-    return diag, col, row
+    lock = threading.Lock()
+
+    def grow(size: int) -> tuple:
+        with lock:
+            for j in range(len(diag), size):
+                # row j below its diagonal first, as an entry scan reads it,
+                # so an invalid weight is reported at the same index either way
+                rows = [ONE if u is None else u(j) for u in row_terms]
+                cols = [v(j) for v in col_terms]
+                d = add_all(rows + cols + ([] if excess is None else [excess(j)]))
+                row.append(add_all(rows))
+                col.append(add_all(cols))
+                diag.append(d)
+            return diag[:size], col[:size], row[:size]
+
+    return grow
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:

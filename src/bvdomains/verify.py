@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from . import builders, duals, matclass, spaces
@@ -224,14 +223,18 @@ def suite_identities(n: int, rng) -> list:
     sample = truncate(builders.phi(), min(n, 16))
 
     def canonical(row, col):
-        # the printed text, since a Fraction is in lowest terms by construction
-        num, _, den = spaces.fmt(sample.values[row][col]).partition("/")
-        num, den = int(num), int(den or 1)
-        return den > 0 and gcd(num, den) == 1 and Fraction(num, den) == sample.values[row][col]
+        # a Fraction is in lowest terms by construction, so it is the
+        # printed text that is checked
+        v = sample.values[row][col]
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
     checks.append(
         _grid_equal(
-            "rational_canonical_form", lambda row, col: True, canonical, sample.size, square=True
+            "rational_canonical_form",
+            canonical,
+            lambda row, col: spaces.fmt(sample.values[row][col]),
+            sample.size,
+            square=True,
         )
     )
     return checks

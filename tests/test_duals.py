@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdomains import duals
-from bvdomains.core import InvalidWeightsError, Seq, Triangle, compose, identity, invert
+from bvdomains.core import InvalidWeightsError, Seq, Triangle, compose, identity, invert, transform_seq
 from bvdomains.builders import (
     RieszWeights,
     WeightPair,
@@ -238,10 +238,11 @@ def test_beta_cross_check_runs_only_the_compared_statistics(cond_calls):
 
 
 def test_appended_rows_are_consistent_across_threads():
-    """Inverse rows and beta_assoc columns grow by appending under a lock;
-    four threads reading entries in different orders see the serial values.
-    The Hilbert-like factor has no known inverse, so its product is inverted
-    by forward substitution."""
+    """Inverse rows, beta_assoc columns, the running sums of a structured
+    transform and the generator lists of the statistics grow by appending
+    under a lock; four threads reading them in different orders see the
+    serial values.  The Hilbert-like factor has no known inverse, so its
+    product is inverted by forward substitution."""
     n = 20
     q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))
@@ -249,13 +250,18 @@ def test_appended_rows_are_consistent_across_threads():
 
     def build():
         hilbert = Triangle(lambda n, k: F(1, n + k + 1))
+        domain = sigma_riesz(RieszWeights(q))
+        transform = transform_seq(domain, a)
+        generators = beta_assoc(phi(), a)
         return (
-            invert(phi()),
-            beta_assoc(sigma_riesz(RieszWeights(q)), a),
-            invert(compose(delta(), hilbert)),
+            invert(phi()).entry,
+            beta_assoc(domain, a).entry,
+            invert(compose(delta(), hilbert)).entry,
+            lambda row, col: transform(row + col),
+            lambda row, col: duals._generators(generators, row + col + 1),
         )
 
-    expected = [{c: m.entry(*c) for c in cells} for m in build()]
+    expected = [{c: read_at(*c) for c in cells} for read_at in build()]
     shared = build()
     seen = [[] for _ in range(4)]
 
@@ -263,8 +269,8 @@ def test_appended_rows_are_consistent_across_threads():
         order = cells[:]
         random.Random(i).shuffle(order)
         for cell in order:
-            for which, m in enumerate(shared):
-                seen[i].append((which, cell, m.entry(*cell)))
+            for which, read_at in enumerate(shared):
+                seen[i].append((which, cell, read_at(*cell)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,26 +1,33 @@
-"""The structured path of compose: a triangle declaring a structure (terms
-(U, V) plus a diagonal excess) is multiplied through per-term suffix sums of
-the left factor's rows, checked bit-exactly against the dense product of
-truncations.  The right factors are the means (one term), the domain matrices
-phi, gamma and sigma and their inverses (one term and an excess), and the
-declared structures are checked against the entries they describe."""
+"""The structured paths: a triangle declaring a structure (terms (U, V)
+plus a diagonal excess) is multiplied through per-term suffix sums of the
+left factor's rows, checked bit-exactly against the dense product of
+truncations, and transforms a sequence through per-term running sums,
+checked bit-exactly against the entry loop.  The structured triangles are
+the means (one term), the domain matrices phi, gamma and sigma and their
+inverses (one term and an excess), the products that declare a structure and
+the dual matrices, and the declared structures are checked against the
+entries they describe."""
 
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdomains import builders, cli, duals
+from bvdomains import builders, cli, duals, spaces
 from bvdomains.core import (
     BandedMatrix,
     InvalidWeightsError,
     Seq,
     Triangle,
+    _coordinate,
+    apply,
     compose,
     dense_mul,
     invert,
+    transform_seq,
     truncate,
 )
 
@@ -74,6 +81,30 @@ _LEFT_ONLY = {
 }
 
 
+_DOMAINS = {
+    "C": builders.cesaro_domain,
+    "G": lambda: builders.weighted_domain(_weighted("alternating")),
+    "R": lambda: builders.riesz_domain(_riesz("k+1")),
+}
+
+
+def _dual(kind, label):
+    """The alpha or beta matrix of a domain, or the closed-form beta matrix
+    of its weights, for a fixed alternating sequence a."""
+    dom, a = _DOMAINS[label](), Seq(lambda k: F((-1) ** k, k + 2))
+    if kind == "closed_form_beta":
+        return duals.closed_form_beta_matrix(dom.weights, a)
+    return {"alpha": duals.alpha_assoc, "beta": duals.beta_assoc}[kind](dom.matrix, a)
+
+
+_DUALS = {
+    f"{kind}[{label}]": (lambda kind=kind, label=label: _dual(kind, label))
+    for kind in ("alpha", "beta", "closed_form_beta")
+    for label in _DOMAINS
+    if kind != "closed_form_beta" or label != "C"
+}
+
+
 def _product_is_dense_product(a, b, size=N):
     assert truncate(compose(a, b), size) == dense_mul(truncate(a, size), truncate(b, size))
 
@@ -108,23 +139,21 @@ def test_declared_structures_reproduce_the_entries():
     assert all(build().structure is None for build in _LEFT_ONLY.values())
     # the dual matrices derive theirs from the domain inverse's, and the
     # cross-check matrix from the weights
-    a = Seq(lambda k: F((-1) ** k, k + 2))
-    for w, domain in ((_weighted("alternating"), builders.weighted_domain), (_riesz("k+1"), builders.riesz_domain)):
-        dom = domain(w)
-        for m in (duals.alpha_assoc(dom.matrix, a), duals.beta_assoc(dom.matrix, a)):
-            _assert_structure_reproduces_entries(m)
-        _assert_structure_reproduces_entries(duals.closed_form_beta_matrix(w, a))
+    for build in _DUALS.values():
+        _assert_structure_reproduces_entries(build())
+
+
+# a bidiagonal left factor and a right factor with a structure and no
+# excess: delta and the Cesaro inverse times a mean or the sum matrix
+_BIDIAGONAL = {"delta", "cesaro_inv"}
+_EXCESS_FREE = {"sum", "cesaro"} | {m for m in _NAMED if m.startswith(("weighted", "riesz"))}
 
 
 def test_products_declare_a_structure_only_where_it_holds():
-    # a bidiagonal left factor and a right factor with a structure and no
-    # excess: delta and the Cesaro inverse times a mean or the sum matrix
-    bidiagonal = {"delta", "cesaro_inv"}
-    excess_free = {"sum", "cesaro"} | {m for m in _NAMED if m.startswith(("weighted", "riesz"))}
     for left, build_left in {**_NAMED, **_LEFT_ONLY}.items():
         for right, build_right in _NAMED.items():
             product = compose(build_left(), build_right())
-            declared = left in bidiagonal and right in excess_free
+            declared = left in _BIDIAGONAL and right in _EXCESS_FREE
             assert (product.structure is not None) == declared, (left, right)
             if declared:
                 _assert_structure_reproduces_entries(product, 12)
@@ -183,11 +212,121 @@ def test_product_of_two_full_triangles_reads_quadratically_many_entries(left, ri
     assert not b_reads
 
 
+# every structure the package declares: the means, the domain matrices and
+# their inverses, the products of a bidiagonal factor and an excess-free one,
+# and the dual matrices
+_STRUCTURED = {
+    **{name: build for name, build in _NAMED.items() if name not in _BIDIAGONAL},
+    **{
+        f"{left}.{right}": (lambda left=left, right=right: compose(_NAMED[left](), _NAMED[right]()))
+        for left in sorted(_BIDIAGONAL)
+        for right in sorted(_EXCESS_FREE)
+    },
+    **_DUALS,
+}
+_XS = {
+    "finite": lambda: Seq.from_values(["3", "-1/2", "0", "2/7", "5"]),
+    "harmonic": lambda: Seq(lambda k: F(1, k + 1)),
+    "alternating_geometric": lambda: Seq(lambda k: F(-1, 2) ** k),
+    "unit(0)": lambda: Seq.unit(0),
+    "unit(7)": lambda: Seq.unit(7),
+}
+
+
+def _entry_loop(m, x, size):
+    return [_coordinate(m, x, n) for n in range(size)]
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED))
+def test_structured_transform_equals_the_entry_loop(name):
+    for x_name, build_x in _XS.items():
+        m, x = _STRUCTURED[name](), build_x()
+        assert m.structure is not None
+        reads = _counted_reads(m)
+        got = apply(m, x, N)
+        # the lazy transform read from its far end first
+        lazy = transform_seq(m, x)
+        assert [lazy(n) for n in reversed(range(N))][::-1] == got, x_name
+        assert not reads, x_name
+        assert got == _entry_loop(m, x, N), x_name
+
+
+def test_a_matrix_without_structure_takes_the_entry_loop():
+    plain = builders.cesaro()
+    plain.structure = None
+    for m in (builders.delta(), builders.cesaro_inverse(), plain):
+        reads = _counted_reads(m)
+        assert apply(m, Seq.constant(1), 8) == _entry_loop(m, Seq.constant(1), 8)
+        assert reads
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(_POSITIVE, min_size=1, max_size=4),
+    st.lists(_POSITIVE, min_size=1, max_size=4),
+    st.lists(_POSITIVE, min_size=1, max_size=4),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=6),
+    st.booleans(),
+    st.sampled_from(("weighted", "riesz", "gamma", "sigma", "inverse(gamma)", "inverse(sigma)")),
+)
+def test_structured_transform_property(us, vs, qs, xs, finite, shape):
+    periodic = lambda values: Seq(lambda k: values[k % len(values)])
+    w = builders.WeightPair(periodic(us), periodic(vs))
+    r = builders.RieszWeights(periodic(qs))
+    m = {
+        "weighted": lambda: builders.weighted_mean(w),
+        "riesz": lambda: builders.riesz(r),
+        "gamma": lambda: builders.gamma(w),
+        "sigma": lambda: builders.sigma_riesz(r),
+        "inverse(gamma)": lambda: invert(builders.gamma(w)),
+        "inverse(sigma)": lambda: invert(builders.sigma_riesz(r)),
+    }[shape]()
+    x = Seq.from_values(xs) if finite else periodic(xs)
+    assert apply(m, x, 12) == _entry_loop(m, x, 12)
+
+
+def _counting(f, calls, key):
+    """f with its calls counted under key; None stays None."""
+    if f is None:
+        return None
+
+    def counted(j):
+        calls[key] += 1
+        return f(j)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED))
+def test_structured_transform_reads_no_entry_and_each_closure_linearly(name):
+    size = 64
+    for run in (lambda m, x: apply(m, x, size), lambda m, x: list(map(transform_seq(m, x), range(size)))):
+        m, calls = _STRUCTURED[name](), Counter()
+        terms, excess = m.structure
+        m.structure = (
+            [(_counting(u, calls, ("U", i)), _counting(v, calls, ("V", i))) for i, (u, v) in enumerate(terms)],
+            _counting(excess, calls, "excess"),
+        )
+        evals, entry = [], m._entry
+        m._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
+        reads = _counted_reads(m)
+        run(m, Seq(_counting(lambda k: F(1, k + 1), calls, "x")))
+        assert not reads and not evals
+        assert calls["x"] == size
+        assert max(calls.values()) <= size + 1, calls
+
+
 _ONES = {"kind": "const", "c": "1"}
 _INVALID = {
     "zero u": {"kind": "weighted", "u": {"prefix": ["1", "1/2", "1/3", "0"], "tail": _ONES}, "v": "e"},
     "zero v": {"kind": "weighted", "u": "e", "v": {"prefix": ["2", "3", "0"], "tail": _ONES}},
     "non-positive q": {"kind": "riesz", "q": {"prefix": ["1", "2", "3", "4", "-1"], "tail": _ONES}},
+    # u is read before v at each index, so u[2] is the one reported
+    "zero u and v": {
+        "kind": "weighted",
+        "u": {"prefix": ["1", "1/2", "0"], "tail": _ONES},
+        "v": {"prefix": ["2", "3", "0"], "tail": _ONES},
+    },
 }
 _RIGHT_SHAPES = ("mean", "domain", "inverse_of(domain)")
 
@@ -232,23 +371,51 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape):
         assert got == _outcome(lambda: truncate(compose(left(), plain), 16))
         raised += isinstance(got, tuple)
     assert raised == 3
+    # the transform, and the domain membership over the tail windows of c,
+    # whose first coordinate read is 2
+    x = Seq.constant(1)
+    for run in (
+        lambda m: apply(m, x, 16),
+        lambda m: spaces.domain_membership(x, m, spaces.SpaceId.C, 16),
+    ):
+        structured, _ = cli.parse_matrix_spec(spec)
+        plain, _ = cli.parse_matrix_spec(spec)
+        plain.structure = None
+        got = _outcome(lambda: run(structured))
+        assert isinstance(got, tuple)
+        assert got == _outcome(lambda: run(plain))
 
 
 @pytest.mark.parametrize("shape", _RIGHT_SHAPES)
 @pytest.mark.parametrize("case", sorted(_INVALID))
 def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, capsys):
-    spec = {"kind": "compose", "of": [{"kind": "cesaro"}, _right_spec(case, shape)]}
-    argv = ["matrix", "--spec", json.dumps(spec)]
-    assert cli.main(argv) == 3
-    structured = capsys.readouterr()
+    spec = json.dumps(_right_spec(case, shape))
+    product = json.dumps({"kind": "compose", "of": [{"kind": "cesaro"}, _right_spec(case, shape)]})
+    commands = (
+        ["matrix", "--spec", product],
+        ["transform", "--matrix", spec, "--x", "e", "--n", "16"],
+        ["membership", "--x", "e", "--space", "c", "--domain", spec, "--n", "16"],
+    )
+    structured = []
+    for argv in commands:
+        assert cli.main(argv) == 3
+        structured.append(capsys.readouterr())
 
     def compose_without_structure(a, b):
         b.structure = None
         return compose(a, b)
 
+    def parse_without_structure(text):
+        matrix, resolved = parse_matrix_spec(text)
+        matrix.structure = None
+        return matrix, resolved
+
+    parse_matrix_spec = cli.parse_matrix_spec
     monkeypatch.setattr(cli, "compose", compose_without_structure)
-    assert cli.main(argv) == 3
-    plain = capsys.readouterr()
-    assert structured.out == plain.out == ""
-    assert structured.err == plain.err
-    assert structured.err.startswith("mathematical error: invalid weight ")
+    monkeypatch.setattr(cli, "parse_matrix_spec", parse_without_structure)
+    for argv, got in zip(commands, structured):
+        assert cli.main(argv) == 3
+        plain = capsys.readouterr()
+        assert got.out == plain.out == ""
+        assert got.err == plain.err
+        assert got.err.startswith("mathematical error: invalid weight ")
