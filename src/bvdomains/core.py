@@ -21,6 +21,13 @@ triangles invert at O(1) cost per entry.  Generic forward substitution
 (``_build_inverse``) is the fallback for a triangle with no known inverse,
 and the independent oracle the fast inverses are checked against.
 
+The oracles that work on whole rows are integer kernels, in the manner of
+the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
+of its left operand and each column of its right one to integers over its
+own denominator lcm, and forward substitution keeps each inverse row also
+as (lcm, integer numerators).  An entry is then one integer sum and one
+``Fraction`` reduction instead of a reduction per term.
+
 A lower triangle may declare a structure (``BandedMatrix``), the
 lower-semiseparable generator form of Vandebril, Van Barel and Mastronardi
 (2008) and Eidelman and Gohberg (1999).  ``compose`` multiplies by one in
@@ -30,8 +37,8 @@ inverses get theirs.  The band-overlap sum serves every other right factor,
 and ``dense_mul`` of truncations is the oracle for both.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
 running sum per term, so N coordinates cost O(N) operations and read no
-entry; every other matrix takes the entry loop ``_coordinate``, which is
-the oracle for the structured transform.
+entry; every other matrix takes the entry loop ``_coordinate`` over each
+row's support, which is the oracle for the structured transform.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Callable, Optional
 
 ZERO = Fraction(0)
@@ -214,6 +222,12 @@ class BandedMatrix:
             return -1
         return n if self._row_bound is None else self._row_bound(n)
 
+    def row_support(self, n: int) -> range:
+        """The columns of row n that entry may evaluate: [n - band,
+        row_bound(n)] within the matrix.  Every other entry of row n is 0."""
+        lo = n - self.band if self.band is not None and n > self.band else 0
+        return range(lo, self.row_bound(n) + 1)
+
     def row_seq(self, n: int) -> Seq:
         """Row n as a finitely supported Seq."""
         return Seq(lambda k: self.entry(n, k), support_bound=self.row_bound(n))
@@ -263,31 +277,46 @@ def truncate(source, n_size: int) -> DenseTrunc:
     return DenseTrunc(n_size, rows)
 
 
+def _scaled(values) -> tuple:
+    """(d, numerators): the lcm d of the values' denominators and the
+    integers value * d, so that value = numerator / d."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    # row n of the product accumulates a[n][j] * (row j of b) over j, so a
-    # zero in either factor costs no Fraction arithmetic
+    # Row n of A is scaled to integers over its own denominator lcm and
+    # column k of B over its own, so entry (n, k) is one integer sum divided
+    # once.  One lcm per row and per column, not one per operand, which
+    # unrelated denominators would make huge.  Row n accumulates a[n][j] *
+    # (row j of B) over j, so a zero in either factor costs nothing.
+    b_dens, b_cols = zip(*map(_scaled, zip(*b.values)))
+    b_rows = [[(k, v) for k, v in enumerate(row) if v] for row in zip(*b_cols)]
     rows = []
     for arow in a.values:
-        row = [ZERO] * a.size
-        for a_nj, brow in zip(arow, b.values):
-            if a_nj:
-                for k, b_jk in enumerate(brow):
-                    if b_jk:
-                        row[k] += a_nj * b_jk
-        rows.append(tuple(row))
+        a_den, nums = _scaled(arow)
+        sums = [0] * a.size
+        for x, brow in zip(nums, b_rows):
+            if x:
+                for k, y in brow:
+                    sums[k] += x * y
+        rows.append(
+            tuple(Fraction(s, a_den * d) if s else ZERO for s, d in zip(sums, b_dens))
+        )
     return DenseTrunc(a.size, tuple(rows))
 
 
 def _coordinate(m, x: Seq, n: int) -> Fraction:
-    """Coordinate n of the transform Mx: sum of m(n,k) x(k) over k <= m.row_bound(n).
+    """Coordinate n of the transform Mx: sum of m(n,k) x(k) over row n's
+    support.
 
     Every row has finite support, so this is the full transform coordinate,
     not an approximation.
     """
     acc = ZERO
-    for k in range(m.row_bound(n) + 1):
+    for k in m.row_support(n):
         c = m.entry(n, k)
         if c:
             acc += c * x(k)
@@ -452,8 +481,13 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
 def _build_inverse(t: Triangle) -> Triangle:
     # Forward substitution, row by row; rows are cached in order so deep
-    # compose/invert chains stay polynomial.
+    # compose/invert chains stay polynomial.  Each finished row is kept as
+    # the Fractions entry returns and as (lcm of their denominators, integer
+    # numerators).  Row m of T is scaled to integers over its own lcm and
+    # each inverse row it reads over the lcm of those rows, so an entry of
+    # row m is one integer sum divided once.
     rows: list[list[Fraction]] = []
+    scaled: list[tuple] = []
     lock = threading.RLock()
 
     def ensure(n: int):
@@ -463,15 +497,19 @@ def _build_inverse(t: Triangle) -> Triangle:
                 d = t.entry(m, m)
                 if d == 0:
                     raise SingularMatrixError(m)
-                row = []
-                for k in range(m):
-                    acc = ZERO
-                    for j in range(k, m):
-                        c = t.entry(m, j)
-                        if c:
-                            acc += c * rows[j][k]
-                    row.append(-acc / d)
+                t_den, coeffs = _scaled([t.entry(m, j) for j in range(m)])
+                used = [j for j, c in enumerate(coeffs) if c]
+                inv_den = lcm(*(scaled[j][0] for j in used))
+                sums = [0] * m
+                for j in used:
+                    c = coeffs[j] * (inv_den // scaled[j][0])
+                    for k, y in enumerate(scaled[j][1]):
+                        if y:
+                            sums[k] += c * y
+                den = t_den * inv_den * d.numerator
+                row = [Fraction(-s * d.denominator, den) if s else ZERO for s in sums]
                 row.append(ONE / d)
+                scaled.append(_scaled(row))
                 rows.append(row)
 
     def entry(n: int, k: int) -> Fraction:

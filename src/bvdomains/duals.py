@@ -18,7 +18,10 @@ every term is constant along rows or along columns, as it is for a domain
 inverse, a matrix is col[k] + row[n] below its diagonal, and the three
 statistics compute from those lists in O(N log N).  They scan any other
 matrix (E, F, a bare triangle domain), and the scans are also the oracle
-the structure path is checked against.
+the structure path is checked against.  A scan reads only the cells the
+matrix's row supports leave possibly nonzero, in the order of a scan of
+the whole square, and does no arithmetic on a zero, so E of a finite
+matrix with r rows costs O(r N) entry reads, not O(N^2).
 """
 
 from __future__ import annotations
@@ -193,13 +196,28 @@ class _AbsSums:
         return x * (self._count - 2 * count) + self._total - 2 * below
 
 
+def _borders(m, n: int):
+    """For each index last < n, what the leading square of size last + 1
+    adds to the one before it, restricted to m's row supports: the columns
+    i < last of row last, the rows i < last whose support reaches column
+    last, and whether the diagonal cell is in support.  Every other cell is
+    0 without its entry being evaluated, so a scan reads only these."""
+    supports = [m.row_support(row) for row in range(n)]
+    column: list[int] = []
+    for last, support in enumerate(supports):
+        if last:
+            column = [i for i in column + [last - 1] if supports[i].stop > last]
+        yield last, range(support.start, min(support.stop, last)), column, last in support
+
+
 def cond_l1_linf(m, n: int) -> tuple:
     """sup |entry| over the N/4, N/2, N leading squares (condition for (l1:linf)).
 
     One pass grows the square by its last row and column, so each entry of
-    the N x N square is read once and the smaller squares are checkpoints.
-    With generator lists, the new row's entries below the diagonal are
-    col[k] + row[last], extremal at the extremes of col over k < last.
+    the N x N square in m's supports is read once and the smaller squares
+    are checkpoints.  With generator lists, the new row's entries below the
+    diagonal are col[k] + row[last], extremal at the extremes of col over
+    k < last.
     """
     marks = checkpoints(n)
     out = []
@@ -215,10 +233,16 @@ def cond_l1_linf(m, n: int) -> tuple:
             if last + 1 in marks:
                 out.append((last + 1, best))
         return tuple(out)
-    for last in range(n):
-        for i in range(last):
-            best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
-        best = max(best, abs(m.entry(last, last)))
+    for last, row, column, diagonal in _borders(m, n):
+        cells = [(last, i) for i in row]
+        if column:
+            # a full scan reads (last, i), then (i, last), for each i < last
+            cells = sorted(cells + [(i, last) for i in column], key=lambda c: (min(c), c[1]))
+        if diagonal:
+            cells.append((last, last))
+        for cell in cells:
+            if value := m.entry(*cell):
+                best = max(best, abs(value))
         if last + 1 in marks:
             out.append((last + 1, best))
     return tuple(out)
@@ -228,9 +252,10 @@ def cond_l1_c(m, n: int) -> tuple:
     """Per-column limit diagnostics for the (l1:c) condition.
 
     For each column k < N/4: the oscillation of the entries over rows
-    [N/2, N] and the entry at row N as the limit estimate.  With generator
-    lists those entries are col[k] + row[n], so the oscillation is that of row
-    over the window, the same for every column.
+    [N/2, N] (0 in a row whose support leaves column k out) and the entry
+    at row N as the limit estimate.  With generator lists those entries are
+    col[k] + row[n], so the oscillation is that of row over the window, the
+    same for every column.
     """
     quarter, half, _ = checkpoints(n)
     if (generators := _generators(m, n + 1)) is not None:
@@ -239,10 +264,11 @@ def cond_l1_c(m, n: int) -> tuple:
         osc = max(window) - min(window)
         columns = [(osc, col[k] + row[n]) for k in range(quarter)]
     else:
+        rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
         columns = []
         for k in range(quarter):
-            window = [m.entry(row, k) for row in range(half, n + 1)]
-            columns.append((max(window) - min(window), m.entry(n, k)))
+            window = [m.entry(row, k) if k in support else ZERO for row, support in rows]
+            columns.append((max(window) - min(window), window[-1]))
     return tuple(
         {
             "k": k,
@@ -257,11 +283,11 @@ def cond_l1_c(m, n: int) -> tuple:
 def cond_l1_l1(m, n: int) -> tuple:
     """max_k of column absolute sums over the three leading squares ((l1:l1)).
 
-    Like cond_l1_linf, one pass over the N x N square: the running column
-    sums take the new last row, then the new last column is summed.  With
-    generator lists, column k's sum at a checkpoint size is |diag[k]| plus the
-    sum of |col[k] + row[j]| over k < j < size: the sum over rows 1..size-1
-    less the one over rows 1..k, both from ``_AbsSums``.
+    Like cond_l1_linf, one pass over the N x N square's supports: the
+    running column sums take the new last row, then the new last column is
+    summed.  With generator lists, column k's sum at a checkpoint size is
+    |diag[k]| plus the sum of |col[k] + row[j]| over k < j < size: the sum
+    over rows 1..size-1 less the one over rows 1..k, both from ``_AbsSums``.
     """
     marks = checkpoints(n)
     out = []
@@ -277,10 +303,15 @@ def cond_l1_l1(m, n: int) -> tuple:
                 out.append((last + 1, max(b + below.query(c) for b, c in zip(bases, col))))
         return tuple(out)
     sums: list[Fraction] = []
-    for last in range(n):
-        for col in range(last):
-            sums[col] += abs(m.entry(last, col))
-        sums.append(sum((abs(m.entry(row, last)) for row in range(last + 1)), ZERO))
+    for last, row, column, diagonal in _borders(m, n):
+        for col in row:
+            if value := m.entry(last, col):
+                sums[col] += abs(value)
+        total = ZERO
+        for i in column + ([last] if diagonal else []):
+            if value := m.entry(i, last):
+                total += abs(value)
+        sums.append(total)
         if last + 1 in marks:
             out.append((last + 1, max(sums)))
     return tuple(out)

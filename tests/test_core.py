@@ -6,9 +6,12 @@ from hypothesis import strategies as st
 
 from bvdomains.core import (
     BandedMatrix,
+    DenseTrunc,
+    InvalidWeightsError,
     Seq,
     SingularMatrixError,
     Triangle,
+    _build_inverse,
     apply,
     compose,
     dense_mul,
@@ -18,7 +21,19 @@ from bvdomains.core import (
     transform_seq,
     truncate,
 )
-from bvdomains.builders import cesaro, cesaro_inverse, delta, phi, sigma_sum
+from bvdomains.builders import (
+    RieszWeights,
+    WeightPair,
+    cesaro,
+    cesaro_inverse,
+    delta,
+    gamma,
+    phi,
+    riesz,
+    sigma_riesz,
+    sigma_sum,
+    weighted_mean,
+)
 
 
 def dense_solve_inverse(dense):
@@ -256,3 +271,208 @@ def test_memoized_entries_are_canonical():
             v = phi.entry(n, k)
             assert v.denominator > 0
             assert F(v.numerator, v.denominator) == v
+
+
+# ------------------------------------------- integer kernels against Fractions
+
+
+def naive_dense_mul(a, b):
+    """The product of two truncations by a Fraction triple loop."""
+    size = a.size
+    return tuple(
+        tuple(
+            sum((a.values[n][j] * b.values[j][k] for j in range(size)), F(0))
+            for k in range(size)
+        )
+        for n in range(size)
+    )
+
+
+def naive_inverse_rows(t, size):
+    """Forward substitution in Fractions, one term at a time: the first size
+    rows of the inverse, reading t's diagonal and then its row in column
+    order, as the integer kernel does."""
+    rows = []
+    for m in range(size):
+        d = t.entry(m, m)
+        if d == 0:
+            raise SingularMatrixError(m)
+        coeffs = [t.entry(m, j) for j in range(m)]
+        row = [
+            -sum((coeffs[j] * rows[j][k] for j in range(k, m)), F(0)) / d for k in range(m)
+        ]
+        rows.append(row + [1 / d])
+    return rows
+
+
+def kernel_inverse_rows(t, size):
+    inv = _build_inverse(t)
+    return [[inv.entry(m, k) for k in range(m + 1)] for m in range(size)]
+
+
+def assert_same_fractions(got, expected):
+    """Equal rows of Fractions, which are bit-exact because a Fraction is
+    kept in lowest terms; an int 0 would compare equal, so types count."""
+    assert [[type(v) for v in row] for row in got] == [[F] * len(row) for row in expected]
+    assert [list(row) for row in got] == [list(row) for row in expected]
+
+
+def _weights():
+    return WeightPair(Seq(lambda n: F((-1) ** n, n + 1)), Seq(lambda k: F(k + 2, 3)))
+
+
+NAMED = {
+    "delta": delta,
+    "sum": sigma_sum,
+    "cesaro": cesaro,
+    "cesaro_inv": cesaro_inverse,
+    "weighted": lambda: weighted_mean(_weights()),
+    "riesz": lambda: riesz(RieszWeights(Seq(lambda k: F(2) ** k))),
+    "phi": phi,
+    "gamma": lambda: gamma(_weights()),
+    "sigma": lambda: sigma_riesz(RieszWeights(Seq(lambda k: F(k + 1, 2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_kernels_equal_the_fraction_loops_on_named_triangles(name):
+    size = 32
+    t = NAMED[name]()
+    dense, dense_inv = truncate(t, size), truncate(invert(t), size)
+    for left, right in ((dense, dense_inv), (dense_inv, dense), (dense, dense)):
+        assert_same_fractions(dense_mul(left, right).values, naive_dense_mul(left, right))
+    assert_same_fractions(kernel_inverse_rows(t, size), naive_inverse_rows(t, size))
+    fresh = NAMED[name]()
+    assert_same_fractions(
+        kernel_inverse_rows(invert(fresh), size), naive_inverse_rows(invert(fresh), size)
+    )
+
+
+# denominators up to 10^6, mostly coprime, both signs, and zeros
+nonzero_big_rat = st.builds(
+    lambda num, den, negative: F(-num if negative else num, den),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.booleans(),
+)
+big_rat = st.one_of(st.just(F(0)), nonzero_big_rat)
+
+
+@st.composite
+def square_pairs(draw, max_size=6):
+    """Two square truncations of one size, from 1 on, with some rows and
+    columns zero."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+
+    def square():
+        zero_rows = draw(st.sets(st.integers(0, size - 1)))
+        zero_cols = draw(st.sets(st.integers(0, size - 1)))
+        return DenseTrunc(
+            size,
+            tuple(
+                tuple(
+                    F(0) if n in zero_rows or k in zero_cols else draw(big_rat)
+                    for k in range(size)
+                )
+                for n in range(size)
+            ),
+        )
+
+    return square(), square()
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_pairs())
+def test_dense_mul_equals_the_fraction_loop_property(pair):
+    a, b = pair
+    assert_same_fractions(dense_mul(a, b).values, naive_dense_mul(a, b))
+
+
+@st.composite
+def big_triangles(draw, max_size=7):
+    """Lower triangles with large coprime denominators, a nonzero diagonal
+    and some rows zero below it."""
+    size = draw(st.integers(min_value=1, max_value=max_size))
+    zero_rows = draw(st.sets(st.integers(0, size - 1)))
+    rows = [
+        [F(0) if n in zero_rows else draw(big_rat) for _ in range(n)]
+        + [draw(nonzero_big_rat)]
+        for n in range(size)
+    ]
+    return rows
+
+
+def recorded_triangle(rows, log):
+    """The triangle with these rows (identity below them) that logs each
+    entry evaluation."""
+
+    def entry(n, k):
+        log.append((n, k))
+        value = rows[n][k] if n < len(rows) else F(int(n == k))
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return Triangle(entry)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_triangles())
+def test_forward_substitution_equals_the_fraction_loop_property(rows):
+    size = len(rows)
+    got_log, expected_log = [], []
+    got = kernel_inverse_rows(recorded_triangle(rows, got_log), size)
+    expected = naive_inverse_rows(recorded_triangle(rows, expected_log), size)
+    assert_same_fractions(got, expected)
+    assert got_log == expected_log
+
+
+def _fault_rows(size, at, fault):
+    rows = [[F(n + 2 * k + 1, k + 3) for k in range(n + 1)] for n in range(size)]
+    rows[at[0]][at[1]] = fault
+    return rows
+
+
+@pytest.mark.parametrize("at", [(0, 0), (3, 3), (3, 0), (5, 2), (5, 4), (6, 6)])
+@pytest.mark.parametrize("kind", ["zero", "invalid"])
+def test_forward_substitution_reports_the_fault_the_fraction_loop_does(kind, at):
+    """A zero diagonal entry names its row and an invalid weight its index,
+    after the same entry evaluations as the Fraction loop; a zero below the
+    diagonal is no fault."""
+    size = 8
+    if kind == "zero":
+        fault = F(0)
+    else:
+        fault = InvalidWeightsError("v", at[1], F(0), "must be nonzero")
+    outcomes = []
+    for inverse_rows in (kernel_inverse_rows, naive_inverse_rows):
+        log = []
+        try:
+            result = inverse_rows(recorded_triangle(_fault_rows(size, at, fault), log), size)
+        except (SingularMatrixError, InvalidWeightsError) as exc:
+            result = (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "index", None))
+        outcomes.append((result, log))
+    (got, got_log), (expected, expected_log) = outcomes
+    assert got_log == expected_log
+    if kind == "zero" and at[0] != at[1]:
+        assert_same_fractions(got, expected)
+    else:
+        assert got == expected and got[0] in (SingularMatrixError, InvalidWeightsError)
+        assert got[2:] == ((at[0], None) if kind == "zero" else (None, at[1]))
+
+
+def test_transform_by_a_banded_triangle_reads_its_band(monkeypatch):
+    """The entry loop of a transform reads row n from column n - band, so
+    N coordinates by delta or the Cesaro inverse read 2N - 1 entries."""
+    size = 1024
+    x = Seq(lambda k: F(1, k + 1))
+    for build in (delta, cesaro_inverse):
+        reads = []
+        t = build()
+        entry = t.entry
+        t.entry = lambda n, k: reads.append((n, k)) or entry(n, k)
+        assert apply(t, x, size) == [
+            sum((build().entry(n, k) * x(k) for k in range(max(n - 1, 0), n + 1)), F(0))
+            for n in range(size)
+        ]
+        assert len(reads) == 2 * size - 1

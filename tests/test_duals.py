@@ -36,7 +36,7 @@ from bvdomains.duals import (
     dual_test,
 )
 from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
-from bvdomains.spaces import SpaceId
+from bvdomains.spaces import SpaceId, checkpoints
 
 E = Seq.constant(1)
 
@@ -449,3 +449,109 @@ def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
     assert dom.weights is None or report.cross_check["match"] is True
     assert 0 < len(evals) <= 3 * n
     assert inv_evals == assoc_reads == []
+
+
+# ------------------------------------------------ support-bounded entry scans
+
+
+def reference_l1_linf(m, n):
+    """The scan of cond_l1_linf over the whole N x N square."""
+    marks, out, best = checkpoints(n), [], F(0)
+    for last in range(n):
+        for i in range(last):
+            best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
+        best = max(best, abs(m.entry(last, last)))
+        if last + 1 in marks:
+            out.append((last + 1, best))
+    return tuple(out)
+
+
+def reference_l1_c(m, n):
+    """The scan of cond_l1_c over rows [N/2, N] of the first N/4 columns."""
+    quarter, half, _ = checkpoints(n)
+    columns = []
+    for k in range(quarter):
+        window = [m.entry(row, k) for row in range(half, n + 1)]
+        columns.append((max(window) - min(window), m.entry(n, k)))
+    return tuple(
+        {"k": k, "oscillation": osc, "limit_estimate": limit, "converged": osc <= duals.OSCILLATION_TOL}
+        for k, (osc, limit) in enumerate(columns)
+    )
+
+
+def reference_l1_l1(m, n):
+    """The scan of cond_l1_l1 over the whole N x N square."""
+    marks, out, sums = checkpoints(n), [], []
+    for last in range(n):
+        for col in range(last):
+            sums[col] += abs(m.entry(last, col))
+        sums.append(sum((abs(m.entry(row, last)) for row in range(last + 1)), F(0)))
+        if last + 1 in marks:
+            out.append((last + 1, max(sums)))
+    return tuple(out)
+
+
+SCANS = {
+    "linf": (cond_l1_linf, reference_l1_linf),
+    "c": (cond_l1_c, reference_l1_c),
+    "l1": (cond_l1_l1, reference_l1_l1),
+}
+
+
+def _value(n, k):
+    # zeros inside the supports too, and signs that make the columns oscillate
+    return F(0) if (n + 2 * k) % 5 == 1 else F((-1) ** k * (k - 2 * n), n + k + 1)
+
+
+def _lengths(n):
+    # rows ending before, at and well past their diagonal, and an empty one
+    return (2, 0, 5, 1, 40, 3)[n]
+
+
+SCANNED = {
+    "lower": lambda: Triangle(_value),
+    "banded": lambda: Triangle(_value, band=2),
+    "banded_upper": lambda: BandedMatrix(_value, lambda n: n + 3, band=1),
+    "finite_lower": lambda: BandedMatrix(_value, lambda n: n, row_count=5),
+    "finite": lambda: BandedMatrix(_value, lambda n: _lengths(n) - 1, row_count=6),
+    "E": lambda: compose(BandedMatrix(_value, lambda n: _lengths(n) - 1, row_count=6), invert(phi())),
+    "F": lambda: compose(phi(), BandedMatrix(_value, lambda n: _lengths(n) - 1, row_count=6)),
+}
+
+
+def recorded(build, log):
+    """build()'s matrix, its structure removed, logging each entry evaluation."""
+    m = build()
+    m.structure = None
+    evaluate = m._entry
+    m._entry = lambda n, k: log.append((n, k)) or evaluate(n, k)
+    return m
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 32])
+@pytest.mark.parametrize("scan", sorted(SCANS))
+@pytest.mark.parametrize("matrix", sorted(SCANNED))
+def test_scans_evaluate_what_the_full_square_scans_do(matrix, scan, n):
+    """The scans skip only cells their matrix's supports make 0: the result
+    and the entry evaluations, in order, are those of the full scans."""
+    fast, reference = SCANS[scan]
+    got_log, expected_log = [], []
+    got = fast(recorded(SCANNED[matrix], got_log), n)
+    assert got == reference(recorded(SCANNED[matrix], expected_log), n)
+    assert got_log == expected_log
+
+
+def test_scans_of_a_finite_matrix_read_its_rows_only():
+    """Four rows that run past the square: the three scans at N=64 call
+    entry O(r N) times, where the full square would take N^2 per scan."""
+    n, r = 64, 4
+
+    def build():
+        return BandedMatrix.from_rows([[str(k - row) for k in range(70)] for row in range(r)])
+
+    m = build()
+    entry, calls = m.entry, []
+    m.entry = lambda row, col: calls.append((row, col)) or entry(row, col)
+    for scan, reference in SCANS.values():
+        assert scan(m, n) == reference(build(), n)
+    assert 0 < len(calls) <= 3 * r * n

@@ -8,7 +8,10 @@ Those of the compose and structure-vs-scan cases were taken before compose
 read the structure of a domain matrix or a domain inverse, and hold since;
 the canonical-form case could not fail while that check read the Fraction
 rather than its printed text, and its report was re-recorded when the check
-began to show the printed text against the canonical one.
+began to show the printed text against the canonical one.  The cases of
+the forward-substitution and condition-scan families were recorded before
+those oracles became integer and support-bounded kernels, so they show that
+the kernels report the same failures.
 The whole reports of the suites at N=16, the self_check benchmark size, are
 pinned by their digests too.
 """
@@ -20,7 +23,9 @@ import random
 import pytest
 
 from bvdomains import builders, duals, matclass, spaces, verify
-from bvdomains.core import DenseTrunc, Seq, compose
+from fractions import Fraction
+
+from bvdomains.core import DenseTrunc, Seq, Triangle, compose
 
 
 def _fail_on_call(monkeypatch, module, name, index, wrong):
@@ -40,6 +45,11 @@ def _bump(dense, row, col):
     values = [list(r) for r in dense.values]
     values[row][col] += 1
     return DenseTrunc(dense.size, tuple(map(tuple, values)))
+
+
+def _nudge():
+    """The identity triangle with 1/7 at (9, 4), a fault deep in the grid."""
+    return Triangle(lambda n, k: Fraction(1, 7) if (n, k) == (9, 4) else Fraction(int(n == k)))
 
 
 CASES = [
@@ -181,6 +191,51 @@ CASES = [
         },
         "c7709cf105deb70448376d63ca7d26a9cd2df271c92902f2d89c9298d38d9ab7",
         278479249,
+    ),
+    (
+        # forward substitution inverts nudge . inverse(cesaro), so row 9 of
+        # the result is cesaro's with its column 4 changed
+        "identities",
+        (verify, "_build_inverse", 1, lambda orig, t: orig(compose(_nudge(), t))),
+        {
+            "name": "inverse_involution[cesaro]",
+            "status": "fail",
+            "counterexample": {"position": [9, 4], "expected": "1/10", "got": "3/35"},
+        },
+        "9c01653f49dc147052a47da91c95edc0009ad41f96911a47d33f2fb5e00b72e8",
+        278479249,
+    ),
+    (
+        # the reference side inverts cesaro . nudge, whose row 9 takes 1/7 of
+        # row 4 of the Cesaro inverse away
+        "identities",
+        (verify, "_build_inverse", 3, lambda orig, t: orig(compose(t, _nudge()))),
+        {
+            "name": "closed_form_cesaro_inverse",
+            "status": "fail",
+            "counterexample": {"position": [9, 3], "expected": "4/7", "got": "0"},
+        },
+        "35715a131287e2b85f177007fd26b97c6288698d3f2161933dc52a389b20f38e",
+        278479249,
+    ),
+    (
+        # the G domain's F = domain . inverse(domain) is scanned times nudge,
+        # whose column 4 sums to 8/7 from the N=16 square on
+        "matclass",
+        (duals, "cond_l1_l1", 1, lambda orig, m, n: orig(compose(m, _nudge()), n)),
+        {
+            "name": "composition_sanity_F_identity[G]",
+            "status": "fail",
+            "counterexample": {
+                "stats": [
+                    {"index": 4, "value": "1"},
+                    {"index": 8, "value": "1"},
+                    {"index": 16, "value": "8/7"},
+                ]
+            },
+        },
+        "8f636703375989aa4b0bf6346fe0d6b0aba38b997c550950be9f192cf6708657",
+        522467575,
     ),
 ]
 
