@@ -31,9 +31,12 @@ as (lcm, integer numerators).  An entry is then one integer sum and one
 A lower triangle may declare a structure (``BandedMatrix``), the
 lower-semiseparable generator form of Vandebril, Van Barel and Mastronardi
 (2008) and Eidelman and Gohberg (1999).  ``compose`` multiplies by one in
-O(N^2) operations instead of O(N^3), and gives a bidiagonal triangle times
-one with no excess a structure, which is how the domain matrices and their
-inverses get theirs.  The band-overlap sum serves every other right factor,
+O(N^2) operations instead of O(N^3), and is the one place where structures
+are multiplied: a product of two structured triangles declares one, so
+nested products and the dual matrices of ``duals`` do, and a bidiagonal
+triangle times one with no excess declares one, which is how the domain
+matrices and their inverses get theirs.  The band-overlap sum serves every
+other right factor,
 and ``dense_mul`` of truncations is the oracle for both.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
 running sum per term, so N coordinates cost O(N) operations and read no
@@ -255,6 +258,11 @@ def identity() -> Triangle:
     return Triangle(lambda n, k: ONE if n == k else ZERO)
 
 
+def diagonal(a: Callable[[int], Fraction]) -> BandedMatrix:
+    """diag(a), which declares the structure with no terms and the excess a."""
+    return BandedMatrix(lambda n, k: a(n), band=0, structure=([], a))
+
+
 @dataclass(frozen=True)
 class DenseTrunc:
     """The N x N leading principal submatrix of a matrix, held exactly."""
@@ -343,10 +351,8 @@ def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
         # entry loop meets them at row n, so an invalid weight is reported
         # at the same index either way
         scales = [None if u is None else u(n) for u, _ in terms]
-        acc = add_all([p(n) if c is None else c * p(n) for c, p in zip(scales, sums)])
-        if excess is not None:
-            acc += excess(n) * x(n)
-        return acc
+        values = [p(n) if c is None else c * p(n) for c, p in zip(scales, sums)]
+        return add_all(values + ([] if excess is None else [excess(n) * x(n)]))
 
     return coordinate
 
@@ -377,9 +383,10 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     [lo, hi] is A's row n support and S_n(m) sums a(n,j) U(j) over j in
     [m, hi].  The first read of row n builds its suffix sums in one pass per
     term over A's row, so an N x N block costs O(N^2) operations, not
-    O(N^3), and B's entries are never read.  When A is bidiagonal and B's
-    structure has no excess, the product declares a structure with the
-    terms (S, V), where S(n) = a(n,n-1) U(n-1) + a(n,n) U(n).
+    O(N^3), and B's entries are never read.  When A declares a structure
+    too, so does the product (``_product_structure``).  When A is bidiagonal
+    with no structure and B's structure has no excess, the product declares
+    the terms (S, V), where S(n) = a(n,n-1) U(n-1) + a(n,n) U(n).
     """
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
@@ -449,7 +456,9 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return bound
 
     structure = None
-    if b.structure is not None and excess is None and a_lower and a_band == 1:
+    if a.structure is not None and b.structure is not None:
+        structure = _product_structure(a, b)
+    elif b.structure is not None and excess is None and a_lower and a_band == 1:
         # on the diagonal, B(n-1, n) = 0 leaves out a(n,n-1) U(n-1) V(n) of
         # each term: the excess.  The subdiagonal is read first, as scans do
 
@@ -477,6 +486,43 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         known_inverse=known_inverse,
         structure=structure,
     )
+
+
+def _product(f, g):
+    """j -> f(j) g(j) as a memoized Seq, where None is the all-ones sequence
+    (so the product of two Nones is None)."""
+    return g if f is None else f if g is None else Seq(lambda j: f(j) * g(j))
+
+
+def _sum(parts: list):
+    """j -> the sum of the parts at j as a memoized Seq; one part is itself."""
+    return parts[0] if len(parts) == 1 else Seq(lambda j: add_all([f(j) for f in parts]))
+
+
+def _product_structure(a: BandedMatrix, b: BandedMatrix) -> tuple:
+    """The structure of A.B for lower triangles A and B that declare one.
+
+    Entry (n,k) of A.B sums A(n,j) B(j,k) over k <= j <= n.  With (Ua, Va)
+    and ea A's terms and excess and (Ub, Vb) and eb B's, that is the sum of
+    U'(n) Vb(k) over B's terms, plus the sum of Ua(n) V'(k) over A's, plus
+    ea(n) eb(n) when k = n.  With P the running sum of Va Ub for a pair of
+    terms, U'(n) = (A Ub)(n) is the sum of Ua(n) P(n) over A's terms plus
+    ea(n) Ub(n), and V'(k) is Va(k) eb(k) less the sum of P(k-1) Vb(k) over
+    B's terms.  So the product has as many terms as its factors together:
+    the lower quasiseparable order is subadditive under products (Eidelman
+    and Gohberg 1999), and nested products stay small.
+    """
+    (a_terms, ea), (b_terms, eb) = a.structure, b.structure
+    # sums[s][t] is the running sum of Va Ub over A's term s and B's term t
+    sums = [[running_sum(_product(va, ub) or Seq.constant(1)) for ub, _ in b_terms] for _, va in a_terms]
+    terms = []
+    for t, (ub, vb) in enumerate(b_terms):
+        parts = [_product(ua, ps[t]) for (ua, _), ps in zip(a_terms, sums)]
+        terms.append((_sum(parts + ([] if ea is None else [_product(ea, ub)])), vb))
+    for (ua, va), ps in zip(a_terms, sums):
+        parts = [Seq(lambda k, p=p, vb=vb: -times(p(k - 1), vb, k)) for p, (_, vb) in zip(ps, b_terms)]
+        terms.append((ua, _sum(parts + ([] if eb is None else [_product(va, eb)]))))
+    return terms, None if ea is None or eb is None else _product(ea, eb)
 
 
 def _build_inverse(t: Triangle) -> Triangle:

@@ -1,19 +1,20 @@
 """Associated matrices and truncation tests for the alpha/beta/gamma duals.
 
 The alpha-dual matrix is diag(a) . inverse(domain); the beta/gamma matrix
-accumulates b_nk = sum_{j=k}^{n} a_j * inverse(domain)_jk.  Both are lower
-triangular but never inverted, so they are plain ``BandedMatrix`` objects.
+sums it down each column, sigma . diag(a) . inverse(domain), so b_nk =
+sum_{j=k}^{n} a_j * inverse(domain)_jk.  Both are built by ``core.compose``
+and are lower triangular but never inverted, so they are plain
+``BandedMatrix`` objects.
 Each dual kind is decided (heuristically, at truncation) by the matrix-class
 conditions for (l1:l1), (l1:c), (l1:linf) evaluated on the associated matrix.
 The statistics live in one dict keyed by report name (``condition_stats``),
 which one serializer writes (``conditions_dict``) and one verdict function
 reads (``condition_verdict``); ``matclass`` uses the same three functions.
 
-The dual matrices derive the structure of ``core`` from the domain
-inverse's, sum_i U_i(j) V_i(k) plus e(j) on the diagonal: the alpha matrix
-has the terms (a U_i, V_i) and the excess a e, and the beta matrix the terms
-(P_i, V_i) and (1, c), with P_i the running sums of a U_i; the closed-form
-cross-check matrix declares the same beta form from the weights.  When
+The dual matrices get the structure of ``core`` from ``compose``, which
+multiplies the structures of diag(a) (no terms and the excess a), of the
+sum matrix and of the domain inverse; the closed-form cross-check matrix
+declares the beta form from the weights.  When
 every term is constant along rows or along columns, as it is for a domain
 inverse, a matrix is col[k] + row[n] below its diagonal, and the three
 statistics compute from those lists in O(N log N).  They scan any other
@@ -33,8 +34,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional, Union
 
-from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, invert, running_sum, times
-from .builders import Domain, Weights
+from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, compose, diagonal, invert, running_sum
+from .builders import Domain, Weights, sigma_sum
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
@@ -84,50 +85,23 @@ def _generator_lists(structure) -> Callable[[int], tuple]:
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
-    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
-
-    It declares the terms (a U, V) and the excess a e when the inverse
-    declares the terms (U, V) and the excess e.
-    """
-    inv = invert(domain_matrix)
-    structure = None
-    if inv.structure is not None:
-        terms, excess = inv.structure
-        scaled = [(lambda n, u=u: times(a(n), u, n), v) for u, v in terms]
-        structure = scaled, None if excess is None else lambda n: a(n) * excess(n)
-    return BandedMatrix(lambda n, k: a(n) * inv.entry(n, k), structure=structure)
+    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse."""
+    product = compose(diagonal(a), invert(domain_matrix))
+    # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
+    # the names of this closure and of beta_assoc's
+    return BandedMatrix(lambda n, k: product.entry(n, k), band=product.band, structure=product.structure)
 
 
 def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
-    """Matrix of partial sums sum_{k<=n} a_k x_k in the y coordinates.
-
-    entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk, held as per-column
-    running sums so a scan of the N x N square stays quadratic instead of
-    cubic.  When the inverse declares a structure, so does this matrix, and
-    the condition statistics read it instead of its entries; the running
-    column sums serve the scans of other domains and the oracle checks.
-    """
-    inv = invert(domain_matrix)
-    columns: dict[int, Callable[[int], Fraction]] = {}
+    """Matrix of partial sums sum_{k<=n} a_k x_k in the y coordinates: the
+    column sums of the alpha matrix, sigma . diag(a) . inverse(domain), so
+    entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk."""
+    product = compose(sigma_sum(), alpha_assoc(domain_matrix, a))
 
     def entry(n: int, k: int) -> Fraction:
-        col = columns.get(k)
-        if col is None:
-            col = columns[k] = running_sum(lambda i: a(k + i) * inv.entry(k + i, k))
-        return col(n - k)
+        return product.entry(n, k)
 
-    structure = None
-    if inv.structure is not None:
-        terms, excess = inv.structure
-        sums = [running_sum(lambda j, u=u: times(a(j), u, j)) for u, _ in terms]
-
-        def col(k: int) -> Fraction:
-            # the j = k term of the sum, less the rows above k in each P_i(n)
-            above = [-times(p(k - 1), v, k) for p, (_, v) in zip(sums, terms)]
-            return add_all(above + ([] if excess is None else [a(k) * excess(k)]))
-
-        structure = [(p, v) for p, (_, v) in zip(sums, terms)] + [(None, Seq(col))], None
-    return BandedMatrix(entry, structure=structure)
+    return BandedMatrix(entry, structure=product.structure)
 
 
 def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:

@@ -4,13 +4,24 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdomains import duals
-from bvdomains.core import InvalidWeightsError, Seq, Triangle, compose, identity, invert, transform_seq
+from bvdomains.core import (
+    InvalidWeightsError,
+    Seq,
+    Triangle,
+    _build_inverse,
+    compose,
+    identity,
+    invert,
+    transform_seq,
+    truncate,
+)
 from bvdomains.builders import (
     RieszWeights,
     WeightPair,
@@ -90,6 +101,22 @@ def test_beta_assoc_stabilizes_for_finite_support():
     for k in range(3):
         tail = {assoc.entry(n, k) for n in range(3, 10)}
         assert len(tail) == 1
+
+
+@pytest.mark.parametrize("domain", ["C", "G[alternating]", "R[2^k]", "bare cesaro"])
+def test_dual_matrices_equal_the_forward_substitution_oracle(domain):
+    """alpha(n, k) = a_n X(n, k) and beta sums alpha down each column, with X
+    the domain inverse by forward substitution: this side reads no structure,
+    while the dual matrices read the domain inverse's."""
+    size = 24
+    matrix = cesaro() if domain == "bare cesaro" else DOMAINS[domain]().matrix
+    x = truncate(_build_inverse(matrix), size)
+    for name, build in SEQUENCES.items():
+        a = build()
+        alpha = [[a(n) * x[n, k] for k in range(size)] for n in range(size)]
+        beta = zip(*(accumulate(column) for column in zip(*alpha)))
+        assert truncate(alpha_assoc(matrix, a), size).values == tuple(map(tuple, alpha)), name
+        assert truncate(beta_assoc(matrix, a), size).values == tuple(beta), name
 
 
 def test_cond_l1_linf_cases():
