@@ -17,7 +17,10 @@ sum matrix and of the domain inverse; the closed-form cross-check matrix
 declares the beta form from the weights.  When
 every term is constant along rows or along columns, as it is for a domain
 inverse, a matrix is col[k] + row[n] below its diagonal, and the three
-statistics compute from those lists in O(N log N).  They scan any other
+statistics compute from those lists in O(N log N) integer operations: the
+lists are scaled over one lcm d of their denominators, in the manner of the
+integer kernels of ``core``, and only each reported value is divided by d
+back into a Fraction.  They scan any other
 matrix (E, F, a bare triangle domain), and the scans are also the oracle
 the structure path is checked against.  A scan reads only the cells the
 matrix's row supports leave possibly nonzero, in the order of a scan of
@@ -34,7 +37,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional, Union
 
-from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, compose, diagonal, invert, running_sum
+from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, _scaled, add_all, compose, diagonal, invert, running_sum
 from .builders import Domain, Weights, sigma_sum
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
@@ -46,17 +49,20 @@ DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
 def _generators(m, size: int) -> Optional[tuple]:
-    """Lists (diag, col, row) below size with entry(n, n) = diag[n] and
-    entry(n, k) = col[k] + row[n] for k < n, when each term of m's structure
-    is constant along rows (U, None) or along columns (None, V); else None.
-    The lists are kept on m and extended to the largest size asked for, so
-    the statistics of one matrix read each weight once."""
+    """(d, diag, col, row): integer lists below size with entry(n, n) =
+    diag[n] / d and entry(n, k) = (col[k] + row[n]) / d for k < n, when each
+    term of m's structure is constant along rows (U, None) or along columns
+    (None, V); else None.  The Fraction lists are kept on m and extended to
+    the largest size asked for, so the statistics of one matrix read each
+    weight once; d is the lcm of all their denominators."""
     if m.structure is None or any(u is not None and v is not None for u, v in m.structure[0]):
         return None
     grow = getattr(m, "_generator_lists", None)
     if grow is None:
         grow = m._generator_lists = _generator_lists(m.structure)
-    return grow(size)
+    diag, col, row = grow(size)
+    d, values = _scaled(diag + col + row)
+    return d, values[:size], values[size : 2 * size], values[2 * size :]
 
 
 def _generator_lists(structure) -> Callable[[int], tuple]:
@@ -128,11 +134,12 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
 
 
 class _AbsSums:
-    """Sum of |x + v| over the values v inserted so far from a fixed list.
+    """Sum of |x + v| over the values v inserted so far from a fixed list of
+    integers.
 
     Fenwick trees (Fenwick 1994) of counts and of sums over the sorted ranks
     of the list answer a query from the inserted values below -x, in
-    O(log N) exact operations per insertion and per query.
+    O(log N) integer operations per insertion and per query.
     """
 
     def __init__(self, values: list):
@@ -143,8 +150,8 @@ class _AbsSums:
         for rank, i in enumerate(order, 1):
             self._rank[i] = rank
         self._counts = [0] * (len(values) + 1)
-        self._sums = [ZERO] * (len(values) + 1)
-        self._count, self._total = 0, ZERO
+        self._sums = [0] * (len(values) + 1)
+        self._count, self._total = 0, 0
 
     def insert(self, i: int) -> None:
         """Insert values[i]."""
@@ -157,12 +164,12 @@ class _AbsSums:
             self._sums[rank] += value
             rank += rank & -rank
 
-    def query(self, x: Fraction) -> Fraction:
+    def query(self, x: int) -> int:
         """Sum of |x + v| over the inserted v."""
         # v < -x contributes -(x + v) and any other v contributes x + v;
         # values tied with -x contribute 0 either way
         rank = bisect_left(self._sorted, -x)
-        count, below = 0, ZERO
+        count, below = 0, 0
         while rank:
             count += self._counts[rank]
             below += self._sums[rank]
@@ -191,22 +198,23 @@ def cond_l1_linf(m, n: int) -> tuple:
     the N x N square in m's supports is read once and the smaller squares
     are checkpoints.  With generator lists, the new row's entries below the
     diagonal are col[k] + row[last], extremal at the extremes of col over
-    k < last.
+    k < last; the sup is taken on the integers and divided at checkpoints.
     """
     marks = checkpoints(n)
     out = []
-    best = ZERO
     if (generators := _generators(m, n)) is not None:
-        diag, col, row = generators
+        d, diag, col, row = generators
         highs, lows = list(accumulate(col, max)), list(accumulate(col, min))
+        best = 0
         for last in range(n):
             if last:
                 r = row[last]
                 best = max(best, abs(highs[last - 1] + r), abs(lows[last - 1] + r))
             best = max(best, abs(diag[last]))
             if last + 1 in marks:
-                out.append((last + 1, best))
+                out.append((last + 1, Fraction(best, d)))
         return tuple(out)
+    best = ZERO
     for last, row, column, diagonal in _borders(m, n):
         cells = [(last, i) for i in row]
         if column:
@@ -228,15 +236,15 @@ def cond_l1_c(m, n: int) -> tuple:
     For each column k < N/4: the oscillation of the entries over rows
     [N/2, N] (0 in a row whose support leaves column k out) and the entry
     at row N as the limit estimate.  With generator lists those entries are
-    col[k] + row[n], so the oscillation is that of row over the window, the
-    same for every column.
+    (col[k] + row[n]) / d, so the oscillation is that of row over the
+    window, the same for every column.
     """
     quarter, half, _ = checkpoints(n)
     if (generators := _generators(m, n + 1)) is not None:
-        _, col, row = generators
+        d, _, col, row = generators
         window = row[half:]
-        osc = max(window) - min(window)
-        columns = [(osc, col[k] + row[n]) for k in range(quarter)]
+        osc = Fraction(max(window) - min(window), d)
+        columns = [(osc, Fraction(col[k] + row[n], d)) for k in range(quarter)]
     else:
         rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
         columns = []
@@ -266,7 +274,7 @@ def cond_l1_l1(m, n: int) -> tuple:
     marks = checkpoints(n)
     out = []
     if (generators := _generators(m, n)) is not None:
-        diag, col, row = generators
+        d, diag, col, row = generators
         below = _AbsSums(row)
         bases = []  # |diag[k]| less the sum over rows 1..k
         for last in range(n):
@@ -274,7 +282,8 @@ def cond_l1_l1(m, n: int) -> tuple:
                 below.insert(last)
             bases.append(abs(diag[last]) - below.query(col[last]))
             if last + 1 in marks:
-                out.append((last + 1, max(b + below.query(c) for b, c in zip(bases, col))))
+                column_max = max(b + below.query(c) for b, c in zip(bases, col))
+                out.append((last + 1, Fraction(column_max, d)))
         return tuple(out)
     sums: list[Fraction] = []
     for last, row, column, diagonal in _borders(m, n):

@@ -366,17 +366,36 @@ def stats(kind, m, n):
         return str(exc)
 
 
+def assert_fractions(stats):
+    """Every value of a dict of condition statistics is a Fraction: the
+    structure path divides its integers back, and spaces.classify_trend
+    divides the values exactly."""
+    for name, value in stats.items():
+        if name == "column_limits":
+            values = [c[key] for c in value for key in ("oscillation", "limit_estimate")]
+        else:
+            values = [v for _, v in value]
+        assert all(type(v) is F for v in values), name
+
+
+def assert_structure_matches_scan(kind, fast, scanned, n):
+    got = stats(kind, fast, n)
+    assert got == stats(kind, scanned, n), kind
+    if isinstance(got, dict):
+        assert_fractions(got)
+
+
 def assert_generators_match_scans(dom, a, n):
     alpha = with_and_without_structure(lambda: alpha_assoc(dom.matrix, a))
     beta = with_and_without_structure(lambda: beta_assoc(dom.matrix, a))
     for kind, (fast, scanned) in (("alpha", alpha), ("beta", beta), ("gamma", beta)):
-        assert stats(kind, fast, n) == stats(kind, scanned, n), kind
+        assert_structure_matches_scan(kind, fast, scanned, n)
     if dom.weights is not None:
         # the cross-check matrix's structure comes from the weight closed
         # forms; the scanned beta_assoc matrix has the same entries
         closed = closed_form_beta_matrix(dom.weights, a)
         assert duals._generators(closed, 1) is not None
-        assert stats("beta", closed, n) == stats("beta", beta[1], n), "closed_form"
+        assert_structure_matches_scan("beta", closed, beta[1], n)
     return stats("beta", beta[0], n)
 
 
@@ -430,6 +449,87 @@ def test_generator_statistics_property(us, vs, values, n):
     a = Seq.from_values(values)
     for dom in (weighted_domain(WeightPair(u, v)), riesz_domain(RieszWeights(u))):
         assert_generators_match_scans(dom, a, n)
+
+
+# ------------------------------------------ the integer kernel of the statistics
+
+
+ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__abs__", "__neg__", "__lt__", "__gt__",
+)
+
+
+@pytest.mark.parametrize("domain", ["C", "G[alternating]", "R[2^k]"])
+def test_structure_statistics_do_no_fraction_arithmetic(domain, monkeypatch):
+    """Once the generator lists are grown, the three statistics of a dual
+    matrix and of the closed-form matrix run on integers: no Fraction
+    addition, product, abs, negation or order comparison but the <= of the
+    oscillation tolerance."""
+    n = 32
+    dom = DOMAINS[domain]()
+    a = Seq(lambda k: F((-1) ** k, k + 1))
+    matrices = [alpha_assoc(dom.matrix, a), beta_assoc(dom.matrix, a)]
+    if dom.weights is not None:
+        matrices.append(closed_form_beta_matrix(dom.weights, a))
+    for m in matrices:
+        assert duals._generators(m, n + 1) is not None
+    expected = [[scan(m, n) for scan in (cond_l1_linf, cond_l1_c, cond_l1_l1)] for m in matrices]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the structure path")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, forbidden)
+    got = [[scan(m, n) for scan in (cond_l1_linf, cond_l1_c, cond_l1_l1)] for m in matrices]
+    monkeypatch.undo()
+    assert got == expected
+
+
+# denominators 2^k - 1 and distinct primes are pairwise coprime, so the lcm
+# of the generator lists is far larger than any one of them
+HOSTILE_DENOMINATORS = [1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 2, 5, 11, 13, 17, 19, 23, 29, 97, 101]
+hostile = st.builds(F, st.integers(-9, 9), st.sampled_from(HOSTILE_DENOMINATORS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 12, 16, 32]), st.data())
+def test_one_sided_structure_statistics_property(n, data):
+    """A matrix with one term constant along rows, one constant along
+    columns and an excess: entry(n, k) = col[k] + row[n] below the diagonal.
+    Some row values are tied with -col[k], so the bisect of _AbsSums lands
+    on equal values; the statistics of its structure equal its scans."""
+    size = n + 1
+    col = data.draw(st.lists(hostile, min_size=size, max_size=size))
+    row = data.draw(st.lists(hostile, min_size=size, max_size=size))
+    ties = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=size))
+    for j, k in ties:
+        row[j] = -col[k]
+    excess = data.draw(st.lists(hostile, min_size=size, max_size=size))
+
+    def build():
+        def entry(i, k):
+            return col[k] + row[i] + (excess[i] if i == k else 0)
+
+        terms = [(row.__getitem__, None), (None, col.__getitem__)]
+        return BandedMatrix(entry, structure=(terms, excess.__getitem__))
+
+    fast, scanned = with_and_without_structure(build)
+    for kind in ("alpha", "beta"):
+        assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+def test_abs_sums_query_equals_the_direct_sum():
+    """Duplicates, negatives and queries tied with an inserted -v."""
+    rng = random.Random(7)
+    for _ in range(50):
+        values = [rng.randint(-6, 6) for _ in range(rng.randint(1, 30))]
+        sums, inserted = duals._AbsSums(values), []
+        for i in rng.sample(range(len(values)), len(values)):
+            sums.insert(i)
+            inserted.append(values[i])
+            for x in [-v for v in inserted] + [rng.randint(-10, 10), 0]:
+                assert sums.query(x) == sum(abs(x + v) for v in inserted)
 
 
 @pytest.mark.parametrize(

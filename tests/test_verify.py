@@ -15,6 +15,9 @@ the kernels report the same failures.  The cases of the dual coincidence,
 beta-implies-gamma, apply-compose and Cesaro-coherence families were
 recorded before compose multiplied the structures of two structured
 triangles and built the dual matrices.
+The cases of the inverse-identity-left, specialization, closed-form,
+delta-step, basis-reconstruction and finite-support families were recorded
+before the structure path of the condition statistics ran on integers.
 The whole reports of the suites at N=16, the self_check benchmark size, are
 pinned by their digests too.
 """
@@ -322,6 +325,130 @@ CASES = [
         },
         "168e592770a3ee8965f1424057c1232770e0308f1e06d55bc00dd190864a5422",
         522467575,
+    ),
+    (
+        "identities",
+        (verify, "dense_mul", 3, lambda orig, a, b: _bump(orig(a, b), 6, 6)),
+        {
+            "name": "inverse_identity_left[cesaro]",
+            "status": "fail",
+            "counterexample": {"position": [6, 6], "expected": "1", "got": "2"},
+        },
+        "0a8085e7115f5e70816795e6ab0fc694e8cb9bdf94122da85b87caae4806b6f5",
+        278479249,
+    ),
+    (
+        # the weights of the specialized mean double v_5
+        "identities",
+        (
+            verify,
+            "_cesaro_weight_pair",
+            0,
+            lambda orig: builders.WeightPair(
+                Seq(lambda n: Fraction(1, n + 1)), Seq(lambda k: Fraction(1 + (k == 5)))
+            ),
+        ),
+        {
+            "name": "specialization_weighted_to_cesaro",
+            "status": "fail",
+            "counterexample": {"position": [5, 5], "expected": "1/6", "got": "1/3"},
+        },
+        "33598e47d741961c1a1070e566449d15527246af8fe4ed0485b896b9487a6ac0",
+        278479249,
+    ),
+    (
+        # the Riesz weights double q_7, so every Q_n from n = 7 on is one more
+        "identities",
+        (
+            verify,
+            "_unit_riesz_weights",
+            0,
+            lambda orig: builders.RieszWeights(Seq(lambda k: Fraction(1 + (k == 7)))),
+        ),
+        {
+            "name": "specialization_riesz_to_cesaro",
+            "status": "fail",
+            "counterexample": {"position": [7, 0], "expected": "1/8", "got": "1/9"},
+        },
+        "b9e2ae0b82d40f9ee21543afbff445babd622e1f995fc13c6c36eef79bb8e371",
+        278479249,
+    ),
+    (
+        "identities",
+        (builders, "phi_closed_form", 0, lambda orig: compose(orig(), _nudge())),
+        {
+            "name": "closed_form_phi",
+            "status": "fail",
+            "counterexample": {"position": [9, 4], "expected": "-1/90", "got": "1/315"},
+        },
+        "f3ca1b72f7755aa69be87e9584005c260228d6e5c0709f4533e55a5a197da773",
+        278479249,
+    ),
+    (
+        # the closed form reads v with v_3 doubled
+        "identities",
+        (
+            builders,
+            "gamma_closed_form",
+            0,
+            lambda orig, w: orig(builders.WeightPair(w.u, Seq(lambda k: w.v(k) * (1 + (k == 3))))),
+        ),
+        {
+            "name": "closed_form_gamma",
+            "status": "fail",
+            "counterexample": {"position": [3, 3], "expected": "4/5", "got": "8/5"},
+        },
+        "840bba89a5507cf136be2b8c0d9dfba689553ea759350f70a7042d29e5f27474",
+        278479249,
+    ),
+    (
+        "identities",
+        (builders, "sigma_closed_form", 0, lambda orig, r: orig(verify._unit_riesz_weights())),
+        {
+            "name": "closed_form_sigma",
+            "status": "fail",
+            "counterexample": {"position": [1, 0], "expected": "-2/3", "got": "-1/2"},
+        },
+        "d478a0c806506c1e401bffef8983b113647d0caeb55be2c6e7e03b60d5b9e5b6",
+        278479249,
+    ),
+    (
+        # calls 0-23 are the basis_application cases, 8 per domain
+        "bases",
+        (builders, "basis_column", 24, lambda orig, t, k: orig(t, k + 1)),
+        {
+            "name": "delta_basis_step_shape",
+            "status": "fail",
+            "counterexample": {"position": [3], "expected": "1", "got": "0"},
+        },
+        "c0e0faaf838a4bf1ddb6335db81e65d3445c7bea6d2811cfed4cdef62a96f734",
+        190504374,
+    ),
+    (
+        # call 31 is the third reconstruction of the G domain; its last two
+        # cases draw nothing, the R domain's five still do
+        "bases",
+        (verify, "apply", 31, lambda orig, t, x, n: [2 * v for v in orig(t, x, n)]),
+        {
+            "name": "basis_reconstruction[G,case=2]",
+            "status": "fail",
+            "counterexample": {"position": [0], "expected": "-7/6", "got": "-7/3"},
+        },
+        "00d45f7c80e277282604557ae7067b41a670169439c317b86fdcc480b38d43cc",
+        64510957,
+    ),
+    (
+        # the alpha test of the R domain reads a copy of a that drops the
+        # support bound, so its verdict comes from the column l1 sums
+        "duals",
+        (duals, "dual_test", 15, lambda orig, t, a, kind, n: orig(t, Seq(lambda k: a(k)), kind, n)),
+        {
+            "name": "finite_support_certified[R,alpha]",
+            "status": "fail",
+            "counterexample": {"verdict": "likely_in"},
+        },
+        "3886de6a9d9ad7d6ec9c313458a430de5ade61b8b7c4ac02e912040aa6e3ada9",
+        454175622,
     ),
 ]
 
