@@ -2,9 +2,8 @@
 
 The alpha-dual matrix is diag(a) . inverse(domain); the beta/gamma matrix
 sums it down each column, sigma . diag(a) . inverse(domain), so b_nk =
-sum_{j=k}^{n} a_j * inverse(domain)_jk.  Both are built by ``core.compose``
-and are lower triangular but never inverted, so they are plain
-``BandedMatrix`` objects.
+sum_{j=k}^{n} a_j * inverse(domain)_jk.  Both are lower triangular but
+never inverted, so they are plain ``BandedMatrix`` objects.
 Each dual kind is decided (heuristically, at truncation) by the matrix-class
 conditions for (l1:l1), (l1:c), (l1:linf) evaluated on the associated matrix.
 The statistics live in one dict keyed by report name (``condition_stats``),
@@ -14,14 +13,18 @@ reads (``condition_verdict``); ``matclass`` uses the same three functions.
 The dual matrices get the structure of ``core`` from ``compose``, which
 multiplies the structures of diag(a) (no terms and the excess a), of the
 sum matrix and of the domain inverse; the closed-form cross-check matrix
-declares the beta form from the weights.  When
-every term is constant along rows or along columns, as it is for a domain
-inverse, a matrix is col[k] + row[n] below its diagonal, and the three
-statistics compute from those lists in O(N log N) integer operations: the
-lists are scaled over one lcm d of their denominators, in the manner of the
-integer kernels of ``core``, and only each reported value is divided by d
-back into a Fraction.  They scan any other
-matrix (E, F, a bare triangle domain), and the scans are also the oracle
+declares the beta form from the weights.  When a structure's terms are
+constant along rows plus either constant along columns or exactly one
+two-sided term (U1, V1), a matrix is w[n] col[k] + row[n] below its
+diagonal, with w = 1 or w = U1, and the three statistics compute from
+those lists in O(N log N) integer operations: prefix extremes, a Fenwick
+tree over the sorted points row[n]/w[n] and the envelopes of the lines
+w[n] x + row[n].  That covers the dual matrices and F = domain . B for
+B = sum or cesaro.  The lists are scaled over common denominators, in the
+manner of the integer kernels of ``core``, kept on the matrix and rescaled
+only when a grown value needs it; each reported value is divided by d
+back into a Fraction.  The statistics scan any other matrix (E, F for a
+bidiagonal B, a bare triangle domain), and the scans are also the oracle
 the structure path is checked against.  A scan reads only the cells the
 matrix's row supports leave possibly nonzero, in the order of a scan of
 the whole square, and does no arithmetic on a zero, so E of a finite
@@ -35,9 +38,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Callable, Optional, Union
 
-from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, _scaled, add_all, compose, diagonal, invert, running_sum
+from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, compose, diagonal, invert, running_sum
 from .builders import Domain, Weights, sigma_sum
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
@@ -49,53 +53,96 @@ DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
 def _generators(m, size: int) -> Optional[tuple]:
-    """(d, diag, col, row): integer lists below size with entry(n, n) =
-    diag[n] / d and entry(n, k) = (col[k] + row[n]) / d for k < n, when each
-    term of m's structure is constant along rows (U, None) or along columns
-    (None, V); else None.  The Fraction lists are kept on m and extended to
-    the largest size asked for, so the statistics of one matrix read each
-    weight once; d is the lcm of all their denominators."""
-    if m.structure is None or any(u is not None and v is not None for u, v in m.structure[0]):
+    """(d, diag, w, col, row): integer lists below size with entry(n, n) =
+    diag[n] / d and entry(n, k) = (w[n] col[k] + row[n]) / d for k < n.
+
+    They exist when m's structure has row terms (U, None) and either column
+    terms (None, V), so that w = 1, or exactly one two-sided term (U1, V1),
+    so that w is U1 and col is V1; row sums the row terms.  For any other
+    structure, and for none, this is None.  The lists are kept on m and
+    extended to the largest size asked for, so the statistics of one matrix
+    read each weight once and scale it once."""
+    if m.structure is None:
         return None
-    grow = getattr(m, "_generator_lists", None)
-    if grow is None:
+    try:
+        grow = m._generator_lists
+    except AttributeError:
         grow = m._generator_lists = _generator_lists(m.structure)
-    diag, col, row = grow(size)
-    d, values = _scaled(diag + col + row)
-    return d, values[:size], values[size : 2 * size], values[2 * size :]
+    return None if grow is None else grow(size)
 
 
-def _generator_lists(structure) -> Callable[[int], tuple]:
-    """size -> the lists (diag, col, row) of a structure below size, built by
-    appending and so locked."""
+def _rescale(values: list, old: int, new: int) -> None:
+    """Replace each x of values by x * new / old, an integer for each."""
+    g = gcd(old, new)
+    if g != old or g != new:
+        values[:] = [x * (new // g) // (old // g) for x in values]
+
+
+def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
+    """size -> the lists (d, diag, w, col, row) of ``_generators`` below
+    size, or None when the structure has none.
+
+    w is scaled by the lcm dw of its denominators, col by d / dw, and diag
+    and row by d, the lcm of dw times col's lcm and of the denominators of
+    diag and row: then w[n] col[k] + row[n] is d times the entry.  The lists
+    are built by appending, and so locked.  What a grown chunk appends is
+    scaled once, and what is kept is rescaled only when a new denominator
+    does not divide its scale."""
     terms, excess = structure
     row_terms = [u for u, v in terms if v is None]
-    col_terms = [v for u, v in terms if v is not None]
-    diag, col, row = [], [], []
+    col_terms = [v for u, v in terms if u is None and v is not None]
+    two_sided = [(u, v) for u, v in terms if u is not None and v is not None]
+    if len(two_sided) > 1 or two_sided and col_terms:
+        return None
+    weight = two_sided[0][0] if two_sided else None
+    col_terms += [v for _, v in two_sided]
+    lists = diag, w, col, row = [], [], [], []
+    scales = [1, 1, 1]  # dw, the lcm of col's denominators, d
     lock = threading.Lock()
 
     def grow(size: int) -> tuple:
         with lock:
+            chunk = []
             for j in range(len(diag), size):
                 # row j below its diagonal first, as an entry scan reads it,
                 # so an invalid weight is reported at the same index either way
                 rows = [ONE if u is None else u(j) for u in row_terms]
+                scale = ONE if weight is None else weight(j)
                 cols = [v(j) for v in col_terms]
-                d = add_all(rows + cols + ([] if excess is None else [excess(j)]))
-                row.append(add_all(rows))
-                col.append(add_all(cols))
-                diag.append(d)
-            return diag[:size], col[:size], row[:size]
+                below = cols if weight is None else [scale * cols[0]]
+                on_diagonal = add_all(rows + below + ([] if excess is None else [excess(j)]))
+                chunk.append((on_diagonal, scale, add_all(cols), add_all(rows)))
+            if chunk:
+                dw, dc, d = scales
+                new_diag, new_w, new_col, new_row = zip(*chunk)
+                dw2 = lcm(dw, *(x.denominator for x in new_w))
+                dc2 = lcm(dc, *(x.denominator for x in new_col))
+                d2 = lcm(d, dw2 * dc2, *(x.denominator for x in new_diag + new_row))
+                for kept, values, old, new in (
+                    (diag, new_diag, d, d2),
+                    (w, new_w, dw, dw2),
+                    (col, new_col, d // dw, d2 // dw2),
+                    (row, new_row, d, d2),
+                ):
+                    _rescale(kept, old, new)
+                    kept += [x.numerator * (new // x.denominator) for x in values]
+                scales[:] = dw2, dc2, d2
+            return (scales[2],) + tuple(kept[:size] for kept in lists)
 
     return grow
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
-    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse."""
-    product = compose(diagonal(a), invert(domain_matrix))
+    """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
+
+    Its structure is the product's; its entries are a_n inverse(n, k), which
+    read the inverse's row n also where a_n = 0, as the structure reads the
+    inverse's weights there, so both report the same invalid weight."""
+    inverse = invert(domain_matrix)
+    product = compose(diagonal(a), inverse)
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
-    return BandedMatrix(lambda n, k: product.entry(n, k), band=product.band, structure=product.structure)
+    return BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
 
 
 def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
@@ -134,47 +181,87 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
 
 
 class _AbsSums:
-    """Sum of |x + v| over the values v inserted so far from a fixed list of
-    integers.
+    """Sum of |w x + r| over the pairs (w, r) inserted so far from fixed
+    lists of integers.
 
-    Fenwick trees (Fenwick 1994) of counts and of sums over the sorted ranks
-    of the list answer a query from the inserted values below -x, in
-    O(log N) integer operations per insertion and per query.
+    A pair with w != 0 adds |w| |x + r/w|, whose sign changes at x = -r/w;
+    one with w = 0 adds |r|.  Fenwick trees (Fenwick 1994) of |w| and of
+    sign(w) r over the sorted points r/w answer a query from the inserted
+    points below -x, in O(log N) integer operations per insertion and per
+    query.  The points are compared as integers over the lcm L of the |w|,
+    r/w as sign(w) r L/|w|; with w = 1 they are the r themselves.
     """
 
-    def __init__(self, values: list):
-        order = sorted(range(len(values)), key=values.__getitem__)
-        self._values = values
-        self._sorted = [values[i] for i in order]
-        self._rank = [0] * len(values)
+    def __init__(self, weights: list, values: list):
+        scale = lcm(*(abs(w) for w in weights if w))
+        keys = [(r if w > 0 else -r) * (scale // abs(w)) if w else 0 for w, r in zip(weights, values)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._scale = scale
+        self._weights, self._values = weights, values
+        self._sorted = [keys[i] for i in order]
+        self._rank = [0] * len(keys)
         for rank, i in enumerate(order, 1):
             self._rank[i] = rank
-        self._counts = [0] * (len(values) + 1)
-        self._sums = [0] * (len(values) + 1)
-        self._count, self._total = 0, 0
+        self._slopes = [0] * (len(keys) + 1)
+        self._sums = [0] * (len(keys) + 1)
+        self._slope, self._total = 0, 0
 
     def insert(self, i: int) -> None:
-        """Insert values[i]."""
-        value = self._values[i]
-        self._count += 1
+        """Insert the pair (weights[i], values[i])."""
+        w, r = self._weights[i], self._values[i]
+        if not w:
+            self._total += abs(r)
+            return
+        slope, value = abs(w), r if w > 0 else -r
+        self._slope += slope
         self._total += value
         rank = self._rank[i]
-        while rank < len(self._counts):
-            self._counts[rank] += 1
+        while rank < len(self._sums):
+            self._slopes[rank] += slope
             self._sums[rank] += value
             rank += rank & -rank
 
     def query(self, x: int) -> int:
-        """Sum of |x + v| over the inserted v."""
-        # v < -x contributes -(x + v) and any other v contributes x + v;
-        # values tied with -x contribute 0 either way
-        rank = bisect_left(self._sorted, -x)
-        count, below = 0, 0
+        """Sum of |w x + r| over the inserted pairs."""
+        # a point below -x contributes -(|w| x + sign(w) r) and any other
+        # |w| x + sign(w) r; points tied with -x contribute 0 either way
+        rank = bisect_left(self._sorted, -x * self._scale)
+        slope, below = 0, 0
         while rank:
-            count += self._counts[rank]
+            slope += self._slopes[rank]
             below += self._sums[rank]
             rank -= rank & -rank
-        return x * (self._count - 2 * count) + self._total - 2 * below
+        return x * (self._slope - 2 * slope) + self._total - 2 * below
+
+
+def _maxima(lines: list, xs: list) -> list:
+    """The max of w x + r over the lines (w, r), at each x of xs.
+
+    The upper envelope of the lines (Andrew 1979) holds, by increasing
+    slope, the lines that are highest somewhere; of lines of equal slope
+    only the highest can be.  As x grows the maximum moves along it to
+    larger slopes, so one walk over the sorted xs answers them all, in
+    O((N + Q) log N) integer operations for N lines and Q points.
+    """
+    hull: list = []
+    # sorted pairs into a dict keep the last, highest, line of each slope
+    for slope, r in dict(sorted(lines)).items():
+        while len(hull) > 1:
+            (s0, r0), (s1, r1) = hull[-2:]
+            # the last line is hidden when the new one meets the one before
+            # it at or above it
+            if (r - r0) * (s1 - s0) < (r1 - r0) * (slope - s0):
+                break
+            hull.pop()
+        hull.append((slope, r))
+    out = [0] * len(xs)
+    i = 0
+    for k in sorted(range(len(xs)), key=xs.__getitem__):
+        x = xs[k]
+        while i + 1 < len(hull) and hull[i + 1][0] * x + hull[i + 1][1] >= hull[i][0] * x + hull[i][1]:
+            i += 1
+        out[k] = hull[i][0] * x + hull[i][1]
+    return out
 
 
 def _borders(m, n: int):
@@ -197,19 +284,20 @@ def cond_l1_linf(m, n: int) -> tuple:
     One pass grows the square by its last row and column, so each entry of
     the N x N square in m's supports is read once and the smaller squares
     are checkpoints.  With generator lists, the new row's entries below the
-    diagonal are col[k] + row[last], extremal at the extremes of col over
-    k < last; the sup is taken on the integers and divided at checkpoints.
+    diagonal are w[last] col[k] + row[last], extremal at the extremes of col
+    over k < last; the sup is taken on the integers and divided at
+    checkpoints.
     """
     marks = checkpoints(n)
     out = []
     if (generators := _generators(m, n)) is not None:
-        d, diag, col, row = generators
+        d, diag, w, col, row = generators
         highs, lows = list(accumulate(col, max)), list(accumulate(col, min))
         best = 0
         for last in range(n):
             if last:
-                r = row[last]
-                best = max(best, abs(highs[last - 1] + r), abs(lows[last - 1] + r))
+                scale, r = w[last], row[last]
+                best = max(best, abs(scale * highs[last - 1] + r), abs(scale * lows[last - 1] + r))
             best = max(best, abs(diag[last]))
             if last + 1 in marks:
                 out.append((last + 1, Fraction(best, d)))
@@ -236,15 +324,23 @@ def cond_l1_c(m, n: int) -> tuple:
     For each column k < N/4: the oscillation of the entries over rows
     [N/2, N] (0 in a row whose support leaves column k out) and the entry
     at row N as the limit estimate.  With generator lists those entries are
-    (col[k] + row[n]) / d, so the oscillation is that of row over the
-    window, the same for every column.
+    (w[n] col[k] + row[n]) / d, the lines w[n] x + row[n] of the window at
+    x = col[k], so the oscillation is the max less the min of those lines,
+    read from their upper and lower envelopes (``_maxima``).  With w = 1
+    the lines are parallel, and the oscillation is the same for every
+    column.
     """
     quarter, half, _ = checkpoints(n)
     if (generators := _generators(m, n + 1)) is not None:
-        d, _, col, row = generators
-        window = row[half:]
-        osc = Fraction(max(window) - min(window), d)
-        columns = [(osc, Fraction(col[k] + row[n], d)) for k in range(quarter)]
+        d, _, w, col, row = generators
+        lines = list(zip(w[half:], row[half:]))
+        xs = col[:quarter]
+        highs = _maxima(lines, xs)
+        lows = _maxima([(-slope, -r) for slope, r in lines], xs)  # -min
+        columns = [
+            (Fraction(high + low, d), Fraction(w[n] * x + row[n], d))
+            for high, low, x in zip(highs, lows, xs)
+        ]
     else:
         rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
         columns = []
@@ -268,14 +364,15 @@ def cond_l1_l1(m, n: int) -> tuple:
     Like cond_l1_linf, one pass over the N x N square's supports: the
     running column sums take the new last row, then the new last column is
     summed.  With generator lists, column k's sum at a checkpoint size is
-    |diag[k]| plus the sum of |col[k] + row[j]| over k < j < size: the sum
-    over rows 1..size-1 less the one over rows 1..k, both from ``_AbsSums``.
+    |diag[k]| plus the sum of |w[j] col[k] + row[j]| over k < j < size: the
+    sum over rows 1..size-1 less the one over rows 1..k, both from
+    ``_AbsSums``.
     """
     marks = checkpoints(n)
     out = []
     if (generators := _generators(m, n)) is not None:
-        d, diag, col, row = generators
-        below = _AbsSums(row)
+        d, diag, w, col, row = generators
+        below = _AbsSums(w, row)
         bases = []  # |diag[k]| less the sum over rows 1..k
         for last in range(n):
             if last:

@@ -46,7 +46,7 @@ from bvdomains.duals import (
     condition_stats,
     dual_test,
 )
-from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
+from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain, left_transform_F
 from bvdomains.spaces import SpaceId, checkpoints
 
 E = Seq.constant(1)
@@ -264,6 +264,13 @@ def test_beta_cross_check_runs_only_the_compared_statistics(cond_calls):
     assert cond_calls == {"cond_l1_linf": 2, "cond_l1_c": 2, "cond_l1_l1": 1}
 
 
+def last_generator_row(m, size):
+    """Row size - 1 of the leading square of m that its generator lists
+    represent; their scale d depends on how far they have grown."""
+    d, diag, w, col, row = duals._generators(m, size)
+    return tuple(F(w[-1] * c + row[-1], d) for c in col[:-1]) + (F(diag[-1], d),)
+
+
 def test_appended_rows_are_consistent_across_threads():
     """Inverse rows, beta_assoc columns, the running sums of a structured
     transform and the generator lists of the statistics grow by appending
@@ -285,7 +292,7 @@ def test_appended_rows_are_consistent_across_threads():
             beta_assoc(domain, a).entry,
             invert(compose(delta(), hilbert)).entry,
             lambda row, col: transform(row + col),
-            lambda row, col: duals._generators(generators, row + col + 1),
+            lambda row, col: last_generator_row(generators, row + col + 1),
         )
 
     expected = [{c: read_at(*c) for c in cells} for read_at in build()]
@@ -410,25 +417,49 @@ def test_generator_statistics_equal_the_scans(domain, n):
 
 def test_generators_report_the_invalid_weight_the_scans_do():
     """Both weights vanish at index 1; the structure path reads row 1 below
-    its diagonal first, as the scans do, so both paths name v[1]."""
+    its diagonal first, as the scans do, so both paths name v[1] on the dual
+    matrices, and u[1] on a weighted mean and gamma, whose row weight u is
+    read before its column weight v."""
     zero_at_1 = Seq(lambda k: F(0) if k == 1 else F(1))
-    dom = weighted_domain(WeightPair(zero_at_1, zero_at_1))
-    for kind, assoc in (("alpha", alpha_assoc), ("beta", beta_assoc)):
-        for m in with_and_without_structure(lambda: assoc(dom.matrix, E)):
-            with pytest.raises(InvalidWeightsError, match=r"v\[1\]"):
+    w = WeightPair(zero_at_1, zero_at_1)
+    dom = weighted_domain(w)
+    builds = [
+        ("alpha", lambda: alpha_assoc(dom.matrix, E), "v"),
+        ("beta", lambda: beta_assoc(dom.matrix, E), "v"),
+        ("alpha", lambda: weighted_mean(w), "u"),
+        ("alpha", lambda: gamma(w), "u"),
+    ]
+    for kind, build, name in builds:
+        for m in with_and_without_structure(build):
+            with pytest.raises(InvalidWeightsError, match=rf"{name}\[1\]"):
                 condition_stats(kind, m, 16)
 
 
 def test_statistics_of_means_and_domain_matrices_equal_the_scans():
-    """The Cesaro mean and phi have one-sided terms, read as generator lists;
-    the term (u, v) of a weighted mean and of gamma is two-sided, so the
-    statistics scan those."""
+    """The Cesaro mean and phi have one-sided terms, read as generator lists
+    with w = 1; the term (u, v) of a weighted mean and of gamma is
+    two-sided, read with w = u and col = v.  All take the structure path."""
     w = WeightPair(Seq(lambda n: F(1, n + 2)), Seq(lambda k: F(k + 1)))
     for build in (cesaro, lambda: weighted_mean(w), phi, lambda: gamma(w)):
-        plain = build()
-        plain.structure = None
-        for kind in ("alpha", "beta"):
-            assert condition_stats(kind, build(), 16) == condition_stats(kind, plain, 16)
+        fast, scanned = with_and_without_structure(build)
+        for kind in ("alpha", "beta", "gamma"):
+            assert_structure_matches_scan(kind, fast, scanned, 16)
+
+
+# B whose F = domain . B declares a row term and one two-sided term
+F_RIGHT = {"sum": sigma_sum, "cesaro": cesaro}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16, 48])
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_statistics_of_F_equal_the_scans(domain, n):
+    """F = domain . B for B = sum and cesaro is read as the lists
+    w[n] col[k] + row[n], w the domain's row weight: all three statistics
+    equal the scans of F with its structure removed."""
+    for name, b in F_RIGHT.items():
+        fast, scanned = with_and_without_structure(lambda: left_transform_F(b(), DOMAINS[domain]().matrix))
+        for kind in ("alpha", "beta", "gamma"):
+            assert_structure_matches_scan(kind, fast, scanned, n)
 
 
 positive = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -463,13 +494,14 @@ ARITHMETIC = (
 @pytest.mark.parametrize("domain", ["C", "G[alternating]", "R[2^k]"])
 def test_structure_statistics_do_no_fraction_arithmetic(domain, monkeypatch):
     """Once the generator lists are grown, the three statistics of a dual
-    matrix and of the closed-form matrix run on integers: no Fraction
-    addition, product, abs, negation or order comparison but the <= of the
-    oscillation tolerance."""
+    matrix, of the closed-form matrix and of F = domain . B run on integers:
+    no Fraction addition, product, abs, negation or order comparison but the
+    <= of the oscillation tolerance."""
     n = 32
     dom = DOMAINS[domain]()
     a = Seq(lambda k: F((-1) ** k, k + 1))
     matrices = [alpha_assoc(dom.matrix, a), beta_assoc(dom.matrix, a)]
+    matrices += [left_transform_F(b(), dom.matrix) for b in F_RIGHT.values()]
     if dom.weights is not None:
         matrices.append(closed_form_beta_matrix(dom.weights, a))
     for m in matrices:
@@ -519,17 +551,69 @@ def test_one_sided_structure_statistics_property(n, data):
         assert_structure_matches_scan(kind, fast, scanned, n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 12, 16, 32]), st.data())
+def test_row_weighted_structure_statistics_property(n, data):
+    """A matrix with a row term, one two-sided term (w, col) and an excess:
+    entry(n, k) = w[n] col[k] + row[n] below the diagonal.  w has zeros and
+    both signs, and some points row[j]/w[j] are tied with -col[k], so the
+    bisect of _AbsSums lands on equal keys and envelope lines meet at the
+    columns; the statistics of its structure equal its scans."""
+    size = n + 1
+    weights = data.draw(st.lists(st.one_of(st.just(F(0)), hostile), min_size=size, max_size=size))
+    col = data.draw(st.lists(hostile, min_size=size, max_size=size))
+    row = data.draw(st.lists(hostile, min_size=size, max_size=size))
+    ties = data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=size))
+    for j, k in ties:
+        row[j] = -col[k] * weights[j]
+    excess = data.draw(st.lists(hostile, min_size=size, max_size=size))
+
+    def build():
+        def entry(i, k):
+            return weights[i] * col[k] + row[i] + (excess[i] if i == k else 0)
+
+        terms = [(row.__getitem__, None), (weights.__getitem__, col.__getitem__)]
+        return BandedMatrix(entry, structure=(terms, excess.__getitem__))
+
+    fast, scanned = with_and_without_structure(build)
+    for kind in ("alpha", "beta"):
+        assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+def test_structures_without_generator_lists_are_scanned():
+    """Two two-sided terms, or a two-sided term and a column term, have no
+    lists w[n] col[k] + row[n]."""
+    u, v = Seq(lambda n: F(n + 1)), Seq(lambda k: F(1, k + 1))
+    for terms in ([(u, v), (v, u)], [(u, v), (None, v)]):
+        m = BandedMatrix(lambda n, k: F(0), structure=(terms, None))
+        assert duals._generators(m, 4) is None
+
+
+def test_maxima_equal_the_direct_max():
+    """Equal slopes, lines through one point and points tied at a
+    breakpoint."""
+    rng = random.Random(11)
+    for _ in range(200):
+        lines = [(rng.randint(-4, 4), rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
+        xs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 10))]
+        assert duals._maxima(lines, xs) == [max(w * x + r for w, r in lines) for x in xs]
+
+
 def test_abs_sums_query_equals_the_direct_sum():
-    """Duplicates, negatives and queries tied with an inserted -v."""
+    """Weights of 1, and weights with zeros and both signs; duplicates,
+    negatives and queries tied with an inserted point -r/w."""
     rng = random.Random(7)
-    for _ in range(50):
-        values = [rng.randint(-6, 6) for _ in range(rng.randint(1, 30))]
-        sums, inserted = duals._AbsSums(values), []
-        for i in rng.sample(range(len(values)), len(values)):
+    for trial in range(100):
+        size = rng.randint(1, 30)
+        values = [rng.randint(-6, 6) for _ in range(size)]
+        weights = [1] * size if trial % 2 else [rng.randint(-3, 3) for _ in range(size)]
+        sums, inserted = duals._AbsSums(weights, values), []
+        for i in rng.sample(range(size), size):
             sums.insert(i)
-            inserted.append(values[i])
-            for x in [-v for v in inserted] + [rng.randint(-10, 10), 0]:
-                assert sums.query(x) == sum(abs(x + v) for v in inserted)
+            inserted.append((weights[i], values[i]))
+            ties = [-r // w for w, r in inserted if w and r % w == 0]
+            for x in ties + [rng.randint(-10, 10), 0]:
+                assert sums.query(x) == sum(abs(w * x + r) for w, r in inserted)
 
 
 @pytest.mark.parametrize(

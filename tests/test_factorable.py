@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvdomains import builders, cli, duals, spaces
+from bvdomains import builders, cli, duals, matclass, spaces
 from bvdomains.core import (
     BandedMatrix,
     InvalidWeightsError,
@@ -371,6 +371,11 @@ _INVALID = {
     },
 }
 _RIGHT_SHAPES = ("mean", "domain", "inverse_of(domain)", "mean.mean", "domain.inverse_of(domain)")
+# a sequence whose zero terms make rows of the alpha matrix 0 at and before
+# the invalid indices
+_ZERO_TERMS = ["1", "-2", "0", "5"]
+# the B whose F = domain . B declares a structure
+_F_DECLARES_STRUCTURE = (builders.sigma_sum, builders.cesaro)
 
 
 def _right_spec(case, shape):
@@ -437,17 +442,25 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape):
         assert got == _outcome(lambda: run(plain))
     if shape != "domain":
         return
-    # the statistics of the dual matrices over the domain, from their
-    # structure and scanned from their entries; x has no zero term, so every
-    # row of the alpha matrix reads the domain inverse's weights
-    for kind in duals.DUAL_KINDS:
-        build = duals.alpha_assoc if kind == "alpha" else duals.beta_assoc
-        structured = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, x)
-        plain = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, x)
-        plain.structure = None
-        got = _outcome(lambda: duals.condition_stats(kind, structured, 16))
-        assert isinstance(got, tuple)
-        assert got == _outcome(lambda: duals.condition_stats(kind, plain, 16))
+    # the statistics of the dual matrices over the domain and of F = domain
+    # . B for the B whose F declares a structure, from their structure and
+    # scanned from their entries; a = _ZERO_TERMS has a zero term before and
+    # at the invalid index, where the alpha matrix's row is 0 but its
+    # entries read the domain inverse's weights as its structure does
+    builds = [
+        (kind, lambda m, a, kind=kind: (duals.alpha_assoc if kind == "alpha" else duals.beta_assoc)(m, a))
+        for kind in duals.DUAL_KINDS
+    ]
+    builds += [("alpha", lambda m, a, b=b: matclass.left_transform_F(b(), m)) for b in _F_DECLARES_STRUCTURE]
+    for kind, build in builds:
+        for a in (x, Seq.from_values(_ZERO_TERMS)):
+            structured = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, a)
+            plain = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, a)
+            plain.structure = None
+            assert duals._generators(structured, 1) is not None
+            got = _outcome(lambda: duals.condition_stats(kind, structured, 16))
+            assert isinstance(got, tuple)
+            assert got == _outcome(lambda: duals.condition_stats(kind, plain, 16))
 
 
 @pytest.mark.parametrize("shape", _RIGHT_SHAPES)
@@ -462,8 +475,14 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
     ]
     if shape == "domain":
         commands += [
-            ["dual", "--a", "e", "--domain", _domain_spec(case), "--kind", kind, "--n", "16"]
+            ["dual", "--a", a, "--domain", _domain_spec(case), "--kind", kind, "--n", "16"]
             for kind in duals.DUAL_KINDS
+            for a in ("e", json.dumps({"prefix": _ZERO_TERMS}))
+        ]
+        commands += [
+            ["matclass", "--direction", "into_domain", "--matrix", b, "--domain", _domain_spec(case),
+             "--y", "l1", "--n", "16"]
+            for b in ("sum", "cesaro")
         ]
     structured = []
     for argv in commands:
@@ -480,8 +499,8 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         return matrix, resolved
 
     def without_structure(build):
-        def build_without_structure(matrix, a):
-            m = build(matrix, a)
+        def build_without_structure(*args):
+            m = build(*args)
             m.structure = None
             return m
 
@@ -492,9 +511,38 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
     monkeypatch.setattr(cli, "parse_matrix_spec", parse_without_structure)
     for name in ("alpha_assoc", "beta_assoc"):
         monkeypatch.setattr(duals, name, without_structure(getattr(duals, name)))
+    monkeypatch.setattr(matclass, "left_transform_F", without_structure(matclass.left_transform_F))
     for argv, got in zip(commands, structured):
         assert cli.main(argv) == 3
         plain = capsys.readouterr()
         assert got.out == plain.out == ""
         assert got.err == plain.err
         assert got.err.startswith("mathematical error: invalid weight ")
+
+
+# The stderr line each command gave before F = domain . B was read from its
+# structure, and before the alpha matrix's entries read the domain inverse
+# where a has a zero term
+_FIRST_INVALID = {
+    "zero u": ("u[3] = 0", "u[3] = 0"),
+    "zero v": ("v[2] = 0", "v[2] = 0"),
+    "non-positive q": ("q[4] = -1", "q[4] = -1"),
+    "zero u and v": ("u[2] = 0", "v[2] = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INVALID))
+def test_into_domain_and_zero_term_alpha_name_the_recorded_weight(case, capsys):
+    into, alpha = _FIRST_INVALID[case]
+    requirement = "must be positive" if case == "non-positive q" else "must be nonzero"
+    commands = [
+        (["matclass", "--direction", "into_domain", "--matrix", b, "--domain", _domain_spec(case), "--y", "l1"], into)
+        for b in ("sum", "cesaro")
+    ]
+    commands.append(
+        (["dual", "--a", json.dumps({"prefix": _ZERO_TERMS}), "--domain", _domain_spec(case), "--kind", "alpha"], alpha)
+    )
+    for argv, weight in commands:
+        assert cli.main(argv + ["--n", "16"]) == 3
+        got = capsys.readouterr()
+        assert (got.out, got.err) == ("", f"mathematical error: invalid weight {weight}: {requirement}\n")

@@ -13,10 +13,13 @@ from bvdomains.core import (
     truncate,
 )
 from bvdomains.builders import (
+    RieszWeights,
     WeightPair,
+    cesaro,
     cesaro_domain,
     delta,
     phi,
+    riesz_domain,
     sigma_sum,
     weighted_domain,
 )
@@ -116,6 +119,42 @@ def test_left_transform_F_of_a_factorable_triangle_reads_each_domain_row_once():
     assert not b_reads
     assert dom_reads and all(k <= n for n, k in dom_reads)
     assert len(dom_reads) == len(set(dom_reads))
+
+
+@pytest.mark.parametrize("b", [sigma_sum, cesaro], ids=["sum", "cesaro"])
+@pytest.mark.parametrize(
+    "domain",
+    [
+        cesaro_domain,
+        lambda: weighted_domain(WeightPair(Seq(lambda n: F(1, n + 2)), Seq(lambda k: F(k + 1)))),
+        lambda: riesz_domain(RieszWeights(Seq(lambda k: F(2) ** k))),
+    ],
+    ids=["C", "G", "R"],
+)
+def test_class_into_domain_reads_no_entry_of_a_structured_F(b, domain, monkeypatch):
+    """For B = sum and cesaro, F = domain . B declares a row term and one
+    two-sided term, so its column l1 sums are read from its generator lists:
+    the class test at N=48 reads no entry of F, and reports what the scan
+    of F without its structure does."""
+    built = []
+    transform = matclass.left_transform_F
+
+    def counted(*args):
+        f = transform(*args)
+        built.append(_counted_entries(f))
+        return f
+
+    monkeypatch.setattr(matclass, "left_transform_F", counted)
+    report = class_test_into_domain(b(), domain(), SpaceId.L1, 48)
+    assert built == [[]]
+
+    def scanned(*args):
+        f = transform(*args)
+        f.structure = None
+        return f
+
+    monkeypatch.setattr(matclass, "left_transform_F", scanned)
+    assert class_test_into_domain(b(), domain(), SpaceId.L1, 48) == report
 
 
 def test_left_transform_F_banded_bounds_are_cumulative():
