@@ -140,6 +140,9 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     inverse's weights there, so both report the same invalid weight."""
     inverse = invert(domain_matrix)
     product = compose(diagonal(a), inverse)
+    # the entries deliberately bypass product.entry: compose skips a row
+    # whose coefficient a(n) is 0 without reading the inverse, and the scans
+    # would then miss the invalid weight the structure reports
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
     return BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
@@ -239,13 +242,18 @@ def _maxima(lines: list, xs: list) -> list:
 
     The upper envelope of the lines (Andrew 1979) holds, by increasing
     slope, the lines that are highest somewhere; of lines of equal slope
-    only the highest can be.  As x grows the maximum moves along it to
-    larger slopes, so one walk over the sorted xs answers them all, in
-    O((N + Q) log N) integer operations for N lines and Q points.
+    only the highest can be, so only the distinct slopes are sorted.  As x
+    grows the maximum moves along it to larger slopes, so one walk over the
+    sorted xs answers them all, in O((N + Q) log N) integer operations for
+    N lines and Q points; with one slope, as when w = 1, in O(N + Q).
     """
+    top: dict = {}
+    for slope, r in lines:
+        if slope not in top or r > top[slope]:
+            top[slope] = r
     hull: list = []
-    # sorted pairs into a dict keep the last, highest, line of each slope
-    for slope, r in dict(sorted(lines)).items():
+    for slope in sorted(top):
+        r = top[slope]
         while len(hull) > 1:
             (s0, r0), (s1, r1) = hull[-2:]
             # the last line is hidden when the new one meets the one before
@@ -256,7 +264,9 @@ def _maxima(lines: list, xs: list) -> list:
         hull.append((slope, r))
     out = [0] * len(xs)
     i = 0
-    for k in sorted(range(len(xs)), key=xs.__getitem__):
+    # one line answers every x, in any order
+    order = sorted(range(len(xs)), key=xs.__getitem__) if len(hull) > 1 else range(len(xs))
+    for k in order:
         x = xs[k]
         while i + 1 < len(hull) and hull[i + 1][0] * x + hull[i + 1][1] >= hull[i][0] * x + hull[i][1]:
             i += 1
@@ -337,10 +347,10 @@ def cond_l1_c(m, n: int) -> tuple:
         xs = col[:quarter]
         highs = _maxima(lines, xs)
         lows = _maxima([(-slope, -r) for slope, r in lines], xs)  # -min
-        columns = [
-            (Fraction(high + low, d), Fraction(w[n] * x + row[n], d))
-            for high, low, x in zip(highs, lows, xs)
-        ]
+        spans = [high + low for high, low in zip(highs, lows)]
+        # one Fraction per distinct oscillation: with w = 1 they are all equal
+        oscillations = {span: Fraction(span, d) for span in set(spans)}
+        columns = [(oscillations[span], Fraction(w[n] * x + row[n], d)) for span, x in zip(spans, xs)]
     else:
         rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
         columns = []

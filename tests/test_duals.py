@@ -264,11 +264,13 @@ def test_beta_cross_check_runs_only_the_compared_statistics(cond_calls):
     assert cond_calls == {"cond_l1_linf": 2, "cond_l1_c": 2, "cond_l1_l1": 1}
 
 
-def last_generator_row(m, size):
-    """Row size - 1 of the leading square of m that its generator lists
-    represent; their scale d depends on how far they have grown."""
+def generator_entries(m, size):
+    """The entries of the leading square of m of the given size that its
+    generator lists represent, which do not depend on how far the lists
+    have grown, unlike their scale d."""
     d, diag, w, col, row = duals._generators(m, size)
-    return tuple(F(w[-1] * c + row[-1], d) for c in col[:-1]) + (F(diag[-1], d),)
+    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(size) for k in range(i))
+    return tuple(F(x, d) for x in diag) + below
 
 
 def test_appended_rows_are_consistent_across_threads():
@@ -276,7 +278,10 @@ def test_appended_rows_are_consistent_across_threads():
     transform and the generator lists of the statistics grow by appending
     under a lock; four threads reading them in different orders see the
     serial values.  The Hilbert-like factor has no known inverse, so its
-    product is inverted by forward substitution."""
+    product is inverted by forward substitution.  The generator lists are
+    read on beta_assoc over phi, with w = 1, and on F = Riesz . cesaro,
+    whose w = 1/Q_n gains denominators as it grows, so the kept lists are
+    rescaled while other threads read them."""
     n = 20
     q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))
@@ -287,12 +292,14 @@ def test_appended_rows_are_consistent_across_threads():
         domain = sigma_riesz(RieszWeights(q))
         transform = transform_seq(domain, a)
         generators = beta_assoc(phi(), a)
+        weighted = left_transform_F(cesaro(), domain)
         return (
             invert(phi()).entry,
             beta_assoc(domain, a).entry,
             invert(compose(delta(), hilbert)).entry,
             lambda row, col: transform(row + col),
-            lambda row, col: last_generator_row(generators, row + col + 1),
+            lambda row, col: generator_entries(generators, row + col + 1),
+            lambda row, col: generator_entries(weighted, row + col + 1),
         )
 
     expected = [{c: read_at(*c) for c in cells} for read_at in build()]
@@ -590,11 +597,12 @@ def test_structures_without_generator_lists_are_scanned():
 
 
 def test_maxima_equal_the_direct_max():
-    """Equal slopes, lines through one point and points tied at a
-    breakpoint."""
+    """Equal slopes, one slope for all lines (as when w = 1), lines through
+    one point and points tied at a breakpoint."""
     rng = random.Random(11)
-    for _ in range(200):
-        lines = [(rng.randint(-4, 4), rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
+    for trial in range(200):
+        slopes = [rng.randint(-4, 4)] if trial % 4 == 0 else range(-4, 5)
+        lines = [(rng.choice(slopes), rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
         xs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 10))]
         assert duals._maxima(lines, xs) == [max(w * x + r for w, r in lines) for x in xs]
 
