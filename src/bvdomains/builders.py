@@ -13,14 +13,12 @@ matrix invert each other, as do the Cesaro mean and its closed-form inverse,
 and the weighted mean has a bidiagonal inverse.  A domain matrix therefore
 inverts through its factors' inverses, never by forward substitution.
 
-The partial-sum matrix, the Cesaro mean and the weighted mean declare the
-one-term structure (u, v) of ``core``: (1, 1), (1/(n+1), 1) and (u_n, v_k),
-the last read through the validating accessors, so an invalid weight is
-reported as it is by the entries.  ``compose`` then gives each domain
-matrix, delta times a mean, the term (u_n - u_{n-1}, v_k) plus the excess
-u_{n-1} v_n, and its inverse, a bidiagonal X times the partial-sum matrix,
-the term (X(n, n) + X(n, n-1), 1) plus the excess -X(n, n-1).  A product
-with any of them on the right costs O(N^2), not O(N^3).
+Each declares the structure of ``core``: a bidiagonal triangle its diagonal
+and subdiagonal as a band, and a mean one term, (1, 1), (1/(n+1), 1) or
+(u_n, v_k), the last read through the validating accessors, so an invalid
+weight is reported as the entries report it.  ``compose`` then gives each
+domain matrix delta.mean, and its inverse, one term and a diagonal band
+part, so a product with any of them on the right costs O(N^2), not O(N^3).
 """
 
 from __future__ import annotations
@@ -40,18 +38,22 @@ from .core import (
 )
 
 
+def _bidiagonal(entry, known_inverse=None) -> Triangle:
+    """The triangle of entry, nonzero only on its diagonal and subdiagonal,
+    which declares those two as its band, read from its memoized entries."""
+    t = Triangle(entry, band=1, known_inverse=known_inverse)
+    t.structure = ([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)])
+    return t
+
+
 def delta() -> Triangle:
     """Backward difference matrix: 1 on the diagonal, -1 on the first subdiagonal."""
-    return Triangle(
-        lambda n, k: ONE if k == n else -ONE,
-        band=1,
-        known_inverse=sigma_sum,
-    )
+    return _bidiagonal(lambda n, k: ONE if k == n else -ONE, sigma_sum)
 
 
 def sigma_sum() -> Triangle:
     """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
-    return Triangle(lambda n, k: ONE, known_inverse=delta, structure=([(None, None)], None))
+    return Triangle(lambda n, k: ONE, known_inverse=delta, structure=([(None, None)], []))
 
 
 def cesaro() -> Triangle:
@@ -59,18 +61,13 @@ def cesaro() -> Triangle:
     return Triangle(
         lambda n, k: Fraction(1, n + 1),
         known_inverse=cesaro_inverse,
-        structure=([(Seq(lambda n: Fraction(1, n + 1)), None)], None),
+        structure=([(Seq(lambda n: Fraction(1, n + 1)), None)], []),
     )
 
 
 def cesaro_inverse() -> Triangle:
     """Closed-form inverse of the Cesaro mean: x_n = (n+1)y_n - n*y_{n-1}."""
-
-    return Triangle(
-        lambda n, k: Fraction(n + 1) if k == n else Fraction(-n),
-        band=1,
-        known_inverse=cesaro,
-    )
+    return _bidiagonal(lambda n, k: Fraction(n + 1) if k == n else Fraction(-n), cesaro)
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,12 @@ def weighted_mean(w: Weights) -> Triangle:
     Its inverse is bidiagonal: 1/(u_n v_n) on the diagonal and
     -1/(u_{n-1} v_n) below it.
     """
-
-    def inverse_entry(n, k):
-        if k == n:
-            return 1 / (w.u_at(n) * w.v_at(n))
-        return -1 / (w.u_at(n - 1) * w.v_at(n))
-
     return Triangle(
         lambda n, k: w.u_at(n) * w.v_at(k),
-        known_inverse=lambda: Triangle(inverse_entry, band=1),
-        structure=([(w.u_at, w.v_at)], None),
+        known_inverse=lambda: _bidiagonal(
+            lambda n, k: 1 / (w.u_at(n) * w.v_at(n)) if k == n else -1 / (w.u_at(n - 1) * w.v_at(n))
+        ),
+        structure=([(w.u_at, w.v_at)], []),
     )
 
 

@@ -28,20 +28,17 @@ own denominator lcm, and forward substitution keeps each inverse row also
 as (lcm, integer numerators).  An entry is then one integer sum and one
 ``Fraction`` reduction instead of a reduction per term.
 
-A lower triangle may declare a structure (``BandedMatrix``), the
-lower-semiseparable generator form of Vandebril, Van Barel and Mastronardi
-(2008) and Eidelman and Gohberg (1999).  ``compose`` multiplies by one in
-O(N^2) operations instead of O(N^3), and is the one place where structures
-are multiplied: a product of two structured triangles declares one, so
-nested products and the dual matrices of ``duals`` do, and a bidiagonal
-triangle times one with no excess declares one, which is how the domain
-matrices and their inverses get theirs.  The band-overlap sum serves every
-other right factor,
-and ``dense_mul`` of truncations is the oracle for both.  ``apply`` and
+A lower triangle may declare a structure (``BandedMatrix``): generator
+terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
+Gu (2003), a case of the quasiseparable generators of Eidelman and Gohberg
+(1999).  ``compose`` multiplies by one in O(N^2) operations instead of
+O(N^3), the band-overlap sum serves every other right factor, and
+``dense_mul`` of truncations is the oracle for both; ``_product_structure``
+is the one rule that multiplies two structures.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
-running sum per term, so N coordinates cost O(N) operations and read no
-entry; every other matrix takes the entry loop ``_coordinate`` over each
-row's support, which is the oracle for the structured transform.
+running sum per term and its band, so N coordinates cost O(N) operations;
+every other matrix takes the entry loop ``_coordinate`` over each row's
+support, which is the oracle for the structured transform.
 """
 
 from __future__ import annotations
@@ -174,12 +171,12 @@ class BandedMatrix:
     subdiagonals.  ``row_count``, when present, declares every row from that
     index on to be zero (a wholly finite matrix).  ``known_inverse``, when
     present, builds the exact inverse without forward substitution.
-    ``structure``, when present, is a pair (terms, excess) with
+    ``structure``, when present, is a pair (terms, band) with
     entry(n, k) = sum of U(n) V(k) over the terms (U, V) for 0 <= k <= n,
-    plus excess(n) when k = n and excess is not None; U and V are
-    callables, or None for the all-ones sequence.  It is declared only on
-    lower triangles.  The finite row supports are what make every product
-    and transform coordinate an exact finite sum.
+    plus band[i](n) when k = n - i; U and V are callables, or None for the
+    all-ones sequence, and each band part is a callable read only at n >= i.
+    It is declared only on lower triangles.  The finite row supports are
+    what make every product and transform coordinate an exact finite sum.
     """
 
     def __init__(
@@ -259,8 +256,8 @@ def identity() -> Triangle:
 
 
 def diagonal(a: Callable[[int], Fraction]) -> BandedMatrix:
-    """diag(a), which declares the structure with no terms and the excess a."""
-    return BandedMatrix(lambda n, k: a(n), band=0, structure=([], a))
+    """diag(a), which declares the structure with no terms and the band [a]."""
+    return BandedMatrix(lambda n, k: a(n), band=0, structure=([], [a]))
 
 
 @dataclass(frozen=True)
@@ -334,25 +331,24 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
 def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
     """n -> coordinate n of the transform Mx.
 
-    When m declares a structure (terms, excess), coordinate n is the sum of
-    U(n) P(n) over the terms (U, V), plus excess(n) x(n), where P(n) sums
-    V(k) x(k) over k <= n: one memoized running sum per term, so a
-    coordinate costs O(terms) once the sums reach n, and no entry of m is
-    read.  Any other matrix takes the entry loop ``_coordinate``, which is
-    also the oracle the structured path is checked against.
+    When m declares a structure (terms, band), coordinate n is the sum of
+    U(n) P(n) over the terms (U, V), plus band[i](n) x(n - i), where P(n)
+    sums V(k) x(k) over k <= n: one memoized running sum per term.  Any
+    other matrix takes the entry loop ``_coordinate``, which is also the
+    oracle the structured path is checked against.
     """
     if m.structure is None:
         return lambda n: _coordinate(m, x, n)
-    terms, excess = m.structure
+    terms, band = m.structure
     sums = [running_sum(lambda k, v=v: x(k) if v is None else v(k) * x(k)) for _, v in terms]
 
     def coordinate(n: int) -> Fraction:
-        # every U(n), then every V(n), then excess(n), the order in which the
-        # entry loop meets them at row n, so an invalid weight is reported
-        # at the same index either way
+        # every U(n), then every V(n), then the band from its first column
+        # on, the order in which the entry loop meets them at row n, so an
+        # invalid weight is reported at the same index either way
         scales = [None if u is None else u(n) for u, _ in terms]
         values = [p(n) if c is None else c * p(n) for c, p in zip(scales, sums)]
-        return add_all(values + ([] if excess is None else [excess(n) * x(n)]))
+        return add_all(values + [band[i](n) * x(n - i) for i in range(min(len(band) - 1, n), -1, -1)])
 
     return coordinate
 
@@ -378,15 +374,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     factors' bands, its rows end where A's rows end, and when both factors
     have known inverses it is inverted as inverse(B).inverse(A).
 
-    When B declares a structure (terms, excess), entry (n,k) is the sum of
-    V(k) S_n(max(k, lo)) over the terms (U, V), plus a(n,k) excess(k), where
-    [lo, hi] is A's row n support and S_n(m) sums a(n,j) U(j) over j in
-    [m, hi].  The first read of row n builds its suffix sums in one pass per
-    term over A's row, so an N x N block costs O(N^2) operations, not
-    O(N^3), and B's entries are never read.  When A declares a structure
-    too, so does the product (``_product_structure``).  When A is bidiagonal
-    with no structure and B's structure has no excess, the product declares
-    the terms (S, V), where S(n) = a(n,n-1) U(n-1) + a(n,n) U(n).
+    When B declares a structure (terms, band), entry (n,k) is the sum of
+    V(k) S_n(max(k, lo)) over the terms (U, V), plus a(n,k+i) band[i](k+i)
+    over the band, where [lo, hi] is A's row n support and S_n(m) sums
+    a(n,j) U(j) over j in [m, hi].  The first read of row n builds its
+    suffix sums in one pass per term over A's row, so an N x N block costs
+    O(N^2) operations, not O(N^3), and B's entries are never read.  When A
+    declares a structure too, so does the product, with the one exception
+    ``_product_structure`` names.
     """
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
@@ -410,7 +405,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return acc
 
     else:
-        terms, excess = b.structure
+        terms, b_parts = b.structure
         suffixes: dict[int, tuple] = {}
 
         def suffix_sums(n: int) -> tuple:
@@ -438,9 +433,12 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             for v, column in sums:
                 term = column[i] if v is None else v(k) * column[i]
                 acc = term if acc is None else acc + term
-            if excess is not None and k >= lo and coeffs[i]:
-                acc += coeffs[i] * excess(k)
-            return acc
+            if b_parts:
+                for m, part in enumerate(b_parts, k - lo):  # band part i meets coeffs[k + i - lo]
+                    if 0 <= m < len(coeffs) and coeffs[m]:
+                        term = coeffs[m] * part(lo + m)
+                        acc = term if acc is None else acc + term
+            return ZERO if acc is None else acc
 
     row_bound = a._row_bound
     if not b_lower:
@@ -455,25 +453,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                 )
             return bound
 
-    structure = None
-    if a.structure is not None and b.structure is not None:
-        structure = _product_structure(a, b)
-    elif b.structure is not None and excess is None and a_lower and a_band == 1:
-        # on the diagonal, B(n-1, n) = 0 leaves out a(n,n-1) U(n-1) V(n) of
-        # each term: the excess.  The subdiagonal is read first, as scans do
-
-        def lower(u):
-            return Seq(
-                lambda n: add_all([times(a.entry(n, j), u, j) for j in range(max(n - 1, 0), n + 1)])
-            )
-
-        def product_excess(n: int) -> Fraction:
-            if not n:
-                return ZERO
-            return -add_all([times(times(a.entry(n, n - 1), u, n - 1), v, n) for u, v in terms])
-
-        structure = [(lower(u), v) for u, v in terms], Seq(product_excess)
-
+    structure = None if a.structure is None or b.structure is None else _product_structure(a, b)
     known_inverse = None
     if a.known_inverse is not None and b.known_inverse is not None:
         known_inverse = lambda: compose(invert(b), invert(a))
@@ -499,30 +479,55 @@ def _sum(parts: list):
     return parts[0] if len(parts) == 1 else Seq(lambda j: add_all([f(j) for f in parts]))
 
 
-def _product_structure(a: BandedMatrix, b: BandedMatrix) -> tuple:
-    """The structure of A.B for lower triangles A and B that declare one.
+def _product_structure(a: BandedMatrix, b: BandedMatrix) -> Optional[tuple]:
+    """The structure of A.B for lower triangles A and B that declare one,
+    or None when A has terms and B's band reaches below its diagonal.
 
-    Entry (n,k) of A.B sums A(n,j) B(j,k) over k <= j <= n.  With (Ua, Va)
-    and ea A's terms and excess and (Ub, Vb) and eb B's, that is the sum of
-    U'(n) Vb(k) over B's terms, plus the sum of Ua(n) V'(k) over A's, plus
-    ea(n) eb(n) when k = n.  With P the running sum of Va Ub for a pair of
-    terms, U'(n) = (A Ub)(n) is the sum of Ua(n) P(n) over A's terms plus
-    ea(n) Ub(n), and V'(k) is Va(k) eb(k) less the sum of P(k-1) Vb(k) over
-    B's terms.  So the product has as many terms as its factors together:
+    With (Ua, Va) and a_i A's terms and band and (Ub, Vb) and b_i B's, entry
+    (n,k) of A.B has four pieces, none reading an index past n: terms times
+    terms, Ua(n) (P(n) - P(k-1)) Vb(k) with P the running sum of Va Ub; A's
+    band times B's terms, S(n) Vb(k) with S(n) the sum of a_i(n) Ub(n-i),
+    less its cells above B's diagonal, which go to the band; A's terms times
+    B's diagonal, Ua(n) Va(k) b_0(k); and the bands, a_i(n) b_l(n-i) at
+    offset i + l.  So the product has as many terms as its factors together:
     the lower quasiseparable order is subadditive under products (Eidelman
     and Gohberg 1999), and nested products stay small.
     """
-    (a_terms, ea), (b_terms, eb) = a.structure, b.structure
+    (a_terms, a_band), (b_terms, b_band) = a.structure, b.structure
+    if a_terms and len(b_band) > 1:
+        # Va(k+i) b_i(k+i) reads A's weights i past column k, so a later invalid weight
+        # could be reported first; the entries take compose's suffix sums, which do not
+        return None
     # sums[s][t] is the running sum of Va Ub over A's term s and B's term t
     sums = [[running_sum(_product(va, ub) or Seq.constant(1)) for ub, _ in b_terms] for _, va in a_terms]
+
+    def band_times(f):  # S as a memoized Seq, its far column read first
+        if len(a_band) == 1:
+            return _product(a_band[0], f)
+        return Seq(lambda n: add_all([times(a_band[i](n), f, n - i) for i in range(min(len(a_band) - 1, n), -1, -1)]))
+
     terms = []
     for t, (ub, vb) in enumerate(b_terms):
         parts = [_product(ua, ps[t]) for (ua, _), ps in zip(a_terms, sums)]
-        terms.append((_sum(parts + ([] if ea is None else [_product(ea, ub)])), vb))
+        terms.append((_sum(parts + ([band_times(ub)] if a_band else [])), vb))
     for (ua, va), ps in zip(a_terms, sums):
         parts = [Seq(lambda k, p=p, vb=vb: -times(p(k - 1), vb, k)) for p, (_, vb) in zip(ps, b_terms)]
-        terms.append((ua, _sum(parts + ([] if eb is None else [_product(va, eb)]))))
-    return terms, None if ea is None or eb is None else _product(ea, eb)
+        terms.append((ua, _sum(parts + [_product(va, part) for part in b_band])))
+
+    def band_part(d: int):
+        # the bands' products at offset d, less A's band times B's terms above B's diagonal
+        parts = [_product(a_band[0], b_band[d])] if d < len(b_band) else []
+        for i in range(1, len(a_band)):
+            if 0 <= d - i < len(b_band):
+                parts.append(Seq(lambda n, i=i: a_band[i](n) * b_band[d - i](n - i)))
+            if i > d:
+                parts += [
+                    Seq(lambda n, i=i, u=u, v=v: ZERO if n < i else -times(times(a_band[i](n), u, n - i), v, n - d))
+                    for u, v in b_terms
+                ]
+        return _sum(parts)
+
+    return terms, [band_part(d) for d in range(len(a_band) + len(b_band) - 1 if a_band else 0)]
 
 
 def _build_inverse(t: Triangle) -> Triangle:

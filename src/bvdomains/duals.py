@@ -11,24 +11,24 @@ which one serializer writes (``conditions_dict``) and one verdict function
 reads (``condition_verdict``); ``matclass`` uses the same three functions.
 
 The dual matrices get the structure of ``core`` from ``compose``, which
-multiplies the structures of diag(a) (no terms and the excess a), of the
+multiplies the structures of diag(a) (no terms and the band [a]), of the
 sum matrix and of the domain inverse; the closed-form cross-check matrix
-declares the beta form from the weights.  When a structure's terms are
-constant along rows plus either constant along columns or exactly one
-two-sided term (U1, V1), a matrix is w[n] col[k] + row[n] below its
-diagonal, with w = 1 or w = U1, and the three statistics compute from
-those lists in O(N log N) integer operations: prefix extremes, a Fenwick
-tree over the sorted points row[n]/w[n] and the envelopes of the lines
-w[n] x + row[n].  That covers the dual matrices and F = domain . B for
-B = sum or cesaro.  The lists are scaled over common denominators, in the
-manner of the integer kernels of ``core``, kept on the matrix and rescaled
-only when a grown value needs it; each reported value is divided by d
-back into a Fraction.  The statistics scan any other matrix (E, F for a
-bidiagonal B, a bare triangle domain), and the scans are also the oracle
-the structure path is checked against.  A scan reads only the cells the
-matrix's row supports leave possibly nonzero, in the order of a scan of
-the whole square, and does no arithmetic on a zero, so E of a finite
-matrix with r rows costs O(r N) entry reads, not O(N^2).
+declares the beta form from the weights.  When a structure has no band
+below its diagonal, and terms constant along rows plus either constant
+along columns or exactly one two-sided term (U1, V1), a matrix is w[n]
+col[k] + row[n] below its diagonal, with w = 1 or w = U1, and the three
+statistics compute from those lists in O(N log N) integer operations:
+prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
+envelopes of the lines w[n] x + row[n].  That covers the dual matrices and
+F = domain . B for B = sum or cesaro.  The lists are scaled over common
+denominators, in the manner of the integer kernels of ``core``, kept on the
+matrix and rescaled only when a grown value needs it; each reported value
+is divided by d back into a Fraction.  The statistics scan any other matrix
+(E, F for B = delta or cesaro_inv, a bare triangle domain), and the scans
+are also the oracle the structure path is checked against.  A scan reads
+only the cells the matrix's row supports leave possibly nonzero, in the
+order of a scan of the whole square, and does no arithmetic on a zero, so E
+of a finite matrix with r rows costs O(r N) entry reads, not O(N^2).
 """
 
 from __future__ import annotations
@@ -56,12 +56,12 @@ def _generators(m, size: int) -> Optional[tuple]:
     """(d, diag, w, col, row): integer lists below size with entry(n, n) =
     diag[n] / d and entry(n, k) = (w[n] col[k] + row[n]) / d for k < n.
 
-    They exist when m's structure has row terms (U, None) and either column
-    terms (None, V), so that w = 1, or exactly one two-sided term (U1, V1),
-    so that w is U1 and col is V1; row sums the row terms.  For any other
-    structure, and for none, this is None.  The lists are kept on m and
-    extended to the largest size asked for, so the statistics of one matrix
-    read each weight once and scale it once."""
+    They exist when m's structure has no band below its diagonal, row terms
+    (U, None) and either column terms (None, V), so that w = 1, or exactly
+    one two-sided term (U1, V1), so that w is U1 and col is V1; row sums the
+    row terms.  For any other structure, and for none, this is None.  The
+    lists are kept on m and extended to the largest size asked for, so the
+    statistics of one matrix read each weight once and scale it once."""
     if m.structure is None:
         return None
     try:
@@ -88,11 +88,11 @@ def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
     are built by appending, and so locked.  What a grown chunk appends is
     scaled once, and what is kept is rescaled only when a new denominator
     does not divide its scale."""
-    terms, excess = structure
+    terms, band = structure
     row_terms = [u for u, v in terms if v is None]
     col_terms = [v for u, v in terms if u is None and v is not None]
     two_sided = [(u, v) for u, v in terms if u is not None and v is not None]
-    if len(two_sided) > 1 or two_sided and col_terms:
+    if len(band) > 1 or len(two_sided) > 1 or two_sided and col_terms:
         return None
     weight = two_sided[0][0] if two_sided else None
     col_terms += [v for _, v in two_sided]
@@ -110,7 +110,7 @@ def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
                 scale = ONE if weight is None else weight(j)
                 cols = [v(j) for v in col_terms]
                 below = cols if weight is None else [scale * cols[0]]
-                on_diagonal = add_all(rows + below + ([] if excess is None else [excess(j)]))
+                on_diagonal = add_all(rows + below + [part(j) for part in band])
                 chunk.append((on_diagonal, scale, add_all(cols), add_all(rows)))
             if chunk:
                 dw, dc, d = scales
@@ -180,7 +180,7 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
 
     steps = running_sum(lambda j: step(j) if j else ZERO)
     columns = [(steps, None), (None, lambda k: diag_term(k) - steps(k))]
-    return BandedMatrix(entry, structure=(columns, None))
+    return BandedMatrix(entry, structure=(columns, []))
 
 
 class _AbsSums:

@@ -177,15 +177,17 @@ def suite_identities(n: int, rng) -> list:
         twice = _build_inverse(invert(t))
         checks.append(_grid_equal(f"inverse_involution[{label}]", t.entry, twice.entry, n))
 
-    # both sides take compose's structured path (cesaro, sum, phi and its
-    # inverse declare a structure), so the generic dense product of
-    # truncations is compared too
+    # both sides take compose's structured path (every factor here declares
+    # a structure), so the generic dense product of truncations is compared
+    # too; delta . phi multiplies a band by terms and by a band
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
 
     def associativity_pairs():
         yield truncate(compose(a, compose(b, c)), n), truncate(compose(compose(a, b), c), n)
-        for x, y in ((b, c), (a, b), (b, builders.phi()), (b, invert(builders.phi()))):
+        for x, y in ((b, c), (a, b), (b, builders.phi()), (b, invert(builders.phi())), (a, builders.phi())):
             yield dense_mul(truncate(x, n), truncate(y, n)), truncate(compose(x, y), n)
+        y = compose(a, builders.phi())
+        yield dense_mul(truncate(b, n), truncate(y, n)), truncate(compose(b, y), n)
 
     name = "compose_associativity"
     checks.append(

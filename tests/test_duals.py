@@ -535,9 +535,10 @@ hostile = st.builds(F, st.integers(-9, 9), st.sampled_from(HOSTILE_DENOMINATORS)
 @given(st.sampled_from([8, 12, 16, 32]), st.data())
 def test_one_sided_structure_statistics_property(n, data):
     """A matrix with one term constant along rows, one constant along
-    columns and an excess: entry(n, k) = col[k] + row[n] below the diagonal.
-    Some row values are tied with -col[k], so the bisect of _AbsSums lands
-    on equal values; the statistics of its structure equal its scans."""
+    columns and a diagonal band part: entry(n, k) = col[k] + row[n] below
+    the diagonal.  Some row values are tied with -col[k], so the bisect of
+    _AbsSums lands on equal values; the statistics of its structure equal
+    its scans."""
     size = n + 1
     col = data.draw(st.lists(hostile, min_size=size, max_size=size))
     row = data.draw(st.lists(hostile, min_size=size, max_size=size))
@@ -551,7 +552,7 @@ def test_one_sided_structure_statistics_property(n, data):
             return col[k] + row[i] + (excess[i] if i == k else 0)
 
         terms = [(row.__getitem__, None), (None, col.__getitem__)]
-        return BandedMatrix(entry, structure=(terms, excess.__getitem__))
+        return BandedMatrix(entry, structure=(terms, [excess.__getitem__]))
 
     fast, scanned = with_and_without_structure(build)
     for kind in ("alpha", "beta"):
@@ -561,11 +562,12 @@ def test_one_sided_structure_statistics_property(n, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([8, 12, 16, 32]), st.data())
 def test_row_weighted_structure_statistics_property(n, data):
-    """A matrix with a row term, one two-sided term (w, col) and an excess:
-    entry(n, k) = w[n] col[k] + row[n] below the diagonal.  w has zeros and
-    both signs, and some points row[j]/w[j] are tied with -col[k], so the
-    bisect of _AbsSums lands on equal keys and envelope lines meet at the
-    columns; the statistics of its structure equal its scans."""
+    """A matrix with a row term, one two-sided term (w, col) and a diagonal
+    band part: entry(n, k) = w[n] col[k] + row[n] below the diagonal.  w
+    has zeros and both signs, and some points row[j]/w[j] are tied with
+    -col[k], so the bisect of _AbsSums lands on equal keys and envelope
+    lines meet at the columns; the statistics of its structure equal its
+    scans."""
     size = n + 1
     weights = data.draw(st.lists(st.one_of(st.just(F(0)), hostile), min_size=size, max_size=size))
     col = data.draw(st.lists(hostile, min_size=size, max_size=size))
@@ -580,7 +582,7 @@ def test_row_weighted_structure_statistics_property(n, data):
             return weights[i] * col[k] + row[i] + (excess[i] if i == k else 0)
 
         terms = [(row.__getitem__, None), (weights.__getitem__, col.__getitem__)]
-        return BandedMatrix(entry, structure=(terms, excess.__getitem__))
+        return BandedMatrix(entry, structure=(terms, [excess.__getitem__]))
 
     fast, scanned = with_and_without_structure(build)
     for kind in ("alpha", "beta"):
@@ -588,11 +590,11 @@ def test_row_weighted_structure_statistics_property(n, data):
 
 
 def test_structures_without_generator_lists_are_scanned():
-    """Two two-sided terms, or a two-sided term and a column term, have no
-    lists w[n] col[k] + row[n]."""
+    """Two two-sided terms, a two-sided term and a column term, or a band
+    part below the diagonal have no lists w[n] col[k] + row[n]."""
     u, v = Seq(lambda n: F(n + 1)), Seq(lambda k: F(1, k + 1))
-    for terms in ([(u, v), (v, u)], [(u, v), (None, v)]):
-        m = BandedMatrix(lambda n, k: F(0), structure=(terms, None))
+    for structure in (([(u, v), (v, u)], []), ([(u, v), (None, v)], []), ([(u, None)], [u, v])):
+        m = BandedMatrix(lambda n, k: F(0), structure=structure)
         assert duals._generators(m, 4) is None
 
 
@@ -646,8 +648,8 @@ def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
         return wrapper
 
     inv._entry = counted(inv_evals, inv._entry)
-    terms, excess = inv.structure
-    for seq in [u for u, _ in terms] + [excess]:
+    terms, band = inv.structure
+    for seq in [u for u, _ in terms] + band:
         seq._eval = counted(evals, seq._eval)
     build = duals.beta_assoc
 

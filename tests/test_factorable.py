@@ -1,13 +1,13 @@
 """The structured paths: a triangle declaring a structure (terms (U, V)
-plus a diagonal excess) is multiplied through per-term suffix sums of the
-left factor's rows, checked bit-exactly against the dense product of
-truncations, and transforms a sequence through per-term running sums,
-checked bit-exactly against the entry loop.  The structured triangles are
-the means (one term), the domain matrices phi, gamma and sigma and their
-inverses (one term and an excess), the products that declare a structure
-(a bidiagonal factor times an excess-free one, and any two structured
-triangles) and the dual matrices, and the declared structures are checked
-against the entries they describe."""
+plus band parts on and below the diagonal) is multiplied through per-term
+suffix sums of the left factor's rows, checked bit-exactly against the
+dense product of truncations, and transforms a sequence through per-term
+running sums, checked bit-exactly against the entry loop.  The structured
+triangles are the bidiagonal ones (a band only), the means (one term), the
+domain matrices phi, gamma and sigma and their inverses (one term and a
+diagonal band part), the products of two structured triangles but those of
+a factor with terms and a bidiagonal one, and the dual matrices, and the
+declared structures are checked against the entries they describe."""
 
 import json
 from collections import Counter
@@ -69,6 +69,8 @@ _NAMED = {
     "inverse(phi)": lambda: invert(builders.phi()),
     "inverse(gamma)": lambda: invert(builders.gamma(_weighted("alternating"))),
     "inverse(sigma)": lambda: invert(builders.sigma_riesz(_riesz("1/(k+1)"))),
+    "inverse(weighted[harmonic])": lambda: invert(builders.weighted_mean(_weighted("harmonic"))),
+    "inverse(riesz[k+1])": lambda: invert(builders.riesz(_riesz("k+1"))),
 }
 _LEFT_ONLY = {
     # rows 2 and 3 reach past the diagonal, rows 1 and 3 end in zeros, and
@@ -77,7 +79,7 @@ _LEFT_ONLY = {
         [["1", "-2"], ["0", "1/3", "0"], ["5", "0", "0", "-1"], ["0", "0", "2", "0", "0"], ["0"]]
     ),
     "strictly_lower": lambda: Triangle(lambda n, k: F(0) if k == n else F(n - k, n + 1)),
-    # band 2, so a product with it on the left declares no structure
+    # band 2: a structure with no terms and three band parts
     "delta^2": lambda: compose(builders.delta(), builders.delta()),
 }
 
@@ -116,11 +118,15 @@ def _compose_named(*names):
 
 
 # products of two structured triangles, which declare a structure of their
-# own: every combination of excess on the left and on the right, terms with
-# and without all-ones sequences, and one nest of three factors
+# own: every combination of a diagonal band part on the left and on the
+# right, bands wider than the diagonal on the left, band-only products,
+# terms with and without all-ones sequences, and one nest of three factors
 _PRODUCTS = {
     ".".join(names): (lambda names=names: _compose_named(*names))
     for names in (
+        ("delta", "cesaro_inv"),
+        ("delta", "phi"),
+        ("inverse(weighted[harmonic])", "inverse(sigma)"),
         ("sum", "sum"),
         ("cesaro", "cesaro"),
         ("weighted[geometric]", "riesz[2^k]"),
@@ -149,52 +155,62 @@ def _structure_entry(t, n, k):
     """Entry (n, k) of a lower triangle as its structure states it."""
     if k > n:
         return F(0)
-    terms, excess = t.structure
+    terms, band = t.structure
     at = lambda f, j: F(1) if f is None else f(j)
     value = sum((at(u, n) * at(v, k) for u, v in terms), F(0))
-    return value + excess(n) if excess is not None and k == n else value
+    return value + band[n - k](n) if n - k < len(band) else value
 
 
 def _assert_structure_reproduces_entries(t, size=N):
     assert truncate(t, size) == truncate(BandedMatrix(lambda n, k: _structure_entry(t, n, k)), size)
 
 
+# the bidiagonal triangles declare a band and no terms, and the other
+# triangles that declare a band-free structure are the means and the sum
+_BIDIAGONAL = {"delta", "cesaro_inv", "inverse(weighted[harmonic])", "inverse(riesz[k+1])"}
+_BAND_FREE = {"sum", "cesaro"} | {m for m in _NAMED if m.startswith(("weighted", "riesz"))}
+_UNSTRUCTURED = {"banded", "strictly_lower"}
+
+
 def test_declared_structures_reproduce_the_entries():
-    for name, build in _NAMED.items():
+    for name, build in {**_NAMED, **_LEFT_ONLY}.items():
         t = build()
-        assert (t.structure is None) == (name in ("delta", "cesaro_inv")), name
+        assert (t.structure is None) == (name in _UNSTRUCTURED), name
         if t.structure is not None:
             _assert_structure_reproduces_entries(t)
-    assert all(build().structure is None for build in _LEFT_ONLY.values())
+            assert (t.structure[0] == []) == (name in _BIDIAGONAL | {"delta^2"}), name
+            assert (t.structure[1] == []) == (name in _BAND_FREE), name
     # the dual matrices derive theirs from the domain inverse's, and the
     # cross-check matrix from the weights
     for build in _DUALS.values():
         _assert_structure_reproduces_entries(build())
 
 
-# the named triangles without a structure are the bidiagonal ones; the
-# structured ones without an excess are the means and the sum matrix
-_BIDIAGONAL = {"delta", "cesaro_inv"}
-_EXCESS_FREE = {"sum", "cesaro"} | {m for m in _NAMED if m.startswith(("weighted", "riesz"))}
-
-
 def test_products_declare_a_structure_only_where_it_holds():
-    # a product declares one when its right factor does, and its left factor
-    # either declares one too or is bidiagonal while the right factor has
-    # no excess; a product of two structures has as many terms as both
-    structured = set(_NAMED) - _BIDIAGONAL
+    # a product declares one when both factors do, except a left factor
+    # with terms times a right factor whose band reaches below its diagonal
+    # (a bidiagonal one here); it has the terms of both factors
     for left, build_left in {**_NAMED, **_LEFT_ONLY}.items():
         for right, build_right in _NAMED.items():
             a, b = build_left(), build_right()
             product = compose(a, b)
-            declared = right in structured and (
-                left in structured or (left in _BIDIAGONAL and right in _EXCESS_FREE)
-            )
+            declared = left not in _UNSTRUCTURED and (right not in _BIDIAGONAL or not a.structure[0])
             assert (product.structure is not None) == declared, (left, right)
             if declared:
                 _assert_structure_reproduces_entries(product, 12)
-            if left in structured and declared:
                 assert len(product.structure[0]) == len(a.structure[0]) + len(b.structure[0])
+    # the band of a product convolves the factors' bands and takes the cells
+    # of A's band times B's terms that fall above B's diagonal
+    for names, terms, parts in (
+        (("delta", "cesaro_inv"), 0, 3),
+        (("delta", "phi"), 1, 2),
+        (("delta", "sum"), 1, 1),
+        (("cesaro", "phi"), 2, 0),
+        (("phi", "inverse(weighted[harmonic])"), None, None),
+    ):
+        structure = _compose_named(*names).structure
+        got = None if structure is None else (len(structure[0]), len(structure[1]))
+        assert got == (None if terms is None else (terms, parts)), names
 
 
 _POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -238,8 +254,17 @@ def _counted_reads(m):
 @pytest.mark.parametrize(
     "left, right",
     # cesaro . (cesaro . cesaro) read 97,696 entries at N=64 while a product
-    # of two structured triangles declared no structure
-    [("cesaro", "sum"), ("cesaro", "phi"), ("phi", "inverse(phi)"), ("cesaro", "cesaro.cesaro")],
+    # of two structured triangles declared no structure, and cesaro .
+    # (delta . phi) read 45,760 entries of each factor while a bidiagonal
+    # triangle declared none
+    [
+        ("cesaro", "sum"),
+        ("cesaro", "phi"),
+        ("phi", "inverse(phi)"),
+        ("cesaro", "cesaro.cesaro"),
+        ("cesaro", "delta.phi"),
+        ("phi", "delta.phi"),
+    ],
 )
 def test_product_of_two_full_triangles_reads_quadratically_many_entries(left, right):
     size = 64
@@ -253,15 +278,15 @@ def test_product_of_two_full_triangles_reads_quadratically_many_entries(left, ri
     assert not b_reads
 
 
-# every structure the package declares: the means, the domain matrices and
-# their inverses, the products of a bidiagonal factor and an excess-free one,
-# products of two structured triangles, and the dual matrices
+# every structure the package declares: the named triangles, the products of
+# a bidiagonal factor and a band-free one, further products of two structured
+# triangles, and the dual matrices
 _STRUCTURED = {
-    **{name: build for name, build in _NAMED.items() if name not in _BIDIAGONAL},
+    **_NAMED,
     **{
         f"{left}.{right}": (lambda left=left, right=right: compose(_NAMED[left](), _NAMED[right]()))
-        for left in sorted(_BIDIAGONAL)
-        for right in sorted(_EXCESS_FREE)
+        for left in ("delta", "cesaro_inv")
+        for right in sorted(_BAND_FREE)
     },
     **_PRODUCTS,
     **_DUALS,
@@ -279,6 +304,12 @@ def _entry_loop(m, x, size):
     return [_coordinate(m, x, n) for n in range(size)]
 
 
+def _band_reads(name, size):
+    """The entry reads of one structured transform: none, but the band parts
+    of a bidiagonal triangle read each of its entries once."""
+    return 2 * size - 1 if name in _BIDIAGONAL else 0
+
+
 @pytest.mark.parametrize("name", sorted(_STRUCTURED))
 def test_structured_transform_equals_the_entry_loop(name):
     for x_name, build_x in _XS.items():
@@ -289,14 +320,15 @@ def test_structured_transform_equals_the_entry_loop(name):
         # the lazy transform read from its far end first
         lazy = transform_seq(m, x)
         assert [lazy(n) for n in reversed(range(N))][::-1] == got, x_name
-        assert not reads, x_name
+        assert len(reads) == 2 * _band_reads(name, N), x_name
         assert got == _entry_loop(m, x, N), x_name
 
 
 def test_a_matrix_without_structure_takes_the_entry_loop():
     plain = builders.cesaro()
     plain.structure = None
-    for m in (builders.delta(), builders.cesaro_inverse(), plain):
+    bidiagonal = Triangle(lambda n, k: F(n + 1) if k == n else F(-n), band=1)
+    for m in (bidiagonal, plain):
         reads = _counted_reads(m)
         assert apply(m, Seq.constant(1), 8) == _entry_loop(m, Seq.constant(1), 8)
         assert reads
@@ -344,16 +376,16 @@ def test_structured_transform_reads_no_entry_and_each_closure_linearly(name):
     size = 64
     for run in (lambda m, x: apply(m, x, size), lambda m, x: list(map(transform_seq(m, x), range(size)))):
         m, calls = _STRUCTURED[name](), Counter()
-        terms, excess = m.structure
+        terms, band = m.structure
         m.structure = (
             [(_counting(u, calls, ("U", i)), _counting(v, calls, ("V", i))) for i, (u, v) in enumerate(terms)],
-            _counting(excess, calls, "excess"),
+            [_counting(part, calls, ("band", i)) for i, part in enumerate(band)],
         )
         evals, entry = [], m._entry
         m._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
         reads = _counted_reads(m)
         run(m, Seq(_counting(lambda k: F(1, k + 1), calls, "x")))
-        assert not reads and not evals
+        assert len(reads) == len(evals) == _band_reads(name, size)
         assert calls["x"] == size
         assert max(calls.values()) <= size + 1, calls
 
@@ -370,7 +402,17 @@ _INVALID = {
         "v": {"prefix": ["2", "3", "0"], "tail": _ONES},
     },
 }
-_RIGHT_SHAPES = ("mean", "domain", "inverse_of(domain)", "mean.mean", "domain.inverse_of(domain)")
+_RIGHT_SHAPES = (
+    "mean",
+    "domain",
+    "inverse_of(domain)",
+    "inverse_of(mean)",
+    "mean.mean",
+    "domain.inverse_of(domain)",
+    "delta.domain",
+    # the mean's terms times the bidiagonal inverse's band: no structure
+    "mean.inverse_of(mean)",
+)
 # a sequence whose zero terms make rows of the alpha matrix 0 at and before
 # the invalid indices
 _ZERO_TERMS = ["1", "-2", "0", "5"]
@@ -380,15 +422,18 @@ _F_DECLARES_STRUCTURE = (builders.sigma_sum, builders.cesaro)
 
 def _right_spec(case, shape):
     """The invalid weights of case as a mean, as its domain matrix (gamma or
-    sigma_riesz), as the domain matrix's inverse, or as a product of two of
-    these (shapes joined by a dot)."""
+    sigma_riesz), as the inverse of either, or as a product of two of these
+    or of delta and one of these (shapes joined by a dot)."""
     spec = _INVALID[case]
     if "." in shape:
         return {"kind": "compose", "of": [_right_spec(case, part) for part in shape.split(".")]}
+    if shape.startswith("inverse_of("):
+        return {"kind": "inverse_of", "of": _right_spec(case, shape[len("inverse_of(") : -1])}
+    if shape == "delta":
+        return {"kind": "delta"}
     if shape == "mean":
         return spec
-    domain = {**spec, "kind": {"weighted": "gamma", "riesz": "sigma_riesz"}[spec["kind"]]}
-    return domain if shape == "domain" else {"kind": "inverse_of", "of": domain}
+    return {**spec, "kind": {"weighted": "gamma", "riesz": "sigma_riesz"}[spec["kind"]]}
 
 
 def _outcome(fn):
@@ -399,6 +444,22 @@ def _outcome(fn):
         return exc.name, exc.index
 
 
+def _compose_without_structure(a, b):
+    b.structure = None
+    return compose(a, b)
+
+
+def _parse_without_structure(spec, monkeypatch):
+    """The matrix of spec with no structure, nor any in the products the
+    spec composes: those take the band-overlap sum, and its transform the
+    entry loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "compose", _compose_without_structure)
+        matrix, _ = cli.parse_matrix_spec(spec)
+    matrix.structure = None
+    return matrix
+
+
 def _domain_spec(case):
     """The invalid weights of case as a G or R domain spec."""
     spec = dict(_INVALID[case])
@@ -407,7 +468,7 @@ def _domain_spec(case):
 
 @pytest.mark.parametrize("shape", _RIGHT_SHAPES)
 @pytest.mark.parametrize("case", sorted(_INVALID))
-def test_invalid_weights_are_reported_as_without_structure(case, shape):
+def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypatch):
     spec = json.dumps(_right_spec(case, shape))
     # the banded rows end in zeros before and after the invalid index, where
     # the band-overlap sum reads no weight
@@ -420,9 +481,8 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape):
     raised = 0
     for left in lefts:
         structured, _ = cli.parse_matrix_spec(spec)
-        plain, _ = cli.parse_matrix_spec(spec)
-        plain.structure = None
-        assert structured.structure is not None
+        plain = _parse_without_structure(spec, monkeypatch)
+        assert (structured.structure is None) == (shape == "mean.inverse_of(mean)")
         got = _outcome(lambda: truncate(compose(left(), structured), 16))
         assert got == _outcome(lambda: truncate(compose(left(), plain), 16))
         raised += isinstance(got, tuple)
@@ -435,8 +495,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape):
         lambda m: spaces.domain_membership(x, m, spaces.SpaceId.C, 16),
     ):
         structured, _ = cli.parse_matrix_spec(spec)
-        plain, _ = cli.parse_matrix_spec(spec)
-        plain.structure = None
+        plain = _parse_without_structure(spec, monkeypatch)
         got = _outcome(lambda: run(structured))
         assert isinstance(got, tuple)
         assert got == _outcome(lambda: run(plain))
@@ -489,10 +548,6 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         assert cli.main(argv) == 3
         structured.append(capsys.readouterr())
 
-    def compose_without_structure(a, b):
-        b.structure = None
-        return compose(a, b)
-
     def parse_without_structure(text):
         matrix, resolved = parse_matrix_spec(text)
         matrix.structure = None
@@ -507,7 +562,7 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         return build_without_structure
 
     parse_matrix_spec = cli.parse_matrix_spec
-    monkeypatch.setattr(cli, "compose", compose_without_structure)
+    monkeypatch.setattr(cli, "compose", _compose_without_structure)
     monkeypatch.setattr(cli, "parse_matrix_spec", parse_without_structure)
     for name in ("alpha_assoc", "beta_assoc"):
         monkeypatch.setattr(duals, name, without_structure(getattr(duals, name)))

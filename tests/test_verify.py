@@ -270,7 +270,7 @@ CASES = [
         # the composed side multiplies delta by cesaro . cesaro, a product of
         # two structured triangles, instead of by cesaro
         "identities",
-        (verify, "compose", 8, lambda orig, x, y: orig(x, orig(y, builders.cesaro()))),
+        (verify, "compose", 11, lambda orig, x, y: orig(x, orig(y, builders.cesaro()))),
         {
             "name": "apply_compose_coherence",
             "status": "fail",
