@@ -31,10 +31,13 @@ as (lcm, integer numerators).  An entry is then one integer sum and one
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
 Gu (2003), a case of the quasiseparable generators of Eidelman and Gohberg
-(1999).  ``compose`` multiplies by one in O(N^2) operations instead of
-O(N^3), the band-overlap sum serves every other right factor, and
-``dense_mul`` of truncations is the oracle for both; ``_product_structure``
-is the one rule that multiplies two structures.  ``apply`` and
+(1999).  Each band part is a whole diagonal of cells, and the terms give
+only the cells below the band, so no reader of a structure reads a term
+column at or past its row.  ``compose`` multiplies by one in O(N^2)
+operations instead of O(N^3), the band-overlap sum serves every other right
+factor, and ``dense_mul`` of truncations is the oracle for both;
+``_product_structure`` is the one rule that multiplies two structures, and
+a product of two structures always declares one.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
 running sum per term and its band, so N coordinates cost O(N) operations;
 every other matrix takes the entry loop ``_coordinate`` over each row's
@@ -147,12 +150,14 @@ def add_all(values: list) -> Fraction:
 
 
 def running_sum(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
-    """n -> term(0) + ... + term(n) for n >= -1, memoized.  The sums are built
-    by appending, so they are locked."""
+    """n -> term(0) + ... + term(n), 0 for n < 0, memoized.  The sums are
+    built by appending, so they are locked."""
     sums = [ZERO]  # sums[n + 1] is the sum up to n
     lock = threading.Lock()
 
     def total(n: int) -> Fraction:
+        if n < 0:
+            return ZERO
         with lock:
             while len(sums) <= n + 1:
                 sums.append(sums[-1] + term(len(sums) - 1))
@@ -171,12 +176,14 @@ class BandedMatrix:
     subdiagonals.  ``row_count``, when present, declares every row from that
     index on to be zero (a wholly finite matrix).  ``known_inverse``, when
     present, builds the exact inverse without forward substitution.
-    ``structure``, when present, is a pair (terms, band) with
-    entry(n, k) = sum of U(n) V(k) over the terms (U, V) for 0 <= k <= n,
-    plus band[i](n) when k = n - i; U and V are callables, or None for the
-    all-ones sequence, and each band part is a callable read only at n >= i.
-    It is declared only on lower triangles.  The finite row supports are
-    what make every product and transform coordinate an exact finite sum.
+    ``structure``, when present, is a pair (terms, band): band[i](n) is the
+    whole entry (n, n - i) for i < len(band), read only at n >= i, and
+    entry(n, k) = sum of U(n) V(k) over the terms (U, V) for the cells
+    strictly below the band, 0 <= k <= n - len(band).  U and V are
+    callables, or None for the all-ones sequence.  So no reader of a
+    structure needs a term column at or past the row it is on.  It is
+    declared only on lower triangles.  The finite row supports are what
+    make every product and transform coordinate an exact finite sum.
     """
 
     def __init__(
@@ -332,23 +339,27 @@ def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
     """n -> coordinate n of the transform Mx.
 
     When m declares a structure (terms, band), coordinate n is the sum of
-    U(n) P(n) over the terms (U, V), plus band[i](n) x(n - i), where P(n)
-    sums V(k) x(k) over k <= n: one memoized running sum per term.  Any
-    other matrix takes the entry loop ``_coordinate``, which is also the
-    oracle the structured path is checked against.
+    U(n) P(n - len(band)) over the terms (U, V), plus band[i](n) x(n - i),
+    where P(m) sums V(k) x(k) over k <= m: one memoized running sum per
+    term.  Any other matrix takes the entry loop ``_coordinate``, which is
+    also the oracle the structured path is checked against.
     """
     if m.structure is None:
         return lambda n: _coordinate(m, x, n)
     terms, band = m.structure
+    width = len(band)
     sums = [running_sum(lambda k, v=v: x(k) if v is None else v(k) * x(k)) for _, v in terms]
 
     def coordinate(n: int) -> Fraction:
-        # every U(n), then every V(n), then the band from its first column
-        # on, the order in which the entry loop meets them at row n, so an
-        # invalid weight is reported at the same index either way
-        scales = [None if u is None else u(n) for u, _ in terms]
-        values = [p(n) if c is None else c * p(n) for c, p in zip(scales, sums)]
-        return add_all(values + [band[i](n) * x(n - i) for i in range(min(len(band) - 1, n), -1, -1)])
+        # every U(n) and the sums of the cells below the band, then the band
+        # from its first column on, the order in which the entry loop meets
+        # them at row n, so an invalid weight is reported at the same index
+        # either way; a row within the band has no cell of the terms
+        values = []
+        if n >= width:
+            scales = [None if u is None else u(n) for u, _ in terms]
+            values = [p(n - width) if c is None else c * p(n - width) for c, p in zip(scales, sums)]
+        return add_all(values + [band[i](n) * x(n - i) for i in range(min(width - 1, n), -1, -1)])
 
     return coordinate
 
@@ -375,13 +386,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     have known inverses it is inverted as inverse(B).inverse(A).
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
-    V(k) S_n(max(k, lo)) over the terms (U, V), plus a(n,k+i) band[i](k+i)
-    over the band, where [lo, hi] is A's row n support and S_n(m) sums
-    a(n,j) U(j) over j in [m, hi].  The first read of row n builds its
-    suffix sums in one pass per term over A's row, so an N x N block costs
-    O(N^2) operations, not O(N^3), and B's entries are never read.  When A
-    declares a structure too, so does the product, with the one exception
-    ``_product_structure`` names.
+    V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
+    a(n,k+i) band[i](k+i) over the band, where [lo, hi] is A's row n
+    support and S_n(m) sums a(n,j) U(j) over j in [m, hi]: B's cells (j, k)
+    are its band's for j < k + len(band) and its terms' below.  The first
+    read of row n builds its suffix sums in one pass per term over A's row,
+    so an N x N block costs O(N^2) operations, not O(N^3), and B's entries
+    are never read.  When A declares a structure too, so does the product
+    (``_product_structure``).
     """
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
@@ -406,6 +418,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
     else:
         terms, b_parts = b.structure
+        width = len(b_parts)
         suffixes: dict[int, tuple] = {}
 
         def suffix_sums(n: int) -> tuple:
@@ -426,13 +439,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             if row is None:
                 row = suffixes[n] = suffix_sums(n)
             lo, coeffs, sums = row
-            i = k - lo if k > lo else 0
-            if i >= len(coeffs):
+            if k - lo >= len(coeffs):
                 return ZERO
             acc = None
-            for v, column in sums:
-                term = column[i] if v is None else v(k) * column[i]
-                acc = term if acc is None else acc + term
+            i = k + width - lo if k + width > lo else 0  # the first j below B's band
+            if i < len(coeffs):
+                for v, column in sums:
+                    term = column[i] if v is None else v(k) * column[i]
+                    acc = term if acc is None else acc + term
             if b_parts:
                 for m, part in enumerate(b_parts, k - lo):  # band part i meets coeffs[k + i - lo]
                     if 0 <= m < len(coeffs) and coeffs[m]:
@@ -479,55 +493,76 @@ def _sum(parts: list):
     return parts[0] if len(parts) == 1 else Seq(lambda j: add_all([f(j) for f in parts]))
 
 
-def _product_structure(a: BandedMatrix, b: BandedMatrix) -> Optional[tuple]:
-    """The structure of A.B for lower triangles A and B that declare one,
-    or None when A has terms and B's band reaches below its diagonal.
+def _diagonal(structure: tuple, e: int):
+    """n -> entry (n, n - e) of a lower triangle as its structure states it,
+    for n >= e: a band part, or the sum of U(n) V(n - e) over the terms;
+    None when every such entry is 1."""
+    terms, band = structure
+    if e < len(band):
+        return band[e]
+    if terms == [(None, None)]:
+        return None
+    return lambda n: add_all([(ONE if v is None else v(n - e)) if u is None else times(u(n), v, n - e) for u, v in terms])
 
-    With (Ua, Va) and a_i A's terms and band and (Ub, Vb) and b_i B's, entry
-    (n,k) of A.B has four pieces, none reading an index past n: terms times
-    terms, Ua(n) (P(n) - P(k-1)) Vb(k) with P the running sum of Va Ub; A's
-    band times B's terms, S(n) Vb(k) with S(n) the sum of a_i(n) Ub(n-i),
-    less its cells above B's diagonal, which go to the band; A's terms times
-    B's diagonal, Ua(n) Va(k) b_0(k); and the bands, a_i(n) b_l(n-i) at
-    offset i + l.  So the product has as many terms as its factors together:
-    the lower quasiseparable order is subadditive under products (Eidelman
-    and Gohberg 1999), and nested products stay small.
+
+def _product_structure(a: BandedMatrix, b: BandedMatrix) -> tuple:
+    """The structure of A.B for lower triangles A and B that declare one.
+
+    With (Ua, Va) and la parts a_i A's terms and band and (Ub, Vb) and lb
+    parts b_i B's, the product's band has max(la + lb - 1, 0) parts: cell
+    (n, n-d) is the sum over j in [n-d, n] of A's cell (n, j) times B's cell
+    (j, n-d), each read from its factor's structure.  Below that band entry
+    (n,k) has three pieces, none reading an index past n: terms times
+    terms, Ua(n) (P(n-la) - P(k+lb-1)) Vb(k) with P the running sum of Va
+    Ub; A's band times B's terms, S(n) Vb(k) with S(n) the sum of a_i(n)
+    Ub(n-i); and A's terms times B's band, Ua(n) V'(k) with V'(k) the sum
+    of Va(k+i) b_i(k+i), which reads up to k + lb - 1 <= n - la.  So the
+    product has as many terms as its factors together: the lower
+    quasiseparable order is subadditive under products (Eidelman and
+    Gohberg 1999), and nested products stay small.
     """
     (a_terms, a_band), (b_terms, b_band) = a.structure, b.structure
-    if a_terms and len(b_band) > 1:
-        # Va(k+i) b_i(k+i) reads A's weights i past column k, so a later invalid weight
-        # could be reported first; the entries take compose's suffix sums, which do not
-        return None
+    la, lb = len(a_band), len(b_band)
     # sums[s][t] is the running sum of Va Ub over A's term s and B's term t
     sums = [[running_sum(_product(va, ub) or Seq.constant(1)) for ub, _ in b_terms] for _, va in a_terms]
 
     def band_times(f):  # S as a memoized Seq, its far column read first
-        if len(a_band) == 1:
+        if la == 1:
             return _product(a_band[0], f)
-        return Seq(lambda n: add_all([times(a_band[i](n), f, n - i) for i in range(min(len(a_band) - 1, n), -1, -1)]))
+        return Seq(lambda n: add_all([times(a_band[i](n), f, n - i) for i in range(min(la - 1, n), -1, -1)]))
+
+    def times_band(f):  # V' as a memoized Seq, its near row read first
+        if lb == 1:
+            return _product(f, b_band[0])
+        return Seq(lambda k: add_all([b_band[i](k + i) if f is None else f(k + i) * b_band[i](k + i) for i in range(lb)]))
 
     terms = []
     for t, (ub, vb) in enumerate(b_terms):
-        parts = [_product(ua, ps[t]) for (ua, _), ps in zip(a_terms, sums)]
+        parts = [
+            Seq(lambda n, p=ps[t]: p(n - la)) if ua is None else Seq(lambda n, ua=ua, p=ps[t]: ua(n) * p(n - la))
+            for (ua, _), ps in zip(a_terms, sums)
+        ]
         terms.append((_sum(parts + ([band_times(ub)] if a_band else [])), vb))
     for (ua, va), ps in zip(a_terms, sums):
-        parts = [Seq(lambda k, p=p, vb=vb: -times(p(k - 1), vb, k)) for p, (_, vb) in zip(ps, b_terms)]
-        terms.append((ua, _sum(parts + [_product(va, part) for part in b_band])))
+        parts = [Seq(lambda k, p=p, vb=vb: -times(p(k + lb - 1), vb, k)) for p, (_, vb) in zip(ps, b_terms)]
+        terms.append((ua, _sum(parts + ([times_band(va)] if b_band else []))))
 
     def band_part(d: int):
-        # the bands' products at offset d, less A's band times B's terms above B's diagonal
-        parts = [_product(a_band[0], b_band[d])] if d < len(b_band) else []
-        for i in range(1, len(a_band)):
-            if 0 <= d - i < len(b_band):
-                parts.append(Seq(lambda n, i=i: a_band[i](n) * b_band[d - i](n - i)))
-            if i > d:
-                parts += [
-                    Seq(lambda n, i=i, u=u, v=v: ZERO if n < i else -times(times(a_band[i](n), u, n - i), v, n - d))
-                    for u, v in b_terms
-                ]
-        return _sum(parts)
+        # A's cell (n, n-i) times B's cell (n-i, n-d), from the far column
+        # on: each factor's cell lies on one of its diagonals
+        parts = []
+        for i in range(d, -1, -1):
+            f, g = _diagonal(a.structure, i), _diagonal(b.structure, d - i)
+            if not i:
+                parts.append(_product(f, g) or Seq.constant(1))
+            elif g is None:
+                parts.append(f or Seq.constant(1))
+            else:
+                parts.append(Seq(lambda n, i=i, f=f, g=g: g(n - i) if f is None else f(n) * g(n - i)))
+        part = _sum(parts)
+        return part if isinstance(part, Seq) else Seq(part)
 
-    return terms, [band_part(d) for d in range(len(a_band) + len(b_band) - 1 if a_band else 0)]
+    return terms, [band_part(d) for d in range(la + lb - 1)]
 
 
 def _build_inverse(t: Triangle) -> Triangle:

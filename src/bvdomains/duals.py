@@ -13,19 +13,20 @@ reads (``condition_verdict``); ``matclass`` uses the same three functions.
 The dual matrices get the structure of ``core`` from ``compose``, which
 multiplies the structures of diag(a) (no terms and the band [a]), of the
 sum matrix and of the domain inverse; the closed-form cross-check matrix
-declares the beta form from the weights.  When a structure has no band
-below its diagonal, and terms constant along rows plus either constant
-along columns or exactly one two-sided term (U1, V1), a matrix is w[n]
-col[k] + row[n] below its diagonal, with w = 1 or w = U1, and the three
+declares the beta form from the weights.  When a structure has terms
+constant along rows plus either constant along columns or exactly one
+two-sided term (U1, V1), a matrix is w[n] col[k] + row[n] below its band,
+with w = 1 or w = U1, and its band parts are whole cells, so the three
 statistics compute from those lists in O(N log N) integer operations:
 prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
-envelopes of the lines w[n] x + row[n].  That covers the dual matrices and
-F = domain . B for B = sum or cesaro.  The lists are scaled over common
+envelopes of the lines w[n] x + row[n], with each row's few band cells
+read as they are.  That covers the dual matrices and F = domain . B for
+B = sum, cesaro, delta and cesaro_inv.  The lists are scaled over common
 denominators, in the manner of the integer kernels of ``core``, kept on the
 matrix and rescaled only when a grown value needs it; each reported value
 is divided by d back into a Fraction.  The statistics scan any other matrix
-(E, F for B = delta or cesaro_inv, a bare triangle domain), and the scans
-are also the oracle the structure path is checked against.  A scan reads
+(E, a bare triangle domain), and the scans are also the oracle the
+structure path is checked against.  A scan reads
 only the cells the matrix's row supports leave possibly nonzero, in the
 order of a scan of the whole square, and does no arithmetic on a zero, so E
 of a finite matrix with r rows costs O(r N) entry reads, not O(N^2).
@@ -53,15 +54,18 @@ DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
 def _generators(m, size: int) -> Optional[tuple]:
-    """(d, diag, w, col, row): integer lists below size with entry(n, n) =
-    diag[n] / d and entry(n, k) = (w[n] col[k] + row[n]) / d for k < n.
+    """(d, bands, w, col, row): integer lists with bands[i][n] / d the entry
+    (n, n - i) for the cells of the band, and (w[n] col[k] + row[n]) / d the
+    entry (n, k) for the cells below it, k <= n - len(bands), n < size.
 
-    They exist when m's structure has no band below its diagonal, row terms
-    (U, None) and either column terms (None, V), so that w = 1, or exactly
-    one two-sided term (U1, V1), so that w is U1 and col is V1; row sums the
-    row terms.  For any other structure, and for none, this is None.  The
-    lists are kept on m and extended to the largest size asked for, so the
-    statistics of one matrix read each weight once and scale it once."""
+    They exist when m's structure has row terms (U, None) and either column
+    terms (None, V), so that w = 1, or exactly one two-sided term (U1, V1),
+    so that w is U1 and col is V1; row sums the row terms.  The band lists
+    are the structure's band parts, or, with no band, one list of the
+    diagonal from the terms; a row within the band has w = row = 0.  For
+    any other structure, and for none, this is None.  The lists are kept on
+    m and extended to the largest size asked for, so the statistics of one
+    matrix read each weight once and scale it once."""
     if m.structure is None:
         return None
     try:
@@ -78,56 +82,74 @@ def _rescale(values: list, old: int, new: int) -> None:
         values[:] = [x * (new // g) // (old // g) for x in values]
 
 
-def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
-    """size -> the lists (d, diag, w, col, row) of ``_generators`` below
-    size, or None when the structure has none.
+def _lcm_all(values: set) -> int:
+    """The lcm of a set of integers, 1 when it is empty, taken as a product
+    tree: each step joins two lcms of as many values, so no step multiplies
+    a huge lcm by one small value."""
+    values = list(values)
+    while len(values) > 1:
+        values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
+    return values[0] if values else 1
 
-    w is scaled by the lcm dw of its denominators, col by d / dw, and diag
-    and row by d, the lcm of dw times col's lcm and of the denominators of
-    diag and row: then w[n] col[k] + row[n] is d times the entry.  The lists
-    are built by appending, and so locked.  What a grown chunk appends is
-    scaled once, and what is kept is rescaled only when a new denominator
-    does not divide its scale."""
+
+def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
+    """size -> the lists (d, bands, w, col, row) of ``_generators``, or None
+    when the structure has none.
+
+    w is scaled by the lcm dw of its denominators, col by d / dw, and the
+    bands and row by d, the lcm of dw times col's lcm and of the
+    denominators of the bands and row: then w[n] col[k] + row[n] is d times
+    the entry.  Row j reads its row terms, its weight and col[j - L], L the
+    number of band parts, then its band from the far column on: the order
+    of a scan of row j, and no index past j.  The lists are built by
+    appending, and so locked.  What a grown chunk appends is scaled once,
+    and what is kept is rescaled only when a new denominator does not
+    divide its scale."""
     terms, band = structure
     row_terms = [u for u, v in terms if v is None]
     col_terms = [v for u, v in terms if u is None and v is not None]
     two_sided = [(u, v) for u, v in terms if u is not None and v is not None]
-    if len(band) > 1 or len(two_sided) > 1 or two_sided and col_terms:
+    if len(two_sided) > 1 or two_sided and col_terms:
         return None
     weight = two_sided[0][0] if two_sided else None
     col_terms += [v for _, v in two_sided]
-    lists = diag, w, col, row = [], [], [], []
+    width = len(band)
+    bands = [[] for _ in range(max(width, 1))]
+    w, col, row = [], [], []
     scales = [1, 1, 1]  # dw, the lcm of col's denominators, d
     lock = threading.Lock()
 
     def grow(size: int) -> tuple:
         with lock:
-            chunk = []
-            for j in range(len(diag), size):
-                # row j below its diagonal first, as an entry scan reads it,
-                # so an invalid weight is reported at the same index either way
-                rows = [ONE if u is None else u(j) for u in row_terms]
-                scale = ONE if weight is None else weight(j)
-                cols = [v(j) for v in col_terms]
-                below = cols if weight is None else [scale * cols[0]]
-                on_diagonal = add_all(rows + below + [part(j) for part in band])
-                chunk.append((on_diagonal, scale, add_all(cols), add_all(rows)))
+            chunk, columns = [], []
+            for j in range(len(w), size):
+                scale, rows = ZERO, []
+                if j >= width:
+                    rows = [ONE if u is None else u(j) for u in row_terms]
+                    scale = ONE if weight is None else weight(j)
+                    cols = [v(j - width) for v in col_terms]
+                    columns.append(add_all(cols))
+                if width:  # from the far column on; a row above a band part has no cell of it
+                    cells = [band[i](j) if i <= j else ZERO for i in range(width - 1, -1, -1)][::-1]
+                else:  # the diagonal, from the terms
+                    cells = [add_all(rows + (cols if weight is None else [scale * cols[0]]))]
+                chunk.append((scale, add_all(rows), *cells))
             if chunk:
                 dw, dc, d = scales
-                new_diag, new_w, new_col, new_row = zip(*chunk)
-                dw2 = lcm(dw, *(x.denominator for x in new_w))
-                dc2 = lcm(dc, *(x.denominator for x in new_col))
-                d2 = lcm(d, dw2 * dc2, *(x.denominator for x in new_diag + new_row))
+                new_w, new_row, *new_bands = zip(*chunk)
+                dw2 = lcm(dw, _lcm_all({x.denominator for x in new_w}))
+                dc2 = lcm(dc, _lcm_all({x.denominator for x in columns}))
+                d2 = lcm(d, dw2 * dc2, _lcm_all({x.denominator for values in [new_row, *new_bands] for x in values}))
                 for kept, values, old, new in (
-                    (diag, new_diag, d, d2),
                     (w, new_w, dw, dw2),
-                    (col, new_col, d // dw, d2 // dw2),
+                    (col, columns, d // dw, d2 // dw2),
                     (row, new_row, d, d2),
+                    *((cells, values, d, d2) for cells, values in zip(bands, new_bands)),
                 ):
                     _rescale(kept, old, new)
                     kept += [x.numerator * (new // x.denominator) for x in values]
                 scales[:] = dw2, dc2, d2
-            return (scales[2],) + tuple(kept[:size] for kept in lists)
+            return scales[2], [cells[:size] for cells in bands], w[:size], col[: max(size - width, 0)], row[:size]
 
     return grow
 
@@ -293,22 +315,24 @@ def cond_l1_linf(m, n: int) -> tuple:
 
     One pass grows the square by its last row and column, so each entry of
     the N x N square in m's supports is read once and the smaller squares
-    are checkpoints.  With generator lists, the new row's entries below the
-    diagonal are w[last] col[k] + row[last], extremal at the extremes of col
-    over k < last; the sup is taken on the integers and divided at
-    checkpoints.
+    are checkpoints.  With generator lists, the new row's entries below its
+    band are w[last] col[k] + row[last], extremal at the extremes of col
+    over k <= last - L, L the number of band lists, and then come its band
+    cells; the sup is taken on the integers and divided at checkpoints.
     """
     marks = checkpoints(n)
     out = []
     if (generators := _generators(m, n)) is not None:
-        d, diag, w, col, row = generators
+        d, bands, w, col, row = generators
+        width = len(bands)
         highs, lows = list(accumulate(col, max)), list(accumulate(col, min))
         best = 0
         for last in range(n):
-            if last:
-                scale, r = w[last], row[last]
-                best = max(best, abs(scale * highs[last - 1] + r), abs(scale * lows[last - 1] + r))
-            best = max(best, abs(diag[last]))
+            if last >= width:
+                scale, r, k = w[last], row[last], last - width
+                best = max(best, abs(scale * highs[k] + r), abs(scale * lows[k] + r))
+            for cells in bands:
+                best = max(best, abs(cells[last]))
             if last + 1 in marks:
                 out.append((last + 1, Fraction(best, d)))
         return tuple(out)
@@ -338,10 +362,12 @@ def cond_l1_c(m, n: int) -> tuple:
     x = col[k], so the oscillation is the max less the min of those lines,
     read from their upper and lower envelopes (``_maxima``).  With w = 1
     the lines are parallel, and the oscillation is the same for every
-    column.
+    column.  A band of more than N/4 + 1 parts would reach into the
+    window, so such a matrix is scanned.
     """
     quarter, half, _ = checkpoints(n)
-    if (generators := _generators(m, n + 1)) is not None:
+    narrow = m.structure is not None and len(m.structure[1]) <= half - quarter + 1
+    if narrow and (generators := _generators(m, n + 1)) is not None:
         d, _, w, col, row = generators
         lines = list(zip(w[half:], row[half:]))
         xs = col[:quarter]
@@ -373,24 +399,34 @@ def cond_l1_l1(m, n: int) -> tuple:
 
     Like cond_l1_linf, one pass over the N x N square's supports: the
     running column sums take the new last row, then the new last column is
-    summed.  With generator lists, column k's sum at a checkpoint size is
-    |diag[k]| plus the sum of |w[j] col[k] + row[j]| over k < j < size: the
-    sum over rows 1..size-1 less the one over rows 1..k, both from
-    ``_AbsSums``.
+    summed.  With generator lists and L band lists, column k's sum at a
+    checkpoint size is the sum of its band cells plus the sum of
+    |w[j] col[k] + row[j]| over k + L <= j < size: the sum over rows
+    L..size-1 less the one over rows L..k+L-1, both from ``_AbsSums``.  A
+    column with no cell below the band in the square sums its band cells.
     """
     marks = checkpoints(n)
     out = []
     if (generators := _generators(m, n)) is not None:
-        d, diag, w, col, row = generators
+        d, bands, w, col, row = generators
+        width = len(bands)
+        absolute = [list(map(abs, cells)) for cells in bands]
+        # column k's band cells, for the columns whose band fits in the square
+        band_sums = list(map(sum, zip(*(cells[i:] for i, cells in enumerate(absolute)))))
         below = _AbsSums(w, row)
-        bases = []  # |diag[k]| less the sum over rows 1..k
+        bases = []  # column k's band cells less the sum over rows L..k+L-1
         for last in range(n):
-            if last:
+            if last >= width:
                 below.insert(last)
-            bases.append(abs(diag[last]) - below.query(col[last]))
+            k = last - width + 1
+            if 0 <= k < len(col):
+                bases.append(band_sums[k] - below.query(col[k]))
             if last + 1 in marks:
-                column_max = max(b + below.query(c) for b, c in zip(bases, col))
-                out.append((last + 1, Fraction(column_max, d)))
+                sums = [b + below.query(c) for b, c in zip(bases, col)]
+                sums += [
+                    sum(absolute[j - k][j] for j in range(k, last + 1)) for k in range(len(bases), last + 1)
+                ]
+                out.append((last + 1, Fraction(max(sums), d)))
         return tuple(out)
     sums: list[Fraction] = []
     for last, row, column, diagonal in _borders(m, n):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdomains import duals
+from bvdomains.cli import parse_domain_spec
 from bvdomains.core import (
     InvalidWeightsError,
     Seq,
@@ -27,6 +28,7 @@ from bvdomains.builders import (
     WeightPair,
     cesaro,
     cesaro_domain,
+    cesaro_inverse,
     delta,
     gamma,
     phi,
@@ -268,9 +270,9 @@ def generator_entries(m, size):
     """The entries of the leading square of m of the given size that its
     generator lists represent, which do not depend on how far the lists
     have grown, unlike their scale d."""
-    d, diag, w, col, row = duals._generators(m, size)
-    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(size) for k in range(i))
-    return tuple(F(x, d) for x in diag) + below
+    d, bands, w, col, row = duals._generators(m, size)
+    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(size) for k in range(i - len(bands) + 1))
+    return tuple(F(x, d) for cells in bands for x in cells) + below
 
 
 def test_appended_rows_are_consistent_across_threads():
@@ -453,19 +455,56 @@ def test_statistics_of_means_and_domain_matrices_equal_the_scans():
             assert_structure_matches_scan(kind, fast, scanned, 16)
 
 
-# B whose F = domain . B declares a row term and one two-sided term
-F_RIGHT = {"sum": sigma_sum, "cesaro": cesaro}
+# the B of the into-domain class tests: F = domain . B declares a row term
+# and one two-sided term for B = sum and cesaro, and one two-sided term and
+# a band of two parts for B = delta and cesaro_inv
+F_RIGHT = {"sum": sigma_sum, "cesaro": cesaro, "delta": delta, "cesaro_inv": cesaro_inverse}
+
+
+# the into-domain domains of the class_test benchmark workload, and one G
+# pair whose u changes sign, beside DOMAINS
+_TAIL = lambda kind, **params: {"tail": {"kind": kind, **params}}
+_K_PLUS_1 = {"prefix": [str(k + 1) for k in range(49)], "tail": {"kind": "const", "c": "50"}}
+BENCH_DOMAINS = {
+    "G(harmonic, 1)": {"label": "G", "u": _TAIL("harmonic"), "v": _TAIL("const", c="1")},
+    "G(power 2, harmonic)": {"label": "G", "u": _TAIL("power", p=2), "v": _TAIL("harmonic")},
+    "G(1/2^n, 2^k)": {"label": "G", "u": _TAIL("geometric", r="1/2"), "v": _TAIL("geometric", r="2")},
+    "G(harmonic, 2^k)": {"label": "G", "u": _TAIL("harmonic"), "v": _TAIL("geometric", r="2")},
+    "G((-1/2)^n, 1)": {"label": "G", "u": _TAIL("geometric", r="-1/2"), "v": _TAIL("const", c="1")},
+    "R(1)": {"label": "R", "q": _TAIL("const", c="1")},
+    "R(harmonic)": {"label": "R", "q": _TAIL("harmonic")},
+    "R(k+1)": {"label": "R", "q": _K_PLUS_1},
+    "R(2^k)": {"label": "R", "q": _TAIL("geometric", r="2")},
+}
+F_DOMAINS = {
+    **DOMAINS,
+    **{name: lambda spec=spec: parse_domain_spec(json.dumps(spec))[0] for name, spec in BENCH_DOMAINS.items()},
+}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16, 48])
-@pytest.mark.parametrize("domain", sorted(DOMAINS))
+@pytest.mark.parametrize("domain", sorted(F_DOMAINS))
 def test_statistics_of_F_equal_the_scans(domain, n):
-    """F = domain . B for B = sum and cesaro is read as the lists
-    w[n] col[k] + row[n], w the domain's row weight: all three statistics
-    equal the scans of F with its structure removed."""
+    """F = domain . B declares a structure read as the lists w[n] col[k] +
+    row[n] below its band, w the domain's row weight, and its band cells:
+    all three statistics equal the scans of F with its structure removed."""
     for name, b in F_RIGHT.items():
-        fast, scanned = with_and_without_structure(lambda: left_transform_F(b(), DOMAINS[domain]().matrix))
+        fast, scanned = with_and_without_structure(lambda: left_transform_F(b(), F_DOMAINS[domain]().matrix))
+        assert len(fast.structure[1]) == (2 if name in ("delta", "cesaro_inv") else 0), name
         for kind in ("alpha", "beta", "gamma"):
+            assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+def test_statistics_of_a_band_reaching_the_column_limit_window_equal_the_scans():
+    """delta^3 . phi has a band of four parts.  At N = 8 the column limit
+    window (rows from N/2, columns below N/4) holds cells of it, so its
+    column limits are scanned; at N = 12 and 16, and for the other
+    statistics, the lists are read."""
+    build = lambda: compose(delta(), compose(delta(), compose(delta(), phi())))
+    fast, scanned = with_and_without_structure(build)
+    assert len(fast.structure[1]) == 4
+    for n in (8, 12, 16):
+        for kind in ("alpha", "beta"):
             assert_structure_matches_scan(kind, fast, scanned, n)
 
 
@@ -487,6 +526,44 @@ def test_generator_statistics_property(us, vs, values, n):
     a = Seq.from_values(values)
     for dom in (weighted_domain(WeightPair(u, v)), riesz_domain(RieszWeights(u))):
         assert_generators_match_scans(dom, a, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(positive, min_size=1, max_size=5),
+    st.lists(positive, min_size=1, max_size=5),
+    st.sampled_from(sorted(F_RIGHT)),
+    st.sampled_from([8, 12, 16]),
+)
+def test_generator_lists_of_F_property(us, vs, name, n):
+    """Periodic positive weights on G and R: the statistics of F = domain .
+    B from its generator lists equal the scans of F."""
+    u = Seq(lambda k: us[k % len(us)])
+    v = Seq(lambda k: vs[k % len(vs)])
+    for dom in (weighted_domain(WeightPair(u, v)), riesz_domain(RieszWeights(u))):
+        fast, scanned = with_and_without_structure(lambda: left_transform_F(F_RIGHT[name](), dom.matrix))
+        for kind in ("alpha", "beta", "gamma"):
+            assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+@pytest.mark.parametrize("b", ["delta", "cesaro_inv"])
+@pytest.mark.parametrize("domain", ["C", "G[alternating]", "R[2^k]"])
+def test_into_domain_class_test_evaluates_no_entry_of_F(domain, b, monkeypatch):
+    """The column l1 sums of F = domain . B come from its generator lists,
+    so the class test evaluates no entry of F."""
+    evals = []
+    transform = left_transform_F
+
+    def counted(b_matrix, domain_matrix):
+        f = transform(b_matrix, domain_matrix)
+        entry = f._entry
+        f._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
+        return f
+
+    monkeypatch.setattr("bvdomains.matclass.left_transform_F", counted)
+    report = class_test_into_domain(F_RIGHT[b](), DOMAINS[domain](), SpaceId.L1, 48)
+    assert len(report.transformed_condition["column_l1"]) == 3
+    assert evals == []
 
 
 # ------------------------------------------ the integer kernel of the statistics
@@ -552,7 +629,7 @@ def test_one_sided_structure_statistics_property(n, data):
             return col[k] + row[i] + (excess[i] if i == k else 0)
 
         terms = [(row.__getitem__, None), (None, col.__getitem__)]
-        return BandedMatrix(entry, structure=(terms, [excess.__getitem__]))
+        return BandedMatrix(entry, structure=(terms, [lambda i: entry(i, i)]))
 
     fast, scanned = with_and_without_structure(build)
     for kind in ("alpha", "beta"):
@@ -582,7 +659,7 @@ def test_row_weighted_structure_statistics_property(n, data):
             return weights[i] * col[k] + row[i] + (excess[i] if i == k else 0)
 
         terms = [(row.__getitem__, None), (weights.__getitem__, col.__getitem__)]
-        return BandedMatrix(entry, structure=(terms, [excess.__getitem__]))
+        return BandedMatrix(entry, structure=(terms, [lambda i: entry(i, i)]))
 
     fast, scanned = with_and_without_structure(build)
     for kind in ("alpha", "beta"):
@@ -590,10 +667,10 @@ def test_row_weighted_structure_statistics_property(n, data):
 
 
 def test_structures_without_generator_lists_are_scanned():
-    """Two two-sided terms, a two-sided term and a column term, or a band
-    part below the diagonal have no lists w[n] col[k] + row[n]."""
+    """Two two-sided terms, or a two-sided term and a column term, have no
+    lists w[n] col[k] + row[n]."""
     u, v = Seq(lambda n: F(n + 1)), Seq(lambda k: F(1, k + 1))
-    for structure in (([(u, v), (v, u)], []), ([(u, v), (None, v)], []), ([(u, None)], [u, v])):
+    for structure in (([(u, v), (v, u)], []), ([(u, v), (None, v)], [u, v])):
         m = BandedMatrix(lambda n, k: F(0), structure=structure)
         assert duals._generators(m, 4) is None
 

@@ -5,9 +5,10 @@ dense product of truncations, and transforms a sequence through per-term
 running sums, checked bit-exactly against the entry loop.  The structured
 triangles are the bidiagonal ones (a band only), the means (one term), the
 domain matrices phi, gamma and sigma and their inverses (one term and a
-diagonal band part), the products of two structured triangles but those of
-a factor with terms and a bidiagonal one, and the dual matrices, and the
-declared structures are checked against the entries they describe."""
+diagonal band part), the products of any two structured triangles, and the
+dual matrices.  A band part is the whole cell it names and the terms give
+the cells below the band, and the declared structures are checked against
+the entries they describe."""
 
 import json
 from collections import Counter
@@ -119,8 +120,9 @@ def _compose_named(*names):
 
 # products of two structured triangles, which declare a structure of their
 # own: every combination of a diagonal band part on the left and on the
-# right, bands wider than the diagonal on the left, band-only products,
-# terms with and without all-ones sequences, and one nest of three factors
+# right, bands wider than the diagonal on either side, terms times a
+# bidiagonal band (F = domain . delta among them), band-only products, terms
+# with and without all-ones sequences, and one nest of three factors
 _PRODUCTS = {
     ".".join(names): (lambda names=names: _compose_named(*names))
     for names in (
@@ -136,6 +138,10 @@ _PRODUCTS = {
         ("gamma", "inverse(sigma)"),
         ("inverse(gamma)", "sigma"),
         ("phi", "cesaro", "inverse(sigma)"),
+        ("phi", "delta"),
+        ("gamma", "cesaro_inv"),
+        ("cesaro", "inverse(weighted[harmonic])"),
+        ("phi", "inverse(weighted[harmonic])"),
     )
 }
 
@@ -152,13 +158,15 @@ def test_compose_equals_the_dense_product(left):
 
 
 def _structure_entry(t, n, k):
-    """Entry (n, k) of a lower triangle as its structure states it."""
+    """Entry (n, k) of a lower triangle as its structure states it: a band
+    part is the whole cell, and the terms give the cells below the band."""
     if k > n:
         return F(0)
     terms, band = t.structure
+    if n - k < len(band):
+        return band[n - k](n)
     at = lambda f, j: F(1) if f is None else f(j)
-    value = sum((at(u, n) * at(v, k) for u, v in terms), F(0))
-    return value + band[n - k](n) if n - k < len(band) else value
+    return sum((at(u, n) * at(v, k) for u, v in terms), F(0))
 
 
 def _assert_structure_reproduces_entries(t, size=N):
@@ -187,30 +195,28 @@ def test_declared_structures_reproduce_the_entries():
 
 
 def test_products_declare_a_structure_only_where_it_holds():
-    # a product declares one when both factors do, except a left factor
-    # with terms times a right factor whose band reaches below its diagonal
-    # (a bidiagonal one here); it has the terms of both factors
+    # a product declares one exactly when both factors do, and it has the
+    # terms of both factors
     for left, build_left in {**_NAMED, **_LEFT_ONLY}.items():
         for right, build_right in _NAMED.items():
             a, b = build_left(), build_right()
             product = compose(a, b)
-            declared = left not in _UNSTRUCTURED and (right not in _BIDIAGONAL or not a.structure[0])
+            declared = left not in _UNSTRUCTURED
             assert (product.structure is not None) == declared, (left, right)
             if declared:
                 _assert_structure_reproduces_entries(product, 12)
                 assert len(product.structure[0]) == len(a.structure[0]) + len(b.structure[0])
-    # the band of a product convolves the factors' bands and takes the cells
-    # of A's band times B's terms that fall above B's diagonal
+                assert len(product.structure[1]) == max(len(a.structure[1]) + len(b.structure[1]) - 1, 0)
+    # the band of a product has la + lb - 1 parts, or none
     for names, terms, parts in (
         (("delta", "cesaro_inv"), 0, 3),
         (("delta", "phi"), 1, 2),
         (("delta", "sum"), 1, 1),
         (("cesaro", "phi"), 2, 0),
-        (("phi", "inverse(weighted[harmonic])"), None, None),
+        (("phi", "inverse(weighted[harmonic])"), 1, 2),
     ):
         structure = _compose_named(*names).structure
-        got = None if structure is None else (len(structure[0]), len(structure[1]))
-        assert got == (None if terms is None else (terms, parts)), names
+        assert (len(structure[0]), len(structure[1])) == (terms, parts), names
 
 
 _POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -254,9 +260,10 @@ def _counted_reads(m):
 @pytest.mark.parametrize(
     "left, right",
     # cesaro . (cesaro . cesaro) read 97,696 entries at N=64 while a product
-    # of two structured triangles declared no structure, and cesaro .
+    # of two structured triangles declared no structure, cesaro .
     # (delta . phi) read 45,760 entries of each factor while a bidiagonal
-    # triangle declared none
+    # triangle declared none, and cesaro . (phi . delta) while a factor with
+    # terms times a bidiagonal one declared none
     [
         ("cesaro", "sum"),
         ("cesaro", "phi"),
@@ -264,6 +271,7 @@ def _counted_reads(m):
         ("cesaro", "cesaro.cesaro"),
         ("cesaro", "delta.phi"),
         ("phi", "delta.phi"),
+        ("cesaro", "phi.delta"),
     ],
 )
 def test_product_of_two_full_triangles_reads_quadratically_many_entries(left, right):
@@ -410,14 +418,17 @@ _RIGHT_SHAPES = (
     "mean.mean",
     "domain.inverse_of(domain)",
     "delta.domain",
-    # the mean's terms times the bidiagonal inverse's band: no structure
+    # terms times a bidiagonal band, whose cells below the band read the
+    # weights one index past their column
     "mean.inverse_of(mean)",
+    "domain.delta",
 )
 # a sequence whose zero terms make rows of the alpha matrix 0 at and before
 # the invalid indices
 _ZERO_TERMS = ["1", "-2", "0", "5"]
-# the B whose F = domain . B declares a structure
-_F_DECLARES_STRUCTURE = (builders.sigma_sum, builders.cesaro)
+# the B of the into-domain class tests, whose F = domain . B declares a
+# structure read as generator lists
+_F_RIGHT = ("sum", "cesaro", "delta", "cesaro_inv")
 
 
 def _right_spec(case, shape):
@@ -482,7 +493,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
     for left in lefts:
         structured, _ = cli.parse_matrix_spec(spec)
         plain = _parse_without_structure(spec, monkeypatch)
-        assert (structured.structure is None) == (shape == "mean.inverse_of(mean)")
+        assert structured.structure is not None
         got = _outcome(lambda: truncate(compose(left(), structured), 16))
         assert got == _outcome(lambda: truncate(compose(left(), plain), 16))
         raised += isinstance(got, tuple)
@@ -502,7 +513,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
     if shape != "domain":
         return
     # the statistics of the dual matrices over the domain and of F = domain
-    # . B for the B whose F declares a structure, from their structure and
+    # . B for each B of _F_RIGHT, from their structure and
     # scanned from their entries; a = _ZERO_TERMS has a zero term before and
     # at the invalid index, where the alpha matrix's row is 0 but its
     # entries read the domain inverse's weights as its structure does
@@ -510,7 +521,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
         (kind, lambda m, a, kind=kind: (duals.alpha_assoc if kind == "alpha" else duals.beta_assoc)(m, a))
         for kind in duals.DUAL_KINDS
     ]
-    builds += [("alpha", lambda m, a, b=b: matclass.left_transform_F(b(), m)) for b in _F_DECLARES_STRUCTURE]
+    builds += [("alpha", lambda m, a, b=b: matclass.left_transform_F(_NAMED[b](), m)) for b in _F_RIGHT]
     for kind, build in builds:
         for a in (x, Seq.from_values(_ZERO_TERMS)):
             structured = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, a)
@@ -541,7 +552,7 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         commands += [
             ["matclass", "--direction", "into_domain", "--matrix", b, "--domain", _domain_spec(case),
              "--y", "l1", "--n", "16"]
-            for b in ("sum", "cesaro")
+            for b in _F_RIGHT
         ]
     structured = []
     for argv in commands:
@@ -576,8 +587,8 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
 
 
 # The stderr line each command gave before F = domain . B was read from its
-# structure, and before the alpha matrix's entries read the domain inverse
-# where a has a zero term
+# structure (for each B of _F_RIGHT), and before the alpha matrix's entries
+# read the domain inverse where a has a zero term
 _FIRST_INVALID = {
     "zero u": ("u[3] = 0", "u[3] = 0"),
     "zero v": ("v[2] = 0", "v[2] = 0"),
@@ -592,7 +603,7 @@ def test_into_domain_and_zero_term_alpha_name_the_recorded_weight(case, capsys):
     requirement = "must be positive" if case == "non-positive q" else "must be nonzero"
     commands = [
         (["matclass", "--direction", "into_domain", "--matrix", b, "--domain", _domain_spec(case), "--y", "l1"], into)
-        for b in ("sum", "cesaro")
+        for b in _F_RIGHT
     ]
     commands.append(
         (["dual", "--a", json.dumps({"prefix": _ZERO_TERMS}), "--domain", _domain_spec(case), "--kind", "alpha"], alpha)
@@ -601,3 +612,36 @@ def test_into_domain_and_zero_term_alpha_name_the_recorded_weight(case, capsys):
         assert cli.main(argv + ["--n", "16"]) == 3
         got = capsys.readouterr()
         assert (got.out, got.err) == ("", f"mathematical error: invalid weight {weight}: {requirement}\n")
+
+
+# The into-domain class test over G(u, v) at the truncation edge N = 48: the
+# exit code and stderr of each probe as they were while F = domain . B for
+# B = delta and cesaro_inv was scanned.  F's rows below N read no weight past
+# index 47, although its cells below the band read v one index past their
+# column, and u is reported before v at one index.
+_HARMONIC = {"tail": {"kind": "harmonic"}}
+_ZERO = {"kind": "zero"}
+_EDGE_PROBES = {
+    "v with 48 nonzero terms": (_HARMONIC, {"prefix": ["1"] * 48, "tail": _ZERO}, None),
+    "v zero from 47": (_HARMONIC, {"prefix": ["1"] * 47, "tail": _ZERO}, "v[47] = 0"),
+    "u and v zero from 47": (
+        {"prefix": [str(k + 1) for k in range(47)], "tail": _ZERO},
+        {"prefix": ["1"] * 47, "tail": _ZERO},
+        "u[47] = 0",
+    ),
+    "v zero from 10": (_HARMONIC, {"prefix": ["1"] * 10, "tail": _ZERO}, "v[10] = 0"),
+}
+
+
+@pytest.mark.parametrize("b", _F_RIGHT)
+@pytest.mark.parametrize("probe", sorted(_EDGE_PROBES))
+def test_into_domain_at_the_truncation_edge_names_the_recorded_weight(probe, b, capsys):
+    u, v, weight = _EDGE_PROBES[probe]
+    domain = json.dumps({"label": "G", "u": u, "v": v})
+    code = cli.main(["matclass", "--direction", "into_domain", "--matrix", b, "--domain", domain, "--y", "l1", "--n", "48"])
+    got = capsys.readouterr()
+    if weight is None:
+        assert (code, got.err) == (0, "")
+        assert json.loads(got.out)["report"]["transformed_condition"]["column_l1"]
+    else:
+        assert (code, got.out, got.err) == (3, "", f"mathematical error: invalid weight {weight}: must be nonzero\n")
