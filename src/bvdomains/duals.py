@@ -24,12 +24,18 @@ read as they are.  That covers the dual matrices and F = domain . B for
 B = sum, cesaro, delta and cesaro_inv.  The lists are scaled over common
 denominators, in the manner of the integer kernels of ``core``, kept on the
 matrix and rescaled only when a grown value needs it; each reported value
-is divided by d back into a Fraction.  The statistics scan any other matrix
-(E, a bare triangle domain), and the scans are also the oracle the
-structure path is checked against.  A scan reads
-only the cells the matrix's row supports leave possibly nonzero, in the
-order of a scan of the whole square, and does no arithmetic on a zero, so E
-of a finite matrix with r rows costs O(r N) entry reads, not O(N^2).
+is divided by d back into a Fraction.  Most matrices grow their lists from
+their structure's sequences, in Fraction arithmetic.  The three dual
+report matrices are built with theirs, on integers from their definitions:
+alpha's from the domain inverse's lists times a's scaled values, beta's as
+running sums of alpha's, and the closed form's from the scaled reciprocals
+of the weights, so the sequences of their structures are never evaluated,
+and the rows of a from-domain class test share the inverse's lists.  The
+statistics scan any other matrix (E, a bare triangle domain), and the
+scans are also the oracle the lists are checked against.  A scan reads only
+the cells the matrix's row supports leave possibly nonzero, in the order of
+a scan of the whole square, and does no arithmetic on a zero, so E of a
+finite matrix with r rows costs O(r N) entry reads, not O(N^2).
 """
 
 from __future__ import annotations
@@ -42,7 +48,19 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Callable, Optional, Union
 
-from .core import ONE, BandedMatrix, Seq, Triangle, ZERO, add_all, compose, diagonal, invert, running_sum
+from .core import (
+    ONE,
+    BandedMatrix,
+    InvalidWeightsError,
+    Seq,
+    Triangle,
+    ZERO,
+    add_all,
+    compose,
+    diagonal,
+    invert,
+    running_sum,
+)
 from .builders import Domain, Weights, sigma_sum
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
@@ -65,7 +83,11 @@ def _generators(m, size: int) -> Optional[tuple]:
     diagonal from the terms; a row within the band has w = row = 0.  For
     any other structure, and for none, this is None.  The lists are kept on
     m and extended to the largest size asked for, so the statistics of one
-    matrix read each weight once and scale it once."""
+    matrix read each weight once and scale it once.  They are grown from
+    the structure (``_generator_lists``) unless m was built with its own
+    grower, as the dual matrices are (``_alpha_lists``, ``_beta_lists``,
+    ``_closed_form_lists``); either way a matrix whose structure is removed
+    has none and is scanned."""
     if m.structure is None:
         return None
     try:
@@ -90,6 +112,22 @@ def _lcm_all(values: set) -> int:
     while len(values) > 1:
         values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
     return values[0] if values else 1
+
+
+def _extend(values: list, scale: int, fractions) -> int:
+    """Append the (numerator, denominator > 0) pairs of fractions to values,
+    integers over scale, and return the new scale: scale times what the new
+    denominators need.  The kept values are rescaled only then."""
+    fractions = list(fractions)
+    new = lcm(scale, _lcm_all({q for _, q in fractions}))
+    _rescale(values, scale, new)
+    values += [p * (new // q) for p, q in fractions]
+    return new
+
+
+def _reciprocal(x: Fraction) -> tuple:
+    """1/x as a pair (numerator, denominator > 0), for x != 0."""
+    return (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
 
 
 def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
@@ -154,12 +192,126 @@ def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
     return grow
 
 
+def _alpha_lists(inverse: Triangle, a: Seq) -> Callable[[int], tuple]:
+    """size -> the lists of alpha = diag(a) . inverse from the inverse's.
+
+    With a's values scaled to integers A over their lcm da, and (d, bands,
+    w, col, row) the inverse's lists, alpha's are (d da, A bands, A w, col,
+    A row), multiplied index by index: alpha(n, k) is a(n) inverse(n, k).
+    Where col is 0, w multiplies nothing and is left as it is, 0 or the
+    inverse's scale, so the statistics keep one slope.  The products are
+    kept and rescaled with d da, as the inverse's bands and row are with d;
+    the inverse's lists are shared by every a over one domain."""
+    scaled: list = []  # a's values over da
+    kept: list = []  # A times each of the inverse's band lists, then A row
+    scales = [1, 1]  # da, d da
+    lock = threading.Lock()
+
+    def grow(size: int) -> tuple:
+        with lock:
+            start = len(scaled)
+            try:
+                d, bands, w, col, row = _generators(inverse, size)
+            except InvalidWeightsError:
+                # the product reads a(j) before the inverse's row j, so an
+                # invalid read of a at a lower index is the one it reports
+                for j in range(start, size):
+                    a(j)
+                    _generators(inverse, j + 1)
+                raise
+            new = map(a, range(start, size))
+            da = scales[0] = _extend(scaled, scales[0], ((x.numerator, x.denominator) for x in new))
+            if not kept:
+                kept[:] = [[] for _ in range(len(bands) + 1)]
+            for values, factors in zip(kept, bands + [row]):
+                _rescale(values, scales[1], d * da)
+                values += [x * y for x, y in zip(scaled[start:], factors[start:])]
+            scales[1] = d * da
+            if any(col):
+                w = [x * y for x, y in zip(scaled, w)]
+            return scales[1], [values[:size] for values in kept[:-1]], w, col, kept[-1][:size]
+
+    return grow
+
+
+def _beta_lists(alpha: BandedMatrix) -> Callable[[int], tuple]:
+    """size -> the lists of beta = sigma . alpha from alpha's, for an alpha
+    with one band part and no column terms, whose col is 0.
+
+    Then beta(n, k) sums alpha(j, k) over k <= j <= n: the diagonal cell
+    diag[k] plus row[j] for j > k.  With R the running sum of alpha's row,
+    beta's lists have no band part, and are d, the diagonal, w = 1, col[k]
+    = diag[k] - R(k) and row = R.  R and col are kept and rescaled with d."""
+    sums: list = []
+    col: list = []
+    scale = [1]
+    lock = threading.Lock()
+
+    def grow(size: int) -> tuple:
+        with lock:
+            d, (diag,), _, _, row = _generators(alpha, size)
+            _rescale(sums, scale[0], d)
+            _rescale(col, scale[0], d)
+            scale[0] = d
+            for j in range(len(sums), size):
+                sums.append(sums[-1] + row[j] if j else row[0])
+                col.append(diag[j] - sums[j])
+            return d, [diag], [1] * size, col[:size], sums[:size]
+
+    return grow
+
+
+def _closed_form_lists(w: Weights, a: Seq) -> Callable[[int], tuple]:
+    """size -> the lists of ``closed_form_beta_matrix`` from the weights.
+
+    With 1/u, 1/v and a scaled to integers iu, iv and A over their lcms du,
+    dv and da, and d = du dv da, the diagonal is A_k iu_k iv_k, row is the
+    running sum of the steps (iu_j - iu_{j-1}) A_j iv_j over 1 <= j <= n,
+    col = diag - row and w = 1; there is no band part.  Index j reads u(j),
+    a(j) and v(j) in the order the matrix's structure reads them (a(0)
+    first at j = 0, which has no step), so both report the same invalid
+    weight.  The lists are kept and rescaled with d."""
+    leaves: list = [[], [], []]  # iu, iv, A
+    kept: list = [[], [], []]  # diag, col, row
+    scales = [1, 1, 1, 1]  # du, dv, da, d
+    lock = threading.Lock()
+
+    def grow(size: int) -> tuple:
+        with lock:
+            start = len(leaves[0])
+            chunk = []
+            for j in range(start, size):
+                if j:  # step(j) reads u(j), u(j - 1) (read at j - 1), a(j) and v(j)
+                    u, x, v = w.u_at(j), a(j), w.v_at(j)
+                else:  # the diagonal reads a(0), u(0) and v(0)
+                    x, u, v = a(0), w.u_at(0), w.v_at(0)
+                chunk.append((_reciprocal(u), _reciprocal(v), (x.numerator, x.denominator)))
+            if chunk:
+                for i, (values, fractions) in enumerate(zip(leaves, zip(*chunk))):
+                    scales[i] = _extend(values, scales[i], fractions)
+                d = scales[0] * scales[1] * scales[2]
+                for values in kept:
+                    _rescale(values, scales[3], d)
+                scales[3] = d
+                (iu, iv, scaled), (diag, col, row) = leaves, kept
+                for j in range(start, size):
+                    diag.append(scaled[j] * iu[j] * iv[j])
+                    row.append(row[-1] + (iu[j] - iu[j - 1]) * scaled[j] * iv[j] if j else 0)
+                    col.append(diag[j] - row[j])
+            diag, col, row = kept
+            return scales[3], [diag[:size]], [1] * size, col[:size], row[:size]
+
+    return grow
+
+
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
 
     Its structure is the product's; its entries are a_n inverse(n, k), which
     read the inverse's row n also where a_n = 0, as the structure reads the
-    inverse's weights there, so both report the same invalid weight."""
+    inverse's weights there, so both report the same invalid weight.  When
+    the inverse has generator lists, the statistics read alpha's lists
+    built from them (``_alpha_lists``); the product's are not grown."""
     inverse = invert(domain_matrix)
     product = compose(diagonal(a), inverse)
     # the entries deliberately bypass product.entry: compose skips a row
@@ -167,19 +319,33 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     # would then miss the invalid weight the structure reports
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
-    return BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
+    m = BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
+    if _generators(inverse, 0) is not None:
+        m._generator_lists = _alpha_lists(inverse, a)
+    return m
 
 
 def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix of partial sums sum_{k<=n} a_k x_k in the y coordinates: the
     column sums of the alpha matrix, sigma . diag(a) . inverse(domain), so
-    entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk."""
-    product = compose(sigma_sum(), alpha_assoc(domain_matrix, a))
+    entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk.
+
+    Its structure is the product's.  When alpha's structure has one band
+    part and only row terms, as over the inverses of the C, G and R domain
+    matrices, the statistics read beta's lists built from alpha's
+    (``_beta_lists``); otherwise the product's structure's."""
+    alpha = alpha_assoc(domain_matrix, a)
+    product = compose(sigma_sum(), alpha)
 
     def entry(n: int, k: int) -> Fraction:
         return product.entry(n, k)
 
-    return BandedMatrix(entry, structure=product.structure)
+    m = BandedMatrix(entry, structure=product.structure)
+    if alpha.structure is not None:
+        terms, band = alpha.structure
+        if len(band) == 1 and all(v is None for _, v in terms):
+            m._generator_lists = _beta_lists(alpha)
+    return m
 
 
 def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
@@ -188,7 +354,8 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
     c_j = (1/v_j)(1/u_j - 1/u_{j-1}) a_j below it; no inversion is involved,
     so this is an independent oracle for beta_assoc on bv(G)/bv(R).  Its
-    structure comes from the same closed forms.
+    structure comes from the same closed forms, and the statistics read
+    lists built on integers from the weights (``_closed_form_lists``).
     """
 
     def diag_term(k: int) -> Fraction:
@@ -200,9 +367,11 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     def entry(n: int, k: int) -> Fraction:
         return diag_term(k) + sum((step(j) for j in range(k + 1, n + 1)), ZERO)
 
-    steps = running_sum(lambda j: step(j) if j else ZERO)
+    steps = Seq(running_sum(lambda j: step(j) if j else ZERO))
     columns = [(steps, None), (None, lambda k: diag_term(k) - steps(k))]
-    return BandedMatrix(entry, structure=(columns, []))
+    m = BandedMatrix(entry, structure=(columns, []))
+    m._generator_lists = _closed_form_lists(w, a)
+    return m
 
 
 class _AbsSums:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvdomains import duals
-from bvdomains.cli import parse_domain_spec
+from bvdomains.cli import parse_domain_spec, parse_seq_spec
 from bvdomains.core import (
     InvalidWeightsError,
     Seq,
@@ -32,6 +32,7 @@ from bvdomains.builders import (
     delta,
     gamma,
     phi,
+    phi_closed_form,
     riesz_domain,
     sigma_riesz,
     sigma_sum,
@@ -270,8 +271,14 @@ def generator_entries(m, size):
     """The entries of the leading square of m of the given size that its
     generator lists represent, which do not depend on how far the lists
     have grown, unlike their scale d."""
-    d, bands, w, col, row = duals._generators(m, size)
-    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(size) for k in range(i - len(bands) + 1))
+    return list_entries(duals._generators(m, size))
+
+
+def list_entries(lists):
+    """The band cells and the cells below the band that generator lists
+    (d, bands, w, col, row) represent, divided by d."""
+    d, bands, w, col, row = lists
+    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(len(w)) for k in range(i - len(bands) + 1))
     return tuple(F(x, d) for cells in bands for x in cells) + below
 
 
@@ -281,9 +288,10 @@ def test_appended_rows_are_consistent_across_threads():
     under a lock; four threads reading them in different orders see the
     serial values.  The Hilbert-like factor has no known inverse, so its
     product is inverted by forward substitution.  The generator lists are
-    read on beta_assoc over phi, with w = 1, and on F = Riesz . cesaro,
-    whose w = 1/Q_n gains denominators as it grows, so the kept lists are
-    rescaled while other threads read them."""
+    read on beta_assoc over phi, with w = 1, on F = Riesz . cesaro, whose
+    w = 1/Q_n gains denominators as it grows, on two alpha matrices that
+    share the lists of one Riesz inverse, and on the closed-form matrix, so
+    the kept lists are rescaled while other threads read them."""
     n = 20
     q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))
@@ -295,6 +303,8 @@ def test_appended_rows_are_consistent_across_threads():
         transform = transform_seq(domain, a)
         generators = beta_assoc(phi(), a)
         weighted = left_transform_F(cesaro(), domain)
+        alphas = [alpha_assoc(domain, a), alpha_assoc(domain, q)]
+        closed = closed_form_beta_matrix(RieszWeights(q), a)
         return (
             invert(phi()).entry,
             beta_assoc(domain, a).entry,
@@ -302,6 +312,7 @@ def test_appended_rows_are_consistent_across_threads():
             lambda row, col: transform(row + col),
             lambda row, col: generator_entries(generators, row + col + 1),
             lambda row, col: generator_entries(weighted, row + col + 1),
+            *(lambda row, col, m=m: generator_entries(m, row + col + 1) for m in alphas + [closed]),
         )
 
     expected = [{c: read_at(*c) for c in cells} for read_at in build()]
@@ -427,8 +438,8 @@ def test_generator_statistics_equal_the_scans(domain, n):
 def test_generators_report_the_invalid_weight_the_scans_do():
     """Both weights vanish at index 1; the structure path reads row 1 below
     its diagonal first, as the scans do, so both paths name v[1] on the dual
-    matrices, and u[1] on a weighted mean and gamma, whose row weight u is
-    read before its column weight v."""
+    matrices, and u[1] on a weighted mean, gamma and the closed-form
+    matrix, whose row weight u is read before its column weight v."""
     zero_at_1 = Seq(lambda k: F(0) if k == 1 else F(1))
     w = WeightPair(zero_at_1, zero_at_1)
     dom = weighted_domain(w)
@@ -437,6 +448,7 @@ def test_generators_report_the_invalid_weight_the_scans_do():
         ("beta", lambda: beta_assoc(dom.matrix, E), "v"),
         ("alpha", lambda: weighted_mean(w), "u"),
         ("alpha", lambda: gamma(w), "u"),
+        ("beta", lambda: closed_form_beta_matrix(w, E), "u"),
     ]
     for kind, build, name in builds:
         for m in with_and_without_structure(build):
@@ -506,6 +518,106 @@ def test_statistics_of_a_band_reaching_the_column_limit_window_equal_the_scans()
     for n in (8, 12, 16):
         for kind in ("alpha", "beta"):
             assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+# ------------------------------- the dual matrices' lists from their definitions
+
+# the sequences a of the dual_sweep benchmark workload, a unit sequence and
+# a prefix with a zero term
+A_SPECS = {
+    "harmonic": _TAIL("harmonic"),
+    "power 2": _TAIL("power", p=2),
+    "geometric 1/2": _TAIL("geometric", r="1/2"),
+    "geometric -1/2": _TAIL("geometric", r="-1/2"),
+    "const 1": _TAIL("const", c="1"),
+    "unit 3": _TAIL("unit", j=3),
+    "zero term": {"prefix": ["1", "-2", "0", "5"]},
+}
+
+
+def dual_matrices(dom, a):
+    """The alpha and beta matrices over dom, and the closed-form matrix over
+    a domain with weights, by name."""
+    built = {"alpha": lambda: alpha_assoc(dom.matrix, a), "beta": lambda: beta_assoc(dom.matrix, a)}
+    if dom.weights is not None:
+        built["closed form"] = lambda: closed_form_beta_matrix(dom.weights, a)
+    return built
+
+
+def assert_lists_match_the_structure(build, sizes, n):
+    """The lists m carries, grown in chunks to each of sizes, represent the
+    cells that the lists of its structure do, and the statistics at n equal
+    the scans of m with its structure removed."""
+    fast, scanned = with_and_without_structure(build)
+    generic = duals._generator_lists(fast.structure)
+    assert fast._generator_lists.__qualname__.split(".")[0] in ("_alpha_lists", "_beta_lists", "_closed_form_lists")
+    for size in sizes:
+        assert list_entries(duals._generators(fast, size)) == list_entries(generic(size)), size
+    for kind in ("alpha", "beta", "gamma"):
+        assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+@pytest.mark.parametrize("domain", ["C", *sorted(BENCH_DOMAINS)])
+def test_dual_lists_equal_the_lists_of_the_structure(domain):
+    """alpha's lists from the domain inverse's, beta's from alpha's and the
+    closed form's from the weights hold the cells of the lists of their
+    structures, grown in chunks whose new denominators rescale the kept
+    values, and their statistics equal the scans."""
+    dom = F_DOMAINS[domain]()
+    for name, spec in A_SPECS.items():
+        a = parse_seq_spec(json.dumps(spec))[0]
+        for matrix, build in dual_matrices(dom, a).items():
+            assert_lists_match_the_structure(build, (8, 12, 16, 49), 16)
+
+
+def test_alpha_lists_report_an_invalid_read_of_a_as_the_scans_do():
+    """a is a row of a weighted mean whose v vanishes at 2, and the domain's
+    u vanishes at 4.  The alpha matrix reads a(j) before the inverse's row
+    j, so its lists report v[2] as its scans do, and so do beta's."""
+    row = weighted_mean(WeightPair(E, Seq(lambda k: F(0) if k == 2 else F(1)))).row_seq(6)
+    dom = weighted_domain(WeightPair(Seq(lambda n: F(0) if n == 4 else F(1, n + 1)), E))
+    for kind, build in (("alpha", alpha_assoc), ("beta", beta_assoc)):
+        for m in with_and_without_structure(lambda: build(dom.matrix, row)):
+            with pytest.raises(InvalidWeightsError, match=r"v\[2\]"):
+                condition_stats(kind, m, 16)
+
+
+def structure_seqs(m):
+    terms, band = m.structure
+    return [f for term in terms for f in term if isinstance(f, Seq)] + [f for f in band if isinstance(f, Seq)]
+
+
+@pytest.mark.parametrize("domain", ["G(power 2, harmonic)", "R(2^k)"])
+def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkeypatch):
+    """A beta and a gamma report with its cross-check read the lists built
+    from the domain inverse's lists and from the weights: no Seq of the
+    product structures of alpha and beta, nor the closed form's running
+    sum of steps, is evaluated, while the inverse's are."""
+    built = []
+
+    def record(build):
+        return lambda *args: built.append(build(*args)) or built[-1]
+
+    for name in ("alpha_assoc", "beta_assoc", "closed_form_beta_matrix"):
+        monkeypatch.setattr(duals, name, record(getattr(duals, name)))
+    dom = F_DOMAINS[domain]()
+    a = Seq(lambda k: F((-1) ** k, k + 1))
+    for kind in ("beta", "gamma"):
+        assert dual_test(dom, a, kind, 48).cross_check["match"] is True
+    assert len(built) == 6
+    seqs = [f for m in built for f in structure_seqs(m)]
+    assert len(seqs) == 10
+    assert [f._cache for f in seqs] == [{}] * len(seqs)
+    assert all(f._cache for f in structure_seqs(invert(dom.matrix)))
+
+
+@pytest.mark.parametrize("kind", duals.DUAL_KINDS)
+def test_an_inverse_without_lists_takes_the_structure_of_the_product(kind):
+    """phi's closed form has no structure and is inverted by forward
+    substitution, so its dual matrices have no lists and are scanned; the
+    reports equal those over phi."""
+    a = Seq.from_values(["1", "-1/2", "1/3"])
+    assert dual_test(phi_closed_form(), a, kind, 16).to_dict() == dual_test(phi(), a, kind, 16).to_dict()
 
 
 positive = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)
@@ -664,6 +776,28 @@ def test_row_weighted_structure_statistics_property(n, data):
     fast, scanned = with_and_without_structure(build)
     for kind in ("alpha", "beta"):
         assert_structure_matches_scan(kind, fast, scanned, n)
+
+
+nonzero_hostile = hostile.filter(bool)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_dual_lists_property(data):
+    """Weights and a with pairwise coprime denominators: each chunk's new
+    denominators rescale the kept lists, which still hold the cells of the
+    lists of the structure; the statistics equal the scans."""
+    size = 17
+    us, vs = (data.draw(st.lists(nonzero_hostile, min_size=size, max_size=size)) for _ in range(2))
+    values = data.draw(st.lists(hostile, min_size=1, max_size=size))
+    a = Seq.from_values(values)
+    doms = [
+        weighted_domain(WeightPair(Seq(us.__getitem__), Seq(vs.__getitem__))),
+        riesz_domain(RieszWeights(Seq(lambda k: abs(us[k])))),
+    ]
+    for dom in doms:
+        for build in dual_matrices(dom, a).values():
+            assert_lists_match_the_structure(build, (5, 9, size), size - 1)
 
 
 def test_structures_without_generator_lists_are_scanned():

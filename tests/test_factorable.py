@@ -554,6 +554,11 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
              "--y", "l1", "--n", "16"]
             for b in _F_RIGHT
         ]
+        # the row duals of a banded matrix whose row has a zero term
+        commands.append(
+            ["matclass", "--direction", "from_domain", "--matrix", json.dumps({"kind": "banded", "rows": [_ZERO_TERMS]}),
+             "--domain", _domain_spec(case), "--y", "c", "--n", "16"]
+        )
     structured = []
     for argv in commands:
         assert cli.main(argv) == 3
