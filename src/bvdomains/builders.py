@@ -8,17 +8,16 @@ The Riesz mean R^q is the generalized weighted mean G(u, v) with u_n = 1/Q_n
 and v_k = q_k, so ``RieszWeights`` is a weight pair and ``riesz`` is
 ``weighted_mean`` applied to it.
 
-Each named triangle declares its exact inverse: delta and the partial-sum
-matrix invert each other, as do the Cesaro mean and its closed-form inverse,
-and the weighted mean has a bidiagonal inverse.  A domain matrix therefore
-inverts through its factors' inverses, never by forward substitution.
-
-Each declares the structure of ``core``: a bidiagonal triangle its diagonal
-and subdiagonal as a band, and a mean one term, (1, 1), (1/(n+1), 1) or
-(u_n, v_k), the last read through the validating accessors, so an invalid
-weight is reported as the entries report it.  ``compose`` then gives each
-domain matrix delta.mean, and its inverse, one term and a diagonal band
-part, so a product with any of them on the right costs O(N^2), not O(N^3).
+Each mean declares the structure of ``core``, one term: (1, 1), (1/(n+1),
+1) or (u_n, v_k), the last read through the validating accessors, so an
+invalid weight is reported as the entries report it.  ``invert`` derives a
+mean's bidiagonal inverse from that term, so delta and the Cesaro mean's
+inverse are the inverses of the partial-sum matrix and the Cesaro mean, and
+a domain matrix inverts through its factors, never by forward substitution.
+A bidiagonal inverse declares its diagonal and subdiagonal as a band.
+``compose`` then gives each domain matrix delta.mean, and its inverse, one
+term and a diagonal band part, so a product with any of them on the right
+costs O(N^2), not O(N^3).
 """
 
 from __future__ import annotations
@@ -38,36 +37,28 @@ from .core import (
 )
 
 
-def _bidiagonal(entry, known_inverse=None) -> Triangle:
-    """The triangle of entry, nonzero only on its diagonal and subdiagonal,
-    which declares those two as its band, read from its memoized entries."""
-    t = Triangle(entry, band=1, known_inverse=known_inverse)
-    t.structure = ([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)])
-    return t
-
-
 def delta() -> Triangle:
-    """Backward difference matrix: 1 on the diagonal, -1 on the first subdiagonal."""
-    return _bidiagonal(lambda n, k: ONE if k == n else -ONE, sigma_sum)
+    """Backward difference matrix: 1 on the diagonal, -1 on the first
+    subdiagonal; the inverse of the partial-sum matrix."""
+    return invert(sigma_sum())
 
 
 def sigma_sum() -> Triangle:
-    """Partial-sum matrix (all ones on and below the diagonal); inverse of delta."""
-    return Triangle(lambda n, k: ONE, known_inverse=delta, structure=([(None, None)], []))
+    """Partial-sum matrix (all ones on and below the diagonal)."""
+    return Triangle(lambda n, k: ONE, structure=([(None, None)], []))
 
 
 def cesaro() -> Triangle:
     """Cesaro mean of order one: row n averages the first n+1 terms."""
     return Triangle(
         lambda n, k: Fraction(1, n + 1),
-        known_inverse=cesaro_inverse,
         structure=([(Seq(lambda n: Fraction(1, n + 1)), None)], []),
     )
 
 
 def cesaro_inverse() -> Triangle:
-    """Closed-form inverse of the Cesaro mean: x_n = (n+1)y_n - n*y_{n-1}."""
-    return _bidiagonal(lambda n, k: Fraction(n + 1) if k == n else Fraction(-n), cesaro)
+    """Inverse of the Cesaro mean: x_n = (n+1)y_n - n*y_{n-1}."""
+    return invert(cesaro())
 
 
 @dataclass(frozen=True)
@@ -122,16 +113,10 @@ Weights = Union[WeightPair, RieszWeights]
 def weighted_mean(w: Weights) -> Triangle:
     """Generalized weighted (factorable) mean: entry(n,k) = u_n * v_k.
 
-    Its inverse is bidiagonal: 1/(u_n v_n) on the diagonal and
-    -1/(u_{n-1} v_n) below it.
+    ``invert`` derives its bidiagonal inverse from its one term: 1/(u_n v_n)
+    on the diagonal and -1/(u_{n-1} v_n) below it.
     """
-    return Triangle(
-        lambda n, k: w.u_at(n) * w.v_at(k),
-        known_inverse=lambda: _bidiagonal(
-            lambda n, k: 1 / (w.u_at(n) * w.v_at(n)) if k == n else -1 / (w.u_at(n - 1) * w.v_at(n))
-        ),
-        structure=([(w.u_at, w.v_at)], []),
-    )
+    return Triangle(lambda n, k: w.u_at(n) * w.v_at(k), structure=([(w.u_at, w.v_at)], []))
 
 
 def riesz(r: RieszWeights) -> Triangle:

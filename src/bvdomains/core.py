@@ -11,15 +11,18 @@ synchronized: the forward-substitution rows of an inverse and the sums of
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
-``Triangle`` is its lower-triangular kind, the one that can be inverted, and
-may carry a known inverse; a lower-triangular matrix that is never inverted
-(an associated dual matrix) is a plain ``BandedMatrix``.  ``compose`` is the
-only matrix product: it sums over the overlap of its factors' supports,
-returns a Triangle when both factors are triangles, and inverts a product
-through its factors' inverses, so the domain matrices built from named
-triangles invert at O(1) cost per entry.  Generic forward substitution
-(``_build_inverse``) is the fallback for a triangle with no known inverse,
-and the independent oracle the fast inverses are checked against.
+``Triangle`` is its lower-triangular kind, the one that can be inverted; a
+lower-triangular matrix that is never inverted (an associated dual matrix)
+is a plain ``BandedMatrix``.  ``compose`` is the only matrix product: it
+sums over the overlap of its factors' supports, and returns a Triangle that
+records its factors when both are triangles.  ``invert`` derives inverses
+from what a triangle states: one structure term and no band (a mean)
+inverts to a bidiagonal, the order-one case of the quasiseparable inverse
+of Eidelman and Gohberg (1999), and a product whose factors invert so
+inverts as inverse(B).inverse(A), so the domain matrices invert at O(1)
+cost per entry.  An inverse links back to its triangle.  Generic forward
+substitution (``_build_inverse``) is the fallback for every other triangle,
+and the independent oracle the derived inverses are checked against.
 
 The oracles that work on whole rows are integer kernels, in the manner of
 the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
@@ -174,9 +177,8 @@ class BandedMatrix:
     callable, and when it is omitted the matrix is lower triangular
     (``row_bound(n) = n``).  ``band``, when present, is the number of nonzero
     subdiagonals.  ``row_count``, when present, declares every row from that
-    index on to be zero (a wholly finite matrix).  ``known_inverse``, when
-    present, builds the exact inverse without forward substitution.
-    ``structure``, when present, is a pair (terms, band): band[i](n) is the
+    index on to be zero (a wholly finite matrix).  ``structure``, when
+    present, is a pair (terms, band): band[i](n) is the
     whole entry (n, n - i) for i < len(band), read only at n >= i, and
     entry(n, k) = sum of U(n) V(k) over the terms (U, V) for the cells
     strictly below the band, 0 <= k <= n - len(band).  U and V are
@@ -192,16 +194,15 @@ class BandedMatrix:
         row_bound: Optional[Callable[[int], int]] = None,
         row_count: Optional[int] = None,
         band: Optional[int] = None,
-        known_inverse: Optional[Callable[[], "Triangle"]] = None,
         structure: Optional[tuple] = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
         self.row_count = row_count
         self.band = band
-        self.known_inverse = known_inverse
         self.structure = structure
         self._inverse: Optional[Triangle] = None  # set by invert
+        self._factors: Optional[tuple] = None  # (A, B) of a Triangle A.B, set by compose
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -382,8 +383,8 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
     nonzero: j in a's row n support, j >= k when B is lower triangular, and
     j within B's band and rows.  The product's band is the sum of the
-    factors' bands, its rows end where A's rows end, and when both factors
-    have known inverses it is inverted as inverse(B).inverse(A).
+    factors' bands, and its rows end where A's rows end.  A product of two
+    triangles records them as its factors, which ``invert`` reads.
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
     V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
@@ -468,18 +469,17 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return bound
 
     structure = None if a.structure is None or b.structure is None else _product_structure(a, b)
-    known_inverse = None
-    if a.known_inverse is not None and b.known_inverse is not None:
-        known_inverse = lambda: compose(invert(b), invert(a))
     triangles = isinstance(a, Triangle) and isinstance(b, Triangle)
-    return (Triangle if triangles else BandedMatrix)(
+    product = (Triangle if triangles else BandedMatrix)(
         entry,
         row_bound,
         row_count=a.row_count,
         band=None if a_band is None or b_band is None else a_band + b_band,
-        known_inverse=known_inverse,
         structure=structure,
     )
+    if triangles:
+        product._factors = (a, b)
+    return product
 
 
 def _product(f, g):
@@ -605,20 +605,61 @@ def _build_inverse(t: Triangle) -> Triangle:
     return Triangle(entry)
 
 
+def _mean_term(t: Triangle) -> Optional[tuple]:
+    """(U, V) when t's structure is that one term and no band, else None."""
+    terms, band = t.structure or ([], [])
+    return terms[0] if len(terms) == 1 and not band else None
+
+
+def _derives(t: Triangle) -> bool:
+    """Whether invert(t) runs no forward substitution."""
+    if t._inverse is not None or _mean_term(t) is not None:
+        return True
+    return t._factors is not None and all(map(_derives, t._factors))
+
+
+def _mean_inverse(u, v) -> Triangle:
+    """The inverse of the mean U(n) V(k), None the all-ones sequence: the
+    bidiagonal 1/(U(n) V(n)) on the diagonal and -1/(U(n-1) V(n)) below it,
+    U read before V as the mean's entries read them.  It declares its
+    diagonal and subdiagonal as its band, read from its memoized entries."""
+
+    def entry(n: int, k: int) -> Fraction:
+        if u is None and v is None:
+            return ONE if k == n else -ONE
+        m = n if k == n else n - 1
+        p = v(n) if u is None else u(m) if v is None else u(m) * v(n)
+        return 1 / p if k == n else -1 / p
+
+    t = Triangle(entry, band=1)
+    t.structure = ([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)])
+    return t
+
+
 def invert(t: Triangle) -> Triangle:
-    """Inverse of a triangle, computed and shared lazily: the known inverse
-    when one is declared, else forward substitution.  The inverse links back
-    to t, so inverting it again costs nothing.
+    """Inverse of a triangle, computed and shared lazily.
+
+    A mean (one structure term, no band) inverts to its bidiagonal
+    ``_mean_inverse``, and a product of two triangles that derive their
+    inverses inverts as inverse(B).inverse(A); every other triangle takes
+    forward substitution.  The inverse links back to t, so inverting it
+    again costs nothing and returns t.
 
     The result satisfies truncate(T,N) . truncate(invert(T),N) = I_N exactly
-    for every N.  A zero diagonal entry found while probing raises
-    SingularMatrixError naming the offending row.
+    for every N.  A zero diagonal entry that forward substitution meets
+    raises SingularMatrixError naming the offending row.
     """
     if not isinstance(t, Triangle):
         raise ValueError("cannot invert a matrix that is not a triangle")
     if t._inverse is None:
-        inv = _build_inverse(t) if t.known_inverse is None else t.known_inverse()
+        term = _mean_term(t)
+        if term is not None:
+            inv = _mean_inverse(*term)
+        elif _derives(t):
+            a, b = t._factors
+            inv = compose(invert(b), invert(a))
+        else:
+            inv = _build_inverse(t)
         inv._inverse = t
-        inv.known_inverse = lambda: t
         t._inverse = inv
     return t._inverse

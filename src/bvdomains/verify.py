@@ -172,7 +172,7 @@ def suite_identities(n: int, rng) -> list:
 
     # forward substitution is the reference side here and in
     # closed_form_cesaro_inverse: invert(invert(t)) is t itself, and
-    # invert(cesaro()) is built by cesaro_inverse()
+    # cesaro_inverse() is the inverse invert derives from the mean's term
     for label, t in named[:2] + [named[4]]:
         twice = _build_inverse(invert(t))
         checks.append(_grid_equal(f"inverse_involution[{label}]", t.entry, twice.entry, n))

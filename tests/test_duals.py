@@ -286,12 +286,13 @@ def test_appended_rows_are_consistent_across_threads():
     """Inverse rows, beta_assoc columns, the running sums of a structured
     transform and the generator lists of the statistics grow by appending
     under a lock; four threads reading them in different orders see the
-    serial values.  The Hilbert-like factor has no known inverse, so its
-    product is inverted by forward substitution.  The generator lists are
-    read on beta_assoc over phi, with w = 1, on F = Riesz . cesaro, whose
-    w = 1/Q_n gains denominators as it grows, on two alpha matrices that
-    share the lists of one Riesz inverse, and on the closed-form matrix, so
-    the kept lists are rescaled while other threads read them."""
+    serial values.  The Hilbert-like factor declares no structure and
+    records no factors, so its product is inverted by forward substitution.
+    The generator lists are read on beta_assoc over phi, with w = 1, on
+    F = Riesz . cesaro, whose w = 1/Q_n gains denominators as it grows, on
+    two alpha matrices that share the lists of one Riesz inverse, and on the
+    closed-form matrix, so the kept lists are rescaled while other threads
+    read them."""
     n = 20
     q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))

@@ -214,9 +214,15 @@ def test_products_declare_a_structure_only_where_it_holds():
         (("delta", "sum"), 1, 1),
         (("cesaro", "phi"), 2, 0),
         (("phi", "inverse(weighted[harmonic])"), 1, 2),
+        (("inverse(phi)",), 1, 1),
+        (("inverse(gamma)",), 1, 1),
+        (("inverse(sigma)",), 1, 1),
     ):
         structure = _compose_named(*names).structure
         assert (len(structure[0]), len(structure[1])) == (terms, parts), names
+    # a derived domain inverse, inverse(mean) . sum, has one row term (S, None)
+    for name in ("inverse(phi)", "inverse(gamma)", "inverse(sigma)"):
+        assert _NAMED[name]().structure[0][0][1] is None, name
 
 
 _POSITIVE = st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9)

@@ -1,9 +1,10 @@
-"""Known inverses and band supports against the forward-substitution oracle.
+"""Derived inverses and band supports against the forward-substitution oracle.
 
-Named triangles carry their exact inverses and ``compose`` inverts a product
-through its factors, so ``invert`` on the domain matrices never runs forward
-substitution.  ``core._build_inverse`` stays the fallback and is the oracle
-every fast inverse is compared with here, entry by entry.
+``invert`` derives a mean's bidiagonal inverse from its one structure term
+and inverts a product through its factors, so on the named triangles and
+the domain matrices it never runs forward substitution.
+``core._build_inverse`` stays the fallback and is the oracle every derived
+inverse is compared with here, entry by entry.
 """
 
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from bvdomains.builders import (
     delta,
     gamma,
     phi,
+    phi_closed_form,
     riesz,
     riesz_domain,
     sigma_riesz,
@@ -75,7 +77,7 @@ def assert_same_entries(got, expected, n):
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
-def test_known_inverse_matches_forward_substitution(name):
+def test_derived_inverse_matches_forward_substitution(name):
     t = NAMED[name]()
     inv = invert(t)
     assert_same_entries(inv, core._build_inverse(NAMED[name]()), N)
@@ -88,10 +90,33 @@ def test_double_inverse_matches_forward_substitution(name):
     assert_same_entries(invert(invert(NAMED[name]())), oracle, N)
 
 
-def test_product_of_inverses_inverts_through_its_factors(monkeypatch):
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_product_of_inverses_inverts_through_its_factors(name, monkeypatch):
+    # every named triangle derives its inverse, and the inverse of a product
+    # of inverses is the product of the triangles, in the other order
     monkeypatch.setattr(core, "_build_inverse", _no_fallback)
-    back = invert(compose(invert(delta()), invert(cesaro())))
-    assert_same_entries(back, compose(cesaro(), delta()), 12)
+    t = NAMED[name]()
+    assert invert(invert(t)) is t
+    back = invert(compose(invert(delta()), invert(NAMED[name]())))
+    assert_same_entries(back, compose(NAMED[name](), delta()), 12)
+
+
+def test_unstructured_triangles_fall_back_to_forward_substitution(monkeypatch):
+    # phi_closed_form declares no structure and records no factors, so it
+    # and a product with it take forward substitution, once each
+    built = []
+
+    def counted(t):
+        built.append(t)
+        return build_inverse(t)
+
+    build_inverse = core._build_inverse
+    monkeypatch.setattr(core, "_build_inverse", counted)
+    for make in (phi_closed_form, lambda: compose(delta(), phi_closed_form())):
+        t = make()
+        assert_same_entries(invert(t), build_inverse(make()), 16)
+        assert built == [t]
+        built.clear()
 
 
 positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
@@ -103,7 +128,7 @@ positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
     st.lists(positive, min_size=1, max_size=4),
     st.lists(positive, min_size=1, max_size=4),
 )
-def test_known_inverse_property_over_weights(us, vs, qs):
+def test_derived_inverse_property_over_weights(us, vs, qs):
     def cycle(values):
         return Seq(lambda k: values[k % len(values)])
 
