@@ -521,6 +521,36 @@ def test_statistics_of_a_band_reaching_the_column_limit_window_equal_the_scans()
             assert_structure_matches_scan(kind, fast, scanned, n)
 
 
+# Long lists over wide scales, and Fenwick trees over hundreds of points, show
+# only at depth; the scans there take about a second per matrix.
+DEPTH = 256
+
+
+@pytest.mark.parametrize("domain", ["C", "G(power 2, harmonic)", "R(2^k)"])
+def test_dual_statistics_equal_the_scans_at_depth(domain):
+    """At N = 256 the statistics of the alpha and beta matrices, and the
+    compared statistics of the closed-form matrix, equal the scans of the
+    dual matrices with their structure removed."""
+    dom = F_DOMAINS[domain]()
+    a = Seq(lambda k: F((-1) ** k, k + 1))
+    alpha = with_and_without_structure(lambda: alpha_assoc(dom.matrix, a))
+    beta = with_and_without_structure(lambda: beta_assoc(dom.matrix, a))
+    assert_structure_matches_scan("alpha", *alpha, DEPTH)
+    scanned = condition_stats("beta", beta[1], DEPTH)
+    assert condition_stats("beta", beta[0], DEPTH) == scanned
+    if dom.weights is not None:
+        oracle = duals.verdict_stats("beta", closed_form_beta_matrix(dom.weights, a), DEPTH)
+        assert oracle == {name: scanned[name] for name in oracle}
+
+
+@pytest.mark.parametrize("b", sorted(F_RIGHT))
+def test_statistics_of_F_equal_the_scans_at_depth(b):
+    """At N = 256 the column l1 sums of F = R(2^k) . B, which decide the
+    into-domain class test, equal the scans of F with its structure removed."""
+    build = lambda: left_transform_F(F_RIGHT[b](), F_DOMAINS["R(2^k)"]().matrix)
+    assert_structure_matches_scan("alpha", *with_and_without_structure(build), DEPTH)
+
+
 # ------------------------------- the dual matrices' lists from their definitions
 
 # the sequences a of the dual_sweep benchmark workload, a unit sequence and
