@@ -7,22 +7,24 @@ may be shared across threads.  Memo lookups take no lock: entry closures are
 pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
 synchronized: the forward-substitution rows of an inverse and the sums of
-``running_sum``.
+``running_sum``.  The generator lists of ``duals`` are not appended to: they
+are whole values per size, and a race can only build one twice.
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
 ``Triangle`` is its lower-triangular kind, the one that can be inverted; a
 lower-triangular matrix that is never inverted (an associated dual matrix)
 is a plain ``BandedMatrix``.  ``compose`` is the only matrix product: it
-sums over the overlap of its factors' supports, and returns a Triangle that
-records its factors when both are triangles.  ``invert`` derives inverses
-from what a triangle states: one structure term and no band (a mean)
-inverts to a bidiagonal, the order-one case of the quasiseparable inverse
-of Eidelman and Gohberg (1999), and a product whose factors invert so
-inverts as inverse(B).inverse(A), so the domain matrices invert at O(1)
-cost per entry.  An inverse links back to its triangle.  Generic forward
-substitution (``_build_inverse``) is the fallback for every other triangle,
-and the independent oracle the derived inverses are checked against.
+sums over the overlap of its factors' supports, records its factors on the
+product, and returns a Triangle when both are triangles.  ``invert``
+derives inverses from what a triangle states: one structure term and no
+band (a mean) inverts to a bidiagonal, the order-one case of the
+quasiseparable inverse of Eidelman and Gohberg (1999), and a product whose
+factors invert so inverts as inverse(B).inverse(A), so the domain matrices
+invert at O(1) cost per entry.  An inverse links back to its triangle.
+Generic forward substitution (``_build_inverse``) is the fallback for every
+other triangle, and the independent oracle the derived inverses are checked
+against.
 
 The oracles that work on whole rows are integer kernels, in the manner of
 the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
@@ -202,7 +204,7 @@ class BandedMatrix:
         self.band = band
         self.structure = structure
         self._inverse: Optional[Triangle] = None  # set by invert
-        self._factors: Optional[tuple] = None  # (A, B) of a Triangle A.B, set by compose
+        self._factors: Optional[tuple] = None  # (A, B) of a product A.B, set by compose
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -383,8 +385,9 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
     nonzero: j in a's row n support, j >= k when B is lower triangular, and
     j within B's band and rows.  The product's band is the sum of the
-    factors' bands, and its rows end where A's rows end.  A product of two
-    triangles records them as its factors, which ``invert`` reads.
+    factors' bands, and its rows end where A's rows end.  The product
+    records A and B as its factors, which ``invert`` reads of a product of
+    two triangles, and the generator lists of ``duals`` of every product.
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
     V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
@@ -469,16 +472,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return bound
 
     structure = None if a.structure is None or b.structure is None else _product_structure(a, b)
-    triangles = isinstance(a, Triangle) and isinstance(b, Triangle)
-    product = (Triangle if triangles else BandedMatrix)(
+    product = (Triangle if isinstance(a, Triangle) and isinstance(b, Triangle) else BandedMatrix)(
         entry,
         row_bound,
         row_count=a.row_count,
         band=None if a_band is None or b_band is None else a_band + b_band,
         structure=structure,
     )
-    if triangles:
-        product._factors = (a, b)
+    product._factors = (a, b)
     return product
 
 
@@ -629,7 +630,7 @@ def _mean_inverse(u, v) -> Triangle:
             return ONE if k == n else -ONE
         m = n if k == n else n - 1
         p = v(n) if u is None else u(m) if v is None else u(m) * v(n)
-        return 1 / p if k == n else -1 / p
+        return Fraction(p.denominator if k == n else -p.denominator, p.numerator)
 
     t = Triangle(entry, band=1)
     t.structure = ([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)])

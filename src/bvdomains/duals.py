@@ -21,41 +21,44 @@ statistics compute from those lists in O(N log N) integer operations:
 prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
 envelopes of the lines w[n] x + row[n], with each row's few band cells
 read as they are.  That covers the dual matrices and F = domain . B for
-B = sum, cesaro, delta and cesaro_inv.  The lists are scaled over common
-denominators, in the manner of the integer kernels of ``core``, kept on the
-matrix and rescaled only when a grown value needs it; each reported value
-is divided by d back into a Fraction.  Most matrices grow their lists from
-their structure's sequences, in Fraction arithmetic.  The three dual
-report matrices are built with theirs, on integers from their definitions:
-alpha's from the domain inverse's lists times a's scaled values, beta's as
-running sums of alpha's, and the closed form's from the scaled reciprocals
-of the weights, so the sequences of their structures are never evaluated,
-and the rows of a from-domain class test share the inverse's lists.  The
-statistics scan any other matrix (E, a bare triangle domain), and the
-scans are also the oracle the lists are checked against.  A scan reads only
-the cells the matrix's row supports leave possibly nonzero, in the order of
-a scan of the whole square, and does no arithmetic on a zero, so E of a
-finite matrix with r rows costs O(r N) entry reads, not O(N^2).
+B = sum, cesaro, delta and cesaro_inv.  The lists are integers over one
+common denominator d, in the manner of the integer kernels of ``core``;
+each reported value is divided by d back into a Fraction.  They are built
+from the leaves: a structure that is no product (a mean, the sum matrix,
+diag(a), a bidiagonal inverse) scales the values of its callables, and a
+product multiplies its factors' lists by the integer form of the one
+product rule, ``core._product_structure``, so no sequence of a product's
+structure is evaluated.  The closed-form matrix builds its own from the
+scaled reciprocals of the weights, so that oracle never reads the inverse.
+Lists are pure values per size: the largest built is kept on the matrix
+and a smaller size reads its head, so the domain inverse's lists serve
+every report over the domain, the rows of a from-domain class test
+included.  An invalid weight met while building them is replayed through
+the entries of the first row whose lists fail, so it is reported as the
+scans report it.  The statistics scan any other matrix (E, a bare triangle
+domain), and the scans are also the oracle the lists are checked against.
+A scan reads only the cells the matrix's row supports leave possibly
+nonzero, in the order of a scan of the whole square, and does no
+arithmetic on a zero, so E of a finite matrix with r rows costs O(r N)
+entry reads, not O(N^2).
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
-from typing import Callable, Optional, Union
+from math import lcm
+from operator import add, mul, sub
+from typing import Optional, Union
 
 from .core import (
-    ONE,
     BandedMatrix,
     InvalidWeightsError,
     Seq,
     Triangle,
     ZERO,
-    add_all,
     compose,
     diagonal,
     invert,
@@ -81,27 +84,38 @@ def _generators(m, size: int) -> Optional[tuple]:
     so that w is U1 and col is V1; row sums the row terms.  The band lists
     are the structure's band parts, or, with no band, one list of the
     diagonal from the terms; a row within the band has w = row = 0.  For
-    any other structure, and for none, this is None.  The lists are kept on
-    m and extended to the largest size asked for, so the statistics of one
-    matrix read each weight once and scale it once.  They are grown from
-    the structure (``_generator_lists``) unless m was built with its own
-    grower, as the dual matrices are (``_alpha_lists``, ``_beta_lists``,
-    ``_closed_form_lists``); either way a matrix whose structure is removed
-    has none and is scanned."""
+    any other structure, and for none, this is None, so a matrix whose
+    structure is removed is scanned.  The lists are m's ``_lists``; when
+    those raise an invalid weight, ``_replay`` raises it as the scans do."""
     if m.structure is None:
         return None
+    shapes = [(u is None, v is None) for u, v in m.structure[0]]
+    two_sided = shapes.count((False, False))
+    if two_sided > 1 or two_sided and (True, False) in shapes:
+        return None
     try:
-        grow = m._generator_lists
-    except AttributeError:
-        grow = m._generator_lists = _generator_lists(m.structure)
-    return None if grow is None else grow(size)
+        d, bands, terms = _lists(m, size)
+    except InvalidWeightsError:
+        _replay(m, size)
+        raise
+    width = len(bands)
+    ones = [1] * size
+    weight = next((u for u, v in terms if u is not None and v is not None), None)
+    col = _sum_lists([v for _, v in terms if v is not None], max(size - width, 0))
+    row = _sum_lists([ones if u is None else u for u, v in terms if v is None], size)
+    head = [0] * min(width, size)  # the rows within the band have no cell below it
+    w, row = head + (ones if weight is None else weight)[width:], head + row[width:]
+    if not width:  # the diagonal, from the terms
+        bands = [list(map(add, col, row) if weight is None else map(lambda x, c, r: x * c + r, w, col, row))]
+    return d, bands, w, col, row
 
 
-def _rescale(values: list, old: int, new: int) -> None:
-    """Replace each x of values by x * new / old, an integer for each."""
-    g = gcd(old, new)
-    if g != old or g != new:
-        values[:] = [x * (new // g) // (old // g) for x in values]
+def _sum_lists(lists: list, length: int) -> list:
+    """The sum of integer lists index by index, zeros of the length when
+    there are none."""
+    if len(lists) == 1:
+        return lists[0]
+    return [sum(values) for values in zip(*lists)] if lists else [0] * length
 
 
 def _lcm_all(values: set) -> int:
@@ -114,15 +128,17 @@ def _lcm_all(values: set) -> int:
     return values[0] if values else 1
 
 
-def _extend(values: list, scale: int, fractions) -> int:
-    """Append the (numerator, denominator > 0) pairs of fractions to values,
-    integers over scale, and return the new scale: scale times what the new
-    denominators need.  The kept values are rescaled only then."""
-    fractions = list(fractions)
-    new = lcm(scale, _lcm_all({q for _, q in fractions}))
-    _rescale(values, scale, new)
-    values += [p * (new // q) for p, q in fractions]
-    return new
+def _integers(pairs) -> tuple:
+    """(scale, integers) of (numerator, denominator > 0) pairs: the lcm of
+    the denominators, and each pair as an integer over it."""
+    pairs = list(pairs)
+    scale = _lcm_all({q for _, q in pairs})
+    return scale, [p * (scale // q) for p, q in pairs]
+
+
+def _pair(x: Fraction) -> tuple:
+    """x as a pair (numerator, denominator > 0)."""
+    return x.numerator, x.denominator
 
 
 def _reciprocal(x: Fraction) -> tuple:
@@ -130,198 +146,174 @@ def _reciprocal(x: Fraction) -> tuple:
     return (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
 
 
-def _generator_lists(structure) -> Optional[Callable[[int], tuple]]:
-    """size -> the lists (d, bands, w, col, row) of ``_generators``, or None
-    when the structure has none.
+def _lists(m, size: int) -> tuple:
+    """(d, bands, terms): integer lists of m's structure for the rows n <
+    size, with bands[i][n] / d its band part i at n >= i (0 at n < i) and,
+    below the band, the entry (n, k) the sum of U[n] V[k] / d over the terms
+    (U, V), None the all-ones list.  U has size values, and V at least size
+    - len(bands).
 
-    w is scaled by the lcm dw of its denominators, col by d / dw, and the
-    bands and row by d, the lcm of dw times col's lcm and of the
-    denominators of the bands and row: then w[n] col[k] + row[n] is d times
-    the entry.  Row j reads its row terms, its weight and col[j - L], L the
-    number of band parts, then its band from the far column on: the order
-    of a scan of row j, and no index past j.  The lists are built by
-    appending, and so locked.  What a grown chunk appends is scaled once,
-    and what is kept is rescaled only when a new denominator does not
-    divide its scale."""
+    A product gets them from its factors' lists (``_product_lists``), a
+    matrix built with its own rule (the closed-form matrix) from that, and
+    every other structure by scaling the values of its callables
+    (``_leaf_lists``).  They are pure values: the largest size built is
+    kept on m, and a smaller one is its head."""
+    kept = getattr(m, "_kept_lists", None)
+    if kept is not None and kept[0] >= size:
+        d, bands, terms = kept[1]
+        cols = max(size - len(bands), 0)
+        return d, [cells[:size] for cells in bands], [(u and u[:size], v and v[:cols]) for u, v in terms]
+    if getattr(m, "_own_lists", None) is not None:
+        lists = m._own_lists(size)
+    elif m._factors is not None:
+        lists = _product_lists(*(_lists(f, size) for f in m._factors), size)
+    else:
+        lists = _leaf_lists(m.structure, size)
+    m._kept_lists = (size, lists)
+    return lists
+
+
+def _replay(m, size: int) -> None:
+    """Read, in scan order, the entries of the first row whose lists raise
+    an invalid weight, found by bisection over the sizes: rows before it
+    read the same weights the lists of fewer rows do, so those entries
+    raise the invalid weight the scans report."""
+    good, bad = 0, size
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _lists(m, mid)
+            good = mid
+        except InvalidWeightsError:
+            bad = mid
+    for k in m.row_support(good):
+        m.entry(good, k)
+
+
+def _leaf_lists(structure, size: int) -> tuple:
+    """The lists of a structure from the values of its callables: each band
+    part, U and V scaled to integers over its own lcm, d the lcm of the
+    band parts' scales and of the terms' products of the scales of U and V,
+    and each term scaled up to d on V, or on U when V is None."""
     terms, band = structure
-    row_terms = [u for u, v in terms if v is None]
-    col_terms = [v for u, v in terms if u is None and v is not None]
-    two_sided = [(u, v) for u, v in terms if u is not None and v is not None]
-    if len(two_sided) > 1 or two_sided and col_terms:
-        return None
-    weight = two_sided[0][0] if two_sided else None
-    col_terms += [v for _, v in two_sided]
-    width = len(band)
-    bands = [[] for _ in range(max(width, 1))]
-    w, col, row = [], [], []
-    scales = [1, 1, 1]  # dw, the lcm of col's denominators, d
-    lock = threading.Lock()
-
-    def grow(size: int) -> tuple:
-        with lock:
-            chunk, columns = [], []
-            for j in range(len(w), size):
-                scale, rows = ZERO, []
-                if j >= width:
-                    rows = [ONE if u is None else u(j) for u in row_terms]
-                    scale = ONE if weight is None else weight(j)
-                    cols = [v(j - width) for v in col_terms]
-                    columns.append(add_all(cols))
-                if width:  # from the far column on; a row above a band part has no cell of it
-                    cells = [band[i](j) if i <= j else ZERO for i in range(width - 1, -1, -1)][::-1]
-                else:  # the diagonal, from the terms
-                    cells = [add_all(rows + (cols if weight is None else [scale * cols[0]]))]
-                chunk.append((scale, add_all(rows), *cells))
-            if chunk:
-                dw, dc, d = scales
-                new_w, new_row, *new_bands = zip(*chunk)
-                dw2 = lcm(dw, _lcm_all({x.denominator for x in new_w}))
-                dc2 = lcm(dc, _lcm_all({x.denominator for x in columns}))
-                d2 = lcm(d, dw2 * dc2, _lcm_all({x.denominator for values in [new_row, *new_bands] for x in values}))
-                for kept, values, old, new in (
-                    (w, new_w, dw, dw2),
-                    (col, columns, d // dw, d2 // dw2),
-                    (row, new_row, d, d2),
-                    *((cells, values, d, d2) for cells, values in zip(bands, new_bands)),
-                ):
-                    _rescale(kept, old, new)
-                    kept += [x.numerator * (new // x.denominator) for x in values]
-                scales[:] = dw2, dc2, d2
-            return scales[2], [cells[:size] for cells in bands], w[:size], col[: max(size - width, 0)], row[:size]
-
-    return grow
+    cols = max(size - len(band), 0)
+    cells = [_integers(_pair(part(n)) if n >= i else (0, 1) for n in range(size)) for i, part in enumerate(band)]
+    sides = [
+        (
+            (1, None) if u is None else _integers(map(_pair, map(u, range(size)))),
+            (1, None) if v is None else _integers(map(_pair, map(v, range(cols)))),
+        )
+        for u, v in terms
+    ]
+    d = _lcm_all({scale for scale, _ in cells} | {du * dv for (du, _), (dv, _) in sides})
+    lists = []
+    for (du, u), (dv, v) in sides:
+        c = d // (du * dv)
+        if v is not None:
+            v = [x * c for x in v]
+        elif u is not None:
+            u = [x * c for x in u]
+        elif c != 1:
+            u = [c] * size
+        lists.append((u, v))
+    return d, [[x * (d // scale) for x in xs] for scale, xs in cells], lists
 
 
-def _alpha_lists(inverse: Triangle, a: Seq) -> Callable[[int], tuple]:
-    """size -> the lists of alpha = diag(a) . inverse from the inverse's.
+def _product_lists(x: tuple, y: tuple, size: int) -> tuple:
+    """The lists of A.B from A's lists x = (da, a, terms) and B's y = (db,
+    b, terms), la and lb band parts, by the rule of
+    ``core._product_structure`` on integers over d = da db.
 
-    With a's values scaled to integers A over their lcm da, and (d, bands,
-    w, col, row) the inverse's lists, alpha's are (d da, A bands, A w, col,
-    A row), multiplied index by index: alpha(n, k) is a(n) inverse(n, k).
-    Where col is 0, w multiplies nothing and is left as it is, 0 or the
-    inverse's scale, so the statistics keep one slope.  The products are
-    kept and rescaled with d da, as the inverse's bands and row are with d;
-    the inverse's lists are shared by every a over one domain."""
-    scaled: list = []  # a's values over da
-    kept: list = []  # A times each of the inverse's band lists, then A row
-    scales = [1, 1]  # da, d da
-    lock = threading.Lock()
+    With P the prefix sums of Va Ub over each pair of terms, B's term (Ub,
+    Vb) gives (Ua P(n - la) + S(n), Vb), S(n) the sum of a_i(n) Ub(n - i);
+    A's term (Ua, Va) gives (Ua, V'), V'(k) the sum of Va(k + i) b_i(k + i)
+    less P(k + lb - 1) Vb(k); and band part e is the sum over i <= e of A's
+    cell (n, n - i) times B's cell (n - i, n - e), each from its factor's
+    band or terms.  When A has no band the product reads Vb one column past
+    B's lists, at the cell (size - 1, size - lb), where P(n) - P(n) = 0
+    multiplies it, so that column is taken as 0."""
+    (da, a_band, a_terms), (db, b_band, b_terms) = x, y
+    la, lb = len(a_band), len(b_band)
+    width = max(la + lb - 1, 0)
+    cols = max(size - width, 0)
+    ones = [1] * size
 
-    def grow(size: int) -> tuple:
-        with lock:
-            start = len(scaled)
-            try:
-                d, bands, w, col, row = _generators(inverse, size)
-            except InvalidWeightsError:
-                # the product reads a(j) before the inverse's row j, so an
-                # invalid read of a at a lower index is the one it reports
-                for j in range(start, size):
-                    a(j)
-                    _generators(inverse, j + 1)
-                raise
-            new = map(a, range(start, size))
-            da = scales[0] = _extend(scaled, scales[0], ((x.numerator, x.denominator) for x in new))
-            if not kept:
-                kept[:] = [[] for _ in range(len(bands) + 1)]
-            for values, factors in zip(kept, bands + [row]):
-                _rescale(values, scales[1], d * da)
-                values += [x * y for x, y in zip(scaled[start:], factors[start:])]
-            scales[1] = d * da
-            if any(col):
-                w = [x * y for x, y in zip(scaled, w)]
-            return scales[1], [values[:size] for values in kept[:-1]], w, col, kept[-1][:size]
+    def full(f):
+        return ones if f is None else f
 
-    return grow
+    b_terms = [(ub, vb if vb is None else vb + [0] * (cols - len(vb))) for ub, vb in b_terms]
+    # sums[s][t][m] is P(m), over A's term s and B's term t, for m < size - la
+    rows = max(size - la, 0)
+    sums = [[list(accumulate(map(mul, full(va), full(ub)[:rows]))) for ub, _ in b_terms] for _, va in a_terms]
+    terms = []
+    for t, (ub, vb) in enumerate(b_terms):
+        u = [0] * size
+        for (ua, _), ps in zip(a_terms, sums):
+            u[la:] = map(add, u[la:], ps[t] if ua is None else map(mul, ua[la:], ps[t]))
+        for i, part in enumerate(a_band):
+            u[i:] = map(add, u[i:], map(mul, part[i:], full(ub)))
+        terms.append((u, vb))
+    for (ua, va), ps in zip(a_terms, sums):
+        v = [0] * cols
+        for (_, vb), p in zip(b_terms, ps):
+            shifted = p[lb - 1 : lb - 1 + cols] if lb else [0] + p[: cols - 1]
+            v = list(map(sub, v, shifted if vb is None else map(mul, shifted, vb)))
+        for i, part in enumerate(b_band):
+            v = list(map(add, v, map(mul, full(va)[i:], part[i:])))
+        terms.append((ua, v))
 
+    def cells(band, terms, i):  # a factor's cells (n, n - i), 0 at n < i
+        if i < len(band):
+            return band[i]
+        values = [0] * size
+        for u, v in terms:
+            values[i:] = map(add, values[i:], map(mul, full(u)[i:], full(v)))
+        return values
 
-def _beta_lists(alpha: BandedMatrix) -> Callable[[int], tuple]:
-    """size -> the lists of beta = sigma . alpha from alpha's, for an alpha
-    with one band part and no column terms, whose col is 0.
-
-    Then beta(n, k) sums alpha(j, k) over k <= j <= n: the diagonal cell
-    diag[k] plus row[j] for j > k.  With R the running sum of alpha's row,
-    beta's lists have no band part, and are d, the diagonal, w = 1, col[k]
-    = diag[k] - R(k) and row = R.  R and col are kept and rescaled with d."""
-    sums: list = []
-    col: list = []
-    scale = [1]
-    lock = threading.Lock()
-
-    def grow(size: int) -> tuple:
-        with lock:
-            d, (diag,), _, _, row = _generators(alpha, size)
-            _rescale(sums, scale[0], d)
-            _rescale(col, scale[0], d)
-            scale[0] = d
-            for j in range(len(sums), size):
-                sums.append(sums[-1] + row[j] if j else row[0])
-                col.append(diag[j] - sums[j])
-            return d, [diag], [1] * size, col[:size], sums[:size]
-
-    return grow
+    bands = []
+    for e in range(width):
+        part = [0] * size
+        for i in range(e + 1):
+            f, g = cells(a_band, a_terms, i), cells(b_band, b_terms, e - i)
+            part[e:] = map(add, part[e:], map(mul, f[e:], g[e - i :]))
+        bands.append(part)
+    return da * db, bands, terms
 
 
-def _closed_form_lists(w: Weights, a: Seq) -> Callable[[int], tuple]:
-    """size -> the lists of ``closed_form_beta_matrix`` from the weights.
+def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:
+    """The lists of ``closed_form_beta_matrix`` from the weights, at the
+    rows n < size.
 
     With 1/u, 1/v and a scaled to integers iu, iv and A over their lcms du,
-    dv and da, and d = du dv da, the diagonal is A_k iu_k iv_k, row is the
-    running sum of the steps (iu_j - iu_{j-1}) A_j iv_j over 1 <= j <= n,
-    col = diag - row and w = 1; there is no band part.  Index j reads u(j),
-    a(j) and v(j) in the order the matrix's structure reads them (a(0)
-    first at j = 0, which has no step), so both report the same invalid
-    weight.  The lists are kept and rescaled with d."""
-    leaves: list = [[], [], []]  # iu, iv, A
-    kept: list = [[], [], []]  # diag, col, row
-    scales = [1, 1, 1, 1]  # du, dv, da, d
-    lock = threading.Lock()
-
-    def grow(size: int) -> tuple:
-        with lock:
-            start = len(leaves[0])
-            chunk = []
-            for j in range(start, size):
-                if j:  # step(j) reads u(j), u(j - 1) (read at j - 1), a(j) and v(j)
-                    u, x, v = w.u_at(j), a(j), w.v_at(j)
-                else:  # the diagonal reads a(0), u(0) and v(0)
-                    x, u, v = a(0), w.u_at(0), w.v_at(0)
-                chunk.append((_reciprocal(u), _reciprocal(v), (x.numerator, x.denominator)))
-            if chunk:
-                for i, (values, fractions) in enumerate(zip(leaves, zip(*chunk))):
-                    scales[i] = _extend(values, scales[i], fractions)
-                d = scales[0] * scales[1] * scales[2]
-                for values in kept:
-                    _rescale(values, scales[3], d)
-                scales[3] = d
-                (iu, iv, scaled), (diag, col, row) = leaves, kept
-                for j in range(start, size):
-                    diag.append(scaled[j] * iu[j] * iv[j])
-                    row.append(row[-1] + (iu[j] - iu[j - 1]) * scaled[j] * iv[j] if j else 0)
-                    col.append(diag[j] - row[j])
-            diag, col, row = kept
-            return scales[3], [diag[:size]], [1] * size, col[:size], row[:size]
-
-    return grow
+    dv and da, and d = du dv da, the diagonal is A_k iu_k iv_k, the row term
+    R(n) is the running sum of the steps (iu_j - iu_{j-1}) A_j iv_j over 1
+    <= j <= n, and the column term is the diagonal less R; there is no band
+    part."""
+    du, iu = _integers(_reciprocal(w.u_at(j)) for j in range(size))
+    dv, iv = _integers(_reciprocal(w.v_at(j)) for j in range(size))
+    da, scaled = _integers(map(_pair, map(a, range(size))))
+    diag = [x * y * z for x, y, z in zip(scaled, iu, iv)]
+    steps = [(iu[j] - iu[j - 1]) * scaled[j] * iv[j] if j else 0 for j in range(size)]
+    row = list(accumulate(steps))
+    return du * dv * da, [], [(row, None), (None, list(map(sub, diag, row)))]
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
 
-    Its structure is the product's; its entries are a_n inverse(n, k), which
-    read the inverse's row n also where a_n = 0, as the structure reads the
-    inverse's weights there, so both report the same invalid weight.  When
-    the inverse has generator lists, the statistics read alpha's lists
-    built from them (``_alpha_lists``); the product's are not grown."""
+    Its structure and factors are the product's, so its lists come from
+    those of diag(a) and of the inverse; its entries are a_n inverse(n, k),
+    which read the inverse's row n also where a_n = 0, as the lists read
+    the inverse's weights there, so both report the same invalid weight."""
     inverse = invert(domain_matrix)
     product = compose(diagonal(a), inverse)
     # the entries deliberately bypass product.entry: compose skips a row
     # whose coefficient a(n) is 0 without reading the inverse, and the scans
-    # would then miss the invalid weight the structure reports
+    # would then miss the invalid weight the lists report
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
     m = BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
-    if _generators(inverse, 0) is not None:
-        m._generator_lists = _alpha_lists(inverse, a)
+    m._factors = product._factors
     return m
 
 
@@ -330,21 +322,15 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     column sums of the alpha matrix, sigma . diag(a) . inverse(domain), so
     entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk.
 
-    Its structure is the product's.  When alpha's structure has one band
-    part and only row terms, as over the inverses of the C, G and R domain
-    matrices, the statistics read beta's lists built from alpha's
-    (``_beta_lists``); otherwise the product's structure's."""
-    alpha = alpha_assoc(domain_matrix, a)
-    product = compose(sigma_sum(), alpha)
+    Its structure and factors are the product's, so its lists come from
+    those of the sum matrix and of the alpha matrix."""
+    product = compose(sigma_sum(), alpha_assoc(domain_matrix, a))
 
     def entry(n: int, k: int) -> Fraction:
         return product.entry(n, k)
 
     m = BandedMatrix(entry, structure=product.structure)
-    if alpha.structure is not None:
-        terms, band = alpha.structure
-        if len(band) == 1 and all(v is None for _, v in terms):
-            m._generator_lists = _beta_lists(alpha)
+    m._factors = product._factors
     return m
 
 
@@ -354,8 +340,8 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
     c_j = (1/v_j)(1/u_j - 1/u_{j-1}) a_j below it; no inversion is involved,
     so this is an independent oracle for beta_assoc on bv(G)/bv(R).  Its
-    structure comes from the same closed forms, and the statistics read
-    lists built on integers from the weights (``_closed_form_lists``).
+    structure comes from the same closed forms, and its lists are built on
+    integers from the weights (``_closed_form_lists``).
     """
 
     def diag_term(k: int) -> Fraction:
@@ -370,7 +356,7 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     steps = Seq(running_sum(lambda j: step(j) if j else ZERO))
     columns = [(steps, None), (None, lambda k: diag_term(k) - steps(k))]
     m = BandedMatrix(entry, structure=(columns, []))
-    m._generator_lists = _closed_form_lists(w, a)
+    m._own_lists = lambda size: _closed_form_lists(w, a, size)
     return m
 
 
@@ -625,6 +611,11 @@ def verdict_stats(kind: str, m, n: int) -> dict:
     limits (beta)."""
     if kind == "alpha":
         return {"column_l1": cond_l1_l1(m, n)}
+    if kind == "beta":
+        # the column limits read rows up to N, so m's lists are built once,
+        # at N + 1, and the statistics at N read their head
+        checkpoints(n)
+        _generators(m, n + 1)
     stats = {"sup_entry": cond_l1_linf(m, n)}
     if kind == "beta":
         stats["column_limits"] = cond_l1_c(m, n)

@@ -269,30 +269,47 @@ def test_beta_cross_check_runs_only_the_compared_statistics(cond_calls):
 
 def generator_entries(m, size):
     """The entries of the leading square of m of the given size that its
-    generator lists represent, which do not depend on how far the lists
-    have grown, unlike their scale d."""
+    generator lists represent, which do not depend on the size the lists
+    were built at, unlike their scale d."""
     return list_entries(duals._generators(m, size))
 
 
 def list_entries(lists):
     """The band cells and the cells below the band that generator lists
-    (d, bands, w, col, row) represent, divided by d."""
+    (d, bands, w, col, row) represent, divided by d, by cell."""
     d, bands, w, col, row = lists
-    below = tuple(F(w[i] * col[k] + row[i], d) for i in range(len(w)) for k in range(i - len(bands) + 1))
-    return tuple(F(x, d) for cells in bands for x in cells) + below
+    cells = {(n, n - i): F(x, d) for i, xs in enumerate(bands) for n, x in enumerate(xs) if n >= i}
+    cells.update({(n, k): F(w[n] * col[k] + row[n], d) for n in range(len(w)) for k in range(n - len(bands) + 1)})
+    return cells
+
+
+def structure_entries(m, size):
+    """The cells that list_entries holds, each evaluated from the Seqs of
+    m's structure: its band parts, or with no band the diagonal, and below
+    them the sum of U(n) V(k) over the terms.  This is the oracle of the
+    integer rule that builds the lists."""
+    terms, band = m.structure
+
+    def below(n, k):
+        return sum(((F(1) if u is None else u(n)) * (F(1) if v is None else v(k)) for u, v in terms), F(0))
+
+    parts = list(band) or [lambda n: below(n, n)]
+    cells = {(n, n - i): part(n) for i, part in enumerate(parts) for n in range(i, size)}
+    cells.update({(n, k): below(n, k) for n in range(size) for k in range(n - len(parts) + 1)})
+    return cells
 
 
 def test_appended_rows_are_consistent_across_threads():
-    """Inverse rows, beta_assoc columns, the running sums of a structured
-    transform and the generator lists of the statistics grow by appending
-    under a lock; four threads reading them in different orders see the
-    serial values.  The Hilbert-like factor declares no structure and
-    records no factors, so its product is inverted by forward substitution.
-    The generator lists are read on beta_assoc over phi, with w = 1, on
-    F = Riesz . cesaro, whose w = 1/Q_n gains denominators as it grows, on
-    two alpha matrices that share the lists of one Riesz inverse, and on the
-    closed-form matrix, so the kept lists are rescaled while other threads
-    read them."""
+    """Inverse rows, beta_assoc columns and the running sums of a structured
+    transform grow by appending under a lock, and the generator lists of the
+    statistics are whole values per size, of which a matrix keeps the
+    largest; four threads reading them in different orders see the serial
+    values.  The Hilbert-like factor declares no structure, so its product
+    is inverted by forward substitution.  The generator lists are read on
+    beta_assoc over phi, with w = 1, on F = Riesz . cesaro, whose w = 1/Q_n
+    gains denominators as it grows, on two alpha matrices that share the
+    lists of one Riesz inverse, and on the closed-form matrix, so lists of
+    one matrix are built at several sizes while other threads read them."""
     n = 20
     q = Seq(lambda k: F(k + 1))
     a = Seq(lambda k: F(1, k + 2))
@@ -576,29 +593,40 @@ def dual_matrices(dom, a):
 
 
 def assert_lists_match_the_structure(build, sizes, n):
-    """The lists m carries, grown in chunks to each of sizes, represent the
-    cells that the lists of its structure do, and the statistics at n equal
-    the scans of m with its structure removed."""
+    """The lists of m at each of sizes, built afresh in ascending order and
+    then read as heads of the largest, hold the cells that m's structure
+    states, and the statistics at n equal the scans of m with its structure
+    removed."""
     fast, scanned = with_and_without_structure(build)
-    generic = duals._generator_lists(fast.structure)
-    assert fast._generator_lists.__qualname__.split(".")[0] in ("_alpha_lists", "_beta_lists", "_closed_form_lists")
-    for size in sizes:
-        assert list_entries(duals._generators(fast, size)) == list_entries(generic(size)), size
+    expected = structure_entries(fast, max(sizes))
+    for size in (*sizes, *sizes):
+        assert generator_entries(fast, size) == {c: x for c, x in expected.items() if c[0] < size}, size
     for kind in ("alpha", "beta", "gamma"):
         assert_structure_matches_scan(kind, fast, scanned, n)
 
 
+def factor_matrices(domain):
+    """The domain inverse and F = domain . B for each B of F_RIGHT, by name,
+    over a domain made afresh by domain()."""
+    built = {"inverse": lambda: invert(domain().matrix)}
+    for name, b in F_RIGHT.items():
+        built[f"F[{name}]"] = lambda b=b: left_transform_F(b(), domain().matrix)
+    return built
+
+
 @pytest.mark.parametrize("domain", ["C", *sorted(BENCH_DOMAINS)])
 def test_dual_lists_equal_the_lists_of_the_structure(domain):
-    """alpha's lists from the domain inverse's, beta's from alpha's and the
-    closed form's from the weights hold the cells of the lists of their
-    structures, grown in chunks whose new denominators rescale the kept
-    values, and their statistics equal the scans."""
-    dom = F_DOMAINS[domain]()
-    for name, spec in A_SPECS.items():
-        a = parse_seq_spec(json.dumps(spec))[0]
-        for matrix, build in dual_matrices(dom, a).items():
-            assert_lists_match_the_structure(build, (8, 12, 16, 49), 16)
+    """The lists that the integer product rule builds from the leaves'
+    (diag(a), the bidiagonal inverse, the sum matrix, the means), for the
+    dual matrices, the domain inverse and F, and the closed form's from the
+    weights, hold the cells their structures state, and their statistics
+    equal the scans."""
+    dom = F_DOMAINS[domain]
+    builds = list(factor_matrices(dom).values())
+    for spec in A_SPECS.values():
+        builds += dual_matrices(dom(), parse_seq_spec(json.dumps(spec))[0]).values()
+    for build in builds:
+        assert_lists_match_the_structure(build, (8, 12, 16, 49), 16)
 
 
 def test_alpha_lists_report_an_invalid_read_of_a_as_the_scans_do():
@@ -621,9 +649,9 @@ def structure_seqs(m):
 @pytest.mark.parametrize("domain", ["G(power 2, harmonic)", "R(2^k)"])
 def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkeypatch):
     """A beta and a gamma report with its cross-check read the lists built
-    from the domain inverse's lists and from the weights: no Seq of the
-    product structures of alpha and beta, nor the closed form's running
-    sum of steps, is evaluated, while the inverse's are."""
+    from the leaves' lists and from the weights: no Seq of the product
+    structures of alpha, beta and the domain inverse, nor the closed form's
+    running sum of steps, is evaluated."""
     built = []
 
     def record(build):
@@ -638,8 +666,9 @@ def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkey
     assert len(built) == 6
     seqs = [f for m in built for f in structure_seqs(m)]
     assert len(seqs) == 10
+    seqs += structure_seqs(invert(dom.matrix))
+    assert len(seqs) == 12
     assert [f._cache for f in seqs] == [{}] * len(seqs)
-    assert all(f._cache for f in structure_seqs(invert(dom.matrix)))
 
 
 @pytest.mark.parametrize("kind", duals.DUAL_KINDS)
@@ -815,19 +844,20 @@ nonzero_hostile = hostile.filter(bool)
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_dual_lists_property(data):
-    """Weights and a with pairwise coprime denominators: each chunk's new
-    denominators rescale the kept lists, which still hold the cells of the
-    lists of the structure; the statistics equal the scans."""
+    """Weights and a with pairwise coprime denominators, so the scales of
+    the factors' lists are large and unrelated: the lists of the dual
+    matrices, the closed form, the domain inverse and F hold the cells
+    their structures state, and the statistics equal the scans."""
     size = 17
     us, vs = (data.draw(st.lists(nonzero_hostile, min_size=size, max_size=size)) for _ in range(2))
     values = data.draw(st.lists(hostile, min_size=1, max_size=size))
     a = Seq.from_values(values)
     doms = [
-        weighted_domain(WeightPair(Seq(us.__getitem__), Seq(vs.__getitem__))),
-        riesz_domain(RieszWeights(Seq(lambda k: abs(us[k])))),
+        lambda: weighted_domain(WeightPair(Seq(us.__getitem__), Seq(vs.__getitem__))),
+        lambda: riesz_domain(RieszWeights(Seq(lambda k: abs(us[k])))),
     ]
     for dom in doms:
-        for build in dual_matrices(dom, a).values():
+        for build in {**dual_matrices(dom(), a), **factor_matrices(dom)}.values():
             assert_lists_match_the_structure(build, (5, 9, size), size - 1)
 
 
@@ -838,6 +868,27 @@ def test_structures_without_generator_lists_are_scanned():
     for structure in (([(u, v), (v, u)], []), ([(u, v), (None, v)], [u, v])):
         m = BandedMatrix(lambda n, k: F(0), structure=structure)
         assert duals._generators(m, 4) is None
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 16])
+def test_lists_of_products_without_generator_lists_hold_their_cells(size):
+    """Products whose structure the statistics do not read, and whose left
+    factor has no band, so the rule reads a term column of the right factor
+    one past its lists: their integer lists (d, bands, terms) still hold the
+    cells their structures state."""
+    w = harmonic_pair()
+    for build in (
+        lambda: compose(sigma_sum(), gamma(w)),
+        lambda: compose(cesaro(), compose(delta(), gamma(w))),
+        lambda: compose(weighted_mean(w), compose(sigma_sum(), gamma(w))),
+        lambda: compose(sigma_sum(), compose(gamma(w), delta())),
+    ):
+        m = build()
+        d, bands, terms = duals._lists(m, size)
+        below = lambda n, k: sum((1 if u is None else u[n]) * (1 if v is None else v[k]) for u, v in terms)
+        cells = {(n, n - i): F(xs[n], d) for i, xs in enumerate(bands) for n in range(i, size)}
+        cells.update({(n, k): F(below(n, k), d) for n in range(size) for k in range(n - len(bands) + 1)})
+        assert cells == structure_entries(m, size)
 
 
 def test_maxima_equal_the_direct_max():
@@ -874,12 +925,14 @@ def test_abs_sums_query_equals_the_direct_sum():
     ids=["C", "R[2^k]"],
 )
 def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
-    """A beta dual evaluates O(N) values of the domain inverse's structure,
-    no entry of the domain inverse and no entry of the beta_assoc matrix,
-    cross-check included."""
+    """A beta dual reads the bidiagonal inverse of the domain's mean through
+    its band, at most 2(N + 2) of its entries, and evaluates no entry of the
+    domain inverse and no entry of the beta_assoc matrix, cross-check
+    included."""
     n = 256
     dom = domain()
     inv = invert(dom.matrix)
+    bidiagonal, _ = inv._factors
     evals, inv_evals, assoc_reads = [], [], []
 
     def counted(log, fn):
@@ -890,27 +943,19 @@ def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
         return wrapper
 
     inv._entry = counted(inv_evals, inv._entry)
-    terms, band = inv.structure
-    for seq in [u for u, _ in terms] + band:
-        seq._eval = counted(evals, seq._eval)
+    bidiagonal._entry = counted(evals, bidiagonal._entry)
     build = duals.beta_assoc
 
     def counted_beta_assoc(matrix, a):
         m = build(matrix, a)
-        entry = m.entry
-
-        def counted_entry(row, col):
-            assoc_reads.append((row, col))
-            return entry(row, col)
-
-        m.entry = counted_entry
+        m.entry = counted(assoc_reads, m.entry)
         return m
 
     monkeypatch.setattr(duals, "beta_assoc", counted_beta_assoc)
     report = dual_test(dom, Seq(lambda k: F(1, k + 1)), "beta", n)
     assert len(report.conditions["column_limits"]) == n // 4
     assert dom.weights is None or report.cross_check["match"] is True
-    assert 0 < len(evals) <= 3 * n
+    assert 0 < len(evals) <= 2 * (n + 2)
     assert inv_evals == assoc_reads == []
 
 

@@ -656,3 +656,34 @@ def test_into_domain_at_the_truncation_edge_names_the_recorded_weight(probe, b, 
         assert json.loads(got.out)["report"]["transformed_condition"]["column_l1"]
     else:
         assert (code, got.out, got.err) == (3, "", f"mathematical error: invalid weight {weight}: must be nonzero\n")
+
+
+def test_an_invalid_weight_at_depth_reads_one_row_of_entries(monkeypatch, capsys):
+    """u vanishes at index 1000, and --n 1024.  A beta dual and an
+    into-domain class test name u[1000], as the scans do, and read at most
+    one row of the failing matrix's entries, so the error path does not
+    fall back to the scans."""
+    domain = json.dumps({"label": "G", "u": {"prefix": ["1"] * 1000 + ["0"], "tail": _ONES}, "v": "e"})
+    rows = []
+
+    def counted(build):
+        def counted_build(*args):
+            m = build(*args)
+            entry = m.entry
+            m.entry = lambda n, k: rows.append(n) or entry(n, k)
+            return m
+
+        return counted_build
+
+    monkeypatch.setattr(duals, "beta_assoc", counted(duals.beta_assoc))
+    monkeypatch.setattr(matclass, "left_transform_F", counted(matclass.left_transform_F))
+    commands = [
+        ["dual", "--a", "harmonic", "--domain", domain, "--kind", "beta"],
+        ["matclass", "--direction", "into_domain", "--matrix", "cesaro", "--domain", domain, "--y", "l1"],
+    ]
+    for argv in commands:
+        rows.clear()
+        assert cli.main(argv + ["--n", "1024"]) == 3
+        got = capsys.readouterr()
+        assert (got.out, got.err) == ("", "mathematical error: invalid weight u[1000] = 0: must be nonzero\n")
+        assert 0 < len(rows) <= 1001 and set(rows) == {1000}
