@@ -99,9 +99,9 @@ def _generators(m, size: int) -> Optional[tuple]:
         _replay(m, size)
         raise
     width = len(bands)
-    ones = [1] * size
+    ones, cols = [1] * size, max(size - width, 0)
     weight = next((u for u, v in terms if u is not None and v is not None), None)
-    col = _sum_lists([v for _, v in terms if v is not None], max(size - width, 0))
+    col = _sum_lists([v[:cols] for _, v in terms if v is not None], cols)
     row = _sum_lists([ones if u is None else u for u, v in terms if v is None], size)
     head = [0] * min(width, size)  # the rows within the band have no cell below it
     w, row = head + (ones if weight is None else weight)[width:], head + row[width:]
