@@ -10,6 +10,7 @@ dual matrices.  A band part is the whole cell it names and the terms give
 the cells below the band, and the declared structures are checked against
 the entries they describe."""
 
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -441,11 +442,15 @@ def _right_spec(case, shape):
     """The invalid weights of case as a mean, as its domain matrix (gamma or
     sigma_riesz), as the inverse of either, or as a product of two of these
     or of delta and one of these (shapes joined by a dot)."""
-    spec = _INVALID[case]
+    return _shaped(_INVALID[case], shape)
+
+
+def _shaped(spec, shape):
+    """The weights of the mean spec in the given shape (see _right_spec)."""
     if "." in shape:
-        return {"kind": "compose", "of": [_right_spec(case, part) for part in shape.split(".")]}
+        return {"kind": "compose", "of": [_shaped(spec, part) for part in shape.split(".")]}
     if shape.startswith("inverse_of("):
-        return {"kind": "inverse_of", "of": _right_spec(case, shape[len("inverse_of(") : -1])}
+        return {"kind": "inverse_of", "of": _shaped(spec, shape[len("inverse_of(") : -1])}
     if shape == "delta":
         return {"kind": "delta"}
     if shape == "mean":
@@ -595,6 +600,66 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         assert got.out == plain.out == ""
         assert got.err == plain.err
         assert got.err.startswith("mathematical error: invalid weight ")
+
+
+def _ones_then(index, value):
+    """A weight sequence of ones but for value at index."""
+    return {"prefix": ["1"] * index + [value], "tail": _ONES}
+
+
+# the invalid weights of _INVALID, weights invalid at the last row of an N =
+# 16 truncation and one past it, and u invalid at 5 where the entry scan
+# meets v[2] first
+_MATRIX_CASES = {
+    **_INVALID,
+    **{
+        f"zero {name} at {index}": {"kind": "weighted", "u": "e", "v": "e", name: _ones_then(index, "0")}
+        for name in ("u", "v")
+        for index in (15, 16)
+    },
+    **{f"non-positive q at {index}": {"kind": "riesz", "q": _ones_then(index, "-1")} for index in (15, 16)},
+    "zero u at 5 and v at 2": {"kind": "weighted", "u": _ones_then(5, "0"), "v": _ones_then(2, "0")},
+}
+# The outcome of matrix --spec S --n 16 for each shape S of _RIGHT_SHAPES, in
+# that order, as recorded while truncate read every matrix by its entries:
+# the invalid weight named on stderr, with exit 3 and no stdout, or the first
+# 16 hex digits of the stdout sha256, with exit 0 and no stderr
+_MATRIX_RECORDED = {
+    "zero u": ("u[3] = 0",) * 9,
+    "zero v": ("v[2] = 0",) * 9,
+    "non-positive q": ("q[4] = -1",) * 9,
+    "zero u and v": ("u[2] = 0", "u[2] = 0", "v[2] = 0", "v[2] = 0") + ("u[2] = 0",) * 5,
+    "zero u at 15": ("u[15] = 0",) * 9,
+    "zero v at 15": ("v[15] = 0",) * 9,
+    "zero u at 16": (
+        "d39a16a546b559b0", "4ee440e9c3e38679", "a31c97ffe3ce7dde", "146ca947f14e7829", "60e4c43adb01ec18",
+        "38bca08c08897f22", "c0efd741b6e7ba44", "38698ddff56872da", "d8df47fd6febbe2a",
+    ),
+    "zero v at 16": (
+        "147ef427395e3245", "2808e045ec3a8461", "b5935059cde7c130", "cfa9c800af356666", "65fbc6a5930945f9",
+        "b52d521f3e6f4c51", "47c6b012352da22c", "6a62f0a0b358b32a", "cfb31c7f798ef5cc",
+    ),
+    "non-positive q at 15": ("q[15] = -1",) * 9,
+    "non-positive q at 16": (
+        "5a3867da6147dc61", "c16df3e44d6ca37d", "7a87376dfc923687", "8c96dc4f2e9bf195", "54f2c58304c3c26a",
+        "63873eb27573d383", "af901c6f85e51944", "ee1c91c630038f98", "56ec12fb3fd36a8f",
+    ),
+    "zero u at 5 and v at 2": ("v[2] = 0",) * 9,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MATRIX_CASES))
+def test_matrix_of_each_shape_gives_the_recorded_outcome(case, capsys):
+    requirement = "must be positive" if _MATRIX_CASES[case]["kind"] == "riesz" else "must be nonzero"
+    for shape, recorded in zip(_RIGHT_SHAPES, _MATRIX_RECORDED[case], strict=True):
+        code = cli.main(["matrix", "--spec", json.dumps(_shaped(_MATRIX_CASES[case], shape)), "--n", "16"])
+        got = capsys.readouterr()
+        if " = " in recorded:
+            expected = (3, "", f"mathematical error: invalid weight {recorded}: {requirement}\n")
+            assert (code, got.out, got.err) == expected, shape
+        else:
+            digest = hashlib.sha256(got.out.encode("utf-8")).hexdigest()[:16]
+            assert (code, digest, got.err) == (0, recorded, ""), shape
 
 
 # The stderr line each command gave before F = domain . B was read from its
