@@ -42,7 +42,10 @@ column at or past its row.  ``compose`` multiplies by one in O(N^2)
 operations instead of O(N^3), the band-overlap sum serves every other right
 factor, and ``dense_mul`` of truncations is the oracle for both;
 ``_product_structure`` is the one rule that multiplies two structures, and
-a product of two structures always declares one.  ``apply`` and
+a product of two structures always declares one.  ``truncate`` reads a
+structure of at most one term row by row, one product U(n) V(k) per cell
+below the band, and scans the entries of every other matrix; that scan
+is the oracle of the structured read.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
 running sum per term and its band, so N coordinates cost O(N) operations;
 every other matrix takes the entry loop ``_coordinate`` over each row's
@@ -283,13 +286,70 @@ class DenseTrunc:
 
 
 def truncate(source, n_size: int) -> DenseTrunc:
-    """Materialize the leading n_size x n_size block of a matrix."""
+    """Materialize the leading n_size x n_size block of a matrix.
+
+    A lower triangle whose structure has at most one term (the means, the
+    sum matrix, the domain matrices and their inverses, a bidiagonal
+    inverse, diag(a) and the products of a band-only factor with any of
+    these) is read from that structure row by row (``_structure_rows``):
+    one ``Fraction`` product per cell, and no entry is read or cached but
+    the band of a bidiagonal inverse, which is its memoized entries.
+    Every other matrix takes the entry scan ``_entry_scan``, which is also
+    the oracle of the structured read and its error path: a structured
+    read that meets an invalid weight gives way to the scan, so the weight
+    reported is the one the scan meets first.  A structure of two or more
+    terms is scanned: read as a sum of products per cell, it takes each
+    cell as the difference P(n) - P(k - 1) of the running sums of
+    ``_product_structure``, whose denominators grow with n, and that
+    cancellation costs more than compose's suffix sums.
+    """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
+    if source.structure is not None and len(source.structure[0]) <= 1:
+        try:
+            return DenseTrunc(n_size, _structure_rows(source.structure, n_size))
+        except InvalidWeightsError:
+            pass
+    return _entry_scan(source, n_size)
+
+
+def _entry_scan(source, n_size: int) -> DenseTrunc:
+    """The leading n_size x n_size block of a matrix, entry by entry."""
     rows = tuple(
         tuple(source.entry(n, k) for k in range(n_size)) for n in range(n_size)
     )
     return DenseTrunc(n_size, rows)
+
+
+def _structure_rows(structure: tuple, n_size: int) -> tuple:
+    """The first n_size rows, n_size long, of the lower triangle that the
+    structure (terms, band) of at most one term (U, V) states: band[i](n)
+    at (n, n - i) and U(n) V(k) below the band.  U(n) is read once for each
+    row n >= len(band) and V(k) once for each column k < n_size -
+    len(band); a row below the band is a slice of the V values when U is
+    None, and U(n) repeated when V is None."""
+    terms, band = structure
+    width = len(band)
+    zeros = (ZERO,) * n_size
+    if terms:
+        [(u, v)] = terms
+        below = range(n_size - width)
+        column = [ONE] * len(below) if v is None else [rat(v(k)) for k in below]
+    rows = []
+    for n in range(n_size):
+        count = n - width + 1  # the cells of row n below its band
+        if count <= 0:
+            cells = []
+        elif not terms:
+            cells = [ZERO] * count
+        elif u is None:
+            cells = column[:count]
+        else:
+            scale = rat(u(n))
+            cells = [scale] * count if v is None else [scale * c for c in column[:count]]
+        cells += [rat(band[i](n)) for i in range(min(width - 1, n), -1, -1)]
+        rows.append((*cells, *zeros[n + 1 :]))
+    return tuple(rows)
 
 
 def _scaled(values) -> tuple:

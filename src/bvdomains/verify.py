@@ -22,6 +22,7 @@ from .core import (
     Seq,
     ZERO,
     _build_inverse,
+    _entry_scan,
     apply,
     compose,
     dense_mul,
@@ -179,15 +180,17 @@ def suite_identities(n: int, rng) -> list:
 
     # both sides take compose's structured path (every factor here declares
     # a structure), so the generic dense product of truncations is compared
-    # too; delta . phi multiplies a band by terms and by a band
+    # too; delta . phi multiplies a band by terms and by a band.  Each
+    # product is read by its entries, which truncate skips for a product
+    # of at most one structure term
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
 
     def associativity_pairs():
-        yield truncate(compose(a, compose(b, c)), n), truncate(compose(compose(a, b), c), n)
+        yield _entry_scan(compose(a, compose(b, c)), n), _entry_scan(compose(compose(a, b), c), n)
         for x, y in ((b, c), (a, b), (b, builders.phi()), (b, invert(builders.phi())), (a, builders.phi())):
-            yield dense_mul(truncate(x, n), truncate(y, n)), truncate(compose(x, y), n)
+            yield dense_mul(truncate(x, n), truncate(y, n)), _entry_scan(compose(x, y), n)
         y = compose(a, builders.phi())
-        yield dense_mul(truncate(b, n), truncate(y, n)), truncate(compose(b, y), n)
+        yield dense_mul(truncate(b, n), truncate(y, n)), _entry_scan(compose(b, y), n)
 
     name = "compose_associativity"
     checks.append(

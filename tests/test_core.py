@@ -12,6 +12,7 @@ from bvdomains.core import (
     SingularMatrixError,
     Triangle,
     _build_inverse,
+    _entry_scan,
     apply,
     compose,
     dense_mul,
@@ -154,7 +155,9 @@ def test_compose_with_finite_rows_matches_dense_oracle(left, right):
     product = compose(a, b)
     assert not isinstance(product, Triangle)
     assert product.row_count == a.row_count
-    assert truncate(product, size) == dense_mul(truncate(a, size), truncate(b, size))
+    expected = dense_mul(truncate(a, size), truncate(b, size))
+    assert truncate(product, size) == expected
+    assert _entry_scan(compose(a, b), size) == expected
 
 
 @pytest.mark.parametrize(

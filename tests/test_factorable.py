@@ -26,9 +26,11 @@ from bvdomains.core import (
     Seq,
     Triangle,
     _coordinate,
+    _entry_scan,
     apply,
     compose,
     dense_mul,
+    diagonal,
     invert,
     transform_seq,
     truncate,
@@ -148,7 +150,11 @@ _PRODUCTS = {
 
 
 def _product_is_dense_product(a, b, size=N):
-    assert truncate(compose(a, b), size) == dense_mul(truncate(a, size), truncate(b, size))
+    expected = dense_mul(truncate(a, size), truncate(b, size))
+    assert truncate(compose(a, b), size) == expected
+    # compose's entries, which truncate does not read of a product with at
+    # most one term
+    assert _entry_scan(compose(a, b), size) == expected
 
 
 @pytest.mark.parametrize("left", sorted({**_NAMED, **_LEFT_ONLY}))
@@ -171,7 +177,7 @@ def _structure_entry(t, n, k):
 
 
 def _assert_structure_reproduces_entries(t, size=N):
-    assert truncate(t, size) == truncate(BandedMatrix(lambda n, k: _structure_entry(t, n, k)), size)
+    assert _entry_scan(t, size) == _entry_scan(BandedMatrix(lambda n, k: _structure_entry(t, n, k)), size)
 
 
 # the bidiagonal triangles declare a band and no terms, and the other
@@ -306,6 +312,104 @@ _STRUCTURED = {
     **_PRODUCTS,
     **_DUALS,
 }
+
+
+_TAILS = {
+    "1": {"tail": {"kind": "const", "c": "1"}},
+    "harmonic": {"tail": {"kind": "harmonic"}},
+    "power 2": {"tail": {"kind": "power", "p": 2}},
+    "1/2^k": {"tail": {"kind": "geometric", "r": "1/2"}},
+    "2^k": {"tail": {"kind": "geometric", "r": "2"}},
+    "k+1": {"prefix": [str(k + 1) for k in range(49)], "tail": {"kind": "const", "c": "50"}},
+}
+# the domains of the class_test benchmark workload
+_CLASS_DOMAINS = {
+    "C": {"label": "C"},
+    **{
+        f"G({u}, {v})": {"label": "G", "u": _TAILS[u], "v": _TAILS[v]}
+        for u, v in (("harmonic", "1"), ("power 2", "harmonic"), ("1/2^k", "2^k"), ("harmonic", "2^k"))
+    },
+    **{f"R({q})": {"label": "R", "q": _TAILS[q]} for q in ("1", "harmonic", "k+1", "2^k")},
+}
+
+
+def _class_domain(label, inverse):
+    matrix = cli.parse_domain_spec(json.dumps(_CLASS_DOMAINS[label]))[0].matrix
+    return invert(matrix) if inverse else matrix
+
+
+_TRUNCATED = {
+    **_STRUCTURED,
+    **_LEFT_ONLY,
+    "diag(a)": lambda: diagonal(Seq(lambda k: F((-1) ** k, k + 2))),
+    **{
+        f"{'inverse' if inverse else 'domain'}[{label}]": (
+            lambda label=label, inverse=inverse: _class_domain(label, inverse)
+        )
+        for label in _CLASS_DOMAINS
+        for inverse in (False, True)
+    },
+}
+# structured reads checked at N = 256 as well
+_DEEP = {
+    "phi": {"kind": "phi"},
+    "gamma(harmonic, harmonic)": {"kind": "gamma", "u": "harmonic", "v": "harmonic"},
+    "sigma_riesz(harmonic)": {"kind": "sigma_riesz", "q": "harmonic"},
+    "riesz(power p=1)": {"kind": "riesz", "q": {"tail": {"kind": "power", "p": 1}}},
+    "cesaro_inv": {"kind": "cesaro_inv"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRUNCATED))
+def test_truncate_equals_the_entry_scan(name):
+    """Cell for cell, and at N below the band width too (delta . cesaro_inv
+    has three band parts).  A matrix truncate scans has its entries cached
+    by then, and one it reads from its structure none."""
+    for size in (1, 2, 3, 16, 64):
+        m = _TRUNCATED[name]()
+        assert truncate(m, size) == _entry_scan(m, size), size
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_truncate_equals_the_entry_scan_at_depth(name):
+    m, _ = cli.parse_matrix_spec(json.dumps(_DEEP[name]))
+    assert truncate(m, 256) == _entry_scan(m, 256)
+
+
+def _one_term(name):
+    structure = _TRUNCATED[name]().structure
+    return structure is not None and len(structure[0]) <= 1
+
+
+@pytest.mark.parametrize("name", sorted(filter(_one_term, _TRUNCATED)))
+def test_truncating_a_one_term_triangle_evaluates_no_entry(name):
+    """Truncated at N = 64, a triangle whose structure has at most one term
+    evaluates none of its entries, but for the band cells of a bidiagonal
+    triangle, whose band parts read its memoized entries, and reads each U
+    and V index at most once."""
+    size = 64
+    m, calls = _TRUNCATED[name](), Counter()
+
+    def counted(f, key):
+        return None if f is None else lambda j: calls.update([(key, j)]) or f(j)
+
+    terms, band = m.structure
+    m.structure = ([(counted(u, "U"), counted(v, "V")) for u, v in terms], band)
+    evals, entry = [], m._entry
+    m._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
+    assert truncate(m, size) == _entry_scan(_TRUNCATED[name](), size)
+    band_cells = [(n, n - i) for n in range(size) for i in range(len(band)) if n >= i] if name in _BIDIAGONAL else []
+    assert sorted(evals) == sorted(m._cache) == sorted(band_cells)
+    assert max(calls.values(), default=1) == 1
+
+
+def test_truncating_a_two_term_product_reads_its_entries():
+    m = _TRUNCATED["cesaro.cesaro"]()
+    assert len(m.structure[0]) == 2
+    truncate(m, 64)
+    assert len(m._cache) == 64 * 65 // 2
+
+
 _XS = {
     "finite": lambda: Seq.from_values(["3", "-1/2", "0", "2/7", "5"]),
     "harmonic": lambda: Seq(lambda k: F(1, k + 1)),
