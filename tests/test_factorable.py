@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvdomains import builders, cli, duals, matclass, spaces
@@ -856,3 +856,62 @@ def test_an_invalid_weight_at_depth_reads_one_row_of_entries(monkeypatch, capsys
         got = capsys.readouterr()
         assert (got.out, got.err) == ("", "mathematical error: invalid weight u[1000] = 0: must be nonzero\n")
         assert 0 < len(rows) <= 1001 and set(rows) == {1000}
+
+
+_SMALL = st.builds(F, st.integers(-5, 5), st.integers(1, 6))
+_PERIODIC = st.lists(_SMALL, min_size=1, max_size=3)
+_SIDE = st.one_of(st.none(), st.lists(_SMALL.filter(bool), min_size=1, max_size=3))
+_SHAPES = st.tuples(st.lists(_PERIODIC, max_size=3), st.lists(st.tuples(_SIDE, _SIDE), max_size=2))
+
+
+def _periodic(values):
+    return None if values is None else Seq(lambda j: values[j % len(values)])
+
+
+def _shaped_triangle(shape):
+    """The lower triangle of a shape (band values, term values): each band
+    part, U and V is periodic in the values given (None the all-ones
+    sequence), and every entry is read from the structure."""
+    band, terms = shape
+    structure = ([(_periodic(u), _periodic(v)) for u, v in terms], [_periodic(part) for part in band])
+    t = Triangle(lambda n, k: F(0), structure=structure)
+    t._entry = lambda n, k: _structure_entry(t, n, k)
+    return t
+
+
+def _list_cells(lists, size):
+    """The cells of the leading square that integer lists (d, bands, terms)
+    state, as Fractions."""
+    d, bands, terms = lists
+    at = lambda f, j: 1 if f is None else f[j]
+    cells = [[F(0)] * size for _ in range(size)]
+    for n in range(size):
+        for k in range(n + 1):
+            i = n - k
+            value = bands[i][n] if i < len(bands) else sum(at(u, n) * at(v, k) for u, v in terms)
+            cells[n][k] = F(value, d)
+    return tuple(map(tuple, cells))
+
+
+_TWO_TERMS = ([[F(2)], [F(-1), F(1, 2)]], [([F(1, 2), F(3)], [F(5)]), (None, [F(-2, 3), F(1)])])
+_TWO_TERMS_WIDE = ([[F(1)], [F(3, 2)], [F(-2), F(1, 3)]], [([F(4)], None), ([F(1, 5), F(-1)], [F(2), F(3, 4)])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SHAPES, _SHAPES)
+@example(_TWO_TERMS, _TWO_TERMS)
+@example(_TWO_TERMS, _TWO_TERMS_WIDE)
+@example(_TWO_TERMS_WIDE, _TWO_TERMS)
+@example(_TWO_TERMS_WIDE, _TWO_TERMS_WIDE)
+def test_product_rule_property(left, right):
+    """Triangles of 0 to 3 band parts and 0 to 2 terms, each read from its
+    structure: the cells the product's lazy structure states, the cells of
+    its integer lists and the dense product of the truncations are equal at
+    every size from 1 to 10."""
+    a, b = _shaped_triangle(left), _shaped_triangle(right)
+    product = compose(a, b)
+    for size in range(1, 11):
+        expected = dense_mul(truncate(a, size), truncate(b, size))
+        stated = BandedMatrix(lambda n, k: _structure_entry(product, n, k))
+        assert _entry_scan(stated, size) == expected, size
+        assert _list_cells(duals._lists(product, size), size) == expected.values, size
