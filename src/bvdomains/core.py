@@ -31,7 +31,8 @@ the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
 of its left operand and each column of its right one to integers over its
 own denominator lcm, and forward substitution keeps each inverse row also
 as (lcm, integer numerators).  An entry is then one integer sum and one
-``Fraction`` reduction instead of a reduction per term.
+``Fraction`` reduction instead of a reduction per term.  ``_integers`` is
+the one scaling kernel, which the generator lists of ``duals`` also use.
 
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
@@ -40,9 +41,11 @@ Gu (2003), a case of the quasiseparable generators of Eidelman and Gohberg
 only the cells below the band, so no reader of a structure reads a term
 column at or past its row.  ``compose`` multiplies by one in O(N^2)
 operations instead of O(N^3), the band-overlap sum serves every other right
-factor, and ``dense_mul`` of truncations is the oracle for both;
-``_product_structure`` is the one rule that multiplies two structures, and
-a product of two structures always declares one.  ``truncate`` reads a
+factor, and ``dense_mul`` of truncations is the oracle for both.
+``_product_rule`` is the one rule that multiplies two structures, stated
+over two operations of a sequence representation: ``_product_structure``
+evaluates it on memoized Seqs, so a product of two structures always
+declares one, and ``duals`` on integer lists.  ``truncate`` reads a
 structure of at most one term row by row, one product U(n) V(k) per cell
 below the band, and scans the entries of every other matrix; that scan
 is the oracle of the structured read.  ``apply`` and
@@ -352,11 +355,17 @@ def _structure_rows(structure: tuple, n_size: int) -> tuple:
     return tuple(rows)
 
 
-def _scaled(values) -> tuple:
-    """(d, numerators): the lcm d of the values' denominators and the
-    integers value * d, so that value = numerator / d."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def _integers(pairs) -> tuple:
+    """(d, integers) of (numerator, denominator > 0) pairs: the lcm d of the
+    denominators and each pair as an integer over d.  The lcm is taken as a
+    product tree over the distinct denominators: each step joins two lcms
+    of as many values, so no step multiplies a huge lcm by one small value."""
+    pairs = list(pairs)
+    dens = list({q for _, q in pairs})
+    while len(dens) > 1:
+        dens = [lcm(*dens[i : i + 2]) for i in range(0, len(dens), 2)]
+    d = dens[0] if dens else 1
+    return d, [p * (d // q) for p, q in pairs]
 
 
 def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
@@ -367,11 +376,11 @@ def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
     # once.  One lcm per row and per column, not one per operand, which
     # unrelated denominators would make huge.  Row n accumulates a[n][j] *
     # (row j of B) over j, so a zero in either factor costs nothing.
-    b_dens, b_cols = zip(*map(_scaled, zip(*b.values)))
+    b_dens, b_cols = zip(*(_integers(v.as_integer_ratio() for v in col) for col in zip(*b.values)))
     b_rows = [[(k, v) for k, v in enumerate(row) if v] for row in zip(*b_cols)]
     rows = []
     for arow in a.values:
-        a_den, nums = _scaled(arow)
+        a_den, nums = _integers(v.as_integer_ratio() for v in arow)
         sums = [0] * a.size
         for x, brow in zip(nums, b_rows):
             if x:
@@ -543,87 +552,92 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     return product
 
 
-def _product(f, g):
-    """j -> f(j) g(j) as a memoized Seq, where None is the all-ones sequence
-    (so the product of two Nones is None)."""
-    return g if f is None else f if g is None else Seq(lambda j: f(j) * g(j))
-
-
-def _sum(parts: list):
-    """j -> the sum of the parts at j as a memoized Seq; one part is itself."""
-    return parts[0] if len(parts) == 1 else Seq(lambda j: add_all([f(j) for f in parts]))
-
-
-def _diagonal(structure: tuple, e: int):
-    """n -> entry (n, n - e) of a lower triangle as its structure states it,
-    for n >= e: a band part, or the sum of U(n) V(n - e) over the terms;
-    None when every such entry is 1."""
-    terms, band = structure
-    if e < len(band):
-        return band[e]
-    if terms == [(None, None)]:
-        return None
-    return lambda n: add_all([(ONE if v is None else v(n - e)) if u is None else times(u(n), v, n - e) for u, v in terms])
-
-
 def _product_structure(a: BandedMatrix, b: BandedMatrix) -> tuple:
-    """The structure of A.B for lower triangles A and B that declare one.
+    """The structure of A.B for lower triangles A and B that declare one:
+    ``_product_rule`` on memoized Seqs.  Each band part is a memoized Seq,
+    also one that the rule takes from a factor as it is: compose reads a
+    band cell of its right factor in every entry that meets it, and the
+    band of a bidiagonal inverse is its entries."""
+    terms, band = _product_rule(a.structure, b.structure, (_seq_prefix, _seq_combine))
+    return terms, [part if isinstance(part, Seq) else Seq(part) for part in band]
+
+
+def _seq_prefix(f, g) -> Callable[[int], Fraction]:
+    """The running sums of f g, None the all-ones sequence."""
+    if f is None:
+        return running_sum(g or (lambda j: ONE))
+    return running_sum(f if g is None else lambda j: f(j) * g(j))
+
+
+def _seq_combine(products: list):
+    """n -> the sum of sign f(n + i) g(n + j) over the products (f, i, g, j,
+    sign) whose indices are >= 0, in order, None the all-ones sequence, as
+    a memoized Seq; f or g itself when that is the one product, unshifted."""
+    if len(products) == 1:
+        f, i, g, j, sign = products[0]
+        if (f is None or g is None) and not i and not j and sign > 0:
+            return g if f is None else f
+
+    def value(n: int) -> Fraction:
+        acc = None
+        for f, i, g, j, sign in products:
+            if n + i < 0 or n + j < 0:
+                continue
+            if f is None:
+                x = ONE if g is None else g(n + j)
+            else:
+                x = f(n + i) if g is None else f(n + i) * g(n + j)
+            if sign < 0:
+                x = -x
+            acc = x if acc is None else acc + x
+        return ZERO if acc is None else acc
+
+    return Seq(value)
+
+
+def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
+    """The structure (terms, band) of A.B from A's x = (terms, band) and
+    B's y, in a representation of sequences with ops = (prefix, combine):
+    prefix(f, g) the running sums of f g, and combine(products) n -> the sum
+    of sign f(n + i) g(n + j) over the products (f, i, g, j, sign) whose
+    indices are >= 0, in order, None the all-ones sequence.
 
     With (Ua, Va) and la parts a_i A's terms and band and (Ub, Vb) and lb
-    parts b_i B's, the product's band has max(la + lb - 1, 0) parts: cell
-    (n, n-d) is the sum over j in [n-d, n] of A's cell (n, j) times B's cell
-    (j, n-d), each read from its factor's structure.  Below that band entry
-    (n,k) has three pieces, none reading an index past n: terms times
-    terms, Ua(n) (P(n-la) - P(k+lb-1)) Vb(k) with P the running sum of Va
-    Ub; A's band times B's terms, S(n) Vb(k) with S(n) the sum of a_i(n)
-    Ub(n-i); and A's terms times B's band, Ua(n) V'(k) with V'(k) the sum
-    of Va(k+i) b_i(k+i), which reads up to k + lb - 1 <= n - la.  So the
-    product has as many terms as its factors together: the lower
+    parts b_i B's, the product's band has max(la + lb - 1, 0) parts: part e
+    at n is the sum over i from e down to 0 of A's cell (n, n - i) times B's
+    cell (n - i, n - e), each its factor's band part or the sum of U V over
+    its terms.  Below that band entry (n, k) has three pieces, none reading
+    an index past n: terms times terms, Ua(n) (P(n - la) - P(k + lb - 1))
+    Vb(k) with P the running sum of Va Ub; A's band times B's terms, S(n)
+    Vb(k) with S(n) the sum of a_i(n) Ub(n - i), its far column first; and
+    A's terms times B's band, Ua(n) V'(k) with V'(k) the sum of Va(k + i)
+    b_i(k + i), its near row first, which reads up to k + lb - 1 <= n - la.
+    So the product has one term (Ua P + S, Vb) per term of B and one (Ua,
+    V' - P Vb) per term of A, as many as its factors together: the lower
     quasiseparable order is subadditive under products (Eidelman and
     Gohberg 1999), and nested products stay small.
     """
-    (a_terms, a_band), (b_terms, b_band) = a.structure, b.structure
+    prefix, combine = ops
+    (a_terms, a_band), (b_terms, b_band) = x, y
     la, lb = len(a_band), len(b_band)
     # sums[s][t] is the running sum of Va Ub over A's term s and B's term t
-    sums = [[running_sum(_product(va, ub) or Seq.constant(1)) for ub, _ in b_terms] for _, va in a_terms]
-
-    def band_times(f):  # S as a memoized Seq, its far column read first
-        if la == 1:
-            return _product(a_band[0], f)
-        return Seq(lambda n: add_all([times(a_band[i](n), f, n - i) for i in range(min(la - 1, n), -1, -1)]))
-
-    def times_band(f):  # V' as a memoized Seq, its near row read first
-        if lb == 1:
-            return _product(f, b_band[0])
-        return Seq(lambda k: add_all([b_band[i](k + i) if f is None else f(k + i) * b_band[i](k + i) for i in range(lb)]))
-
+    sums = [[prefix(va, ub) for ub, _ in b_terms] for _, va in a_terms]
     terms = []
     for t, (ub, vb) in enumerate(b_terms):
-        parts = [
-            Seq(lambda n, p=ps[t]: p(n - la)) if ua is None else Seq(lambda n, ua=ua, p=ps[t]: ua(n) * p(n - la))
-            for (ua, _), ps in zip(a_terms, sums)
-        ]
-        terms.append((_sum(parts + ([band_times(ub)] if a_band else [])), vb))
+        products = [(ua, 0, ps[t], -la, 1) for (ua, _), ps in zip(a_terms, sums)]
+        products += [(a_band[i], 0, ub, -i, 1) for i in range(la - 1, -1, -1)]
+        terms.append((combine(products), vb))
     for (ua, va), ps in zip(a_terms, sums):
-        parts = [Seq(lambda k, p=p, vb=vb: -times(p(k + lb - 1), vb, k)) for p, (_, vb) in zip(ps, b_terms)]
-        terms.append((ua, _sum(parts + ([times_band(va)] if b_band else []))))
+        products = [(p, lb - 1, vb, 0, -1) for p, (_, vb) in zip(ps, b_terms)]
+        products += [(va, i, b_band[i], i, 1) for i in range(lb)]
+        terms.append((ua, combine(products)))
 
-    def band_part(d: int):
-        # A's cell (n, n-i) times B's cell (n-i, n-d), from the far column
-        # on: each factor's cell lies on one of its diagonals
-        parts = []
-        for i in range(d, -1, -1):
-            f, g = _diagonal(a.structure, i), _diagonal(b.structure, d - i)
-            if not i:
-                parts.append(_product(f, g) or Seq.constant(1))
-            elif g is None:
-                parts.append(f or Seq.constant(1))
-            else:
-                parts.append(Seq(lambda n, i=i, f=f, g=g: g(n - i) if f is None else f(n) * g(n - i)))
-        part = _sum(parts)
-        return part if isinstance(part, Seq) else Seq(part)
+    def cells(structure: tuple, i: int):  # a factor's cells (n, n - i)
+        terms, band = structure
+        return band[i] if i < len(band) else combine([(u, 0, v, -i, 1) for u, v in terms])
 
-    return terms, [band_part(d) for d in range(la + lb - 1)]
+    products = [[(cells(x, i), 0, cells(y, e - i), -i, 1) for i in range(e, -1, -1)] for e in range(la + lb - 1)]
+    return terms, list(map(combine, products))
 
 
 def _build_inverse(t: Triangle) -> Triangle:
@@ -644,7 +658,7 @@ def _build_inverse(t: Triangle) -> Triangle:
                 d = t.entry(m, m)
                 if d == 0:
                     raise SingularMatrixError(m)
-                t_den, coeffs = _scaled([t.entry(m, j) for j in range(m)])
+                t_den, coeffs = _integers(t.entry(m, j).as_integer_ratio() for j in range(m))
                 used = [j for j, c in enumerate(coeffs) if c]
                 inv_den = lcm(*(scaled[j][0] for j in used))
                 sums = [0] * m
@@ -656,7 +670,7 @@ def _build_inverse(t: Triangle) -> Triangle:
                 den = t_den * inv_den * d.numerator
                 row = [Fraction(-s * d.denominator, den) if s else ZERO for s in sums]
                 row.append(ONE / d)
-                scaled.append(_scaled(row))
+                scaled.append(_integers(v.as_integer_ratio() for v in row))
                 rows.append(row)
 
     def entry(n: int, k: int) -> Fraction:

@@ -22,14 +22,15 @@ prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
 envelopes of the lines w[n] x + row[n], with each row's few band cells
 read as they are.  That covers the dual matrices and F = domain . B for
 B = sum, cesaro, delta and cesaro_inv.  The lists are integers over one
-common denominator d, in the manner of the integer kernels of ``core``;
+common denominator d, scaled by the integer kernel ``core._integers``;
 each reported value is divided by d back into a Fraction.  They are built
 from the leaves: a structure that is no product (a mean, the sum matrix,
 diag(a), a bidiagonal inverse) scales the values of its callables, and a
-product multiplies its factors' lists by the integer form of the one
-product rule, ``core._product_structure``, so no sequence of a product's
-structure is evaluated.  The closed-form matrix builds its own from the
-scaled reciprocals of the weights, so that oracle never reads the inverse.
+product multiplies its factors' lists by the one product rule,
+``core._product_rule``, evaluated on integer lists (``_list_ops``), so no
+sequence of a product's structure is evaluated.  The closed-form matrix
+builds its own from the scaled reciprocals of the weights, so that oracle
+never reads the inverse.
 Lists are pure values per size: the largest built is kept on the matrix
 and a smaller size reads its head, so the domain inverse's lists serve
 every report over the domain, the rows of a from-domain class test
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Optional, Union
 
 from .core import (
@@ -59,6 +60,8 @@ from .core import (
     Seq,
     Triangle,
     ZERO,
+    _integers,
+    _product_rule,
     compose,
     diagonal,
     invert,
@@ -118,29 +121,6 @@ def _sum_lists(lists: list, length: int) -> list:
     return [sum(values) for values in zip(*lists)] if lists else [0] * length
 
 
-def _lcm_all(values: set) -> int:
-    """The lcm of a set of integers, 1 when it is empty, taken as a product
-    tree: each step joins two lcms of as many values, so no step multiplies
-    a huge lcm by one small value."""
-    values = list(values)
-    while len(values) > 1:
-        values = [lcm(*values[i : i + 2]) for i in range(0, len(values), 2)]
-    return values[0] if values else 1
-
-
-def _integers(pairs) -> tuple:
-    """(scale, integers) of (numerator, denominator > 0) pairs: the lcm of
-    the denominators, and each pair as an integer over it."""
-    pairs = list(pairs)
-    scale = _lcm_all({q for _, q in pairs})
-    return scale, [p * (scale // q) for p, q in pairs]
-
-
-def _pair(x: Fraction) -> tuple:
-    """x as a pair (numerator, denominator > 0)."""
-    return x.numerator, x.denominator
-
-
 def _reciprocal(x: Fraction) -> tuple:
     """1/x as a pair (numerator, denominator > 0), for x != 0."""
     return (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
@@ -150,8 +130,8 @@ def _lists(m, size: int) -> tuple:
     """(d, bands, terms): integer lists of m's structure for the rows n <
     size, with bands[i][n] / d its band part i at n >= i (0 at n < i) and,
     below the band, the entry (n, k) the sum of U[n] V[k] / d over the terms
-    (U, V), None the all-ones list.  U has size values, and V at least size
-    - len(bands).
+    (U, V), None the all-ones list.  U has size values, and V one for each
+    column below the band, max(size - len(bands), 0).
 
     A product gets them from its factors' lists (``_product_lists``), a
     matrix built with its own rule (the closed-form matrix) from that, and
@@ -197,15 +177,17 @@ def _leaf_lists(structure, size: int) -> tuple:
     and each term scaled up to d on V, or on U when V is None."""
     terms, band = structure
     cols = max(size - len(band), 0)
-    cells = [_integers(_pair(part(n)) if n >= i else (0, 1) for n in range(size)) for i, part in enumerate(band)]
+    cells = [
+        _integers(part(n).as_integer_ratio() if n >= i else (0, 1) for n in range(size)) for i, part in enumerate(band)
+    ]
     sides = [
         (
-            (1, None) if u is None else _integers(map(_pair, map(u, range(size)))),
-            (1, None) if v is None else _integers(map(_pair, map(v, range(cols)))),
+            (1, None) if u is None else _integers(u(n).as_integer_ratio() for n in range(size)),
+            (1, None) if v is None else _integers(v(k).as_integer_ratio() for k in range(cols)),
         )
         for u, v in terms
     ]
-    d = _lcm_all({scale for scale, _ in cells} | {du * dv for (du, _), (dv, _) in sides})
+    d = lcm(*{scale for scale, _ in cells}, *(du * dv for (du, _), (dv, _) in sides))
     lists = []
     for (du, u), (dv, v) in sides:
         c = d // (du * dv)
@@ -220,64 +202,55 @@ def _leaf_lists(structure, size: int) -> tuple:
 
 
 def _product_lists(x: tuple, y: tuple, size: int) -> tuple:
-    """The lists of A.B from A's lists x = (da, a, terms) and B's y = (db,
-    b, terms), la and lb band parts, by the rule of
-    ``core._product_structure`` on integers over d = da db.
-
-    With P the prefix sums of Va Ub over each pair of terms, B's term (Ub,
-    Vb) gives (Ua P(n - la) + S(n), Vb), S(n) the sum of a_i(n) Ub(n - i);
-    A's term (Ua, Va) gives (Ua, V'), V'(k) the sum of Va(k + i) b_i(k + i)
-    less P(k + lb - 1) Vb(k); and band part e is the sum over i <= e of A's
-    cell (n, n - i) times B's cell (n - i, n - e), each from its factor's
-    band or terms.  When A has no band the product reads Vb one column past
-    B's lists, at the cell (size - 1, size - lb), where P(n) - P(n) = 0
-    multiplies it, so that column is taken as 0."""
+    """The lists of A.B from A's lists x = (da, bands, terms) and B's y, by
+    ``core._product_rule`` on integer lists over d = da db
+    (``_list_ops``), each V fitted to the columns below the band.  When A
+    has no band the rule reads Vb one column past B's lists, at the cell
+    (size - 1, size - lb), where P(n) - P(n) = 0 multiplies it, so that
+    column is taken as 0."""
     (da, a_band, a_terms), (db, b_band, b_terms) = x, y
-    la, lb = len(a_band), len(b_band)
-    width = max(la + lb - 1, 0)
-    cols = max(size - width, 0)
-    ones = [1] * size
+    terms, bands = _product_rule((a_terms, a_band), (b_terms, b_band), _list_ops(size))
+    cols = max(size - len(bands), 0)
+    fit = lambda v: v if v is None or len(v) == cols else v[:cols] + [0] * (cols - len(v))
+    return da * db, bands, [(u, fit(v)) for u, v in terms]
 
-    def full(f):
-        return ones if f is None else f
 
-    b_terms = [(ub, vb if vb is None else vb + [0] * (cols - len(vb))) for ub, vb in b_terms]
-    # sums[s][t][m] is P(m), over A's term s and B's term t, for m < size - la
-    rows = max(size - la, 0)
-    sums = [[list(accumulate(map(mul, full(va), full(ub)[:rows]))) for ub, _ in b_terms] for _, va in a_terms]
-    terms = []
-    for t, (ub, vb) in enumerate(b_terms):
-        u = [0] * size
-        for (ua, _), ps in zip(a_terms, sums):
-            u[la:] = map(add, u[la:], ps[t] if ua is None else map(mul, ua[la:], ps[t]))
-        for i, part in enumerate(a_band):
-            u[i:] = map(add, u[i:], map(mul, part[i:], full(ub)))
-        terms.append((u, vb))
-    for (ua, va), ps in zip(a_terms, sums):
-        v = [0] * cols
-        for (_, vb), p in zip(b_terms, ps):
-            shifted = p[lb - 1 : lb - 1 + cols] if lb else [0] + p[: cols - 1]
-            v = list(map(sub, v, shifted if vb is None else map(mul, shifted, vb)))
-        for i, part in enumerate(b_band):
-            v = list(map(add, v, map(mul, full(va)[i:], part[i:])))
-        terms.append((ua, v))
+def _list_ops(size: int) -> tuple:
+    """(prefix, combine) of ``core._product_rule`` on integer lists, None
+    the all-ones list: combine's lists have size values, read 0 past the
+    end of a list, and are None for the one product 1 . 1, unshifted."""
 
-    def cells(band, terms, i):  # a factor's cells (n, n - i), 0 at n < i
-        if i < len(band):
-            return band[i]
-        values = [0] * size
-        for u, v in terms:
-            values[i:] = map(add, values[i:], map(mul, full(u)[i:], full(v)))
-        return values
+    def prefix(f, g):
+        if f is None and g is None:
+            return list(range(1, size + 1))
+        return list(accumulate(f if g is None else g if f is None else map(mul, f, g)))
 
-    bands = []
-    for e in range(width):
-        part = [0] * size
-        for i in range(e + 1):
-            f, g = cells(a_band, a_terms, i), cells(b_band, b_terms, e - i)
-            part[e:] = map(add, part[e:], map(mul, f[e:], g[e - i :]))
-        bands.append(part)
-    return da * db, bands, terms
+    def combine(products):
+        out = None
+        for f, i, g, j, sign in products:
+            lo = min(max(0, -i, -j), size)  # the first n whose indices are >= 0
+            if f is None or g is None:
+                h, s = (g, j) if f is None else (f, i)
+                if h is not None:  # the other side's values, the list itself when it fits unshifted
+                    values = h if lo + s == 0 and lo + len(h) <= size else h[lo + s : size + s]
+                elif len(products) == 1 and not lo and sign > 0:
+                    return None
+                else:
+                    values = [1] * (size - lo)
+            else:
+                values = list(map(mul, f[lo + i : size + i], g[lo + j : size + j]))
+            end = lo + len(values)
+            if out is None:  # the first product is written as it is
+                out = values if sign > 0 else list(map(neg, values))
+                if lo or end < size:
+                    out = [0] * lo + out + [0] * (size - end)
+                elif len(products) > 1 and (out is f or out is g):
+                    out = out[:]  # a factor's list, which the next products add to
+            else:
+                out[lo:end] = map(add if sign > 0 else sub, out[lo:end], values)
+        return [0] * size if out is None else out
+
+    return prefix, combine
 
 
 def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:
@@ -291,7 +264,7 @@ def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:
     part."""
     du, iu = _integers(_reciprocal(w.u_at(j)) for j in range(size))
     dv, iv = _integers(_reciprocal(w.v_at(j)) for j in range(size))
-    da, scaled = _integers(map(_pair, map(a, range(size))))
+    da, scaled = _integers(a(j).as_integer_ratio() for j in range(size))
     diag = [x * y * z for x, y, z in zip(scaled, iu, iv)]
     steps = [(iu[j] - iu[j - 1]) * scaled[j] * iv[j] if j else 0 for j in range(size)]
     row = list(accumulate(steps))

@@ -915,3 +915,15 @@ def test_product_rule_property(left, right):
         stated = BandedMatrix(lambda n, k: _structure_entry(product, n, k))
         assert _entry_scan(stated, size) == expected, size
         assert _list_cells(duals._lists(product, size), size) == expected.values, size
+
+
+@settings(max_examples=50, deadline=None)
+@given(_SHAPES, _SHAPES, st.integers(1, 10))
+def test_product_lists_have_a_value_per_row_and_column(left, right, size):
+    """A product's integer lists hold size values for each band part and U,
+    and one value per column below the band for each V, also when the band
+    is wider than size."""
+    d, bands, terms = duals._lists(compose(_shaped_triangle(left), _shaped_triangle(right)), size)
+    cols = max(size - len(bands), 0)
+    assert all(len(part) == size for part in bands)
+    assert all((u is None or len(u) == size) and (v is None or len(v) == cols) for u, v in terms)
