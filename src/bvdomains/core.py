@@ -632,9 +632,9 @@ def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
         products += [(va, i, b_band[i], i, 1) for i in range(lb)]
         terms.append((ua, combine(products)))
 
-    def cells(structure: tuple, i: int):  # a factor's cells (n, n - i)
-        terms, band = structure
-        return band[i] if i < len(band) else combine([(u, 0, v, -i, 1) for u, v in terms])
+    def cells(factor: tuple, i: int):  # a factor's cells (n, n - i)
+        factor_terms, factor_band = factor
+        return factor_band[i] if i < len(factor_band) else combine([(u, 0, v, -i, 1) for u, v in factor_terms])
 
     products = [[(cells(x, i), 0, cells(y, e - i), -i, 1) for i in range(e, -1, -1)] for e in range(la + lb - 1)]
     return terms, list(map(combine, products))
