@@ -4,7 +4,9 @@ Subcommands: matrix, transform, membership, dual, matclass, verify.  Sequence
 and matrix specs are JSON; bare words are accepted as shorthand for the
 parameterless kinds (e.g. ``--spec cesaro``, ``--spec "inverse_of(phi)"``).
 All rationals are serialized as exact ``p/q`` strings and output is
-byte-deterministic for identical invocations.
+byte-deterministic for identical invocations.  JSON output is the bytes of
+``json.dumps(indent=2, ensure_ascii=True)``, written by one writer
+(``_json_text``) that encodes a report shared by many rows once.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 mathematical error (singular matrix, invalid weights, unsupported class).
@@ -21,6 +23,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from types import GeneratorType
 
 from . import __version__, builders, duals, matclass, spaces, verify
 from .core import (
@@ -50,6 +53,9 @@ MAX_LITERAL = 256
 MAX_SPEC_DEPTH = 32
 
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]*)")
+
+_encode_str = json.encoder.encode_basestring_ascii
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
 class SpecError(ValueError):
@@ -308,16 +314,86 @@ def _check_out(path: str) -> None:
 
 
 def _emit(args, text: str) -> None:
-    data = text if text.endswith("\n") else text + "\n"
+    """Write text and a final newline to --out or stdout.  The newline is
+    written on its own, so a large text is not copied to add it."""
+    end = "" if text.endswith("\n") else "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            fh.write(text)
+            fh.write(end)
     else:
-        sys.stdout.write(data)
+        sys.stdout.write(text)
+        sys.stdout.write(end)
+
+
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, ensure_ascii=True)`` for a
+    tree of dicts with string keys, lists, tuples, strings, ints, bools and
+    None (the output holds no floats).
+
+    Strings go through ``json``'s own C escaper, and a list of strings is
+    one join of its items.  Any other list or dict met again at the same
+    depth is written from its first text, so a report that many rows share
+    is encoded once; ``seen`` holds each such container, so that its id
+    stays valid.  A generator is written as a list, so that a caller can
+    format rows one at a time.  Every part goes into one list, joined once
+    at the end.
+    """
+    parts = []
+    seen = {}
+
+    def write(value, depth):
+        if isinstance(value, str):
+            parts.append(_encode_str(value))
+        elif value is None or value is True or value is False:
+            parts.append(_JSON_WORDS[value])
+        elif isinstance(value, int):
+            parts.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict, GeneratorType)):
+            inner = "\n" + "  " * (depth + 1)
+            if isinstance(value, (list, tuple)) and value:
+                try:
+                    text = ("," + inner).join(map(_encode_str, value))
+                    parts.append("[" + inner + text + inner[:-2] + "]")
+                    return
+                except TypeError:  # an item is no string
+                    pass
+            key = (id(value), depth)
+            if key in seen:
+                _, start, end = seen[key]
+                parts.append("".join(parts[start:end]))
+                seen[key] = (value, len(parts) - 1, len(parts))
+            else:
+                start = len(parts)
+                write_container(value, depth, inner)
+                seen[key] = (value, start, len(parts))
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    def write_container(value, depth, inner):
+        if isinstance(value, dict):
+            opening, closing = "{", "}"
+            sep = opening + inner
+            for name, item in value.items():
+                parts.append(sep + _encode_str(name) + ": ")
+                write(item, depth + 1)
+                sep = "," + inner
+        else:
+            opening, closing = "[", "]"
+            sep = opening + inner
+            for item in value:
+                parts.append(sep)
+                write(item, depth + 1)
+                sep = "," + inner
+        # sep starts with "," once an item is written
+        parts.append(inner[:-2] + closing if sep[0] == "," else opening + closing)
+
+    write(obj, 0)
+    return "".join(parts)
 
 
 def _emit_json(args, obj: dict) -> None:
-    _emit(args, json.dumps(obj, indent=2, ensure_ascii=True))
+    _emit(args, _json_text(obj))
 
 
 # ----------------------------------------------------------------- commands
@@ -326,12 +402,12 @@ def _emit_json(args, obj: dict) -> None:
 def cmd_matrix(args) -> int:
     matrix, resolved = parse_matrix_spec(args.spec)
     dense = truncate(matrix, args.n)
+    # each row's cells are formatted and joined before the next row's
+    rows = ([spaces.fmt(v) for v in row] for row in dense.values)
     if args.format == "csv":
-        lines = [",".join(spaces.fmt(v) for v in row) for row in dense.values]
-        _emit(args, "\n".join(lines))
+        _emit(args, "\n".join(",".join(cells) for cells in rows))
     else:
-        entries = [[spaces.fmt(v) for v in row] for row in dense.values]
-        _emit_json(args, _envelope("matrix", resolved, args.n, "entries", entries))
+        _emit_json(args, _envelope("matrix", resolved, args.n, "entries", rows))
     return 0
 
 

@@ -59,6 +59,9 @@ class ClassReport:
     verdict: str
 
     def to_dict(self) -> dict:
+        # one dict per distinct report, so rows that share a report share it
+        reports = {id(r): r for r in self.row_dual_checks or ()}
+        dicts = {key: r.to_dict() for key, r in reports.items()}
         return {
             "direction": self.direction,
             "domain_label": self.domain_label,
@@ -66,7 +69,7 @@ class ClassReport:
             "n": self.n,
             "row_dual_checks": None
             if self.row_dual_checks is None
-            else [r.to_dict() for r in self.row_dual_checks],
+            else [dicts[id(r)] for r in self.row_dual_checks],
             "transformed_condition": self.transformed_condition,
             "verdict": self.verdict,
             "policy": policy_dict(),

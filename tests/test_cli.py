@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from bvdomains import duals
 from bvdomains.cli import (
     SpecError,
+    _json_text,
     main,
     parse_domain_spec,
     parse_matrix_spec,
@@ -220,6 +222,11 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         ["membership", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--space", "l1", "--n", "64"],
         ["transform", "--matrix", "sum", "--x", '{"tail": {"kind": "geometric", "r": "1e100"}}', "--n", "64"],
     ]
+    # matrix formats its rows one at a time; a row past the limit still
+    # fails before anything is written
+    too_long += [
+        ["matrix", "--spec", _HUGE_WEIGHTED, "--n", "64", "--format", fmt] for fmt in ("json", "csv")
+    ]
     # an --out path that cannot be written: a directory, or inside a missing one
     unwritable = [
         ["matrix", "--spec", "cesaro", "--n", "4", "--out", str(out_path)]
@@ -233,6 +240,22 @@ def test_exit_code_usage_errors(capsys, tmp_path):
             assert "--n" in err and "power p" in err and "geometric r" in err, err
         if argv in unwritable:
             assert "--out" in err and argv[-1] in err, err
+
+
+_HUGE_WEIGHTED = json.dumps(
+    {"kind": "weighted", "u": {"tail": {"kind": "geometric", "r": "1e100"}}, "v": {"tail": {"kind": "const", "c": "1"}}}
+)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_matrix_with_too_many_digits_leaves_an_existing_out_file_as_it_was(capsys, tmp_path, fmt):
+    existing = tmp_path / "m.txt"
+    existing.write_bytes(b"kept\n")
+    code, out, err = run_cli(
+        capsys, "matrix", "--spec", _HUGE_WEIGHTED, "--n", "64", "--format", fmt, "--out", str(existing)
+    )
+    assert (code, out) == (2, "") and "too many digits" in err
+    assert existing.read_bytes() == b"kept\n"
 
 
 def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
@@ -327,6 +350,65 @@ def test_products_by_a_domain_factor_print_as_the_band_overlap_sum_did(capsys, a
     code, out, _ = run_cli(capsys, *argv, "--n", "12")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_rows_that_share_a_report_share_its_dict(capsys, monkeypatch):
+    """The 64 sampled rows of a one-row banded matrix hold 2 report objects,
+    row 0's and the zero rows' shared one; each is made a dict once."""
+    calls = []
+    to_dict = duals.DualReport.to_dict
+    monkeypatch.setattr(duals.DualReport, "to_dict", lambda self: calls.append(self) or to_dict(self))
+    code, out, _ = run_cli(
+        capsys, "matclass", "--direction", "from_domain", "--matrix", '{"kind":"banded","rows":[["1","1"]]}',
+        "--domain", "C", "--y", "linf", "--n", "256",
+    )
+    assert code == 0
+    assert len(json.loads(out)["report"]["row_dual_checks"]) == 64
+    assert len(calls) == len({id(r) for r in calls}) == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "af3dfa784993297ebca3421b2858ccbc70d68958d24243a1b4bb457dea00f0d9"
+    )
+
+
+# JSON trees for the writer: escapes, non-ASCII and astral characters, ints
+# of over 100 digits, empty and nested containers, tuples, and one object
+# met at several places and depths.
+_JSON_STRINGS = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'), max_size=6) | st.text(max_size=6)
+_JSON_LEAVES = st.one_of(
+    _JSON_STRINGS,
+    st.integers(-5, 5),
+    st.integers(10**100, 10**130),
+    st.integers(-(10**130), -(10**100)),
+    st.booleans(),
+    st.none(),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    )
+
+
+@st.composite
+def _json_trees(draw):
+    shared = draw(st.recursive(_JSON_LEAVES, _json_containers, max_leaves=6))
+    tree = draw(st.recursive(_JSON_LEAVES | st.just(shared), _json_containers, max_leaves=12))
+    return {"tree": tree, "shared": shared, "deeper": [tree, {"shared": [shared]}], "empty": [[], {}, ()]}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees())
+def test_json_writer_writes_the_bytes_of_json_dumps(tree):
+    expected = json.dumps(tree, indent=2, ensure_ascii=True)
+    assert _json_text(tree) == expected
+    # a generator is written as the list of what it yields, here fresh copies
+    # that are garbage once written unless the writer holds them
+    rows = (tree["tree"], tree["shared"], tree["tree"])
+    expected = json.dumps(rows, indent=2, ensure_ascii=True)
+    assert _json_text(copy.deepcopy(row) for row in rows) == expected
 
 
 def test_matrix_round_trip_through_banded_spec(capsys):
