@@ -1,0 +1,130 @@
+"""The text that ``matrix`` prints of a triangle whose structure has at most
+one term, checked against ``spaces.fmt`` of the entry scan's cells, and the
+exit that decides between an invalid weight and a cell with too many digits.
+
+The structures are the named triangles, delta times each mean, inverses of
+the means and of a domain matrix, the weights of the benchmark's
+``matrix_dump`` workload and the signed and rational weight pairs of the
+verify suites, each at N = 1, 2, 17 and 64 in csv and json.  Two deep cases
+at N = 512 are checked against the sha256 digests of their csv text."""
+
+import contextlib
+import hashlib
+import io
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from bvdomains import cli, spaces
+from bvdomains.core import _entry_scan, truncate
+
+_SIZES = (1, 2, 17, 64)
+
+
+def _tail(kind, **params):
+    return {"tail": {"kind": kind, **params}}
+
+
+def _listed(f, last=64):
+    """The sequence f(0), ..., f(last) as a prefix of literals, then 1."""
+    return {"prefix": [str(f(k)) for k in range(last + 1)], "tail": {"kind": "const", "c": "1"}}
+
+
+# the benchmark's weights: u and v of G(u, v), and q of R^q
+_U = (_tail("harmonic"), _tail("power", p=2), _tail("geometric", r="1/2"))
+_V = (_tail("const", c="1"), _tail("harmonic"), _tail("geometric", r="2"))
+_PAIRS = {**{f"{i}": (u, v) for i, (u, v) in enumerate(zip(_U, _V))}, "3": (_U[0], _V[2])}
+_PAIRS["signed"] = (_listed(lambda n: F((-1) ** n, n + 1)), _listed(lambda k: F(1, k + 1)))
+_PAIRS["rational"] = (_listed(lambda n: F(2, 2 * n + 1)), _listed(lambda k: F(k + 2, 2)))
+_Q = {
+    "1": _tail("const", c="1"),
+    "harmonic": _tail("harmonic"),
+    "k+1": _listed(lambda k: k + 1),
+    "2^k": _tail("geometric", r="2"),
+}
+
+_ONE_TERM = {
+    **{kind: {"kind": kind} for kind in ("delta", "sum", "cesaro", "cesaro_inv", "phi")},
+    **{f"{kind}[{name}]": {"kind": kind, "u": u, "v": v} for kind in ("weighted", "gamma") for name, (u, v) in _PAIRS.items()},
+    **{f"{kind}[{name}]": {"kind": kind, "q": q} for kind in ("riesz", "sigma_riesz") for name, q in _Q.items()},
+    "delta.cesaro": {"kind": "compose", "of": [{"kind": "delta"}, {"kind": "cesaro"}]},
+    "delta.weighted[signed]": {
+        "kind": "compose",
+        "of": [{"kind": "delta"}, {"kind": "weighted", "u": _PAIRS["signed"][0], "v": _PAIRS["signed"][1]}],
+    },
+    "delta.riesz[k+1]": {"kind": "compose", "of": [{"kind": "delta"}, {"kind": "riesz", "q": _Q["k+1"]}]},
+    "inverse_of(weighted[rational])": {
+        "kind": "inverse_of",
+        "of": {"kind": "weighted", "u": _PAIRS["rational"][0], "v": _PAIRS["rational"][1]},
+    },
+    "inverse_of(phi)": {"kind": "inverse_of", "of": {"kind": "phi"}},
+}
+
+
+def _run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_TERM))
+def test_matrix_text_is_the_formatted_entry_scan(name):
+    spec = json.dumps(_ONE_TERM[name])
+    for size in _SIZES:
+        matrix, resolved = cli.parse_matrix_spec(spec)
+        assert matrix.structure is not None and len(matrix.structure[0]) <= 1
+        scan = _entry_scan(cli.parse_matrix_spec(spec)[0], size)
+        assert truncate(matrix, size) == scan, size
+        cells = [[spaces.fmt(v) for v in row] for row in scan.values]
+        expected = {
+            "csv": "\n".join(map(",".join, cells)) + "\n",
+            "json": json.dumps(cli._envelope("matrix", resolved, size, "entries", cells), indent=2) + "\n",
+        }
+        for fmt, text in expected.items():
+            assert _run("matrix", "--spec", spec, "--n", str(size), "--format", fmt) == (0, text, ""), (size, fmt)
+
+
+_DEEP = {
+    "gamma(power 2, 2^k)": (
+        {"kind": "gamma", "u": _tail("power", p=2), "v": _tail("geometric", r="2")},
+        "822653a17fcaac9e9aa50f0c7f35d95bee43b6001693778baf0cdaf50f9e1ecf",
+    ),
+    "sigma_riesz(harmonic)": (
+        {"kind": "sigma_riesz", "q": _tail("harmonic")},
+        "42ce001b4c874f5a31cebcef1f70f55fca1dc02416a0f9f8673c4b4d4290be28",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_deep_matrix_text_has_the_recorded_digest(name, tmp_path):
+    spec, digest = _DEEP[name]
+    out = tmp_path / "matrix.csv"
+    argv = ["matrix", "--spec", json.dumps(spec), "--n", "512", "--format", "csv", "--out", str(out)]
+    assert _run(*argv) == (0, "", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_TOO_MANY_DIGITS = (
+    "error: a result has too many digits to print; use a smaller --n or smaller"
+    " spec parameters (power p, geometric r, rational literals)\n"
+)
+
+
+def _precedence_spec(u):
+    return json.dumps({"kind": "weighted", "u": u, "v": _tail("geometric", r="1e200")})
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_an_invalid_weight_wins_over_too_many_digits(fmt):
+    """v(k) = 10^(200 k) has too many digits to print from k = 22 on, and
+    u[40] = 0 is invalid: every value is read before any cell is printed,
+    so the weight is reported (exit 3), as the entry scan reports it.  With
+    every u valid, the digits are (exit 2)."""
+    invalid = _precedence_spec({"prefix": ["1"] * 40, "tail": {"kind": "zero"}})
+    code, out, err = _run("matrix", "--spec", invalid, "--n", "64", "--format", fmt)
+    assert (code, out, err) == (3, "", "mathematical error: invalid weight u[40] = 0: must be nonzero\n")
+    valid = _precedence_spec(_tail("const", c="1"))
+    assert _run("matrix", "--spec", valid, "--n", "64", "--format", fmt) == (2, "", _TOO_MANY_DIGITS)
