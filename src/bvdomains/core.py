@@ -61,7 +61,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Optional
 
 ZERO = Fraction(0)
@@ -288,32 +288,42 @@ class DenseTrunc:
         return self.values[n][k]
 
 
-def truncate(source, n_size: int) -> DenseTrunc:
+def truncate(source, n_size: int, cell=None, ratio=None):
     """Materialize the leading n_size x n_size block of a matrix.
 
     A lower triangle whose structure has at most one term (the means, the
     sum matrix, the domain matrices and their inverses, a bidiagonal
     inverse, diag(a) and the products of a band-only factor with any of
     these) is read from that structure row by row (``_structure_rows``):
-    one ``Fraction`` product per cell, and no entry is read or cached but
-    the band of a bidiagonal inverse, which is its memoized entries.
-    Every other matrix takes the entry scan ``_entry_scan``, which is also
-    the oracle of the structured read and its error path: a structured
-    read that meets an invalid weight gives way to the scan, so the weight
-    reported is the one the scan meets first.  A structure of two or more
-    terms is scanned: read as a sum of products per cell, it takes each
-    cell as the difference P(n) - P(k - 1) of the running sums of
-    ``_product_structure``, whose denominators grow with n, and that
+    each product U(n) V(k) is reduced on integers, and no entry is read or
+    cached but the band of a bidiagonal inverse, which is its memoized
+    entries.  Every other matrix takes the entry scan ``_entry_scan``,
+    which is also the oracle of the structured read and its error path: a
+    structured read that meets an invalid weight gives way to the scan, so
+    the weight reported is the one the scan meets first.  A structure of
+    two or more terms is scanned: read as a sum of products per cell, it
+    takes each cell as the difference P(n) - P(k - 1) of the running sums
+    of ``_product_structure``, whose denominators grow with n, and that
     cancellation costs more than compose's suffix sums.
+
+    Given cell and ratio, the block comes as text rows, made one at a time
+    by the generator returned, once every value is read: cell(x) of each
+    Fraction x a structure gives or a scan reads, and ratio(p, q) of each
+    product in lowest terms p/q, q > 0, so no product is a Fraction.
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
+    rows = None
     if source.structure is not None and len(source.structure[0]) <= 1:
         try:
-            return DenseTrunc(n_size, _structure_rows(source.structure, n_size))
+            rows = _structure_rows(source.structure, n_size, ratio or Fraction, cell or (lambda x: x))
         except InvalidWeightsError:
             pass
-    return _entry_scan(source, n_size)
+    if rows is None:
+        rows = _entry_scan(source, n_size).values
+        if cell is not None:
+            rows = (tuple(map(cell, row)) for row in rows)
+    return DenseTrunc(n_size, tuple(rows)) if cell is None else rows
 
 
 def _entry_scan(source, n_size: int) -> DenseTrunc:
@@ -324,35 +334,54 @@ def _entry_scan(source, n_size: int) -> DenseTrunc:
     return DenseTrunc(n_size, rows)
 
 
-def _structure_rows(structure: tuple, n_size: int) -> tuple:
+def _structure_rows(structure: tuple, n_size: int, ratio, cell):
     """The first n_size rows, n_size long, of the lower triangle that the
     structure (terms, band) of at most one term (U, V) states: band[i](n)
-    at (n, n - i) and U(n) V(k) below the band.  U(n) is read once for each
-    row n >= len(band) and V(k) once for each column k < n_size -
-    len(band); a row below the band is a slice of the V values when U is
-    None, and U(n) repeated when V is None."""
+    at (n, n - i) and U(n) V(k) below the band, as a generator of row
+    tuples.  V(k) is read once for each column k < n_size - len(band), and
+    U(n) and the band cells once for each row, all before this returns, so
+    an invalid weight is raised here and not while a row is made.
+
+    When U is None every row below the band is a slice of one line: the
+    cell(V), the ones or, with no terms, the zeros.  When V is None it is
+    cell(U(n)) repeated.  Otherwise each U(n) V(k) = (un/ud) (vn/vd) is
+    reduced by g1 = gcd(un, vd) and g2 = gcd(vn, ud), as ``Fraction``
+    multiplies, and made by ratio(p, q).  So cell makes each distinct value
+    once: the zero, a one, a V, a U(n) and a band cell."""
     terms, band = structure
     width = len(band)
-    zeros = (ZERO,) * n_size
+    u = v = None
     if terms:
         [(u, v)] = terms
-        below = range(n_size - width)
-        column = [ONE] * len(below) if v is None else [rat(v(k)) for k in below]
-    rows = []
+    column = None if v is None else [rat(v(k)) for k in range(n_size - width)]
+    values = []  # per row: U(n) below the band or None, and the band cells from the far column
     for n in range(n_size):
-        count = n - width + 1  # the cells of row n below its band
-        if count <= 0:
-            cells = []
-        elif not terms:
-            cells = [ZERO] * count
-        elif u is None:
-            cells = column[:count]
-        else:
-            scale = rat(u(n))
-            cells = [scale] * count if v is None else [scale * c for c in column[:count]]
-        cells += [rat(band[i](n)) for i in range(min(width - 1, n), -1, -1)]
-        rows.append((*cells, *zeros[n + 1 :]))
-    return tuple(rows)
+        scale = rat(u(n)) if u is not None and n >= width else None
+        values.append((scale, [rat(band[i](n)) for i in range(min(width - 1, n), -1, -1)]))
+
+    def rows():
+        zeros = (cell(ZERO),) * n_size
+        if u is None:
+            line = list(map(cell, column)) if v is not None else [cell(ONE)] * (n_size - width) if terms else zeros
+        elif v is not None:
+            pairs = [c.as_integer_ratio() for c in column]
+        for n, (scale, parts) in enumerate(values):
+            count = n - width + 1  # the cells of row n below its band
+            if count <= 0:
+                cells = ()
+            elif u is None:
+                cells = line[:count]
+            elif v is None:
+                cells = (cell(scale),) * count
+            else:
+                un, ud = scale.as_integer_ratio()
+                cells = [
+                    ratio(un // (g1 := gcd(un, vd)) * (vn // (g2 := gcd(vn, ud))), ud // g2 * (vd // g1))
+                    for vn, vd in pairs[:count]
+                ]
+            yield (*cells, *map(cell, parts), *zeros[n + 1 :])
+
+    return rows()
 
 
 def _integers(pairs) -> tuple:

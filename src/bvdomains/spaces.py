@@ -47,16 +47,28 @@ def policy_dict() -> dict:
     }
 
 
+_TOO_MANY_DIGITS = (
+    "a result has too many digits to print; use a smaller --n or smaller"
+    " spec parameters (power p, geometric r, rational literals)"
+)
+
+
 def fmt(value: Fraction) -> str:
     """The exact ``p/q`` text of a rational; every rational in the output
-    passes through here."""
+    passes through here or through ``fmt_ratio``."""
     try:
         return str(value)
     except ValueError:  # more digits than int-to-str conversion allows
-        raise ValueError(
-            "a result has too many digits to print; use a smaller --n or smaller"
-            " spec parameters (power p, geometric r, rational literals)"
-        ) from None
+        raise ValueError(_TOO_MANY_DIGITS) from None
+
+
+def fmt_ratio(p: int, q: int) -> str:
+    """fmt(Fraction(p, q)) of p/q in lowest terms, q > 0, without building
+    the Fraction."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        raise ValueError(_TOO_MANY_DIGITS) from None
 
 
 def _stats_dict(stats: tuple) -> list:

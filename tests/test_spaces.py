@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bvdomains.core import Seq, identity, transform_seq
 from bvdomains.builders import cesaro, phi
@@ -13,8 +15,33 @@ from bvdomains.spaces import (
     classify_trend,
     combine_verdicts,
     domain_membership,
+    fmt,
+    fmt_ratio,
     membership,
 )
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(F, st.integers(), st.integers(min_value=1)))
+@example(F(0))
+@example(F(-7))
+@example(F(-3, 4))
+@example(F(10**200 + 1, 3**150))
+def test_fmt_ratio_is_fmt_of_the_fraction(x):
+    """Over reduced pairs p/q, q > 0: signs, q = 1 and zero."""
+    p, q = x.as_integer_ratio()
+    assert fmt_ratio(p, q) == fmt(x)
+
+
+def test_fmt_ratio_refuses_too_many_digits_as_fmt_does():
+    big = 10**4300  # 4,301 digits, past Python's int-to-str limit
+    for p, q in ((big, 1), (-big, 3), (1, big + 1)):
+        with pytest.raises(ValueError) as want:
+            fmt(F(p, q))
+        with pytest.raises(ValueError) as got:
+            fmt_ratio(p, q)
+        assert str(got.value) == str(want.value)
+        assert "too many digits" in str(got.value) and "--n" in str(got.value)
+
 
 E = Seq.constant(1)
 ALTERNATING = Seq(lambda k: F((-1) ** k))
