@@ -47,8 +47,9 @@ over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
 declares one, and ``duals`` on integer lists.  ``truncate`` reads a
 structure of at most one term row by row, one product U(n) V(k) per cell
-below the band, and scans the entries of every other matrix; that scan
-is the oracle of the structured read.  ``apply`` and
+below the band, reduced on integers and made as a ``Fraction`` or, for
+``matrix``, as text, and scans the entries of every other matrix; that
+scan is the oracle of the structured read.  ``apply`` and
 ``transform_seq`` transform a sequence by a structured triangle through one
 running sum per term and its band, so N coordinates cost O(N) operations;
 every other matrix takes the entry loop ``_coordinate`` over each row's
@@ -361,8 +362,10 @@ def _structure_rows(structure: tuple, n_size: int, ratio, cell):
 
     def rows():
         zeros = (cell(ZERO),) * n_size
-        if u is None:
-            line = list(map(cell, column)) if v is not None else [cell(ONE)] * (n_size - width) if terms else zeros
+        if not terms:
+            line = zeros
+        elif u is None:
+            line = [cell(ONE)] * (n_size - width) if v is None else list(map(cell, column))
         elif v is not None:
             pairs = [c.as_integer_ratio() for c in column]
         for n, (scale, parts) in enumerate(values):
