@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .core import (
     BandedMatrix,
-    DenseTrunc,
     InvalidWeightsError,
     Seq,
     SingularMatrixError,

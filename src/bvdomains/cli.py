@@ -202,14 +202,21 @@ def parse_matrix_spec(text: str):
     return _build_matrix(raw, 0)
 
 
-def _weight_pair(raw: dict):
-    u, u_spec = _seq_from_obj(raw.get("u", ""))
-    v, v_spec = _seq_from_obj(raw.get("v", ""))
+def _weight(raw: dict, field: str, owner: str):
+    """The sequence of raw's weight field, which owner requires."""
+    if field not in raw:
+        raise SpecError(f"{owner} requires {field!r}")
+    return _seq_from_obj(raw[field])
+
+
+def _weight_pair(raw: dict, owner: str):
+    u, u_spec = _weight(raw, "u", owner)
+    v, v_spec = _weight(raw, "v", owner)
     return builders.WeightPair(u, v), {"u": u_spec, "v": v_spec}
 
 
-def _riesz_weights(raw: dict):
-    q, q_spec = _seq_from_obj(raw.get("q", ""))
+def _riesz_weights(raw: dict, owner: str):
+    q, q_spec = _weight(raw, "q", owner)
     return builders.RieszWeights(q), {"q": q_spec}
 
 
@@ -222,11 +229,11 @@ def _build_matrix(raw, depth: int):
     if kind in _SIMPLE_MATRICES:
         return _SIMPLE_MATRICES[kind](), {"kind": kind}
     if kind in ("weighted", "gamma"):
-        pair, spec = _weight_pair(raw)
+        pair, spec = _weight_pair(raw, f"{kind} spec")
         build = builders.weighted_mean if kind == "weighted" else builders.gamma
         return build(pair), {"kind": kind, **spec}
     if kind in ("riesz", "sigma_riesz"):
-        weights, spec = _riesz_weights(raw)
+        weights, spec = _riesz_weights(raw, f"{kind} spec")
         build = builders.riesz if kind == "riesz" else builders.sigma_riesz
         return build(weights), {"kind": kind, **spec}
     if kind == "inverse_of":
@@ -270,10 +277,10 @@ def parse_domain_spec(text: str):
     if label == "C":
         return builders.cesaro_domain(), {"label": "C"}
     if label == "G":
-        pair, spec = _weight_pair(raw)
+        pair, spec = _weight_pair(raw, "G domain")
         return builders.weighted_domain(pair), {"label": "G", **spec}
     if label == "R":
-        weights, spec = _riesz_weights(raw)
+        weights, spec = _riesz_weights(raw, "R domain")
         return builders.riesz_domain(weights), {"label": "R", **spec}
     raise SpecError(f"unknown domain label {label!r}; choose C, G, or R")
 

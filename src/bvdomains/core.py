@@ -45,8 +45,10 @@ factor, and ``dense_mul`` of truncations is the oracle for both.
 ``_product_rule`` is the one rule that multiplies two structures, stated
 over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
-declares one, and ``duals`` on integer lists.  ``truncate`` reads a
-structure of at most one term row by row, one product U(n) V(k) per cell
+declares one, and ``duals`` on integer lists.  A truncation, the leading
+N x N block of a matrix, is the tuple of its N row tuples: ``truncate``,
+``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
+a structure of at most one term row by row, one product U(n) V(k) per cell
 below the band, reduced on integers and made as a ``Fraction`` or, for
 ``matrix``, as text, and scans the entries of every other matrix; that
 scan is the oracle of the structured read.  ``apply`` and
@@ -59,7 +61,6 @@ support, which is the oracle for the structured transform.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -277,20 +278,9 @@ def diagonal(a: Callable[[int], Fraction]) -> BandedMatrix:
     return BandedMatrix(lambda n, k: a(n), band=0, structure=([], [a]))
 
 
-@dataclass(frozen=True)
-class DenseTrunc:
-    """The N x N leading principal submatrix of a matrix, held exactly."""
-
-    size: int
-    values: tuple  # tuple of row tuples of Fraction
-
-    def __getitem__(self, nk):
-        n, k = nk
-        return self.values[n][k]
-
-
 def truncate(source, n_size: int, cell=None, ratio=None):
-    """Materialize the leading n_size x n_size block of a matrix.
+    """Materialize the leading n_size x n_size block of a matrix as the
+    tuple of its n_size row tuples of Fraction.
 
     A lower triangle whose structure has at most one term (the means, the
     sum matrix, the domain matrices and their inverses, a bidiagonal
@@ -307,10 +297,11 @@ def truncate(source, n_size: int, cell=None, ratio=None):
     of ``_product_structure``, whose denominators grow with n, and that
     cancellation costs more than compose's suffix sums.
 
-    Given cell and ratio, the block comes as text rows, made one at a time
-    by the generator returned, once every value is read: cell(x) of each
-    Fraction x a structure gives or a scan reads, and ratio(p, q) of each
-    product in lowest terms p/q, q > 0, so no product is a Fraction.
+    Given cell and ratio, the block comes as text rows instead, made one
+    at a time by the generator returned, once every value is read: cell(x)
+    of each Fraction x a structure gives or a scan reads, and ratio(p, q)
+    of each product in lowest terms p/q, q > 0, so no product is a
+    Fraction.
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
@@ -321,18 +312,17 @@ def truncate(source, n_size: int, cell=None, ratio=None):
         except InvalidWeightsError:
             pass
     if rows is None:
-        rows = _entry_scan(source, n_size).values
+        rows = _entry_scan(source, n_size)
         if cell is not None:
             rows = (tuple(map(cell, row)) for row in rows)
-    return DenseTrunc(n_size, tuple(rows)) if cell is None else rows
+    return tuple(rows) if cell is None else rows
 
 
-def _entry_scan(source, n_size: int) -> DenseTrunc:
+def _entry_scan(source, n_size: int) -> tuple:
     """The leading n_size x n_size block of a matrix, entry by entry."""
-    rows = tuple(
+    return tuple(
         tuple(source.entry(n, k) for k in range(n_size)) for n in range(n_size)
     )
-    return DenseTrunc(n_size, rows)
 
 
 def _structure_rows(structure: tuple, n_size: int, ratio, cell):
@@ -400,20 +390,21 @@ def _integers(pairs) -> tuple:
     return d, [p * (d // q) for p, q in pairs]
 
 
-def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
+def dense_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two truncations of one size, as a tuple of row tuples."""
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
     # Row n of A is scaled to integers over its own denominator lcm and
     # column k of B over its own, so entry (n, k) is one integer sum divided
     # once.  One lcm per row and per column, not one per operand, which
     # unrelated denominators would make huge.  Row n accumulates a[n][j] *
     # (row j of B) over j, so a zero in either factor costs nothing.
-    b_dens, b_cols = zip(*(_integers(v.as_integer_ratio() for v in col) for col in zip(*b.values)))
+    b_dens, b_cols = zip(*(_integers(v.as_integer_ratio() for v in col) for col in zip(*b)))
     b_rows = [[(k, v) for k, v in enumerate(row) if v] for row in zip(*b_cols)]
     rows = []
-    for arow in a.values:
+    for arow in a:
         a_den, nums = _integers(v.as_integer_ratio() for v in arow)
-        sums = [0] * a.size
+        sums = [0] * len(a)
         for x, brow in zip(nums, b_rows):
             if x:
                 for k, y in brow:
@@ -421,7 +412,7 @@ def dense_mul(a: DenseTrunc, b: DenseTrunc) -> DenseTrunc:
         rows.append(
             tuple(Fraction(s, a_den * d) if s else ZERO for s, d in zip(sums, b_dens))
         )
-    return DenseTrunc(a.size, tuple(rows))
+    return tuple(rows)
 
 
 def _coordinate(m, x: Seq, n: int) -> Fraction:

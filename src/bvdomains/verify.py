@@ -87,7 +87,7 @@ def _seq_equal(name, expected, got, n):
 
 def _cells(dense):
     """The (row, col) callable reading a dense truncation."""
-    return lambda row, col: dense.values[row][col]
+    return lambda row, col: dense[row][col]
 
 
 def _identity(row, col):
@@ -230,15 +230,15 @@ def suite_identities(n: int, rng) -> list:
     def canonical(row, col):
         # a Fraction is in lowest terms by construction, so it is the
         # printed text that is checked
-        v = sample.values[row][col]
+        v = sample[row][col]
         return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
     checks.append(
         _grid_equal(
             "rational_canonical_form",
             canonical,
-            lambda row, col: spaces.fmt(sample.values[row][col]),
-            sample.size,
+            lambda row, col: spaces.fmt(sample[row][col]),
+            len(sample),
             square=True,
         )
     )
@@ -380,9 +380,9 @@ def _condition_brute_force(case: int, n: int, rng) -> CheckResult:
     m = _rand_banded(rng)
     dense = truncate(m, n)
     brute_l1 = max(
-        sum((abs(dense.values[row][col]) for row in range(n)), ZERO) for col in range(n)
+        sum((abs(dense[row][col]) for row in range(n)), ZERO) for col in range(n)
     )
-    brute_sup = max(abs(dense.values[row][col]) for row in range(n) for col in range(n))
+    brute_sup = max(abs(dense[row][col]) for row in range(n) for col in range(n))
     got_l1 = duals.cond_l1_l1(m, n)[-1][1]
     got_sup = duals.cond_l1_linf(m, n)[-1][1]
     if got_l1 == brute_l1 and got_sup == brute_sup:

@@ -86,6 +86,29 @@ def test_parse_domain_spec():
         parse_domain_spec("Z")
 
 
+_WEIGHT_FIELDS = {"weighted": "uv", "gamma": "uv", "G": "uv", "riesz": "q", "sigma_riesz": "q", "R": "q"}
+
+
+@pytest.mark.parametrize(
+    "kind,field", [(kind, field) for kind, fields in _WEIGHT_FIELDS.items() for field in fields]
+)
+def test_a_missing_weight_field_is_named(capsys, kind, field):
+    """A weighted or Riesz spec or domain without one of its weight fields
+    names the field; an explicit empty one is an unknown shorthand."""
+
+    def argv(fields):
+        if kind in ("G", "R"):
+            domain = json.dumps({"label": kind, **fields})
+            return ["dual", "--a", "e", "--domain", domain, "--kind", "beta", "--n", "4"]
+        return ["matrix", "--spec", json.dumps({"kind": kind, **fields}), "--n", "4"]
+
+    owner = f"{kind} domain" if kind in ("G", "R") else f"{kind} spec"
+    present = {other: "harmonic" for other in _WEIGHT_FIELDS[kind] if other != field}
+    assert run_cli(capsys, *argv(present)) == (2, "", f"error: {owner} requires '{field}'\n")
+    empty = run_cli(capsys, *argv({**present, field: ""}))
+    assert empty == (2, "", "error: unknown sequence shorthand ''\n")
+
+
 def test_matrix_csv_output(capsys):
     code, out, err = run_cli(capsys, "matrix", "--spec", "cesaro", "--n", "3", "--format", "csv")
     assert code == 0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bvdomains.core import (
     BandedMatrix,
-    DenseTrunc,
     InvalidWeightsError,
     Seq,
     SingularMatrixError,
@@ -40,7 +39,7 @@ from bvdomains.builders import (
 def dense_solve_inverse(dense):
     """Independent oracle: invert a dense lower-triangular block by direct
     column-by-column substitution on materialized values."""
-    n = dense.size
+    n = len(dense)
     inv = [[F(0)] * n for _ in range(n)]
     for col in range(n):
         for row in range(col, n):
@@ -49,9 +48,9 @@ def dense_solve_inverse(dense):
             else:
                 rhs = F(0)
             acc = rhs - sum(
-                dense.values[row][j] * inv[j][col] for j in range(col, row)
+                dense[row][j] * inv[j][col] for j in range(col, row)
             )
-            inv[row][col] = acc / dense.values[row][row]
+            inv[row][col] = acc / dense[row][row]
     return inv
 
 
@@ -77,9 +76,9 @@ def test_entry_rejects_negative_indices():
 
 def test_truncate_examples():
     d = truncate(delta(), 2)
-    assert d.values == ((F(1), F(0)), (F(-1), F(1)))
+    assert d == ((F(1), F(0)), (F(-1), F(1)))
     c = truncate(cesaro(), 3)
-    assert c.values[2] == (F(1, 3), F(1, 3), F(1, 3))
+    assert c[2] == (F(1, 3), F(1, 3), F(1, 3))
     with pytest.raises(ValueError):
         truncate(delta(), 0)
 
@@ -98,6 +97,19 @@ def test_apply_examples():
     assert apply(identity(), x, 3) == [x(k) for k in range(3)]
 
 
+@pytest.mark.parametrize("matrix", [delta, cesaro, phi, lambda: compose(cesaro(), phi())])
+def test_sizes_below_one_and_unequal_sizes_are_refused(matrix):
+    """A truncation and a transform need a size of at least 1, by the
+    structured read and the scan alike, and dense_mul two truncations of
+    one size."""
+    with pytest.raises(ValueError, match=r"^truncation size must be >= 1, got 0$"):
+        truncate(matrix(), 0)
+    with pytest.raises(ValueError, match=r"^transform length must be >= 1, got 0$"):
+        apply(matrix(), Seq.constant(1), 0)
+    with pytest.raises(ValueError, match=r"^size mismatch: 2 vs 3$"):
+        dense_mul(truncate(matrix(), 2), truncate(matrix(), 3))
+
+
 def test_seq_eval_and_support_bound():
     assert Seq.constant(1)(7) == 1
     e3 = Seq.unit(3)
@@ -112,7 +124,7 @@ def test_compose_delta_cesaro_matches_dense_product():
     oracle = dense_mul(truncate(delta(), n), truncate(cesaro(), n))
     for row in range(n):
         for col in range(n):
-            assert phi.entry(row, col) == oracle.values[row][col]
+            assert phi.entry(row, col) == oracle[row][col]
     assert phi.entry(2, 1) == F(-1, 6)
     assert phi.entry(2, 2) == F(1, 3)
 
@@ -177,7 +189,7 @@ def test_compose_row_bound_covers_every_nonzero_entry(left, right, bounds):
     oracle = dense_mul(truncate(a, 12), truncate(b, 12))
     assert [product.row_bound(n) for n in range(8)] == bounds
     for n in range(8):
-        assert not any(oracle[n, k] for k in range(bounds[n] + 1, 12)), n
+        assert not any(oracle[n][k] for k in range(bounds[n] + 1, 12)), n
 
 
 def test_invert_against_substitution_oracle():
@@ -233,9 +245,9 @@ def test_inverse_identity_property(tn):
     t, n = tn
     dense = truncate(t, n)
     dense_inv = truncate(invert(t), n)
-    ident = truncate(identity(), n).values
-    assert dense_mul(dense, dense_inv).values == ident
-    assert dense_mul(dense_inv, dense).values == ident
+    ident = truncate(identity(), n)
+    assert dense_mul(dense, dense_inv) == ident
+    assert dense_mul(dense_inv, dense) == ident
 
 
 @settings(max_examples=25, deadline=None)
@@ -245,7 +257,7 @@ def test_compose_associativity_property(a3, b3, c3):
     n = 5
     left = truncate(compose(a, compose(b, c)), n)
     right = truncate(compose(compose(a, b), c), n)
-    assert left.values == right.values
+    assert left == right
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,10 +293,10 @@ def test_memoized_entries_are_canonical():
 
 def naive_dense_mul(a, b):
     """The product of two truncations by a Fraction triple loop."""
-    size = a.size
+    size = len(a)
     return tuple(
         tuple(
-            sum((a.values[n][j] * b.values[j][k] for j in range(size)), F(0))
+            sum((a[n][j] * b[j][k] for j in range(size)), F(0))
             for k in range(size)
         )
         for n in range(size)
@@ -343,7 +355,7 @@ def test_kernels_equal_the_fraction_loops_on_named_triangles(name):
     t = NAMED[name]()
     dense, dense_inv = truncate(t, size), truncate(invert(t), size)
     for left, right in ((dense, dense_inv), (dense_inv, dense), (dense, dense)):
-        assert_same_fractions(dense_mul(left, right).values, naive_dense_mul(left, right))
+        assert_same_fractions(dense_mul(left, right), naive_dense_mul(left, right))
     assert_same_fractions(kernel_inverse_rows(t, size), naive_inverse_rows(t, size))
     fresh = NAMED[name]()
     assert_same_fractions(
@@ -370,15 +382,12 @@ def square_pairs(draw, max_size=6):
     def square():
         zero_rows = draw(st.sets(st.integers(0, size - 1)))
         zero_cols = draw(st.sets(st.integers(0, size - 1)))
-        return DenseTrunc(
-            size,
+        return tuple(
             tuple(
-                tuple(
-                    F(0) if n in zero_rows or k in zero_cols else draw(big_rat)
-                    for k in range(size)
-                )
-                for n in range(size)
-            ),
+                F(0) if n in zero_rows or k in zero_cols else draw(big_rat)
+                for k in range(size)
+            )
+            for n in range(size)
         )
 
     return square(), square()
@@ -388,7 +397,7 @@ def square_pairs(draw, max_size=6):
 @given(square_pairs())
 def test_dense_mul_equals_the_fraction_loop_property(pair):
     a, b = pair
-    assert_same_fractions(dense_mul(a, b).values, naive_dense_mul(a, b))
+    assert_same_fractions(dense_mul(a, b), naive_dense_mul(a, b))
 
 
 @st.composite

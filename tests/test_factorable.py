@@ -563,11 +563,13 @@ def _shaped(spec, shape):
 
 
 def _outcome(fn):
-    """fn's value, or the name and index of the invalid weight it reports."""
+    """fn's value, or the name and index of the invalid weight it reports as
+    text, which no value here is: a truncation is a tuple, and the
+    statistics are a dict."""
     try:
         return fn()
     except InvalidWeightsError as exc:
-        return exc.name, exc.index
+        return f"invalid weight {exc.name}[{exc.index}]"
 
 
 def _compose_without_structure(a, b):
@@ -611,7 +613,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
         assert structured.structure is not None
         got = _outcome(lambda: truncate(compose(left(), structured), 16))
         assert got == _outcome(lambda: truncate(compose(left(), plain), 16))
-        raised += isinstance(got, tuple)
+        raised += isinstance(got, str)
     assert raised == 3
     # the transform, and the domain membership over the tail windows of c,
     # whose first coordinate read is 2
@@ -623,7 +625,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
         structured, _ = cli.parse_matrix_spec(spec)
         plain = _parse_without_structure(spec, monkeypatch)
         got = _outcome(lambda: run(structured))
-        assert isinstance(got, tuple)
+        assert isinstance(got, str)
         assert got == _outcome(lambda: run(plain))
     if shape != "domain":
         return
@@ -644,7 +646,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
             plain.structure = None
             assert duals._generators(structured, 1) is not None
             got = _outcome(lambda: duals.condition_stats(kind, structured, 16))
-            assert isinstance(got, tuple)
+            assert isinstance(got, str)
             assert got == _outcome(lambda: duals.condition_stats(kind, plain, 16))
 
 
@@ -914,7 +916,7 @@ def test_product_rule_property(left, right):
         expected = dense_mul(truncate(a, size), truncate(b, size))
         stated = BandedMatrix(lambda n, k: _structure_entry(product, n, k))
         assert _entry_scan(stated, size) == expected, size
-        assert _list_cells(duals._lists(product, size), size) == expected.values, size
+        assert _list_cells(duals._lists(product, size), size) == expected, size
 
 
 @settings(max_examples=50, deadline=None)

@@ -185,7 +185,7 @@ def test_compose_reads_only_band_overlap():
         for k in range(n + 1):
             a_reads.clear()
             b_reads.clear()
-            assert product.entry(n, k) == expected[n, k]
+            assert product.entry(n, k) == expected[n][k]
             assert len(a_reads) <= 2 and len(b_reads) <= 2, (n, k)
 
 

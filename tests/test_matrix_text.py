@@ -77,7 +77,7 @@ def test_matrix_text_is_the_formatted_entry_scan(name):
         assert matrix.structure is not None and len(matrix.structure[0]) <= 1
         scan = _entry_scan(cli.parse_matrix_spec(spec)[0], size)
         assert truncate(matrix, size) == scan, size
-        cells = [[spaces.fmt(v) for v in row] for row in scan.values]
+        cells = [[spaces.fmt(v) for v in row] for row in scan]
         expected = {
             "csv": "\n".join(map(",".join, cells)) + "\n",
             "json": json.dumps(cli._envelope("matrix", resolved, size, "entries", cells), indent=2) + "\n",

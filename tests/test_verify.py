@@ -31,7 +31,7 @@ import pytest
 from bvdomains import builders, duals, matclass, spaces, verify
 from fractions import Fraction
 
-from bvdomains.core import DenseTrunc, Seq, Triangle, compose
+from bvdomains.core import Seq, Triangle, compose
 
 
 def _fail_on_call(monkeypatch, module, name, index, wrong):
@@ -48,9 +48,9 @@ def _fail_on_call(monkeypatch, module, name, index, wrong):
 
 def _bump(dense, row, col):
     """dense with one added to its entry (row, col)."""
-    values = [list(r) for r in dense.values]
+    values = [list(r) for r in dense]
     values[row][col] += 1
-    return DenseTrunc(dense.size, tuple(map(tuple, values)))
+    return tuple(map(tuple, values))
 
 
 def _nudge():
