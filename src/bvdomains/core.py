@@ -52,10 +52,12 @@ a structure of at most one term row by row, one product U(n) V(k) per cell
 below the band, reduced on integers and made as a ``Fraction`` or, for
 ``matrix``, as text, and scans the entries of every other matrix; that
 scan is the oracle of the structured read.  ``apply`` and
-``transform_seq`` transform a sequence by a structured triangle through one
-running sum per term and its band, so N coordinates cost O(N) operations;
-every other matrix takes the entry loop ``_coordinate`` over each row's
-support, which is the oracle for the structured transform.
+``transform_seq`` transform a sequence by a structured triangle as the
+product rule's ``combine`` of per-term prefix sums: Mx is U(n) times the
+running sum of V x over each term, plus the band times x, so N
+coordinates cost O(N) operations; every other matrix takes the entry loop
+``_coordinate`` over each row's support, which is the oracle for the
+structured transform.
 """
 
 from __future__ import annotations
@@ -150,16 +152,6 @@ class Seq:
     def unit(j: int) -> "Seq":
         """The coordinate sequence with a single 1 at index j."""
         return Seq(lambda k: ONE if k == j else ZERO, support_bound=j)
-
-
-def times(c: Fraction, f: Optional[Callable[[int], Fraction]], j: int) -> Fraction:
-    """c f(j), where a None f is the all-ones sequence of a structure term."""
-    return c if f is None else c * f(j)
-
-
-def add_all(values: list) -> Fraction:
-    """The sum of values, 0 when there are none, with no zero added first."""
-    return sum(values[1:], values[0]) if values else ZERO
 
 
 def running_sum(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
@@ -433,41 +425,33 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
 def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
     """n -> coordinate n of the transform Mx.
 
-    When m declares a structure (terms, band), coordinate n is the sum of
-    U(n) P(n - len(band)) over the terms (U, V), plus band[i](n) x(n - i),
-    where P(m) sums V(k) x(k) over k <= m: one memoized running sum per
-    term.  Any other matrix takes the entry loop ``_coordinate``, which is
-    also the oracle the structured path is checked against.
+    When m declares a structure (terms, band), Mx is the product rule's
+    ``_seq_combine`` of U(n) P(n - len(band)) over the terms (U, V), with P
+    the running sums of V x (``_seq_prefix``), and of band[i](n) x(n - i)
+    from the band's first column on, as the entry loop meets them.  Any
+    other matrix takes the entry loop ``_coordinate``, which is also the
+    oracle the structured path is checked against, invalid weights
+    included.
     """
     if m.structure is None:
         return lambda n: _coordinate(m, x, n)
     terms, band = m.structure
     width = len(band)
-    sums = [running_sum(lambda k, v=v: x(k) if v is None else v(k) * x(k)) for _, v in terms]
-
-    def coordinate(n: int) -> Fraction:
-        # every U(n) and the sums of the cells below the band, then the band
-        # from its first column on, the order in which the entry loop meets
-        # them at row n, so an invalid weight is reported at the same index
-        # either way; a row within the band has no cell of the terms
-        values = []
-        if n >= width:
-            scales = [None if u is None else u(n) for u, _ in terms]
-            values = [p(n - width) if c is None else c * p(n - width) for c, p in zip(scales, sums)]
-        return add_all(values + [band[i](n) * x(n - i) for i in range(min(width - 1, n), -1, -1)])
-
-    return coordinate
+    products = [(u, 0, _seq_prefix(v, x), -width, 1) for u, v in terms]
+    return _seq_combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
 
 
 def apply(m, x: Seq, n_size: int) -> list:
-    """First n_size coordinates of the transform Mx."""
+    """First n_size coordinates of the transform Mx: for a structured m,
+    the product rule's ``combine`` of per-term prefix sums (``_coordinates``)."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
     return list(map(_coordinates(m, x), range(n_size)))
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
-    """The transform Tx as a lazy Seq."""
+    """The transform Tx as a lazy Seq: for a structured t, the product
+    rule's ``combine`` of per-term prefix sums (``_coordinates``)."""
     return Seq(_coordinates(t, x))
 
 
@@ -526,7 +510,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                 coeffs.pop()
             sums = []
             for u, v in terms:
-                scaled = [times(c, u, lo + m) if c else ZERO for m, c in enumerate(coeffs)]
+                scaled = [(c if u is None else c * u(lo + m)) if c else ZERO for m, c in enumerate(coeffs)]
                 sums.append((v, list(accumulate(reversed(scaled)))[::-1]))
             return lo, coeffs, sums
 

@@ -8,15 +8,23 @@ triangle, and (cesaro.T)x = cesaro(Tx) checks the product's structure
 against its factors.  The rows of the truncations of the one-term
 structures, dotted with x, give the coordinates of ``apply``: the
 structured read of ``truncate`` against the structured transform, at 16
-evenly spaced rows from the first to the last."""
+evenly spaced rows from the first to the last.
+
+The identities are also checked through the entry loop, at N = 256: with
+T's structure removed after its inverse and cesaro.T are made from it,
+``apply`` reads T's entries as ``compose`` makes them, against the
+structured transforms of the inverse and the product.  The structured
+rows, made one at a time as reduced (p, q) pairs, are checked at N = 4096
+and 2048."""
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from bvdomains.builders import RieszWeights, WeightPair, cesaro, delta, gamma, phi, sigma_riesz
-from bvdomains.core import Seq, apply, compose, invert, truncate
+from bvdomains.core import Seq, _structure_rows, apply, compose, invert, truncate
 
 N = 1024
 
@@ -41,6 +49,36 @@ def test_transform_identities_hold_at_depth(name):
     x = Seq.from_values(values)
     assert apply(t, Seq.from_values(apply(invert(t), x, N)), N) == values
     assert apply(compose(cesaro(), t), x, N) == apply(cesaro(), Seq.from_values(apply(t, x, N)), N)
+
+
+@pytest.mark.parametrize("name", ["phi", "cesaro.(phi.delta)"])
+def test_transform_identities_hold_through_the_entry_loop(name):
+    size = 256
+    t, values = _TRIANGLES[name](), _integers(size)
+    inverse, product = invert(t), compose(cesaro(), t)
+    t.structure = None
+    x = Seq.from_values(values)
+    assert apply(t, Seq.from_values(apply(inverse, x, size)), size) == values
+    assert apply(product, x, size) == apply(cesaro(), Seq.from_values(apply(t, x, size)), size)
+
+
+@pytest.mark.parametrize("name,size", [("phi", 4096), ("gamma(power 2, harmonic)", 2048)])
+def test_structured_rows_at_depth_are_reduced_and_dot_to_the_transform(name, size):
+    t, values = _TRIANGLES[name](), _integers(size)
+    [(u, v)] = t.structure[0]
+    width = len(t.structure[1])
+    tx = apply(t, Seq.from_values(values), size)
+    sampled = {i * (size - 1) // 15 for i in range(16)}
+    rows = _structure_rows(t.structure, size, lambda p, q: (p, q), lambda x: x)
+    for n, row in enumerate(rows):
+        if n not in sampled:
+            continue
+        assert len(row) == size
+        pairs = [c for c in row if isinstance(c, tuple)]
+        assert len(pairs) == (max(n - width + 1, 0) if u is not None and v is not None else 0), n
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs), n
+        cells = (F(*c) if isinstance(c, tuple) else c for c in row)
+        assert sum((c * x for c, x in zip(cells, values)), F(0)) == tx[n], n
 
 
 @pytest.mark.parametrize(

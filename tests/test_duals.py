@@ -274,28 +274,31 @@ def generator_entries(m, size):
     return list_entries(duals._generators(m, size))
 
 
-def list_entries(lists):
+def list_entries(lists, rows=None):
     """The band cells and the cells below the band that generator lists
-    (d, bands, w, col, row) represent, divided by d, by cell."""
+    (d, bands, w, col, row) represent, divided by d, by cell, in the given
+    rows or in all of them."""
     d, bands, w, col, row = lists
-    cells = {(n, n - i): F(x, d) for i, xs in enumerate(bands) for n, x in enumerate(xs) if n >= i}
-    cells.update({(n, k): F(w[n] * col[k] + row[n], d) for n in range(len(w)) for k in range(n - len(bands) + 1)})
+    rows = range(len(w)) if rows is None else rows
+    cells = {(n, n - i): F(xs[n], d) for i, xs in enumerate(bands) for n in rows if n >= i}
+    cells.update({(n, k): F(w[n] * col[k] + row[n], d) for n in rows for k in range(n - len(bands) + 1)})
     return cells
 
 
-def structure_entries(m, size):
-    """The cells that list_entries holds, each evaluated from the Seqs of
-    m's structure: its band parts, or with no band the diagonal, and below
-    them the sum of U(n) V(k) over the terms.  This is the oracle of the
-    integer rule that builds the lists."""
+def structure_entries(m, rows):
+    """The cells in the given rows that list_entries holds, each evaluated
+    from the Seqs of m's structure at those rows only: its band parts, or
+    with no band the diagonal, and below them the sum of U(n) V(k) over
+    the terms.  This is the oracle of the integer rule that builds the
+    lists."""
     terms, band = m.structure
 
     def below(n, k):
         return sum(((F(1) if u is None else u(n)) * (F(1) if v is None else v(k)) for u, v in terms), F(0))
 
     parts = list(band) or [lambda n: below(n, n)]
-    cells = {(n, n - i): part(n) for i, part in enumerate(parts) for n in range(i, size)}
-    cells.update({(n, k): below(n, k) for n in range(size) for k in range(n - len(parts) + 1)})
+    cells = {(n, n - i): part(n) for i, part in enumerate(parts) for n in rows if n >= i}
+    cells.update({(n, k): below(n, k) for n in rows for k in range(n - len(parts) + 1)})
     return cells
 
 
@@ -568,6 +571,21 @@ def test_statistics_of_F_equal_the_scans_at_depth(b):
     assert_structure_matches_scan("alpha", *with_and_without_structure(build), DEPTH)
 
 
+@pytest.mark.parametrize("domain", ["C", "G(power 2, harmonic)", "R(2^k)"])
+def test_dual_lists_hold_the_cells_of_the_structure_at_depth(domain):
+    """At N = 1024 the generator lists of the alpha and beta matrices hold,
+    at 16 evenly spaced rows, the band cells and the cells w[n] col[k] +
+    row[n] below the band that the Seqs of their structures give, read at
+    those rows only."""
+    size = 1024
+    rows = [i * (size - 1) // 15 for i in range(16)]
+    dom = F_DOMAINS[domain]()
+    a = Seq(lambda k: F((-1) ** k, k + 1))
+    for build in (alpha_assoc, beta_assoc):
+        m = build(dom.matrix, a)
+        assert list_entries(duals._generators(m, size), rows) == structure_entries(m, rows), build.__name__
+
+
 # ------------------------------- the dual matrices' lists from their definitions
 
 # the sequences a of the dual_sweep benchmark workload, a unit sequence and
@@ -598,7 +616,7 @@ def assert_lists_match_the_structure(build, sizes, n):
     states, and the statistics at n equal the scans of m with its structure
     removed."""
     fast, scanned = with_and_without_structure(build)
-    expected = structure_entries(fast, max(sizes))
+    expected = structure_entries(fast, range(max(sizes)))
     for size in (*sizes, *sizes):
         assert generator_entries(fast, size) == {c: x for c, x in expected.items() if c[0] < size}, size
     for kind in ("alpha", "beta", "gamma"):
@@ -890,7 +908,7 @@ def test_lists_of_products_without_generator_lists_hold_their_cells(size):
         below = lambda n, k: sum((1 if u is None else u[n]) * (1 if v is None else v[k]) for u, v in terms)
         cells = {(n, n - i): F(xs[n], d) for i, xs in enumerate(bands) for n in range(i, size)}
         cells.update({(n, k): F(below(n, k), d) for n in range(size) for k in range(n - len(bands) + 1)})
-        assert cells == structure_entries(m, size)
+        assert cells == structure_entries(m, range(size))
 
 
 def test_maxima_equal_the_direct_max():

@@ -713,6 +713,34 @@ def _ones_then(index, value):
     return {"prefix": ["1"] * index + [value], "tail": _ONES}
 
 
+# each factor of a two-factor transform with its own invalid weight: u or v
+# zero at 2, 3 or 4, or none
+_FACTOR_WEIGHTS = [{"kind": "weighted", "u": "e", "v": "e"}] + [
+    {"kind": "weighted", "u": "e", "v": "e", name: _ones_then(index, "0")} for name in ("u", "v") for index in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("shape", ["mean.mean", "domain.mean", "mean.domain", "mean.inverse_of(mean)"])
+def test_two_factor_transforms_report_the_weight_of_the_entry_loop(shape):
+    """The structured transform reads U(n) and then its term's running sum,
+    term by term, and the entry loop reads compose's entries of the product
+    with its structure removed: both report the same invalid weight when
+    the factors' invalid indices differ."""
+    left, right = shape.split(".")
+    x = Seq.constant(1)
+    raised = 0
+    for a in _FACTOR_WEIGHTS:
+        for b in _FACTOR_WEIGHTS:
+            spec = json.dumps({"kind": "compose", "of": [_shaped(a, left), _shaped(b, right)]})
+            structured, _ = cli.parse_matrix_spec(spec)
+            plain, _ = cli.parse_matrix_spec(spec)
+            plain.structure = None
+            got = _outcome(lambda: apply(structured, x, 12))
+            assert got == _outcome(lambda: apply(plain, x, 12)), (a, b)
+            raised += isinstance(got, str)
+    assert raised == len(_FACTOR_WEIGHTS) ** 2 - 1
+
+
 # the invalid weights of _INVALID, weights invalid at the last row of an N =
 # 16 truncation and one past it, and u invalid at 5 where the entry scan
 # meets v[2] first
