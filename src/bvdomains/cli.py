@@ -409,7 +409,7 @@ def _emit_json(args, obj: dict) -> None:
 def cmd_matrix(args) -> int:
     matrix, resolved = parse_matrix_spec(args.spec)
     # each row's cells are made as text and joined before the next row's
-    rows = truncate(matrix, args.n, spaces.fmt, spaces.fmt_ratio)
+    rows = truncate(matrix, args.n, spaces.fmt_ratio)
     if args.format == "csv":
         _emit(args, "\n".join(",".join(cells) for cells in rows))
     else:

@@ -49,22 +49,22 @@ declares one, and ``duals`` on integer lists.  A truncation, the leading
 N x N block of a matrix, is the tuple of its N row tuples: ``truncate``,
 ``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
 a structure of at most one term row by row, one product U(n) V(k) per cell
-below the band, reduced on integers and made as a ``Fraction`` or, for
-``matrix``, as text, and scans the entries of every other matrix; that
-scan is the oracle of the structured read.  ``apply`` and
-``transform_seq`` transform a sequence by a structured triangle as the
-product rule's ``combine`` of per-term prefix sums: Mx is U(n) times the
-running sum of V x over each term, plus the band times x, so N
-coordinates cost O(N) operations; every other matrix takes the entry loop
-``_coordinate`` over each row's support, which is the oracle for the
-structured transform.
+below the band, reduced on integers, and scans the entries of every other
+matrix; that scan is the oracle of the structured read.  A cell is a
+``Fraction`` or, for ``matrix``, the text that one constructor ratio(p, q)
+makes of its value p/q.  ``apply`` and ``transform_seq`` transform a
+sequence by a structured triangle as the product rule's ``combine`` of
+per-term prefix sums: Mx is U(n) times the running sum of V x over each
+term, plus the band times x, so N coordinates cost O(N) operations; every
+other matrix takes the entry loop ``_coordinate`` over each row's support,
+which is the oracle for the structured transform.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, starmap
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -270,7 +270,7 @@ def diagonal(a: Callable[[int], Fraction]) -> BandedMatrix:
     return BandedMatrix(lambda n, k: a(n), band=0, structure=([], [a]))
 
 
-def truncate(source, n_size: int, cell=None, ratio=None):
+def truncate(source, n_size: int, ratio=None):
     """Materialize the leading n_size x n_size block of a matrix as the
     tuple of its n_size row tuples of Fraction.
 
@@ -289,25 +289,25 @@ def truncate(source, n_size: int, cell=None, ratio=None):
     of ``_product_structure``, whose denominators grow with n, and that
     cancellation costs more than compose's suffix sums.
 
-    Given cell and ratio, the block comes as text rows instead, made one
-    at a time by the generator returned, once every value is read: cell(x)
-    of each Fraction x a structure gives or a scan reads, and ratio(p, q)
-    of each product in lowest terms p/q, q > 0, so no product is a
-    Fraction.
+    Given ratio, the block comes as text rows instead, made one at a time
+    by the generator returned, once every value is read: each cell is
+    ratio(p, q) of its value p/q in lowest terms, q > 0, from a product's
+    reduced integers or as ratio(*x.as_integer_ratio()) of a Fraction x.
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
+    cell = (lambda x: x) if ratio is None else (lambda x: ratio(*x.as_integer_ratio()))
     rows = None
     if source.structure is not None and len(source.structure[0]) <= 1:
         try:
-            rows = _structure_rows(source.structure, n_size, ratio or Fraction, cell or (lambda x: x))
+            rows = _structure_rows(source.structure, n_size, ratio or Fraction, cell)
         except InvalidWeightsError:
             pass
     if rows is None:
         rows = _entry_scan(source, n_size)
-        if cell is not None:
-            rows = (tuple(map(cell, row)) for row in rows)
-    return tuple(rows) if cell is None else rows
+        if ratio is not None:
+            rows = (tuple(starmap(ratio, map(Fraction.as_integer_ratio, row))) for row in rows)
+    return tuple(rows) if ratio is None else rows
 
 
 def _entry_scan(source, n_size: int) -> tuple:
@@ -451,8 +451,10 @@ def apply(m, x: Seq, n_size: int) -> list:
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy Seq: for a structured t, the product
-    rule's ``combine`` of per-term prefix sums (``_coordinates``)."""
-    return Seq(_coordinates(t, x))
+    rule's ``combine`` of per-term prefix sums (``_coordinates``), a
+    memoized Seq returned as it is; a bare callable is wrapped in one."""
+    coords = _coordinates(t, x)
+    return coords if isinstance(coords, Seq) else Seq(coords)
 
 
 def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:

@@ -217,8 +217,8 @@ def _product_lists(x: tuple, y: tuple, size: int) -> tuple:
 
 def _list_ops(size: int) -> tuple:
     """(prefix, combine) of ``core._product_rule`` on integer lists, None
-    the all-ones list: combine's lists have size values, read 0 past the
-    end of a list, and are None for the one product 1 . 1, unshifted."""
+    the all-ones list: combine makes new lists of size values, reads 0
+    past a list's end, and gives None for the one product 1 . 1, unshifted."""
 
     def prefix(f, g):
         if f is None and g is None:
@@ -231,8 +231,8 @@ def _list_ops(size: int) -> tuple:
             lo = min(max(0, -i, -j), size)  # the first n whose indices are >= 0
             if f is None or g is None:
                 h, s = (g, j) if f is None else (f, i)
-                if h is not None:  # the other side's values, the list itself when it fits unshifted
-                    values = h if lo + s == 0 and lo + len(h) <= size else h[lo + s : size + s]
+                if h is not None:  # a new list: the slice of the other side's values
+                    values = h[lo + s : size + s]
                 elif len(products) == 1 and not lo and sign > 0:
                     return None
                 else:
@@ -244,8 +244,6 @@ def _list_ops(size: int) -> tuple:
                 out = values if sign > 0 else list(map(neg, values))
                 if lo or end < size:
                     out = [0] * lo + out + [0] * (size - end)
-                elif len(products) > 1 and (out is f or out is g):
-                    out = out[:]  # a factor's list, which the next products add to
             else:
                 out[lo:end] = map(add if sign > 0 else sub, out[lo:end], values)
         return [0] * size if out is None else out

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from bvdomains.core import (
     SingularMatrixError,
     Triangle,
     _build_inverse,
+    _coordinate,
     _entry_scan,
     apply,
     compose,
@@ -29,6 +31,7 @@ from bvdomains.builders import (
     delta,
     gamma,
     phi,
+    phi_closed_form,
     riesz,
     sigma_riesz,
     sigma_sum,
@@ -490,3 +493,30 @@ def test_transform_by_a_banded_triangle_reads_its_band(monkeypatch):
             for n in range(size)
         ]
         assert len(reads) == 2 * size - 1
+
+
+def test_a_lazy_transform_holds_each_coordinate_in_one_cache():
+    """transform_seq of a structured triangle is the memoized Seq of its
+    product rule combine: 5 coordinates read are 5 values in one cache,
+    not also in the cache of a Seq wrapped around it."""
+    tx = transform_seq(phi(), Seq(lambda k: F(k + 2, 3)))
+    for n in (0, 3, 1, 7, 3, 4):
+        tx(n)
+    assert not isinstance(tx._eval, Seq)
+    assert sorted(tx._cache) == [0, 1, 3, 4, 7]
+
+
+@pytest.mark.parametrize("build", [sigma_sum, phi_closed_form])
+def test_wrapped_transforms_equal_the_entry_loop(build):
+    """The sum matrix's transform is its running sum and phi_closed_form
+    declares no structure, so theirs are the two bare callables that
+    transform_seq wraps in a Seq: each refuses -1 and equals the entry
+    loop at every n < 64."""
+    rng = random.Random(7)
+    values = [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(64)]
+    x = Seq(values.__getitem__)
+    tx = transform_seq(build(), x)
+    assert not isinstance(tx._eval, Seq)
+    with pytest.raises(IndexError):
+        tx(-1)
+    assert [tx(n) for n in range(64)] == [_coordinate(build(), x, n) for n in range(64)]

@@ -911,6 +911,22 @@ def test_lists_of_products_without_generator_lists_hold_their_cells(size):
         assert cells == structure_entries(m, range(size))
 
 
+def test_list_combine_never_returns_an_input_list():
+    """A one-sided product is read as a slice of its list, so combine's
+    result is a new list even when one unshifted product fits it, and
+    adding a second product to it leaves the first product's list as it
+    was.  The one unshifted product 1 . 1 stays None."""
+    _, combine = duals._list_ops(6)
+    L, M = [1, 2, 3, 4, 5, 6], [7, 0, -1, 2, 9, 4]
+    for product in ((None, 0, L, 0, 1), (L, 0, None, 0, 1)):
+        out = combine([product])
+        assert out == L and out is not L
+    out = combine([(None, 0, L, 0, 1), (M, 0, None, 0, -1)])
+    assert out == [x - y for x, y in zip(L, M)] and out is not L
+    assert L == [1, 2, 3, 4, 5, 6] and M == [7, 0, -1, 2, 9, 4]
+    assert combine([(None, 0, None, 0, 1)]) is None
+
+
 def test_maxima_equal_the_direct_max():
     """Equal slopes, one slope for all lines (as when w = 1), lines through
     one point and points tied at a breakpoint."""

@@ -17,7 +17,8 @@ from fractions import Fraction as F
 import pytest
 
 from bvdomains import cli, spaces
-from bvdomains.core import _entry_scan, truncate
+from bvdomains.builders import cesaro, phi, sigma_sum
+from bvdomains.core import _entry_scan, compose, truncate
 
 _SIZES = (1, 2, 17, 64)
 
@@ -84,6 +85,19 @@ def test_matrix_text_is_the_formatted_entry_scan(name):
         }
         for fmt, text in expected.items():
             assert _run("matrix", "--spec", spec, "--n", str(size), "--format", fmt) == (0, text, ""), (size, fmt)
+
+
+@pytest.mark.parametrize("build, terms", [(phi, 1), (lambda: compose(sigma_sum(), cesaro()), 2)])
+def test_truncate_makes_every_cell_with_its_one_text_constructor(build, terms):
+    """Given ratio alone, every cell of the text rows is a str, fmt of the
+    entry scan's cell: for phi, whose one-term structure is read row by
+    row, the zeros and the band cells too, and for sum.cesaro, whose
+    two-term structure is scanned, every cell."""
+    assert len(build().structure[0]) == terms
+    for size in (1, 2, 17):
+        rows = tuple(truncate(build(), size, ratio=spaces.fmt_ratio))
+        assert all(type(cell) is str for row in rows for cell in row), size
+        assert rows == tuple(tuple(map(spaces.fmt, row)) for row in _entry_scan(build(), size)), size
 
 
 _DEEP = {
