@@ -55,6 +55,4 @@ from .matclass import (
     UnsupportedClassError,
     class_test_from_domain,
     class_test_into_domain,
-    left_transform_F,
-    row_transform_E,
 )

@@ -2,7 +2,8 @@
 
 Subcommands: matrix, transform, membership, dual, matclass, verify.  Sequence
 and matrix specs are JSON; bare words are accepted as shorthand for the
-parameterless kinds (e.g. ``--spec cesaro``, ``--spec "inverse_of(phi)"``).
+parameterless kinds at any level of a spec (e.g. ``--spec cesaro``,
+``--spec "inverse_of(phi)"``, ``{"kind": "compose", "of": ["delta", "phi"]}``).
 All rationals are serialized as exact ``p/q`` strings and output is
 byte-deterministic for identical invocations.  JSON output is the bytes of
 ``json.dumps(indent=2, ensure_ascii=True)``, written by one writer
@@ -192,14 +193,7 @@ _SIMPLE_MATRICES = {
 def parse_matrix_spec(text: str):
     """Parse a MatrixSpec into (matrix, resolved dict); every kind but
     ``banded`` is a Triangle."""
-    raw = _load_spec(text, "matrix spec")
-    if isinstance(raw, str):
-        word = raw
-        if word.startswith("inverse_of(") and word.endswith(")"):
-            raw = {"kind": "inverse_of", "of": {"kind": word[11:-1]}}
-        else:
-            raw = {"kind": word}
-    return _build_matrix(raw, 0)
+    return _build_matrix(_load_spec(text, "matrix spec"), 0)
 
 
 def _weight(raw: dict, field: str, owner: str):
@@ -223,6 +217,11 @@ def _riesz_weights(raw: dict, owner: str):
 def _build_matrix(raw, depth: int):
     if depth > MAX_SPEC_DEPTH:
         raise SpecError(f"matrix spec nests deeper than {MAX_SPEC_DEPTH} levels")
+    if isinstance(raw, str):  # a shorthand word, at any level
+        if raw.startswith("inverse_of(") and raw.endswith(")"):
+            raw = {"kind": "inverse_of", "of": raw[11:-1]}
+        else:
+            raw = {"kind": raw}
     if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SpecError("matrix spec must be an object with a 'kind' field")
     kind = raw["kind"]

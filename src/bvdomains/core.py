@@ -39,9 +39,11 @@ terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
 Gu (2003), a case of the quasiseparable generators of Eidelman and Gohberg
 (1999).  Each band part is a whole diagonal of cells, and the terms give
 only the cells below the band, so no reader of a structure reads a term
-column at or past its row.  ``compose`` multiplies by one in O(N^2)
-operations instead of O(N^3), the band-overlap sum serves every other right
-factor, and ``dense_mul`` of truncations is the oracle for both.
+column at or past its row.  A structure with no terms is the matrix's band,
+and the constructor derives the row supports from it.  ``compose``
+multiplies by one in O(N^2) operations instead of O(N^3), the band-overlap
+sum serves every other right factor, and ``dense_mul`` of truncations is
+the oracle for both.
 ``_product_rule`` is the one rule that multiplies two structures, stated
 over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
@@ -177,17 +179,19 @@ class BandedMatrix:
     Row n can be nonzero only in columns ``[n - band, row_bound(n)]``; entries
     outside are 0 without consulting the entry closure.  ``row_bound`` is a
     callable, and when it is omitted the matrix is lower triangular
-    (``row_bound(n) = n``).  ``band``, when present, is the number of nonzero
-    subdiagonals.  ``row_count``, when present, declares every row from that
-    index on to be zero (a wholly finite matrix).  ``structure``, when
-    present, is a pair (terms, band): band[i](n) is the
+    (``row_bound(n) = n``).  ``row_count``, when present, declares every
+    row from that index on to be zero (a wholly finite matrix).
+    ``structure``, when present, is a pair (terms, band): band[i](n) is the
     whole entry (n, n - i) for i < len(band), read only at n >= i, and
     entry(n, k) = sum of U(n) V(k) over the terms (U, V) for the cells
     strictly below the band, 0 <= k <= n - len(band).  U and V are
     callables, or None for the all-ones sequence.  So no reader of a
     structure needs a term column at or past the row it is on.  It is
-    declared only on lower triangles.  The finite row supports are what
-    make every product and transform coordinate an exact finite sum.
+    declared only on lower triangles.  ``band``, the number of nonzero
+    subdiagonals, is derived from it: len(band) - 1 for a structure with
+    no terms, None (unbounded) otherwise.  A matrix whose structure is
+    removed later keeps its band.  The finite row supports are what make
+    every product and transform coordinate an exact finite sum.
     """
 
     def __init__(
@@ -195,14 +199,13 @@ class BandedMatrix:
         entry_fn: Callable[[int, int], Fraction],
         row_bound: Optional[Callable[[int], int]] = None,
         row_count: Optional[int] = None,
-        band: Optional[int] = None,
         structure: Optional[tuple] = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
         self.row_count = row_count
-        self.band = band
         self.structure = structure
+        self.band = len(structure[1]) - 1 if structure is not None and not structure[0] else None
         self._inverse: Optional[Triangle] = None  # set by invert
         self._factors: Optional[tuple] = None  # (A, B) of a product A.B, set by compose
         # rows are supported in [n - band, n]: entry's fast path
@@ -267,7 +270,7 @@ def identity() -> Triangle:
 
 def diagonal(a: Callable[[int], Fraction]) -> BandedMatrix:
     """diag(a), which declares the structure with no terms and the band [a]."""
-    return BandedMatrix(lambda n, k: a(n), band=0, structure=([], [a]))
+    return BandedMatrix(lambda n, k: a(n), structure=([], [a]))
 
 
 def truncate(source, n_size: int, ratio=None):
@@ -296,11 +299,10 @@ def truncate(source, n_size: int, ratio=None):
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
-    cell = (lambda x: x) if ratio is None else (lambda x: ratio(*x.as_integer_ratio()))
     rows = None
     if source.structure is not None and len(source.structure[0]) <= 1:
         try:
-            rows = _structure_rows(source.structure, n_size, ratio or Fraction, cell)
+            rows = _structure_rows(source.structure, n_size, ratio)
         except InvalidWeightsError:
             pass
     if rows is None:
@@ -317,7 +319,7 @@ def _entry_scan(source, n_size: int) -> tuple:
     )
 
 
-def _structure_rows(structure: tuple, n_size: int, ratio, cell):
+def _structure_rows(structure: tuple, n_size: int, ratio=None):
     """The first n_size rows, n_size long, of the lower triangle that the
     structure (terms, band) of at most one term (U, V) states: band[i](n)
     at (n, n - i) and U(n) V(k) below the band, as a generator of row
@@ -325,12 +327,16 @@ def _structure_rows(structure: tuple, n_size: int, ratio, cell):
     U(n) and the band cells once for each row, all before this returns, so
     an invalid weight is raised here and not while a row is made.
 
-    When U is None every row below the band is a slice of one line: the
-    cell(V), the ones or, with no terms, the zeros.  When V is None it is
-    cell(U(n)) repeated.  Otherwise each U(n) V(k) = (un/ud) (vn/vd) is
-    reduced by g1 = gcd(un, vd) and g2 = gcd(vn, ud), as ``Fraction``
-    multiplies, and made by ratio(p, q).  So cell makes each distinct value
-    once: the zero, a one, a V, a U(n) and a band cell."""
+    Each cell is made as ``truncate`` states: a value x the structure gives
+    is x itself, or ratio(*x.as_integer_ratio()) given ratio, and a product
+    p/q is Fraction(p, q), or ratio(p, q).  When U is None every row below
+    the band is a slice of one line: the cells of V, the ones or, with no
+    terms, the zeros.  When V is None it is the cell of U(n) repeated.
+    Otherwise each U(n) V(k) = (un/ud) (vn/vd) is reduced by g1 = gcd(un,
+    vd) and g2 = gcd(vn, ud), as ``Fraction`` multiplies.  So each distinct
+    value is made once: the zero, a one, a V, a U(n) and a band cell."""
+    cell = (lambda x: x) if ratio is None else (lambda x: ratio(*x.as_integer_ratio()))
+    ratio = ratio or Fraction
     terms, band = structure
     width = len(band)
     u = v = None
@@ -462,8 +468,9 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
     Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
     nonzero: j in a's row n support, j >= k when B is lower triangular, and
-    j within B's band and rows.  The product's band is the sum of the
-    factors' bands, and its rows end where A's rows end.  The product
+    j within B's band and rows.  The product's band is its structure's, the
+    sum of the factors' bands when both are band only, and its rows end
+    where A's rows end.  The product
     records A and B as its factors, which ``invert`` reads of a product of
     two triangles, and the generator lists of ``duals`` of every product.
 
@@ -554,7 +561,6 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         entry,
         row_bound,
         row_count=a.row_count,
-        band=None if a_band is None or b_band is None else a_band + b_band,
         structure=structure,
     )
     product._factors = (a, b)
@@ -715,8 +721,7 @@ def _mean_inverse(u, v) -> Triangle:
         p = v(n) if u is None else u(m) if v is None else u(m) * v(n)
         return Fraction(p.denominator if k == n else -p.denominator, p.numerator)
 
-    t = Triangle(entry, band=1)
-    t.structure = ([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)])
+    t = Triangle(entry, structure=([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)]))
     return t
 
 

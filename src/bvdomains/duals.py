@@ -283,7 +283,7 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     # would then miss the invalid weight the lists report
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
-    m = BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), band=product.band, structure=product.structure)
+    m = BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), structure=product.structure)
     m._factors = product._factors
     return m
 
@@ -324,7 +324,7 @@ def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
     def entry(n: int, k: int) -> Fraction:
         return diag_term(k) + sum((step(j) for j in range(k + 1, n + 1)), ZERO)
 
-    steps = Seq(running_sum(lambda j: step(j) if j else ZERO))
+    steps = running_sum(lambda j: step(j) if j else ZERO)
     columns = [(steps, None), (None, lambda k: diag_term(k) - steps(k))]
     m = BandedMatrix(entry, structure=(columns, []))
     m._own_lists = lambda size: _closed_form_lists(w, a, size)

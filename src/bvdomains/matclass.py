@@ -4,9 +4,9 @@ A matrix A maps the bv domain into Y exactly when its rows lie in the domain's
 beta-dual and E = A . inverse(domain) lies in (l1:Y); a matrix B maps Y into
 the bv domain exactly when F = domain . B lies in (Y:l1).  Only the target
 classes with testable conditions are supported: Y in {l1, c, linf} for the
-"from" direction and Y = l1 for the "into" direction.  E and F are built by
-``core.compose``, the one matrix product, over ``core.BandedMatrix``, the one
-lazy matrix class.
+"from" direction and Y = l1 for the "into" direction.  E and F are each one
+call of ``core.compose``, the one matrix product, over ``core.BandedMatrix``,
+the one lazy matrix class.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BandedMatrix, Triangle, apply, compose, invert
+from .core import BandedMatrix, apply, compose, invert
 from .builders import Domain
 from .duals import condition_stats, condition_verdict, conditions_dict, dual_test
 from .spaces import SpaceId, checkpoints, combine_verdicts, policy_dict
@@ -34,18 +34,6 @@ class UnsupportedClassError(ValueError):
 # Every matrix declares row_bound, so the one coordinate loop in core serves
 # triangles and finite matrices alike.
 apply_general = apply
-
-
-def row_transform_E(a: BandedMatrix, domain_matrix: Triangle) -> BandedMatrix:
-    """E = A . inverse(domain); A's finite row supports make every entry an
-    exact finite sum."""
-    return compose(a, invert(domain_matrix))
-
-
-def left_transform_F(b: BandedMatrix, domain_matrix: Triangle) -> BandedMatrix:
-    """F = domain . B; each entry is a finite sum because the domain is a
-    triangle.  A Triangle operand yields a Triangle."""
-    return compose(domain_matrix, b)
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ def class_test_from_domain(
     sampled = quarter if a.row_count is None else min(quarter, a.row_count + 1)
     checks = [dual_test(domain, a.row_seq(row), "beta", n) for row in range(sampled)]
     row_checks = tuple(checks + checks[-1:] * (quarter - sampled))
-    e = row_transform_E(a, domain.matrix)
+    e = compose(a, invert(domain.matrix))
     block, cond_verdict = _target_condition(e, y, n)
     row_verdicts = (r.verdict for r in row_checks)
     verdict = _CLASS_VERDICTS[combine_verdicts(cond_verdict, *row_verdicts)]
@@ -125,7 +113,7 @@ def class_test_into_domain(
     checkpoints(n)
     if y is not SpaceId.L1:
         raise UnsupportedClassError("into_bv_domain", y, (SpaceId.L1,))
-    f = left_transform_F(b, domain.matrix)
+    f = compose(domain.matrix, b)
     block, cond_verdict = _target_condition(f, SpaceId.L1, n)
     verdict = _CLASS_VERDICTS[combine_verdicts(cond_verdict)]
     return ClassReport("into_bv_domain", domain.label, y, n, None, block, verdict)

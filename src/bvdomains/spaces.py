@@ -56,18 +56,15 @@ _TOO_MANY_DIGITS = (
 def fmt(value: Fraction) -> str:
     """The exact ``p/q`` text of a rational; every rational in the output
     passes through here or through ``fmt_ratio``."""
-    try:
-        return str(value)
-    except ValueError:  # more digits than int-to-str conversion allows
-        raise ValueError(_TOO_MANY_DIGITS) from None
+    return fmt_ratio(*value.as_integer_ratio())
 
 
 def fmt_ratio(p: int, q: int) -> str:
-    """fmt(Fraction(p, q)) of p/q in lowest terms, q > 0, without building
-    the Fraction."""
+    """The text of p/q in lowest terms, q > 0, without building the
+    Fraction: ``str`` of the Fraction."""
     try:
         return str(p) if q == 1 else f"{p}/{q}"
-    except ValueError:
+    except ValueError:  # more digits than int-to-str conversion allows
         raise ValueError(_TOO_MANY_DIGITS) from None
 
 

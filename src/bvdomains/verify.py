@@ -49,14 +49,12 @@ class CheckResult:
 
 
 def _entries_equal(name, pairs):
-    """Compare (position, expected, got) triples; record the first mismatch."""
+    """Compare (position, expected, got) triples, each value a rational or
+    its printed text; record the first mismatch as text."""
     for pos, expected, got in pairs:
         if expected != got:
-            return CheckResult(
-                name,
-                False,
-                {"position": pos, "expected": spaces.fmt(expected), "got": spaces.fmt(got)},
-            )
+            text = [v if isinstance(v, str) else spaces.fmt(v) for v in (expected, got)]
+            return CheckResult(name, False, {"position": pos, "expected": text[0], "got": text[1]})
     return CheckResult(name, True)
 
 
@@ -464,15 +462,16 @@ def suite_matclass(n: int, rng) -> list:
 
 def _transform_identity(side: str, name: str, dom, case: int, n: int, rng) -> CheckResult:
     """One random case of A x = E (D x) (side E) or D (B x) = F x (side F),
-    where D is the domain matrix; a failure records the case."""
+    where D is the domain matrix, E = A . inverse(D) and F = D . B; a
+    failure records the case."""
     m = _rand_banded(rng)
     x = _rand_finite_seq(rng)
     if side == "E":
-        e = matclass.row_transform_E(m, dom.matrix)
+        e = compose(m, invert(dom.matrix))
         expected = matclass.apply_general(m, x, n)
         got = matclass.apply_general(e, transform_seq(dom.matrix, x), n)
     else:
-        got = matclass.apply_general(matclass.left_transform_F(m, dom.matrix), x, n)
+        got = matclass.apply_general(compose(dom.matrix, m), x, n)
         expected = apply(dom.matrix, transform_seq(m, x), n)
     result = _seq_equal(name, expected.__getitem__, got.__getitem__, n)
     if not result.passed:

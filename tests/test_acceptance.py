@@ -17,6 +17,7 @@ from bvdomains.core import (
     Seq,
     Triangle,
     apply,
+    compose,
     dense_mul,
     identity,
     invert,
@@ -46,8 +47,6 @@ from bvdomains.matclass import (
     BandedMatrix,
     apply_general,
     class_test_from_domain,
-    left_transform_F,
-    row_transform_E,
 )
 from bvdomains.spaces import SpaceId, bvA_norm_prefix, bv_norm_prefix
 
@@ -221,13 +220,13 @@ def test_acceptance_6_class_transform_identities():
         dom = STANDARD_DOMAINS[rng.randrange(3)]
         a = _rand_banded(rng)
         x = _rand_finite_seq(rng)
-        e = row_transform_E(a, dom.matrix)
+        e = compose(a, invert(dom.matrix))
         y = transform_seq(dom.matrix, x)
         assert apply_general(a, x, N) == apply_general(e, y, N)
 
         b = _rand_banded(rng)
         z = _rand_finite_seq(rng)
-        f = left_transform_F(b, dom.matrix)
+        f = compose(dom.matrix, b)
         bz = Seq.from_values(apply_general(b, z, N))
         assert apply_general(f, z, N) == apply(dom.matrix, bz, N)
     print("ACCEPTANCE 6 (Ax = E(domain x) and Fz = domain(Bz) on 0..63): PASS")

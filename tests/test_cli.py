@@ -77,6 +77,29 @@ def test_parse_matrix_spec_errors():
         parse_matrix_spec('{"kind": "banded", "rows": []}')
 
 
+@pytest.mark.parametrize(
+    "words,objects",
+    [
+        ('{"kind": "compose", "of": ["delta", "cesaro"]}', '{"kind": "compose", "of": [{"kind": "delta"}, {"kind": "cesaro"}]}'),
+        ('{"kind": "inverse_of", "of": "phi"}', '{"kind": "inverse_of", "of": {"kind": "phi"}}'),
+        ("inverse_of(inverse_of(phi))", '{"kind": "inverse_of", "of": {"kind": "inverse_of", "of": {"kind": "phi"}}}'),
+        ('{"kind": "compose", "of": ["inverse_of(phi)", "sum"]}',
+         '{"kind": "compose", "of": [{"kind": "inverse_of", "of": {"kind": "phi"}}, {"kind": "sum"}]}'),
+    ],
+)
+def test_a_nested_matrix_word_prints_what_its_object_does(capsys, words, objects):
+    """A shorthand word means the same at every level of a matrix spec."""
+    for command in (["matrix", "--n", "5"], ["transform", "--x", "harmonic", "--n", "5"]):
+        flag = "--spec" if command[0] == "matrix" else "--matrix"
+        got = run_cli(capsys, *command, flag, words)
+        assert got[0] == 0 and got == run_cli(capsys, *command, flag, objects)
+
+
+def test_an_unknown_nested_matrix_word_is_named(capsys):
+    for spec in ('{"kind": "compose", "of": ["delta", "hilbert"]}', '{"kind": "inverse_of", "of": "hilbert"}'):
+        assert run_cli(capsys, "matrix", "--spec", spec, "--n", "3") == (2, "", "error: unknown matrix kind 'hilbert'\n")
+
+
 def test_parse_domain_spec():
     dom, spec = parse_domain_spec("C")
     assert dom.label == "C" and spec == {"label": "C"}

@@ -65,20 +65,15 @@ def test_transform_identities_hold_through_the_entry_loop(name):
 @pytest.mark.parametrize("name,size", [("phi", 4096), ("gamma(power 2, harmonic)", 2048)])
 def test_structured_rows_at_depth_are_reduced_and_dot_to_the_transform(name, size):
     t, values = _TRIANGLES[name](), _integers(size)
-    [(u, v)] = t.structure[0]
-    width = len(t.structure[1])
     tx = apply(t, Seq.from_values(values), size)
     sampled = {i * (size - 1) // 15 for i in range(16)}
-    rows = _structure_rows(t.structure, size, lambda p, q: (p, q), lambda x: x)
+    rows = _structure_rows(t.structure, size, lambda p, q: (p, q))
     for n, row in enumerate(rows):
         if n not in sampled:
             continue
         assert len(row) == size
-        pairs = [c for c in row if isinstance(c, tuple)]
-        assert len(pairs) == (max(n - width + 1, 0) if u is not None and v is not None else 0), n
-        assert all(q > 0 and gcd(p, q) == 1 for p, q in pairs), n
-        cells = (F(*c) if isinstance(c, tuple) else c for c in row)
-        assert sum((c * x for c, x in zip(cells, values)), F(0)) == tx[n], n
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in row), n
+        assert sum((F(p, q) * x for (p, q), x in zip(row, values)), F(0)) == tx[n], n
 
 
 @pytest.mark.parametrize(

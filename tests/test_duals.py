@@ -20,6 +20,7 @@ from bvdomains.core import (
     compose,
     identity,
     invert,
+    running_sum,
     transform_seq,
     truncate,
 )
@@ -49,7 +50,7 @@ from bvdomains.duals import (
     condition_stats,
     dual_test,
 )
-from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain, left_transform_F
+from bvdomains.matclass import BandedMatrix, class_test_from_domain, class_test_into_domain
 from bvdomains.spaces import SpaceId, checkpoints
 
 E = Seq.constant(1)
@@ -323,7 +324,7 @@ def test_appended_rows_are_consistent_across_threads():
         domain = sigma_riesz(RieszWeights(q))
         transform = transform_seq(domain, a)
         generators = beta_assoc(phi(), a)
-        weighted = left_transform_F(cesaro(), domain)
+        weighted = compose(domain, cesaro())
         alphas = [alpha_assoc(domain, a), alpha_assoc(domain, q)]
         closed = closed_form_beta_matrix(RieszWeights(q), a)
         return (
@@ -522,7 +523,7 @@ def test_statistics_of_F_equal_the_scans(domain, n):
     row[n] below its band, w the domain's row weight, and its band cells:
     all three statistics equal the scans of F with its structure removed."""
     for name, b in F_RIGHT.items():
-        fast, scanned = with_and_without_structure(lambda: left_transform_F(b(), F_DOMAINS[domain]().matrix))
+        fast, scanned = with_and_without_structure(lambda: compose(F_DOMAINS[domain]().matrix, b()))
         assert len(fast.structure[1]) == (2 if name in ("delta", "cesaro_inv") else 0), name
         for kind in ("alpha", "beta", "gamma"):
             assert_structure_matches_scan(kind, fast, scanned, n)
@@ -567,7 +568,7 @@ def test_dual_statistics_equal_the_scans_at_depth(domain):
 def test_statistics_of_F_equal_the_scans_at_depth(b):
     """At N = 256 the column l1 sums of F = R(2^k) . B, which decide the
     into-domain class test, equal the scans of F with its structure removed."""
-    build = lambda: left_transform_F(F_RIGHT[b](), F_DOMAINS["R(2^k)"]().matrix)
+    build = lambda: compose(F_DOMAINS["R(2^k)"]().matrix, F_RIGHT[b]())
     assert_structure_matches_scan("alpha", *with_and_without_structure(build), DEPTH)
 
 
@@ -628,7 +629,7 @@ def factor_matrices(domain):
     over a domain made afresh by domain()."""
     built = {"inverse": lambda: invert(domain().matrix)}
     for name, b in F_RIGHT.items():
-        built[f"F[{name}]"] = lambda b=b: left_transform_F(b(), domain().matrix)
+        built[f"F[{name}]"] = lambda b=b: compose(domain().matrix, b())
     return built
 
 
@@ -671,23 +672,29 @@ def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkey
     structures of alpha, beta and the domain inverse, nor the closed form's
     running sum of steps, is evaluated.  Beta's row term is the running sum
     of alpha's row term, which is no Seq, so its evaluation would show in
-    the cache of alpha's."""
-    built = []
+    the cache of alpha's.  The running sum of steps is no Seq either, so the
+    steps it sums are recorded."""
+    built, steps = [], []
 
     def record(build):
         return lambda *args: built.append(build(*args)) or built[-1]
 
+    def recorded_running_sum(term):
+        steps.append([])
+        return running_sum(lambda j, read=steps[-1]: read.append(j) or term(j))
+
     for name in ("alpha_assoc", "beta_assoc", "closed_form_beta_matrix"):
         monkeypatch.setattr(duals, name, record(getattr(duals, name)))
+    monkeypatch.setattr(duals, "running_sum", recorded_running_sum)
     dom = F_DOMAINS[domain]()
     a = Seq(lambda k: F((-1) ** k, k + 1))
     for kind in ("beta", "gamma"):
         assert dual_test(dom, a, kind, 48).cross_check["match"] is True
-    assert len(built) == 6
+    assert len(built) == 6 and steps == [[], []]
     seqs = [f for m in built for f in structure_seqs(m)]
-    assert len(seqs) == 8
+    assert len(seqs) == 6
     seqs += structure_seqs(invert(dom.matrix))
-    assert len(seqs) == 10
+    assert len(seqs) == 8
     assert [f._cache for f in seqs] == [{}] * len(seqs)
 
 
@@ -733,7 +740,7 @@ def test_generator_lists_of_F_property(us, vs, name, n):
     u = Seq(lambda k: us[k % len(us)])
     v = Seq(lambda k: vs[k % len(vs)])
     for dom in (weighted_domain(WeightPair(u, v)), riesz_domain(RieszWeights(u))):
-        fast, scanned = with_and_without_structure(lambda: left_transform_F(F_RIGHT[name](), dom.matrix))
+        fast, scanned = with_and_without_structure(lambda: compose(dom.matrix, F_RIGHT[name]()))
         for kind in ("alpha", "beta", "gamma"):
             assert_structure_matches_scan(kind, fast, scanned, n)
 
@@ -744,15 +751,14 @@ def test_into_domain_class_test_evaluates_no_entry_of_F(domain, b, monkeypatch):
     """The column l1 sums of F = domain . B come from its generator lists,
     so the class test evaluates no entry of F."""
     evals = []
-    transform = left_transform_F
 
-    def counted(b_matrix, domain_matrix):
-        f = transform(b_matrix, domain_matrix)
+    def counted(domain_matrix, b_matrix):
+        f = compose(domain_matrix, b_matrix)
         entry = f._entry
         f._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
         return f
 
-    monkeypatch.setattr("bvdomains.matclass.left_transform_F", counted)
+    monkeypatch.setattr("bvdomains.matclass.compose", counted)
     report = class_test_into_domain(F_RIGHT[b](), DOMAINS[domain](), SpaceId.L1, 48)
     assert len(report.transformed_condition["column_l1"]) == 3
     assert evals == []
@@ -777,7 +783,7 @@ def test_structure_statistics_do_no_fraction_arithmetic(domain, monkeypatch):
     dom = DOMAINS[domain]()
     a = Seq(lambda k: F((-1) ** k, k + 1))
     matrices = [alpha_assoc(dom.matrix, a), beta_assoc(dom.matrix, a)]
-    matrices += [left_transform_F(b(), dom.matrix) for b in F_RIGHT.values()]
+    matrices += [compose(dom.matrix, b()) for b in F_RIGHT.values()]
     if dom.weights is not None:
         matrices.append(closed_form_beta_matrix(dom.weights, a))
     for m in matrices:
@@ -1052,10 +1058,17 @@ def _lengths(n):
     return (2, 0, 5, 1, 40, 3)[n]
 
 
+def _diagonals(count):
+    """A structure of _value's first count diagonals and no terms: it
+    declares the band count - 1, which the scans keep when ``recorded``
+    removes the structure."""
+    return [], [lambda n, i=i: _value(n, n - i) for i in range(count)]
+
+
 SCANNED = {
     "lower": lambda: Triangle(_value),
-    "banded": lambda: Triangle(_value, band=2),
-    "banded_upper": lambda: BandedMatrix(_value, lambda n: n + 3, band=1),
+    "banded": lambda: Triangle(_value, structure=_diagonals(3)),
+    "banded_upper": lambda: BandedMatrix(_value, lambda n: n + 3, structure=_diagonals(2)),
     "finite_lower": lambda: BandedMatrix(_value, lambda n: n, row_count=5),
     "finite": lambda: BandedMatrix(_value, lambda n: _lengths(n) - 1, row_count=6),
     "E": lambda: compose(BandedMatrix(_value, lambda n: _lengths(n) - 1, row_count=6), invert(phi())),

@@ -201,6 +201,27 @@ def test_declared_structures_reproduce_the_entries():
         _assert_structure_reproduces_entries(build())
 
 
+def test_the_band_is_the_structure_s():
+    """A matrix states its band only through its structure: every named
+    triangle, every inverse, diag(a) and the products of two of these have
+    the band len(band) - 1 of a structure with no terms and none of any
+    other, so a product of two band-only factors has the sum of theirs."""
+    def structure_band(m):
+        terms, band = m.structure
+        return None if terms else len(band) - 1
+
+    leaves = [build() for build in _NAMED.values()]
+    leaves += [invert(t) for t in leaves]
+    leaves.append(diagonal(Seq(lambda k: F((-1) ** k, k + 2))))
+    for a in leaves:
+        assert a.band == structure_band(a)
+        for b in leaves:
+            product = compose(a, b)
+            assert product.band == structure_band(product)
+            if a.band is not None and b.band is not None:
+                assert product.band == a.band + b.band
+
+
 def test_products_declare_a_structure_only_where_it_holds():
     # a product declares one exactly when both factors do, and it has the
     # terms of both factors
@@ -446,7 +467,10 @@ def test_structured_transform_equals_the_entry_loop(name):
 def test_a_matrix_without_structure_takes_the_entry_loop():
     plain = builders.cesaro()
     plain.structure = None
-    bidiagonal = Triangle(lambda n, k: F(n + 1) if k == n else F(-n), band=1)
+    bidiagonal = Triangle(
+        lambda n, k: F(n + 1) if k == n else F(-n), structure=([], [lambda n: F(n + 1), lambda n: F(-n)])
+    )
+    bidiagonal.structure = None  # its band stays
     for m in (bidiagonal, plain):
         reads = _counted_reads(m)
         assert apply(m, Seq.constant(1), 8) == _entry_loop(m, Seq.constant(1), 8)
@@ -638,7 +662,7 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
         (kind, lambda m, a, kind=kind: (duals.alpha_assoc if kind == "alpha" else duals.beta_assoc)(m, a))
         for kind in duals.DUAL_KINDS
     ]
-    builds += [("alpha", lambda m, a, b=b: matclass.left_transform_F(_NAMED[b](), m)) for b in _F_RIGHT]
+    builds += [("alpha", lambda m, a, b=b: compose(m, _NAMED[b]())) for b in _F_RIGHT]
     for kind, build in builds:
         for a in (x, Seq.from_values(_ZERO_TERMS)):
             structured = build(cli.parse_domain_spec(_domain_spec(case))[0].matrix, a)
@@ -699,7 +723,7 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
     monkeypatch.setattr(cli, "parse_matrix_spec", parse_without_structure)
     for name in ("alpha_assoc", "beta_assoc"):
         monkeypatch.setattr(duals, name, without_structure(getattr(duals, name)))
-    monkeypatch.setattr(matclass, "left_transform_F", without_structure(matclass.left_transform_F))
+    monkeypatch.setattr(matclass, "compose", without_structure(compose))
     for argv, got in zip(commands, structured):
         assert cli.main(argv) == 3
         plain = capsys.readouterr()
@@ -875,7 +899,7 @@ def test_an_invalid_weight_at_depth_reads_one_row_of_entries(monkeypatch, capsys
         return counted_build
 
     monkeypatch.setattr(duals, "beta_assoc", counted(duals.beta_assoc))
-    monkeypatch.setattr(matclass, "left_transform_F", counted(matclass.left_transform_F))
+    monkeypatch.setattr(matclass, "compose", counted(compose))
     commands = [
         ["dual", "--a", "harmonic", "--domain", domain, "--kind", "beta"],
         ["matclass", "--direction", "into_domain", "--matrix", "cesaro", "--domain", domain, "--y", "l1"],

@@ -6,6 +6,7 @@ import pytest
 from bvdomains.core import (
     Seq,
     Triangle,
+    compose,
     dense_mul,
     identity,
     invert,
@@ -31,8 +32,6 @@ from bvdomains.matclass import (
     apply_general,
     class_test_from_domain,
     class_test_into_domain,
-    left_transform_F,
-    row_transform_E,
 )
 from bvdomains.spaces import SpaceId
 
@@ -59,30 +58,30 @@ def test_apply_general_matches_triangle_apply():
     assert apply_general(finite, x, 3) == [F(0), F(0), F(0)]
 
 
-def test_row_transform_E_single_row_oracle():
+def test_E_single_row_oracle():
     # A has the single row (1, 1); against the composed Cesaro domain matrix
     # E(0,k) = inv(0,k) + inv(1,k), so E row 0 is (2, 2) by the inverse's
     # closed form (diagonal k+1, ones below)
     a = BandedMatrix.from_rows([["1", "1"]])
-    e = row_transform_E(a, phi())
+    e = compose(a, invert(phi()))
     assert e.entry(0, 0) == 2
     assert e.entry(0, 1) == 2
     assert e.entry(0, 2) == 0
     assert e.entry(3, 0) == 0
 
 
-def test_row_transform_E_identity_recovers_inverse():
+def test_E_identity_recovers_inverse():
     dom = phi()
     a = identity()
-    e = row_transform_E(a, dom)
+    e = compose(a, invert(dom))
     inv = invert(dom)
     for n in range(8):
         for k in range(n + 1):
             assert e.entry(n, k) == inv.entry(n, k)
 
 
-def test_left_transform_F_delta_sum_is_identity():
-    f = left_transform_F(sigma_sum(), delta())
+def test_F_delta_sum_is_identity():
+    f = compose(delta(), sigma_sum())
     assert isinstance(f, Triangle)
     for n in range(8):
         for k in range(8):
@@ -102,19 +101,19 @@ def _counted_entries(m):
     return reads
 
 
-def test_left_transform_F_reads_a_triangle_only_on_and_below_its_diagonal():
+def test_F_reads_a_triangle_only_on_and_below_its_diagonal():
     # all ones like sigma_sum, but declaring no factors, so the generic loop runs
     t = Triangle(lambda n, k: F(1))
     reads = _counted_entries(t)
-    f = left_transform_F(t, phi())
+    f = compose(phi(), t)
     assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))
     assert reads and all(k <= n for n, k in reads)
 
 
-def test_left_transform_F_of_a_factorable_triangle_reads_each_domain_row_once():
+def test_F_of_a_factorable_triangle_reads_each_domain_row_once():
     b, dom = sigma_sum(), phi()
     b_reads, dom_reads = _counted_entries(b), _counted_entries(dom)
-    f = left_transform_F(b, dom)
+    f = compose(dom, b)
     assert truncate(f, 16) == dense_mul(truncate(phi(), 16), truncate(sigma_sum(), 16))
     assert not b_reads
     assert dom_reads and all(k <= n for n, k in dom_reads)
@@ -137,29 +136,28 @@ def test_class_into_domain_reads_no_entry_of_a_structured_F(b, domain, monkeypat
     the class test at N=48 reads no entry of F, and reports what the scan
     of F without its structure does."""
     built = []
-    transform = matclass.left_transform_F
 
     def counted(*args):
-        f = transform(*args)
+        f = compose(*args)
         built.append(_counted_entries(f))
         return f
 
-    monkeypatch.setattr(matclass, "left_transform_F", counted)
+    monkeypatch.setattr(matclass, "compose", counted)
     report = class_test_into_domain(b(), domain(), SpaceId.L1, 48)
     assert built == [[]]
 
     def scanned(*args):
-        f = transform(*args)
+        f = compose(*args)
         f.structure = None
         return f
 
-    monkeypatch.setattr(matclass, "left_transform_F", scanned)
+    monkeypatch.setattr(matclass, "compose", scanned)
     assert class_test_into_domain(b(), domain(), SpaceId.L1, 48) == report
 
 
-def test_left_transform_F_banded_bounds_are_cumulative():
+def test_F_banded_bounds_are_cumulative():
     b = BandedMatrix.from_rows([["1"], ["0", "0", "3"], ["5"]])
-    f = left_transform_F(b, delta())
+    f = compose(delta(), b)
     assert isinstance(f, BandedMatrix)
     assert [f.row_bound(n) for n in range(5)] == [0, 2, 2, 2, 2]
     # F row 3 = (delta row 3) . B = B row 3 - B row 2 = (-5, 0, 0)
@@ -171,7 +169,7 @@ def test_transform_coherence_on_finite_input():
     # Ax must equal E applied to the domain transform of x
     dom = cesaro_domain()
     a = BandedMatrix.from_rows([["1", "2"], ["0", "-1", "1/3"]])
-    e = row_transform_E(a, dom.matrix)
+    e = compose(a, invert(dom.matrix))
     x = Seq.from_values(["3", "-1/2", "4", "1"])
     y = transform_seq(dom.matrix, x)
     assert apply_general(a, x, 6) == apply_general(e, y, 6)

@@ -27,9 +27,10 @@ from bvdomains.spaces import (
 @example(F(-3, 4))
 @example(F(10**200 + 1, 3**150))
 def test_fmt_ratio_is_fmt_of_the_fraction(x):
-    """Over reduced pairs p/q, q > 0: signs, q = 1 and zero."""
+    """Over reduced pairs p/q, q > 0: signs, q = 1 and zero.  fmt is
+    fmt_ratio of the pair, so str of the Fraction is the oracle of both."""
     p, q = x.as_integer_ratio()
-    assert fmt_ratio(p, q) == fmt(x)
+    assert fmt_ratio(p, q) == fmt(x) == str(x)
 
 
 def test_fmt_ratio_refuses_too_many_digits_as_fmt_does():

@@ -31,7 +31,7 @@ import pytest
 from bvdomains import builders, duals, matclass, spaces, verify
 from fractions import Fraction
 
-from bvdomains.core import Seq, Triangle, compose
+from bvdomains.core import Seq, Triangle, compose, invert
 
 
 def _fail_on_call(monkeypatch, module, name, index, wrong):
@@ -90,7 +90,8 @@ CASES = [
     ),
     (
         "matclass",
-        (matclass, "row_transform_E", 2, lambda orig, a, d: compose(a, d)),
+        # calls 0-4 are the E cases of the C domain: E of case 2 is A . domain
+        (verify, "compose", 2, lambda orig, a, inverse: orig(a, invert(inverse))),
         {
             "name": "transform_identity_E[C]",
             "status": "fail",
@@ -144,7 +145,8 @@ CASES = [
     ),
     (
         "matclass",
-        (matclass, "left_transform_F", 2, lambda orig, b, d: b),
+        # calls 5-9 are the F cases of the C domain: F of case 2 is B
+        (verify, "compose", 7, lambda orig, d, b: b),
         {
             "name": "transform_identity_F[C]",
             "status": "fail",
@@ -280,13 +282,15 @@ CASES = [
         278479249,
     ),
     (
-        # E of the unit Riesz domain is taken of A . cesaro instead of A
+        # E of the unit Riesz domain is taken of A . cesaro instead of A: calls
+        # 0-2 are the F of the composition sanity checks and 3-5 the E of the
+        # Cesaro coherence check
         "matclass",
         (
             matclass,
-            "row_transform_E",
-            17,
-            lambda orig, a, d: orig(compose(a, builders.cesaro()), d),
+            "compose",
+            5,
+            lambda orig, a, inverse: orig(compose(a, builders.cesaro()), inverse),
         ),
         {
             "name": "cesaro_coherence_across_domains",
