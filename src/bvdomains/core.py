@@ -51,8 +51,10 @@ declares one, and ``duals`` on integer lists.  A truncation, the leading
 N x N block of a matrix, is the tuple of its N row tuples: ``truncate``,
 ``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
 a structure of at most one term row by row, one product U(n) V(k) per cell
-below the band, reduced on integers, and scans the entries of every other
-matrix; that scan is the oracle of the structured read.  A cell is a
+below the band, and a product of two means from its factors' terms by
+per-row suffix sums, Ua(n) Vb(k) (t_k + ... + t_n) with t = Va Ub per
+cell, both reduced on integers.  It scans the entries of every other
+matrix; that scan is the oracle of the structured reads.  A cell is a
 ``Fraction`` or, for ``matrix``, the text that one constructor ratio(p, q)
 makes of its value p/q.  ``apply`` and ``transform_seq`` transform a
 sequence by a structured triangle as the product rule's ``combine`` of
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate, starmap
+from itertools import accumulate, repeat, starmap
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -283,14 +285,13 @@ def truncate(source, n_size: int, ratio=None):
     these) is read from that structure row by row (``_structure_rows``):
     each product U(n) V(k) is reduced on integers, and no entry is read or
     cached but the band of a bidiagonal inverse, which is its memoized
-    entries.  Every other matrix takes the entry scan ``_entry_scan``,
-    which is also the oracle of the structured read and its error path: a
-    structured read that meets an invalid weight gives way to the scan, so
-    the weight reported is the one the scan meets first.  A structure of
-    two or more terms is scanned: read as a sum of products per cell, it
-    takes each cell as the difference P(n) - P(k - 1) of the running sums
-    of ``_product_structure``, whose denominators grow with n, and that
-    cancellation costs more than compose's suffix sums.
+    entries.  A structured product of two means is read from its factors'
+    terms row by row (``_mean_product_rows``): each cell is Ua(n) Vb(k)
+    times a per-row suffix sum of Va Ub, reduced on integers, and no entry
+    is read.  Every other matrix takes the entry scan ``_entry_scan``,
+    which is also the oracle of both structured reads and their error path:
+    a structured read that meets an invalid weight gives way to the scan,
+    so the weight reported is the one the scan meets first.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
@@ -300,11 +301,17 @@ def truncate(source, n_size: int, ratio=None):
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
     rows = None
-    if source.structure is not None and len(source.structure[0]) <= 1:
-        try:
-            rows = _structure_rows(source.structure, n_size, ratio)
-        except InvalidWeightsError:
-            pass
+    structure, factors = source.structure, source._factors
+    try:
+        if structure is not None and len(structure[0]) <= 1:
+            rows = _structure_rows(structure, n_size, ratio)
+        elif structure is not None and factors is not None:
+            means = list(map(_mean_term, factors))
+            if None not in means:
+                row = _mean_product_rows(*means, n_size, ratio)
+                rows = (row(n) for n in range(n_size))
+    except InvalidWeightsError:
+        pass
     if rows is None:
         rows = _entry_scan(source, n_size)
         if ratio is not None:
@@ -332,9 +339,9 @@ def _structure_rows(structure: tuple, n_size: int, ratio=None):
     p/q is Fraction(p, q), or ratio(p, q).  When U is None every row below
     the band is a slice of one line: the cells of V, the ones or, with no
     terms, the zeros.  When V is None it is the cell of U(n) repeated.
-    Otherwise each U(n) V(k) = (un/ud) (vn/vd) is reduced by g1 = gcd(un,
-    vd) and g2 = gcd(vn, ud), as ``Fraction`` multiplies.  So each distinct
-    value is made once: the zero, a one, a V, a U(n) and a band cell."""
+    Otherwise each U(n) V(k) is reduced on integers (``_products``).  So
+    each distinct value is made once: the zero, a one, a V, a U(n) and a
+    band cell."""
     cell = (lambda x: x) if ratio is None else (lambda x: ratio(*x.as_integer_ratio()))
     ratio = ratio or Fraction
     terms, band = structure
@@ -365,14 +372,54 @@ def _structure_rows(structure: tuple, n_size: int, ratio=None):
             elif v is None:
                 cells = (cell(scale),) * count
             else:
-                un, ud = scale.as_integer_ratio()
-                cells = [
-                    ratio(un // (g1 := gcd(un, vd)) * (vn // (g2 := gcd(vn, ud))), ud // g2 * (vd // g1))
-                    for vn, vd in pairs[:count]
-                ]
+                cells = _products(pairs[:count], repeat(scale.as_integer_ratio()), ratio)
             yield (*cells, *map(cell, parts), *zeros[n + 1 :])
 
     return rows()
+
+
+def _mean_product_rows(a_term: tuple, b_term: tuple, n_size: int, ratio=None):
+    """Row n -> row n, n_size long, of A.B for the means A and B of the
+    terms (Ua, Va) and (Ub, Vb), None the all-ones sequence, for n <
+    n_size: ``truncate`` makes the rows with it.  Cell (n, k) is Ua(n) Vb(k)
+    D_n(k) for k <= n, with D_n(k) = t_k + ... + t_n and t_j = Va(j) Ub(j):
+    compose's suffix sums with Ua(n) factored out.  Ua, t and Vb are read
+    at every index below n_size before this returns, so an invalid weight
+    is raised here and not while a row is made.
+
+    Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0, and each
+    cell is reduced on integers (``_products``), first D_n(k) Ua(n), then
+    that times Vb(k), and made by ratio(p, q), or Fraction(p, q) without
+    ratio.  There is no common denominator and no difference of running
+    sums to cancel, and each row is made from the values alone."""
+    ratio = ratio or Fraction
+    (ua, va), (ub, vb) = a_term, b_term
+
+    def values(f) -> list:
+        return [ONE] * n_size if f is None else [rat(f(j)) for j in range(n_size)]
+
+    scales, t, column = values(ua), [x * y for x, y in zip(values(va), values(ub))], values(vb)
+    scales, column = ([x.as_integer_ratio() for x in xs] for xs in (scales, column))
+    zeros = (ratio(0, 1),) * n_size
+
+    def row(n: int) -> tuple:
+        sums = [d.as_integer_ratio() for d in accumulate(reversed(t[: n + 1]))][::-1]
+        scaled = _products(sums, repeat(scales[n]), lambda p, q: (p, q))
+        return (*_products(scaled, column, ratio), *zeros[n + 1 :])
+
+    return row
+
+
+def _products(xs, ys, ratio) -> list:
+    """ratio(p, q) of each product p/q of the pairs (xn, xd) of xs and (yn,
+    yd) of ys, taken in step until xs ends.  Each pair is in lowest terms
+    with a positive denominator, and each product is reduced by g1 =
+    gcd(xn, yd) and g2 = gcd(yn, xd) as ``Fraction`` multiplies, so p/q is
+    in lowest terms and q > 0."""
+    return [
+        ratio(xn // (g1 := gcd(xn, yd)) * (yn // (g2 := gcd(yn, xd))), xd // g2 * (yd // g1))
+        for (xn, xd), (yn, yd) in zip(xs, ys)
+    ]
 
 
 def _integers(pairs) -> tuple:

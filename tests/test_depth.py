@@ -15,7 +15,9 @@ T's structure removed after its inverse and cesaro.T are made from it,
 ``apply`` reads T's entries as ``compose`` makes them, against the
 structured transforms of the inverse and the product.  The structured
 rows, made one at a time as reduced (p, q) pairs, are checked at N = 4096
-and 2048."""
+and 2048, and the rows that ``truncate`` reads of a product of two means
+from its factors' terms at N = 1024, against ``apply``'s coordinates
+through the product's structure."""
 
 import random
 from fractions import Fraction as F
@@ -23,8 +25,17 @@ from math import gcd
 
 import pytest
 
-from bvdomains.builders import RieszWeights, WeightPair, cesaro, delta, gamma, phi, sigma_riesz
-from bvdomains.core import Seq, _structure_rows, apply, compose, invert, truncate
+from bvdomains.builders import RieszWeights, WeightPair, cesaro, delta, gamma, phi, riesz, sigma_riesz, sigma_sum
+from bvdomains.core import (
+    Seq,
+    _mean_product_rows,
+    _mean_term,
+    _structure_rows,
+    apply,
+    compose,
+    invert,
+    truncate,
+)
 
 N = 1024
 
@@ -86,3 +97,24 @@ def test_truncation_rows_dotted_with_x_are_the_transform(name, size):
     tx = apply(t, Seq.from_values(values), size)
     for n in (i * (size - 1) // 15 for i in range(16)):
         assert sum((c * v for c, v in zip(rows[n], values)), F(0)) == tx[n], n
+
+
+_MEAN_PRODUCTS = {
+    "sum.cesaro": lambda: compose(sigma_sum(), cesaro()),
+    "riesz(2^k).cesaro": lambda: compose(riesz(RieszWeights(Seq(lambda k: F(2) ** k))), cesaro()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEAN_PRODUCTS))
+def test_mean_product_rows_at_depth_are_reduced_and_dot_to_the_transform(name):
+    """16 evenly spaced rows of a product of two means at N = 1024, each
+    made alone from its factors' terms as reduced (p, q) pairs, dotted with
+    x: ``apply`` computes the same coordinates by the product structure's
+    combine of per-term prefix sums, which never forms a cell."""
+    t, values = _MEAN_PRODUCTS[name](), _integers(N)
+    tx = apply(t, Seq.from_values(values), N)
+    row = _mean_product_rows(*map(_mean_term, t._factors), N, lambda p, q: (p, q))
+    for n in (i * (N - 1) // 15 for i in range(16)):
+        cells = row(n)
+        assert len(cells) == N and all(q > 0 and gcd(p, q) == 1 for p, q in cells), n
+        assert sum((F(p, q) * x for (p, q), x in zip(cells, values)), F(0)) == tx[n], n

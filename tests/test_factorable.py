@@ -425,10 +425,35 @@ def test_truncating_a_one_term_triangle_evaluates_no_entry(name):
 
 
 def test_truncating_a_two_term_product_reads_its_entries():
-    m = _TRUNCATED["cesaro.cesaro"]()
+    """phi.cesaro has two terms, and phi is no mean, so it is scanned."""
+    m = _TRUNCATED["phi.cesaro"]()
     assert len(m.structure[0]) == 2
     truncate(m, 64)
     assert len(m._cache) == 64 * 65 // 2
+
+
+@pytest.mark.parametrize(
+    "name", ["sum.sum", "cesaro.cesaro", "weighted[geometric].riesz[2^k]", "riesz[1/(k+1)].weighted[alternating]"]
+)
+def test_truncating_a_product_of_two_means_evaluates_no_entry(name):
+    """Truncated at N = 64, a product of two means is read from its
+    factors' terms: no entry of the product or of a factor is evaluated,
+    and each U and V index of each factor is read at most once."""
+    size = 64
+    m, calls = _TRUNCATED[name](), Counter()
+
+    def counted(f, key):
+        return None if f is None else lambda j: calls.update([(key, j)]) or f(j)
+
+    evals = []
+    for side, factor in zip("AB", m._factors):
+        [(u, v)], band = factor.structure
+        factor.structure = ([(counted(u, side + "U"), counted(v, side + "V"))], band)
+        factor._entry = lambda n, k: evals.append((n, k))
+    m._entry = lambda n, k: evals.append((n, k))
+    assert truncate(m, size) == _entry_scan(_TRUNCATED[name](), size)
+    assert evals == [] and not m._cache
+    assert max(calls.values(), default=1) == 1
 
 
 _XS = {

@@ -1,12 +1,17 @@
 """The text that ``matrix`` prints of a triangle whose structure has at most
-one term, checked against ``spaces.fmt`` of the entry scan's cells, and the
-exit that decides between an invalid weight and a cell with too many digits.
+one term, and of a product of two means, checked against ``spaces.fmt`` of
+the entry scan's cells, and the exit that decides between an invalid weight
+and a cell with too many digits.
 
-The structures are the named triangles, delta times each mean, inverses of
-the means and of a domain matrix, the weights of the benchmark's
-``matrix_dump`` workload and the signed and rational weight pairs of the
-verify suites, each at N = 1, 2, 17 and 64 in csv and json.  Two deep cases
-at N = 512 are checked against the sha256 digests of their csv text."""
+The one-term structures are the named triangles, delta times each mean,
+inverses of the means and of a domain matrix, the weights of the
+benchmark's ``matrix_dump`` workload and the signed and rational weight
+pairs of the verify suites.  The products of two means are every ordered
+pair of the sum matrix, the Cesaro mean and the weighted and Riesz means
+of those weights.  Each is checked at N = 1, 2, 17 and 64 in csv and json.
+Three deep cases at N = 512 are checked against the sha256 digests of
+their csv text.  A product of two means whose factors have invalid weights
+at different indices exits as the entry scan reports."""
 
 import contextlib
 import hashlib
@@ -18,7 +23,7 @@ import pytest
 
 from bvdomains import cli, spaces
 from bvdomains.builders import cesaro, phi, sigma_sum
-from bvdomains.core import _entry_scan, compose, truncate
+from bvdomains.core import InvalidWeightsError, _entry_scan, _mean_term, compose, truncate
 
 _SIZES = (1, 2, 17, 64)
 
@@ -63,6 +68,15 @@ _ONE_TERM = {
 }
 
 
+_MEANS = {
+    "sum": {"kind": "sum"},
+    "cesaro": {"kind": "cesaro"},
+    **{f"weighted[{name}]": {"kind": "weighted", "u": u, "v": v} for name, (u, v) in _PAIRS.items()},
+    **{f"riesz[{name}]": {"kind": "riesz", "q": q} for name, q in _Q.items()},
+}
+_MEAN_PRODUCTS = {f"{a}.{b}": {"kind": "compose", "of": [_MEANS[a], _MEANS[b]]} for a in _MEANS for b in _MEANS}
+
+
 def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -70,29 +84,63 @@ def _run(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(_ONE_TERM))
-def test_matrix_text_is_the_formatted_entry_scan(name):
-    spec = json.dumps(_ONE_TERM[name])
+def _assert_text_is_the_formatted_entry_scan(spec, takes_read):
+    """At each size, truncate of the parsed matrix equals the entry scan of
+    another parse, and matrix prints fmt of the scan's cells.
+    takes_read(matrix) says whether the matrix takes the structured read
+    under test, and may make its entries fail, so that a truncate that
+    reads one fails the test."""
     for size in _SIZES:
         matrix, resolved = cli.parse_matrix_spec(spec)
-        assert matrix.structure is not None and len(matrix.structure[0]) <= 1
+        assert takes_read(matrix)
         scan = _entry_scan(cli.parse_matrix_spec(spec)[0], size)
         assert truncate(matrix, size) == scan, size
-        cells = [[spaces.fmt(v) for v in row] for row in scan]
-        expected = {
-            "csv": "\n".join(map(",".join, cells)) + "\n",
-            "json": json.dumps(cli._envelope("matrix", resolved, size, "entries", cells), indent=2) + "\n",
-        }
-        for fmt, text in expected.items():
+        for fmt, text in _formatted(scan, resolved).items():
             assert _run("matrix", "--spec", spec, "--n", str(size), "--format", fmt) == (0, text, ""), (size, fmt)
 
 
-@pytest.mark.parametrize("build, terms", [(phi, 1), (lambda: compose(sigma_sum(), cesaro()), 2)])
+def _formatted(scan, resolved):
+    """The csv and json text of matrix: fmt of the entry scan's cells."""
+    cells = [[spaces.fmt(v) for v in row] for row in scan]
+    return {
+        "csv": "\n".join(map(",".join, cells)) + "\n",
+        "json": json.dumps(cli._envelope("matrix", resolved, len(scan), "entries", cells), indent=2) + "\n",
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_TERM))
+def test_matrix_text_is_the_formatted_entry_scan(name):
+    _assert_text_is_the_formatted_entry_scan(
+        json.dumps(_ONE_TERM[name]), lambda m: m.structure is not None and len(m.structure[0]) <= 1
+    )
+
+
+def _mean_product_without_entries(matrix):
+    """Whether matrix is a structured product of two means; its entries are
+    made to fail."""
+
+    def entry(n, k):
+        raise AssertionError(f"entry ({n}, {k}) read")
+
+    matrix.entry = entry
+    return len(matrix.structure[0]) == 2 and None not in map(_mean_term, matrix._factors)
+
+
+@pytest.mark.parametrize("name", sorted(_MEAN_PRODUCTS))
+def test_mean_product_text_is_the_formatted_entry_scan(name):
+    _assert_text_is_the_formatted_entry_scan(json.dumps(_MEAN_PRODUCTS[name]), _mean_product_without_entries)
+
+
+@pytest.mark.parametrize(
+    "build, terms",
+    [(phi, 1), (lambda: compose(sigma_sum(), cesaro()), 2), (lambda: compose(sigma_sum(), phi()), 2)],
+)
 def test_truncate_makes_every_cell_with_its_one_text_constructor(build, terms):
     """Given ratio alone, every cell of the text rows is a str, fmt of the
     entry scan's cell: for phi, whose one-term structure is read row by
-    row, the zeros and the band cells too, and for sum.cesaro, whose
-    two-term structure is scanned, every cell."""
+    row, the zeros and the band cells too, for sum.cesaro, read from its
+    factors' terms, the zeros above the diagonal too, and for sum.phi,
+    whose two-term structure is scanned (phi is no mean), every cell."""
     assert len(build().structure[0]) == terms
     for size in (1, 2, 17):
         rows = tuple(truncate(build(), size, ratio=spaces.fmt_ratio))
@@ -108,6 +156,11 @@ _DEEP = {
     "sigma_riesz(harmonic)": (
         {"kind": "sigma_riesz", "q": _tail("harmonic")},
         "42ce001b4c874f5a31cebcef1f70f55fca1dc02416a0f9f8673c4b4d4290be28",
+    ),
+    # recorded while products of two means were scanned
+    "sum.cesaro": (
+        {"kind": "compose", "of": [{"kind": "sum"}, {"kind": "cesaro"}]},
+        "36a39b6566da127319f653b6e37e440c0a8cc7c356237e6287d6e41b565dde38",
     ),
 }
 
@@ -142,3 +195,55 @@ def test_an_invalid_weight_wins_over_too_many_digits(fmt):
     assert (code, out, err) == (3, "", "mathematical error: invalid weight u[40] = 0: must be nonzero\n")
     valid = _precedence_spec(_tail("const", c="1"))
     assert _run("matrix", "--spec", valid, "--n", "64", "--format", fmt) == (2, "", _TOO_MANY_DIGITS)
+
+
+def _ones_then(index, value):
+    """A weight sequence of ones but for value at index."""
+    return {"prefix": ["1"] * index + [value], "tail": {"kind": "const", "c": "1"}}
+
+
+# means with an invalid weight at different indices, and a valid one
+_WEIGHTED_MEANS = {
+    "u[3] = 0": {"kind": "weighted", "u": _ones_then(3, "0"), "v": _tail("harmonic")},
+    "v[1] = 0": {"kind": "weighted", "u": _tail("harmonic"), "v": _ones_then(1, "0")},
+    "q[2] = -1": {"kind": "riesz", "q": _ones_then(2, "-1")},
+    "valid": {"kind": "weighted", "u": _tail("harmonic"), "v": _tail("power", p=2)},
+}
+
+
+@pytest.mark.parametrize(
+    "a, b", [(a, b) for a in _WEIGHTED_MEANS for b in _WEIGHTED_MEANS if (a, b) != ("valid", "valid")]
+)
+def test_a_mean_product_with_invalid_weights_exits_as_the_entry_scan(a, b):
+    """A product of two means whose factors have invalid weights at
+    different indices, in either order, or one invalid factor and a valid
+    one, exits 3 naming the weight that the entry scan meets first,
+    although the structured read meets the weights in another order."""
+    spec = json.dumps({"kind": "compose", "of": [_WEIGHTED_MEANS[a], _WEIGHTED_MEANS[b]]})
+    with pytest.raises(InvalidWeightsError) as scanned:
+        _entry_scan(cli.parse_matrix_spec(spec)[0], 16)
+    for fmt in ("csv", "json"):
+        got = _run("matrix", "--spec", spec, "--n", "16", "--format", fmt)
+        assert got == (3, "", f"mathematical error: {scanned.value}\n"), fmt
+
+
+@pytest.mark.parametrize("index", [16, 17])
+def test_a_mean_product_whose_invalid_weights_lie_past_n_prints(index):
+    """At N = 16 the product of two means reads no weight at index 16 or
+    past it, so an invalid weight there in either factor, or in both, is
+    never met: the product is read from its factors and printed."""
+    invalid = [
+        {"kind": "weighted", "u": _ones_then(index, "0"), "v": _tail("harmonic")},
+        {"kind": "weighted", "u": _tail("harmonic"), "v": _ones_then(index, "0")},
+        {"kind": "riesz", "q": _ones_then(index, "-1")},
+    ]
+    valid = _WEIGHTED_MEANS["valid"]
+    for mean in invalid:
+        for of in ([mean, valid], [valid, mean], [mean, mean]):
+            spec = json.dumps({"kind": "compose", "of": of})
+            matrix, resolved = cli.parse_matrix_spec(spec)
+            assert _mean_product_without_entries(matrix)
+            scan = _entry_scan(cli.parse_matrix_spec(spec)[0], 16)
+            assert truncate(matrix, 16) == scan
+            for fmt, text in _formatted(scan, resolved).items():
+                assert _run("matrix", "--spec", spec, "--n", "16", "--format", fmt) == (0, text, ""), (of, fmt)
