@@ -321,15 +321,27 @@ def _check_out(path: str) -> None:
 
 def _emit(args, text: str) -> None:
     """Write text and a final newline to --out or stdout.  The newline is
-    written on its own, so a large text is not copied to add it."""
+    written on its own, so a large text is not copied to add it.
+
+    stdout is flushed here, so a failed write (a closed pipe, a full disk)
+    raises here as an OSError named "stdout".  fd 1 is then pointed at the
+    null device, so the interpreter's final flush of what is left in the
+    buffer succeeds and prints nothing."""
     end = "" if text.endswith("\n") else "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write(end)
-    else:
+        return
+    try:
         sys.stdout.write(text)
         sys.stdout.write(end)
+        sys.stdout.flush()
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise OSError(exc.errno, exc.strerror, "stdout") from exc
 
 
 def _json_text(obj) -> str:
@@ -569,7 +581,8 @@ def main(argv=None) -> int:
     Mathematical errors are tested first because InvalidWeightsError and
     UnsupportedClassError are ValueErrors too; every other ValueError,
     SpecError included, is a usage error, and so is an --out file that
-    cannot be written, which is found before the command runs.
+    cannot be written, which is found before the command runs, and a
+    stdout that cannot be written (``_emit``).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -586,9 +599,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if args.out is None:
+        if args.out is None and exc.filename != "stdout":
             raise
-        print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
+        target = "stdout" if args.out is None else f"--out {args.out}"
+        print(f"error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -47,16 +47,22 @@ the oracle for both.
 ``_product_rule`` is the one rule that multiplies two structures, stated
 over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
-declares one, and ``duals`` on integer lists.  A truncation, the leading
-N x N block of a matrix, is the tuple of its N row tuples: ``truncate``,
-``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
-a structure of at most one term row by row, one product U(n) V(k) per cell
-below the band, and a product of two means from its factors' terms by
-per-row suffix sums, Ua(n) Vb(k) (t_k + ... + t_n) with t = Va Ub per
-cell, both reduced on integers.  It scans the entries of every other
-matrix; that scan is the oracle of the structured reads.  A cell is a
-``Fraction`` or, for ``matrix``, the text that one constructor ratio(p, q)
-makes of its value p/q.  ``apply`` and ``transform_seq`` transform a
+declares one.  ``_list_ops`` states the two operations once on lists, over
+an element arithmetic (add, mul, neg, zero, one): ``duals`` runs the rule
+on integer lists, and ``truncate`` on lists of reduced pairs (p, q), q > 0,
+whose sum ``_padd`` and product ``_pmul`` are the gcd-reduced algorithms
+``Fraction`` runs (Henrici; Knuth, TAOCP vol. 2, 4.5.1), without making a
+``Fraction``.  A truncation, the leading N x N block of a matrix, is the
+tuple of its N row tuples: ``truncate``, ``_entry_scan`` and ``dense_mul``
+make that one shape.  ``truncate`` reads a structure of at most one term
+from its pair lists (``_pair_lists``: a product's from its factors' by the
+rule, any other structure's from its callables) row by row, one product
+U(n) V(k) per cell below the band, and a product of two means from its
+factors' terms by per-row pair suffix sums, Ua(n) Vb(k) (t_k + ... + t_n)
+with t = Va Ub.  It scans the entries of every other matrix; that scan is
+the oracle of the structured reads.  A cell is a ``Fraction`` or, for
+``matrix``, the text that one constructor ratio(p, q) makes of its value
+p/q.  ``apply`` and ``transform_seq`` transform a
 sequence by a structured triangle as the product rule's ``combine`` of
 per-term prefix sums: Mx is U(n) times the running sum of V x over each
 term, plus the band times x, so N coordinates cost O(N) operations; every
@@ -282,21 +288,24 @@ def truncate(source, n_size: int, ratio=None):
     A lower triangle whose structure has at most one term (the means, the
     sum matrix, the domain matrices and their inverses, a bidiagonal
     inverse, diag(a) and the products of a band-only factor with any of
-    these) is read from that structure row by row (``_structure_rows``):
-    each product U(n) V(k) is reduced on integers, and no entry is read or
-    cached but the band of a bidiagonal inverse, which is its memoized
-    entries.  A structured product of two means is read from its factors'
-    terms row by row (``_mean_product_rows``): each cell is Ua(n) Vb(k)
-    times a per-row suffix sum of Va Ub, reduced on integers, and no entry
-    is read.  Every other matrix takes the entry scan ``_entry_scan``,
-    which is also the oracle of both structured reads and their error path:
-    a structured read that meets an invalid weight gives way to the scan,
-    so the weight reported is the one the scan meets first.
+    these) is read from its structure's lists of reduced pairs
+    (``_pair_lists``, made for a product from its factors' lists by the
+    product rule) row by row (``_structure_rows``): each product U(n) V(k)
+    is reduced on integers, and no entry is read or cached but the band of
+    a bidiagonal inverse, which is its memoized entries.  A structured
+    product of two means is read from its factors' terms row by row
+    (``_mean_product_rows``): each cell is Ua(n) Vb(k) times a per-row
+    suffix sum of Va Ub, all on reduced pairs, and no entry is read.  Every
+    other matrix takes the entry scan ``_entry_scan``, which is also the
+    oracle of both structured reads and their error path: a structured read
+    that meets an invalid weight gives way to the scan, so the weight
+    reported is the one the scan meets first.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
-    ratio(p, q) of its value p/q in lowest terms, q > 0, from a product's
-    reduced integers or as ratio(*x.as_integer_ratio()) of a Fraction x.
+    ratio(p, q) of its value p/q in lowest terms, q > 0, a structured
+    read's reduced pair or ratio(*x.as_integer_ratio()) of a scanned
+    Fraction x.  Without ratio a structured read's cell is Fraction(p, q).
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
@@ -304,11 +313,11 @@ def truncate(source, n_size: int, ratio=None):
     structure, factors = source.structure, source._factors
     try:
         if structure is not None and len(structure[0]) <= 1:
-            rows = _structure_rows(structure, n_size, ratio)
+            rows = _structure_rows(_pair_lists(source, n_size), n_size, ratio or Fraction)
         elif structure is not None and factors is not None:
             means = list(map(_mean_term, factors))
             if None not in means:
-                row = _mean_product_rows(*means, n_size, ratio)
+                row = _mean_product_rows(*means, n_size, ratio or Fraction)
                 rows = (row(n) for n in range(n_size))
     except InvalidWeightsError:
         pass
@@ -326,100 +335,155 @@ def _entry_scan(source, n_size: int) -> tuple:
     )
 
 
-def _structure_rows(structure: tuple, n_size: int, ratio=None):
-    """The first n_size rows, n_size long, of the lower triangle that the
-    structure (terms, band) of at most one term (U, V) states: band[i](n)
-    at (n, n - i) and U(n) V(k) below the band, as a generator of row
-    tuples.  V(k) is read once for each column k < n_size - len(band), and
-    U(n) and the band cells once for each row, all before this returns, so
-    an invalid weight is raised here and not while a row is made.
+def _pair_lists(m, n_size: int) -> tuple:
+    """(terms, band): m's structure at the rows n < n_size as lists of
+    reduced pairs, None the all-ones list, with band[i][n] its band part i
+    at n >= i and, below the band, the cell (n, k) the sum of U[n] V[k]
+    over the terms (U, V).  V has a value for each column below the band,
+    n_size - len(band).
 
-    Each cell is made as ``truncate`` states: a value x the structure gives
-    is x itself, or ratio(*x.as_integer_ratio()) given ratio, and a product
-    p/q is Fraction(p, q), or ratio(p, q).  When U is None every row below
-    the band is a slice of one line: the cells of V, the ones or, with no
-    terms, the zeros.  When V is None it is the cell of U(n) repeated.
-    Otherwise each U(n) V(k) is reduced on integers (``_products``).  So
-    each distinct value is made once: the zero, a one, a V, a U(n) and a
-    band cell."""
-    cell = (lambda x: x) if ratio is None else (lambda x: ratio(*x.as_integer_ratio()))
-    ratio = ratio or Fraction
-    terms, band = structure
+    A product whose factors declare structures gets them from its factors'
+    lists by the product rule (``_list_rule``), so no sequence of its
+    structure is evaluated.  Any other structure reads its callables at the
+    indices the rows below and on its band need: U(n) at n >= len(band),
+    V(k) at k < n_size - len(band) and band[i](n) at n >= i, with (0, 1) in
+    the places left unread, which no cell below the band reads.  Every
+    value is read before this returns, so an invalid weight is raised
+    here."""
+    factors = m._factors
+    if factors is not None and None not in (f.structure for f in factors):
+        return _list_rule(*(_pair_lists(f, n_size) for f in factors), n_size, _PAIRS)
+    terms, band = m.structure
+    width = len(band)
+
+    def values(f, lo: int, end: int):
+        if f is None:
+            return None
+        return [(0, 1)] * min(lo, end) + [rat(f(n)).as_integer_ratio() for n in range(lo, end)]
+
+    return (
+        [(values(u, width, n_size), values(v, 0, n_size - width)) for u, v in terms],
+        [values(part, i, n_size) for i, part in enumerate(band)],
+    )
+
+
+def _structure_rows(lists: tuple, n_size: int, ratio):
+    """The first n_size rows, n_size long, of the lower triangle that the
+    pair lists (terms, band) of a structure of at most one term (U, V)
+    state (``_pair_lists``): band[i][n] at (n, n - i) and U[n] V[k] below
+    the band, as a generator of row tuples whose cells are ratio(p, q) of
+    reduced pairs.
+
+    When U is None every row below the band is a slice of one line: the
+    cells of V, the ones or, with no terms, the zeros.  When V is None it
+    is the cell of U[n] repeated.  Otherwise each U[n] V[k] is reduced on
+    integers (``_products``).  So each distinct value is made once: the
+    zero, a one, a V, a U[n] and a band cell."""
+    terms, band = lists
     width = len(band)
     u = v = None
     if terms:
         [(u, v)] = terms
-    column = None if v is None else [rat(v(k)) for k in range(n_size - width)]
-    values = []  # per row: U(n) below the band or None, and the band cells from the far column
+    zeros = (ratio(0, 1),) * n_size
+    if not terms:
+        line = zeros
+    elif u is None:
+        line = [ratio(1, 1)] * (n_size - width) if v is None else list(starmap(ratio, v))
     for n in range(n_size):
-        scale = rat(u(n)) if u is not None and n >= width else None
-        values.append((scale, [rat(band[i](n)) for i in range(min(width - 1, n), -1, -1)]))
-
-    def rows():
-        zeros = (cell(ZERO),) * n_size
-        if not terms:
-            line = zeros
+        count = n - width + 1  # the cells of row n below its band
+        if count <= 0:
+            cells = ()
         elif u is None:
-            line = [cell(ONE)] * (n_size - width) if v is None else list(map(cell, column))
-        elif v is not None:
-            pairs = [c.as_integer_ratio() for c in column]
-        for n, (scale, parts) in enumerate(values):
-            count = n - width + 1  # the cells of row n below its band
-            if count <= 0:
-                cells = ()
-            elif u is None:
-                cells = line[:count]
-            elif v is None:
-                cells = (cell(scale),) * count
-            else:
-                cells = _products(pairs[:count], repeat(scale.as_integer_ratio()), ratio)
-            yield (*cells, *map(cell, parts), *zeros[n + 1 :])
-
-    return rows()
+            cells = line[:count]
+        elif v is None:
+            cells = (ratio(*u[n]),) * count
+        else:
+            cells = _products(v[:count], repeat(u[n]), ratio)
+        parts = [ratio(*band[i][n]) for i in range(min(width - 1, n), -1, -1)]
+        yield (*cells, *parts, *zeros[n + 1 :])
 
 
-def _mean_product_rows(a_term: tuple, b_term: tuple, n_size: int, ratio=None):
+def _mean_product_rows(a_term: tuple, b_term: tuple, n_size: int, ratio):
     """Row n -> row n, n_size long, of A.B for the means A and B of the
     terms (Ua, Va) and (Ub, Vb), None the all-ones sequence, for n <
     n_size: ``truncate`` makes the rows with it.  Cell (n, k) is Ua(n) Vb(k)
     D_n(k) for k <= n, with D_n(k) = t_k + ... + t_n and t_j = Va(j) Ub(j):
-    compose's suffix sums with Ua(n) factored out.  Ua, t and Vb are read
-    at every index below n_size before this returns, so an invalid weight
-    is raised here and not while a row is made.
+    compose's suffix sums with Ua(n) factored out.  Ua, Va, Ub and Vb are
+    read at every index below n_size, as reduced pairs, before this
+    returns, so an invalid weight is raised here and not while a row is
+    made.
 
-    Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0, and each
-    cell is reduced on integers (``_products``), first D_n(k) Ua(n), then
-    that times Vb(k), and made by ratio(p, q), or Fraction(p, q) without
-    ratio.  There is no common denominator and no difference of running
-    sums to cancel, and each row is made from the values alone."""
-    ratio = ratio or Fraction
+    Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0 by the pair
+    sum ``_padd``, and each cell is reduced on integers (``_pmul``), first
+    D_n(k) Ua(n), then that times Vb(k), a product skipped where that side
+    is None, and made by ratio(p, q).  There is no common denominator and
+    no difference of running sums to cancel, and each row is made from the
+    values alone."""
     (ua, va), (ub, vb) = a_term, b_term
 
-    def values(f) -> list:
-        return [ONE] * n_size if f is None else [rat(f(j)) for j in range(n_size)]
+    def values(f):
+        return None if f is None else [rat(f(j)).as_integer_ratio() for j in range(n_size)]
 
-    scales, t, column = values(ua), [x * y for x, y in zip(values(va), values(ub))], values(vb)
-    scales, column = ([x.as_integer_ratio() for x in xs] for xs in (scales, column))
+    scales, va, ub, column = map(values, (ua, va, ub, vb))
+    if va is None or ub is None:
+        t = va or ub or [(1, 1)] * n_size
+    else:
+        t = list(map(_pmul, va, ub))
     zeros = (ratio(0, 1),) * n_size
 
     def row(n: int) -> tuple:
-        sums = [d.as_integer_ratio() for d in accumulate(reversed(t[: n + 1]))][::-1]
-        scaled = _products(sums, repeat(scales[n]), lambda p, q: (p, q))
-        return (*_products(scaled, column, ratio), *zeros[n + 1 :])
+        sums = list(accumulate(reversed(t[: n + 1]), _padd))[::-1]
+        if scales is not None:
+            sums = map(_pmul, sums, repeat(scales[n]))
+        cells = starmap(ratio, sums) if column is None else _products(sums, column, ratio)
+        return (*cells, *zeros[n + 1 :])
 
     return row
 
 
 def _products(xs, ys, ratio) -> list:
-    """ratio(p, q) of each product p/q of the pairs (xn, xd) of xs and (yn,
-    yd) of ys, taken in step until xs ends.  Each pair is in lowest terms
-    with a positive denominator, and each product is reduced by g1 =
-    gcd(xn, yd) and g2 = gcd(yn, xd) as ``Fraction`` multiplies, so p/q is
-    in lowest terms and q > 0."""
+    """ratio(p, q) of each product p/q of the reduced pairs of xs and ys,
+    taken in step until xs ends: ``_pmul`` written out in the loop, which
+    makes most of the cells of a structured read, so that a cell costs no
+    call but ratio's."""
     return [
         ratio(xn // (g1 := gcd(xn, yd)) * (yn // (g2 := gcd(yn, xd))), xd // g2 * (yd // g1))
         for (xn, xd), (yn, yd) in zip(xs, ys)
     ]
+
+
+def _padd(x: tuple, y: tuple) -> tuple:
+    """The sum of two reduced pairs (p, q), q > 0, as a reduced pair: the
+    gcd-reduced sum of Henrici that ``Fraction`` adds by (Knuth, TAOCP vol.
+    2, 4.5.1).  With g = gcd(xd, yd), the sum is t / (xd yd / g) for t =
+    xn (yd / g) + yn (xd / g), and only gcd(t, g) can divide both."""
+    (xn, xd), (yn, yd) = x, y
+    g = gcd(xd, yd)
+    if g == 1:
+        return xn * yd + xd * yn, xd * yd
+    s = xd // g
+    t = xn * (yd // g) + yn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * yd
+    return t // g2, s * (yd // g2)
+
+
+def _pmul(x: tuple, y: tuple) -> tuple:
+    """The product of two reduced pairs (p, q), q > 0, as a reduced pair:
+    reduced by the cross gcds g1 = gcd(xn, yd) and g2 = gcd(yn, xd), as
+    ``Fraction`` multiplies."""
+    (xn, xd), (yn, yd) = x, y
+    g1, g2 = gcd(xn, yd), gcd(yn, xd)
+    return xn // g1 * (yn // g2), xd // g2 * (yd // g1)
+
+
+def _pneg(x: tuple) -> tuple:
+    return -x[0], x[1]
+
+
+# the element arithmetic (add, mul, neg, zero, one) of _list_ops on reduced pairs
+_PAIRS = (_padd, _pmul, _pneg, (0, 1), (1, 1))
 
 
 def _integers(pairs) -> tuple:
@@ -700,6 +764,60 @@ def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
 
     products = [[(cells(x, i), 0, cells(y, e - i), -i, 1) for i in range(e, -1, -1)] for e in range(la + lb - 1)]
     return terms, list(map(combine, products))
+
+
+def _list_ops(size: int, arith: tuple) -> tuple:
+    """(prefix, combine) of ``_product_rule`` on lists of size values in
+    the element arithmetic arith = (add, mul, neg, zero, one), None the
+    all-ones list: integers in ``duals`` and reduced pairs (``_PAIRS``) in
+    ``truncate``.  combine makes new lists of size values, reads zero past
+    a list's end, and gives None for the one product 1 . 1, unshifted."""
+    add, mul, neg, zero, one = arith
+
+    def prefix(f, g):
+        if f is None and g is None:
+            return list(accumulate(repeat(one, size), add))
+        return list(accumulate(f if g is None else g if f is None else map(mul, f, g), add))
+
+    def combine(products):
+        out = None
+        for f, i, g, j, sign in products:
+            lo = min(max(0, -i, -j), size)  # the first n whose indices are >= 0
+            if f is None or g is None:
+                h, s = (g, j) if f is None else (f, i)
+                if h is not None:  # a new list: the slice of the other side's values
+                    values = h[lo + s : size + s]
+                elif len(products) == 1 and not lo and sign > 0:
+                    return None
+                else:
+                    values = [one] * (size - lo)
+            else:
+                values = list(map(mul, f[lo + i : size + i], g[lo + j : size + j]))
+            end = lo + len(values)
+            if sign < 0:
+                values = list(map(neg, values))
+            if out is None:  # the first product is written as it is
+                out = values
+                if lo or end < size:
+                    out = [zero] * lo + out + [zero] * (size - end)
+            else:
+                out[lo:end] = map(add, out[lo:end], values)
+        return [zero] * size if out is None else out
+
+    return prefix, combine
+
+
+def _list_rule(x: tuple, y: tuple, size: int, arith: tuple) -> tuple:
+    """The lists (terms, band) of A.B from A's lists x = (terms, band) and
+    B's y at the rows n < size, by ``_product_rule`` on lists in the
+    element arithmetic arith (``_list_ops``), each V fitted to the columns
+    below the band.  When A has no band the rule reads Vb one column past
+    B's lists, at the cell (size - 1, size - lb), where P(n) - P(n) = 0
+    multiplies it, so that column is taken as zero."""
+    terms, band = _product_rule(x, y, _list_ops(size, arith))
+    cols, zero = max(size - len(band), 0), arith[3]
+    fit = lambda v: v if v is None or len(v) == cols else v[:cols] + [zero] * (cols - len(v))
+    return [(u, fit(v)) for u, v in terms], band
 
 
 def _build_inverse(t: Triangle) -> Triangle:

@@ -27,8 +27,10 @@ each reported value is divided by d back into a Fraction.  They are built
 from the leaves: a structure that is no product (a mean, the sum matrix,
 diag(a), a bidiagonal inverse) scales the values of its callables, and a
 product multiplies its factors' lists by the one product rule,
-``core._product_rule``, evaluated on integer lists (``_list_ops``), so no
-sequence of a product's structure is evaluated.  The closed-form matrix
+``core._product_rule``, evaluated by the list operations that ``core``
+shares with ``truncate`` (``core._list_ops``), here over integers and
+there over reduced pairs, so no sequence of a product's structure is
+evaluated.  The closed-form matrix
 builds its own from the scaled reciprocals of the weights, so that oracle
 never reads the inverse.
 Lists are pure values per size: the largest built is kept on the matrix
@@ -61,7 +63,7 @@ from .core import (
     Triangle,
     ZERO,
     _integers,
-    _product_rule,
+    _list_rule,
     compose,
     diagonal,
     invert,
@@ -203,52 +205,10 @@ def _leaf_lists(structure, size: int) -> tuple:
 
 def _product_lists(x: tuple, y: tuple, size: int) -> tuple:
     """The lists of A.B from A's lists x = (da, bands, terms) and B's y, by
-    ``core._product_rule`` on integer lists over d = da db
-    (``_list_ops``), each V fitted to the columns below the band.  When A
-    has no band the rule reads Vb one column past B's lists, at the cell
-    (size - 1, size - lb), where P(n) - P(n) = 0 multiplies it, so that
-    column is taken as 0."""
+    ``core._list_rule`` on integer lists over d = da db."""
     (da, a_band, a_terms), (db, b_band, b_terms) = x, y
-    terms, bands = _product_rule((a_terms, a_band), (b_terms, b_band), _list_ops(size))
-    cols = max(size - len(bands), 0)
-    fit = lambda v: v if v is None or len(v) == cols else v[:cols] + [0] * (cols - len(v))
-    return da * db, bands, [(u, fit(v)) for u, v in terms]
-
-
-def _list_ops(size: int) -> tuple:
-    """(prefix, combine) of ``core._product_rule`` on integer lists, None
-    the all-ones list: combine makes new lists of size values, reads 0
-    past a list's end, and gives None for the one product 1 . 1, unshifted."""
-
-    def prefix(f, g):
-        if f is None and g is None:
-            return list(range(1, size + 1))
-        return list(accumulate(f if g is None else g if f is None else map(mul, f, g)))
-
-    def combine(products):
-        out = None
-        for f, i, g, j, sign in products:
-            lo = min(max(0, -i, -j), size)  # the first n whose indices are >= 0
-            if f is None or g is None:
-                h, s = (g, j) if f is None else (f, i)
-                if h is not None:  # a new list: the slice of the other side's values
-                    values = h[lo + s : size + s]
-                elif len(products) == 1 and not lo and sign > 0:
-                    return None
-                else:
-                    values = [1] * (size - lo)
-            else:
-                values = list(map(mul, f[lo + i : size + i], g[lo + j : size + j]))
-            end = lo + len(values)
-            if out is None:  # the first product is written as it is
-                out = values if sign > 0 else list(map(neg, values))
-                if lo or end < size:
-                    out = [0] * lo + out + [0] * (size - end)
-            else:
-                out[lo:end] = map(add if sign > 0 else sub, out[lo:end], values)
-        return [0] * size if out is None else out
-
-    return prefix, combine
+    terms, bands = _list_rule((a_terms, a_band), (b_terms, b_band), size, (add, mul, neg, 0, 1))
+    return da * db, bands, terms
 
 
 def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:

@@ -1,9 +1,14 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +335,55 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
     )
     assert code == 2 and err.startswith("error: unknown sequence shorthand")
     assert existing.read_text() == "kept\n"
+
+
+def _cli_process(args, stdout, buffered):
+    """bvdomains run as a program on args, writing to stdout, with Python's
+    stdout buffered or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")])
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    command = [sys.executable, "-m", "bvdomains.cli", "matrix", "--format", "csv", *args]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def _assert_stdout_write_fails(proc, code):
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (2, f"error: cannot write stdout: {os.strerror(code)}\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_stdout_pipe_closed_after_a_few_bytes_is_a_usage_error(buffered):
+    """The reader of a large output goes away after 10 bytes: the write
+    fails, which exits 2 with one error line, no traceback and nothing
+    ignored at exit."""
+    proc = _cli_process(["--spec", "phi", "--n", "512"], subprocess.PIPE, buffered)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _assert_stdout_write_fails(proc, errno.EPIPE)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_small_stdout_into_a_closed_pipe_is_a_usage_error(buffered):
+    """A small output fits the buffer, so a buffered write succeeds and
+    the closed pipe shows only when stdout is flushed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["--spec", "phi", "--n", "2"], write, buffered)
+    finally:
+        os.close(write)
+    _assert_stdout_write_fails(proc, errno.EPIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("size", ["2", "512"])
+def test_a_full_stdout_is_a_usage_error(size):
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(["--spec", "phi", "--n", size], full, True)
+    _assert_stdout_write_fails(proc, errno.ENOSPC)
 
 
 def test_exit_code_mathematical_error(capsys):

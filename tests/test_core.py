@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,11 @@ from bvdomains.core import (
     _build_inverse,
     _coordinate,
     _entry_scan,
+    _list_ops,
+    _mean_product_rows,
+    _PAIRS,
+    _padd,
+    _pmul,
     apply,
     compose,
     dense_mul,
@@ -520,3 +526,68 @@ def test_wrapped_transforms_equal_the_entry_loop(build):
     with pytest.raises(IndexError):
         tx(-1)
     assert [tx(n) for n in range(64)] == [_coordinate(build(), x, n) for n in range(64)]
+
+
+@st.composite
+def cancelling_rationals(draw, max_size=8):
+    """Signed rationals, zeros among them, whose last drawn run is followed
+    by its negations in reverse order, so that every run centred where the
+    two meet sums to 0."""
+    values = draw(st.lists(big_rat, min_size=1, max_size=max_size))
+    cut = draw(st.integers(0, len(values)))
+    return values + [-x for x in reversed(values[len(values) - cut :])]
+
+
+def _pairs(values):
+    return [x.as_integer_ratio() for x in values]
+
+
+_FRACTIONS = (operator.add, operator.mul, operator.neg, F(0), F(1))
+
+
+_SHIFTS = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.sampled_from([1, -1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_rationals(), st.data())
+def test_pair_arithmetic_equals_fraction_arithmetic_property(values, data):
+    """The pair sum, product, prefix sums and combine of the list
+    operations give Fraction's reduced pair, q > 0, on signed values,
+    zeros and runs that cancel: one list code over the pair and the
+    Fraction arithmetic."""
+    size = len(values)
+    other = data.draw(st.lists(big_rat, min_size=size, max_size=size))
+    xs, ys = _pairs(values), _pairs(other)
+    for x, y, a, b in zip(xs, ys, values, other):
+        assert _padd(x, y) == (a + b).as_integer_ratio()
+        assert _pmul(x, y) == (a * b).as_integer_ratio()
+        assert _padd(x, (-a).as_integer_ratio()) == (0, 1)
+    (pair_prefix, pair_combine), (prefix, combine) = _list_ops(size, _PAIRS), _list_ops(size, _FRACTIONS)
+    sides = ((xs, ys, values, other), (None, xs, None, values), (xs, None, values, None), (None, None, None, None))
+    for f, g, a, b in sides:
+        assert pair_prefix(f, g) == _pairs(prefix(a, b))
+    shifts = data.draw(st.lists(_SHIFTS, min_size=1, max_size=4))
+    for f, g, a, b in sides[:3]:
+        got = pair_combine([(f, i, g, j, sign) for i, j, sign in shifts])
+        expected = combine([(a, i, b, j, sign) for i, j, sign in shifts])
+        assert got == _pairs(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(cancelling_rationals(max_size=4), min_size=4, max_size=4), st.sets(st.integers(0, 3)))
+def test_mean_product_suffix_sums_equal_fraction_sums_property(weights, ones):
+    """The rows of a product of two means from per-row pair suffix sums,
+    with any side None (all ones), are Fraction's reduced pairs of Ua(n)
+    Vb(k) (Va(k) Ub(k) + ... + Va(n) Ub(n)), on signed weights, zeros and
+    runs whose sums cancel."""
+    size = min(map(len, weights))
+    seqs = [None if i in ones else (lambda values: lambda j: values[j])(w) for i, w in enumerate(weights)]
+    value = lambda f, j: F(1) if f is None else f(j)
+    ua, va, ub, vb = seqs
+    row = _mean_product_rows((ua, va), (ub, vb), size, lambda p, q: (p, q))
+    for n in range(size):
+        expected = [
+            value(ua, n) * value(vb, k) * sum((value(va, j) * value(ub, j) for j in range(k, n + 1)), F(0))
+            for k in range(n + 1)
+        ]
+        assert row(n) == tuple(_pairs(expected) + [(0, 1)] * (size - n - 1)), n

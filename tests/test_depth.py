@@ -30,6 +30,7 @@ from bvdomains.core import (
     Seq,
     _mean_product_rows,
     _mean_term,
+    _pair_lists,
     _structure_rows,
     apply,
     compose,
@@ -78,7 +79,7 @@ def test_structured_rows_at_depth_are_reduced_and_dot_to_the_transform(name, siz
     t, values = _TRIANGLES[name](), _integers(size)
     tx = apply(t, Seq.from_values(values), size)
     sampled = {i * (size - 1) // 15 for i in range(16)}
-    rows = _structure_rows(t.structure, size, lambda p, q: (p, q))
+    rows = _structure_rows(_pair_lists(t, size), size, lambda p, q: (p, q))
     for n, row in enumerate(rows):
         if n not in sampled:
             continue

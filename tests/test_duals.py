@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import sys
 import threading
@@ -17,6 +18,7 @@ from bvdomains.core import (
     Seq,
     Triangle,
     _build_inverse,
+    _list_ops,
     compose,
     identity,
     invert,
@@ -922,7 +924,7 @@ def test_list_combine_never_returns_an_input_list():
     result is a new list even when one unshifted product fits it, and
     adding a second product to it leaves the first product's list as it
     was.  The one unshifted product 1 . 1 stays None."""
-    _, combine = duals._list_ops(6)
+    _, combine = _list_ops(6, (operator.add, operator.mul, operator.neg, 0, 1))
     L, M = [1, 2, 3, 4, 5, 6], [7, 0, -1, 2, 9, 4]
     for product in ((None, 0, L, 0, 1), (L, 0, None, 0, 1)):
         out = combine([product])

@@ -4,14 +4,18 @@ the entry scan's cells, and the exit that decides between an invalid weight
 and a cell with too many digits.
 
 The one-term structures are the named triangles, delta times each mean,
-inverses of the means and of a domain matrix, the weights of the
+inverses of the means and of domain matrices, the weights of the
 benchmark's ``matrix_dump`` workload and the signed and rational weight
-pairs of the verify suites.  The products of two means are every ordered
+pairs of the verify suites, and the shapes whose pair lists the product
+rule makes from their factors': a mean times delta or cesaro_inv and the
+converse, delta.delta with no terms, phi.delta and a nested
+delta.(delta.mean).  The products of two means are every ordered
 pair of the sum matrix, the Cesaro mean and the weighted and Riesz means
 of those weights.  Each is checked at N = 1, 2, 17 and 64 in csv and json.
 Three deep cases at N = 512 are checked against the sha256 digests of
 their csv text.  A product of two means whose factors have invalid weights
-at different indices exits as the entry scan reports."""
+at different indices exits as the entry scan reports, and a product of two
+means or a one-term product whose only invalid weights lie past N prints."""
 
 import contextlib
 import hashlib
@@ -65,6 +69,22 @@ _ONE_TERM = {
         "of": {"kind": "weighted", "u": _PAIRS["rational"][0], "v": _PAIRS["rational"][1]},
     },
     "inverse_of(phi)": {"kind": "inverse_of", "of": {"kind": "phi"}},
+    "inverse_of(gamma[rational])": {
+        "kind": "inverse_of",
+        "of": {"kind": "gamma", "u": _PAIRS["rational"][0], "v": _PAIRS["rational"][1]},
+    },
+    "cesaro.delta": {"kind": "compose", "of": [{"kind": "cesaro"}, {"kind": "delta"}]},
+    "sum.cesaro_inv": {"kind": "compose", "of": [{"kind": "sum"}, {"kind": "cesaro_inv"}]},
+    "cesaro_inv.riesz[2^k]": {"kind": "compose", "of": [{"kind": "cesaro_inv"}, {"kind": "riesz", "q": _Q["2^k"]}]},
+    "delta.delta": {"kind": "compose", "of": [{"kind": "delta"}, {"kind": "delta"}]},
+    "phi.delta": {"kind": "compose", "of": [{"kind": "phi"}, {"kind": "delta"}]},
+    "delta.(delta.weighted[signed])": {
+        "kind": "compose",
+        "of": [
+            {"kind": "delta"},
+            {"kind": "compose", "of": [{"kind": "delta"}, {"kind": "weighted", "u": _PAIRS["signed"][0], "v": _PAIRS["signed"][1]}]},
+        ],
+    },
 }
 
 
@@ -115,14 +135,14 @@ def test_matrix_text_is_the_formatted_entry_scan(name):
     )
 
 
+def _no_entry(n, k):
+    raise AssertionError(f"entry ({n}, {k}) read")
+
+
 def _mean_product_without_entries(matrix):
     """Whether matrix is a structured product of two means; its entries are
     made to fail."""
-
-    def entry(n, k):
-        raise AssertionError(f"entry ({n}, {k}) read")
-
-    matrix.entry = entry
+    matrix.entry = _no_entry
     return len(matrix.structure[0]) == 2 and None not in map(_mean_term, matrix._factors)
 
 
@@ -227,23 +247,43 @@ def test_a_mean_product_with_invalid_weights_exits_as_the_entry_scan(a, b):
         assert got == (3, "", f"mathematical error: {scanned.value}\n"), fmt
 
 
-@pytest.mark.parametrize("index", [16, 17])
-def test_a_mean_product_whose_invalid_weights_lie_past_n_prints(index):
-    """At N = 16 the product of two means reads no weight at index 16 or
-    past it, so an invalid weight there in either factor, or in both, is
-    never met: the product is read from its factors and printed."""
+def _one_term_product_without_entries(matrix):
+    """Whether matrix is a structured product whose structure has one
+    term; its entries are made to fail."""
+    matrix.entry = _no_entry
+    return matrix._factors is not None and len(matrix.structure[0]) == 1
+
+
+def _assert_invalid_weights_past_n_print(index, partner, takes_read):
+    """At N = 16 a product of a mean with an invalid weight at index, with
+    partner on either side or with itself, reads no weight at index 16 or
+    past it, so it is read by takes_read's structured read and printed."""
     invalid = [
         {"kind": "weighted", "u": _ones_then(index, "0"), "v": _tail("harmonic")},
         {"kind": "weighted", "u": _tail("harmonic"), "v": _ones_then(index, "0")},
         {"kind": "riesz", "q": _ones_then(index, "-1")},
     ]
-    valid = _WEIGHTED_MEANS["valid"]
     for mean in invalid:
-        for of in ([mean, valid], [valid, mean], [mean, mean]):
+        for of in ([mean, partner], [partner, mean]) if partner else ([mean, mean],):
             spec = json.dumps({"kind": "compose", "of": of})
             matrix, resolved = cli.parse_matrix_spec(spec)
-            assert _mean_product_without_entries(matrix)
+            assert takes_read(matrix)
             scan = _entry_scan(cli.parse_matrix_spec(spec)[0], 16)
             assert truncate(matrix, 16) == scan
             for fmt, text in _formatted(scan, resolved).items():
                 assert _run("matrix", "--spec", spec, "--n", "16", "--format", fmt) == (0, text, ""), (of, fmt)
+
+
+@pytest.mark.parametrize("index", [16, 17])
+def test_a_mean_product_whose_invalid_weights_lie_past_n_prints(index):
+    """The invalid weight in either factor, or in both."""
+    _assert_invalid_weights_past_n_print(index, _WEIGHTED_MEANS["valid"], _mean_product_without_entries)
+    _assert_invalid_weights_past_n_print(index, None, _mean_product_without_entries)
+
+
+@pytest.mark.parametrize("index", [16, 17])
+@pytest.mark.parametrize("partner", ["delta", "cesaro_inv"])
+def test_a_one_term_product_whose_invalid_weights_lie_past_n_prints(index, partner):
+    """A band-only factor on either side of the mean: the product has one
+    term, read from its factors' pair lists."""
+    _assert_invalid_weights_past_n_print(index, {"kind": partner}, _one_term_product_without_entries)
