@@ -431,15 +431,12 @@ def cmd_matrix(args) -> int:
 def cmd_transform(args) -> int:
     matrix, m_spec = parse_matrix_spec(args.matrix)
     x, x_spec = parse_seq_spec(args.x)
-    coords = apply_general(matrix, x, args.n)
+    coords = apply_general(matrix, x, args.n, spaces.fmt_ratio)
     if args.format == "csv":
-        _emit(args, "\n".join(spaces.fmt(v) for v in coords))
+        _emit(args, "\n".join(coords))
     else:
         spec = {"matrix": m_spec, "x": x_spec}
-        _emit_json(
-            args,
-            _envelope("transform", spec, args.n, "coordinates", [spaces.fmt(v) for v in coords]),
-        )
+        _emit_json(args, _envelope("transform", spec, args.n, "coordinates", coords))
     return 0
 
 

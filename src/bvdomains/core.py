@@ -62,12 +62,15 @@ factors' terms by per-row pair suffix sums, Ua(n) Vb(k) (t_k + ... + t_n)
 with t = Va Ub.  It scans the entries of every other matrix; that scan is
 the oracle of the structured reads.  A cell is a ``Fraction`` or, for
 ``matrix``, the text that one constructor ratio(p, q) makes of its value
-p/q.  ``apply`` and ``transform_seq`` transform a
-sequence by a structured triangle as the product rule's ``combine`` of
-per-term prefix sums: Mx is U(n) times the running sum of V x over each
-term, plus the band times x, so N coordinates cost O(N) operations; every
-other matrix takes the entry loop ``_coordinate`` over each row's support,
-which is the oracle for the structured transform.
+p/q.  ``_transform_rule`` transforms a sequence by a structure, stated once
+over (prefix, combine) as the product rule is: Mx is U(n) times the running
+sum of V x over each term, plus the band times x, so N coordinates cost
+O(N) operations.  ``apply`` runs it on the pair lists of the structure and
+of x, and so do ``membership --domain`` and the bv norm of Ax in
+``spaces``; ``transform_seq``, for a reader with no length, and the error
+path of an invalid weight run it on memoized Seqs.  Every other matrix
+takes the entry loop ``_coordinate`` over each row's support, which is the
+oracle of both.
 """
 
 from __future__ import annotations
@@ -540,36 +543,69 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
 
 
 def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
-    """n -> coordinate n of the transform Mx.
-
-    When m declares a structure (terms, band), Mx is the product rule's
-    ``_seq_combine`` of U(n) P(n - len(band)) over the terms (U, V), with P
-    the running sums of V x (``_seq_prefix``), and of band[i](n) x(n - i)
-    from the band's first column on, as the entry loop meets them.  Any
-    other matrix takes the entry loop ``_coordinate``, which is also the
-    oracle the structured path is checked against, invalid weights
-    included.
+    """n -> coordinate n of the transform Mx: for a structured m the
+    transform rule (``_transform_rule``) on memoized Seqs, so each
+    coordinate is evaluated once, in the order it is read.  Any other
+    matrix takes the entry loop ``_coordinate``, which is also the oracle
+    both structured paths are checked against, invalid weights included.
     """
     if m.structure is None:
         return lambda n: _coordinate(m, x, n)
-    terms, band = m.structure
+    return _transform_rule(m.structure, x, (_seq_prefix, _seq_combine))
+
+
+def _transform_rule(structure: tuple, x, ops: tuple):
+    """The transform Mx of a structure (terms, band), in a representation
+    of sequences with ops = (prefix, combine) as ``_product_rule`` states
+    them: the combine of U(n) P(n - len(band)) over the terms (U, V), with P
+    = prefix(V, x) the running sums of V x, and of band[i](n) x(n - i) from
+    the band's far column on, as the entry loop meets them.  So N
+    coordinates cost O(N) operations."""
+    prefix, combine = ops
+    terms, band = structure
     width = len(band)
-    products = [(u, 0, _seq_prefix(v, x), -width, 1) for u, v in terms]
-    return _seq_combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
+    products = [(u, 0, prefix(v, x), -width, 1) for u, v in terms]
+    return combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
 
 
-def apply(m, x: Seq, n_size: int) -> list:
-    """First n_size coordinates of the transform Mx: for a structured m,
-    the product rule's ``combine`` of per-term prefix sums (``_coordinates``)."""
+def _list_coordinates(m, x: Seq, n_size: int, ratio=Fraction) -> Optional[list]:
+    """ratio(p, q) of each of the first n_size coordinates p/q of Mx for a
+    structured m: the transform rule on m's pair lists (``_pair_lists``)
+    and x's first n_size values as reduced pairs, so no Seq of the
+    structure is evaluated.  None when m declares no structure, or when
+    the lists meet an invalid weight, which the caller's lazy path then
+    reports in the order it reads the coordinates."""
+    if m.structure is None:
+        return None
+    try:
+        lists = _pair_lists(m, n_size)
+        xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
+    except InvalidWeightsError:
+        return None
+    return list(starmap(ratio, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
+
+
+def apply(m, x: Seq, n_size: int, ratio=None) -> list:
+    """First n_size coordinates of the transform Mx, as Fractions or, given
+    ratio, as the text ratio(p, q) of each coordinate p/q, as ``truncate``
+    makes its cells.  A structured m is read from its pair lists
+    (``_list_coordinates``); any other m, and one whose lists meet an
+    invalid weight, takes ``_coordinates`` in order."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
-    return list(map(_coordinates(m, x), range(n_size)))
+    coords = _list_coordinates(m, x, n_size, ratio or Fraction)
+    if coords is None:
+        coords = list(map(_coordinates(m, x), range(n_size)))
+        if ratio is not None:
+            coords = [ratio(*v.as_integer_ratio()) for v in coords]
+    return coords
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
-    """The transform Tx as a lazy Seq: for a structured t, the product
-    rule's ``combine`` of per-term prefix sums (``_coordinates``), a
-    memoized Seq returned as it is; a bare callable is wrapped in one."""
+    """The transform Tx as a lazy Seq, for a reader that has no length:
+    for a structured t the transform rule on memoized Seqs
+    (``_coordinates``), a Seq returned as it is; a bare callable is
+    wrapped in one."""
     coords = _coordinates(t, x)
     return coords if isinstance(coords, Seq) else Seq(coords)
 

@@ -27,6 +27,8 @@ from bvdomains.core import (
     Triangle,
     _coordinate,
     _entry_scan,
+    _list_coordinates,
+    _pair_lists,
     apply,
     compose,
     dense_mul,
@@ -556,6 +558,118 @@ def test_structured_transform_reads_no_entry_and_each_closure_linearly(name):
         assert len(reads) == len(evals) == _band_reads(name, size)
         assert calls["x"] == size
         assert max(calls.values()) <= size + 1, calls
+
+
+# the list transform's shapes: every ordered pair of these triangles, and
+# three nests of more factors
+_PAIRED = ("sum", "cesaro", "delta", "cesaro_inv", "phi", "weighted[geometric]", "riesz[2^k]", "gamma", "sigma")
+_LIST_TRANSFORMED = {
+    **{f"{a}.{b}": (lambda a=a, b=b: _compose_named(a, b)) for a in _PAIRED for b in _PAIRED},
+    "cesaro.(cesaro.cesaro)": lambda: _compose_named("cesaro", "cesaro", "cesaro"),
+    "cesaro.(phi.delta)": lambda: _compose_named("cesaro", "phi", "delta"),
+    "sum.(phi.(cesaro.delta))": lambda: _compose_named("sum", "phi", "cesaro", "delta"),
+}
+_THREE_XS = ("finite", "harmonic", "alternating_geometric")
+
+
+@pytest.mark.parametrize("name", sorted(_LIST_TRANSFORMED))
+def test_list_transform_equals_the_entry_loop_and_the_lazy_transform(name):
+    """apply reads a structured product from its pair lists, as values and
+    as text; the entry loop and the lazy transform, read from its far end
+    first, are its oracles."""
+    for size in (1, 2, 17, 64):
+        m = _LIST_TRANSFORMED[name]()
+        for x_name in _THREE_XS:
+            x = _XS[x_name]()
+            got = apply(m, x, size)
+            assert _list_coordinates(m, x, size) == got, (size, x_name)
+            lazy = transform_seq(m, x)
+            assert [lazy(n) for n in reversed(range(size))][::-1] == got, (size, x_name)
+            assert _entry_loop(m, x, size) == got, (size, x_name)
+            assert apply(m, x, size, spaces.fmt_ratio) == list(map(spaces.fmt, got)), (size, x_name)
+
+
+class _CountedSeq(Seq):
+    """A Seq that counts its reads."""
+
+    reads = 0
+
+    def __call__(self, k):
+        self.reads += 1
+        return super().__call__(k)
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURED))
+def test_list_transform_reads_x_once_per_coordinate_and_no_combine(name, monkeypatch):
+    """apply reads x once at each of its N coordinates and evaluates no
+    value of a structure's memoized combine, which the lazy transform
+    does."""
+    size, evaluated = 64, Counter()
+    call = Seq.__call__
+
+    def counted(seq, k):
+        if k not in seq._cache:
+            evaluated[seq._eval.__qualname__] += 1
+        return call(seq, k)
+
+    m = _STRUCTURED[name]()
+    monkeypatch.setattr(Seq, "__call__", counted)
+    x = _CountedSeq(lambda k: F(1, k + 1))
+    assert len(apply(m, x, size)) == size
+    assert x.reads == size
+    assert not evaluated["_seq_combine.<locals>.value"]
+
+
+def _pair_cells(lists, size):
+    """The cells of the leading square that pair lists (terms, band) state,
+    as Fractions."""
+    terms, band = lists
+    at = lambda f, j: F(1) if f is None else F(*f[j])
+    cells = [[F(0)] * size for _ in range(size)]
+    for n in range(size):
+        for k in range(n + 1):
+            i = n - k
+            cells[n][k] = at(band[i], n) if i < len(band) else sum((at(u, n) * at(v, k) for u, v in terms), F(0))
+    return tuple(map(tuple, cells))
+
+
+def _gamma_leaf():
+    """gamma with its factors forgotten: a structure of one term and one
+    band part read from its own Seqs, whose V has a value for each column
+    below the band."""
+    g = _NAMED["gamma"]()
+    g._factors = None
+    return g
+
+
+@pytest.mark.parametrize("right", ["gamma", "gamma leaf"])
+@pytest.mark.parametrize("left", ["cesaro", "weighted[geometric]"])
+def test_pair_lists_fit_each_v_to_the_columns_below_the_band(left, right):
+    """A band-free mean times gamma, which has a term and a band part: the
+    rule cuts gamma's V, made from delta's and the mean's lists, to the
+    columns below gamma's band, and pads the V it passes on to the
+    product's term to the product's columns, one more."""
+    for size in (1, 2, 8, 17):
+        b = _gamma_leaf() if right == "gamma leaf" else _NAMED[right]()
+        for m in (b, compose(_NAMED[left](), b)):
+            terms, band = lists = _pair_lists(m, size)
+            assert all(v is None or len(v) == size - len(band) for _, v in terms), size
+            assert _pair_cells(lists, size) == _entry_scan(m, size), size
+
+
+@pytest.mark.parametrize("domain", ["phi", "gamma", "sigma"])
+def test_domain_membership_reads_the_list_transform(domain, monkeypatch):
+    """Every space's report over a domain matrix, and the bv norm of Ax,
+    equal the lazy transform's, which the list coordinates leave unread."""
+    size = 16
+    lazy = {x_name: transform_seq(_NAMED[domain](), _XS[x_name]()) for x_name in _THREE_XS}
+    monkeypatch.setattr(spaces, "transform_seq", None)
+    for x_name, ax in lazy.items():
+        for space in spaces.SpaceId:
+            got = spaces.domain_membership(_XS[x_name](), _NAMED[domain](), space, size)
+            assert got == spaces.membership(ax, space, size), (x_name, space)
+        got = spaces.bvA_norm_prefix(_NAMED[domain](), _XS[x_name](), size)
+        assert got == spaces.bv_norm_prefix(ax, size), x_name
 
 
 _ONES = {"kind": "const", "c": "1"}
