@@ -12,7 +12,7 @@ converse, delta.delta with no terms, phi.delta and a nested
 delta.(delta.mean).  The products of two means are every ordered
 pair of the sum matrix, the Cesaro mean and the weighted and Riesz means
 of those weights.  Each is checked at N = 1, 2, 17 and 64 in csv and json.
-Three deep cases at N = 512 are checked against the sha256 digests of
+Five deep cases at N = 512 are checked against the sha256 digests of
 their csv text.  A product of two means whose factors have invalid weights
 at different indices exits as the entry scan reports, and a product of two
 means or a one-term product whose only invalid weights lie past N prints."""
@@ -181,6 +181,15 @@ _DEEP = {
     "sum.cesaro": (
         {"kind": "compose", "of": [{"kind": "sum"}, {"kind": "cesaro"}]},
         "36a39b6566da127319f653b6e37e440c0a8cc7c356237e6287d6e41b565dde38",
+    ),
+    # recorded while products of two or more terms, but for two means, were scanned
+    "cesaro.(phi.delta)": (
+        {"kind": "compose", "of": [{"kind": "cesaro"}, {"kind": "compose", "of": [{"kind": "phi"}, {"kind": "delta"}]}]},
+        "1d34cb9b1a40914d820e9208e93a604a23d8b419feef9d07ac5393b47a793ac4",
+    ),
+    "phi.phi": (
+        {"kind": "compose", "of": [{"kind": "phi"}, {"kind": "phi"}]},
+        "6fb396087d8bf78d36352316dd16e43e05600369da3afd5308d3eb92e5b2ce62",
     ),
 }
 
