@@ -98,6 +98,15 @@ def _spec_rats(values, what: str) -> list:
     return [_spec_rat(v, what) for v in values]
 
 
+def _checked(raw: dict, resolved: dict, what: str) -> dict:
+    """The resolved spec of the spec object raw, once raw holds no key that
+    resolved does not echo: a key that its kind does not read is refused."""
+    for key in raw:
+        if key not in resolved:
+            raise SpecError(f"unknown key {key!r} in {what}")
+    return resolved
+
+
 def _spec_int(value, what: str, lo: int, hi: float = math.inf) -> int:
     """An integer field (JSON int or decimal string) in [lo, hi]."""
     number = None
@@ -176,7 +185,8 @@ def _seq_from_obj(raw):
             return prefix[k]
         return tail_fn(k)
 
-    return Seq(eval_fn, support_bound=support), resolved
+    _checked(tail, resolved["tail"], f"{kind} tail")
+    return Seq(eval_fn, support_bound=support), _checked(raw, resolved, "sequence spec")
 
 
 # ----------------------------------------------------------------- matrices
@@ -226,20 +236,20 @@ def _build_matrix(raw, depth: int):
         raise SpecError("matrix spec must be an object with a 'kind' field")
     kind = raw["kind"]
     if kind in _SIMPLE_MATRICES:
-        return _SIMPLE_MATRICES[kind](), {"kind": kind}
+        return _SIMPLE_MATRICES[kind](), _checked(raw, {"kind": kind}, f"{kind} spec")
     if kind in ("weighted", "gamma"):
         pair, spec = _weight_pair(raw, f"{kind} spec")
         build = builders.weighted_mean if kind == "weighted" else builders.gamma
-        return build(pair), {"kind": kind, **spec}
+        return build(pair), _checked(raw, {"kind": kind, **spec}, f"{kind} spec")
     if kind in ("riesz", "sigma_riesz"):
         weights, spec = _riesz_weights(raw, f"{kind} spec")
         build = builders.riesz if kind == "riesz" else builders.sigma_riesz
-        return build(weights), {"kind": kind, **spec}
+        return build(weights), _checked(raw, {"kind": kind, **spec}, f"{kind} spec")
     if kind == "inverse_of":
         inner, inner_spec = _build_matrix(raw.get("of", {}), depth + 1)
         if not isinstance(inner, Triangle):
             raise SpecError("inverse_of requires a triangle with nonzero diagonal")
-        return invert(inner), {"kind": "inverse_of", "of": inner_spec}
+        return invert(inner), _checked(raw, {"kind": "inverse_of", "of": inner_spec}, "inverse_of spec")
     if kind == "compose":
         of = raw.get("of")
         parts = []
@@ -250,14 +260,14 @@ def _build_matrix(raw, depth: int):
         matrix = parts[0][0]
         for m, _ in parts[1:]:
             matrix = compose(matrix, m)
-        return matrix, {"kind": "compose", "of": [s for _, s in parts]}
+        return matrix, _checked(raw, {"kind": "compose", "of": [s for _, s in parts]}, "compose spec")
     if kind == "banded":
         rows = raw.get("rows")
         if not isinstance(rows, list) or not rows:
             raise SpecError("banded spec requires a nonempty 'rows' list")
         values = [_spec_rats(row, "banded rows") for row in rows]
-        matrix = BandedMatrix.from_rows(values)
-        return matrix, {"kind": "banded", "rows": [[spaces.fmt(v) for v in row] for row in values]}
+        text = [[spaces.fmt(v) for v in row] for row in values]
+        return BandedMatrix.from_rows(values), _checked(raw, {"kind": "banded", "rows": text}, "banded spec")
     raise SpecError(f"unknown matrix kind {kind!r}")
 
 
@@ -274,13 +284,13 @@ def parse_domain_spec(text: str):
         raise SpecError("domain spec must be an object or a label")
     label = raw.get("label")
     if label == "C":
-        return builders.cesaro_domain(), {"label": "C"}
+        return builders.cesaro_domain(), _checked(raw, {"label": "C"}, "C domain")
     if label == "G":
         pair, spec = _weight_pair(raw, "G domain")
-        return builders.weighted_domain(pair), {"label": "G", **spec}
+        return builders.weighted_domain(pair), _checked(raw, {"label": "G", **spec}, "G domain")
     if label == "R":
         weights, spec = _riesz_weights(raw, "R domain")
-        return builders.riesz_domain(weights), {"label": "R", **spec}
+        return builders.riesz_domain(weights), _checked(raw, {"label": "R", **spec}, "R domain")
     raise SpecError(f"unknown domain label {label!r}; choose C, G, or R")
 
 
@@ -454,7 +464,7 @@ def cmd_membership(args) -> int:
     x, x_spec = parse_seq_spec(args.x)
     space = _space(args.space)
     spec = {"x": x_spec, "space": space.value}
-    if args.domain:
+    if args.domain is not None:
         matrix, m_spec = parse_matrix_spec(args.domain)
         if not isinstance(matrix, Triangle):
             raise SpecError("membership domain must be a triangle spec")

@@ -49,20 +49,20 @@ over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
 declares one.  ``_list_ops`` states the two operations once on lists, over
 an element arithmetic (add, mul, neg, zero, one): ``duals`` runs the rule
-on integer lists, and ``truncate`` on lists of reduced pairs (p, q), q > 0,
-whose sum ``_padd`` and product ``_pmul`` are the gcd-reduced algorithms
-``Fraction`` runs (Henrici; Knuth, TAOCP vol. 2, 4.5.1), without making a
-``Fraction``.  A truncation, the leading N x N block of a matrix, is the
-tuple of its N row tuples: ``truncate``, ``_entry_scan`` and ``dense_mul``
-make that one shape.  ``truncate`` reads a structure of at most one term
-from its pair lists (``_pair_lists``: a product's from its factors' by the
-rule, any other structure's from its callables) row by row, one product
-U(n) V(k) per cell below the band, and a product of two means from its
-factors' terms by per-row pair suffix sums, Ua(n) Vb(k) (t_k + ... + t_n)
-with t = Va Ub.  It scans the entries of every other matrix; that scan is
-the oracle of the structured reads.  A cell is a ``Fraction`` or, for
-``matrix``, the text that one constructor ratio(p, q) makes of its value
-p/q.  ``_transform_rule`` transforms a sequence by a structure, stated once
+on integer lists, and ``_pair_lists`` on lists of reduced pairs (p, q),
+q > 0, whose sum ``_padd`` and product ``_pmul`` are the gcd-reduced
+algorithms ``Fraction`` runs (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  It
+is the one reader of a structure's values at a size: a product's lists
+come from its factors' by the rule, any other's from its callables.  A
+truncation, the leading N x N block of a matrix, is the tuple of its N
+row tuples: ``truncate``, ``_entry_scan`` and ``dense_mul`` make that
+one shape.  ``truncate`` reads every structure from its pair lists row
+by row, a cell below the band the sum over the terms of U(n) V(k), and
+a product of two means from its factors' lists by per-row pair suffix
+sums, Ua(n) Vb(k) (t_k + ... + t_n) with t = Va Ub.  Only a matrix with
+no structure is scanned entry by entry, as the oracle of the structured
+reads.  A cell is a ``Fraction`` or, for ``matrix``, its text ratio(p, q).
+``_transform_rule`` transforms a sequence by a structure, stated once
 over (prefix, combine) as the product rule is: Mx is U(n) times the running
 sum of V x over each term, plus the band times x, so N coordinates cost
 O(N) operations.  ``apply`` runs it on the pair lists of the structure and
@@ -79,6 +79,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate, repeat, starmap
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Optional
 
 ZERO = Fraction(0)
@@ -288,21 +289,18 @@ def truncate(source, n_size: int, ratio=None):
     """Materialize the leading n_size x n_size block of a matrix as the
     tuple of its n_size row tuples of Fraction.
 
-    A lower triangle whose structure has at most one term (the means, the
-    sum matrix, the domain matrices and their inverses, a bidiagonal
-    inverse, diag(a) and the products of a band-only factor with any of
-    these) is read from its structure's lists of reduced pairs
-    (``_pair_lists``, made for a product from its factors' lists by the
-    product rule) row by row (``_structure_rows``): each product U(n) V(k)
-    is reduced on integers, and no entry is read or cached but the band of
-    a bidiagonal inverse, which is its memoized entries.  A structured
-    product of two means is read from its factors' terms row by row
-    (``_mean_product_rows``): each cell is Ua(n) Vb(k) times a per-row
-    suffix sum of Va Ub, all on reduced pairs, and no entry is read.  Every
-    other matrix takes the entry scan ``_entry_scan``, which is also the
-    oracle of both structured reads and their error path: a structured read
-    that meets an invalid weight gives way to the scan, so the weight
-    reported is the one the scan meets first.
+    A lower triangle that declares a structure is read from its lists of
+    reduced pairs (``_pair_lists``, made for a product from its factors'
+    lists by the product rule), and no entry is read but the band of a
+    bidiagonal inverse, which is its memoized entries: a product of two
+    means from its factors' lists by per-row suffix sums
+    (``_mean_product_rows``), every other structure row by row from its
+    own (``_structure_rows``), each cell below the band the sum over the
+    terms of U(n) V(k), reduced on integers.  A matrix with no structure
+    takes the entry scan ``_entry_scan``, which is also the oracle of both
+    structured reads and their error path: a structured read that meets an
+    invalid weight gives way to the scan, so the weight reported is the one
+    the scan meets first.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
@@ -313,15 +311,13 @@ def truncate(source, n_size: int, ratio=None):
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
     rows = None
-    structure, factors = source.structure, source._factors
+    factors = source._factors if source.structure is not None else None
     try:
-        if structure is not None and len(structure[0]) <= 1:
+        if factors is not None and None not in map(_mean_term, factors):
+            row = _mean_product_rows(*(_pair_lists(f, n_size) for f in factors), n_size, ratio or Fraction)
+            rows = (row(n) for n in range(n_size))
+        elif source.structure is not None:
             rows = _structure_rows(_pair_lists(source, n_size), n_size, ratio or Fraction)
-        elif structure is not None and factors is not None:
-            means = list(map(_mean_term, factors))
-            if None not in means:
-                row = _mean_product_rows(*means, n_size, ratio or Fraction)
-                rows = (row(n) for n in range(n_size))
     except InvalidWeightsError:
         pass
     if rows is None:
@@ -343,7 +339,8 @@ def _pair_lists(m, n_size: int) -> tuple:
     reduced pairs, None the all-ones list, with band[i][n] its band part i
     at n >= i and, below the band, the cell (n, k) the sum of U[n] V[k]
     over the terms (U, V).  V has a value for each column below the band,
-    n_size - len(band).
+    n_size - len(band).  This is the one reader of a structure's values:
+    ``truncate``, ``apply`` and the integer lists of ``duals`` start here.
 
     A product whose factors declare structures gets them from its factors'
     lists by the product rule (``_list_rule``), so no sequence of its
@@ -372,30 +369,37 @@ def _pair_lists(m, n_size: int) -> tuple:
 
 def _structure_rows(lists: tuple, n_size: int, ratio):
     """The first n_size rows, n_size long, of the lower triangle that the
-    pair lists (terms, band) of a structure of at most one term (U, V)
-    state (``_pair_lists``): band[i][n] at (n, n - i) and U[n] V[k] below
-    the band, as a generator of row tuples whose cells are ratio(p, q) of
-    reduced pairs.
+    pair lists (terms, band) of a structure state (``_pair_lists``):
+    band[i][n] at (n, n - i) and below the band the sum of U[n] V[k] over
+    the terms (U, V), one integer dot product per cell, reduced by one gcd,
+    of row n's U[n] and column k's V[k] over their lcms (``_integers``), as
+    a generator of row tuples whose cells are ratio(p, q) of reduced pairs.
 
-    When U is None every row below the band is a slice of one line: the
-    cells of V, the ones or, with no terms, the zeros.  When V is None it
-    is the cell of U[n] repeated.  Otherwise each U[n] V[k] is reduced on
-    integers (``_products``).  So each distinct value is made once: the
-    zero, a one, a V, a U[n] and a band cell."""
+    One term has fast cases.  When U is None every row below the band is a
+    slice of one line: the cells of V, the ones or, with no terms, the
+    zeros.  When V is None it is the cell of U[n] repeated.  Otherwise each
+    U[n] V[k] is reduced on integers (``_products``).  So each distinct
+    value is made once: the zero, a one, a V, a U[n] and a band cell."""
     terms, band = lists
     width = len(band)
     u = v = None
-    if terms:
+    if len(terms) == 1:
         [(u, v)] = terms
     zeros = (ratio(0, 1),) * n_size
     if not terms:
         line = zeros
+    elif len(terms) > 1:
+        columns = [_integers((1, 1) if y is None else y[k] for _, y in terms) for k in range(n_size - width)]
     elif u is None:
         line = [ratio(1, 1)] * (n_size - width) if v is None else list(starmap(ratio, v))
     for n in range(n_size):
         count = n - width + 1  # the cells of row n below its band
         if count <= 0:
             cells = ()
+        elif len(terms) > 1:
+            du, us = _integers((1, 1) if x is None else x[n] for x, _ in terms)
+            sums = [(sum(map(mul, us, vs)), du * dv) for dv, vs in columns[:count]]
+            cells = [ratio(p // (g := gcd(p, q)), q // g) for p, q in sums]
         elif u is None:
             cells = line[:count]
         elif v is None:
@@ -406,15 +410,13 @@ def _structure_rows(lists: tuple, n_size: int, ratio):
         yield (*cells, *parts, *zeros[n + 1 :])
 
 
-def _mean_product_rows(a_term: tuple, b_term: tuple, n_size: int, ratio):
-    """Row n -> row n, n_size long, of A.B for the means A and B of the
-    terms (Ua, Va) and (Ub, Vb), None the all-ones sequence, for n <
-    n_size: ``truncate`` makes the rows with it.  Cell (n, k) is Ua(n) Vb(k)
-    D_n(k) for k <= n, with D_n(k) = t_k + ... + t_n and t_j = Va(j) Ub(j):
-    compose's suffix sums with Ua(n) factored out.  Ua, Va, Ub and Vb are
-    read at every index below n_size, as reduced pairs, before this
-    returns, so an invalid weight is raised here and not while a row is
-    made.
+def _mean_product_rows(a_lists: tuple, b_lists: tuple, n_size: int, ratio):
+    """Row n -> row n, n_size long, of A.B for the means A and B whose pair
+    lists (``_pair_lists``) are the terms (Ua, Va) and (Ub, Vb), None the
+    all-ones list, at the rows n < n_size: ``truncate`` makes the rows with
+    it.  Cell (n, k) is Ua(n) Vb(k) D_n(k) for k <= n, with D_n(k) = t_k +
+    ... + t_n and t_j = Va(j) Ub(j): compose's suffix sums with Ua(n)
+    factored out.
 
     Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0 by the pair
     sum ``_padd``, and each cell is reduced on integers (``_pmul``), first
@@ -422,12 +424,7 @@ def _mean_product_rows(a_term: tuple, b_term: tuple, n_size: int, ratio):
     is None, and made by ratio(p, q).  There is no common denominator and
     no difference of running sums to cancel, and each row is made from the
     values alone."""
-    (ua, va), (ub, vb) = a_term, b_term
-
-    def values(f):
-        return None if f is None else [rat(f(j)).as_integer_ratio() for j in range(n_size)]
-
-    scales, va, ub, column = map(values, (ua, va, ub, vb))
+    ([(scales, va)], _), ([(ub, column)], _) = a_lists, b_lists
     if va is None or ub is None:
         t = va or ub or [(1, 1)] * n_size
     else:

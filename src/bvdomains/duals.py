@@ -25,12 +25,12 @@ B = sum, cesaro, delta and cesaro_inv.  The lists are integers over one
 common denominator d, scaled by the integer kernel ``core._integers``;
 each reported value is divided by d back into a Fraction.  They are built
 from the leaves: a structure that is no product (a mean, the sum matrix,
-diag(a), a bidiagonal inverse) scales the values of its callables, and a
-product multiplies its factors' lists by the one product rule,
-``core._product_rule``, evaluated by the list operations that ``core``
-shares with ``truncate`` (``core._list_ops``), here over integers and
-there over reduced pairs, so no sequence of a product's structure is
-evaluated.  The closed-form matrix
+diag(a), a bidiagonal inverse) scales its pair lists (``core._pair_lists``,
+the one reader of a structure's values), and a product multiplies its
+factors' lists by the one product rule, ``core._product_rule``, evaluated
+by the list operations that ``core`` shares with ``truncate``
+(``core._list_ops``), here over integers and there over reduced pairs, so
+no sequence of a product's structure is evaluated.  The closed-form matrix
 builds its own from the scaled reciprocals of the weights, so that oracle
 never reads the inverse.
 Lists are pure values per size: the largest built is kept on the matrix
@@ -64,6 +64,7 @@ from .core import (
     ZERO,
     _integers,
     _list_rule,
+    _pair_lists,
     compose,
     diagonal,
     invert,
@@ -137,8 +138,7 @@ def _lists(m, size: int) -> tuple:
 
     A product gets them from its factors' lists (``_product_lists``), a
     matrix built with its own rule (the closed-form matrix) from that, and
-    every other structure by scaling the values of its callables
-    (``_leaf_lists``).  They are pure values: the largest size built is
+    every other structure by scaling its pair lists (``_leaf_lists``).  They are pure values: the largest size built is
     kept on m, and a smaller one is its head."""
     kept = getattr(m, "_kept_lists", None)
     if kept is not None and kept[0] >= size:
@@ -150,7 +150,7 @@ def _lists(m, size: int) -> tuple:
     elif m._factors is not None:
         lists = _product_lists(*(_lists(f, size) for f in m._factors), size)
     else:
-        lists = _leaf_lists(m.structure, size)
+        lists = _leaf_lists(m, size)
     m._kept_lists = (size, lists)
     return lists
 
@@ -172,23 +172,15 @@ def _replay(m, size: int) -> None:
         m.entry(good, k)
 
 
-def _leaf_lists(structure, size: int) -> tuple:
-    """The lists of a structure from the values of its callables: each band
-    part, U and V scaled to integers over its own lcm, d the lcm of the
-    band parts' scales and of the terms' products of the scales of U and V,
-    and each term scaled up to d on V, or on U when V is None."""
-    terms, band = structure
-    cols = max(size - len(band), 0)
-    cells = [
-        _integers(part(n).as_integer_ratio() if n >= i else (0, 1) for n in range(size)) for i, part in enumerate(band)
-    ]
-    sides = [
-        (
-            (1, None) if u is None else _integers(u(n).as_integer_ratio() for n in range(size)),
-            (1, None) if v is None else _integers(v(k).as_integer_ratio() for k in range(cols)),
-        )
-        for u, v in terms
-    ]
+def _leaf_lists(m, size: int) -> tuple:
+    """The lists of a structure that is no product from its pair lists
+    (``core._pair_lists``): each band part, U and V scaled to integers over
+    its own lcm, d the lcm of the band parts' scales and of the terms'
+    products of the scales of U and V, and each term scaled up to d on V,
+    or on U when V is None."""
+    terms, band = _pair_lists(m, size)
+    cells = list(map(_integers, band))
+    sides = [((1, None) if u is None else _integers(u), (1, None) if v is None else _integers(v)) for u, v in terms]
     d = lcm(*{scale for scale, _ in cells}, *(du * dv for (du, _), (dv, _) in sides))
     lists = []
     for (du, u), (dv, v) in sides:

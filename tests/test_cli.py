@@ -137,6 +137,45 @@ def test_a_missing_weight_field_is_named(capsys, kind, field):
     assert empty == (2, "", "error: unknown sequence shorthand ''\n")
 
 
+_P2 = {"tail": {"kind": "power", "p": 2}}
+# each spec object with one key its kind does not read, in the flag of a
+# command that reads it, that key, where it is named, and the spec without it
+_UNKNOWN_KEYS = [
+    ("transform --matrix phi --x", {"kind": "power", "p": 2}, "kind", "sequence spec", _P2),
+    ("transform --matrix phi --x", {"tail": {"kind": "power", "q": 3}}, "q", "power tail", _P2),
+    ("transform --matrix phi --x", {"tail": {"kind": "const", "p": 2}}, "p", "const tail", {"tail": "const"}),
+    ("transform --matrix phi --x", {"tail": "zero", "suffix": []}, "suffix", "sequence spec", {"tail": "zero"}),
+    ("matrix --spec", {"kind": "cesaro", "q": "harmonic"}, "q", "cesaro spec", {"kind": "cesaro"}),
+    ("matrix --spec", {"kind": "riesz", "q": {"tail": "harmonic", "r": "2"}}, "r", "sequence spec", {"kind": "riesz", "q": "e"}),
+    ("matrix --spec", {"kind": "gamma", "u": "e", "v": "e", "q": "e"}, "q", "gamma spec", {"kind": "gamma", "u": "e", "v": "e"}),
+    ("matrix --spec", {"kind": "inverse_of", "of": "phi", "rows": []}, "rows", "inverse_of spec", {"kind": "inverse_of", "of": "phi"}),
+    ("matrix --spec", {"kind": "compose", "of": ["delta", {"kind": "sum", "of": "phi"}]}, "of", "sum spec", {"kind": "compose", "of": ["delta", "sum"]}),
+    ("matrix --spec", {"kind": "banded", "rows": [["1"]], "band": 0}, "band", "banded spec", {"kind": "banded", "rows": [["1"]]}),
+    ("dual --a e --kind beta --domain", {"label": "C", "q": "harmonic"}, "q", "C domain", {"label": "C"}),
+    ("dual --a e --kind beta --domain", {"label": "G", "u": "e", "v": "e", "kind": "G"}, "kind", "G domain", {"label": "G", "u": "e", "v": "e"}),
+    ("dual --a e --kind beta --domain", {"label": "R", "q": "e", "u": "e"}, "u", "R domain", {"label": "R", "q": "e"}),
+]
+
+
+@pytest.mark.parametrize("command, spec, key, where, known", _UNKNOWN_KEYS)
+def test_an_unknown_key_is_a_usage_error_that_names_it(capsys, command, spec, key, where, known):
+    """A key that the spec object's kind does not read exits 2 with one
+    line naming the key and the object, where it used to be dropped and the
+    command run on another input; without that key the command runs."""
+    argv = [*command.split(), json.dumps(spec), "--n", "8"]
+    assert run_cli(capsys, *argv) == (2, "", f"error: unknown key {key!r} in {where}\n")
+    assert run_cli(capsys, *argv[:-3], json.dumps(known), "--n", "8")[0] == 0
+
+
+def test_an_empty_membership_domain_is_a_usage_error(capsys):
+    """An empty --domain is refused as an empty matrix spec is, where it
+    used to test x itself as if no --domain were given."""
+    argv = ["membership", "--x", "e", "--space", "l1", "--n", "8"]
+    for empty in ("", " "):
+        assert run_cli(capsys, *argv, "--domain", empty) == (2, "", "error: unknown matrix kind ''\n")
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_matrix_csv_output(capsys):
     code, out, err = run_cli(capsys, "matrix", "--spec", "cesaro", "--n", "3", "--format", "csv")
     assert code == 0

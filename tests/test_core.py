@@ -584,7 +584,9 @@ def test_mean_product_suffix_sums_equal_fraction_sums_property(weights, ones):
     seqs = [None if i in ones else (lambda values: lambda j: values[j])(w) for i, w in enumerate(weights)]
     value = lambda f, j: F(1) if f is None else f(j)
     ua, va, ub, vb = seqs
-    row = _mean_product_rows((ua, va), (ub, vb), size, lambda p, q: (p, q))
+    pairs = lambda f: None if f is None else [F(f(j)).as_integer_ratio() for j in range(size)]
+    lists = lambda u, v: ([(pairs(u), pairs(v))], [])  # a mean's pair lists
+    row = _mean_product_rows(lists(ua, va), lists(ub, vb), size, lambda p, q: (p, q))
     for n in range(size):
         expected = [
             value(ua, n) * value(vb, k) * sum((value(va, j) * value(ub, j) for j in range(k, n + 1)), F(0))

@@ -16,9 +16,10 @@ T's structure removed after its inverse and cesaro.T are made from it,
 ``apply`` reads T's entries as ``compose`` makes them, against the
 structured transforms of the inverse and the product.  The structured
 rows, made one at a time as reduced (p, q) pairs, are checked at N = 4096
-and 2048, and the rows that ``truncate`` reads of a product of two means
-from its factors' terms at N = 1024, against ``apply``'s coordinates
-through the product's structure."""
+and 2048, the rows that ``truncate`` reads of a product of two means from
+its factors' pair lists at N = 1024, and every row of the two-term product
+riesz(harmonic).gamma(power 2, harmonic) at N = 256, against ``apply``'s
+coordinates through the product's structure."""
 
 import random
 from fractions import Fraction as F
@@ -30,7 +31,6 @@ from bvdomains.builders import RieszWeights, WeightPair, cesaro, delta, gamma, p
 from bvdomains.core import (
     Seq,
     _mean_product_rows,
-    _mean_term,
     _pair_lists,
     _structure_rows,
     apply,
@@ -128,8 +128,25 @@ def test_mean_product_rows_at_depth_are_reduced_and_dot_to_the_transform(name):
     combine of per-term prefix sums, which never forms a cell."""
     t, values = _MEAN_PRODUCTS[name](), _integers(N)
     tx = apply(t, Seq.from_values(values), N)
-    row = _mean_product_rows(*map(_mean_term, t._factors), N, lambda p, q: (p, q))
+    row = _mean_product_rows(*(_pair_lists(f, N) for f in t._factors), N, lambda p, q: (p, q))
     for n in (i * (N - 1) // 15 for i in range(16)):
         cells = row(n)
         assert len(cells) == N and all(q > 0 and gcd(p, q) == 1 for p, q in cells), n
         assert sum((F(p, q) * x for (p, q), x in zip(cells, values)), F(0)) == tx[n], n
+
+
+def test_many_term_rows_dotted_with_x_are_the_transform():
+    """Every row of riesz(harmonic).gamma(power 2, harmonic) at N = 256, a
+    product of two terms that truncate reads from its own pair lists, each
+    cell the sum of the terms' products, with no entry of the product read,
+    dotted with x: ``apply`` computes the same coordinates by the
+    product's transform rule, which never forms a cell."""
+    size = 256
+    t = compose(riesz(RieszWeights(Seq(lambda k: F(1, k + 1)))), _TRIANGLES["gamma(power 2, harmonic)"]())
+    assert len(t.structure[0]) == 2
+    values = _integers(size, seed=3)
+    tx = apply(t, Seq.from_values(values), size)
+    t.entry = None
+    rows = truncate(t, size)
+    for n, row in enumerate(rows):
+        assert sum((c * v for c, v in zip(row, values)), F(0)) == tx[n], n

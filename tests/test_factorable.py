@@ -154,8 +154,8 @@ _PRODUCTS = {
 def _product_is_dense_product(a, b, size=N):
     expected = dense_mul(truncate(a, size), truncate(b, size))
     assert truncate(compose(a, b), size) == expected
-    # compose's entries, which truncate does not read of a product with at
-    # most one term
+    # compose's entries, which truncate does not read of a structured
+    # product
     assert _entry_scan(compose(a, b), size) == expected
 
 
@@ -426,12 +426,19 @@ def test_truncating_a_one_term_triangle_evaluates_no_entry(name):
     assert max(calls.values(), default=1) == 1
 
 
-def test_truncating_a_two_term_product_reads_its_entries():
-    """phi.cesaro has two terms, and phi is no mean, so it is scanned."""
+def test_truncating_a_two_term_product_evaluates_no_entry():
+    """phi.cesaro has two terms, and phi is no mean, so it is read from its
+    own pair lists: with its entries made to fail it truncates to the entry
+    scan of a fresh copy."""
     m = _TRUNCATED["phi.cesaro"]()
     assert len(m.structure[0]) == 2
-    truncate(m, 64)
-    assert len(m._cache) == 64 * 65 // 2
+
+    def no_entry(n, k):
+        raise AssertionError(f"entry ({n}, {k}) read")
+
+    m.entry = no_entry
+    assert truncate(m, 64) == _entry_scan(_TRUNCATED["phi.cesaro"](), 64)
+    assert not m._cache
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The text that ``matrix`` prints of a triangle whose structure has at most
-one term, and of a product of two means, checked against ``spaces.fmt`` of
-the entry scan's cells, and the exit that decides between an invalid weight
-and a cell with too many digits.
+one term, of a product of two means and of a product of two or more terms,
+checked against ``spaces.fmt`` of the entry scan's cells, and the exit that
+decides between an invalid weight and a cell with too many digits.
 
 The one-term structures are the named triangles, delta times each mean,
 inverses of the means and of domain matrices, the weights of the
@@ -11,11 +11,16 @@ rule makes from their factors': a mean times delta or cesaro_inv and the
 converse, delta.delta with no terms, phi.delta and a nested
 delta.(delta.mean).  The products of two means are every ordered
 pair of the sum matrix, the Cesaro mean and the weighted and Riesz means
-of those weights.  Each is checked at N = 1, 2, 17 and 64 in csv and json.
-Five deep cases at N = 512 are checked against the sha256 digests of
-their csv text.  A product of two means whose factors have invalid weights
-at different indices exits as the entry scan reports, and a product of two
-means or a one-term product whose only invalid weights lie past N prints."""
+of those weights.  The products of two or more terms are every such
+ordered pair of the sum matrix, the Cesaro mean, delta, cesaro_inv, phi, a
+weighted and a Riesz mean, gamma and sigma_riesz that is no product of two
+means, and three nests of more factors; no entry of any of them is read.
+Each is checked at N = 1, 2, 17 and 64 in csv and json.  Five deep cases
+at N = 512 are checked against the sha256 digests of their csv text.  A
+product of two means, or of two terms with a factor that is no mean, whose
+factors have invalid weights at different indices exits as the entry scan
+reports, and such a product or a one-term product whose only invalid
+weights lie past N prints."""
 
 import contextlib
 import hashlib
@@ -26,7 +31,7 @@ from fractions import Fraction as F
 import pytest
 
 from bvdomains import cli, spaces
-from bvdomains.builders import cesaro, phi, sigma_sum
+from bvdomains.builders import cesaro, phi, phi_closed_form, sigma_sum
 from bvdomains.core import InvalidWeightsError, _entry_scan, _mean_term, compose, truncate
 
 _SIZES = (1, 2, 17, 64)
@@ -96,6 +101,26 @@ _MEANS = {
 }
 _MEAN_PRODUCTS = {f"{a}.{b}": {"kind": "compose", "of": [_MEANS[a], _MEANS[b]]} for a in _MEANS for b in _MEANS}
 
+# the products of two or more terms that are no products of two means: every
+# such ordered pair of these factors, and three nests of more factors
+_FACTORS = {
+    **{kind: {"kind": kind} for kind in ("sum", "cesaro", "delta", "cesaro_inv", "phi")},
+    "weighted[2]": _MEANS["weighted[2]"],
+    "riesz[2^k]": _MEANS["riesz[2^k]"],
+    "gamma[1]": {"kind": "gamma", "u": _PAIRS["1"][0], "v": _PAIRS["1"][1]},
+    "sigma_riesz[harmonic]": {"kind": "sigma_riesz", "q": _Q["harmonic"]},
+}
+_MANY_TERMS = {
+    **{f"{a}.{b}": {"kind": "compose", "of": [_FACTORS[a], _FACTORS[b]]} for a in _FACTORS for b in _FACTORS},
+    "cesaro.cesaro.cesaro": {"kind": "compose", "of": ["cesaro", "cesaro", "cesaro"]},
+    "cesaro.(phi.delta)": {"kind": "compose", "of": ["cesaro", {"kind": "compose", "of": ["phi", "delta"]}]},
+    "sum.phi.cesaro.delta": {"kind": "compose", "of": ["sum", "phi", "cesaro", "delta"]},
+}
+
+
+def _parsed(spec):
+    return cli.parse_matrix_spec(json.dumps(spec))[0]
+
 
 def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -151,17 +176,48 @@ def test_mean_product_text_is_the_formatted_entry_scan(name):
     _assert_text_is_the_formatted_entry_scan(json.dumps(_MEAN_PRODUCTS[name]), _mean_product_without_entries)
 
 
+def _many_terms_without_entries(matrix):
+    """Whether matrix is a structured product of two or more terms that is
+    no product of two means; its entries are made to fail."""
+    matrix.entry = _no_entry
+    return len(matrix.structure[0]) >= 2 and None in map(_mean_term, matrix._factors)
+
+
+_MANY_TERM_NAMES = sorted(name for name, spec in _MANY_TERMS.items() if _many_terms_without_entries(_parsed(spec)))
+
+
+@pytest.mark.parametrize("name", _MANY_TERM_NAMES)
+def test_many_term_product_text_is_the_formatted_entry_scan(name):
+    """Read from the product's own pair lists, each cell below the band the
+    sum of the terms' products."""
+    _assert_text_is_the_formatted_entry_scan(json.dumps(_MANY_TERMS[name]), _many_terms_without_entries)
+
+
+def test_the_many_term_products_are_every_pair_of_factors_with_terms():
+    """The pairs whose factors both have a term, less the 16 products of
+    two means, and the three nests."""
+    assert len(_MANY_TERM_NAMES) == 7 * 7 - 16 + 3
+
+
 @pytest.mark.parametrize(
     "build, terms",
-    [(phi, 1), (lambda: compose(sigma_sum(), cesaro()), 2), (lambda: compose(sigma_sum(), phi()), 2)],
+    [
+        (phi, 1),
+        (lambda: compose(sigma_sum(), cesaro()), 2),
+        (lambda: compose(sigma_sum(), phi()), 2),
+        (phi_closed_form, None),
+    ],
 )
 def test_truncate_makes_every_cell_with_its_one_text_constructor(build, terms):
     """Given ratio alone, every cell of the text rows is a str, fmt of the
     entry scan's cell: for phi, whose one-term structure is read row by
     row, the zeros and the band cells too, for sum.cesaro, read from its
-    factors' terms, the zeros above the diagonal too, and for sum.phi,
-    whose two-term structure is scanned (phi is no mean), every cell."""
-    assert len(build().structure[0]) == terms
+    factors' lists, the zeros above the diagonal too, for sum.phi, whose
+    two terms are read from its own lists (phi is no mean), every sum of
+    products, and for phi's closed form, which declares no structure and
+    is scanned, every cell."""
+    structure = build().structure
+    assert (None if structure is None else len(structure[0])) == terms
     for size in (1, 2, 17):
         rows = tuple(truncate(build(), size, ratio=spaces.fmt_ratio))
         assert all(type(cell) is str for row in rows for cell in row), size
@@ -240,20 +296,52 @@ _WEIGHTED_MEANS = {
 }
 
 
+# factors that have a term and are no means, two with an invalid weight
+_NON_MEANS = {
+    "phi": {"kind": "phi"},
+    "gamma u[2] = 0": {"kind": "gamma", "u": _ones_then(2, "0"), "v": _tail("harmonic")},
+    "sigma_riesz q[4] = -1": {"kind": "sigma_riesz", "q": _ones_then(4, "-1")},
+}
+_WITH_TERMS = {**_NON_MEANS, **_WEIGHTED_MEANS}
+_VALID = ("phi", "valid")
+
+
+def _assert_exit_is_the_entry_scan(of):
+    """The product of the specs of exits 3 at N = 16 naming the weight that
+    the entry scan meets first, although the structured read meets the
+    weights in another order."""
+    spec = json.dumps({"kind": "compose", "of": of})
+    with pytest.raises(InvalidWeightsError) as scanned:
+        _entry_scan(cli.parse_matrix_spec(spec)[0], 16)
+    for fmt in ("csv", "json"):
+        got = _run("matrix", "--spec", spec, "--n", "16", "--format", fmt)
+        assert got == (3, "", f"mathematical error: {scanned.value}\n"), fmt
+
+
 @pytest.mark.parametrize(
     "a, b", [(a, b) for a in _WEIGHTED_MEANS for b in _WEIGHTED_MEANS if (a, b) != ("valid", "valid")]
 )
 def test_a_mean_product_with_invalid_weights_exits_as_the_entry_scan(a, b):
     """A product of two means whose factors have invalid weights at
     different indices, in either order, or one invalid factor and a valid
-    one, exits 3 naming the weight that the entry scan meets first,
-    although the structured read meets the weights in another order."""
-    spec = json.dumps({"kind": "compose", "of": [_WEIGHTED_MEANS[a], _WEIGHTED_MEANS[b]]})
-    with pytest.raises(InvalidWeightsError) as scanned:
-        _entry_scan(cli.parse_matrix_spec(spec)[0], 16)
-    for fmt in ("csv", "json"):
-        got = _run("matrix", "--spec", spec, "--n", "16", "--format", fmt)
-        assert got == (3, "", f"mathematical error: {scanned.value}\n"), fmt
+    one."""
+    _assert_exit_is_the_entry_scan([_WEIGHTED_MEANS[a], _WEIGHTED_MEANS[b]])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (a, b)
+        for a in _WITH_TERMS
+        for b in _WITH_TERMS
+        if (a in _NON_MEANS or b in _NON_MEANS) and not (a in _VALID and b in _VALID)
+    ],
+)
+def test_a_many_term_product_with_invalid_weights_exits_as_the_entry_scan(a, b):
+    """A product of two terms that is no product of two means, read from its
+    own pair lists: factors with invalid weights at different indices, in
+    either order, or one invalid factor and a valid one."""
+    _assert_exit_is_the_entry_scan([_WITH_TERMS[a], _WITH_TERMS[b]])
 
 
 def _one_term_product_without_entries(matrix):
@@ -281,6 +369,14 @@ def _assert_invalid_weights_past_n_print(index, partner, takes_read):
             assert truncate(matrix, 16) == scan
             for fmt, text in _formatted(scan, resolved).items():
                 assert _run("matrix", "--spec", spec, "--n", "16", "--format", fmt) == (0, text, ""), (of, fmt)
+
+
+@pytest.mark.parametrize("index", [16, 17])
+@pytest.mark.parametrize("partner", ["phi", "gamma[1]"])
+def test_a_many_term_product_whose_invalid_weights_lie_past_n_prints(index, partner):
+    """A factor with a term that is no mean on either side of the mean: the
+    product has two terms, read from its own pair lists."""
+    _assert_invalid_weights_past_n_print(index, _FACTORS[partner], _many_terms_without_entries)
 
 
 @pytest.mark.parametrize("index", [16, 17])
