@@ -246,7 +246,9 @@ def _build_matrix(raw, depth: int):
         build = builders.riesz if kind == "riesz" else builders.sigma_riesz
         return build(weights), _checked(raw, {"kind": kind, **spec}, f"{kind} spec")
     if kind == "inverse_of":
-        inner, inner_spec = _build_matrix(raw.get("of", {}), depth + 1)
+        if "of" not in raw:
+            raise SpecError("inverse_of spec requires 'of'")
+        inner, inner_spec = _build_matrix(raw["of"], depth + 1)
         if not isinstance(inner, Triangle):
             raise SpecError("inverse_of requires a triangle with nonzero diagonal")
         return invert(inner), _checked(raw, {"kind": "inverse_of", "of": inner_spec}, "inverse_of spec")

@@ -17,14 +17,14 @@ lower-triangular matrix that is never inverted (an associated dual matrix)
 is a plain ``BandedMatrix``.  ``compose`` is the only matrix product: it
 sums over the overlap of its factors' supports, records its factors on the
 product, and returns a Triangle when both are triangles.  ``invert``
-derives inverses from what a triangle states: one structure term and no
-band (a mean) inverts to a bidiagonal, the order-one case of the
-quasiseparable inverse of Eidelman and Gohberg (1999), and a product whose
-factors invert so inverts as inverse(B).inverse(A), so the domain matrices
-invert at O(1) cost per entry.  An inverse links back to its triangle.
-Generic forward substitution (``_build_inverse``) is the fallback for every
-other triangle, and the independent oracle the derived inverses are checked
-against.
+dispatches once on what a triangle states: one structure term and no band
+(a mean) inverts to a bidiagonal, the order-one case of the quasiseparable
+inverse of Eidelman and Gohberg (1999), and any other product A.B through
+its factors as inverse(B).inverse(A), so the domain matrices invert at O(1)
+cost per entry.  An inverse links back to its triangle.  Generic forward
+substitution (``_build_inverse``) inverts every other triangle, a product's
+factor included, and is the independent oracle the derived inverses are
+checked against.
 
 The oracles that work on whole rows are integer kernels, in the manner of
 the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
@@ -67,10 +67,10 @@ over (prefix, combine) as the product rule is: Mx is U(n) times the running
 sum of V x over each term, plus the band times x, so N coordinates cost
 O(N) operations.  ``apply`` runs it on the pair lists of the structure and
 of x, and so do ``membership --domain`` and the bv norm of Ax in
-``spaces``; ``transform_seq``, for a reader with no length, and the error
-path of an invalid weight run it on memoized Seqs.  Every other matrix
-takes the entry loop ``_coordinate`` over each row's support, which is the
-oracle of both.
+``spaces``.  ``transform_seq`` is the one lazy transform: it runs the rule
+on memoized Seqs, and any other matrix takes the entry loop ``_coordinate``
+over each row's support, which is the oracle of both.  ``apply`` reads it in
+order for a matrix with no structure or whose lists meet an invalid weight.
 """
 
 from __future__ import annotations
@@ -539,18 +539,6 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
     return acc
 
 
-def _coordinates(m, x: Seq) -> Callable[[int], Fraction]:
-    """n -> coordinate n of the transform Mx: for a structured m the
-    transform rule (``_transform_rule``) on memoized Seqs, so each
-    coordinate is evaluated once, in the order it is read.  Any other
-    matrix takes the entry loop ``_coordinate``, which is also the oracle
-    both structured paths are checked against, invalid weights included.
-    """
-    if m.structure is None:
-        return lambda n: _coordinate(m, x, n)
-    return _transform_rule(m.structure, x, (_seq_prefix, _seq_combine))
-
-
 def _transform_rule(structure: tuple, x, ops: tuple):
     """The transform Mx of a structure (terms, band), in a representation
     of sequences with ops = (prefix, combine) as ``_product_rule`` states
@@ -587,23 +575,27 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
     ratio, as the text ratio(p, q) of each coordinate p/q, as ``truncate``
     makes its cells.  A structured m is read from its pair lists
     (``_list_coordinates``); any other m, and one whose lists meet an
-    invalid weight, takes ``_coordinates`` in order."""
+    invalid weight, reads the lazy transform ``transform_seq`` in order."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
     coords = _list_coordinates(m, x, n_size, ratio or Fraction)
     if coords is None:
-        coords = list(map(_coordinates(m, x), range(n_size)))
+        coords = list(map(transform_seq(m, x), range(n_size)))
         if ratio is not None:
             coords = [ratio(*v.as_integer_ratio()) for v in coords]
     return coords
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
-    """The transform Tx as a lazy Seq, for a reader that has no length:
-    for a structured t the transform rule on memoized Seqs
-    (``_coordinates``), a Seq returned as it is; a bare callable is
-    wrapped in one."""
-    coords = _coordinates(t, x)
+    """The transform Tx as a lazy memoized Seq, for a reader that has no
+    length: for a structured t the transform rule (``_transform_rule``) on
+    memoized Seqs, so each coordinate is evaluated once, in the order it is
+    read.  Any other t takes the entry loop ``_coordinate``, which is also
+    the oracle both structured paths are checked against, invalid weights
+    included."""
+    if t.structure is None:
+        return Seq(lambda n: _coordinate(t, x, n))
+    coords = _transform_rule(t.structure, x, (_seq_prefix, _seq_combine))
     return coords if isinstance(coords, Seq) else Seq(coords)
 
 
@@ -899,13 +891,6 @@ def _mean_term(t: Triangle) -> Optional[tuple]:
     return terms[0] if len(terms) == 1 and not band else None
 
 
-def _derives(t: Triangle) -> bool:
-    """Whether invert(t) runs no forward substitution."""
-    if t._inverse is not None or _mean_term(t) is not None:
-        return True
-    return t._factors is not None and all(map(_derives, t._factors))
-
-
 def _mean_inverse(u, v) -> Triangle:
     """The inverse of the mean U(n) V(k), None the all-ones sequence: the
     bidiagonal 1/(U(n) V(n)) on the diagonal and -1/(U(n-1) V(n)) below it,
@@ -927,14 +912,15 @@ def invert(t: Triangle) -> Triangle:
     """Inverse of a triangle, computed and shared lazily.
 
     A mean (one structure term, no band) inverts to its bidiagonal
-    ``_mean_inverse``, and a product of two triangles that derive their
-    inverses inverts as inverse(B).inverse(A); every other triangle takes
-    forward substitution.  The inverse links back to t, so inverting it
-    again costs nothing and returns t.
+    ``_mean_inverse``, any other product A.B through its factors as
+    inverse(B).inverse(A), and every other triangle, a product's factor
+    included, by forward substitution.  The inverse links back to t, so
+    inverting it again costs nothing and returns t.
 
     The result satisfies truncate(T,N) . truncate(invert(T),N) = I_N exactly
     for every N.  A zero diagonal entry that forward substitution meets
-    raises SingularMatrixError naming the offending row.
+    raises SingularMatrixError naming the offending row, and a product's
+    inverse read row by row names the product's first.
     """
     if not isinstance(t, Triangle):
         raise ValueError("cannot invert a matrix that is not a triangle")
@@ -942,7 +928,7 @@ def invert(t: Triangle) -> Triangle:
         term = _mean_term(t)
         if term is not None:
             inv = _mean_inverse(*term)
-        elif _derives(t):
+        elif t._factors is not None:
             a, b = t._factors
             inv = compose(invert(b), invert(a))
         else:

@@ -136,10 +136,12 @@ def _lists(m, size: int) -> tuple:
     (U, V), None the all-ones list.  U has size values, and V one for each
     column below the band, max(size - len(bands), 0).
 
-    A product gets them from its factors' lists (``_product_lists``), a
-    matrix built with its own rule (the closed-form matrix) from that, and
-    every other structure by scaling its pair lists (``_leaf_lists``).  They are pure values: the largest size built is
-    kept on m, and a smaller one is its head."""
+    A matrix built with its own rule (the closed-form matrix) gets them
+    from that rule, a product from its factors' lists by ``core._list_rule``
+    on integer lists, over the product of their d, and every other
+    structure by scaling its pair lists (``_leaf_lists``).  They are pure
+    values: the largest size built is kept on m, and a smaller one is its
+    head."""
     kept = getattr(m, "_kept_lists", None)
     if kept is not None and kept[0] >= size:
         d, bands, terms = kept[1]
@@ -148,7 +150,9 @@ def _lists(m, size: int) -> tuple:
     if getattr(m, "_own_lists", None) is not None:
         lists = m._own_lists(size)
     elif m._factors is not None:
-        lists = _product_lists(*(_lists(f, size) for f in m._factors), size)
+        (da, a_band, a_terms), (db, b_band, b_terms) = (_lists(f, size) for f in m._factors)
+        terms, bands = _list_rule((a_terms, a_band), (b_terms, b_band), size, (add, mul, neg, 0, 1))
+        lists = da * db, bands, terms
     else:
         lists = _leaf_lists(m, size)
     m._kept_lists = (size, lists)
@@ -193,14 +197,6 @@ def _leaf_lists(m, size: int) -> tuple:
             u = [c] * size
         lists.append((u, v))
     return d, [[x * (d // scale) for x in xs] for scale, xs in cells], lists
-
-
-def _product_lists(x: tuple, y: tuple, size: int) -> tuple:
-    """The lists of A.B from A's lists x = (da, bands, terms) and B's y, by
-    ``core._list_rule`` on integer lists over d = da db."""
-    (da, a_band, a_terms), (db, b_band, b_terms) = x, y
-    terms, bands = _list_rule((a_terms, a_band), (b_terms, b_band), size, (add, mul, neg, 0, 1))
-    return da * db, bands, terms
 
 
 def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:

@@ -179,8 +179,8 @@ def suite_identities(n: int, rng) -> list:
     # both sides take compose's structured path (every factor here declares
     # a structure), so the generic dense product of truncations is compared
     # too; delta . phi multiplies a band by terms and by a band.  Each
-    # product is read by its entries, which truncate skips for a product
-    # of at most one structure term
+    # product is read by its entries with _entry_scan: truncate reads every
+    # structured product from its pair lists, so only the scan reads them
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
 
     def associativity_pairs():

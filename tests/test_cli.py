@@ -105,6 +105,17 @@ def test_an_unknown_nested_matrix_word_is_named(capsys):
         assert run_cli(capsys, "matrix", "--spec", spec, "--n", "3") == (2, "", "error: unknown matrix kind 'hilbert'\n")
 
 
+def test_a_missing_inverse_of_operand_is_named(capsys):
+    """An inverse_of spec without 'of' names the key; an explicit empty one
+    is a matrix spec with no kind, and the shorthand is unchanged."""
+    argv = ["matrix", "--n", "3", "--spec"]
+    assert run_cli(capsys, *argv, '{"kind": "inverse_of"}') == (2, "", "error: inverse_of spec requires 'of'\n")
+    empty = run_cli(capsys, *argv, '{"kind": "inverse_of", "of": {}}')
+    assert empty == (2, "", "error: matrix spec must be an object with a 'kind' field\n")
+    assert run_cli(capsys, *argv, "inverse_of(phi)") == run_cli(capsys, *argv, '{"kind": "inverse_of", "of": "phi"}')
+    assert run_cli(capsys, *argv, "inverse_of(phi)")[0] == 0
+
+
 def test_parse_domain_spec():
     dom, spec = parse_domain_spec("C")
     assert dom.label == "C" and spec == {"label": "C"}

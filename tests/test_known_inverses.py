@@ -101,9 +101,30 @@ def test_product_of_inverses_inverts_through_its_factors(name, monkeypatch):
     assert_same_entries(back, compose(NAMED[name](), delta()), 12)
 
 
-def test_unstructured_triangles_fall_back_to_forward_substitution(monkeypatch):
-    # phi_closed_form declares no structure and records no factors, so it
-    # and a product with it take forward substitution, once each
+# phi_closed_form declares no structure and records no factors, so it is
+# the one kind of triangle here that forward substitution inverts
+WITH_PHI_CLOSED_FORM = {
+    "alone": phi_closed_form,
+    "left": lambda: compose(phi_closed_form(), cesaro()),
+    "right": lambda: compose(cesaro(), phi_closed_form()),
+    "both": lambda: compose(phi_closed_form(), phi_closed_form()),
+    "nested": lambda: compose(delta(), compose(cesaro(), phi_closed_form())),
+}
+
+
+def _unstructured_leaves(t):
+    if t._factors is not None:
+        return [leaf for f in t._factors for leaf in _unstructured_leaves(f)]
+    return [t] if t.structure is None else []
+
+
+@pytest.mark.parametrize("case", sorted(WITH_PHI_CLOSED_FORM))
+def test_products_forward_substitute_only_their_unstructured_factors(case, monkeypatch):
+    # a product inverts through its factors, so forward substitution runs
+    # once on each factor that is neither a mean nor a product, and on no
+    # product; the entries are those of the whole product's forward
+    # substitution
+    make = WITH_PHI_CLOSED_FORM[case]
     built = []
 
     def counted(t):
@@ -112,11 +133,37 @@ def test_unstructured_triangles_fall_back_to_forward_substitution(monkeypatch):
 
     build_inverse = core._build_inverse
     monkeypatch.setattr(core, "_build_inverse", counted)
-    for make in (phi_closed_form, lambda: compose(delta(), phi_closed_form())):
-        t = make()
-        assert_same_entries(invert(t), build_inverse(make()), 16)
-        assert built == [t]
-        built.clear()
+    t = make()
+    inv = invert(t)
+    leaves = _unstructured_leaves(t)
+    assert leaves and sorted(map(id, built)) == sorted(map(id, leaves))
+    assert_same_entries(inv, build_inverse(make()), 16)
+    assert len(built) == len(leaves)  # reading the entries ran no more
+    assert invert(inv) is t
+
+
+def _singular_at(row):
+    return lambda: Triangle(lambda n, k: F(0) if n == k == row else F(1, n - k + 1))
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (_singular_at(3), cesaro),
+        (cesaro, _singular_at(3)),
+        (_singular_at(3), _singular_at(5)),
+        (_singular_at(5), _singular_at(3)),
+        (_singular_at(3), _singular_at(3)),
+    ],
+)
+def test_a_singular_factor_names_the_row_the_products_forward_substitution_does(left, right):
+    with pytest.raises(core.SingularMatrixError) as oracle:
+        truncate(core._build_inverse(compose(left(), right())), 8)
+    p = compose(left(), right())
+    with pytest.raises(core.SingularMatrixError) as got:
+        truncate(invert(p), 8)
+    assert got.value.row == oracle.value.row == 3
+    assert invert(invert(p)) is p
 
 
 positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
