@@ -22,9 +22,8 @@ costs O(N^2), not O(N^3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Union
 
 from .core import (
     ONE,
@@ -61,15 +60,13 @@ def cesaro_inverse() -> Triangle:
     return invert(cesaro())
 
 
-@dataclass(frozen=True)
-class WeightPair:
+class WeightPair(namedtuple("WeightPair", "u v")):
     """Weights (u, v) for the generalized weighted mean; both nowhere zero.
 
     Validity is checked lazily at probe time, failing with the offending index.
     """
 
-    u: Seq
-    v: Seq
+    __slots__ = ()
 
     def u_at(self, n: int) -> Fraction:
         value = self.u(n)
@@ -84,7 +81,6 @@ class WeightPair:
         return value
 
 
-@dataclass
 class RieszWeights:
     """Positive weights q with partial sums Q_n = q_0 + ... + q_n (Q_{-1} = 0).
 
@@ -92,9 +88,8 @@ class RieszWeights:
     into R^q, read through ``u_at`` (memoized) and ``v_at``.
     """
 
-    q: Seq
-
-    def __post_init__(self):
+    def __init__(self, q: Seq):
+        self.q = q
         self.big_q = running_sum(self.q_at)
         self.u_at = Seq(lambda n: 1 / self.big_q(n))
 
@@ -107,10 +102,7 @@ class RieszWeights:
     v_at = q_at
 
 
-Weights = Union[WeightPair, RieszWeights]
-
-
-def weighted_mean(w: Weights) -> Triangle:
+def weighted_mean(w: WeightPair | RieszWeights) -> Triangle:
     """Generalized weighted (factorable) mean: entry(n,k) = u_n * v_k.
 
     ``invert`` derives its bidiagonal inverse from its one term: 1/(u_n v_n)
@@ -188,13 +180,12 @@ def basis_column(t: Triangle, k: int) -> Seq:
     return Seq(lambda n: inv.entry(n, k))
 
 
-@dataclass(frozen=True)
-class Domain:
-    """A bv matrix domain: label C/G/R, its triangle, and the weights used."""
+class Domain(namedtuple("Domain", "label matrix weights", defaults=(None,))):
+    """A bv matrix domain: its label "C", "G" or "R", its triangle
+    ``matrix``, and the ``weights`` used, a WeightPair, RieszWeights or
+    None."""
 
-    label: str  # "C", "G", or "R"
-    matrix: Triangle
-    weights: Optional[Weights] = None
+    __slots__ = ()
 
 
 def cesaro_domain() -> Domain:

@@ -61,7 +61,11 @@ by row, a cell below the band the sum over the terms of U(n) V(k), and
 a product of two means from its factors' lists by per-row pair suffix
 sums, Ua(n) Vb(k) (t_k + ... + t_n) with t = Va Ub.  Only a matrix with
 no structure is scanned entry by entry, as the oracle of the structured
-reads.  A cell is a ``Fraction`` or, for ``matrix``, its text ratio(p, q).
+reads.  When pair lists meet an invalid weight, ``_replay`` bisects on
+them for the first row whose lists fail and reads that row's entries, so
+``truncate`` and the generator lists of ``duals`` raise the weight the
+scan meets first without scanning.  A cell is a ``Fraction`` or, for
+``matrix``, its text ratio(p, q).
 ``_transform_rule`` transforms a sequence by a structure, stated once
 over (prefix, combine) as the product rule is: Mx is U(n) times the running
 sum of V x over each term, plus the band times x, so N coordinates cost
@@ -76,11 +80,11 @@ order for a matrix with no structure or whose lists meet an invalid weight.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate, repeat, starmap
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -132,7 +136,7 @@ class Seq:
     def __init__(
         self,
         eval_fn: Callable[[int], Fraction],
-        support_bound: Optional[int] = None,
+        support_bound: int | None = None,
     ):
         self._eval = eval_fn
         self.support_bound = support_bound
@@ -209,17 +213,17 @@ class BandedMatrix:
     def __init__(
         self,
         entry_fn: Callable[[int, int], Fraction],
-        row_bound: Optional[Callable[[int], int]] = None,
-        row_count: Optional[int] = None,
-        structure: Optional[tuple] = None,
+        row_bound: Callable[[int], int] | None = None,
+        row_count: int | None = None,
+        structure: tuple | None = None,
     ):
         self._entry = entry_fn
         self._row_bound = row_bound
         self.row_count = row_count
         self.structure = structure
         self.band = len(structure[1]) - 1 if structure is not None and not structure[0] else None
-        self._inverse: Optional[Triangle] = None  # set by invert
-        self._factors: Optional[tuple] = None  # (A, B) of a product A.B, set by compose
+        self._inverse: Triangle | None = None  # set by invert
+        self._factors: tuple | None = None  # (A, B) of a product A.B, set by compose
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -298,9 +302,9 @@ def truncate(source, n_size: int, ratio=None):
     own (``_structure_rows``), each cell below the band the sum over the
     terms of U(n) V(k), reduced on integers.  A matrix with no structure
     takes the entry scan ``_entry_scan``, which is also the oracle of both
-    structured reads and their error path: a structured read that meets an
-    invalid weight gives way to the scan, so the weight reported is the one
-    the scan meets first.
+    structured reads.  A structured read that meets an invalid weight
+    raises it through ``_replay``, which reads the entries of one row, so
+    the weight reported is the one the scan meets first.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
@@ -310,20 +314,21 @@ def truncate(source, n_size: int, ratio=None):
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
-    rows = None
-    factors = source._factors if source.structure is not None else None
+    if source.structure is None:
+        rows = _entry_scan(source, n_size)
+        if ratio is None:
+            return rows
+        return (tuple(starmap(ratio, map(Fraction.as_integer_ratio, row))) for row in rows)
+    factors = source._factors
     try:
         if factors is not None and None not in map(_mean_term, factors):
             row = _mean_product_rows(*(_pair_lists(f, n_size) for f in factors), n_size, ratio or Fraction)
             rows = (row(n) for n in range(n_size))
-        elif source.structure is not None:
+        else:
             rows = _structure_rows(_pair_lists(source, n_size), n_size, ratio or Fraction)
     except InvalidWeightsError:
-        pass
-    if rows is None:
-        rows = _entry_scan(source, n_size)
-        if ratio is not None:
-            rows = (tuple(starmap(ratio, map(Fraction.as_integer_ratio, row))) for row in rows)
+        _replay(source, n_size)
+        raise
     return tuple(rows) if ratio is None else rows
 
 
@@ -365,6 +370,25 @@ def _pair_lists(m, n_size: int) -> tuple:
         [(values(u, width, n_size), values(v, 0, n_size - width)) for u, v in terms],
         [values(part, i, n_size) for i, part in enumerate(band)],
     )
+
+
+def _replay(m, n_size: int) -> None:
+    """Read, in scan order, the entries of the first row whose pair lists
+    raise an invalid weight, found by bisection over the sizes: rows before
+    it read the same weights the lists of fewer rows do, so those entries
+    raise the invalid weight the scans report, after O(log N) list builds
+    and one row of entries.  The callers re-raise the lists' error if the
+    row's entries raise none."""
+    good, bad = 0, n_size
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _pair_lists(m, mid)
+            good = mid
+        except InvalidWeightsError:
+            bad = mid
+    for k in m.row_support(good):
+        m.entry(good, k)
 
 
 def _structure_rows(lists: tuple, n_size: int, ratio):
@@ -553,7 +577,7 @@ def _transform_rule(structure: tuple, x, ops: tuple):
     return combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
 
 
-def _list_coordinates(m, x: Seq, n_size: int, ratio=Fraction) -> Optional[list]:
+def _list_coordinates(m, x: Seq, n_size: int, ratio=Fraction) -> list | None:
     """ratio(p, q) of each of the first n_size coordinates p/q of Mx for a
     structured m: the transform rule on m's pair lists (``_pair_lists``)
     and x's first n_size values as reduced pairs, so no Seq of the
@@ -885,7 +909,7 @@ def _build_inverse(t: Triangle) -> Triangle:
     return Triangle(entry)
 
 
-def _mean_term(t: Triangle) -> Optional[tuple]:
+def _mean_term(t: Triangle) -> tuple | None:
     """(U, V) when t's structure is that one term and no band, else None."""
     terms, band = t.structure or ([], [])
     return terms[0] if len(terms) == 1 and not band else None

@@ -36,10 +36,12 @@ never reads the inverse.
 Lists are pure values per size: the largest built is kept on the matrix
 and a smaller size reads its head, so the domain inverse's lists serve
 every report over the domain, the rows of a from-domain class test
-included.  An invalid weight met while building them is replayed through
-the entries of the first row whose lists fail, so it is reported as the
-scans report it.  The statistics scan any other matrix (E, a bare triangle
-domain), and the scans are also the oracle the lists are checked against.
+included.  An invalid weight met while building them is raised by
+``core._replay``, which ``truncate`` shares: it bisects on the pair lists
+for the first row whose lists fail and reads that row's entries, so the
+weight is reported as the scans report it.  The statistics scan any
+other matrix (E, a bare triangle domain), and the scans are also the
+oracle the lists are checked against.
 A scan reads only the cells the matrix's row supports leave possibly
 nonzero, in the order of a scan of the whole square, and does no
 arithmetic on a zero, so E of a finite matrix with r rows costs O(r N)
@@ -49,12 +51,11 @@ entry reads, not O(N^2).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import add, mul, neg, sub
-from typing import Optional, Union
 
 from .core import (
     BandedMatrix,
@@ -65,12 +66,13 @@ from .core import (
     _integers,
     _list_rule,
     _pair_lists,
+    _replay,
     compose,
     diagonal,
     invert,
     running_sum,
 )
-from .builders import Domain, Weights, sigma_sum
+from .builders import Domain, RieszWeights, WeightPair, sigma_sum
 from .spaces import _stats_dict, checkpoints, classify_trend, combine_verdicts, fmt, policy_dict
 
 # A beta-column is called convergent at truncation when its oscillation over
@@ -80,7 +82,7 @@ OSCILLATION_TOL = Fraction(1, 10**6)
 DUAL_KINDS = ("alpha", "beta", "gamma")
 
 
-def _generators(m, size: int) -> Optional[tuple]:
+def _generators(m, size: int) -> tuple | None:
     """(d, bands, w, col, row): integer lists with bands[i][n] / d the entry
     (n, n - i) for the cells of the band, and (w[n] col[k] + row[n]) / d the
     entry (n, k) for the cells below it, k <= n - len(bands), n < size.
@@ -92,7 +94,8 @@ def _generators(m, size: int) -> Optional[tuple]:
     diagonal from the terms; a row within the band has w = row = 0.  For
     any other structure, and for none, this is None, so a matrix whose
     structure is removed is scanned.  The lists are m's ``_lists``; when
-    those raise an invalid weight, ``_replay`` raises it as the scans do."""
+    those raise an invalid weight, ``core._replay`` raises it as the scans
+    do."""
     if m.structure is None:
         return None
     shapes = [(u is None, v is None) for u, v in m.structure[0]]
@@ -159,23 +162,6 @@ def _lists(m, size: int) -> tuple:
     return lists
 
 
-def _replay(m, size: int) -> None:
-    """Read, in scan order, the entries of the first row whose lists raise
-    an invalid weight, found by bisection over the sizes: rows before it
-    read the same weights the lists of fewer rows do, so those entries
-    raise the invalid weight the scans report."""
-    good, bad = 0, size
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            _lists(m, mid)
-            good = mid
-        except InvalidWeightsError:
-            bad = mid
-    for k in m.row_support(good):
-        m.entry(good, k)
-
-
 def _leaf_lists(m, size: int) -> tuple:
     """The lists of a structure that is no product from its pair lists
     (``core._pair_lists``): each band part, U and V scaled to integers over
@@ -199,7 +185,7 @@ def _leaf_lists(m, size: int) -> tuple:
     return d, [[x * (d // scale) for x in xs] for scale, xs in cells], lists
 
 
-def _closed_form_lists(w: Weights, a: Seq, size: int) -> tuple:
+def _closed_form_lists(w: WeightPair | RieszWeights, a: Seq, size: int) -> tuple:
     """The lists of ``closed_form_beta_matrix`` from the weights, at the
     rows n < size.
 
@@ -253,7 +239,7 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     return m
 
 
-def closed_form_beta_matrix(w: Weights, a: Seq) -> BandedMatrix:
+def closed_form_beta_matrix(w: WeightPair | RieszWeights, a: Seq) -> BandedMatrix:
     """The same beta/gamma matrix built from the weight closed forms only.
 
     Column k carries a_k/(u_k v_k) on the diagonal plus the partial sums of
@@ -574,13 +560,12 @@ def condition_verdict(stats: dict) -> str:
     return combine_verdicts(*verdicts)
 
 
-@dataclass(frozen=True)
-class DualReport:
-    kind: str
-    n: int
-    conditions: dict  # condition statistics keyed by report name
-    verdict: str
-    cross_check: Optional[dict] = None
+class DualReport(namedtuple("DualReport", "kind n conditions verdict cross_check", defaults=(None,))):
+    """A dual test of ``kind`` at truncation n: the ``conditions``, its
+    condition statistics keyed by report name, the ``verdict``, and the
+    ``cross_check`` dict against the closed form (else None)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         policy = policy_dict()
@@ -595,9 +580,7 @@ class DualReport:
         }
 
 
-def dual_test(
-    domain: Union[Domain, Triangle], a: Seq, kind: str, n: int
-) -> DualReport:
+def dual_test(domain: Domain | Triangle, a: Seq, kind: str, n: int) -> DualReport:
     """Evaluate whether a belongs to the given dual of the bv matrix domain.
 
     Accepts either a bare domain Triangle or a Domain; when a Domain with

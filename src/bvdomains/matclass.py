@@ -11,8 +11,7 @@ the one lazy matrix class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .core import BandedMatrix, apply, compose, invert
 from .builders import Domain
@@ -36,15 +35,17 @@ class UnsupportedClassError(ValueError):
 apply_general = apply
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    direction: str  # "from_bv_domain" or "into_bv_domain"
-    domain_label: str  # "C", "G", or "R"
-    space: SpaceId
-    n: int
-    row_dual_checks: Optional[tuple]  # DualReports for sampled rows (from-direction)
-    transformed_condition: dict
-    verdict: str
+_CLASS_FIELDS = "direction domain_label space n row_dual_checks transformed_condition verdict"
+
+
+class ClassReport(namedtuple("ClassReport", _CLASS_FIELDS)):
+    """A class test at truncation n: its ``direction``, "from_bv_domain" or
+    "into_bv_domain", the ``domain_label`` "C", "G" or "R", the SpaceId
+    ``space``, the tuple ``row_dual_checks`` of DualReports for the sampled
+    rows (None into the domain), the ``transformed_condition`` block and
+    the ``verdict``."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         # one dict per distinct report, so rows that share a report share it

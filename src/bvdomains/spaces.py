@@ -9,10 +9,9 @@ heuristics for proofs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .core import Seq, Triangle, ZERO, _list_coordinates, transform_seq
 
@@ -94,14 +93,16 @@ def combine_verdicts(*verdicts: str) -> str:
     return "inconclusive"
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    space: SpaceId
-    n: int
-    checkpoints: tuple  # ((index, Fraction), ...)
-    growth_ratio: Optional[Fraction]
-    verdict: str
-    aux_checkpoints: Optional[tuple] = None  # second statistic for bv0
+_MEMBERSHIP_FIELDS = "space n checkpoints growth_ratio verdict aux_checkpoints"
+
+
+class MembershipReport(namedtuple("MembershipReport", _MEMBERSHIP_FIELDS, defaults=(None,))):
+    """Membership in ``space`` at truncation n: the ``checkpoints``
+    ((index, Fraction), ...), the ``growth_ratio`` (a Fraction or None),
+    the ``verdict``, and ``aux_checkpoints``, the second statistic for bv0
+    (else None)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         d = {

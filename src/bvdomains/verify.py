@@ -11,9 +11,8 @@ a seeded generator so reports are reproducible byte for byte.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
 
 from . import builders, duals, matclass, spaces
 from .core import (
@@ -34,11 +33,11 @@ from .core import (
 SUITES = ("identities", "bases", "duals", "matclass", "all")
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    counterexample: Optional[dict] = None
+class CheckResult(namedtuple("CheckResult", "name passed counterexample", defaults=(None,))):
+    """One check's ``name``, whether it ``passed``, and the
+    ``counterexample`` dict of a failure, else None."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

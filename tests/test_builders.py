@@ -4,6 +4,7 @@ import pytest
 
 from bvdomains.core import InvalidWeightsError, Seq, apply, compose, invert, truncate
 from bvdomains.builders import (
+    Domain,
     RieszWeights,
     WeightPair,
     basis_column,
@@ -20,6 +21,10 @@ from bvdomains.builders import (
     sigma_sum,
     weighted_mean,
 )
+from bvdomains.duals import DualReport
+from bvdomains.matclass import ClassReport
+from bvdomains.spaces import MembershipReport
+from bvdomains.verify import CheckResult
 
 E = Seq.constant(1)
 
@@ -216,3 +221,51 @@ def test_basis_property_all_domains():
         for k in range(6):
             got = apply(t, basis_column(t, k), 12)
             assert got == [F(1) if i == k else F(0) for i in range(12)]
+
+
+# each record, its fields in order, and the defaults of its trailing fields
+_RECORDS = {
+    "WeightPair": (WeightPair, "u v", {}),
+    "Domain": (Domain, "label matrix weights", {"weights": None}),
+    "DualReport": (DualReport, "kind n conditions verdict cross_check", {"cross_check": None}),
+    "ClassReport": (
+        ClassReport,
+        "direction domain_label space n row_dual_checks transformed_condition verdict",
+        {},
+    ),
+    "MembershipReport": (
+        MembershipReport,
+        "space n checkpoints growth_ratio verdict aux_checkpoints",
+        {"aux_checkpoints": None},
+    ),
+    "CheckResult": (CheckResult, "name passed counterexample", {"counterexample": None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_build_by_position_and_keyword_compare_by_field_and_are_immutable(name):
+    record, fields, defaults = _RECORDS[name]
+    fields = fields.split()
+    values = [[i] for i in range(len(fields))]
+    built = record(*values)
+    assert [getattr(built, f) for f in fields] == values
+    assert record(**dict(zip(fields, values))) == built
+    # equal fields, not the same objects, compare equal; one changed field does not
+    assert record(*map(list, values)) == built
+    for i in range(len(fields)):
+        assert record(*values[:i], ["other"], *values[i + 1 :]) != built
+    required = record(*values[: len(fields) - len(defaults)])
+    assert {f: getattr(required, f) for f in defaults} == defaults
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(built, f, ["other"])
+    assert [getattr(built, f) for f in fields] == values
+
+
+def test_riesz_weights_build_by_position_and_keyword():
+    q = Seq(lambda k: F(k + 1))
+    for r in (RieszWeights(q), RieszWeights(q=q)):
+        assert r.q is q
+        assert [r.q_at(k) for k in range(3)] == [r.v_at(k) for k in range(3)] == [1, 2, 3]
+        assert [r.big_q(n) for n in range(3)] == [1, 3, 6]
+        assert [r.u_at(n) for n in range(3)] == [1, F(1, 3), F(1, 6)]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bvdomains
 from bvdomains import duals
 from bvdomains.cli import (
     SpecError,
@@ -333,10 +334,21 @@ def test_exit_code_usage_errors(capsys, tmp_path):
         ["matrix", "--spec", "cesaro", "--n", "4", "--out", str(out_path)]
         for out_path in (tmp_path, tmp_path / "missing" / "x.json")
     ]
+    # usage errors met after the flags parse, each with its own message
+    named = {
+        ("matrix", "--spec", '{"kind": '): "bad matrix spec JSON at position 8",
+        (
+            "membership", "--x", "e", "--space", "l1", "--domain", '{"kind":"banded","rows":[["1"]]}',
+        ): "membership domain must be a triangle spec",
+        ("verify", "--n", "260"): "suite truncation must be <= 256, got 260",
+    }
+    cases += map(list, named)
     for argv in cases + too_long + unwritable:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+        if tuple(argv) in named:
+            assert named[tuple(argv)] in err, err
         if argv in too_long:
             assert "--n" in err and "power p" in err and "geometric r" in err, err
         if argv in unwritable:
@@ -385,6 +397,18 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
     )
     assert code == 2 and err.startswith("error: unknown sequence shorthand")
     assert existing.read_text() == "kept\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_typing():
+    """The package builds its records without ``dataclasses`` and writes its
+    annotations without ``typing``, so importing the CLI loads neither, nor
+    what ``dataclasses`` imports.  ``-S`` keeps ``site``'s own imports out."""
+    src = str(Path(bvdomains.__file__).resolve().parents[1])
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    code = f"import sys, bvdomains.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def _cli_process(args, stdout, buffered):

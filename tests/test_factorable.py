@@ -1127,3 +1127,19 @@ def test_product_lists_have_a_value_per_row_and_column(left, right, size):
     cols = max(size - len(bands), 0)
     assert all(len(part) == size for part in bands)
     assert all((u is None or len(u) == size) and (v is None or len(v) == cols) for u, v in terms)
+
+
+@pytest.mark.parametrize("ratio", [None, spaces.fmt_ratio])
+def test_a_late_invalid_weight_truncates_no_more_than_one_row_of_entries(ratio):
+    """u is 1/2 up to index 248 and 0 from there: truncating gamma at N =
+    256 names u[248], as the entry scan does, and leaves at most one row in
+    the matrix's entry cache, so the error path does not fall back to the
+    scan."""
+    pair = builders.WeightPair(Seq.from_values([F(1, 2)] * 248), Seq.constant(1))
+    with pytest.raises(InvalidWeightsError) as scanned:
+        _entry_scan(builders.gamma(pair), 256)
+    m = builders.gamma(pair)
+    with pytest.raises(InvalidWeightsError) as read:
+        truncate(m, 256, ratio)
+    assert str(read.value) == str(scanned.value) == "invalid weight u[248] = 0: must be nonzero"
+    assert len({n for n, _ in m._cache}) <= 1
