@@ -7,8 +7,8 @@ may be shared across threads.  Memo lookups take no lock: entry closures are
 pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
 synchronized: the forward-substitution rows of an inverse and the sums of
-``running_sum``.  The generator lists of ``duals`` are not appended to: they
-are whole values per size, and a race can only build one twice.
+``running_sum``.  The lists of ``_lists`` are not appended to: they are
+whole values per size, and a race can only build one twice.
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
@@ -32,7 +32,7 @@ of its left operand and each column of its right one to integers over its
 own denominator lcm, and forward substitution keeps each inverse row also
 as (lcm, integer numerators).  An entry is then one integer sum and one
 ``Fraction`` reduction instead of a reduction per term.  ``_integers`` is
-the one scaling kernel, which the generator lists of ``duals`` also use.
+the one scaling kernel, which the integer lists of ``_lists`` also use.
 
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
@@ -48,24 +48,26 @@ the oracle for both.
 over two operations of a sequence representation: ``_product_structure``
 evaluates it on memoized Seqs, so a product of two structures always
 declares one.  ``_list_ops`` states the two operations once on lists, over
-an element arithmetic (add, mul, neg, zero, one): ``duals`` runs the rule
-on integer lists, and ``_pair_lists`` on lists of reduced pairs (p, q),
-q > 0, whose sum ``_padd`` and product ``_pmul`` are the gcd-reduced
-algorithms ``Fraction`` runs (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  It
-is the one reader of a structure's values at a size: a product's lists
-come from its factors' by the rule, any other's from its callables.  A
-truncation, the leading N x N block of a matrix, is the tuple of its N
-row tuples: ``truncate``, ``_entry_scan`` and ``dense_mul`` make that
-one shape.  ``truncate`` reads every structure from its pair lists row
-by row, a cell below the band the sum over the terms of U(n) V(k), and
-a product of two means from its factors' lists by per-row pair suffix
-sums, Ua(n) Vb(k) (t_k + ... + t_n) with t = Va Ub.  Only a matrix with
-no structure is scanned entry by entry, as the oracle of the structured
-reads.  When pair lists meet an invalid weight, ``_replay`` bisects on
-them for the first row whose lists fail and reads that row's entries, so
-``truncate`` and the generator lists of ``duals`` raise the weight the
-scan meets first without scanning.  A cell is a ``Fraction`` or, for
-``matrix``, its text ratio(p, q).
+an element arithmetic (add, mul, neg, zero, one): integers over one common
+denominator (``_INTEGERS``), which the statistics of ``duals`` read, and
+reduced pairs (p, q), q > 0 (``_PAIRS``), whose sum ``_padd`` and product
+``_pmul`` are the gcd-reduced algorithms ``Fraction`` runs (Henrici;
+Knuth, TAOCP vol. 2, 4.5.1), which every other reader takes through
+``_pair_lists``.  ``_lists`` is the one builder of a structure's values
+at a size, in either arithmetic, and keeps the largest built on the
+matrix, so a second reader builds nothing.  A truncation, the leading N x
+N block of a matrix, is the tuple of its N row tuples: ``truncate``,
+``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
+every structure from its pair lists row by row, a cell below the band the
+sum over the terms of U(n) V(k), and a product of two means from its
+factors' lists by per-row pair suffix sums, Ua(n) Vb(k) (t_k + ... + t_n)
+with t = Va Ub.  Only a matrix with no structure is scanned entry by
+entry, as the oracle of the structured reads.  When lists meet an invalid
+weight, ``_replay`` bisects on the pair lists for the first row whose
+lists fail and reads that row's entries, so ``truncate`` and the
+statistics of ``duals`` raise the weight the scan meets first without
+scanning.  A cell is a ``Fraction`` or, for ``matrix``, its text ratio(p,
+q).
 ``_transform_rule`` transforms a sequence by a structure, stated once
 over (prefix, combine) as the product rule is: Mx is U(n) times the running
 sum of V x over each term, plus the band times x, so N coordinates cost
@@ -84,7 +86,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from itertools import accumulate, repeat, starmap
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, neg
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -224,6 +226,7 @@ class BandedMatrix:
         self.band = len(structure[1]) - 1 if structure is not None and not structure[0] else None
         self._inverse: Triangle | None = None  # set by invert
         self._factors: tuple | None = None  # (A, B) of a product A.B, set by compose
+        self._kept: dict = {}  # arith -> (size, lists), the largest built by _lists
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -339,37 +342,78 @@ def _entry_scan(source, n_size: int) -> tuple:
     )
 
 
-def _pair_lists(m, n_size: int) -> tuple:
-    """(terms, band): m's structure at the rows n < n_size as lists of
-    reduced pairs, None the all-ones list, with band[i][n] its band part i
-    at n >= i and, below the band, the cell (n, k) the sum of U[n] V[k]
-    over the terms (U, V).  V has a value for each column below the band,
-    n_size - len(band).  This is the one reader of a structure's values:
-    ``truncate``, ``apply`` and the integer lists of ``duals`` start here.
+def _lists(m, size: int, arith: tuple) -> tuple:
+    """(d, terms, band): m's structure at the rows n < size as lists in the
+    element arithmetic arith, reduced pairs (``_PAIRS``) over d = 1 or
+    integers (``_INTEGERS``) over one common denominator d, None the
+    all-ones list: band[i][n] / d its band part i at n >= i and, below the
+    band, the cell (n, k) the sum of U[n] V[k] / d over the terms (U, V).
+    U and each band part have size values, V one per column below the band,
+    max(size - len(band), 0).  This is the one reader of a structure's
+    values: ``truncate``, ``apply`` and the statistics of ``duals``.
 
     A product whose factors declare structures gets them from its factors'
-    lists by the product rule (``_list_rule``), so no sequence of its
-    structure is evaluated.  Any other structure reads its callables at the
-    indices the rows below and on its band need: U(n) at n >= len(band),
-    V(k) at k < n_size - len(band) and band[i](n) at n >= i, with (0, 1) in
-    the places left unread, which no cell below the band reads.  Every
-    value is read before this returns, so an invalid weight is raised
-    here."""
+    lists by ``_list_rule`` in the same arithmetic, over d = da db, so no
+    sequence of its structure is evaluated.  Any other structure reads, in
+    pairs, its callables at the indices the rows below and on its band
+    need: U(n) at n >= len(band), V(k) at k < size - len(band), band[i](n)
+    at n >= i, and (0, 1) in the places no cell reads.  In integers it runs
+    its own rule (``_own_lists``, the closed form of ``duals``) or scales
+    its pair lists: each band part, U and V over its own lcm, d the lcm of
+    the parts' scales and of the terms' du dv, each term scaled up to d on
+    V, or on U when V is None.  An invalid weight is raised here.
+
+    The largest size built without error is kept on m per arithmetic, as
+    one whole value, so a race can only build it twice, and a smaller size
+    reads its head: U and the band parts cut to size, V to the columns
+    below the band.  The head states the same cells; a V may differ at its
+    last column, where the rule reads past a factor's lists and a zero
+    multiplies it."""
+    kept = m._kept.get(arith)
+    if kept is not None and kept[0] >= size:
+        d, terms, band = kept[1]
+        cols = max(size - len(band), 0)
+        return d, [(u and u[:size], v and v[:cols]) for u, v in terms], [part[:size] for part in band]
     factors = m._factors
     if factors is not None and None not in (f.structure for f in factors):
-        return _list_rule(*(_pair_lists(f, n_size) for f in factors), n_size, _PAIRS)
-    terms, band = m.structure
-    width = len(band)
+        (da, *x), (db, *y) = (_lists(f, size, arith) for f in factors)
+        lists = (da * db, *_list_rule(x, y, size, arith))
+    elif arith is _PAIRS:
+        terms, band = m.structure
+        width = len(band)
 
-    def values(f, lo: int, end: int):
-        if f is None:
-            return None
-        return [(0, 1)] * min(lo, end) + [rat(f(n)).as_integer_ratio() for n in range(lo, end)]
+        def values(f, lo: int, end: int):
+            if f is None:
+                return None
+            return [(0, 1)] * min(lo, end) + [rat(f(n)).as_integer_ratio() for n in range(lo, end)]
 
-    return (
-        [(values(u, width, n_size), values(v, 0, n_size - width)) for u, v in terms],
-        [values(part, i, n_size) for i, part in enumerate(band)],
-    )
+        terms = [(values(u, width, size), values(v, 0, size - width)) for u, v in terms]
+        lists = 1, terms, [values(part, i, size) for i, part in enumerate(band)]
+    elif getattr(m, "_own_lists", None) is not None:
+        lists = m._own_lists(size)
+    else:
+        _, terms, band = _lists(m, size, _PAIRS)
+        cells = list(map(_integers, band))
+        sides = [((1, None) if u is None else _integers(u), (1, None) if v is None else _integers(v)) for u, v in terms]
+        d = lcm(*{scale for scale, _ in cells}, *(du * dv for (du, _), (dv, _) in sides))
+        terms = []
+        for (du, u), (dv, v) in sides:
+            c = d // (du * dv)
+            if v is not None:
+                v = [x * c for x in v]
+            elif u is not None:
+                u = [x * c for x in u]
+            elif c != 1:
+                u = [c] * size
+            terms.append((u, v))
+        lists = d, terms, [[x * (d // scale) for x in xs] for scale, xs in cells]
+    m._kept[arith] = size, lists
+    return lists
+
+
+def _pair_lists(m, n_size: int) -> tuple:
+    """(terms, band): m's reduced-pair ``_lists`` at the rows n < n_size."""
+    return _lists(m, n_size, _PAIRS)[1:]
 
 
 def _replay(m, n_size: int) -> None:
@@ -506,8 +550,10 @@ def _pneg(x: tuple) -> tuple:
     return -x[0], x[1]
 
 
-# the element arithmetic (add, mul, neg, zero, one) of _list_ops on reduced pairs
+# the element arithmetics (add, mul, neg, zero, one) of _list_ops: reduced
+# pairs, and integers over one common denominator
 _PAIRS = (_padd, _pmul, _pneg, (0, 1), (1, 1))
+_INTEGERS = (add, mul, neg, 0, 1)
 
 
 def _integers(pairs) -> tuple:
@@ -632,7 +678,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     sum of the factors' bands when both are band only, and its rows end
     where A's rows end.  The product
     records A and B as its factors, which ``invert`` reads of a product of
-    two triangles, and the generator lists of ``duals`` of every product.
+    two triangles, and ``_lists`` of every product.
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
     V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
@@ -818,9 +864,10 @@ def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
 def _list_ops(size: int, arith: tuple) -> tuple:
     """(prefix, combine) of ``_product_rule`` on lists of size values in
     the element arithmetic arith = (add, mul, neg, zero, one), None the
-    all-ones list: integers in ``duals`` and reduced pairs (``_PAIRS``) in
-    ``truncate``.  combine makes new lists of size values, reads zero past
-    a list's end, and gives None for the one product 1 . 1, unshifted."""
+    all-ones list: integers (``_INTEGERS``) or reduced pairs (``_PAIRS``),
+    as ``_lists`` builds them.  combine makes new lists of size values,
+    reads zero past a list's end, and gives None for the one product 1 . 1,
+    unshifted."""
     add, mul, neg, zero, one = arith
 
     def prefix(f, g):

@@ -22,24 +22,22 @@ prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
 envelopes of the lines w[n] x + row[n], with each row's few band cells
 read as they are.  That covers the dual matrices and F = domain . B for
 B = sum, cesaro, delta and cesaro_inv.  The lists are integers over one
-common denominator d, scaled by the integer kernel ``core._integers``;
-each reported value is divided by d back into a Fraction.  They are built
-from the leaves: a structure that is no product (a mean, the sum matrix,
-diag(a), a bidiagonal inverse) scales its pair lists (``core._pair_lists``,
-the one reader of a structure's values), and a product multiplies its
-factors' lists by the one product rule, ``core._product_rule``, evaluated
-by the list operations that ``core`` shares with ``truncate``
-(``core._list_ops``), here over integers and there over reduced pairs, so
-no sequence of a product's structure is evaluated.  The closed-form matrix
-builds its own from the scaled reciprocals of the weights, so that oracle
-never reads the inverse.
-Lists are pure values per size: the largest built is kept on the matrix
-and a smaller size reads its head, so the domain inverse's lists serve
-every report over the domain, the rows of a from-domain class test
-included.  An invalid weight met while building them is raised by
-``core._replay``, which ``truncate`` shares: it bisects on the pair lists
-for the first row whose lists fail and reads that row's entries, so the
-weight is reported as the scans report it.  The statistics scan any
+common denominator d, which ``core._lists`` builds in its integer
+arithmetic; each reported value is divided by d back into a Fraction.  A
+structure that is no product (a mean, the sum matrix, diag(a), a
+bidiagonal inverse) scales its pair lists, and a product multiplies its
+factors' lists by the one product rule, here over integers and in
+``truncate`` over reduced pairs, so no sequence of a product's structure
+is evaluated.  The closed-form matrix builds its own from the scaled
+reciprocals of the weights (``_own_lists``), so that oracle never reads
+the inverse.
+``core._lists`` keeps the largest size built on each matrix and reads a
+smaller size as its head, so the domain inverse's lists serve every
+report over the domain, the rows of a from-domain class test included.
+An invalid weight met while building them is raised by ``core._replay``,
+which ``truncate`` shares: it bisects on the pair lists for the first row
+whose lists fail and reads that row's entries, so the weight is reported
+as the scans report it.  The statistics scan any
 other matrix (E, a bare triangle domain), and the scans are also the
 oracle the lists are checked against.
 A scan reads only the cells the matrix's row supports leave possibly
@@ -55,7 +53,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import add, mul, neg, sub
+from operator import add, sub
 
 from .core import (
     BandedMatrix,
@@ -63,9 +61,9 @@ from .core import (
     Seq,
     Triangle,
     ZERO,
+    _INTEGERS,
     _integers,
-    _list_rule,
-    _pair_lists,
+    _lists,
     _replay,
     compose,
     diagonal,
@@ -93,9 +91,9 @@ def _generators(m, size: int) -> tuple | None:
     are the structure's band parts, or, with no band, one list of the
     diagonal from the terms; a row within the band has w = row = 0.  For
     any other structure, and for none, this is None, so a matrix whose
-    structure is removed is scanned.  The lists are m's ``_lists``; when
-    those raise an invalid weight, ``core._replay`` raises it as the scans
-    do."""
+    structure is removed is scanned.  The lists are m's integer lists
+    (``core._lists``); when those raise an invalid weight, ``core._replay``
+    raises it as the scans do."""
     if m.structure is None:
         return None
     shapes = [(u is None, v is None) for u, v in m.structure[0]]
@@ -103,7 +101,7 @@ def _generators(m, size: int) -> tuple | None:
     if two_sided > 1 or two_sided and (True, False) in shapes:
         return None
     try:
-        d, bands, terms = _lists(m, size)
+        d, terms, bands = _lists(m, size, _INTEGERS)
     except InvalidWeightsError:
         _replay(m, size)
         raise
@@ -132,59 +130,6 @@ def _reciprocal(x: Fraction) -> tuple:
     return (x.denominator, x.numerator) if x.numerator > 0 else (-x.denominator, -x.numerator)
 
 
-def _lists(m, size: int) -> tuple:
-    """(d, bands, terms): integer lists of m's structure for the rows n <
-    size, with bands[i][n] / d its band part i at n >= i (0 at n < i) and,
-    below the band, the entry (n, k) the sum of U[n] V[k] / d over the terms
-    (U, V), None the all-ones list.  U has size values, and V one for each
-    column below the band, max(size - len(bands), 0).
-
-    A matrix built with its own rule (the closed-form matrix) gets them
-    from that rule, a product from its factors' lists by ``core._list_rule``
-    on integer lists, over the product of their d, and every other
-    structure by scaling its pair lists (``_leaf_lists``).  They are pure
-    values: the largest size built is kept on m, and a smaller one is its
-    head."""
-    kept = getattr(m, "_kept_lists", None)
-    if kept is not None and kept[0] >= size:
-        d, bands, terms = kept[1]
-        cols = max(size - len(bands), 0)
-        return d, [cells[:size] for cells in bands], [(u and u[:size], v and v[:cols]) for u, v in terms]
-    if getattr(m, "_own_lists", None) is not None:
-        lists = m._own_lists(size)
-    elif m._factors is not None:
-        (da, a_band, a_terms), (db, b_band, b_terms) = (_lists(f, size) for f in m._factors)
-        terms, bands = _list_rule((a_terms, a_band), (b_terms, b_band), size, (add, mul, neg, 0, 1))
-        lists = da * db, bands, terms
-    else:
-        lists = _leaf_lists(m, size)
-    m._kept_lists = (size, lists)
-    return lists
-
-
-def _leaf_lists(m, size: int) -> tuple:
-    """The lists of a structure that is no product from its pair lists
-    (``core._pair_lists``): each band part, U and V scaled to integers over
-    its own lcm, d the lcm of the band parts' scales and of the terms'
-    products of the scales of U and V, and each term scaled up to d on V,
-    or on U when V is None."""
-    terms, band = _pair_lists(m, size)
-    cells = list(map(_integers, band))
-    sides = [((1, None) if u is None else _integers(u), (1, None) if v is None else _integers(v)) for u, v in terms]
-    d = lcm(*{scale for scale, _ in cells}, *(du * dv for (du, _), (dv, _) in sides))
-    lists = []
-    for (du, u), (dv, v) in sides:
-        c = d // (du * dv)
-        if v is not None:
-            v = [x * c for x in v]
-        elif u is not None:
-            u = [x * c for x in u]
-        elif c != 1:
-            u = [c] * size
-        lists.append((u, v))
-    return d, [[x * (d // scale) for x in xs] for scale, xs in cells], lists
-
-
 def _closed_form_lists(w: WeightPair | RieszWeights, a: Seq, size: int) -> tuple:
     """The lists of ``closed_form_beta_matrix`` from the weights, at the
     rows n < size.
@@ -200,7 +145,7 @@ def _closed_form_lists(w: WeightPair | RieszWeights, a: Seq, size: int) -> tuple
     diag = [x * y * z for x, y, z in zip(scaled, iu, iv)]
     steps = [(iu[j] - iu[j - 1]) * scaled[j] * iv[j] if j else 0 for j in range(size)]
     row = list(accumulate(steps))
-    return du * dv * da, [], [(row, None), (None, list(map(sub, diag, row)))]
+    return du * dv * da, [(row, None), (None, list(map(sub, diag, row)))], []
 
 
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:

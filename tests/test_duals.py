@@ -14,11 +14,14 @@ from hypothesis import strategies as st
 from bvdomains import duals
 from bvdomains.cli import parse_domain_spec, parse_seq_spec
 from bvdomains.core import (
+    BandedMatrix,
     InvalidWeightsError,
     Seq,
     Triangle,
+    _INTEGERS,
     _build_inverse,
     _list_ops,
+    _lists,
     compose,
     identity,
     invert,
@@ -700,6 +703,25 @@ def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkey
     assert [f._cache for f in seqs] == [{}] * len(seqs)
 
 
+def test_a_beta_report_builds_the_domain_inverse_lists_once(monkeypatch):
+    """A beta report over G, its cross-check included, builds the lists of
+    the domain inverse once, at N + 1, and reads every smaller size as their
+    head: each band cell of the bidiagonal inverse of G's mean, which is
+    its memoized entries, is read once."""
+    dom = F_DOMAINS["G(power 2, harmonic)"]()
+    bidiagonal = invert(dom.matrix)._factors[0]
+    reads, entry = Counter(), BandedMatrix.entry
+
+    def counted(t, n, k):
+        if t is bidiagonal:
+            reads[n, k] += 1
+        return entry(t, n, k)
+
+    monkeypatch.setattr(BandedMatrix, "entry", counted)
+    assert dual_test(dom, Seq(lambda k: F((-1) ** k, k + 1)), "beta", 48).cross_check["match"] is True
+    assert set(reads.values()) == {1} and len(reads) == 2 * 49 - 1
+
+
 @pytest.mark.parametrize("kind", duals.DUAL_KINDS)
 def test_an_inverse_without_lists_takes_the_structure_of_the_product(kind):
     """phi's closed form has no structure and is inverted by forward
@@ -902,7 +924,7 @@ def test_structures_without_generator_lists_are_scanned():
 def test_lists_of_products_without_generator_lists_hold_their_cells(size):
     """Products whose structure the statistics do not read, and whose left
     factor has no band, so the rule reads a term column of the right factor
-    one past its lists: their integer lists (d, bands, terms) still hold the
+    one past its lists: their integer lists (d, terms, bands) still hold the
     cells their structures state."""
     w = harmonic_pair()
     for build in (
@@ -912,7 +934,7 @@ def test_lists_of_products_without_generator_lists_hold_their_cells(size):
         lambda: compose(sigma_sum(), compose(gamma(w), delta())),
     ):
         m = build()
-        d, bands, terms = duals._lists(m, size)
+        d, terms, bands = _lists(m, size, _INTEGERS)
         below = lambda n, k: sum((1 if u is None else u[n]) * (1 if v is None else v[k]) for u, v in terms)
         cells = {(n, n - i): F(xs[n], d) for i, xs in enumerate(bands) for n in range(i, size)}
         cells.update({(n, k): F(below(n, k), d) for n in range(size) for k in range(n - len(bands) + 1)})

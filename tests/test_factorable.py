@@ -19,15 +19,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bvdomains import builders, cli, duals, matclass, spaces
+from bvdomains import builders, cli, core, duals, matclass, spaces
 from bvdomains.core import (
     BandedMatrix,
     InvalidWeightsError,
     Seq,
     Triangle,
+    _INTEGERS,
     _coordinate,
     _entry_scan,
     _list_coordinates,
+    _lists,
     _pair_lists,
     apply,
     compose,
@@ -655,13 +657,38 @@ def test_pair_lists_fit_each_v_to_the_columns_below_the_band(left, right):
     """A band-free mean times gamma, which has a term and a band part: the
     rule cuts gamma's V, made from delta's and the mean's lists, to the
     columns below gamma's band, and pads the V it passes on to the
-    product's term to the product's columns, one more."""
-    for size in (1, 2, 8, 17):
+    product's term to the product's columns, one more.  The lists are built
+    afresh at each size, and then on one matrix at 17 and read as heads at
+    the sizes below it."""
+    for sizes in ((1,), (2,), (8,), (17,), (17, 8, 2, 1)):
         b = _gamma_leaf() if right == "gamma leaf" else _NAMED[right]()
-        for m in (b, compose(_NAMED[left](), b)):
-            terms, band = lists = _pair_lists(m, size)
-            assert all(v is None or len(v) == size - len(band) for _, v in terms), size
-            assert _pair_cells(lists, size) == _entry_scan(m, size), size
+        ms = (b, compose(_NAMED[left](), b))
+        for size in sizes:
+            for m in ms:
+                terms, band = lists = _pair_lists(m, size)
+                assert all(v is None or len(v) == size - len(band) for _, v in terms), size
+                assert _pair_cells(lists, size) == _entry_scan(m, size), size
+
+
+@pytest.mark.parametrize("name", ["phi", "inverse(gamma)", "delta.phi", "cesaro.cesaro"])
+def test_a_second_reader_of_the_pair_lists_builds_nothing(name, monkeypatch):
+    """After apply at N, truncations at N and N/2 and apply again read the
+    pair lists kept on the product and on its factors: they run no product
+    rule and read no entry, not even the band of a bidiagonal inverse,
+    which is its memoized entries."""
+    size = 24
+    build = _PRODUCTS[name] if name in _PRODUCTS else _NAMED[name]
+    expected = {n: _entry_scan(build(), n) for n in (size, size // 2)}
+    m, x = build(), Seq(lambda k: F(1, k + 1))
+    first = apply(m, x, size)
+    calls = Counter()
+    rule, entry = core._list_rule, BandedMatrix.entry
+    monkeypatch.setattr(core, "_list_rule", lambda *args: calls.update(["rule"]) or rule(*args))
+    monkeypatch.setattr(BandedMatrix, "entry", lambda t, n, k: calls.update(["entry"]) or entry(t, n, k))
+    for n, rows in expected.items():
+        assert truncate(m, n) == rows, n
+    assert apply(m, x, size) == first
+    assert not calls
 
 
 @pytest.mark.parametrize("domain", ["phi", "gamma", "sigma"])
@@ -1080,9 +1107,9 @@ def _shaped_triangle(shape):
 
 
 def _list_cells(lists, size):
-    """The cells of the leading square that integer lists (d, bands, terms)
+    """The cells of the leading square that integer lists (d, terms, bands)
     state, as Fractions."""
-    d, bands, terms = lists
+    d, terms, bands = lists
     at = lambda f, j: 1 if f is None else f[j]
     cells = [[F(0)] * size for _ in range(size)]
     for n in range(size):
@@ -1107,14 +1134,15 @@ def test_product_rule_property(left, right):
     """Triangles of 0 to 3 band parts and 0 to 2 terms, each read from its
     structure: the cells the product's lazy structure states, the cells of
     its integer lists and the dense product of the truncations are equal at
-    every size from 1 to 10."""
+    every size from 1 to 10, and then from 10 down to 1, where the lists are
+    the heads of those kept at 10."""
     a, b = _shaped_triangle(left), _shaped_triangle(right)
     product = compose(a, b)
-    for size in range(1, 11):
+    for size in (*range(1, 11), *range(10, 0, -1)):
         expected = dense_mul(truncate(a, size), truncate(b, size))
         stated = BandedMatrix(lambda n, k: _structure_entry(product, n, k))
         assert _entry_scan(stated, size) == expected, size
-        assert _list_cells(duals._lists(product, size), size) == expected, size
+        assert _list_cells(_lists(product, size, _INTEGERS), size) == expected, size
 
 
 @settings(max_examples=50, deadline=None)
@@ -1123,7 +1151,7 @@ def test_product_lists_have_a_value_per_row_and_column(left, right, size):
     """A product's integer lists hold size values for each band part and U,
     and one value per column below the band for each V, also when the band
     is wider than size."""
-    d, bands, terms = duals._lists(compose(_shaped_triangle(left), _shaped_triangle(right)), size)
+    d, terms, bands = _lists(compose(_shaped_triangle(left), _shaped_triangle(right)), size, _INTEGERS)
     cols = max(size - len(bands), 0)
     assert all(len(part) == size for part in bands)
     assert all((u is None or len(u) == size) and (v is None or len(v) == cols) for u, v in terms)
@@ -1134,12 +1162,15 @@ def test_a_late_invalid_weight_truncates_no_more_than_one_row_of_entries(ratio):
     """u is 1/2 up to index 248 and 0 from there: truncating gamma at N =
     256 names u[248], as the entry scan does, and leaves at most one row in
     the matrix's entry cache, so the error path does not fall back to the
-    scan."""
+    scan.  A second truncation names it again: neither gamma nor its mean
+    keeps lists of a size whose build failed, 249 rows or more."""
     pair = builders.WeightPair(Seq.from_values([F(1, 2)] * 248), Seq.constant(1))
     with pytest.raises(InvalidWeightsError) as scanned:
         _entry_scan(builders.gamma(pair), 256)
     m = builders.gamma(pair)
-    with pytest.raises(InvalidWeightsError) as read:
-        truncate(m, 256, ratio)
-    assert str(read.value) == str(scanned.value) == "invalid weight u[248] = 0: must be nonzero"
+    for _ in range(2):
+        with pytest.raises(InvalidWeightsError) as read:
+            truncate(m, 256, ratio)
+        assert str(read.value) == str(scanned.value) == "invalid weight u[248] = 0: must be nonzero"
+    assert all(size < 249 for x in (m, m._factors[1]) for size, _ in x._kept.values())
     assert len({n for n, _ in m._cache}) <= 1
