@@ -226,7 +226,7 @@ class BandedMatrix:
         self.band = len(structure[1]) - 1 if structure is not None and not structure[0] else None
         self._inverse: Triangle | None = None  # set by invert
         self._factors: tuple | None = None  # (A, B) of a product A.B, set by compose
-        self._kept: dict = {}  # arith -> (size, lists), the largest built by _lists
+        self._kept: tuple = None, 0, None  # (arith, size, lists), the last built by _lists
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -363,15 +363,16 @@ def _lists(m, size: int, arith: tuple) -> tuple:
     the parts' scales and of the terms' du dv, each term scaled up to d on
     V, or on U when V is None.  An invalid weight is raised here.
 
-    The largest size built without error is kept on m per arithmetic, as
-    one whole value, so a race can only build it twice, and a smaller size
-    reads its head: U and the band parts cut to size, V to the columns
-    below the band.  The head states the same cells; a V may differ at its
-    last column, where the rule reads past a factor's lists and a zero
-    multiplies it."""
-    kept = m._kept.get(arith)
-    if kept is not None and kept[0] >= size:
-        d, terms, band = kept[1]
+    The last lists built without error are kept on m with their arithmetic
+    and size, as one whole value, so a race can only build them twice.  A
+    request in that arithmetic, at that size or below, reads their head: U
+    and the band parts cut to size, V to the columns below the band.  The
+    head states the same cells; a V may differ at its last column, where
+    the rule reads past a factor's lists and a zero multiplies it.  Any
+    other request replaces them, so a leaf keeps no pairs it scaled."""
+    kept_arith, kept_size, kept = m._kept
+    if kept_arith is arith and kept_size >= size:
+        d, terms, band = kept
         cols = max(size - len(band), 0)
         return d, [(u and u[:size], v and v[:cols]) for u, v in terms], [part[:size] for part in band]
     factors = m._factors
@@ -407,7 +408,7 @@ def _lists(m, size: int, arith: tuple) -> tuple:
                 u = [c] * size
             terms.append((u, v))
         lists = d, terms, [[x * (d // scale) for x in xs] for scale, xs in cells]
-    m._kept[arith] = size, lists
+    m._kept = arith, size, lists
     return lists
 
 

@@ -17,23 +17,24 @@ declares the beta form from the weights.  When a structure has terms
 constant along rows plus either constant along columns or exactly one
 two-sided term (U1, V1), a matrix is w[n] col[k] + row[n] below its band,
 with w = 1 or w = U1, and its band parts are whole cells, so the three
-statistics compute from those lists in O(N log N) integer operations:
-prefix extremes, a Fenwick tree over the sorted points row[n]/w[n] and the
-envelopes of the lines w[n] x + row[n], with each row's few band cells
-read as they are.  That covers the dual matrices and F = domain . B for
-B = sum, cesaro, delta and cesaro_inv.  The lists are integers over one
-common denominator d, which ``core._lists`` builds in its integer
-arithmetic; each reported value is divided by d back into a Fraction.  A
-structure that is no product (a mean, the sum matrix, diag(a), a
-bidiagonal inverse) scales its pair lists, and a product multiplies its
-factors' lists by the one product rule, here over integers and in
-``truncate`` over reduced pairs, so no sequence of a product's structure
-is evaluated.  The closed-form matrix builds its own from the scaled
-reciprocals of the weights (``_own_lists``), so that oracle never reads
-the inverse.
-``core._lists`` keeps the largest size built on each matrix and reads a
-smaller size as its head, so the domain inverse's lists serve every
-report over the domain, the rows of a from-domain class test included.
+statistics compute from those lists in integer operations: prefix
+extremes, a Fenwick tree over the sorted points row[n]/w[n] and the spread
+of the lines w[n] x + row[n] over a column limit's rows, with each row's
+few band cells read as they are.  That covers the dual matrices and F =
+domain . B for B = sum, cesaro, delta and cesaro_inv.  The lists are
+integers over one common denominator d, which ``core._lists`` builds in
+its integer arithmetic; each reported value is divided by d back into a
+Fraction.  A structure that is no product (a mean, the sum matrix,
+diag(a), a bidiagonal inverse) scales its pair lists, and a product
+multiplies its factors' lists by the one product rule, here over integers
+and in ``truncate`` over reduced pairs, so no sequence of a product's
+structure is evaluated.  The closed-form matrix builds its own from the
+scaled reciprocals of the weights (``_own_lists``), so that oracle never
+reads the inverse.
+``core._lists`` keeps the last lists built on each matrix and reads a
+smaller size in the same arithmetic as their head, so the domain
+inverse's lists serve every report over the domain, the rows of a
+from-domain class test included.
 An invalid weight met while building them is raised by ``core._replay``,
 which ``truncate`` shares: it bisects on the pair lists for the first row
 whose lists fail and reads that row's entries, so the weight is reported
@@ -108,7 +109,7 @@ def _generators(m, size: int) -> tuple | None:
     width = len(bands)
     ones, cols = [1] * size, max(size - width, 0)
     weight = next((u for u, v in terms if u is not None and v is not None), None)
-    col = _sum_lists([v[:cols] for _, v in terms if v is not None], cols)
+    col = _sum_lists([v for _, v in terms if v is not None], cols)
     row = _sum_lists([ones if u is None else u for u, v in terms if v is None], size)
     head = [0] * min(width, size)  # the rows within the band have no cell below it
     w, row = head + (ones if weight is None else weight)[width:], head + row[width:]
@@ -264,43 +265,6 @@ class _AbsSums:
         return x * (self._slope - 2 * slope) + self._total - 2 * below
 
 
-def _maxima(lines: list, xs: list) -> list:
-    """The max of w x + r over the lines (w, r), at each x of xs.
-
-    The upper envelope of the lines (Andrew 1979) holds, by increasing
-    slope, the lines that are highest somewhere; of lines of equal slope
-    only the highest can be, so only the distinct slopes are sorted.  As x
-    grows the maximum moves along it to larger slopes, so one walk over the
-    sorted xs answers them all, in O((N + Q) log N) integer operations for
-    N lines and Q points; with one slope, as when w = 1, in O(N + Q).
-    """
-    top: dict = {}
-    for slope, r in lines:
-        if slope not in top or r > top[slope]:
-            top[slope] = r
-    hull: list = []
-    for slope in sorted(top):
-        r = top[slope]
-        while len(hull) > 1:
-            (s0, r0), (s1, r1) = hull[-2:]
-            # the last line is hidden when the new one meets the one before
-            # it at or above it
-            if (r - r0) * (s1 - s0) < (r1 - r0) * (slope - s0):
-                break
-            hull.pop()
-        hull.append((slope, r))
-    out = [0] * len(xs)
-    i = 0
-    # one line answers every x, in any order
-    order = sorted(range(len(xs)), key=xs.__getitem__) if len(hull) > 1 else range(len(xs))
-    for k in order:
-        x = xs[k]
-        while i + 1 < len(hull) and hull[i + 1][0] * x + hull[i + 1][1] >= hull[i][0] * x + hull[i][1]:
-            i += 1
-        out[k] = hull[i][0] * x + hull[i][1]
-    return out
-
-
 def _borders(m, n: int):
     """For each index last < n, what the leading square of size last + 1
     adds to the one before it, restricted to m's row supports: the columns
@@ -364,22 +328,25 @@ def cond_l1_c(m, n: int) -> tuple:
     [N/2, N] (0 in a row whose support leaves column k out) and the entry
     at row N as the limit estimate.  With generator lists those entries are
     (w[n] col[k] + row[n]) / d, the lines w[n] x + row[n] of the window at
-    x = col[k], so the oscillation is the max less the min of those lines,
-    read from their upper and lower envelopes (``_maxima``).  With w = 1
-    the lines are parallel, and the oscillation is the same for every
-    column.  A band of more than N/4 + 1 parts would reach into the
-    window, so such a matrix is scanned.
+    x = col[k], so the oscillation is the max less the min of those lines
+    there.  When the window's lines share one slope, as they do for every
+    matrix a command builds, they are parallel, and the oscillation is
+    max(row) - min(row) over the window for every column.  Lines of
+    several slopes, which only a structure with a two-sided term gives,
+    are read directly at each column, in O(N^2) integer operations.  A
+    band of more than N/4 + 1 parts would reach into the window, so such
+    a matrix is scanned.
     """
     quarter, half, _ = checkpoints(n)
     narrow = m.structure is not None and len(m.structure[1]) <= half - quarter + 1
     if narrow and (generators := _generators(m, n + 1)) is not None:
         d, _, w, col, row = generators
-        lines = list(zip(w[half:], row[half:]))
-        xs = col[:quarter]
-        highs = _maxima(lines, xs)
-        lows = _maxima([(-slope, -r) for slope, r in lines], xs)  # -min
-        spans = [high + low for high, low in zip(highs, lows)]
-        # one Fraction per distinct oscillation: with w = 1 they are all equal
+        slopes, rows, xs = w[half:], row[half:], col[:quarter]
+        if len(set(slopes)) == 1:  # parallel lines: the same spread at every x
+            spans = [max(rows) - min(rows)] * quarter
+        else:
+            spans = [max(ys) - min(ys) for ys in ([s * x + r for s, r in zip(slopes, rows)] for x in xs)]
+        # one Fraction per distinct oscillation
         oscillations = {span: Fraction(span, d) for span in set(spans)}
         columns = [(oscillations[span], Fraction(w[n] * x + row[n], d)) for span, x in zip(spans, xs)]
     else:

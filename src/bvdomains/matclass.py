@@ -30,8 +30,8 @@ class UnsupportedClassError(ValueError):
         self.space = space
 
 
-# Every matrix declares row_bound, so the one coordinate loop in core serves
-# triangles and finite matrices alike.
+# An alias of core.apply, kept only because bench/tracing.py spans it by this
+# name; it can go once the tracer reads counters of the package's own.
 apply_general = apply
 
 

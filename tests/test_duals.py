@@ -19,7 +19,9 @@ from bvdomains.core import (
     Seq,
     Triangle,
     _INTEGERS,
+    _PAIRS,
     _build_inverse,
+    _entry_scan,
     _list_ops,
     _lists,
     compose,
@@ -616,15 +618,31 @@ def dual_matrices(dom, a):
     return built
 
 
+def assert_kept_lengths(m):
+    """The lists m keeps, as they were built, and those its factors keep,
+    down to the leaves, are integer lists that hold a value per row for
+    each band part and U, and one per column below the band for each V."""
+    arith, size, lists = m._kept
+    if lists is not None:
+        assert arith is _INTEGERS
+        _, terms, bands = lists
+        cols = max(size - len(bands), 0)
+        assert all(len(part) == size for part in bands)
+        assert all((u is None or len(u) == size) and (v is None or len(v) == cols) for u, v in terms)
+    for factor in m._factors or ():
+        assert_kept_lengths(factor)
+
+
 def assert_lists_match_the_structure(build, sizes, n):
     """The lists of m at each of sizes, built afresh in ascending order and
     then read as heads of the largest, hold the cells that m's structure
-    states, and the statistics at n equal the scans of m with its structure
-    removed."""
+    states and a value per row or column, and the statistics at n equal the
+    scans of m with its structure removed."""
     fast, scanned = with_and_without_structure(build)
     expected = structure_entries(fast, range(max(sizes)))
     for size in (*sizes, *sizes):
         assert generator_entries(fast, size) == {c: x for c, x in expected.items() if c[0] < size}, size
+        assert_kept_lengths(fast)
     for kind in ("alpha", "beta", "gamma"):
         assert_structure_matches_scan(kind, fast, scanned, n)
 
@@ -720,6 +738,91 @@ def test_a_beta_report_builds_the_domain_inverse_lists_once(monkeypatch):
     monkeypatch.setattr(BandedMatrix, "entry", counted)
     assert dual_test(dom, Seq(lambda k: F((-1) ** k, k + 1)), "beta", 48).cross_check["match"] is True
     assert set(reads.values()) == {1} and len(reads) == 2 * 49 - 1
+
+
+def kept_cells(lists, size):
+    """The cells of the leading square that lists (d, terms, bands) state,
+    in integers or in reduced pairs, as Fractions."""
+    d, terms, bands = lists
+    value = lambda x: F(*x) if isinstance(x, tuple) else F(x)
+    at = lambda f, j: 1 if f is None else value(f[j])
+    cells = [[F(0)] * size for _ in range(size)]
+    for n in range(size):
+        for k in range(n + 1):
+            i = n - k
+            cell = value(bands[i][n]) if i < len(bands) else sum(at(u, n) * at(v, k) for u, v in terms)
+            cells[n][k] = cell / d
+    return tuple(map(tuple, cells))
+
+
+def test_dual_reports_keep_no_pair_lists(monkeypatch):
+    """A matrix keeps only the lists it built last.  After beta and gamma
+    reports over C, G and R, every leaf has replaced the pair lists its
+    integer lists were scaled from, so no matrix keeps pair lists.  A
+    matrix read alternately in pairs and in integers, at two sizes,
+    replaces its lists at each read, and every read states the cells of
+    the entry scan."""
+    built, init = [], BandedMatrix.__init__
+
+    def recorded(m, *args, **kwargs):
+        init(m, *args, **kwargs)
+        built.append(m)
+
+    monkeypatch.setattr(BandedMatrix, "__init__", recorded)
+    a = Seq(lambda k: F((-1) ** k, k + 1))
+    for domain in ("C", "G(power 2, harmonic)", "R(2^k)"):
+        for kind in ("beta", "gamma"):
+            dual_test(F_DOMAINS[domain](), a, kind, 48)
+    monkeypatch.undo()
+    assert any(m._kept[0] is _INTEGERS for m in built)
+    assert [m for m in built if m._kept[0] is _PAIRS] == []
+    dom = F_DOMAINS["G(power 2, harmonic)"]()
+    for m in (beta_assoc(dom.matrix, a), dom.matrix):
+        for size in (16, 9, 16):
+            for arith in (_PAIRS, _INTEGERS):
+                cells = kept_cells(_lists(m, size, arith), size)
+                assert m._kept[:2] == (arith, size)
+                assert cells == _entry_scan(m, size), (arith, size)
+
+
+@pytest.mark.parametrize("domain", sorted(F_DOMAINS))
+def test_command_matrices_have_one_slope_on_the_column_limit_window(domain):
+    """At N = 48 the generator lists of the beta matrix, and over G and R of
+    the closed form, have a w that is constant on rows N/2..N, for every a
+    of A_SPECS: the column limits of every report take the one-slope
+    branch."""
+    n = 48
+    half = checkpoints(n)[1]
+    for spec in A_SPECS.values():
+        a, dom = parse_seq_spec(json.dumps(spec))[0], F_DOMAINS[domain]()
+        matrices = [beta_assoc(dom.matrix, a)]
+        if dom.weights is not None:
+            matrices.append(closed_form_beta_matrix(dom.weights, a))
+        for m in matrices:
+            w = duals._generators(m, n + 1)[2]
+            assert len(set(w[half:])) == 1, spec
+
+
+def test_column_limits_of_one_slope_other_than_1_equal_the_scans():
+    """A weighted mean with u = 2 has w = 2 on every row, gamma of it w = 0,
+    and a matrix 3 col[k] + row[n] w = 3: one slope, not 1, on the column
+    limit window, so the oscillation is the spread of the row term there,
+    the same at every column, and the column limits equal the scans."""
+    mean = WeightPair(Seq.constant(2), Seq(lambda k: F((-1) ** k, k + 1)))
+    col, row = (lambda k: F(k % 5, 3)), (lambda n: F((-1) ** n * n, 7))
+    terms = [(row, None), (lambda n: F(3), col)]
+    builds = {
+        "mean": lambda: weighted_mean(mean),
+        "gamma": lambda: gamma(mean),
+        "3 col + row": lambda: BandedMatrix(lambda n, k: 3 * col(k) + row(n), structure=(terms, [])),
+    }
+    for n in (8, 16, 48):
+        half = checkpoints(n)[1]
+        for name, build in builds.items():
+            fast, scanned = with_and_without_structure(build)
+            w = duals._generators(fast, n + 1)[2]
+            assert len(set(w[half:])) == 1 and w[half] != 1, name
+            assert cond_l1_c(fast, n) == cond_l1_c(scanned, n), name
 
 
 @pytest.mark.parametrize("kind", duals.DUAL_KINDS)
@@ -955,17 +1058,6 @@ def test_list_combine_never_returns_an_input_list():
     assert out == [x - y for x, y in zip(L, M)] and out is not L
     assert L == [1, 2, 3, 4, 5, 6] and M == [7, 0, -1, 2, 9, 4]
     assert combine([(None, 0, None, 0, 1)]) is None
-
-
-def test_maxima_equal_the_direct_max():
-    """Equal slopes, one slope for all lines (as when w = 1), lines through
-    one point and points tied at a breakpoint."""
-    rng = random.Random(11)
-    for trial in range(200):
-        slopes = [rng.randint(-4, 4)] if trial % 4 == 0 else range(-4, 5)
-        lines = [(rng.choice(slopes), rng.randint(-9, 9)) for _ in range(rng.randint(1, 12))]
-        xs = [rng.randint(-6, 6) for _ in range(rng.randint(0, 10))]
-        assert duals._maxima(lines, xs) == [max(w * x + r for w, r in lines) for x in xs]
 
 
 def test_abs_sums_query_equals_the_direct_sum():
