@@ -72,6 +72,8 @@ def _load_spec(text: str, what: str):
             raise SpecError(f"bad {what} JSON at position {exc.pos}: {exc.msg}") from None
         except RecursionError:
             raise SpecError(f"{what} JSON is nested too deeply") from None
+        except ValueError:  # an integer of more digits than int() converts
+            raise SpecError(f"{what} JSON has a number longer than {MAX_LITERAL} characters") from None
     return text  # shorthand word, resolved by the caller
 
 

@@ -6,9 +6,10 @@ are lazy (index -> value closures) with memoized entries, and a single object
 may be shared across threads.  Memo lookups take no lock: entry closures are
 pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
-synchronized: the forward-substitution rows of an inverse and the sums of
-``running_sum``.  The lists of ``_lists`` are not appended to: they are
-whole values per size, and a race can only build one twice.
+synchronized: the forward-substitution rows of an inverse, the sums of
+``running_sum`` and the prefix maxima of ``compose``'s row bounds.  The
+lists of ``_lists`` are not appended to: they are whole values per size,
+and a race can only build one twice.
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
@@ -52,31 +53,33 @@ an element arithmetic (add, mul, neg, zero, one): integers over one common
 denominator (``_INTEGERS``), which the statistics of ``duals`` read, and
 reduced pairs (p, q), q > 0 (``_PAIRS``), whose sum ``_padd`` and product
 ``_pmul`` are the gcd-reduced algorithms ``Fraction`` runs (Henrici;
-Knuth, TAOCP vol. 2, 4.5.1), which every other reader takes through
-``_pair_lists``.  ``_lists`` is the one builder of a structure's values
-at a size, in either arithmetic, and keeps the largest built on the
-matrix, so a second reader builds nothing.  A truncation, the leading N x
-N block of a matrix, is the tuple of its N row tuples: ``truncate``,
-``_entry_scan`` and ``dense_mul`` make that one shape.  ``truncate`` reads
-every structure from its pair lists row by row, a cell below the band the
-sum over the terms of U(n) V(k), and a product of two means from its
-factors' lists by per-row pair suffix sums, Ua(n) Vb(k) (t_k + ... + t_n)
-with t = Va Ub.  Only a matrix with no structure is scanned entry by
-entry, as the oracle of the structured reads.  When lists meet an invalid
-weight, ``_replay`` bisects on the pair lists for the first row whose
-lists fail and reads that row's entries, so ``truncate`` and the
-statistics of ``duals`` raise the weight the scan meets first without
-scanning.  A cell is a ``Fraction`` or, for ``matrix``, its text ratio(p,
-q).
+Knuth, TAOCP vol. 2, 4.5.1), which ``truncate`` and ``apply`` read.
+``_lists`` is the one builder of a structure's values at a size, in
+either arithmetic, and keeps the last lists built on the matrix, so a
+second reader in that arithmetic builds nothing.  A truncation, the
+leading N x N block of a matrix, is the tuple of its N row tuples:
+``truncate``, ``_entry_scan`` and ``dense_mul`` make that one shape.
+``truncate`` reads every structure from its pair lists row by row, a cell
+below the band the sum over the terms of U(n) V(k), and a product of two
+means from its factors' lists by per-row pair suffix sums, Ua(n) Vb(k)
+(t_k + ... + t_n) with t = Va Ub.  Only a matrix with no structure is
+scanned entry by entry, as the oracle of the structured reads.  When
+lists meet an invalid weight, ``_replay`` bisects on the pair lists for
+the first row whose lists fail and reads that row's entries, so
+``truncate``, ``apply`` and the statistics of ``duals`` raise the weight
+the scan meets first without scanning, or the lists' own when that row's
+entries read none.  A cell is a ``Fraction`` or, for ``matrix``, its text
+ratio(p, q).
 ``_transform_rule`` transforms a sequence by a structure, stated once
 over (prefix, combine) as the product rule is: Mx is U(n) times the running
 sum of V x over each term, plus the band times x, so N coordinates cost
-O(N) operations.  ``apply`` runs it on the pair lists of the structure and
-of x, and so do ``membership --domain`` and the bv norm of Ax in
-``spaces``.  ``transform_seq`` is the one lazy transform: it runs the rule
-on memoized Seqs, and any other matrix takes the entry loop ``_coordinate``
-over each row's support, which is the oracle of both.  ``apply`` reads it in
-order for a matrix with no structure or whose lists meet an invalid weight.
+O(N) operations.  ``apply`` is the one reader of a structured transform:
+it runs the rule on the pair lists of the structure and of x, for
+``transform``, ``membership --domain`` and the bv norm of Ax in ``spaces``
+alike.  ``transform_seq`` is the one lazy transform, for a reader with no
+length: it runs the rule on memoized Seqs, and any other matrix takes the
+entry loop ``_coordinate`` over each row's support, which is the oracle of
+both.  ``apply`` reads it in order for a matrix with no structure.
 """
 
 from __future__ import annotations
@@ -297,17 +300,18 @@ def truncate(source, n_size: int, ratio=None):
     tuple of its n_size row tuples of Fraction.
 
     A lower triangle that declares a structure is read from its lists of
-    reduced pairs (``_pair_lists``, made for a product from its factors'
-    lists by the product rule), and no entry is read but the band of a
-    bidiagonal inverse, which is its memoized entries: a product of two
-    means from its factors' lists by per-row suffix sums
+    reduced pairs (``_lists`` in ``_PAIRS``, made for a product from its
+    factors' lists by the product rule), and no entry is read but the band
+    of a bidiagonal inverse, which is its memoized entries: a product of
+    two means from its factors' lists by per-row suffix sums
     (``_mean_product_rows``), every other structure row by row from its
     own (``_structure_rows``), each cell below the band the sum over the
     terms of U(n) V(k), reduced on integers.  A matrix with no structure
     takes the entry scan ``_entry_scan``, which is also the oracle of both
     structured reads.  A structured read that meets an invalid weight
-    raises it through ``_replay``, which reads the entries of one row, so
-    the weight reported is the one the scan meets first.
+    raises it through ``_replay``: the weight of the first row whose lists
+    fail, as the scan meets it in that row's entries, or the lists' own
+    error when those entries read no invalid weight.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
@@ -325,10 +329,10 @@ def truncate(source, n_size: int, ratio=None):
     factors = source._factors
     try:
         if factors is not None and None not in map(_mean_term, factors):
-            row = _mean_product_rows(*(_pair_lists(f, n_size) for f in factors), n_size, ratio or Fraction)
+            row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or Fraction)
             rows = (row(n) for n in range(n_size))
         else:
-            rows = _structure_rows(_pair_lists(source, n_size), n_size, ratio or Fraction)
+            rows = _structure_rows(_lists(source, n_size, _PAIRS)[1:], n_size, ratio or Fraction)
     except InvalidWeightsError:
         _replay(source, n_size)
         raise
@@ -412,23 +416,22 @@ def _lists(m, size: int, arith: tuple) -> tuple:
     return lists
 
 
-def _pair_lists(m, n_size: int) -> tuple:
-    """(terms, band): m's reduced-pair ``_lists`` at the rows n < n_size."""
-    return _lists(m, n_size, _PAIRS)[1:]
-
-
 def _replay(m, n_size: int) -> None:
     """Read, in scan order, the entries of the first row whose pair lists
-    raise an invalid weight, found by bisection over the sizes: rows before
-    it read the same weights the lists of fewer rows do, so those entries
-    raise the invalid weight the scans report, after O(log N) list builds
-    and one row of entries.  The callers re-raise the lists' error if the
-    row's entries raise none."""
+    raise an invalid weight, found by bisection over the sizes, after
+    O(log N) list builds and one row of entries.  The rows before it read
+    the same weights the lists of fewer rows do, so when those entries
+    raise, they raise the invalid weight the scans report.  They need not:
+    the lists read every weight of the row, while an entry can skip one
+    that a zero coefficient multiplies (a product of diag(a) with a(n) = 0
+    reads no weight of its right factor's row n), and the scan may then
+    succeed.  The callers re-raise the lists' error in that case, so a
+    structured read raises wherever its lists do."""
     good, bad = 0, n_size
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            _pair_lists(m, mid)
+            _lists(m, mid, _PAIRS)
             good = mid
         except InvalidWeightsError:
             bad = mid
@@ -438,11 +441,12 @@ def _replay(m, n_size: int) -> None:
 
 def _structure_rows(lists: tuple, n_size: int, ratio):
     """The first n_size rows, n_size long, of the lower triangle that the
-    pair lists (terms, band) of a structure state (``_pair_lists``):
-    band[i][n] at (n, n - i) and below the band the sum of U[n] V[k] over
-    the terms (U, V), one integer dot product per cell, reduced by one gcd,
-    of row n's U[n] and column k's V[k] over their lcms (``_integers``), as
-    a generator of row tuples whose cells are ratio(p, q) of reduced pairs.
+    pair lists (terms, band) of a structure state (``_lists`` in
+    ``_PAIRS``, without d = 1): band[i][n] at (n, n - i) and below the band
+    the sum of U[n] V[k] over the terms (U, V), one integer dot product per
+    cell, reduced by one gcd, of row n's U[n] and column k's V[k] over
+    their lcms (``_integers``), as a generator of row tuples whose cells
+    are ratio(p, q) of reduced pairs.
 
     One term has fast cases.  When U is None every row below the band is a
     slice of one line: the cells of V, the ones or, with no terms, the
@@ -481,11 +485,11 @@ def _structure_rows(lists: tuple, n_size: int, ratio):
 
 def _mean_product_rows(a_lists: tuple, b_lists: tuple, n_size: int, ratio):
     """Row n -> row n, n_size long, of A.B for the means A and B whose pair
-    lists (``_pair_lists``) are the terms (Ua, Va) and (Ub, Vb), None the
-    all-ones list, at the rows n < n_size: ``truncate`` makes the rows with
-    it.  Cell (n, k) is Ua(n) Vb(k) D_n(k) for k <= n, with D_n(k) = t_k +
-    ... + t_n and t_j = Va(j) Ub(j): compose's suffix sums with Ua(n)
-    factored out.
+    lists (``_lists`` in ``_PAIRS``, without d = 1) are the terms (Ua, Va)
+    and (Ub, Vb), None the all-ones list, at the rows n < n_size:
+    ``truncate`` makes the rows with it.  Cell (n, k) is Ua(n) Vb(k) D_n(k)
+    for k <= n, with D_n(k) = t_k + ... + t_n and t_j = Va(j) Ub(j):
+    compose's suffix sums with Ua(n) factored out.
 
     Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0 by the pair
     sum ``_padd``, and each cell is reduced on integers (``_pmul``), first
@@ -624,37 +628,27 @@ def _transform_rule(structure: tuple, x, ops: tuple):
     return combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
 
 
-def _list_coordinates(m, x: Seq, n_size: int, ratio=Fraction) -> list | None:
-    """ratio(p, q) of each of the first n_size coordinates p/q of Mx for a
-    structured m: the transform rule on m's pair lists (``_pair_lists``)
-    and x's first n_size values as reduced pairs, so no Seq of the
-    structure is evaluated.  None when m declares no structure, or when
-    the lists meet an invalid weight, which the caller's lazy path then
-    reports in the order it reads the coordinates."""
-    if m.structure is None:
-        return None
-    try:
-        lists = _pair_lists(m, n_size)
-        xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
-    except InvalidWeightsError:
-        return None
-    return list(starmap(ratio, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
-
-
 def apply(m, x: Seq, n_size: int, ratio=None) -> list:
     """First n_size coordinates of the transform Mx, as Fractions or, given
     ratio, as the text ratio(p, q) of each coordinate p/q, as ``truncate``
-    makes its cells.  A structured m is read from its pair lists
-    (``_list_coordinates``); any other m, and one whose lists meet an
-    invalid weight, reads the lazy transform ``transform_seq`` in order."""
+    makes its cells.  This is the one reader of a structured m: the
+    transform rule on m's pair lists (``_lists`` in ``_PAIRS``) and x's
+    first n_size values as reduced pairs, so no Seq of the structure is
+    evaluated.  Lists that meet an invalid weight raise it through
+    ``_replay``, as ``truncate`` does.  Any other m reads the lazy
+    transform ``transform_seq`` in order."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
-    coords = _list_coordinates(m, x, n_size, ratio or Fraction)
-    if coords is None:
+    if m.structure is None:
         coords = list(map(transform_seq(m, x), range(n_size)))
-        if ratio is not None:
-            coords = [ratio(*v.as_integer_ratio()) for v in coords]
-    return coords
+        return coords if ratio is None else [ratio(*v.as_integer_ratio()) for v in coords]
+    try:
+        lists = _lists(m, n_size, _PAIRS)[1:]
+    except InvalidWeightsError:
+        _replay(m, n_size)
+        raise
+    xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
+    return list(starmap(ratio or Fraction, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
@@ -663,7 +657,7 @@ def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     memoized Seqs, so each coordinate is evaluated once, in the order it is
     read.  Any other t takes the entry loop ``_coordinate``, which is also
     the oracle both structured paths are checked against, invalid weights
-    included."""
+    included, and which ``apply`` reads for it."""
     if t.structure is None:
         return Seq(lambda n: _coordinate(t, x, n))
     coords = _transform_rule(t.structure, x, (_seq_prefix, _seq_combine))
@@ -752,16 +746,18 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
     row_bound = a._row_bound
     if not b_lower:
-        bounds: dict[int, int] = {}
+        # maxima[j + 1] is the furthest column of B's rows 0..j, built by
+        # appending, so it is locked as running_sum's sums are
+        maxima = [-1]
+        lock = threading.Lock()
 
         def row_bound(n: int) -> int:
             # the furthest column of B's rows 0..a.row_bound(n)
-            bound = bounds.get(n)
-            if bound is None:
-                bound = bounds[n] = max(
-                    (b.row_bound(j) for j in range(a.row_bound(n) + 1)), default=-1
-                )
-            return bound
+            end = a.row_bound(n) + 1
+            with lock:
+                while len(maxima) <= end:
+                    maxima.append(max(maxima[-1], b.row_bound(len(maxima) - 1)))
+                return maxima[end]
 
     structure = None if a.structure is None or b.structure is None else _product_structure(a, b)
     product = (Triangle if isinstance(a, Triangle) and isinstance(b, Triangle) else BandedMatrix)(

@@ -36,11 +36,12 @@ smaller size in the same arithmetic as their head, so the domain
 inverse's lists serve every report over the domain, the rows of a
 from-domain class test included.
 An invalid weight met while building them is raised by ``core._replay``,
-which ``truncate`` shares: it bisects on the pair lists for the first row
-whose lists fail and reads that row's entries, so the weight is reported
-as the scans report it.  The statistics scan any
-other matrix (E, a bare triangle domain), and the scans are also the
-oracle the lists are checked against.
+which ``truncate`` and ``apply`` share: it bisects on the pair lists for
+the first row whose lists fail and reads that row's entries, so the weight
+is reported as the scans report it, or as the lists do when that row's
+entries read none.  The statistics scan any other matrix (E, a bare
+triangle domain), and the scans are also the oracle the lists are checked
+against.
 A scan reads only the cells the matrix's row supports leave possibly
 nonzero, in the order of a scan of the whole square, and does no
 arithmetic on a zero, so E of a finite matrix with r rows costs O(r N)
@@ -94,7 +95,7 @@ def _generators(m, size: int) -> tuple | None:
     any other structure, and for none, this is None, so a matrix whose
     structure is removed is scanned.  The lists are m's integer lists
     (``core._lists``); when those raise an invalid weight, ``core._replay``
-    raises it as the scans do."""
+    raises it as the scans do, or the lists' own error is re-raised."""
     if m.structure is None:
         return None
     shapes = [(u is None, v is None) for u, v in m.structure[0]]

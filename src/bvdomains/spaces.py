@@ -13,7 +13,7 @@ from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
-from .core import Seq, Triangle, ZERO, _list_coordinates, transform_seq
+from .core import Seq, Triangle, ZERO, apply
 
 
 class SpaceId(str, Enum):
@@ -133,17 +133,8 @@ def bv_norm_prefix(x: Seq, n: int) -> Fraction:
 
 def bvA_norm_prefix(a: Triangle, x: Seq, n: int) -> Fraction:
     """bv-norm prefix of the transformed sequence Ax, read at its first n +
-    1 coordinates (``_transformed``)."""
-    return bv_norm_prefix(_transformed(a, x, n + 1), n)
-
-
-def _transformed(a: Triangle, x: Seq, size: int) -> Seq:
-    """Ax as a Seq read below size: a structured a's list coordinates
-    (``core._list_coordinates``), or the lazy transform, which reads the
-    coordinates in the caller's order, for any other a and for one whose
-    lists meet an invalid weight."""
-    coords = _list_coordinates(a, x, size)
-    return transform_seq(a, x) if coords is None else Seq(coords.__getitem__)
+    1 coordinates (``core.apply``)."""
+    return bv_norm_prefix(Seq(apply(a, x, n + 1).__getitem__), n)
 
 
 def _statistic(x: Seq, space: SpaceId, idx: int) -> Fraction:
@@ -220,13 +211,14 @@ def membership(x: Seq, space: SpaceId, n: int) -> MembershipReport:
 
 def domain_membership(x: Seq, a: Triangle, space: SpaceId, n: int) -> MembershipReport:
     """Membership diagnostic for the transformed sequence Ax, read at its
-    first n coordinates (``_transformed``): a structured a's pair lists by
-    the one transform rule, the lazy transform on the error path.
+    first n coordinates (``core.apply``), as ``transform`` reads them: an
+    invalid weight of a structured a is raised whatever the space, even
+    where its statistic would not read the coordinate that holds it.
 
     With a in {phi, gamma, sigma_riesz} and space l1 this is exactly the
     bv(C)/bv(G)/bv(R) diagnostic.
     """
-    return membership(_transformed(a, x, n), space, n)
+    return membership(Seq(apply(a, x, n).__getitem__), space, n)
 
 
 _D = SpaceId

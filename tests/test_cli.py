@@ -355,6 +355,23 @@ def test_exit_code_usage_errors(capsys, tmp_path):
             assert "--out" in err and argv[-1] in err, err
 
 
+def test_a_json_number_past_the_int_conversion_limit_is_a_spec_error(capsys):
+    """A 5,000-digit JSON integer, past the digits json.loads converts, in a
+    matrix, sequence or domain spec exits 2 with one error line that names
+    the literal limit, not the interpreter's."""
+    huge = "1" * 5000
+    cases = [
+        ["matrix", "--spec", '{"kind": "banded", "rows": [[%s]]}' % huge, "--n", "4"],
+        ["dual", "--a", '{"prefix": [%s]}' % huge, "--domain", "C", "--kind", "beta", "--n", "8"],
+        ["dual", "--a", "e", "--domain", '{"label": "R", "q": {"prefix": [%s]}}' % huge, "--kind", "beta", "--n", "8"],
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "longer than 256 characters" in err and "set_int_max_str_digits" not in err, err
+
+
 _HUGE_WEIGHTED = json.dumps(
     {"kind": "weighted", "u": {"tail": {"kind": "geometric", "r": "1e100"}}, "v": {"tail": {"kind": "const", "c": "1"}}}
 )

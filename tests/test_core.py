@@ -201,6 +201,29 @@ def test_compose_row_bound_covers_every_nonzero_entry(left, right, bounds):
         assert not any(oracle[n][k] for k in range(bounds[n] + 1, 12)), n
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [["1", "2"], ["3"]],
+        # rows that reach past the diagonal by varying amounts, up to row 40
+        [["1"] * (7 * j % 23 + 1) for j in range(40)],
+    ],
+)
+def test_compose_row_bound_reads_each_row_bound_of_the_right_factor_once(rows):
+    """The row supports of phi . B for a B that is not lower triangular,
+    at N = 512, are the furthest column of B's rows 0..n, as a max over
+    those rows states it, and reading all of them calls B's row_bound at
+    most N + 1 times, not once per row of each prefix."""
+    size = 512
+    b = BandedMatrix.from_rows(rows)
+    expected = [range(max(b.row_bound(j) for j in range(n + 1)) + 1) for n in range(size)]
+    product, calls = compose(phi(), b), []
+    row_bound = b.row_bound
+    b.row_bound = lambda j: calls.append(j) or row_bound(j)
+    assert [product.row_support(n) for n in range(size)] == expected
+    assert len(calls) <= size + 1
+
+
 def test_invert_against_substitution_oracle():
     inv = invert(cesaro())
     oracle = dense_solve_inverse(truncate(cesaro(), 6))

@@ -29,9 +29,10 @@ import pytest
 
 from bvdomains.builders import RieszWeights, WeightPair, cesaro, delta, gamma, phi, riesz, sigma_riesz, sigma_sum
 from bvdomains.core import (
+    _PAIRS,
     Seq,
+    _lists,
     _mean_product_rows,
-    _pair_lists,
     _structure_rows,
     apply,
     compose,
@@ -93,7 +94,7 @@ def test_structured_rows_at_depth_are_reduced_and_dot_to_the_transform(name, siz
     t, values = _TRIANGLES[name](), _integers(size)
     tx = apply(t, Seq.from_values(values), size)
     sampled = {i * (size - 1) // 15 for i in range(16)}
-    rows = _structure_rows(_pair_lists(t, size), size, lambda p, q: (p, q))
+    rows = _structure_rows(_lists(t, size, _PAIRS)[1:], size, lambda p, q: (p, q))
     for n, row in enumerate(rows):
         if n not in sampled:
             continue
@@ -128,7 +129,7 @@ def test_mean_product_rows_at_depth_are_reduced_and_dot_to_the_transform(name):
     combine of per-term prefix sums, which never forms a cell."""
     t, values = _MEAN_PRODUCTS[name](), _integers(N)
     tx = apply(t, Seq.from_values(values), N)
-    row = _mean_product_rows(*(_pair_lists(f, N) for f in t._factors), N, lambda p, q: (p, q))
+    row = _mean_product_rows(*(_lists(f, N, _PAIRS)[1:] for f in t._factors), N, lambda p, q: (p, q))
     for n in (i * (N - 1) // 15 for i in range(16)):
         cells = row(n)
         assert len(cells) == N and all(q > 0 and gcd(p, q) == 1 for p, q in cells), n

@@ -28,9 +28,7 @@ from bvdomains.core import (
     _INTEGERS,
     _coordinate,
     _entry_scan,
-    _list_coordinates,
     _lists,
-    _pair_lists,
     apply,
     compose,
     dense_mul,
@@ -591,7 +589,6 @@ def test_list_transform_equals_the_entry_loop_and_the_lazy_transform(name):
         for x_name in _THREE_XS:
             x = _XS[x_name]()
             got = apply(m, x, size)
-            assert _list_coordinates(m, x, size) == got, (size, x_name)
             lazy = transform_seq(m, x)
             assert [lazy(n) for n in reversed(range(size))][::-1] == got, (size, x_name)
             assert _entry_loop(m, x, size) == got, (size, x_name)
@@ -665,7 +662,7 @@ def test_pair_lists_fit_each_v_to_the_columns_below_the_band(left, right):
         ms = (b, compose(_NAMED[left](), b))
         for size in sizes:
             for m in ms:
-                terms, band = lists = _pair_lists(m, size)
+                terms, band = lists = _lists(m, size, core._PAIRS)[1:]
                 assert all(v is None or len(v) == size - len(band) for _, v in terms), size
                 assert _pair_cells(lists, size) == _entry_scan(m, size), size
 
@@ -697,7 +694,7 @@ def test_domain_membership_reads_the_list_transform(domain, monkeypatch):
     equal the lazy transform's, which the list coordinates leave unread."""
     size = 16
     lazy = {x_name: transform_seq(_NAMED[domain](), _XS[x_name]()) for x_name in _THREE_XS}
-    monkeypatch.setattr(spaces, "transform_seq", None)
+    monkeypatch.setattr(core, "transform_seq", None)
     for x_name, ax in lazy.items():
         for space in spaces.SpaceId:
             got = spaces.domain_membership(_XS[x_name](), _NAMED[domain](), space, size)
@@ -855,7 +852,7 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
     commands = [
         ["matrix", "--spec", product],
         ["transform", "--matrix", spec, "--x", "e", "--n", "16"],
-        ["membership", "--x", "e", "--space", "c", "--domain", spec, "--n", "16"],
+        *(["membership", "--x", "e", "--space", space.value, "--domain", spec, "--n", "16"] for space in spaces.SpaceId),
     ]
     if shape == "domain":
         commands += [
@@ -877,6 +874,8 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
     for argv in commands:
         assert cli.main(argv) == 3
         structured.append(capsys.readouterr())
+    # membership --domain reads Ax as transform does, whatever the space
+    assert {got.err for got in structured[1 : 2 + len(spaces.SpaceId)]} == {structured[1].err}
 
     def parse_without_structure(text):
         matrix, resolved = parse_matrix_spec(text)
@@ -903,6 +902,30 @@ def test_invalid_weights_exit_3_as_without_structure(case, shape, monkeypatch, c
         assert got.out == plain.out == ""
         assert got.err == plain.err
         assert got.err.startswith("mathematical error: invalid weight ")
+
+
+# invalid weights that the windows of c and c0 skip: u[1] at N = 16, whose
+# windows start at coordinate 2, and gamma's u[2] at N = 32, whose windows
+# start at 4
+_SKIPPED_BY_WINDOWS = [
+    ({"kind": "weighted", "u": {"prefix": ["1", "0"], "tail": _ONES}, "v": "e"}, "16"),
+    ({"kind": "gamma", "u": {"prefix": ["1", "1", "0"], "tail": _ONES}, "v": "e"}, "32"),
+]
+
+
+@pytest.mark.parametrize("spec,n", _SKIPPED_BY_WINDOWS)
+def test_domain_membership_exits_3_as_transform_for_every_space(spec, n, capsys):
+    """membership --domain reads Ax as transform does, so an invalid weight
+    of the domain exits 3 with transform's stderr whatever the space, also
+    where the space's statistic reads no coordinate that holds it."""
+    spec = json.dumps(spec)
+    assert cli.main(["transform", "--matrix", spec, "--x", "harmonic", "--n", n]) == 3
+    expected = capsys.readouterr()
+    assert expected.err.startswith("mathematical error: invalid weight ")
+    for space in spaces.SpaceId:
+        argv = ["membership", "--x", "harmonic", "--space", space.value, "--domain", spec, "--n", n]
+        assert cli.main(argv) == 3, space
+        assert capsys.readouterr() == expected, space
 
 
 def _ones_then(index, value):
@@ -936,6 +959,31 @@ def test_two_factor_transforms_report_the_weight_of_the_entry_loop(shape):
             assert got == _outcome(lambda: apply(plain, x, 12)), (a, b)
             raised += isinstance(got, str)
     assert raised == len(_FACTOR_WEIGHTS) ** 2 - 1
+
+
+def test_a_weight_the_entries_skip_is_raised_from_the_lists():
+    """diag(a) . M for a mean M with a(3) = 0 and u(3) = 0: the lists read
+    u[3], but row 3's entries read nothing, since compose drops the zero
+    coefficient a(3), so the entry scan succeeds.  ``_replay`` then finds
+    row 3 and raises nothing, and truncate, apply and the statistics
+    re-raise the lists' error."""
+    size = 8
+    zero_at_3 = lambda n: F(0) if n == 3 else F(1)
+
+    def build():
+        w = builders.WeightPair(Seq(zero_at_3), Seq.constant(1))
+        return compose(diagonal(Seq(zero_at_3)), builders.weighted_mean(w))
+
+    assert _entry_scan(build(), size)[3] == (F(0),) * size
+    for run in (
+        lambda m: truncate(m, size),
+        lambda m: truncate(m, size, spaces.fmt_ratio),
+        lambda m: apply(m, Seq.constant(1), size),
+        lambda m: duals.cond_l1_linf(m, size),
+    ):
+        m = build()
+        assert m.structure is not None
+        assert _outcome(lambda: run(m)) == "invalid weight u[3]"
 
 
 # the invalid weights of _INVALID, weights invalid at the last row of an N =
