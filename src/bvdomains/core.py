@@ -34,6 +34,12 @@ own denominator lcm, and forward substitution keeps each inverse row also
 as (lcm, integer numerators).  An entry is then one integer sum and one
 ``Fraction`` reduction instead of a reduction per term.  ``_integers`` is
 the one scaling kernel, which the integer lists of ``_lists`` also use.
+The lazy entry loops, the transform coordinate ``_coordinate`` and
+``compose``'s band-overlap entry, sum their terms as they read them with
+``_dot``: one integer numerator over the running lcm of the products'
+denominators, reduced once.  A value already in lowest terms, a cell of a
+structured read or of the bidiagonal inverse, becomes a ``Fraction``
+through ``_coprime``, with no second gcd.
 
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
@@ -317,7 +323,8 @@ def truncate(source, n_size: int, ratio=None):
     by the generator returned, once every value is read: each cell is
     ratio(p, q) of its value p/q in lowest terms, q > 0, a structured
     read's reduced pair or ratio(*x.as_integer_ratio()) of a scanned
-    Fraction x.  Without ratio a structured read's cell is Fraction(p, q).
+    Fraction x.  Without ratio a structured read's cell is the Fraction p/q
+    built from its reduced pair by ``_coprime``, with no second gcd.
     """
     if n_size < 1:
         raise ValueError(f"truncation size must be >= 1, got {n_size}")
@@ -329,10 +336,10 @@ def truncate(source, n_size: int, ratio=None):
     factors = source._factors
     try:
         if factors is not None and None not in map(_mean_term, factors):
-            row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or Fraction)
+            row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or _coprime)
             rows = (row(n) for n in range(n_size))
         else:
-            rows = _structure_rows(_lists(source, n_size, _PAIRS)[1:], n_size, ratio or Fraction)
+            rows = _structure_rows(_lists(source, n_size, _PAIRS)[1:], n_size, ratio or _coprime)
     except InvalidWeightsError:
         _replay(source, n_size)
         raise
@@ -555,6 +562,30 @@ def _pneg(x: tuple) -> tuple:
     return -x[0], x[1]
 
 
+def _coprime(p: int, q: int) -> Fraction:
+    """p/q as a Fraction for a pair already in lowest terms with q > 0,
+    without Fraction's gcd: the constructor's two slot stores alone."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = p, q
+    return value
+
+
+def _dot(pairs) -> Fraction:
+    """The sum of c y over the (c, y) pairs of Fractions, taken in order:
+    one integer numerator over the running lcm of the products'
+    denominators, den <- den / g q with g = gcd(den, q), reduced once at
+    the end, instead of one reduction per term.  ZERO when it is 0."""
+    num, den = 0, 1
+    for c, y in pairs:
+        (cn, cd), (yn, yd) = c.as_integer_ratio(), y.as_integer_ratio()
+        q = cd * yd
+        g = gcd(den, q)
+        s = q // g
+        num = num * s + cn * yn * (den // g)
+        den *= s
+    return Fraction(num, den) if num else ZERO
+
+
 # the element arithmetics (add, mul, neg, zero, one) of _list_ops: reduced
 # pairs, and integers over one common denominator
 _PAIRS = (_padd, _pmul, _pneg, (0, 1), (1, 1))
@@ -601,17 +632,13 @@ def dense_mul(a: tuple, b: tuple) -> tuple:
 
 def _coordinate(m, x: Seq, n: int) -> Fraction:
     """Coordinate n of the transform Mx: sum of m(n,k) x(k) over row n's
-    support.
+    support, one integer sum reduced once (``_dot``).  Each m(n,k) is read
+    in column order, and x(k) just after it, only where m(n,k) is nonzero.
 
     Every row has finite support, so this is the full transform coordinate,
     not an approximation.
     """
-    acc = ZERO
-    for k in m.row_support(n):
-        c = m.entry(n, k)
-        if c:
-            acc += c * x(k)
-    return acc
+    return _dot((c, x(k)) for k in m.row_support(n) if (c := m.entry(n, k)))
 
 
 def _transform_rule(structure: tuple, x, ops: tuple):
@@ -648,7 +675,7 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
         _replay(m, n_size)
         raise
     xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
-    return list(starmap(ratio or Fraction, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
+    return list(starmap(ratio or _coprime, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
@@ -669,11 +696,12 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
     Entry (n,k) sums a(n,j) b(j,k) only over the j where both factors can be
     nonzero: j in a's row n support, j >= k when B is lower triangular, and
-    j within B's band and rows.  The product's band is its structure's, the
-    sum of the factors' bands when both are band only, and its rows end
-    where A's rows end.  The product
-    records A and B as its factors, which ``invert`` reads of a product of
-    two triangles, and ``_lists`` of every product.
+    j within B's band and rows, as one integer sum (``_dot``) that reads
+    b(j,k) just after a nonzero a(n,j).  The product's band is its
+    structure's, the sum of the factors' bands when both are band only, and
+    its rows end where A's rows end.  The product records A and B as its
+    factors, which ``invert`` reads of a product of two triangles, and
+    ``_lists`` of every product.
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
     V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
@@ -699,12 +727,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                 hi = k + b_band
             if b_rows is not None and b_rows <= hi:
                 hi = b_rows - 1
-            acc = ZERO
-            for j in range(lo, hi + 1):
-                c = a.entry(n, j)
-                if c:
-                    acc += c * b.entry(j, k)
-            return acc
+            return _dot((c, b.entry(j, k)) for j in range(lo, hi + 1) if (c := a.entry(n, j)))
 
     else:
         terms, b_parts = b.structure
@@ -962,15 +985,27 @@ def _mean_term(t: Triangle) -> tuple | None:
 def _mean_inverse(u, v) -> Triangle:
     """The inverse of the mean U(n) V(k), None the all-ones sequence: the
     bidiagonal 1/(U(n) V(n)) on the diagonal and -1/(U(n-1) V(n)) below it,
-    U read before V as the mean's entries read them.  It declares its
-    diagonal and subdiagonal as its band, read from its memoized entries."""
+    U read before V as the mean's entries read them.  A cell is the
+    reciprocal of the reduced pair of the product (``_pmul``), its sign
+    moved to the numerator, built by ``_coprime``; a zero product raises
+    ZeroDivisionError.  It declares its diagonal and subdiagonal as its
+    band, read from its memoized entries."""
 
     def entry(n: int, k: int) -> Fraction:
         if u is None and v is None:
             return ONE if k == n else -ONE
         m = n if k == n else n - 1
-        p = v(n) if u is None else u(m) if v is None else u(m) * v(n)
-        return Fraction(p.denominator if k == n else -p.denominator, p.numerator)
+        if u is None or v is None:
+            p, q = (v(n) if u is None else u(m)).as_integer_ratio()
+        else:
+            p, q = _pmul(u(m).as_integer_ratio(), v(n).as_integer_ratio())
+        if k != n:
+            q = -q
+        if not p:
+            return Fraction(q, 0)  # raises ZeroDivisionError
+        if p < 0:
+            p, q = -p, -q
+        return _coprime(q, p)
 
     t = Triangle(entry, structure=([], [lambda n: t.entry(n, n), lambda n: t.entry(n, n - 1)]))
     return t

@@ -66,15 +66,32 @@ def _first_failure(name, cases) -> CheckResult:
 
 def _grid_equal(name, expected, got, n, square=False):
     """Compare two (row, col) callables over the lower triangle of the n x n
-    block, or over the whole block when square."""
-    return _entries_equal(
-        name,
-        (
-            ([row, col], expected(row, col), got(row, col))
-            for row in range(n)
-            for col in range(n if square else row + 1)
-        ),
-    )
+    block, or over the whole block when square.  Each row is read whole,
+    expected then got, and compared as one list; only a row that differs is
+    walked cell by cell, for its first mismatch.  A cell that raises hides
+    no mismatch before it: the cells of its row read so far are compared in
+    the order expected(row, col), got(row, col), reading each got cell not
+    yet read, and the error is raised again only when none of them differs."""
+    for row in range(n):
+        cols = range(n if square else row + 1)
+        want, have = [], []
+        try:
+            for col in cols:
+                want.append(expected(row, col))
+            for col in cols:
+                have.append(got(row, col))
+        except Exception:
+            # got raised once every expected cell was read, or expected
+            # raised before any got cell was
+            stop = len(have) if len(want) == len(cols) else len(want)
+            cells = (([row, col], want[col], have[col] if have else got(row, col)) for col in cols[:stop])
+            result = _entries_equal(name, cells)
+            if result.passed:
+                raise
+            return result
+        if want != have:
+            return _entries_equal(name, (([row, col], e, g) for col, e, g in zip(cols, want, have)))
+    return CheckResult(name, True)
 
 
 def _seq_equal(name, expected, got, n):

@@ -1,19 +1,23 @@
 import operator
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bvdomains import core
 from bvdomains.core import (
     BandedMatrix,
+    ZERO,
     InvalidWeightsError,
     Seq,
     SingularMatrixError,
     Triangle,
     _build_inverse,
     _coordinate,
+    _dot,
     _entry_scan,
     _list_ops,
     _mean_product_rows,
@@ -33,6 +37,7 @@ from bvdomains.builders import (
     RieszWeights,
     WeightPair,
     cesaro,
+    cesaro_domain,
     cesaro_inverse,
     delta,
     gamma,
@@ -43,6 +48,7 @@ from bvdomains.builders import (
     sigma_sum,
     weighted_mean,
 )
+from bvdomains.verify import _weight_pairs
 
 
 def dense_solve_inverse(dense):
@@ -616,3 +622,158 @@ def test_mean_product_suffix_sums_equal_fraction_sums_property(weights, ones):
             for k in range(n + 1)
         ]
         assert row(n) == tuple(_pairs(expected) + [(0, 1)] * (size - n - 1)), n
+
+
+# the products' denominators repeat (powers of 2 and 3, 10^6) or are large
+# coprime primes, so the running lcm both stays and grows
+large_den_rat = st.builds(
+    F, st.integers(-(10**6), 10**6), st.sampled_from([2**20, 3**13, 10**6, 999_979, 999_983])
+)
+dot_factor = st.one_of(big_rat, large_den_rat)
+
+
+@st.composite
+def dot_pairs(draw):
+    """(c, y) pairs of signed rationals, zeros among them, whose last drawn
+    run is followed by its negations in reverse order, so that the whole
+    sum can cancel to 0."""
+    pairs = draw(st.lists(st.tuples(dot_factor, dot_factor), max_size=8))
+    cut = draw(st.integers(0, len(pairs)))
+    return pairs + [(c, -y) for c, y in reversed(pairs[len(pairs) - cut :])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_pairs())
+@example([])
+@example([(F(1, 3), F(2, 5)), (F(-1, 3), F(2, 5))])
+@example([(F(1, 999_983), F(1, 999_979)), (F(1, 999_979), F(1, 999_983)), (F(-2), F(1, 999_983 * 999_979))])
+def test_dot_equals_the_fraction_loop_property(pairs):
+    """The integer dot product of the lazy entry kernels is the one-term-at-
+    a-time Fraction sum, a normalized Fraction, and ZERO itself when the
+    terms cancel or there are none."""
+    expected = F(0)
+    for c, y in pairs:
+        expected += c * y
+    got = _dot(iter(pairs))
+    assert type(got) is F and got == expected and hash(got) == hash(expected)
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+    if not expected:
+        assert got is ZERO
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        cesaro,
+        phi,
+        lambda: gamma(_weights()),
+        lambda: compose(cesaro(), cesaro()),
+        lambda: compose(phi(), cesaro()),
+        delta,
+        lambda: invert(phi()),
+    ],
+    ids=["mean", "phi", "gamma", "mean_product", "two_terms", "delta", "inverse_phi"],
+)
+def test_value_mode_cells_are_normalized(build):
+    """Every cell a structured truncate makes without a second gcd is the
+    scan's Fraction, with its hash, in lowest terms with a positive
+    denominator, and so is every coordinate of apply, against the entry
+    loop."""
+    size = 64
+    got, expected = truncate(build(), size), _entry_scan(build(), size)
+    x = Seq(lambda k: F((-1) ** k * (k + 2), 3 * k + 1))
+    got += (apply(build(), x, size),)
+    scanned = build()
+    expected += (tuple(_coordinate(scanned, x, n) for n in range(size)),)
+    for row, want in zip(got, expected):
+        assert_same_fractions([row], [want])
+        assert list(map(hash, row)) == list(map(hash, want))
+        for v in row:
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+def test_bidiagonal_inverse_cells_equal_forward_substitution():
+    """The bidiagonal inverse of a weighted mean whose u changes sign, (-1)^n
+    / (n + 1), takes the reciprocal of a negative product as well as of a
+    positive one: every cell equals forward substitution's, with its hash."""
+    size = 64
+    inv, oracle = invert(weighted_mean(_weight_pairs()[1])), _build_inverse(weighted_mean(_weight_pairs()[1]))
+    for n in range(size):
+        got = [inv.entry(n, k) for k in range(n + 1)]
+        expected = [oracle.entry(n, k) for k in range(n + 1)]
+        assert_same_fractions([got], [expected])
+        assert list(map(hash, got)) == list(map(hash, expected))
+        for v in got:
+            assert v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
+
+
+# a finite matrix with zeros and rows of unequal length, fewer rows than the
+# coordinates read, so compose clips its sum at the last row
+READ_ROWS = [[F((7 * n + 3 * k) % 5 - 2, k + 1) for k in range(n % 4 + n // 2 + 1)] for n in range(12)]
+
+
+def _loop_coordinate(m, x, n):
+    """A transform coordinate one Fraction term at a time."""
+    acc = F(0)
+    for k in m.row_support(n):
+        c = m.entry(n, k)
+        if c:
+            acc += c * x(k)
+    return acc
+
+
+def _loop_mean_inverse_entry(u, v):
+    """The bidiagonal inverse's cell of a Fraction product of the weights."""
+
+    def entry(n, k):
+        m = n if k == n else n - 1
+        p = v(n) if u is None else u(m) if v is None else u(m) * v(n)
+        return F(p.denominator if k == n else -p.denominator, p.numerator)
+
+    return entry
+
+
+def _read_log(monkeypatch, loops: bool):
+    """The reads, in order, of transform_seq(compose(D, m), x) over 16
+    coordinates and of _entry_scan(compose(m, invert(D)), 16), with D the
+    Cesaro domain's matrix and m = READ_ROWS: entries of D, m, the products
+    and the bidiagonal inverse of D's mean, evaluations of that mean's u, and
+    x; with loops, by one-term-at-a-time loops instead of core's kernels."""
+    log = []
+
+    def logged(name, f):
+        return lambda *i: log.append((name, *i)) or f(*i)
+
+    d, m = cesaro_domain().matrix, BandedMatrix.from_rows(READ_ROWS)
+    u = d._factors[1].structure[0][0][0]
+    u._eval = logged("u", u._eval)
+    d.entry, m.entry = logged("D", d.entry), logged("m", m.entry)
+    x = logged("x", Seq(lambda k: F(k + 2, 3)))
+    left = compose(d, m)
+    if loops:  # compose's band-overlap range for a lower A with no band and a finite B
+        monkeypatch.setattr(core, "_coordinate", _loop_coordinate)
+        left._entry = lambda n, k: sum(
+            (c * m.entry(j, k) for j in range(min(n, len(READ_ROWS) - 1) + 1) if (c := d.entry(n, j))), F(0)
+        )
+    left.entry = logged("DA", left.entry)
+    coords = transform_seq(left, x)
+    values = [coords(n) for n in range(16)]
+    inverse = invert(d)
+    bidiagonal = inverse._factors[0]
+    if loops:
+        bidiagonal._entry = _loop_mean_inverse_entry(u, None)
+    bidiagonal.entry = logged("inv", bidiagonal.entry)
+    right = compose(m, inverse)
+    right.entry = logged("AD", right.entry)
+    values.append(_entry_scan(right, 16))
+    return log, values
+
+
+def test_lazy_kernels_read_in_the_order_of_the_term_loops(monkeypatch):
+    """The integer kernels read each a(n, j) just before its b(j, k), and
+    x(k) only after a nonzero m(n, k), as the one-term-at-a-time Fraction
+    loops do, so an invalid weight raised mid-sum is the same one."""
+    got = _read_log(monkeypatch, loops=False)
+    expected = _read_log(monkeypatch, loops=True)
+    assert {name for name, *_ in got[0]} == {"u", "D", "m", "x", "DA", "inv", "AD"}
+    assert got == expected

@@ -484,6 +484,32 @@ def test_first_failing_case_report(monkeypatch, suite, patch, failing, digest, n
     assert rngs[0].randint(0, 10**9) == next_draw
 
 
+def test_grid_equal_reports_a_mismatch_before_a_raising_cell():
+    # rows are compared whole, but a cell that raises later in a row must not
+    # hide the row's earlier mismatch, and one that raises first still raises
+    def got(bad, raising):
+        def cell(row, col):
+            if (row, col) == raising:
+                raise ZeroDivisionError("cell")
+            return Fraction(row + col) + ((row, col) == bad)
+        return cell
+
+    expected = lambda row, col: Fraction(row + col)
+    result = verify._grid_equal("g", expected, got((2, 0), (2, 1)), 4)
+    assert not result.passed
+    assert result.counterexample == {"position": [2, 0], "expected": "2", "got": "3"}
+    with pytest.raises(ZeroDivisionError):
+        verify._grid_equal("g", expected, got((2, 1), (2, 0)), 4)
+    assert verify._grid_equal("g", expected, got(None, None), 4, square=True).passed
+    result = verify._grid_equal("g", expected, got((1, 3), None), 4, square=True)
+    assert result.counterexample["position"] == [1, 3]
+    # the same when the expected side raises
+    result = verify._grid_equal("g", got(None, (2, 1)), got((2, 0), None), 4)
+    assert result.counterexample == {"position": [2, 0], "expected": "2", "got": "3"}
+    with pytest.raises(ZeroDivisionError):
+        verify._grid_equal("g", got(None, (2, 0)), got((2, 1), None), 4)
+
+
 SUITE_DIGESTS = {
     ("identities", 0): "77736565cadd61affd539c7246f5274c46ec78e7172accf9a80b06abbea4a49f",
     ("bases", 0): "44a89d8de49dfdeb32b5502a6d940645c876689fc4479c0764afed5135337622",
