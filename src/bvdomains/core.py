@@ -8,8 +8,8 @@ pure, so the worst a race can do is compute one value twice and store equal
 results.  What is built by appending, whose rows a race could misalign, is
 synchronized: the forward-substitution rows of an inverse, the sums of
 ``running_sum`` and the prefix maxima of ``compose``'s row bounds.  The
-lists of ``_lists`` are not appended to: they are whole values per size,
-and a race can only build one twice.
+lists of ``_build_lists`` are not appended to: they are whole values per
+size, and a race can only build one twice.
 
 There is one matrix class, ``BandedMatrix``: row n is supported in
 ``[n - band, row_bound(n)]``, and a finite matrix declares its row count.
@@ -33,7 +33,8 @@ of its left operand and each column of its right one to integers over its
 own denominator lcm, and forward substitution keeps each inverse row also
 as (lcm, integer numerators).  An entry is then one integer sum and one
 ``Fraction`` reduction instead of a reduction per term.  ``_integers`` is
-the one scaling kernel, which the integer lists of ``_lists`` also use.
+the one scaling kernel, which the integer lists of ``_build_lists`` also
+use.
 The lazy entry loops, the transform coordinate ``_coordinate`` and
 ``compose``'s band-overlap entry, sum their terms as they read them with
 ``_dot``: one integer numerator over the running lcm of the products'
@@ -60,7 +61,7 @@ denominator (``_INTEGERS``), which the statistics of ``duals`` read, and
 reduced pairs (p, q), q > 0 (``_PAIRS``), whose sum ``_padd`` and product
 ``_pmul`` are the gcd-reduced algorithms ``Fraction`` runs (Henrici;
 Knuth, TAOCP vol. 2, 4.5.1), which ``truncate`` and ``apply`` read.
-``_lists`` is the one builder of a structure's values at a size, in
+``_build_lists`` is the one builder of a structure's values at a size, in
 either arithmetic, and keeps the last lists built on the matrix, so a
 second reader in that arithmetic builds nothing.  A truncation, the
 leading N x N block of a matrix, is the tuple of its N row tuples:
@@ -69,12 +70,13 @@ leading N x N block of a matrix, is the tuple of its N row tuples:
 below the band the sum over the terms of U(n) V(k), and a product of two
 means from its factors' lists by per-row pair suffix sums, Ua(n) Vb(k)
 (t_k + ... + t_n) with t = Va Ub.  Only a matrix with no structure is
-scanned entry by entry, as the oracle of the structured reads.  When
-lists meet an invalid weight, ``_replay`` bisects on the pair lists for
-the first row whose lists fail and reads that row's entries, so
-``truncate``, ``apply`` and the statistics of ``duals`` raise the weight
-the scan meets first without scanning, or the lists' own when that row's
-entries read none.  A cell is a ``Fraction`` or, for ``matrix``, its text
+scanned entry by entry, as the oracle of the structured reads.  ``_lists``
+reads the lists, and is the one place that names an invalid weight: when a
+build meets one, it bisects on the pair lists for the first row whose
+lists fail and reads that row's entries, so ``truncate``, ``apply`` and
+the statistics of ``duals``, with no handler of their own, raise the
+weight the scan meets first, or the lists' own when that row's entries
+read none.  A cell is a ``Fraction`` or, for ``matrix``, its text
 ratio(p, q).
 ``_transform_rule`` transforms a sequence by a structure, stated once
 over (prefix, combine) as the product rule is: Mx is U(n) times the running
@@ -235,7 +237,7 @@ class BandedMatrix:
         self.band = len(structure[1]) - 1 if structure is not None and not structure[0] else None
         self._inverse: Triangle | None = None  # set by invert
         self._factors: tuple | None = None  # (A, B) of a product A.B, set by compose
-        self._kept: tuple = None, 0, None  # (arith, size, lists), the last built by _lists
+        self._kept: tuple = None, 0, None  # (arith, size, lists), the last built by _build_lists
         # rows are supported in [n - band, n]: entry's fast path
         self._lower = row_bound is None and row_count is None
         self._cache: dict[tuple[int, int], Fraction] = {}
@@ -307,17 +309,19 @@ def truncate(source, n_size: int, ratio=None):
 
     A lower triangle that declares a structure is read from its lists of
     reduced pairs (``_lists`` in ``_PAIRS``, made for a product from its
-    factors' lists by the product rule), and no entry is read but the band
-    of a bidiagonal inverse, which is its memoized entries: a product of
-    two means from its factors' lists by per-row suffix sums
+    factors' lists by the product rule), read once before the rows are
+    made, and no entry is read but the band of a bidiagonal inverse, which
+    is its memoized entries: a product of two means from the heads of its
+    factors' kept lists by per-row suffix sums
     (``_mean_product_rows``), every other structure row by row from its
     own (``_structure_rows``), each cell below the band the sum over the
     terms of U(n) V(k), reduced on integers.  A matrix with no structure
     takes the entry scan ``_entry_scan``, which is also the oracle of both
     structured reads.  A structured read that meets an invalid weight
-    raises it through ``_replay``: the weight of the first row whose lists
-    fail, as the scan meets it in that row's entries, or the lists' own
-    error when those entries read no invalid weight.
+    raises what ``_lists``, the one reader that names it, raises: the
+    weight of the first row whose lists fail, as the scan meets it in that
+    row's entries, or the lists' own error when those entries read no
+    invalid weight.
 
     Given ratio, the block comes as text rows instead, made one at a time
     by the generator returned, once every value is read: each cell is
@@ -333,16 +337,13 @@ def truncate(source, n_size: int, ratio=None):
         if ratio is None:
             return rows
         return (tuple(starmap(ratio, map(Fraction.as_integer_ratio, row))) for row in rows)
+    lists = _lists(source, n_size, _PAIRS)[1:]
     factors = source._factors
-    try:
-        if factors is not None and None not in map(_mean_term, factors):
-            row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or _coprime)
-            rows = (row(n) for n in range(n_size))
-        else:
-            rows = _structure_rows(_lists(source, n_size, _PAIRS)[1:], n_size, ratio or _coprime)
-    except InvalidWeightsError:
-        _replay(source, n_size)
-        raise
+    if factors is not None and None not in map(_mean_term, factors):
+        row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or _coprime)
+        rows = (row(n) for n in range(n_size))
+    else:
+        rows = _structure_rows(lists, n_size, ratio or _coprime)
     return tuple(rows) if ratio is None else rows
 
 
@@ -354,14 +355,45 @@ def _entry_scan(source, n_size: int) -> tuple:
 
 
 def _lists(m, size: int, arith: tuple) -> tuple:
+    """m's lists at size in arith (``_build_lists``): the one reader of a
+    structure's values, which ``truncate``, ``apply`` and the statistics of
+    ``duals`` call with no handler of their own, and which names an invalid
+    weight as the scans do.  When the build raises one, it reads, in scan
+    order, the entries of the first row whose pair lists raise, found by
+    bisection over the sizes, after O(log N) list builds and one row of
+    entries.  The rows before it read the same weights the lists of fewer
+    rows do, so when those entries raise, they raise the invalid weight the
+    scans report.  They need not: the lists read every weight of the row,
+    while an entry can skip one that a zero coefficient multiplies (a
+    product of diag(a) with a(n) = 0 reads no weight of its right factor's
+    row n), and the scan may then succeed; the lists' own error is then
+    re-raised, so a structured read raises wherever its lists do.  A
+    product's factors are built, not read, so their weights replay on it."""
+    try:
+        return _build_lists(m, size, arith)
+    except InvalidWeightsError:
+        good, bad = 0, size
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                _build_lists(m, mid, _PAIRS)
+                good = mid
+            except InvalidWeightsError:
+                bad = mid
+        for k in m.row_support(good):
+            m.entry(good, k)
+        raise
+
+
+def _build_lists(m, size: int, arith: tuple) -> tuple:
     """(d, terms, band): m's structure at the rows n < size as lists in the
     element arithmetic arith, reduced pairs (``_PAIRS``) over d = 1 or
     integers (``_INTEGERS``) over one common denominator d, None the
     all-ones list: band[i][n] / d its band part i at n >= i and, below the
     band, the cell (n, k) the sum of U[n] V[k] / d over the terms (U, V).
     U and each band part have size values, V one per column below the band,
-    max(size - len(band), 0).  This is the one reader of a structure's
-    values: ``truncate``, ``apply`` and the statistics of ``duals``.
+    max(size - len(band), 0).  Only ``_lists``, the reader, and this
+    builder itself call it.
 
     A product whose factors declare structures gets them from its factors'
     lists by ``_list_rule`` in the same arithmetic, over d = da db, so no
@@ -388,7 +420,7 @@ def _lists(m, size: int, arith: tuple) -> tuple:
         return d, [(u and u[:size], v and v[:cols]) for u, v in terms], [part[:size] for part in band]
     factors = m._factors
     if factors is not None and None not in (f.structure for f in factors):
-        (da, *x), (db, *y) = (_lists(f, size, arith) for f in factors)
+        (da, *x), (db, *y) = (_build_lists(f, size, arith) for f in factors)
         lists = (da * db, *_list_rule(x, y, size, arith))
     elif arith is _PAIRS:
         terms, band = m.structure
@@ -404,7 +436,7 @@ def _lists(m, size: int, arith: tuple) -> tuple:
     elif getattr(m, "_own_lists", None) is not None:
         lists = m._own_lists(size)
     else:
-        _, terms, band = _lists(m, size, _PAIRS)
+        _, terms, band = _build_lists(m, size, _PAIRS)
         cells = list(map(_integers, band))
         sides = [((1, None) if u is None else _integers(u), (1, None) if v is None else _integers(v)) for u, v in terms]
         d = lcm(*{scale for scale, _ in cells}, *(du * dv for (du, _), (dv, _) in sides))
@@ -421,29 +453,6 @@ def _lists(m, size: int, arith: tuple) -> tuple:
         lists = d, terms, [[x * (d // scale) for x in xs] for scale, xs in cells]
     m._kept = arith, size, lists
     return lists
-
-
-def _replay(m, n_size: int) -> None:
-    """Read, in scan order, the entries of the first row whose pair lists
-    raise an invalid weight, found by bisection over the sizes, after
-    O(log N) list builds and one row of entries.  The rows before it read
-    the same weights the lists of fewer rows do, so when those entries
-    raise, they raise the invalid weight the scans report.  They need not:
-    the lists read every weight of the row, while an entry can skip one
-    that a zero coefficient multiplies (a product of diag(a) with a(n) = 0
-    reads no weight of its right factor's row n), and the scan may then
-    succeed.  The callers re-raise the lists' error in that case, so a
-    structured read raises wherever its lists do."""
-    good, bad = 0, n_size
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            _lists(m, mid, _PAIRS)
-            good = mid
-        except InvalidWeightsError:
-            bad = mid
-    for k in m.row_support(good):
-        m.entry(good, k)
 
 
 def _structure_rows(lists: tuple, n_size: int, ratio):
@@ -661,19 +670,15 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
     makes its cells.  This is the one reader of a structured m: the
     transform rule on m's pair lists (``_lists`` in ``_PAIRS``) and x's
     first n_size values as reduced pairs, so no Seq of the structure is
-    evaluated.  Lists that meet an invalid weight raise it through
-    ``_replay``, as ``truncate`` does.  Any other m reads the lazy
-    transform ``transform_seq`` in order."""
+    evaluated.  Lists that meet an invalid weight raise what ``_lists``,
+    the one reader that names it, raises, as for ``truncate``.  Any other
+    m reads the lazy transform ``transform_seq`` in order."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
     if m.structure is None:
         coords = list(map(transform_seq(m, x), range(n_size)))
         return coords if ratio is None else [ratio(*v.as_integer_ratio()) for v in coords]
-    try:
-        lists = _lists(m, n_size, _PAIRS)[1:]
-    except InvalidWeightsError:
-        _replay(m, n_size)
-        raise
+    lists = _lists(m, n_size, _PAIRS)[1:]
     xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
     return list(starmap(ratio or _coprime, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
 
@@ -701,7 +706,7 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     structure's, the sum of the factors' bands when both are band only, and
     its rows end where A's rows end.  The product records A and B as its
     factors, which ``invert`` reads of a product of two triangles, and
-    ``_lists`` of every product.
+    ``_build_lists`` of every product.
 
     When B declares a structure (terms, band), entry (n,k) is the sum of
     V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
@@ -885,7 +890,7 @@ def _list_ops(size: int, arith: tuple) -> tuple:
     """(prefix, combine) of ``_product_rule`` on lists of size values in
     the element arithmetic arith = (add, mul, neg, zero, one), None the
     all-ones list: integers (``_INTEGERS``) or reduced pairs (``_PAIRS``),
-    as ``_lists`` builds them.  combine makes new lists of size values,
+    as ``_build_lists`` builds them.  combine makes new lists of size values,
     reads zero past a list's end, and gives None for the one product 1 . 1,
     unshifted."""
     add, mul, neg, zero, one = arith
@@ -1023,7 +1028,9 @@ def invert(t: Triangle) -> Triangle:
     The result satisfies truncate(T,N) . truncate(invert(T),N) = I_N exactly
     for every N.  A zero diagonal entry that forward substitution meets
     raises SingularMatrixError naming the offending row, and a product's
-    inverse read row by row names the product's first.
+    inverse read row by row names the product's first.  Read out of order,
+    it names the first zero diagonal of whichever factor's inverse it
+    reaches first, inverse(B)'s before inverse(A)'s for A.B.
     """
     if not isinstance(t, Triangle):
         raise ValueError("cannot invert a matrix that is not a triangle")

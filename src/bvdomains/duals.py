@@ -22,8 +22,8 @@ extremes, a Fenwick tree over the sorted points row[n]/w[n] and the spread
 of the lines w[n] x + row[n] over a column limit's rows, with each row's
 few band cells read as they are.  That covers the dual matrices and F =
 domain . B for B = sum, cesaro, delta and cesaro_inv.  The lists are
-integers over one common denominator d, which ``core._lists`` builds in
-its integer arithmetic; each reported value is divided by d back into a
+integers over one common denominator d, which ``core._build_lists`` builds
+in its integer arithmetic; each reported value is divided by d back into a
 Fraction.  A structure that is no product (a mean, the sum matrix,
 diag(a), a bidiagonal inverse) scales its pair lists, and a product
 multiplies its factors' lists by the one product rule, here over integers
@@ -31,15 +31,15 @@ and in ``truncate`` over reduced pairs, so no sequence of a product's
 structure is evaluated.  The closed-form matrix builds its own from the
 scaled reciprocals of the weights (``_own_lists``), so that oracle never
 reads the inverse.
-``core._lists`` keeps the last lists built on each matrix and reads a
-smaller size in the same arithmetic as their head, so the domain
+``core._build_lists`` keeps the last lists built on each matrix and reads
+a smaller size in the same arithmetic as their head, so the domain
 inverse's lists serve every report over the domain, the rows of a
-from-domain class test included.
-An invalid weight met while building them is raised by ``core._replay``,
-which ``truncate`` and ``apply`` share: it bisects on the pair lists for
-the first row whose lists fail and reads that row's entries, so the weight
-is reported as the scans report it, or as the lists do when that row's
-entries read none.  The statistics scan any other matrix (E, a bare
+from-domain class test included.  ``core._lists`` reads them: the one
+reader, for the statistics as for ``truncate`` and ``apply``, that names
+an invalid weight met while building them.  It bisects on the pair lists
+for the first row whose lists fail and reads that row's entries, so the
+weight is reported as the scans report it, or as the lists do when that
+row's entries read none.  The statistics scan any other matrix (E, a bare
 triangle domain), and the scans are also the oracle the lists are checked
 against.
 A scan reads only the cells the matrix's row supports leave possibly
@@ -59,14 +59,12 @@ from operator import add, sub
 
 from .core import (
     BandedMatrix,
-    InvalidWeightsError,
     Seq,
     Triangle,
     ZERO,
     _INTEGERS,
     _integers,
     _lists,
-    _replay,
     compose,
     diagonal,
     invert,
@@ -93,20 +91,16 @@ def _generators(m, size: int) -> tuple | None:
     are the structure's band parts, or, with no band, one list of the
     diagonal from the terms; a row within the band has w = row = 0.  For
     any other structure, and for none, this is None, so a matrix whose
-    structure is removed is scanned.  The lists are m's integer lists
-    (``core._lists``); when those raise an invalid weight, ``core._replay``
-    raises it as the scans do, or the lists' own error is re-raised."""
+    structure is removed is scanned.  The lists are m's integer lists,
+    read with no handler from ``core._lists``, the one reader that names an
+    invalid weight as the scans do, or re-raises the lists' own error."""
     if m.structure is None:
         return None
     shapes = [(u is None, v is None) for u, v in m.structure[0]]
     two_sided = shapes.count((False, False))
     if two_sided > 1 or two_sided and (True, False) in shapes:
         return None
-    try:
-        d, terms, bands = _lists(m, size, _INTEGERS)
-    except InvalidWeightsError:
-        _replay(m, size)
-        raise
+    d, terms, bands = _lists(m, size, _INTEGERS)
     width = len(bands)
     ones, cols = [1] * size, max(size - width, 0)
     weight = next((u for u, v in terms if u is not None and v is not None), None)

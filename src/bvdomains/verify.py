@@ -119,11 +119,8 @@ def _rand_finite_seq(rng, max_len=8) -> Seq:
     return Seq.from_values(values)
 
 
-def _rand_banded(rng, max_rows=6, max_width=5) -> BandedMatrix:
-    rows = [
-        [_rand_rat(rng) for _ in range(rng.randint(1, max_width))]
-        for _ in range(rng.randint(1, max_rows))
-    ]
+def _rand_banded(rng) -> BandedMatrix:
+    rows = [[_rand_rat(rng) for _ in range(rng.randint(1, 5))] for _ in range(rng.randint(1, 6))]
     return BandedMatrix.from_rows(rows)
 
 

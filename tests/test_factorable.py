@@ -821,6 +821,14 @@ def test_invalid_weights_are_reported_as_without_structure(case, shape, monkeypa
         got = _outcome(lambda: run(structured))
         assert isinstance(got, str)
         assert got == _outcome(lambda: run(plain))
+    # the one list reader, in either arithmetic, names the weight the scan
+    # of the first rows does
+    for arith in (core._PAIRS, _INTEGERS):
+        structured, _ = cli.parse_matrix_spec(spec)
+        plain = _parse_without_structure(spec, monkeypatch)
+        got = _outcome(lambda: _lists(structured, 16, arith))
+        assert isinstance(got, str)
+        assert got == _outcome(lambda: truncate(plain, 16))
     if shape != "domain":
         return
     # the statistics of the dual matrices over the domain and of F = domain
@@ -964,26 +972,39 @@ def test_two_factor_transforms_report_the_weight_of_the_entry_loop(shape):
 def test_a_weight_the_entries_skip_is_raised_from_the_lists():
     """diag(a) . M for a mean M with a(3) = 0 and u(3) = 0: the lists read
     u[3], but row 3's entries read nothing, since compose drops the zero
-    coefficient a(3), so the entry scan succeeds.  ``_replay`` then finds
-    row 3 and raises nothing, and truncate, apply and the statistics
-    re-raise the lists' error."""
+    coefficient a(3), so the entry scan succeeds.  The list reader
+    ``_lists`` then finds row 3, whose entries raise nothing, and re-raises
+    the lists' own error, in either arithmetic, to truncate, apply and the
+    statistics alike.  So does diag(a) . inverse(M') with a(2) = 0 and u(2)
+    = v(2) = 0 in M', whose row 2 reads nothing: its lists name u[2], where
+    the factor's own scan names v[2], as the reader replays a failed build
+    on the matrix it reads and never on a factor."""
     size = 8
-    zero_at_3 = lambda n: F(0) if n == 3 else F(1)
+    zero_at = lambda index: Seq(lambda n: F(0) if n == index else F(1))
 
-    def build():
-        w = builders.WeightPair(Seq(zero_at_3), Seq.constant(1))
-        return compose(diagonal(Seq(zero_at_3)), builders.weighted_mean(w))
+    def build_mean():
+        w = builders.WeightPair(zero_at(3), Seq.constant(1))
+        return compose(diagonal(zero_at(3)), builders.weighted_mean(w))
 
-    assert _entry_scan(build(), size)[3] == (F(0),) * size
-    for run in (
-        lambda m: truncate(m, size),
-        lambda m: truncate(m, size, spaces.fmt_ratio),
-        lambda m: apply(m, Seq.constant(1), size),
-        lambda m: duals.cond_l1_linf(m, size),
-    ):
-        m = build()
-        assert m.structure is not None
-        assert _outcome(lambda: run(m)) == "invalid weight u[3]"
+    def build_inverse():
+        inverse, _ = cli.parse_matrix_spec(json.dumps(_right_spec("zero u and v", "inverse_of(mean)")))
+        assert _outcome(lambda: _entry_scan(inverse, size)) == "invalid weight v[2]"
+        return compose(diagonal(zero_at(2)), inverse)
+
+    assert _entry_scan(build_mean(), size)[3] == (F(0),) * size
+    assert [build_inverse().entry(2, k) for k in range(size)] == [F(0)] * size
+    for build, index in ((build_mean, 3), (build_inverse, 2)):
+        for run in (
+            lambda m: truncate(m, size),
+            lambda m: truncate(m, size, spaces.fmt_ratio),
+            lambda m: apply(m, Seq.constant(1), size),
+            lambda m: duals.cond_l1_linf(m, size),
+            lambda m: _lists(m, size, core._PAIRS),
+            lambda m: _lists(m, size, _INTEGERS),
+        ):
+            m = build()
+            assert m.structure is not None
+            assert _outcome(lambda: run(m)) == f"invalid weight u[{index}]"
 
 
 # the invalid weights of _INVALID, weights invalid at the last row of an N =

@@ -164,6 +164,13 @@ def test_a_singular_factor_names_the_row_the_products_forward_substitution_does(
         truncate(invert(p), 8)
     assert got.value.row == oracle.value.row == 3
     assert invert(invert(p)) is p
+    # read out of order, the inverse(right) . inverse(left) of a product
+    # names the first zero diagonal of the factor inverse it reaches first,
+    # inverse(right)'s row before inverse(left)'s: row 5 for s3 . s5
+    reached = next(f() for f in (right, left) if any(f().entry(n, n) == 0 for n in range(7)))
+    with pytest.raises(core.SingularMatrixError) as late:
+        invert(compose(left(), right())).entry(6, 0)
+    assert late.value.row == next(n for n in range(7) if reached.entry(n, n) == 0)
 
 
 positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
