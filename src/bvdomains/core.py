@@ -51,12 +51,13 @@ column at or past its row.  A structure with no terms is the matrix's band,
 and the constructor derives the row supports from it.  ``compose``
 multiplies by one in O(N^2) operations instead of O(N^3), the band-overlap
 sum serves every other right factor, and ``dense_mul`` of truncations is
-the oracle for both.
-``_product_rule`` is the one rule that multiplies two structures, stated
-over two operations of a sequence representation: ``_product_structure``
-evaluates it on memoized Seqs, so a product of two structures always
-declares one.  ``_list_ops`` states the two operations once on lists, over
-an element arithmetic (add, mul, neg, zero, one): integers over one common
+the oracle for both.  A product of two structures declares only the shape
+of its own, which lists are all ones and how many band parts there are,
+and the lazy readers take it through its factors: ``compose`` by
+associativity, A.(B1.B2) = (A.B1).B2, and ``transform_seq`` as A(Bx).
+``_product_rule`` is the one rule that multiplies two structures, on
+lists: ``_list_ops`` states its two operations, over an element
+arithmetic (add, mul, neg, zero, one): integers over one common
 denominator (``_INTEGERS``), which the statistics of ``duals`` read, and
 reduced pairs (p, q), q > 0 (``_PAIRS``), whose sum ``_padd`` and product
 ``_pmul`` are the gcd-reduced algorithms ``Fraction`` runs (Henrici;
@@ -78,16 +79,17 @@ the statistics of ``duals``, with no handler of their own, raise the
 weight the scan meets first, or the lists' own when that row's entries
 read none.  A cell is a ``Fraction`` or, for ``matrix``, its text
 ratio(p, q).
-``_transform_rule`` transforms a sequence by a structure, stated once
-over (prefix, combine) as the product rule is: Mx is U(n) times the running
-sum of V x over each term, plus the band times x, so N coordinates cost
-O(N) operations.  ``apply`` is the one reader of a structured transform:
-it runs the rule on the pair lists of the structure and of x, for
-``transform``, ``membership --domain`` and the bv norm of Ax in ``spaces``
-alike.  ``transform_seq`` is the one lazy transform, for a reader with no
-length: it runs the rule on memoized Seqs, and any other matrix takes the
-entry loop ``_coordinate`` over each row's support, which is the oracle of
-both.  ``apply`` reads it in order for a matrix with no structure.
+A structure transforms a sequence as U(n) times the running sum of V x
+over each term, plus the band times x, so N coordinates cost O(N)
+operations.  ``apply`` is the one reader of a structured transform: it
+runs that rule (``_transform_rule``) on the pair lists of the structure
+and of x, for ``transform``, ``membership --domain`` and the bv norm of Ax
+in ``spaces`` alike.  ``transform_seq`` is the one lazy transform, for a
+reader with no length: a product through its factors, any other structure
+by the same rule over ``running_sum``, and a matrix with no structure by
+the entry loop ``_coordinate`` over each row's support, which is the
+oracle of both.  ``apply`` reads it in order for a matrix with no
+structure.
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ class BandedMatrix:
     whole entry (n, n - i) for i < len(band), read only at n >= i, and
     entry(n, k) = sum of U(n) V(k) over the terms (U, V) for the cells
     strictly below the band, 0 <= k <= n - len(band).  U and V are
-    callables, or None for the all-ones sequence.  So no reader of a
+    callables, or None for the all-ones sequence; a product's structure is
+    a shape, each of its lists ``_LIST`` (``compose``).  So no reader of a
     structure needs a term column at or past the row it is on.  It is
     declared only on lower triangles.  ``band``, the number of nonzero
     subdiagonals, is derived from it: len(band) - 1 for a structure with
@@ -312,9 +315,10 @@ def truncate(source, n_size: int, ratio=None):
     factors' lists by the product rule), read once before the rows are
     made, and no entry is read but the band of a bidiagonal inverse, which
     is its memoized entries: a product of two means from the heads of its
-    factors' kept lists by per-row suffix sums
-    (``_mean_product_rows``), every other structure row by row from its
-    own (``_structure_rows``), each cell below the band the sum over the
+    factors' kept lists by per-row suffix sums (``_mean_product_rows``),
+    its own lists read only to name an invalid weight and not kept, every
+    other structure row by row from its own (``_structure_rows``), each
+    cell below the band the sum over the
     terms of U(n) V(k), reduced on integers.  A matrix with no structure
     takes the entry scan ``_entry_scan``, which is also the oracle of both
     structured reads.  A structured read that meets an invalid weight
@@ -337,9 +341,11 @@ def truncate(source, n_size: int, ratio=None):
         if ratio is None:
             return rows
         return (tuple(starmap(ratio, map(Fraction.as_integer_ratio, row))) for row in rows)
+    kept = source._kept
     lists = _lists(source, n_size, _PAIRS)[1:]
     factors = source._factors
     if factors is not None and None not in map(_mean_term, factors):
+        source._kept = kept
         row = _mean_product_rows(*(_lists(f, n_size, _PAIRS)[1:] for f in factors), n_size, ratio or _coprime)
         rows = (row(n) for n in range(n_size))
     else:
@@ -395,9 +401,9 @@ def _build_lists(m, size: int, arith: tuple) -> tuple:
     max(size - len(band), 0).  Only ``_lists``, the reader, and this
     builder itself call it.
 
-    A product whose factors declare structures gets them from its factors'
-    lists by ``_list_rule`` in the same arithmetic, over d = da db, so no
-    sequence of its structure is evaluated.  Any other structure reads, in
+    A product, whose structure is only a shape, gets its lists from its
+    factors' lists by ``_product_rule`` in the same arithmetic, over d = da
+    db.  Any other structure reads, in
     pairs, its callables at the indices the rows below and on its band
     need: U(n) at n >= len(band), V(k) at k < size - len(band), band[i](n)
     at n >= i, and (0, 1) in the places no cell reads.  In integers it runs
@@ -418,10 +424,9 @@ def _build_lists(m, size: int, arith: tuple) -> tuple:
         d, terms, band = kept
         cols = max(size - len(band), 0)
         return d, [(u and u[:size], v and v[:cols]) for u, v in terms], [part[:size] for part in band]
-    factors = m._factors
-    if factors is not None and None not in (f.structure for f in factors):
-        (da, *x), (db, *y) = (_build_lists(f, size, arith) for f in factors)
-        lists = (da * db, *_list_rule(x, y, size, arith))
+    if m._factors is not None:
+        (da, *x), (db, *y) = (_build_lists(f, size, arith) for f in m._factors)
+        lists = (da * db, *_product_rule(x, y, size, arith))
     elif arith is _PAIRS:
         terms, band = m.structure
         width = len(band)
@@ -599,6 +604,8 @@ def _dot(pairs) -> Fraction:
 # pairs, and integers over one common denominator
 _PAIRS = (_padd, _pmul, _pneg, (0, 1), (1, 1))
 _INTEGERS = (add, mul, neg, 0, 1)
+# a list of a product's structure, which its factors' lists make
+_LIST = "list"
 
 
 def _integers(pairs) -> tuple:
@@ -650,15 +657,14 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
     return _dot((c, x(k)) for k in m.row_support(n) if (c := m.entry(n, k)))
 
 
-def _transform_rule(structure: tuple, x, ops: tuple):
-    """The transform Mx of a structure (terms, band), in a representation
-    of sequences with ops = (prefix, combine) as ``_product_rule`` states
-    them: the combine of U(n) P(n - len(band)) over the terms (U, V), with P
-    = prefix(V, x) the running sums of V x, and of band[i](n) x(n - i) from
-    the band's far column on, as the entry loop meets them.  So N
-    coordinates cost O(N) operations."""
-    prefix, combine = ops
-    terms, band = structure
+def _transform_rule(lists: tuple, x: list) -> list:
+    """The transform Mx of the pair lists (terms, band) of a structure and
+    the reduced pairs of x's first len(x) values, by the list operations
+    (``_list_ops``): the sum of U(n) P(n - len(band)) over the terms (U,
+    V), with P the running sums of V x, and of band[i](n) x(n - i) from the
+    band's far column on, as the entry loop meets them."""
+    prefix, combine = _list_ops(len(x), _PAIRS)
+    terms, band = lists
     width = len(band)
     products = [(u, 0, prefix(v, x), -width, 1) for u, v in terms]
     return combine(products + [(band[i], 0, x, -i, 1) for i in range(width - 1, -1, -1)])
@@ -680,20 +686,35 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
         return coords if ratio is None else [ratio(*v.as_integer_ratio()) for v in coords]
     lists = _lists(m, n_size, _PAIRS)[1:]
     xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
-    return list(starmap(ratio or _coprime, _transform_rule(lists, xs, _list_ops(n_size, _PAIRS))))
+    return list(starmap(ratio or _coprime, _transform_rule(lists, xs)))
 
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy memoized Seq, for a reader that has no
-    length: for a structured t the transform rule (``_transform_rule``) on
-    memoized Seqs, so each coordinate is evaluated once, in the order it is
-    read.  Any other t takes the entry loop ``_coordinate``, which is also
-    the oracle both structured paths are checked against, invalid weights
-    included, and which ``apply`` reads for it."""
+    length: a structured product A.B through its factors, A(Bx), and any
+    other structure by the transform rule over ``running_sum``, terms
+    first, so N coordinates cost O(N) operations.  A t with no structure
+    takes the entry loop ``_coordinate``, which is also the oracle of both,
+    invalid weights included, and which ``apply`` reads for it."""
     if t.structure is None:
         return Seq(lambda n: _coordinate(t, x, n))
-    coords = _transform_rule(t.structure, x, (_seq_prefix, _seq_combine))
-    return coords if isinstance(coords, Seq) else Seq(coords)
+    if t._factors is not None:
+        a, b = t._factors
+        return transform_seq(a, transform_seq(b, x))
+    terms, band = t.structure
+    width = len(band)
+    sums = [(u, running_sum(x if v is None else lambda j, v=v: v(j) * x(j))) for u, v in terms]
+
+    def coordinate(n: int) -> Fraction:
+        acc = ZERO
+        if n >= width:
+            for u, total in sums:
+                acc += total(n - width) if u is None else u(n) * total(n - width)
+        for i in range(min(width - 1, n), -1, -1):
+            acc += band[i](n) * x(n - i)
+        return acc
+
+    return Seq(coordinate)
 
 
 def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
@@ -705,19 +726,31 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     b(j,k) just after a nonzero a(n,j).  The product's band is its
     structure's, the sum of the factors' bands when both are band only, and
     its rows end where A's rows end.  The product records A and B as its
-    factors, which ``invert`` reads of a product of two triangles, and
-    ``_build_lists`` of every product.
+    factors, which ``invert``, ``transform_seq``, ``_build_lists`` and
+    this function read of every product.
 
-    When B declares a structure (terms, band), entry (n,k) is the sum of
-    V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
+    When B declares a structure (terms, band) of its own, entry (n,k) is
+    the sum of V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
     a(n,k+i) band[i](k+i) over the band, where [lo, hi] is A's row n
     support and S_n(m) sums a(n,j) U(j) over j in [m, hi]: B's cells (j, k)
     are its band's for j < k + len(band) and its terms' below.  The first
     read of row n builds its suffix sums in one pass per term over A's row,
     so an N x N block costs O(N^2) operations, not O(N^3), and B's entries
-    are never read.  When A declares a structure too, so does the product
-    (``_product_structure``).
+    are never read.  A structured product B1.B2 is read as (A.B1).B2, down
+    to a structure that is no product.  When A declares a structure too,
+    the product declares the shape of the lists ``_product_rule`` makes: a
+    term (list, Vb) per term of B, (Ua, list) per term of A and max(la + lb
+    - 1, 0) band parts, each list ``_LIST``, None the all-ones list.
     """
+    factors, structure = (a, b), None
+    if a.structure is not None and b.structure is not None:
+        (x_terms, x_band), (y_terms, y_band) = a.structure, b.structure
+        side = lambda f: None if f is None else _LIST
+        shape = [(_LIST, side(v)) for _, v in y_terms] + [(side(u), _LIST) for u, _ in x_terms]
+        structure = shape, [_LIST] * max(len(x_band) + len(y_band) - 1, 0)
+    while b.structure is not None and b._factors is not None:
+        b1, b = b._factors
+        a = compose(a, b1)
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
 
@@ -787,66 +820,20 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
                     maxima.append(max(maxima[-1], b.row_bound(len(maxima) - 1)))
                 return maxima[end]
 
-    structure = None if a.structure is None or b.structure is None else _product_structure(a, b)
-    product = (Triangle if isinstance(a, Triangle) and isinstance(b, Triangle) else BandedMatrix)(
+    product = (Triangle if all(isinstance(f, Triangle) for f in factors) else BandedMatrix)(
         entry,
         row_bound,
         row_count=a.row_count,
         structure=structure,
     )
-    product._factors = (a, b)
+    product._factors = factors
     return product
 
 
-def _product_structure(a: BandedMatrix, b: BandedMatrix) -> tuple:
-    """The structure of A.B for lower triangles A and B that declare one:
-    ``_product_rule`` on memoized Seqs.  Each band part is a memoized Seq,
-    also one that the rule takes from a factor as it is: compose reads a
-    band cell of its right factor in every entry that meets it, and the
-    band of a bidiagonal inverse is its entries."""
-    terms, band = _product_rule(a.structure, b.structure, (_seq_prefix, _seq_combine))
-    return terms, [part if isinstance(part, Seq) else Seq(part) for part in band]
-
-
-def _seq_prefix(f, g) -> Callable[[int], Fraction]:
-    """The running sums of f g, None the all-ones sequence."""
-    if f is None:
-        return running_sum(g or (lambda j: ONE))
-    return running_sum(f if g is None else lambda j: f(j) * g(j))
-
-
-def _seq_combine(products: list):
-    """n -> the sum of sign f(n + i) g(n + j) over the products (f, i, g, j,
-    sign) whose indices are >= 0, in order, None the all-ones sequence, as
-    a memoized Seq; f or g itself when that is the one product, unshifted."""
-    if len(products) == 1:
-        f, i, g, j, sign = products[0]
-        if (f is None or g is None) and not i and not j and sign > 0:
-            return g if f is None else f
-
-    def value(n: int) -> Fraction:
-        acc = None
-        for f, i, g, j, sign in products:
-            if n + i < 0 or n + j < 0:
-                continue
-            if f is None:
-                x = ONE if g is None else g(n + j)
-            else:
-                x = f(n + i) if g is None else f(n + i) * g(n + j)
-            if sign < 0:
-                x = -x
-            acc = x if acc is None else acc + x
-        return ZERO if acc is None else acc
-
-    return Seq(value)
-
-
-def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
-    """The structure (terms, band) of A.B from A's x = (terms, band) and
-    B's y, in a representation of sequences with ops = (prefix, combine):
-    prefix(f, g) the running sums of f g, and combine(products) n -> the sum
-    of sign f(n + i) g(n + j) over the products (f, i, g, j, sign) whose
-    indices are >= 0, in order, None the all-ones sequence.
+def _product_rule(x: tuple, y: tuple, size: int, arith: tuple) -> tuple:
+    """The lists (terms, band) of A.B from A's lists x = (terms, band) and
+    B's y at the rows n < size, in the element arithmetic arith
+    (``_list_ops``), None the all-ones list.
 
     With (Ua, Va) and la parts a_i A's terms and band and (Ub, Vb) and lb
     parts b_i B's, the product's band has max(la + lb - 1, 0) parts: part e
@@ -861,9 +848,12 @@ def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
     So the product has one term (Ua P + S, Vb) per term of B and one (Ua,
     V' - P Vb) per term of A, as many as its factors together: the lower
     quasiseparable order is subadditive under products (Eidelman and
-    Gohberg 1999), and nested products stay small.
+    Gohberg 1999), and nested products stay small.  Each V is fitted to
+    the columns below the band: when A has no band the rule reads Vb one
+    column past B's lists, at the cell (size - 1, size - lb), where P(n) -
+    P(n) = 0 multiplies it, so that column is taken as zero.
     """
-    prefix, combine = ops
+    prefix, combine = _list_ops(size, arith)
     (a_terms, a_band), (b_terms, b_band) = x, y
     la, lb = len(a_band), len(b_band)
     # sums[s][t] is the running sum of Va Ub over A's term s and B's term t
@@ -883,7 +873,10 @@ def _product_rule(x: tuple, y: tuple, ops: tuple) -> tuple:
         return factor_band[i] if i < len(factor_band) else combine([(u, 0, v, -i, 1) for u, v in factor_terms])
 
     products = [[(cells(x, i), 0, cells(y, e - i), -i, 1) for i in range(e, -1, -1)] for e in range(la + lb - 1)]
-    return terms, list(map(combine, products))
+    band = list(map(combine, products))
+    cols, zero = max(size - len(band), 0), arith[3]
+    fit = lambda v: v if v is None or len(v) == cols else v[:cols] + [zero] * (cols - len(v))
+    return [(u, fit(v)) for u, v in terms], band
 
 
 def _list_ops(size: int, arith: tuple) -> tuple:
@@ -926,19 +919,6 @@ def _list_ops(size: int, arith: tuple) -> tuple:
         return [zero] * size if out is None else out
 
     return prefix, combine
-
-
-def _list_rule(x: tuple, y: tuple, size: int, arith: tuple) -> tuple:
-    """The lists (terms, band) of A.B from A's lists x = (terms, band) and
-    B's y at the rows n < size, by ``_product_rule`` on lists in the
-    element arithmetic arith (``_list_ops``), each V fitted to the columns
-    below the band.  When A has no band the rule reads Vb one column past
-    B's lists, at the cell (size - 1, size - lb), where P(n) - P(n) = 0
-    multiplies it, so that column is taken as zero."""
-    terms, band = _product_rule(x, y, _list_ops(size, arith))
-    cols, zero = max(size - len(band), 0), arith[3]
-    fit = lambda v: v if v is None or len(v) == cols else v[:cols] + [zero] * (cols - len(v))
-    return [(u, fit(v)) for u, v in terms], band
 
 
 def _build_inverse(t: Triangle) -> Triangle:
@@ -1019,10 +999,10 @@ def _mean_inverse(u, v) -> Triangle:
 def invert(t: Triangle) -> Triangle:
     """Inverse of a triangle, computed and shared lazily.
 
-    A mean (one structure term, no band) inverts to its bidiagonal
-    ``_mean_inverse``, any other product A.B through its factors as
-    inverse(B).inverse(A), and every other triangle, a product's factor
-    included, by forward substitution.  The inverse links back to t, so
+    A product A.B inverts through its factors as inverse(B).inverse(A), a
+    mean (one structure term, no band) that is no product to its
+    bidiagonal ``_mean_inverse``, and every other triangle, a product's
+    factor included, by forward substitution.  The inverse links back to t, so
     inverting it again costs nothing and returns t.
 
     The result satisfies truncate(T,N) . truncate(invert(T),N) = I_N exactly
@@ -1035,12 +1015,11 @@ def invert(t: Triangle) -> Triangle:
     if not isinstance(t, Triangle):
         raise ValueError("cannot invert a matrix that is not a triangle")
     if t._inverse is None:
-        term = _mean_term(t)
-        if term is not None:
-            inv = _mean_inverse(*term)
-        elif t._factors is not None:
+        if t._factors is not None:
             a, b = t._factors
             inv = compose(invert(b), invert(a))
+        elif (term := _mean_term(t)) is not None:
+            inv = _mean_inverse(*term)
         else:
             inv = _build_inverse(t)
         inv._inverse = t

@@ -10,10 +10,13 @@ The statistics live in one dict keyed by report name (``condition_stats``),
 which one serializer writes (``conditions_dict``) and one verdict function
 reads (``condition_verdict``); ``matclass`` uses the same three functions.
 
-The dual matrices get the structure of ``core`` from ``compose``, which
-multiplies the structures of diag(a) (no terms and the band [a]), of the
-sum matrix and of the domain inverse; the closed-form cross-check matrix
-declares the beta form from the weights.  When a structure has terms
+The dual matrices get the structure of ``core`` from ``compose``: the
+shape of the product of diag(a) (no terms and the band [a]), of the sum
+matrix and of the domain inverse, whose lists their factors' lists make.
+Their entries are their own: a_n times the inverse's row n for alpha, and
+running sums down each column of alpha's for beta, so that both read the
+inverse's weights where the lists read them.  The closed-form cross-check
+matrix declares the beta form from the weights.  When a structure has terms
 constant along rows plus either constant along columns or exactly one
 two-sided term (U1, V1), a matrix is w[n] col[k] + row[n] below its band,
 with w = 1 or w = U1, and its band parts are whole cells, so the three
@@ -27,10 +30,9 @@ in its integer arithmetic; each reported value is divided by d back into a
 Fraction.  A structure that is no product (a mean, the sum matrix,
 diag(a), a bidiagonal inverse) scales its pair lists, and a product
 multiplies its factors' lists by the one product rule, here over integers
-and in ``truncate`` over reduced pairs, so no sequence of a product's
-structure is evaluated.  The closed-form matrix builds its own from the
-scaled reciprocals of the weights (``_own_lists``), so that oracle never
-reads the inverse.
+and in ``truncate`` over reduced pairs.  The closed-form matrix builds its
+own from the scaled reciprocals of the weights (``_own_lists``), so that
+oracle never reads the inverse.
 ``core._build_lists`` keeps the last lists built on each matrix and reads
 a smaller size in the same arithmetic as their head, so the domain
 inverse's lists serve every report over the domain, the rows of a
@@ -147,10 +149,11 @@ def _closed_form_lists(w: WeightPair | RieszWeights, a: Seq, size: int) -> tuple
 def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     """Matrix sending y = (domain)x to the products (a_n x_n): diag(a) . inverse.
 
-    Its structure and factors are the product's, so its lists come from
-    those of diag(a) and of the inverse; its entries are a_n inverse(n, k),
-    which read the inverse's row n also where a_n = 0, as the lists read
-    the inverse's weights there, so both report the same invalid weight."""
+    Its structure, the product's shape, and its factors are the
+    product's, so its lists come from those of diag(a) and of the inverse;
+    its entries are a_n inverse(n, k), which read the inverse's row n also
+    where a_n = 0, as the lists read the inverse's weights there, so both
+    report the same invalid weight."""
     inverse = invert(domain_matrix)
     product = compose(diagonal(a), inverse)
     # the entries deliberately bypass product.entry: compose skips a row
@@ -169,11 +172,19 @@ def beta_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     entry(n,k) = sum_{j=k}^{n} a_j * inverse(domain)_jk.
 
     Its structure and factors are the product's, so its lists come from
-    those of the sum matrix and of the alpha matrix."""
-    product = compose(sigma_sum(), alpha_assoc(domain_matrix, a))
+    those of the sum matrix and of the alpha matrix.  Its entries are
+    running sums down each column of the alpha matrix's, which read the
+    inverse's row n also where a_n = 0, as the lists do; the product, read
+    as (sigma . diag(a)) . inverse, would skip that row."""
+    alpha = alpha_assoc(domain_matrix, a)
+    product = compose(sigma_sum(), alpha)
+    columns = {}
 
     def entry(n: int, k: int) -> Fraction:
-        return product.entry(n, k)
+        column = columns.get(k)
+        if column is None:
+            column = columns[k] = running_sum(lambda j: alpha.entry(k + j, k))
+        return column(n - k)
 
     m = BandedMatrix(entry, structure=product.structure)
     m._factors = product._factors

@@ -193,11 +193,13 @@ def suite_identities(n: int, rng) -> list:
     # a structure), so the generic dense product of truncations is compared
     # too; delta . phi multiplies a band by terms and by a band.  Each
     # product is read by its entries with _entry_scan: truncate reads every
-    # structured product from its pair lists, so only the scan reads them
+    # structured product from its pair lists, so only the scan reads them.
+    # compose reads a . (b . c) as (a . b) . c, so that scan is compared
+    # with the pair lists of a . (b . c), which the product rule makes
     a, b, c = builders.delta(), builders.cesaro(), builders.sigma_sum()
 
     def associativity_pairs():
-        yield _entry_scan(compose(a, compose(b, c)), n), _entry_scan(compose(compose(a, b), c), n)
+        yield truncate(compose(a, compose(b, c)), n), _entry_scan(compose(compose(a, b), c), n)
         for x, y in ((b, c), (a, b), (b, builders.phi()), (b, invert(builders.phi())), (a, builders.phi())):
             yield dense_mul(truncate(x, n), truncate(y, n)), _entry_scan(compose(x, y), n)
         y = compose(a, builders.phi())

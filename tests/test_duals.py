@@ -293,21 +293,23 @@ def list_entries(lists, rows=None):
     return cells
 
 
-def structure_entries(m, rows):
-    """The cells in the given rows that list_entries holds, each evaluated
-    from the Seqs of m's structure at those rows only: its band parts, or
-    with no band the diagonal, and below them the sum of U(n) V(k) over
-    the terms.  This is the oracle of the integer rule that builds the
-    lists."""
+def row_entries(m, rows):
+    """The cells in the given rows that list_entries holds, every cell of
+    the lower triangle in those rows: a product's read from its entries,
+    which read no list, and those of a structure that is no product from
+    the sequences it declares, since the closed form's entries take O(N)
+    operations each.  This is the oracle of the integer rule that builds
+    the lists."""
+    if m._factors is not None:
+        return {(n, k): m.entry(n, k) for n in rows for k in range(n + 1)}
     terms, band = m.structure
 
-    def below(n, k):
+    def cell(n, k):
+        if n - k < len(band):
+            return band[n - k](n)
         return sum(((F(1) if u is None else u(n)) * (F(1) if v is None else v(k)) for u, v in terms), F(0))
 
-    parts = list(band) or [lambda n: below(n, n)]
-    cells = {(n, n - i): part(n) for i, part in enumerate(parts) for n in rows if n >= i}
-    cells.update({(n, k): below(n, k) for n in rows for k in range(n - len(parts) + 1)})
-    return cells
+    return {(n, k): cell(n, k) for n in rows for k in range(n + 1)}
 
 
 def test_appended_rows_are_consistent_across_threads():
@@ -583,15 +585,19 @@ def test_statistics_of_F_equal_the_scans_at_depth(b):
 def test_dual_lists_hold_the_cells_of_the_structure_at_depth(domain):
     """At N = 1024 the generator lists of the alpha and beta matrices hold,
     at 16 evenly spaced rows, the band cells and the cells w[n] col[k] +
-    row[n] below the band that the Seqs of their structures give, read at
-    those rows only."""
+    row[n] below the band that the entries give, read at those rows only:
+    alpha's own, and beta's as the product sigma . alpha reads them
+    through its factors.  Beta's own entries, running sums down each
+    column, would read every row above."""
     size = 1024
     rows = [i * (size - 1) // 15 for i in range(16)]
     dom = F_DOMAINS[domain]()
     a = Seq(lambda k: F((-1) ** k, k + 1))
-    for build in (alpha_assoc, beta_assoc):
-        m = build(dom.matrix, a)
-        assert list_entries(duals._generators(m, size), rows) == structure_entries(m, rows), build.__name__
+    for m, entries in (
+        (alpha_assoc(dom.matrix, a), alpha_assoc(dom.matrix, a)),
+        (beta_assoc(dom.matrix, a), compose(sigma_sum(), alpha_assoc(dom.matrix, a))),
+    ):
+        assert list_entries(duals._generators(m, size), rows) == row_entries(entries, rows)
 
 
 # ------------------------------- the dual matrices' lists from their definitions
@@ -635,11 +641,11 @@ def assert_kept_lengths(m):
 
 def assert_lists_match_the_structure(build, sizes, n):
     """The lists of m at each of sizes, built afresh in ascending order and
-    then read as heads of the largest, hold the cells that m's structure
-    states and a value per row or column, and the statistics at n equal the
-    scans of m with its structure removed."""
+    then read as heads of the largest, hold the cells of m's entries and a
+    value per row or column, and the statistics at n equal the scans of m
+    with its structure removed."""
     fast, scanned = with_and_without_structure(build)
-    expected = structure_entries(fast, range(max(sizes)))
+    expected = row_entries(build(), range(max(sizes)))
     for size in (*sizes, *sizes):
         assert generator_entries(fast, size) == {c: x for c, x in expected.items() if c[0] < size}, size
         assert_kept_lengths(fast)
@@ -661,8 +667,8 @@ def test_dual_lists_equal_the_lists_of_the_structure(domain):
     """The lists that the integer product rule builds from the leaves'
     (diag(a), the bidiagonal inverse, the sum matrix, the means), for the
     dual matrices, the domain inverse and F, and the closed form's from the
-    weights, hold the cells their structures state, and their statistics
-    equal the scans."""
+    weights, hold the cells of their entries, and their statistics equal
+    the scans."""
     dom = F_DOMAINS[domain]
     builds = list(factor_matrices(dom).values())
     for spec in A_SPECS.values():
@@ -683,21 +689,17 @@ def test_alpha_lists_report_an_invalid_read_of_a_as_the_scans_do():
                 condition_stats(kind, m, 16)
 
 
-def structure_seqs(m):
-    terms, band = m.structure
-    return [f for term in terms for f in term if isinstance(f, Seq)] + [f for f in band if isinstance(f, Seq)]
-
-
 @pytest.mark.parametrize("domain", ["G(power 2, harmonic)", "R(2^k)"])
 def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkeypatch):
     """A beta and a gamma report with its cross-check read the lists built
-    from the leaves' lists and from the weights: no Seq of the product
-    structures of alpha, beta and the domain inverse, nor the closed form's
-    running sum of steps, is evaluated.  Beta's row term is the running sum
-    of alpha's row term, which is no Seq, so its evaluation would show in
-    the cache of alpha's.  The running sum of steps is no Seq either, so the
-    steps it sums are recorded."""
-    built, steps = [], []
+    from the leaves' lists and from the weights: the product structures of
+    alpha, beta and the domain inverse are shapes that hold no callable,
+    no entry of those products or of the closed form is read, and the
+    closed form's running sum of steps, whose steps are recorded, is not
+    evaluated.  Beta's entries would make running sums of their own."""
+    built, steps, read = [], [], {}  # read holds each matrix read, so ids stay unique
+    entry = BandedMatrix.entry
+    monkeypatch.setattr(BandedMatrix, "entry", lambda m, n, k: read.setdefault(id(m), m) and entry(m, n, k))
 
     def record(build):
         return lambda *args: built.append(build(*args)) or built[-1]
@@ -714,11 +716,12 @@ def test_dual_reports_evaluate_no_value_of_the_product_structures(domain, monkey
     for kind in ("beta", "gamma"):
         assert dual_test(dom, a, kind, 48).cross_check["match"] is True
     assert len(built) == 6 and steps == [[], []]
-    seqs = [f for m in built for f in structure_seqs(m)]
-    assert len(seqs) == 6
-    seqs += structure_seqs(invert(dom.matrix))
-    assert len(seqs) == 8
-    assert [f._cache for f in seqs] == [{}] * len(seqs)
+    products = [m for m in built if m._factors is not None] + [invert(dom.matrix)]
+    assert len(products) == 5
+    for m in products:
+        terms, band = m.structure
+        assert not any(map(callable, (*band, *(f for term in terms for f in term))))
+    assert not read.keys() & set(map(id, built + products))
 
 
 def test_a_beta_report_builds_the_domain_inverse_lists_once(monkeypatch):
@@ -1028,7 +1031,7 @@ def test_lists_of_products_without_generator_lists_hold_their_cells(size):
     """Products whose structure the statistics do not read, and whose left
     factor has no band, so the rule reads a term column of the right factor
     one past its lists: their integer lists (d, terms, bands) still hold the
-    cells their structures state."""
+    cells of their entries."""
     w = harmonic_pair()
     for build in (
         lambda: compose(sigma_sum(), gamma(w)),
@@ -1041,7 +1044,7 @@ def test_lists_of_products_without_generator_lists_hold_their_cells(size):
         below = lambda n, k: sum((1 if u is None else u[n]) * (1 if v is None else v[k]) for u, v in terms)
         cells = {(n, n - i): F(xs[n], d) for i, xs in enumerate(bands) for n in range(i, size)}
         cells.update({(n, k): F(below(n, k), d) for n in range(size) for k in range(n - len(bands) + 1)})
-        assert cells == structure_entries(m, range(size))
+        assert cells == row_entries(build(), range(size))
 
 
 def test_list_combine_never_returns_an_input_list():

@@ -166,6 +166,67 @@ def test_compose_equals_the_dense_product(left):
         _product_is_dense_product(a, b)
 
 
+# nests whose scan reads no product rule: every product on a right side is
+# read through its factors, so its entries come from the leaves alone
+_NESTS = {
+    "cesaro.(cesaro.cesaro)": ("cesaro", "cesaro", "cesaro"),
+    "sum.(phi.(cesaro.delta))": ("sum", "phi", "cesaro", "delta"),
+    "(phi.cesaro).gamma": ("phi", "cesaro", "gamma"),
+}
+
+
+def _nested(names, right):
+    """The product of the named triangles, nested to the right or to the
+    left."""
+    factors = [_NAMED[name]() for name in names]
+    if right:
+        product = factors.pop()
+        for a in reversed(factors):
+            product = compose(a, product)
+        return product
+    product = factors.pop(0)
+    for b in factors:
+        product = compose(product, b)
+    return product
+
+
+@pytest.mark.parametrize("nest", sorted(_NESTS))
+def test_nested_scans_equal_the_dense_product_in_both_orders(nest):
+    """At N = 48 the entry scan of a nest, to the right and to the left,
+    equals the dense product of its factors' truncations and its
+    truncation, which reads the lists of the product rule."""
+    size, names = 48, _NESTS[nest]
+    truncations = [truncate(_NAMED[name](), size) for name in names]
+    expected = truncations[0]
+    for t in truncations[1:]:
+        expected = dense_mul(expected, t)
+    for right in (True, False):
+        assert _entry_scan(_nested(names, right), size) == expected, right
+        assert truncate(_nested(names, right), size) == expected, right
+
+
+@pytest.mark.parametrize("nest", sorted(_NESTS))
+def test_nested_lazy_transforms_equal_the_list_transform(nest):
+    """At 256 coordinates the lazy transform of a nest, through its
+    factors, equals apply's, from the pair lists of the product rule."""
+    size = 256
+    for right in (True, False):
+        x = Seq(lambda k: F((-1) ** k, k + 2))
+        lazy = transform_seq(_nested(_NESTS[nest], right), x)
+        assert [lazy(n) for n in range(size)] == apply(_nested(_NESTS[nest], right), x, size), right
+
+
+def test_product_structures_hold_no_callable():
+    """A structured product declares the shape of its structure only: each
+    side of a term is None or a list of the product rule, as is each band
+    part, for the products of every two named triangles and of a named
+    triangle and a product."""
+    for left in _NAMED.values():
+        for right in {**_NAMED, **_PRODUCTS}.values():
+            terms, band = compose(left(), right()).structure
+            assert not any(map(callable, (*band, *(f for term in terms for f in term))))
+
+
 def _structure_entry(t, n, k):
     """Entry (n, k) of a lower triangle as its structure states it: a band
     part is the whole cell, and the terms give the cells below the band."""
@@ -179,7 +240,14 @@ def _structure_entry(t, n, k):
 
 
 def _assert_structure_reproduces_entries(t, size=N):
-    assert _entry_scan(t, size) == _entry_scan(BandedMatrix(lambda n, k: _structure_entry(t, n, k)), size)
+    """The entries of t are the cells its structure states: a product's
+    from the pair lists its factors' lists make, whose structure is only a
+    shape, and any other's from the sequences it declares."""
+    if t._factors is not None:
+        stated = _pair_cells(_lists(t, size, core._PAIRS)[1:], size)
+    else:
+        stated = _entry_scan(BandedMatrix(lambda n, k: _structure_entry(t, n, k)), size)
+    assert _entry_scan(t, size) == stated
 
 
 # the bidiagonal triangles declare a band and no terms, and the other
@@ -608,8 +676,7 @@ class _CountedSeq(Seq):
 @pytest.mark.parametrize("name", sorted(_STRUCTURED))
 def test_list_transform_reads_x_once_per_coordinate_and_no_combine(name, monkeypatch):
     """apply reads x once at each of its N coordinates and evaluates no
-    value of a structure's memoized combine, which the lazy transform
-    does."""
+    coordinate of the lazy transform."""
     size, evaluated = 64, Counter()
     call = Seq.__call__
 
@@ -623,7 +690,7 @@ def test_list_transform_reads_x_once_per_coordinate_and_no_combine(name, monkeyp
     x = _CountedSeq(lambda k: F(1, k + 1))
     assert len(apply(m, x, size)) == size
     assert x.reads == size
-    assert not evaluated["_seq_combine.<locals>.value"]
+    assert not evaluated["transform_seq.<locals>.coordinate"]
 
 
 def _pair_cells(lists, size):
@@ -640,11 +707,14 @@ def _pair_cells(lists, size):
 
 
 def _gamma_leaf():
-    """gamma with its factors forgotten: a structure of one term and one
-    band part read from its own Seqs, whose V has a value for each column
-    below the band."""
-    g = _NAMED["gamma"]()
-    g._factors = None
+    """gamma as no product: its closed form with a structure of one term
+    and one band part read from its own Seqs, (u_n - u_{n-1}) v_k below the
+    diagonal, u_{-1} = 0, and u_n v_n on it, whose V has a value for each
+    column below the band."""
+    w = _weighted("geometric")
+    term = (Seq(lambda n: w.u_at(n) - (w.u_at(n - 1) if n else 0)), w.v_at)
+    g = builders.gamma_closed_form(w)
+    g.structure = [term], [lambda n: w.u_at(n) * w.v_at(n)]
     return g
 
 
@@ -679,8 +749,8 @@ def test_a_second_reader_of_the_pair_lists_builds_nothing(name, monkeypatch):
     m, x = build(), Seq(lambda k: F(1, k + 1))
     first = apply(m, x, size)
     calls = Counter()
-    rule, entry = core._list_rule, BandedMatrix.entry
-    monkeypatch.setattr(core, "_list_rule", lambda *args: calls.update(["rule"]) or rule(*args))
+    rule, entry = core._product_rule, BandedMatrix.entry
+    monkeypatch.setattr(core, "_product_rule", lambda *args: calls.update(["rule"]) or rule(*args))
     monkeypatch.setattr(BandedMatrix, "entry", lambda t, n, k: calls.update(["entry"]) or entry(t, n, k))
     for n, rows in expected.items():
         assert truncate(m, n) == rows, n
@@ -1201,16 +1271,14 @@ _TWO_TERMS_WIDE = ([[F(1)], [F(3, 2)], [F(-2), F(1, 3)]], [([F(4)], None), ([F(1
 @example(_TWO_TERMS_WIDE, _TWO_TERMS_WIDE)
 def test_product_rule_property(left, right):
     """Triangles of 0 to 3 band parts and 0 to 2 terms, each read from its
-    structure: the cells the product's lazy structure states, the cells of
-    its integer lists and the dense product of the truncations are equal at
-    every size from 1 to 10, and then from 10 down to 1, where the lists are
-    the heads of those kept at 10."""
+    structure: the cells of the product's integer lists and the dense
+    product of the truncations are equal at every size from 1 to 10, and
+    then from 10 down to 1, where the lists are the heads of those kept at
+    10."""
     a, b = _shaped_triangle(left), _shaped_triangle(right)
     product = compose(a, b)
     for size in (*range(1, 11), *range(10, 0, -1)):
         expected = dense_mul(truncate(a, size), truncate(b, size))
-        stated = BandedMatrix(lambda n, k: _structure_entry(product, n, k))
-        assert _entry_scan(stated, size) == expected, size
         assert _list_cells(_lists(product, size, _INTEGERS), size) == expected, size
 
 
@@ -1224,6 +1292,23 @@ def test_product_lists_have_a_value_per_row_and_column(left, right, size):
     cols = max(size - len(bands), 0)
     assert all(len(part) == size for part in bands)
     assert all((u is None or len(u) == size) and (v is None or len(v) == cols) for u, v in terms)
+
+
+@pytest.mark.parametrize("ratio", [None, spaces.fmt_ratio])
+def test_a_truncated_product_of_two_means_keeps_no_lists(ratio):
+    """A product of two means is truncated from its factors' lists: its
+    own lists, built only to name an invalid weight, are not kept on it,
+    and the lists it kept before stay."""
+    for build in (lambda: compose(builders.sigma_sum(), builders.cesaro()), _PRODUCTS["cesaro.cesaro"]):
+        m = build()
+        rows = truncate(m, 64, ratio)
+        assert m._kept == (None, 0, None)
+        assert all(f._kept[1] == 64 for f in m._factors)
+        assert tuple(rows) == tuple(truncate(build(), 64, ratio))
+        _lists(m, 16, _INTEGERS)
+        kept = m._kept
+        truncate(m, 32, ratio)
+        assert m._kept is kept
 
 
 @pytest.mark.parametrize("ratio", [None, spaces.fmt_ratio])
