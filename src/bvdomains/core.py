@@ -53,8 +53,8 @@ multiplies by one in O(N^2) operations instead of O(N^3), the band-overlap
 sum serves every other right factor, and ``dense_mul`` of truncations is
 the oracle for both.  A product of two structures declares only the shape
 of its own, which lists are all ones and how many band parts there are,
-and the lazy readers take it through its factors: ``compose`` by
-associativity, A.(B1.B2) = (A.B1).B2, and ``transform_seq`` as A(Bx).
+and the lazy readers take it through its leaves: ``compose`` multiplies
+each row of A by B1 and then by B2 for A.(B1.B2), ``transform_seq`` A(Bx).
 ``_product_rule`` is the one rule that multiplies two structures, on
 lists: ``_list_ops`` states its two operations, over an element
 arithmetic (add, mul, neg, zero, one): integers over one common
@@ -510,7 +510,7 @@ def _mean_product_rows(a_lists: tuple, b_lists: tuple, n_size: int, ratio):
     and (Ub, Vb), None the all-ones list, at the rows n < n_size:
     ``truncate`` makes the rows with it.  Cell (n, k) is Ua(n) Vb(k) D_n(k)
     for k <= n, with D_n(k) = t_k + ... + t_n and t_j = Va(j) Ub(j):
-    compose's suffix sums with Ua(n) factored out.
+    ``_row_times``'s suffix sums with Ua(n) factored out.
 
     Row n takes D_n(k) = D_n(k + 1) + t_k from k = n down to 0 by the pair
     sum ``_padd``, and each cell is reduced on integers (``_pmul``), first
@@ -729,18 +729,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     factors, which ``invert``, ``transform_seq``, ``_build_lists`` and
     this function read of every product.
 
-    When B declares a structure (terms, band) of its own, entry (n,k) is
-    the sum of V(k) S_n(max(k + len(band), lo)) over the terms (U, V), plus
-    a(n,k+i) band[i](k+i) over the band, where [lo, hi] is A's row n
-    support and S_n(m) sums a(n,j) U(j) over j in [m, hi]: B's cells (j, k)
-    are its band's for j < k + len(band) and its terms' below.  The first
-    read of row n builds its suffix sums in one pass per term over A's row,
-    so an N x N block costs O(N^2) operations, not O(N^3), and B's entries
-    are never read.  A structured product B1.B2 is read as (A.B1).B2, down
-    to a structure that is no product.  When A declares a structure too,
-    the product declares the shape of the lists ``_product_rule`` makes: a
-    term (list, Vb) per term of B, (Ua, list) per term of A and max(la + lb
-    - 1, 0) band parts, each list ``_LIST``, None the all-ones list.
+    When B declares a structure, the first read of row n makes every cell
+    of that row, kept in the product's one memo, as A's row n times each
+    leaf of B in turn (``_row_times``), a structure that is no product: an
+    N x N block costs O(N^2) operations per leaf, not O(N^3), with no
+    intermediate product, and B's entries are never read.  When A declares
+    a structure too, the product declares the shape of the lists
+    ``_product_rule`` makes: a term (list, Vb) per term of B, (Ua, list)
+    per term of A and max(la + lb - 1, 0) band parts, each ``_LIST``.
     """
     factors, structure = (a, b), None
     if a.structure is not None and b.structure is not None:
@@ -748,9 +744,6 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
         side = lambda f: None if f is None else _LIST
         shape = [(_LIST, side(v)) for _, v in y_terms] + [(side(u), _LIST) for u, _ in x_terms]
         structure = shape, [_LIST] * max(len(x_band) + len(y_band) - 1, 0)
-    while b.structure is not None and b._factors is not None:
-        b1, b = b._factors
-        a = compose(a, b1)
     a_lower, a_band = a._lower, a.band
     b_lower, b_band, b_rows = b._row_bound is None, b.band, b.row_count
 
@@ -768,42 +761,22 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             return _dot((c, b.entry(j, k)) for j in range(lo, hi + 1) if (c := a.entry(n, j)))
 
     else:
-        terms, b_parts = b.structure
-        width = len(b_parts)
-        suffixes: dict[int, tuple] = {}
-
-        def suffix_sums(n: int) -> tuple:
-            # A's row n from lo to its last nonzero (past it the generic loop
-            # reads no V(k) either) and, per term, V and the sums S_n(lo + m)
-            lo = n - a_band if a_band is not None and n > a_band else 0
-            coeffs = [a.entry(n, j) for j in range(lo, (n if a_lower else a.row_bound(n)) + 1)]
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-            sums = []
-            for u, v in terms:
-                scaled = [(c if u is None else c * u(lo + m)) if c else ZERO for m, c in enumerate(coeffs)]
-                sums.append((v, list(accumulate(reversed(scaled)))[::-1]))
-            return lo, coeffs, sums
+        leaves = [b]  # B's leaves, left to right: a structured product's factors are structured
+        while any(f._factors is not None for f in leaves):
+            leaves = [g for f in leaves for g in (f._factors or (f,))]
 
         def entry(n: int, k: int) -> Fraction:
-            row = suffixes.get(n)
-            if row is None:
-                row = suffixes[n] = suffix_sums(n)
-            lo, coeffs, sums = row
-            if k - lo >= len(coeffs):
-                return ZERO
-            acc = None
-            i = k + width - lo if k + width > lo else 0  # the first j below B's band
-            if i < len(coeffs):
-                for v, column in sums:
-                    term = column[i] if v is None else v(k) * column[i]
-                    acc = term if acc is None else acc + term
-            if b_parts:
-                for m, part in enumerate(b_parts, k - lo):  # band part i meets coeffs[k + i - lo]
-                    if 0 <= m < len(coeffs) and coeffs[m]:
-                        term = coeffs[m] * part(lo + m)
-                        acc = term if acc is None else acc + term
-            return ZERO if acc is None else acc
+            # A's row n from lo to its last nonzero (past it no leaf reads a V
+            # either), times each leaf in turn; every cell of the row is kept
+            lo = n - a_band if a_band is not None and n > a_band else 0
+            hi = n if a_lower else a.row_bound(n)
+            row = [a.entry(n, j) for j in range(lo, hi + 1)]
+            for leaf in leaves:
+                while row and not row[-1]:
+                    row.pop()
+                lo, row = _row_times(lo, row, *leaf.structure)
+            product._cache.update(((n, j), row[j - lo] if j - lo < len(row) else ZERO) for j in range(lo, hi + 1))
+            return product._cache.get((n, k), ZERO)
 
     row_bound = a._row_bound
     if not b_lower:
@@ -828,6 +801,33 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     )
     product._factors = factors
     return product
+
+
+def _row_times(lo: int, coeffs: list, terms: list, parts: list) -> tuple:
+    """(lo', cells): the row r, coeffs from column lo on, times the lower
+    triangle of the structure (terms, parts), cells from column lo' (0 with
+    terms) to r's last.  Cell k sums V(k) S(max(k + len(parts), lo)) over
+    the terms (U, V), S(m) the sum of r(j) U(j) over j >= m, and r(k + i)
+    parts[i](k + i); a zero r(j) reads no U(j) and no band part.  Cells are
+    made in column order, each through ``rat``."""
+    width, sums = len(parts), []
+    for u, v in terms:
+        scaled = [(c if u is None else c * u(lo + m)) if c else ZERO for m, c in enumerate(coeffs)]
+        sums.append((v, list(accumulate(reversed(scaled)))[::-1]))
+    start, cells = (0 if terms else max(lo - width + 1, 0)), []
+    for k in range(start, lo + len(coeffs)):
+        i = k + width - lo if k + width > lo else 0  # the first j below the band, from lo
+        acc = None
+        if i < len(coeffs):
+            for v, column in sums:
+                term = column[i] if v is None else v(k) * column[i]
+                acc = term if acc is None else acc + term
+        for m, part in enumerate(parts, k - lo):  # band part i meets coeffs[k + i - lo]
+            if 0 <= m < len(coeffs) and coeffs[m]:
+                term = coeffs[m] * part(lo + m)
+                acc = term if acc is None else acc + term
+        cells.append(ZERO if acc is None else rat(acc))
+    return start, cells
 
 
 def _product_rule(x: tuple, y: tuple, size: int, arith: tuple) -> tuple:
@@ -972,9 +972,9 @@ def _mean_inverse(u, v) -> Triangle:
     bidiagonal 1/(U(n) V(n)) on the diagonal and -1/(U(n-1) V(n)) below it,
     U read before V as the mean's entries read them.  A cell is the
     reciprocal of the reduced pair of the product (``_pmul``), its sign
-    moved to the numerator, built by ``_coprime``; a zero product raises
-    ZeroDivisionError.  It declares its diagonal and subdiagonal as its
-    band, read from its memoized entries."""
+    moved to the numerator, built by ``_coprime``.  A zero product raises
+    SingularMatrixError(m) when U(m) is 0, else (n), as forward substitution
+    does.  Its band, the diagonal and subdiagonal, is its memoized entries."""
 
     def entry(n: int, k: int) -> Fraction:
         if u is None and v is None:
@@ -987,7 +987,7 @@ def _mean_inverse(u, v) -> Triangle:
         if k != n:
             q = -q
         if not p:
-            return Fraction(q, 0)  # raises ZeroDivisionError
+            raise SingularMatrixError(m if u is not None and not u(m) else n)
         if p < 0:
             p, q = -p, -q
         return _coprime(q, p)

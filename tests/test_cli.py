@@ -602,6 +602,11 @@ def test_json_writer_writes_the_bytes_of_json_dumps(tree):
     assert _json_text(copy.deepcopy(row) for row in rows) == expected
 
 
+def test_json_writer_refuses_a_float_as_json_dumps_does():
+    with pytest.raises(TypeError, match="Object of type float is not JSON serializable"):
+        _json_text({"a": 1.5})
+
+
 def test_matrix_round_trip_through_banded_spec(capsys):
     code, out, _ = run_cli(capsys, "matrix", "--spec", "phi", "--n", "4", "--format", "csv")
     rows = [line.split(",") for line in out.strip().split("\n")]

@@ -133,6 +133,11 @@ def test_seq_eval_and_support_bound():
     assert harmonic(1) == F(1, 2)
 
 
+def test_a_running_sum_before_its_first_index_is_zero():
+    total = core.running_sum(lambda n: F(n + 1))
+    assert total(-2) == 0 and total(2) == 6
+
+
 def test_compose_delta_cesaro_matches_dense_product():
     phi = compose(delta(), cesaro())
     n = 8

@@ -173,6 +173,11 @@ def test_dual_test_finite_support_certified():
             assert dual_test(dom, a, kind, 16).verdict == "certified_in"
 
 
+def test_dual_test_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown dual kind 'delta'"):
+        dual_test(cesaro_domain(), E, "delta", 16)
+
+
 def test_dual_test_e_beta_likely_out():
     report = dual_test(phi(), E, "beta", 16)
     assert report.verdict == "likely_out"

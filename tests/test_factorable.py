@@ -216,6 +216,71 @@ def test_nested_lazy_transforms_equal_the_list_transform(nest):
         assert [lazy(n) for n in range(size)] == apply(_nested(_NESTS[nest], right), x, size), right
 
 
+@pytest.mark.parametrize("left", ["phi", "banded"])
+@pytest.mark.parametrize(
+    "right",
+    [("cesaro",), ("inverse(phi)",), ("cesaro", "cesaro"), ("phi", "phi", "cesaro"), ("sum", "phi", "cesaro", "delta")],
+    ids=".".join,
+)
+def test_compose_makes_one_matrix(left, right, monkeypatch):
+    """compose makes the product and no other matrix, also when its right
+    factor is a nested structured product, which it reads leaf by leaf."""
+    a, b = {**_NAMED, **_LEFT_ONLY}[left](), _compose_named(*right)
+    made = []
+    init = BandedMatrix.__init__
+    monkeypatch.setattr(BandedMatrix, "__init__", lambda m, *args, **kw: made.append(m) or init(m, *args, **kw))
+    product = compose(a, b)
+    assert made == [product]
+
+
+def test_a_scan_of_a_nested_product_evaluates_each_row_once():
+    """The entry scan of phi.(phi.cesaro) at N = 200 evaluates the
+    product's closure once per row, and of the matrices reachable from it
+    only the product and its left factor phi hold more than 2N entries:
+    no intermediate product keeps a cache."""
+    size = 200
+    a, b = _NAMED["phi"](), compose(_NAMED["phi"](), _NAMED["cesaro"]())
+    product = compose(a, b)
+    rows = Counter()
+    closure = product._entry
+    product._entry = lambda n, k: rows.update([n]) or closure(n, k)
+    assert _entry_scan(product, size) == dense_mul(truncate(a, size), truncate(b, size))
+    assert rows == Counter(range(size))
+    reachable, todo = [], [product]
+    while todo:
+        m = todo.pop()
+        if m is not None and all(m is not x for x in reachable):
+            reachable.append(m)
+            todo += [*(m._factors or ()), m._inverse]
+    assert [m for m in reachable if len(m._cache) > 2 * size] == [product, a]
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0])
+@pytest.mark.parametrize("place", ["alone", "left", "right"])
+def test_a_float_v_never_leaks_into_a_product(place, value):
+    """A leaf whose V returns a float at column 3 makes every read of
+    cesaro.B, in scan order and in reverse, return a Fraction or raise
+    TypeError, with B the leaf alone or on either side of cesaro: the
+    cells of a row that compose writes without their being read are made
+    through rat too."""
+    v = lambda k: value if k == 3 else F(1, k + 1)
+    leaf = lambda: Triangle(lambda n, k: v(k), structure=([(None, v)], []))
+    builds = {
+        "alone": leaf,
+        "left": lambda: compose(leaf(), _NAMED["cesaro"]()),
+        "right": lambda: compose(_NAMED["cesaro"](), leaf()),
+    }
+    for order in (1, -1):
+        product = compose(_NAMED["cesaro"](), builds[place]())
+        raised = 0
+        for n, k in [(n, k) for n in range(8) for k in range(8)][::order]:
+            try:
+                assert type(product.entry(n, k)) is F
+            except TypeError:
+                raised += 1
+        assert raised
+
+
 def test_product_structures_hold_no_callable():
     """A structured product declares the shape of its structure only: each
     side of a term is None or a list of the product rule, as is each band

@@ -173,6 +173,37 @@ def test_a_singular_factor_names_the_row_the_products_forward_substitution_does(
     assert late.value.row == next(n for n in range(7) if reached.entry(n, n) == 0)
 
 
+def _zero_at(*indices):
+    return lambda n: F(0) if n in indices else F(n + 1, 2)
+
+
+@pytest.mark.parametrize(
+    "u, v",
+    [
+        (_zero_at(0), None),
+        (_zero_at(2), None),
+        (None, _zero_at(5)),
+        (_zero_at(2), _zero_at(5)),
+        (_zero_at(4), _zero_at(3)),
+        (_zero_at(5), _zero_at()),
+        (_zero_at(), _zero_at(5)),
+    ],
+    ids=["U(0)", "U(2)", "V(5)", "U(2),V(5)", "U(4),V(3)", "U(5),V", "U,V(5)"],
+)
+def test_a_singular_mean_inverse_names_the_row_forward_substitution_does(u, v):
+    """The bidiagonal inverse of a mean with a zero weight product raises
+    SingularMatrixError, read by truncate and by the entry scan, naming
+    the row forward substitution names: the first zero diagonal U(m) V(m)."""
+    at = lambda f, j: F(1) if f is None else f(j)
+    mean = lambda: Triangle(lambda n, k: at(u, n) * at(v, k), structure=([(u, v)], []))
+    with pytest.raises(core.SingularMatrixError) as oracle:
+        truncate(core._build_inverse(mean()), 8)
+    for read in (truncate, core._entry_scan):
+        with pytest.raises(core.SingularMatrixError) as got:
+            read(invert(mean()), 8)
+        assert got.value.row == oracle.value.row
+
+
 positive = st.fractions(min_value=F(1, 6), max_value=8, max_denominator=6)
 
 

@@ -56,6 +56,11 @@ def test_bv_norm_prefix_constant_and_unit():
     assert bv_norm_prefix(Seq.unit(0), 9) == 2
 
 
+def test_bv_norm_prefix_refuses_a_length_below_one():
+    with pytest.raises(ValueError, match="prefix length must be >= 1, got 0"):
+        bv_norm_prefix(E, 0)
+
+
 def test_bv_norm_prefix_harmonic_telescopes():
     # telescoping oracle: |1| + sum (1/k - 1/(k+1)) = 2 - 1/(N+1)
     for n in (1, 3, 10):

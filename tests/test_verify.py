@@ -529,6 +529,11 @@ SUITE_DIGESTS = {
 }
 
 
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'x'"):
+        verify.run_suite("x", 16, 0)
+
+
 @pytest.mark.parametrize("suite", verify.SUITES)
 @pytest.mark.parametrize("seed", (0, 1, 2))
 def test_suite_report_digest_at_self_check_size(suite, seed):
