@@ -53,8 +53,8 @@ multiplies by one in O(N^2) operations instead of O(N^3), the band-overlap
 sum serves every other right factor, and ``dense_mul`` of truncations is
 the oracle for both.  A product of two structures declares only the shape
 of its own, which lists are all ones and how many band parts there are,
-and the lazy readers take it through its leaves: ``compose`` multiplies
-each row of A by B1 and then by B2 for A.(B1.B2), ``transform_seq`` A(Bx).
+and ``compose`` reads it through its leaves, each row of A times B1 and
+then B2 for A.(B1.B2).
 ``_product_rule`` is the one rule that multiplies two structures, on
 lists: ``_list_ops`` states its two operations, over an element
 arithmetic (add, mul, neg, zero, one): integers over one common
@@ -84,12 +84,11 @@ over each term, plus the band times x, so N coordinates cost O(N)
 operations.  ``apply`` is the one reader of a structured transform: it
 runs that rule (``_transform_rule``) on the pair lists of the structure
 and of x, for ``transform``, ``membership --domain`` and the bv norm of Ax
-in ``spaces`` alike.  ``transform_seq`` is the one lazy transform, for a
-reader with no length: a product through its factors, any other structure
-by the same rule over ``running_sum``, and a matrix with no structure by
-the entry loop ``_coordinate`` over each row's support, which is the
-oracle of both.  ``apply`` reads it in order for a matrix with no
-structure.
+in ``spaces`` alike.  Every other transform is the entry loop
+``_coordinate`` over each row's support, which is the oracle of the rule:
+``apply`` of a matrix with no structure, and ``transform_seq``, the lazy
+transform of any matrix for a reader with no length, whose N coordinates
+of a structured matrix cost O(N) entry reads each.
 """
 
 from __future__ import annotations
@@ -652,7 +651,9 @@ def _coordinate(m, x: Seq, n: int) -> Fraction:
     in column order, and x(k) just after it, only where m(n,k) is nonzero.
 
     Every row has finite support, so this is the full transform coordinate,
-    not an approximation.
+    not an approximation.  It is every coordinate of ``transform_seq``, of
+    ``apply`` for a matrix with no structure, and the oracle of ``apply``'s
+    list rule, invalid weights included.
     """
     return _dot((c, x(k)) for k in m.row_support(n) if (c := m.entry(n, k)))
 
@@ -678,11 +679,11 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
     first n_size values as reduced pairs, so no Seq of the structure is
     evaluated.  Lists that meet an invalid weight raise what ``_lists``,
     the one reader that names it, raises, as for ``truncate``.  Any other
-    m reads the lazy transform ``transform_seq`` in order."""
+    m takes the entry loop ``_coordinate`` in order."""
     if n_size < 1:
         raise ValueError(f"transform length must be >= 1, got {n_size}")
     if m.structure is None:
-        coords = list(map(transform_seq(m, x), range(n_size)))
+        coords = [_coordinate(m, x, n) for n in range(n_size)]
         return coords if ratio is None else [ratio(*v.as_integer_ratio()) for v in coords]
     lists = _lists(m, n_size, _PAIRS)[1:]
     xs = [rat(x(k)).as_integer_ratio() for k in range(n_size)]
@@ -691,30 +692,12 @@ def apply(m, x: Seq, n_size: int, ratio=None) -> list:
 
 def transform_seq(t: BandedMatrix, x: Seq) -> Seq:
     """The transform Tx as a lazy memoized Seq, for a reader that has no
-    length: a structured product A.B through its factors, A(Bx), and any
-    other structure by the transform rule over ``running_sum``, terms
-    first, so N coordinates cost O(N) operations.  A t with no structure
-    takes the entry loop ``_coordinate``, which is also the oracle of both,
-    invalid weights included, and which ``apply`` reads for it."""
-    if t.structure is None:
-        return Seq(lambda n: _coordinate(t, x, n))
-    if t._factors is not None:
-        a, b = t._factors
-        return transform_seq(a, transform_seq(b, x))
-    terms, band = t.structure
-    width = len(band)
-    sums = [(u, running_sum(x if v is None else lambda j, v=v: v(j) * x(j))) for u, v in terms]
-
-    def coordinate(n: int) -> Fraction:
-        acc = ZERO
-        if n >= width:
-            for u, total in sums:
-                acc += total(n - width) if u is None else u(n) * total(n - width)
-        for i in range(min(width - 1, n), -1, -1):
-            acc += band[i](n) * x(n - i)
-        return acc
-
-    return Seq(coordinate)
+    length: coordinate n is the entry loop ``_coordinate``, for every t,
+    so it raises the invalid weight the entries meet.  It reads entries,
+    not the pair lists of ``apply``'s rule: N coordinates of a structured t
+    cost O(N) entry reads each, a product's from the whole rows that
+    ``compose`` makes."""
+    return Seq(lambda n: _coordinate(t, x, n))
 
 
 def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
@@ -726,17 +709,18 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     b(j,k) just after a nonzero a(n,j).  The product's band is its
     structure's, the sum of the factors' bands when both are band only, and
     its rows end where A's rows end.  The product records A and B as its
-    factors, which ``invert``, ``transform_seq``, ``_build_lists`` and
-    this function read of every product.
+    factors, which ``invert``, ``_build_lists`` and this function read of
+    every product.
 
-    When B declares a structure, the first read of row n makes every cell
-    of that row, kept in the product's one memo, as A's row n times each
-    leaf of B in turn (``_row_times``), a structure that is no product: an
-    N x N block costs O(N^2) operations per leaf, not O(N^3), with no
-    intermediate product, and B's entries are never read.  When A declares
-    a structure too, the product declares the shape of the lists
-    ``_product_rule`` makes: a term (list, Vb) per term of B, (Ua, list)
-    per term of A and max(la + lb - 1, 0) band parts, each ``_LIST``.
+    When B declares a structure, the first read of row n, by a scan or by
+    the lazy transform, makes every cell of that row, kept in the product's
+    one memo, as A's row n times each leaf of B in turn (``_row_times``), a
+    structure that is no product: an N x N block costs O(N^2) operations
+    per leaf, not O(N^3), with no intermediate product, and B's entries
+    are never read.  When A declares a structure too, the product declares
+    the shape of the lists ``_product_rule`` makes: a term (list, Vb) per
+    term of B, (Ua, list) per term of A and max(la + lb - 1, 0) band parts,
+    each ``_LIST``.
     """
     factors, structure = (a, b), None
     if a.structure is not None and b.structure is not None:

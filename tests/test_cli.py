@@ -681,15 +681,27 @@ _DOMAINS = st.one_of(
     ),
     _SCALARS,
 )
+# a string spec is passed as it is, so shorthands such as "delta" and "e"
+# reach the parser; any other value as its JSON
+_spec = lambda v: v if isinstance(v, str) else json.dumps(v)
 _ARGVS = st.one_of(
     st.tuples(st.just("membership"), _SEQS, st.sampled_from(["l1", "bv", "c0"]), st.one_of(st.none(), _MATRICES)).map(
-        lambda t: ["membership", f"--x={json.dumps(t[1])}", "--space", t[2]]
-        + ([] if t[3] is None else [f"--domain={json.dumps(t[3])}"])
+        lambda t: ["membership", f"--x={_spec(t[1])}", "--space", t[2]]
+        + ([] if t[3] is None else [f"--domain={_spec(t[3])}"])
     ),
     st.tuples(_SEQS, _DOMAINS, st.sampled_from(["alpha", "beta", "gamma"])).map(
-        lambda t: ["dual", f"--a={json.dumps(t[0])}", f"--domain={json.dumps(t[1])}", "--kind", t[2]]
+        lambda t: ["dual", f"--a={_spec(t[0])}", f"--domain={_spec(t[1])}", "--kind", t[2]]
     ),
-    _MATRICES.map(lambda m: ["matrix", f"--spec={json.dumps(m)}"]),
+    _MATRICES.map(lambda m: ["matrix", f"--spec={_spec(m)}"]),
+    st.tuples(_MATRICES, _SEQS, st.sampled_from(["json", "csv"])).map(
+        lambda t: ["transform", f"--matrix={_spec(t[0])}", f"--x={_spec(t[1])}", "--format", t[2]]
+    ),
+    st.tuples(
+        st.sampled_from(["from_domain", "into_domain"]), _MATRICES, _DOMAINS, st.sampled_from(["l1", "c", "linf", "bv"])
+    ).map(
+        lambda t: ["matclass", "--direction", t[0], f"--matrix={_spec(t[1])}", f"--domain={_spec(t[2])}"]
+        + ["--y", t[3]]
+    ),
 )
 
 

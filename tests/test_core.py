@@ -536,9 +536,9 @@ def test_transform_by_a_banded_triangle_reads_its_band(monkeypatch):
 
 
 def test_a_lazy_transform_holds_each_coordinate_in_one_cache():
-    """transform_seq of a structured product is the memoized Seq of its
-    left factor's transform: 5 coordinates read are 5 values in one cache,
-    not also in the cache of a Seq wrapped around it."""
+    """transform_seq of a structured product is the memoized Seq of the
+    entry loop: 5 coordinates read are 5 values in one cache, not also in
+    the cache of a Seq wrapped around it."""
     tx = transform_seq(phi(), Seq(lambda k: F(k + 2, 3)))
     for n in (0, 3, 1, 7, 3, 4):
         tx(n)
@@ -548,10 +548,9 @@ def test_a_lazy_transform_holds_each_coordinate_in_one_cache():
 
 @pytest.mark.parametrize("build", [sigma_sum, phi_closed_form])
 def test_wrapped_transforms_equal_the_entry_loop(build):
-    """The sum matrix's transform reads its running sum and phi_closed_form
-    declares no structure, so theirs are the two bare callables that
-    transform_seq wraps in a Seq: each refuses -1 and equals the entry
-    loop at every n < 64."""
+    """The sum matrix declares a structure and phi_closed_form none, and
+    transform_seq wraps the bare entry loop of each in a Seq: each refuses
+    -1 and equals the entry loop at every n < 64."""
     rng = random.Random(7)
     values = [F(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(64)]
     x = Seq(values.__getitem__)

@@ -4,9 +4,11 @@ At N = 1024 a seeded sequence x of 32-bit integers is transformed through
 ``apply`` by the means phi, gamma(u, v) and sigma_riesz(q), with the power
 and geometric weights of the benchmark, and by the two-term product
 cesaro.(phi.delta).  ``apply`` reads their pair lists, and its coordinates
-are the lazy transform's at 16 evenly spaced coordinates.  T(T^-1 x) = x
-checks each derived inverse against its triangle, and (cesaro.T)x =
-cesaro(Tx) checks the product's structure against its factors.  The rows of the truncations of the one-term
+are the lazy transform's, which is the entry loop over each row's entries,
+a product's as ``compose`` makes them, at 16 evenly spaced coordinates.
+T(T^-1 x) = x checks each derived inverse against its triangle, and
+(cesaro.T)x = cesaro(Tx) checks the product's structure against its
+factors.  The rows of the truncations of the one-term
 structures, dotted with x, give the coordinates of ``apply``: the
 structured read of ``truncate`` against the structured transform, at 16
 evenly spaced rows from the first to the last.
@@ -69,7 +71,8 @@ def test_transform_identities_hold_at_depth(name):
 @pytest.mark.parametrize("name", sorted(_TRIANGLES))
 def test_list_transform_at_depth_is_the_lazy_transform(name):
     """apply's coordinates, made from the pair lists, at 16 evenly spaced
-    coordinates of the lazy transform, read from the far end first."""
+    coordinates of the lazy transform, the entry loop, read from the far
+    end first."""
     t, values = _TRIANGLES[name](), _integers(N, seed=2)
     x = Seq.from_values(values)
     got = apply(t, x, N)

@@ -318,8 +318,8 @@ def row_entries(m, rows):
 
 
 def test_appended_rows_are_consistent_across_threads():
-    """Inverse rows, beta_assoc columns and the running sums of a structured
-    transform grow by appending under a lock, and the generator lists of the
+    """Inverse rows, beta_assoc columns and the Riesz partial sums read by
+    a lazy transform grow by appending under a lock, and the generator lists of the
     statistics are whole values per size, of which a matrix keeps the
     largest; four threads reading them in different orders see the serial
     values.  The Hilbert-like factor declares no structure, so its product

@@ -207,8 +207,9 @@ def test_nested_scans_equal_the_dense_product_in_both_orders(nest):
 
 @pytest.mark.parametrize("nest", sorted(_NESTS))
 def test_nested_lazy_transforms_equal_the_list_transform(nest):
-    """At 256 coordinates the lazy transform of a nest, through its
-    factors, equals apply's, from the pair lists of the product rule."""
+    """At 256 coordinates the lazy transform of a nest, the entry loop
+    over the rows that compose makes, equals apply's, from the pair lists
+    of the product rule."""
     size = 256
     for right in (True, False):
         x = Seq(lambda k: F((-1) ** k, k + 2))
@@ -619,16 +620,18 @@ def _band_reads(name, size):
 
 @pytest.mark.parametrize("name", sorted(_STRUCTURED))
 def test_structured_transform_equals_the_entry_loop(name):
+    """apply reads no entry but a bidiagonal's band and equals the entry
+    loop, and so does the lazy transform of a fresh copy, read from its far
+    end first."""
     for x_name, build_x in _XS.items():
         m, x = _STRUCTURED[name](), build_x()
         assert m.structure is not None
         reads = _counted_reads(m)
         got = apply(m, x, N)
-        # the lazy transform read from its far end first
-        lazy = transform_seq(m, x)
-        assert [lazy(n) for n in reversed(range(N))][::-1] == got, x_name
-        assert len(reads) == 2 * _band_reads(name, N), x_name
+        assert len(reads) == _band_reads(name, N), x_name
         assert got == _entry_loop(m, x, N), x_name
+        lazy = transform_seq(_STRUCTURED[name](), x)
+        assert [lazy(n) for n in reversed(range(N))][::-1] == got, x_name
 
 
 def test_a_matrix_without_structure_takes_the_entry_loop():
@@ -683,21 +686,72 @@ def _counting(f, calls, key):
 
 @pytest.mark.parametrize("name", sorted(_STRUCTURED))
 def test_structured_transform_reads_no_entry_and_each_closure_linearly(name):
+    """apply at 64 coordinates evaluates no entry but a bidiagonal's band,
+    reads each structure closure at most N + 1 times and x once per
+    coordinate."""
     size = 64
-    for run in (lambda m, x: apply(m, x, size), lambda m, x: list(map(transform_seq(m, x), range(size)))):
-        m, calls = _STRUCTURED[name](), Counter()
-        terms, band = m.structure
-        m.structure = (
-            [(_counting(u, calls, ("U", i)), _counting(v, calls, ("V", i))) for i, (u, v) in enumerate(terms)],
-            [_counting(part, calls, ("band", i)) for i, part in enumerate(band)],
-        )
-        evals, entry = [], m._entry
-        m._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
-        reads = _counted_reads(m)
-        run(m, Seq(_counting(lambda k: F(1, k + 1), calls, "x")))
-        assert len(reads) == len(evals) == _band_reads(name, size)
-        assert calls["x"] == size
-        assert max(calls.values()) <= size + 1, calls
+    m, calls = _STRUCTURED[name](), Counter()
+    terms, band = m.structure
+    m.structure = (
+        [(_counting(u, calls, ("U", i)), _counting(v, calls, ("V", i))) for i, (u, v) in enumerate(terms)],
+        [_counting(part, calls, ("band", i)) for i, part in enumerate(band)],
+    )
+    evals, entry = [], m._entry
+    m._entry = lambda n, k: evals.append((n, k)) or entry(n, k)
+    reads = _counted_reads(m)
+    apply(m, Seq(_counting(lambda k: F(1, k + 1), calls, "x")), size)
+    assert len(reads) == len(evals) == _band_reads(name, size)
+    assert calls["x"] == size
+    assert max(calls.values()) <= size + 1, calls
+
+
+def _logged_reads(m, values):
+    """m and a Seq of values, with every entry read of m and every read of
+    the Seq appended, in order, to the log returned with them."""
+    log, entry, x = [], m.entry, Seq(values)
+    m.entry = lambda n, k: log.append(("entry", n, k)) or entry(n, k)
+    return m, lambda k: log.append(("x", k)) or x(k), log
+
+
+def _zero_u_at_5():
+    u = Seq(lambda n: F(0) if n == 5 else F((-1) ** n, n + 1))
+    return builders.weighted_mean(builders.WeightPair(u, Seq(lambda k: F(k + 1))))
+
+
+_LAZY_TRANSFORMED = {
+    "cesaro": builders.cesaro,
+    "weighted[alternating]": lambda: builders.weighted_mean(_weighted("alternating")),
+    "phi": builders.phi,
+    "cesaro.(phi.delta)": lambda: _compose_named("cesaro", "phi", "delta"),
+    "banded": _LEFT_ONLY["banded"],
+    "zero u(5)": _zero_u_at_5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_TRANSFORMED))
+def test_lazy_transform_reads_as_the_entry_loop(name):
+    """transform_seq makes the entry and x reads of _coordinate, in the
+    same order, read from the far end first, and none when read again from
+    0, which its memo answers.  A product's entries are its whole rows, and
+    a weighted mean with u(5) = 0 raises at coordinate 5 the
+    InvalidWeightsError that the entry loop raises there."""
+    size, build = 12, _LAZY_TRANSFORMED[name]
+    values = lambda k: F((-1) ** k * (k + 2), 3 * k + 1)
+    m, x, lazy_log = _logged_reads(build(), values)
+    lazy = transform_seq(m, x)
+    oracle, y, loop_log = _logged_reads(build(), values)
+    if name == "zero u(5)":
+        with pytest.raises(InvalidWeightsError) as raised:
+            lazy(5)
+        with pytest.raises(InvalidWeightsError) as expected:
+            _coordinate(oracle, y, 5)
+        assert (raised.value.name, raised.value.index) == (expected.value.name, expected.value.index) == ("u", 5)
+        size = 5
+    expected = [_coordinate(oracle, y, n) for n in reversed(range(size))]
+    assert [lazy(n) for n in reversed(range(size))] == expected
+    assert lazy_log == loop_log
+    assert [lazy(n) for n in range(size)] == expected[::-1]
+    assert lazy_log == loop_log
 
 
 # the list transform's shapes: every ordered pair of these triangles, and
@@ -740,22 +794,15 @@ class _CountedSeq(Seq):
 
 @pytest.mark.parametrize("name", sorted(_STRUCTURED))
 def test_list_transform_reads_x_once_per_coordinate_and_no_combine(name, monkeypatch):
-    """apply reads x once at each of its N coordinates and evaluates no
-    coordinate of the lazy transform."""
-    size, evaluated = 64, Counter()
-    call = Seq.__call__
-
-    def counted(seq, k):
-        if k not in seq._cache:
-            evaluated[seq._eval.__qualname__] += 1
-        return call(seq, k)
-
-    m = _STRUCTURED[name]()
-    monkeypatch.setattr(Seq, "__call__", counted)
+    """apply reads x once at each of its N coordinates and runs no entry
+    loop, so it reads no coordinate of the lazy transform either."""
+    size, loops = 64, []
+    coordinate = core._coordinate
+    monkeypatch.setattr(core, "_coordinate", lambda m, x, n: loops.append(n) or coordinate(m, x, n))
     x = _CountedSeq(lambda k: F(1, k + 1))
-    assert len(apply(m, x, size)) == size
+    assert len(apply(_STRUCTURED[name](), x, size)) == size
     assert x.reads == size
-    assert not evaluated["transform_seq.<locals>.coordinate"]
+    assert not loops
 
 
 def _pair_cells(lists, size):
