@@ -38,9 +38,14 @@ use.
 The lazy entry loops, the transform coordinate ``_coordinate`` and
 ``compose``'s band-overlap entry, sum their terms as they read them with
 ``_dot``: one integer numerator over the running lcm of the products'
-denominators, reduced once.  A value already in lowest terms, a cell of a
-structured read or of the bidiagonal inverse, becomes a ``Fraction``
-through ``_coprime``, with no second gcd.
+denominators, reduced once.  ``compose``'s whole-row kernel
+``_row_times``, and the entry scans of the statistics in ``duals``, run on
+reduced pairs (p, q), q > 0, by the gcd-reduced pair sum ``_padd`` and
+product ``_pmul`` that ``Fraction`` itself runs, and make a ``Fraction``
+only where a value is stored or reported.  A value already in lowest
+terms, a cell of a structured read, of a product's row or of the
+bidiagonal inverse, becomes a ``Fraction`` through ``_coprime``, with no
+second gcd.
 
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
@@ -717,10 +722,14 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
     one memo, as A's row n times each leaf of B in turn (``_row_times``), a
     structure that is no product: an N x N block costs O(N^2) operations
     per leaf, not O(N^3), with no intermediate product, and B's entries
-    are never read.  When A declares a structure too, the product declares
-    the shape of the lists ``_product_rule`` makes: a term (list, Vb) per
-    term of B, (Ua, list) per term of A and max(la + lb - 1, 0) band parts,
-    each ``_LIST``.
+    are never read.  A's row is turned into reduced pairs once, the leaves
+    work on pairs, and each cell is stored as one ``Fraction`` by
+    ``_coprime``, a zero cell as ``ZERO``; a pair that fills several cells
+    of the row, a suffix sum that no V multiplies, is stored as one
+    ``Fraction`` for them all.  When A declares a structure too, the
+    product declares the shape of the lists ``_product_rule`` makes: a
+    term (list, Vb) per term of B, (Ua, list) per term of A and max(la +
+    lb - 1, 0) band parts, each ``_LIST``.
     """
     factors, structure = (a, b), None
     if a.structure is not None and b.structure is not None:
@@ -754,12 +763,16 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
             # either), times each leaf in turn; every cell of the row is kept
             lo = n - a_band if a_band is not None and n > a_band else 0
             hi = n if a_lower else a.row_bound(n)
-            row = [a.entry(n, j) for j in range(lo, hi + 1)]
+            row = [a.entry(n, j).as_integer_ratio() for j in range(lo, hi + 1)]
             for leaf in leaves:
-                while row and not row[-1]:
+                while row and not row[-1][0]:
                     row.pop()
                 lo, row = _row_times(lo, row, *leaf.structure)
-            product._cache.update(((n, j), row[j - lo] if j - lo < len(row) else ZERO) for j in range(lo, hi + 1))
+            last = value = None  # the pair last stored, and its Fraction
+            for j, cell in enumerate(row + [(0, 1)] * (hi + 1 - lo - len(row)), lo):
+                if cell is not last:
+                    last, value = cell, _coprime(*cell) if cell[0] else ZERO
+                product._cache[(n, j)] = value
             return product._cache.get((n, k), ZERO)
 
     row_bound = a._row_bound
@@ -788,29 +801,34 @@ def compose(a: BandedMatrix, b: BandedMatrix) -> BandedMatrix:
 
 
 def _row_times(lo: int, coeffs: list, terms: list, parts: list) -> tuple:
-    """(lo', cells): the row r, coeffs from column lo on, times the lower
-    triangle of the structure (terms, parts), cells from column lo' (0 with
-    terms) to r's last.  Cell k sums V(k) S(max(k + len(parts), lo)) over
-    the terms (U, V), S(m) the sum of r(j) U(j) over j >= m, and r(k + i)
-    parts[i](k + i); a zero r(j) reads no U(j) and no band part.  Cells are
-    made in column order, each through ``rat``."""
+    """(lo', cells): the row r, the reduced pairs coeffs from column lo
+    on, times the lower triangle of the structure (terms, parts), cells the
+    reduced pairs from column lo' (0 with terms) to r's last.  Cell k sums
+    V(k) S(max(k + len(parts), lo)) over the terms (U, V), S(m) the sum of
+    r(j) U(j) over j >= m, and r(k + i) parts[i](k + i), by the pair sum
+    and product ``_padd`` and ``_pmul``; a zero r(j) reads no U(j) and no
+    band part.  Every value read from a leaf goes through ``rat``, and
+    cells are made in column order."""
     width, sums = len(parts), []
     for u, v in terms:
-        scaled = [(c if u is None else c * u(lo + m)) if c else ZERO for m, c in enumerate(coeffs)]
-        sums.append((v, list(accumulate(reversed(scaled)))[::-1]))
+        scaled = [
+            (c if u is None else _pmul(c, rat(u(lo + m)).as_integer_ratio())) if c[0] else (0, 1)
+            for m, c in enumerate(coeffs)
+        ]
+        sums.append((v, list(accumulate(reversed(scaled), _padd))[::-1]))
     start, cells = (0 if terms else max(lo - width + 1, 0)), []
     for k in range(start, lo + len(coeffs)):
         i = k + width - lo if k + width > lo else 0  # the first j below the band, from lo
         acc = None
         if i < len(coeffs):
             for v, column in sums:
-                term = column[i] if v is None else v(k) * column[i]
-                acc = term if acc is None else acc + term
+                term = column[i] if v is None else _pmul(rat(v(k)).as_integer_ratio(), column[i])
+                acc = term if acc is None else _padd(acc, term)
         for m, part in enumerate(parts, k - lo):  # band part i meets coeffs[k + i - lo]
-            if 0 <= m < len(coeffs) and coeffs[m]:
-                term = coeffs[m] * part(lo + m)
-                acc = term if acc is None else acc + term
-        cells.append(ZERO if acc is None else rat(acc))
+            if 0 <= m < len(coeffs) and coeffs[m][0]:
+                term = _pmul(coeffs[m], rat(part(lo + m)).as_integer_ratio())
+                acc = term if acc is None else _padd(acc, term)
+        cells.append((0, 1) if acc is None else acc)
     return start, cells
 
 

@@ -47,7 +47,11 @@ against.
 A scan reads only the cells the matrix's row supports leave possibly
 nonzero, in the order of a scan of the whole square, and does no
 arithmetic on a zero, so E of a finite matrix with r rows costs O(r N)
-entry reads, not O(N^2).
+entry reads, not O(N^2).  It keeps its running values as reduced pairs
+(p, q), q > 0: an absolute value is a sign flip, a sum is ``core._padd``
+and two values compare by cross-multiplication, and it makes one
+``Fraction`` per reported value.  It reads entries, never lists, so it
+stays an independent oracle of ``_AbsSums`` and the integer lists.
 """
 
 from __future__ import annotations
@@ -65,8 +69,12 @@ from .core import (
     Triangle,
     ZERO,
     _INTEGERS,
+    _coprime,
     _integers,
     _lists,
+    _padd,
+    _pmul,
+    _pneg,
     compose,
     diagonal,
     invert,
@@ -151,9 +159,10 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
 
     Its structure, the product's shape, and its factors are the
     product's, so its lists come from those of diag(a) and of the inverse;
-    its entries are a_n inverse(n, k), which read the inverse's row n also
-    where a_n = 0, as the lists read the inverse's weights there, so both
-    report the same invalid weight."""
+    its entries are a_n inverse(n, k), the reduced pair product
+    (``core._pmul``) made a Fraction by ``core._coprime``, which read the
+    inverse's row n also where a_n = 0, as the lists read the inverse's
+    weights there, so both report the same invalid weight."""
     inverse = invert(domain_matrix)
     product = compose(diagonal(a), inverse)
     # the entries deliberately bypass product.entry: compose skips a row
@@ -161,7 +170,10 @@ def alpha_assoc(domain_matrix: Triangle, a: Seq) -> BandedMatrix:
     # would then miss the invalid weight the lists report
     # bench/tracing.py attributes the dual matrices' entries to duals.assoc by
     # the names of this closure and of beta_assoc's
-    m = BandedMatrix(lambda n, k: a(n) * inverse.entry(n, k), structure=product.structure)
+    m = BandedMatrix(
+        lambda n, k: _coprime(*_pmul(a(n).as_integer_ratio(), inverse.entry(n, k).as_integer_ratio())),
+        structure=product.structure,
+    )
     m._factors = product._factors
     return m
 
@@ -294,6 +306,8 @@ def cond_l1_linf(m, n: int) -> tuple:
     band are w[last] col[k] + row[last], extremal at the extremes of col
     over k <= last - L, L the number of band lists, and then come its band
     cells; the sup is taken on the integers and divided at checkpoints.
+    A scan keeps the sup as a reduced pair, compared with each |entry| by
+    cross-multiplication, and makes one Fraction per checkpoint.
     """
     marks = checkpoints(n)
     out = []
@@ -311,7 +325,7 @@ def cond_l1_linf(m, n: int) -> tuple:
             if last + 1 in marks:
                 out.append((last + 1, Fraction(best, d)))
         return tuple(out)
-    best = ZERO
+    best = (0, 1)
     for last, row, column, diagonal in _borders(m, n):
         cells = [(last, i) for i in row]
         if column:
@@ -321,9 +335,11 @@ def cond_l1_linf(m, n: int) -> tuple:
             cells.append((last, last))
         for cell in cells:
             if value := m.entry(*cell):
-                best = max(best, abs(value))
+                p, q = value.as_integer_ratio()
+                if abs(p) * best[1] > best[0] * q:
+                    best = abs(p), q
         if last + 1 in marks:
-            out.append((last + 1, best))
+            out.append((last + 1, _coprime(*best)))
     return tuple(out)
 
 
@@ -341,7 +357,9 @@ def cond_l1_c(m, n: int) -> tuple:
     several slopes, which only a structure with a two-sided term gives,
     are read directly at each column, in O(N^2) integer operations.  A
     band of more than N/4 + 1 parts would reach into the window, so such
-    a matrix is scanned.
+    a matrix is scanned.  A scan reads each column's window as reduced
+    pairs, finds its max and min by cross-multiplication and takes their
+    pair difference.
     """
     quarter, half, _ = checkpoints(n)
     narrow = m.structure is not None and len(m.structure[1]) <= half - quarter + 1
@@ -359,8 +377,14 @@ def cond_l1_c(m, n: int) -> tuple:
         rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
         columns = []
         for k in range(quarter):
-            window = [m.entry(row, k) if k in support else ZERO for row, support in rows]
-            columns.append((max(window) - min(window), window[-1]))
+            window = [m.entry(row, k).as_integer_ratio() if k in support else (0, 1) for row, support in rows]
+            high = low = window[0]
+            for p, q in window:
+                if p * high[1] > high[0] * q:
+                    high = p, q
+                elif p * low[1] < low[0] * q:
+                    low = p, q
+            columns.append((_coprime(*_padd(high, _pneg(low))), _coprime(*window[-1])))
     return tuple(
         {
             "k": k,
@@ -382,6 +406,8 @@ def cond_l1_l1(m, n: int) -> tuple:
     |w[j] col[k] + row[j]| over k + L <= j < size: the sum over rows
     L..size-1 less the one over rows L..k+L-1, both from ``_AbsSums``.  A
     column with no cell below the band in the square sums its band cells.
+    A scan keeps each column sum as a reduced pair (``core._padd``), takes
+    the max by cross-multiplication and makes one Fraction per checkpoint.
     """
     marks = checkpoints(n)
     out = []
@@ -406,18 +432,24 @@ def cond_l1_l1(m, n: int) -> tuple:
                 ]
                 out.append((last + 1, Fraction(max(sums), d)))
         return tuple(out)
-    sums: list[Fraction] = []
+    sums: list[tuple] = []  # the reduced pairs of the column sums
     for last, row, column, diagonal in _borders(m, n):
         for col in row:
             if value := m.entry(last, col):
-                sums[col] += abs(value)
-        total = ZERO
+                p, q = value.as_integer_ratio()
+                sums[col] = _padd(sums[col], (abs(p), q))
+        total = (0, 1)
         for i in column + ([last] if diagonal else []):
             if value := m.entry(i, last):
-                total += abs(value)
+                p, q = value.as_integer_ratio()
+                total = _padd(total, (abs(p), q))
         sums.append(total)
         if last + 1 in marks:
-            out.append((last + 1, max(sums)))
+            best = sums[0]
+            for p, q in sums:
+                if p * best[1] > best[0] * q:
+                    best = p, q
+            out.append((last + 1, _coprime(*best)))
     return tuple(out)
 
 

@@ -644,6 +644,35 @@ _SCALARS = st.one_of(
     st.none(),
     st.lists(st.integers(-2, 2), max_size=2),
 )
+# valid specs of every named shape: without them the scalars and unknown
+# kinds make almost every drawn command a usage error (exit 2), and the
+# clean-exit check would rarely see a command run
+_VALID_WEIGHTS = st.sampled_from(
+    ["e", "harmonic", {"tail": {"kind": "power", "p": 2}}, {"prefix": ["2", "1/3"], "tail": {"kind": "geometric"}}]
+)
+_VALID_SEQS = st.one_of(
+    _VALID_WEIGHTS,
+    st.sampled_from(["zero", {"prefix": ["1", "-1/2", "0"]}, {"tail": {"kind": "geometric", "r": "-1/2"}}]),
+    st.sampled_from([{"kind": "unit", "j": 2}, "const", {"kind": "const", "c": "-3"}]).map(lambda t: {"tail": t}),
+)
+_VALID_MATRICES = st.one_of(
+    st.sampled_from(["delta", "sum", "cesaro", "cesaro_inv", "phi", "inverse_of(phi)"]),
+    st.tuples(st.sampled_from(["weighted", "gamma"]), _VALID_WEIGHTS, _VALID_WEIGHTS).map(
+        lambda t: {"kind": t[0], "u": t[1], "v": t[2]}
+    ),
+    st.tuples(st.sampled_from(["riesz", "sigma_riesz"]), _VALID_WEIGHTS).map(lambda t: {"kind": t[0], "q": t[1]}),
+    st.lists(st.sampled_from(["delta", "cesaro", {"kind": "sum"}]), min_size=2, max_size=3).map(
+        lambda of: {"kind": "compose", "of": of}
+    ),
+    st.lists(st.lists(st.sampled_from(["1", "-2/3", "0"]), min_size=1, max_size=3), min_size=1, max_size=3).map(
+        lambda rows: {"kind": "banded", "rows": rows}
+    ),
+)
+_VALID_DOMAINS = st.one_of(
+    st.just("C"),
+    st.tuples(_VALID_WEIGHTS, _VALID_WEIGHTS).map(lambda t: {"label": "G", "u": t[0], "v": t[1]}),
+    _VALID_WEIGHTS.map(lambda q: {"label": "R", "q": q}),
+)
 _TAILS = st.one_of(
     st.sampled_from(["zero", "const", "harmonic", "power", "geometric", "unit", "cubic"]),
     st.fixed_dictionaries(
@@ -653,6 +682,7 @@ _TAILS = st.one_of(
     _SCALARS,
 )
 _SEQS = st.one_of(
+    _VALID_SEQS,
     st.sampled_from(["e", "zero", "harmonic", "nonsense"]),
     st.fixed_dictionaries(
         {}, optional={"prefix": st.one_of(st.lists(_SCALARS, max_size=3), _SCALARS), "tail": _TAILS}
@@ -660,6 +690,7 @@ _SEQS = st.one_of(
     _SCALARS,
 )
 _MATRICES = st.one_of(
+    _VALID_MATRICES,
     st.sampled_from(["delta", "sum", "cesaro", "phi", "inverse_of(phi)", "hilbert"]),
     st.fixed_dictionaries(
         {"kind": st.sampled_from(["weighted", "gamma", "riesz", "sigma_riesz", "compose", "banded", "inverse_of"])},
@@ -674,6 +705,7 @@ _MATRICES = st.one_of(
     _SCALARS,
 )
 _DOMAINS = st.one_of(
+    _VALID_DOMAINS,
     st.sampled_from(["C", "G", "R", "Z"]),
     st.fixed_dictionaries(
         {"label": st.one_of(st.sampled_from(["G", "R"]), _SCALARS)},

@@ -25,6 +25,7 @@ from bvdomains.core import (
     _list_ops,
     _lists,
     compose,
+    dense_mul,
     identity,
     invert,
     running_sum,
@@ -1123,6 +1124,114 @@ def test_beta_dual_reads_linearly_many_inverse_entries(domain, monkeypatch):
     assert dom.weights is None or report.cross_check["match"] is True
     assert 0 < len(evals) <= 2 * (n + 2)
     assert inv_evals == assoc_reads == []
+
+
+# ------------------------- the reduced-pair kernel of compose's rows and the scans
+
+
+def _periodic_leaf(shape):
+    """The lower triangle of a shape (band values, term values), each band
+    part, U and V periodic in its values (None the all-ones sequence).
+    compose reads it through its structure only, so its entries raise."""
+    band, terms = shape
+    periodic = lambda values: None if values is None else Seq(lambda j: values[j % len(values)])
+    structure = ([(periodic(u), periodic(v)) for u, v in terms], [periodic(part) for part in band])
+    return Triangle(lambda n, k: pytest.fail("a leaf's entry was read"), structure=structure)
+
+
+zero_or_hostile = st.one_of(st.just(F(0)), hostile)
+_HOSTILE_VALUES = st.lists(hostile, min_size=1, max_size=4)
+_HOSTILE_SIDE = st.one_of(st.none(), _HOSTILE_VALUES)
+_HOSTILE_LEAF = st.tuples(
+    st.lists(_HOSTILE_VALUES, max_size=2), st.lists(st.tuples(_HOSTILE_SIDE, _HOSTILE_SIDE), max_size=2)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(["finite", "lower", "banded"]), st.data())
+def test_compose_rows_equal_the_dense_product_property(size, left, data):
+    """A left factor with zero coefficients, as a finite matrix whose rows
+    may reach past the diagonal, a full lower triangle or a band, times a
+    right factor of 1 to 3 leaves nested either way, each with 0 to 2 band
+    parts and terms of hostile denominators and both signs: the entry scan
+    of the product, whose rows compose makes leaf by leaf on reduced pairs,
+    equals the dense product of the truncations."""
+    if left == "finite":
+        rows = data.draw(st.lists(st.lists(zero_or_hostile, min_size=1, max_size=size), min_size=1, max_size=size))
+        a = BandedMatrix.from_rows(rows)
+    elif left == "lower":
+        values = data.draw(st.lists(zero_or_hostile, min_size=1, max_size=7))
+        a = Triangle(lambda n, k: values[(3 * n + k) % len(values)])
+    else:
+        parts = data.draw(st.lists(st.lists(zero_or_hostile, min_size=1, max_size=4), min_size=1, max_size=3))
+        a = Triangle(lambda n, k: parts[n - k][n % len(parts[n - k])] if n - k < len(parts) else F(0))
+    shapes = data.draw(st.lists(_HOSTILE_LEAF, min_size=1, max_size=3))
+    leaves = [_periodic_leaf(shape) for shape in shapes]
+    b = leaves[-1]
+    expected = truncate(b, size)
+    for leaf in reversed(leaves[:-1]):
+        expected = dense_mul(truncate(leaf, size), expected)
+    expected = dense_mul(truncate(a, size), expected)
+    if data.draw(st.booleans()):  # nested to the right
+        for leaf in reversed(leaves[:-1]):
+            b = compose(leaf, b)
+    else:
+        b = leaves[0]
+        for leaf in leaves[1:]:
+            b = compose(b, leaf)
+    assert _entry_scan(compose(a, b), size) == expected
+
+
+def _warm_leaves(m, size):
+    """Read every structure callable of m's leaves where a row of a
+    product can read it, at the first size rows, so that their memos hold
+    the values."""
+    if m._factors is not None:
+        for factor in m._factors:
+            _warm_leaves(factor, size)
+        return
+    terms, band = m.structure
+    for i, part in enumerate(band):
+        [part(j) for j in range(i, size)]
+    for side in (side for term in terms for side in term if side is not None):
+        [side(j) for j in range(size)]
+
+
+def test_compose_rows_and_scans_do_no_fraction_arithmetic(monkeypatch):
+    """Once the leaves' Seqs and the left factor's entries are read, the
+    first read of each row through compose's structured branch and the
+    three scans of a finite matrix run on reduced pairs: with Fraction's
+    addition, product, abs, negation and order comparison patched to fail,
+    they give the unpatched values."""
+    n = 24
+    w = harmonic_pair()
+    rows = [["1/3", "-2/7", "0", "5/9"], ["0"], ["-1", "0", "1/2", "3/5", "-7/11"], ["2/9", "1/7"]]
+    builds = [
+        lambda: compose(BandedMatrix.from_rows(rows), invert(gamma(w))),
+        lambda: compose(phi(), compose(gamma(w), cesaro_inverse())),
+        lambda: compose(phi_closed_form(), compose(cesaro(), compose(sigma_sum(), weighted_mean(w)))),
+    ]
+    # rows of both signs that end before, on or past the diagonal, and
+    # empty rows, so every scan reads the cells of a finite matrix
+    values = [[F((-1) ** (i + k) * (i + 2 * k + 1), k + 3) for k in range(i % 5 + i // 2)] for i in range(n)]
+    finite = lambda: BandedMatrix.from_rows(values)
+    scans = (cond_l1_linf, cond_l1_c, cond_l1_l1)
+    expected = [_entry_scan(build(), n) for build in builds] + [[scan(finite(), n) for scan in scans]]
+    products = [build() for build in builds]
+    for product in products:
+        left, right = product._factors
+        _entry_scan(left, n)
+        _warm_leaves(right, n)
+    m = finite()
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the scan path")
+
+    for name in ARITHMETIC:
+        monkeypatch.setattr(F, name, forbidden)
+    got = [_entry_scan(product, n) for product in products] + [[scan(m, n) for scan in scans]]
+    monkeypatch.undo()
+    assert got == expected
 
 
 # ------------------------------------------------ support-bounded entry scans

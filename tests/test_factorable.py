@@ -265,7 +265,28 @@ def test_a_float_v_never_leaks_into_a_product(place, value):
     cells of a row that compose writes without their being read are made
     through rat too."""
     v = lambda k: value if k == 3 else F(1, k + 1)
-    leaf = lambda: Triangle(lambda n, k: v(k), structure=([(None, v)], []))
+    _assert_float_never_leaks(lambda: Triangle(lambda n, k: v(k), structure=([(None, v)], [])), place)
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0])
+@pytest.mark.parametrize("place", ["alone", "left", "right"])
+@pytest.mark.parametrize("side", ["U", "band"])
+def test_a_float_u_or_band_part_never_leaks_into_a_product(side, place, value):
+    """As for a float V: a leaf whose U, or whose diagonal band part,
+    returns a float at row 3 makes every read of cesaro.B return a
+    Fraction or raise TypeError."""
+    f = lambda n: value if n == 3 else F(1, n + 1)
+    if side == "U":
+        leaf = lambda: Triangle(lambda n, k: f(n), structure=([(f, None)], []))
+    else:
+        leaf = lambda: Triangle(lambda n, k: f(n), structure=([], [f]))
+    _assert_float_never_leaks(leaf, place)
+
+
+def _assert_float_never_leaks(leaf, place):
+    """Every read of cesaro.B, in scan order and in reverse, returns a
+    Fraction or raises TypeError, and some read raises, with B the leaf
+    alone or on either side of cesaro."""
     builds = {
         "alone": leaf,
         "left": lambda: compose(leaf(), _NAMED["cesaro"]()),
