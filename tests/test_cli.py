@@ -179,6 +179,60 @@ def test_an_unknown_key_is_a_usage_error_that_names_it(capsys, command, spec, ke
     assert run_cli(capsys, *argv[:-3], json.dumps(known), "--n", "8")[0] == 0
 
 
+_SEQ_FLAG = "membership --space l1 --x"
+_MATRIX_FLAG = "matrix --spec"
+_DOMAIN_FLAG = "dual --a e --kind beta --domain"
+_TAIL_KINDS = "('zero', 'const', 'harmonic', 'power', 'geometric', 'unit')"
+_DEEP = '{"kind": "delta"}'
+for _ in range(33):
+    _DEEP = '{"kind": "inverse_of", "of": %s}' % _DEEP
+# every usage error of spec parsing, each as a flag, its spec and the one
+# stderr line it gives
+_SPEC_ERRORS = [
+    (_SEQ_FLAG, '{"tail": }', "bad sequence spec JSON at position 9: Expecting value"),
+    (_DOMAIN_FLAG, "[" * 5000, "domain spec JSON is nested too deeply"),
+    (_MATRIX_FLAG, '{"kind": "banded", "rows": [[%s]]}' % ("1" * 5000), "matrix spec JSON has a number longer than 256 characters"),
+    (_SEQ_FLAG, '{"prefix": ["1e300"]}', "rational literal in prefix is longer than 256 characters or has an exponent beyond 256"),
+    (_SEQ_FLAG, '{"prefix": ["abc"]}', "bad rational in prefix: Invalid literal for Fraction: 'abc'"),
+    (_SEQ_FLAG, '{"tail": {"kind": "geometric", "r": 0.5}}', "bad rational in geometric tail r: not an exact rational: 0.5"),
+    (_SEQ_FLAG, '{"prefix": "12"}', "prefix must be a list of rationals"),
+    (_MATRIX_FLAG, '{"kind": "banded", "rows": ["1"]}', "banded rows must be a list of rationals"),
+    (_SEQ_FLAG, '{"tail": {"kind": "power", "p": 65}}', "power tail p must be an integer in [1, 64], got 65"),
+    (_SEQ_FLAG, '{"tail": {"kind": "unit", "j": -1}}', "unit tail j must be an integer in [0, inf], got -1"),
+    (_SEQ_FLAG, '{"tail": {"kind": "zero", "j": 1}}', "unknown key 'j' in zero tail"),
+    (_SEQ_FLAG, "nonsense", "unknown sequence shorthand 'nonsense'"),
+    (_SEQ_FLAG, "[1]", "sequence spec must be an object or shorthand word"),
+    (_SEQ_FLAG, '{"tail": 7}', "sequence tail must be an object or kind word"),
+    (_SEQ_FLAG, '{"tail": "cubic"}', f"unknown tail kind 'cubic'; choose from {_TAIL_KINDS}"),
+    (_SEQ_FLAG, '{"tail": {"kind": ["const"]}}', f"unknown tail kind ['const']; choose from {_TAIL_KINDS}"),
+    # a missing weight is named before a key that its object does not read
+    (_MATRIX_FLAG, '{"kind": "weighted", "u": "e", "w": "e"}', "weighted spec requires 'v'"),
+    (_MATRIX_FLAG, '{"kind": "sigma_riesz", "r": "e"}', "sigma_riesz spec requires 'q'"),
+    (_DOMAIN_FLAG, '{"label": "G", "v": "e", "w": "e"}', "G domain requires 'u'"),
+    (_MATRIX_FLAG, _DEEP, "matrix spec nests deeper than 32 levels"),
+    (_MATRIX_FLAG, '{"kind": ["delta"]}', "matrix spec must be an object with a 'kind' field"),
+    (_MATRIX_FLAG, "[]", "matrix spec must be an object with a 'kind' field"),
+    (_MATRIX_FLAG, '{"kind": "inverse_of"}', "inverse_of spec requires 'of'"),
+    (_MATRIX_FLAG, '{"kind": "inverse_of", "of": {"kind": "banded", "rows": [["1"]]}}', "inverse_of requires a triangle with nonzero diagonal"),
+    (_MATRIX_FLAG, '{"kind": "compose", "of": ["delta"]}', "compose requires a list of at least two triangle specs"),
+    (_MATRIX_FLAG, '{"kind": "compose", "of": "delta"}', "compose requires a list of at least two triangle specs"),
+    (_MATRIX_FLAG, '{"kind": "compose", "of": ["delta", {"kind": "banded", "rows": [["1"]]}]}', "compose requires a list of at least two triangle specs"),
+    (_MATRIX_FLAG, '{"kind": "banded", "rows": []}', "banded spec requires a nonempty 'rows' list"),
+    (_MATRIX_FLAG, "hilbert", "unknown matrix kind 'hilbert'"),
+    (_DOMAIN_FLAG, "[1]", "domain spec must be an object or a label"),
+    (_DOMAIN_FLAG, "Z", "unknown domain label 'Z'; choose C, G, or R"),
+    (_DOMAIN_FLAG, '{"label": ["C"]}', "unknown domain label ['C']; choose C, G, or R"),
+    (_DOMAIN_FLAG, '{"label": {"label": "C"}}', "unknown domain label {'label': 'C'}; choose C, G, or R"),
+]
+
+
+@pytest.mark.parametrize("flag, spec, message", _SPEC_ERRORS)
+def test_every_spec_error_prints_its_one_line(capsys, flag, spec, message):
+    """Each way a spec fails to parse exits 2 with its own stderr line, also
+    where a kind or label is a list or an object, which no table holds."""
+    assert run_cli(capsys, *flag.split(), spec, "--n", "4") == (2, "", f"error: {message}\n")
+
+
 def test_an_empty_membership_domain_is_a_usage_error(capsys):
     """An empty --domain is refused as an empty matrix spec is, where it
     used to test x itself as if no --domain were given."""
