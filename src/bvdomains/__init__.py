@@ -7,6 +7,8 @@ characterization transforms, and truncation-based membership diagnostics.
 """
 
 __version__ = "0.1.0"
+# the names of the verify suites, which the CLI offers without loading them
+VERIFY_SUITES = ("identities", "bases", "duals", "matclass", "all")
 
 from .core import (
     BandedMatrix,

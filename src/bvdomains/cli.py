@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from types import GeneratorType
 
-from . import __version__, builders, duals, matclass, spaces, verify
+from . import VERIFY_SUITES, __version__, builders, duals, matclass, spaces
 from .core import (
     BandedMatrix,
     InvalidWeightsError,
@@ -109,30 +109,87 @@ def _checked(raw: dict, resolved: dict, what: str) -> dict:
     return resolved
 
 
-def _spec_int(value, what: str, lo: int, hi: float = math.inf) -> int:
-    """An integer field (JSON int or decimal string) in [lo, hi]."""
-    number = None
-    if isinstance(value, str):
-        try:
-            number = int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        number = value
-    if number is None or not lo <= number <= hi:
-        raise SpecError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
-    return number
+# ------------------------------------------------------------------ grammar
+# A spec kind is one table entry with its fields, each (name, parser,
+# default) and read in order by _fields; a parser maps a value and the name
+# of its field to the parsed value and its echo.
 
 
-# ---------------------------------------------------------------- sequences
+def _fields(raw: dict, fields, owner: str):
+    """The values of raw's fields and the resolved spec that echoes them; a
+    field with no default is required."""
+    values, echo = [], {}
+    for name, parse, default in fields:
+        if name not in raw and default is None:
+            raise SpecError(f"{owner} requires {name!r}")
+        value, echo[name] = parse(raw.get(name, default), f"{owner} {name}")
+        values.append(value)
+    return values, echo
 
-_TAIL_KINDS = ("zero", "const", "harmonic", "power", "geometric", "unit")
+
+def _rat_field(value, what: str):
+    number = _spec_rat(value, what)
+    return number, spaces.fmt(number)
+
+
+def _int_field(lo: int, hi: float = math.inf):
+    """The parser of an integer field (JSON int or decimal string) in [lo, hi]."""
+
+    def parse(value, what: str):
+        number = None
+        if isinstance(value, str):
+            try:
+                number = int(value)
+            except ValueError:
+                pass
+        elif isinstance(value, int) and not isinstance(value, bool):
+            number = value
+        if number is None or not lo <= number <= hi:
+            raise SpecError(f"{what} must be an integer in [{lo}, {hi}], got {value!r}")
+        return number, number
+
+    return parse
+
+
+# tail kind -> its fields, the term k -> x(k) made from their values and, for
+# a finitely supported tail, its support bound from the prefix length n
+_TAILS = {
+    "zero": ((), lambda: lambda k: Fraction(0), lambda n: max(n - 1, 0)),
+    "const": ((("c", _rat_field, "0"),), lambda c: lambda k: c, None),
+    "harmonic": ((), lambda: lambda k: Fraction(1, k + 1), None),
+    "power": ((("p", _int_field(1, MAX_POWER), 1),), lambda p: lambda k: Fraction(1, (k + 1) ** p), None),
+    "geometric": ((("r", _rat_field, "1/2"),), lambda r: lambda k: r**k, None),
+    "unit": ((("j", _int_field(0), 0),), lambda j: lambda k: Fraction(1) if k == j else Fraction(0),
+             lambda n, j: max(n - 1, j)),
+}
 
 _SEQ_SHORTHAND = {
     "e": {"prefix": [], "tail": {"kind": "const", "c": "1"}},
     "zero": {"prefix": [], "tail": {"kind": "zero"}},
     "harmonic": {"prefix": [], "tail": {"kind": "harmonic"}},
 }
+
+# matrix kind or domain label -> its builder and its weight fields, each a
+# required sequence; "uv" make the builder's WeightPair, "q" its RieszWeights
+_MATRICES = {
+    "delta": (builders.delta, ""), "sum": (builders.sigma_sum, ""), "cesaro": (builders.cesaro, ""),
+    "cesaro_inv": (builders.cesaro_inverse, ""), "phi": (builders.phi, ""),
+    "weighted": (builders.weighted_mean, "uv"), "gamma": (builders.gamma, "uv"),
+    "riesz": (builders.riesz, "q"), "sigma_riesz": (builders.sigma_riesz, "q"),
+}
+_DOMAINS = {"C": (builders.cesaro_domain, ""), "G": (builders.weighted_domain, "uv"), "R": (builders.riesz_domain, "q")}
+_WEIGHTS = {"uv": builders.WeightPair, "q": builders.RieszWeights}
+
+
+def _from_table(raw: dict, key: str, table: dict, owner: str):
+    """The object that raw[key] names in table, and its resolved spec."""
+    build, weights = table[raw[key]]
+    seqs, echo = _fields(raw, [(name, lambda v, _: _seq_from_obj(v), None) for name in weights], owner)
+    built = build(_WEIGHTS[weights](*seqs)) if weights else build()
+    return built, _checked(raw, {key: raw[key], **echo}, owner)
+
+
+# ------------------------------------------------------------------ parsers
 
 
 def parse_seq_spec(text: str):
@@ -154,76 +211,27 @@ def _seq_from_obj(raw):
     if not isinstance(tail, dict):
         raise SpecError("sequence tail must be an object or kind word")
     kind = tail.get("kind")
-    if kind not in _TAIL_KINDS:
-        raise SpecError(f"unknown tail kind {kind!r}; choose from {_TAIL_KINDS}")
-
-    resolved = {"prefix": [spaces.fmt(v) for v in prefix], "tail": {"kind": kind}}
-    support = None
-    if kind == "zero":
-        tail_fn = lambda k: Fraction(0)
-        support = max(len(prefix) - 1, 0)
-    elif kind == "const":
-        c = _spec_rat(tail.get("c", "0"), "const tail c")
-        resolved["tail"]["c"] = spaces.fmt(c)
-        tail_fn = lambda k: c
-    elif kind == "harmonic":
-        tail_fn = lambda k: Fraction(1, k + 1)
-    elif kind == "power":
-        p = _spec_int(tail.get("p", 1), "power tail p", 1, MAX_POWER)
-        resolved["tail"]["p"] = p
-        tail_fn = lambda k: Fraction(1, (k + 1) ** p)
-    elif kind == "geometric":
-        r = _spec_rat(tail.get("r", "1/2"), "geometric tail r")
-        resolved["tail"]["r"] = spaces.fmt(r)
-        tail_fn = lambda k: r**k
-    else:  # unit
-        j = _spec_int(tail.get("j", 0), "unit tail j", 0)
-        resolved["tail"]["j"] = j
-        tail_fn = lambda k: Fraction(1) if k == j else Fraction(0)
-        support = max(len(prefix) - 1, j)
+    if not isinstance(kind, str) or kind not in _TAILS:
+        raise SpecError(f"unknown tail kind {kind!r}; choose from {tuple(_TAILS)}")
+    fields, term, support = _TAILS[kind]
+    values, echo = _fields(tail, fields, f"{kind} tail")
+    tail_fn = term(*values)
 
     def eval_fn(k: int) -> Fraction:
         if k < len(prefix):
             return prefix[k]
         return tail_fn(k)
 
-    _checked(tail, resolved["tail"], f"{kind} tail")
-    return Seq(eval_fn, support_bound=support), _checked(raw, resolved, "sequence spec")
-
-
-# ----------------------------------------------------------------- matrices
-
-_SIMPLE_MATRICES = {
-    "delta": builders.delta,
-    "sum": builders.sigma_sum,
-    "cesaro": builders.cesaro,
-    "cesaro_inv": builders.cesaro_inverse,
-    "phi": builders.phi,
-}
+    resolved = {"prefix": [spaces.fmt(v) for v in prefix]}
+    resolved["tail"] = _checked(tail, {"kind": kind, **echo}, f"{kind} tail")
+    bound = support and support(len(prefix), *values)
+    return Seq(eval_fn, support_bound=bound), _checked(raw, resolved, "sequence spec")
 
 
 def parse_matrix_spec(text: str):
     """Parse a MatrixSpec into (matrix, resolved dict); every kind but
     ``banded`` is a Triangle."""
     return _build_matrix(_load_spec(text, "matrix spec"), 0)
-
-
-def _weight(raw: dict, field: str, owner: str):
-    """The sequence of raw's weight field, which owner requires."""
-    if field not in raw:
-        raise SpecError(f"{owner} requires {field!r}")
-    return _seq_from_obj(raw[field])
-
-
-def _weight_pair(raw: dict, owner: str):
-    u, u_spec = _weight(raw, "u", owner)
-    v, v_spec = _weight(raw, "v", owner)
-    return builders.WeightPair(u, v), {"u": u_spec, "v": v_spec}
-
-
-def _riesz_weights(raw: dict, owner: str):
-    q, q_spec = _weight(raw, "q", owner)
-    return builders.RieszWeights(q), {"q": q_spec}
 
 
 def _build_matrix(raw, depth: int):
@@ -237,16 +245,8 @@ def _build_matrix(raw, depth: int):
     if not isinstance(raw, dict) or not isinstance(raw.get("kind"), str):
         raise SpecError("matrix spec must be an object with a 'kind' field")
     kind = raw["kind"]
-    if kind in _SIMPLE_MATRICES:
-        return _SIMPLE_MATRICES[kind](), _checked(raw, {"kind": kind}, f"{kind} spec")
-    if kind in ("weighted", "gamma"):
-        pair, spec = _weight_pair(raw, f"{kind} spec")
-        build = builders.weighted_mean if kind == "weighted" else builders.gamma
-        return build(pair), _checked(raw, {"kind": kind, **spec}, f"{kind} spec")
-    if kind in ("riesz", "sigma_riesz"):
-        weights, spec = _riesz_weights(raw, f"{kind} spec")
-        build = builders.riesz if kind == "riesz" else builders.sigma_riesz
-        return build(weights), _checked(raw, {"kind": kind, **spec}, f"{kind} spec")
+    if kind in _MATRICES:
+        return _from_table(raw, "kind", _MATRICES, f"{kind} spec")
     if kind == "inverse_of":
         if "of" not in raw:
             raise SpecError("inverse_of spec requires 'of'")
@@ -275,9 +275,6 @@ def _build_matrix(raw, depth: int):
     raise SpecError(f"unknown matrix kind {kind!r}")
 
 
-# ------------------------------------------------------------------ domains
-
-
 def parse_domain_spec(text: str):
     """Parse a domain spec ("C", or {"label":"G","u":..,"v":..}, or
     {"label":"R","q":..}) into (Domain, resolved dict)."""
@@ -287,15 +284,10 @@ def parse_domain_spec(text: str):
     if not isinstance(raw, dict):
         raise SpecError("domain spec must be an object or a label")
     label = raw.get("label")
-    if label == "C":
-        return builders.cesaro_domain(), _checked(raw, {"label": "C"}, "C domain")
-    if label == "G":
-        pair, spec = _weight_pair(raw, "G domain")
-        return builders.weighted_domain(pair), _checked(raw, {"label": "G", **spec}, "G domain")
-    if label == "R":
-        weights, spec = _riesz_weights(raw, "R domain")
-        return builders.riesz_domain(weights), _checked(raw, {"label": "R", **spec}, "R domain")
-    raise SpecError(f"unknown domain label {label!r}; choose C, G, or R")
+    if not isinstance(label, str) or label not in _DOMAINS:
+        *labels, last = _DOMAINS
+        raise SpecError(f"unknown domain label {label!r}; choose {', '.join(labels)}, or {last}")
+    return _from_table(raw, "label", _DOMAINS, f"{label} domain")
 
 
 # ------------------------------------------------------------------- output
@@ -512,6 +504,8 @@ def cmd_matclass(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the suites load only where they run
+
     report = verify.run_suite(args.suite, args.n, args.seed)
     envelope = {
         "tool": "bvdomains",
@@ -578,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_matclass)
 
     p = sub.add_parser("verify", help="run a bundled verification suite")
-    p.add_argument("--suite", default="all", choices=verify.SUITES)
+    p.add_argument("--suite", default="all", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=0, help="seed for randomized instances")
     common(p)
     p.set_defaults(func=cmd_verify)

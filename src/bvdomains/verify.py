@@ -14,7 +14,7 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 
-from . import builders, duals, matclass, spaces
+from . import VERIFY_SUITES as SUITES, builders, duals, matclass, spaces
 from .core import (
     BandedMatrix,
     ONE,
@@ -29,8 +29,6 @@ from .core import (
     transform_seq,
     truncate,
 )
-
-SUITES = ("identities", "bases", "duals", "matclass", "all")
 
 
 class CheckResult(namedtuple("CheckResult", "name passed counterexample", defaults=(None,))):

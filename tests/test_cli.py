@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvdomains
-from bvdomains import duals
+from bvdomains import cli, duals
 from bvdomains.cli import (
     SpecError,
     _json_text,
@@ -126,7 +127,8 @@ def test_parse_domain_spec():
         parse_domain_spec("Z")
 
 
-_WEIGHT_FIELDS = {"weighted": "uv", "gamma": "uv", "G": "uv", "riesz": "q", "sigma_riesz": "q", "R": "q"}
+# every matrix kind and domain label of cli's tables with its weight fields
+_WEIGHT_FIELDS = {name: fields for table in (cli._MATRICES, cli._DOMAINS) for name, (_, fields) in table.items() if fields}
 
 
 @pytest.mark.parametrize(
@@ -137,12 +139,12 @@ def test_a_missing_weight_field_is_named(capsys, kind, field):
     names the field; an explicit empty one is an unknown shorthand."""
 
     def argv(fields):
-        if kind in ("G", "R"):
+        if kind in cli._DOMAINS:
             domain = json.dumps({"label": kind, **fields})
             return ["dual", "--a", "e", "--domain", domain, "--kind", "beta", "--n", "4"]
         return ["matrix", "--spec", json.dumps({"kind": kind, **fields}), "--n", "4"]
 
-    owner = f"{kind} domain" if kind in ("G", "R") else f"{kind} spec"
+    owner = f"{kind} domain" if kind in cli._DOMAINS else f"{kind} spec"
     present = {other: "harmonic" for other in _WEIGHT_FIELDS[kind] if other != field}
     assert run_cli(capsys, *argv(present)) == (2, "", f"error: {owner} requires '{field}'\n")
     empty = run_cli(capsys, *argv({**present, field: ""}))
@@ -231,6 +233,33 @@ def test_every_spec_error_prints_its_one_line(capsys, flag, spec, message):
     """Each way a spec fails to parse exits 2 with its own stderr line, also
     where a kind or label is a list or an object, which no table holds."""
     assert run_cli(capsys, *flag.split(), spec, "--n", "4") == (2, "", f"error: {message}\n")
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_section(title):
+    start = _README.index(f"\n## {title}\n")
+    return _README[start : _README.index("\n## ", start + 1)]
+
+
+def test_the_readme_names_every_kind_and_field_of_the_spec_tables():
+    section = _readme_section("Spec grammar")
+    names = [*cli._TAILS, *cli._MATRICES, *cli._DOMAINS, *cli._SEQ_SHORTHAND, "inverse_of", "compose", "banded"]
+    names += [name for fields, _, _ in cli._TAILS.values() for name, _, _ in fields]
+    names += [field for fields in _WEIGHT_FIELDS.values() for field in fields]
+    assert [name for name in names if f"`{name}`" not in section] == []
+
+
+_README_COMMANDS = _readme_section("CLI").split("```sh\n")[1].split("```")[0].replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("command", _README_COMMANDS)
+def test_every_readme_cli_example_exits_0(capsys, command):
+    program, *argv = shlex.split(command)
+    assert program == "bvdomains"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_an_empty_membership_domain_is_a_usage_error(capsys):
@@ -473,9 +502,10 @@ def test_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
 def test_importing_the_cli_loads_no_dataclasses_or_typing():
     """The package builds its records without ``dataclasses`` and writes its
     annotations without ``typing``, so importing the CLI loads neither, nor
-    what ``dataclasses`` imports.  ``-S`` keeps ``site``'s own imports out."""
+    what ``dataclasses`` imports, and the verify suites load only where they
+    run.  ``-S`` keeps ``site``'s own imports out."""
     src = str(Path(bvdomains.__file__).resolve().parents[1])
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "bvdomains.verify")
     code = f"import sys, bvdomains.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=120)
@@ -698,60 +728,100 @@ _SCALARS = st.one_of(
     st.none(),
     st.lists(st.integers(-2, 2), max_size=2),
 )
-# valid specs of every named shape: without them the scalars and unknown
-# kinds make almost every drawn command a usage error (exit 2), and the
-# clean-exit check would rarely see a command run
-_VALID_WEIGHTS = st.sampled_from(
-    ["e", "harmonic", {"tail": {"kind": "power", "p": 2}}, {"prefix": ["2", "1/3"], "tail": {"kind": "geometric"}}]
+
+
+# Valid specs of every kind in cli's tables, so that a kind added to a table
+# is drawn with no edit here: without them the scalars and unknown kinds
+# make almost every drawn command a usage error (exit 2), and the clean-exit
+# check would rarely see a command run.  A field's values are the
+# candidates that its own parser accepts.
+_RATIONALS = ["0", "1", "-1", "2", "1/2", "-2/3", "5/4"]
+_CANDIDATES = [*range(-2, 7), *_RATIONALS]
+
+
+def _accepted(parse):
+    def parses(value):
+        try:
+            parse(value, "field")
+        except SpecError:
+            return False
+        return True
+
+    return st.sampled_from([value for value in _CANDIDATES if parses(value)])
+
+
+_VALID_TAILS = st.sampled_from(list(cli._TAILS)).flatmap(
+    lambda kind: st.just(kind)
+    | st.fixed_dictionaries(
+        {"kind": st.just(kind)}, optional={name: _accepted(parse) for name, parse, _ in cli._TAILS[kind][0]}
+    )
 )
+# sequences with zeros and sign changes, and the shorthand words
 _VALID_SEQS = st.one_of(
-    _VALID_WEIGHTS,
-    st.sampled_from(["zero", {"prefix": ["1", "-1/2", "0"]}, {"tail": {"kind": "geometric", "r": "-1/2"}}]),
-    st.sampled_from([{"kind": "unit", "j": 2}, "const", {"kind": "const", "c": "-3"}]).map(lambda t: {"tail": t}),
+    st.sampled_from(list(cli._SEQ_SHORTHAND)),
+    st.fixed_dictionaries({}, optional={"prefix": st.lists(st.sampled_from(_RATIONALS), max_size=3), "tail": _VALID_TAILS}),
 )
+# weights: the sequences, and often the positive ones of the shorthand, so
+# that a weighted kind also runs
+_VALID_WEIGHTS = st.sampled_from(["e", "harmonic"]) | _VALID_SEQS
+
+
+def _named(table, key):
+    """Valid specs of every entry of a table of cli, which key names: a word
+    or an object for an entry with no weight fields."""
+
+    def spec(name):
+        weights = table[name][1]
+        if not weights:
+            return st.sampled_from([name, {key: name}])
+        return st.fixed_dictionaries({key: st.just(name), **{field: _VALID_WEIGHTS for field in weights}})
+
+    return st.sampled_from(list(table)).flatmap(spec)
+
+
+def _inverse_of(m):
+    return f"inverse_of({m})" if isinstance(m, str) else {"kind": "inverse_of", "of": m}
+
+
+# triangles with inverse_of and compose nested up to 3 levels, a named kind
+# at each level in half the draws
+_VALID_TRIANGLES = _named(cli._MATRICES, "kind")
+for _ in range(3):
+    _VALID_TRIANGLES = _named(cli._MATRICES, "kind") | st.one_of(
+        _VALID_TRIANGLES.map(_inverse_of),
+        st.lists(_VALID_TRIANGLES, min_size=2, max_size=3).map(lambda of: {"kind": "compose", "of": of}),
+    )
 _VALID_MATRICES = st.one_of(
-    st.sampled_from(["delta", "sum", "cesaro", "cesaro_inv", "phi", "inverse_of(phi)"]),
-    st.tuples(st.sampled_from(["weighted", "gamma"]), _VALID_WEIGHTS, _VALID_WEIGHTS).map(
-        lambda t: {"kind": t[0], "u": t[1], "v": t[2]}
-    ),
-    st.tuples(st.sampled_from(["riesz", "sigma_riesz"]), _VALID_WEIGHTS).map(lambda t: {"kind": t[0], "q": t[1]}),
-    st.lists(st.sampled_from(["delta", "cesaro", {"kind": "sum"}]), min_size=2, max_size=3).map(
-        lambda of: {"kind": "compose", "of": of}
-    ),
+    _VALID_TRIANGLES,
     st.lists(st.lists(st.sampled_from(["1", "-2/3", "0"]), min_size=1, max_size=3), min_size=1, max_size=3).map(
         lambda rows: {"kind": "banded", "rows": rows}
     ),
 )
-_VALID_DOMAINS = st.one_of(
-    st.just("C"),
-    st.tuples(_VALID_WEIGHTS, _VALID_WEIGHTS).map(lambda t: {"label": "G", "u": t[0], "v": t[1]}),
-    _VALID_WEIGHTS.map(lambda q: {"label": "R", "q": q}),
-)
+_VALID_DOMAINS = _named(cli._DOMAINS, "label")
 _TAILS = st.one_of(
-    st.sampled_from(["zero", "const", "harmonic", "power", "geometric", "unit", "cubic"]),
+    st.sampled_from([*cli._TAILS, "cubic"]),
     st.fixed_dictionaries(
-        {"kind": st.one_of(st.sampled_from(["const", "power", "geometric", "unit", "zero"]), _SCALARS)},
-        optional={"c": _SCALARS, "p": _SCALARS, "r": _SCALARS, "j": _SCALARS},
+        {"kind": st.one_of(st.sampled_from(list(cli._TAILS)), _SCALARS)},
+        optional={name: _SCALARS for fields, _, _ in cli._TAILS.values() for name, _, _ in fields},
     ),
     _SCALARS,
 )
 _SEQS = st.one_of(
     _VALID_SEQS,
-    st.sampled_from(["e", "zero", "harmonic", "nonsense"]),
+    st.sampled_from([*cli._SEQ_SHORTHAND, "nonsense"]),
     st.fixed_dictionaries(
         {}, optional={"prefix": st.one_of(st.lists(_SCALARS, max_size=3), _SCALARS), "tail": _TAILS}
     ),
     _SCALARS,
 )
+_WEIGHT_KEYS = {field: _SEQS for fields in _WEIGHT_FIELDS.values() for field in fields}
 _MATRICES = st.one_of(
     _VALID_MATRICES,
-    st.sampled_from(["delta", "sum", "cesaro", "phi", "inverse_of(phi)", "hilbert"]),
+    st.sampled_from([*cli._MATRICES, "inverse_of(phi)", "hilbert"]),
     st.fixed_dictionaries(
-        {"kind": st.sampled_from(["weighted", "gamma", "riesz", "sigma_riesz", "compose", "banded", "inverse_of"])},
+        {"kind": st.sampled_from([*(k for k in cli._MATRICES if k in _WEIGHT_FIELDS), "compose", "banded", "inverse_of"])},
         optional={
-            "u": _SEQS,
-            "v": _SEQS,
-            "q": _SEQS,
+            **_WEIGHT_KEYS,
             "of": st.one_of(st.lists(st.sampled_from([{"kind": "delta"}, {"kind": "cesaro"}, "x"]), max_size=3), _SCALARS),
             "rows": st.one_of(st.lists(st.lists(_SCALARS, max_size=3), max_size=3), _SCALARS),
         },
@@ -760,17 +830,20 @@ _MATRICES = st.one_of(
 )
 _DOMAINS = st.one_of(
     _VALID_DOMAINS,
-    st.sampled_from(["C", "G", "R", "Z"]),
+    st.sampled_from([*cli._DOMAINS, "Z"]),
     st.fixed_dictionaries(
-        {"label": st.one_of(st.sampled_from(["G", "R"]), _SCALARS)},
-        optional={"u": _SEQS, "v": _SEQS, "q": _SEQS},
+        {"label": st.one_of(st.sampled_from([k for k in cli._DOMAINS if k in _WEIGHT_FIELDS]), _SCALARS)},
+        optional=_WEIGHT_KEYS,
     ),
     _SCALARS,
 )
 # a string spec is passed as it is, so shorthands such as "delta" and "e"
 # reach the parser; any other value as its JSON
 _spec = lambda v: v if isinstance(v, str) else json.dumps(v)
-_ARGVS = st.one_of(
+# the command is drawn first, by sampled_from, so that each command gets a
+# share of the examples: a one_of of these strategies draws matrix in about
+# three quarters of them
+_ARGVS = st.sampled_from([
     st.tuples(st.just("membership"), _SEQS, st.sampled_from(["l1", "bv", "c0"]), st.one_of(st.none(), _MATRICES)).map(
         lambda t: ["membership", f"--x={_spec(t[1])}", "--space", t[2]]
         + ([] if t[3] is None else [f"--domain={_spec(t[3])}"])
@@ -788,7 +861,7 @@ _ARGVS = st.one_of(
         lambda t: ["matclass", "--direction", t[0], f"--matrix={_spec(t[1])}", f"--domain={_spec(t[2])}"]
         + ["--y", t[3]]
     ),
-)
+]).flatmap(lambda command: command)
 
 
 @settings(max_examples=150, deadline=None)

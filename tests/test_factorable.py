@@ -10,7 +10,9 @@ dual matrices.  A band part is the whole cell it names and the terms give
 the cells below the band, and the declared structures are checked against
 the entries they describe."""
 
+import contextlib
 import hashlib
+import io
 import json
 from collections import Counter
 from fractions import Fraction as F
@@ -37,6 +39,7 @@ from bvdomains.core import (
     transform_seq,
     truncate,
 )
+from test_cli import _VALID_DOMAINS, _VALID_MATRICES, _spec
 
 N = 24
 
@@ -974,13 +977,14 @@ def _compose_without_structure(a, b):
     return compose(a, b)
 
 
-def _parse_without_structure(spec, monkeypatch):
+def _parse_without_structure(spec, monkeypatch, parse=cli.parse_matrix_spec):
     """The matrix of spec with no structure, nor any in the products the
     spec composes: those take the band-overlap sum, and its transform the
-    entry loop."""
+    entry loop.  ``parse`` is the CLI's parser as this module found it, so
+    that a test can put this function in that parser's place."""
     with monkeypatch.context() as patch:
         patch.setattr(cli, "compose", _compose_without_structure)
-        matrix, _ = cli.parse_matrix_spec(spec)
+        matrix, _ = parse(spec)
     matrix.structure = None
     return matrix
 
@@ -1153,9 +1157,10 @@ _FACTOR_WEIGHTS = [{"kind": "weighted", "u": "e", "v": "e"}] + [
 
 @pytest.mark.parametrize("shape", ["mean.mean", "domain.mean", "mean.domain", "mean.inverse_of(mean)"])
 def test_two_factor_transforms_report_the_weight_of_the_entry_loop(shape):
-    """The structured transform reads U(n) and then its term's running sum,
-    term by term, and the entry loop reads compose's entries of the product
-    with its structure removed: both report the same invalid weight when
+    """apply transforms the structured product by its list rule, the
+    product rule's combine of per-term prefix sums over the structure's
+    pair lists, and the product with its structure removed by the entry
+    loop over compose's entries: both report the same invalid weight when
     the factors' invalid indices differ."""
     left, right = shape.split(".")
     x = Seq.constant(1)
@@ -1208,6 +1213,47 @@ def test_a_weight_the_entries_skip_is_raised_from_the_lists():
             m = build()
             assert m.structure is not None
             assert _outcome(lambda: run(m)) == f"invalid weight u[{index}]"
+
+
+def _command_outcome(argv):
+    """The exit code, stdout and first stderr line of the CLI run on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue().partition("\n")[0]
+
+
+def _a_weight_the_entries_skip(structured, plain):
+    """The one known divergence, test_a_weight_the_entries_skip_is_raised_from_the_lists:
+    the structured run reports an invalid weight that its lists read, where
+    the entries of the run with no structure skip it, so that run succeeds
+    or names another weight."""
+    return (
+        structured[0] == 3 and structured[2].startswith("mathematical error: invalid weight") and plain[0] in (0, 3)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_VALID_MATRICES, domain=_VALID_DOMAINS)
+def test_every_command_prints_what_the_spec_without_structure_prints(spec, domain):
+    """A valid matrix spec drawn from the CLI's tables gives, in matrix,
+    transform, membership --domain and matclass --direction into_domain,
+    the exit code, stdout and first stderr line that the same spec parsed
+    with no structure gives."""
+    matrix = _spec(spec)
+    commands = (
+        ["matrix", "--spec", matrix],
+        ["transform", "--matrix", matrix, "--x", "e"],
+        ["membership", "--x", "e", "--space", "l1", "--domain", matrix],
+        ["matclass", "--direction", "into_domain", "--matrix", matrix, "--domain", _spec(domain), "--y", "l1"],
+    )
+    parse = cli.parse_matrix_spec
+    for argv in commands:
+        structured = _command_outcome([*argv, "--n", "8"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "parse_matrix_spec", lambda text: (_parse_without_structure(text, patch), parse(text)[1]))
+            plain = _command_outcome([*argv, "--n", "8"])
+        assert structured == plain or _a_weight_the_entries_skip(structured, plain), argv
 
 
 # the invalid weights of _INVALID, weights invalid at the last row of an N =
