@@ -8,6 +8,12 @@ The Riesz mean R^q is the generalized weighted mean G(u, v) with u_n = 1/Q_n
 and v_k = q_k, so ``RieszWeights`` is a weight pair and ``riesz`` is
 ``weighted_mean`` applied to it.
 
+The leaf values in lowest terms as made, the Cesaro weight 1/(n+1) and
+u_n = 1/Q_n, the swapped pair of a running sum of reduced pairs, are built
+by ``core._coprime`` with no gcd, and a weight is checked on its
+numerator's sign.  ``big_q``, the ``Fraction`` running sum of q, stays the
+oracle of those sums, as the closed forms stay the oracles of ``compose``.
+
 Each mean declares the structure of ``core``, one term: (1, 1), (1/(n+1),
 1) or (u_n, v_k), the last read through the validating accessors, so an
 invalid weight is reported as the entries report it.  ``invert`` derives a
@@ -30,6 +36,9 @@ from .core import (
     InvalidWeightsError,
     Seq,
     Triangle,
+    _coprime,
+    _padd,
+    _running,
     compose,
     invert,
     running_sum,
@@ -50,8 +59,8 @@ def sigma_sum() -> Triangle:
 def cesaro() -> Triangle:
     """Cesaro mean of order one: row n averages the first n+1 terms."""
     return Triangle(
-        lambda n, k: Fraction(1, n + 1),
-        structure=([(Seq(lambda n: Fraction(1, n + 1)), None)], []),
+        lambda n, k: _coprime(1, n + 1),
+        structure=([(Seq(lambda n: _coprime(1, n + 1)), None)], []),
     )
 
 
@@ -70,13 +79,13 @@ class WeightPair(namedtuple("WeightPair", "u v")):
 
     def u_at(self, n: int) -> Fraction:
         value = self.u(n)
-        if value == 0:
+        if not value.numerator:
             raise InvalidWeightsError("u", n, value, "must be nonzero")
         return value
 
     def v_at(self, k: int) -> Fraction:
         value = self.v(k)
-        if value == 0:
+        if not value.numerator:
             raise InvalidWeightsError("v", k, value, "must be nonzero")
         return value
 
@@ -85,17 +94,26 @@ class RieszWeights:
     """Positive weights q with partial sums Q_n = q_0 + ... + q_n (Q_{-1} = 0).
 
     They are also the weight pair u_n = 1/Q_n, v_k = q_k that turns G(u, v)
-    into R^q, read through ``u_at`` (memoized) and ``v_at``.
+    into R^q, read through ``u_at`` and ``v_at``.  ``u_at`` (memoized) is
+    the swapped pair of Q_n from a locked running sum of reduced pairs
+    (``core._padd``) that reads q in order; ``big_q``, the ``Fraction``
+    running sum of q, is its oracle.
     """
 
     def __init__(self, q: Seq):
         self.q = q
         self.big_q = running_sum(self.q_at)
-        self.u_at = Seq(lambda n: 1 / self.big_q(n))
+        pair_q = _running(lambda k: self.q_at(k).as_integer_ratio(), _padd, (0, 1))
+
+        def u(n: int) -> Fraction:
+            num, den = pair_q(n)
+            return _coprime(den, num)
+
+        self.u_at = Seq(u)
 
     def q_at(self, k: int) -> Fraction:
         value = self.q(k)
-        if value <= 0:
+        if value.numerator <= 0:
             raise InvalidWeightsError("q", k, value, "must be positive")
         return value
 

@@ -28,11 +28,14 @@ from types import GeneratorType
 
 from . import VERIFY_SUITES, __version__, builders, duals, matclass, spaces
 from .core import (
+    ONE,
+    ZERO,
     BandedMatrix,
     InvalidWeightsError,
     Seq,
     SingularMatrixError,
     Triangle,
+    _coprime,
     compose,
     invert,
     rat,
@@ -151,16 +154,22 @@ def _int_field(lo: int, hi: float = math.inf):
     return parse
 
 
+def _geometric(r: Fraction):
+    """The term k -> r^k, p^k / q^k for r = p/q, q > 0, in lowest terms."""
+    p, q = r.as_integer_ratio()
+    return lambda k: _coprime(p**k, q**k)
+
+
 # tail kind -> its fields, the term k -> x(k) made from their values and, for
-# a finitely supported tail, its support bound from the prefix length n
+# a finitely supported tail, its support bound from the prefix length n; every
+# term is in lowest terms as made, so it is built by _coprime with no gcd
 _TAILS = {
-    "zero": ((), lambda: lambda k: Fraction(0), lambda n: max(n - 1, 0)),
+    "zero": ((), lambda: lambda k: ZERO, lambda n: max(n - 1, 0)),
     "const": ((("c", _rat_field, "0"),), lambda c: lambda k: c, None),
-    "harmonic": ((), lambda: lambda k: Fraction(1, k + 1), None),
-    "power": ((("p", _int_field(1, MAX_POWER), 1),), lambda p: lambda k: Fraction(1, (k + 1) ** p), None),
-    "geometric": ((("r", _rat_field, "1/2"),), lambda r: lambda k: r**k, None),
-    "unit": ((("j", _int_field(0), 0),), lambda j: lambda k: Fraction(1) if k == j else Fraction(0),
-             lambda n, j: max(n - 1, j)),
+    "harmonic": ((), lambda: lambda k: _coprime(1, k + 1), None),
+    "power": ((("p", _int_field(1, MAX_POWER), 1),), lambda p: lambda k: _coprime(1, (k + 1) ** p), None),
+    "geometric": ((("r", _rat_field, "1/2"),), _geometric, None),
+    "unit": ((("j", _int_field(0), 0),), lambda j: lambda k: ONE if k == j else ZERO, lambda n, j: max(n - 1, j)),
 }
 
 _SEQ_SHORTHAND = {
@@ -216,11 +225,7 @@ def _seq_from_obj(raw):
     fields, term, support = _TAILS[kind]
     values, echo = _fields(tail, fields, f"{kind} tail")
     tail_fn = term(*values)
-
-    def eval_fn(k: int) -> Fraction:
-        if k < len(prefix):
-            return prefix[k]
-        return tail_fn(k)
+    eval_fn = (lambda k: prefix[k] if k < len(prefix) else tail_fn(k)) if prefix else tail_fn
 
     resolved = {"prefix": [spaces.fmt(v) for v in prefix]}
     resolved["tail"] = _checked(tail, {"kind": kind, **echo}, f"{kind} tail")

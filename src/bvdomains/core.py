@@ -44,8 +44,9 @@ reduced pairs (p, q), q > 0, by the gcd-reduced pair sum ``_padd`` and
 product ``_pmul`` that ``Fraction`` itself runs, and make a ``Fraction``
 only where a value is stored or reported.  A value already in lowest
 terms, a cell of a structured read, of a product's row or of the
-bidiagonal inverse, becomes a ``Fraction`` through ``_coprime``, with no
-second gcd.
+bidiagonal inverse, or a leaf value (the CLI's sequence tail terms, the
+Cesaro weight 1/(n+1) and the Riesz weight 1/Q_n of ``builders``),
+becomes a ``Fraction`` through ``_coprime``, with no second gcd.
 
 A lower triangle may declare a structure (``BandedMatrix``): generator
 terms plus a band, the semiseparable-plus-banded form of Chandrasekaran and
@@ -194,15 +195,21 @@ class Seq:
 def running_sum(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
     """n -> term(0) + ... + term(n), 0 for n < 0, memoized.  The sums are
     built by appending, so they are locked."""
-    sums = [ZERO]  # sums[n + 1] is the sum up to n
+    return _running(term, add, ZERO)
+
+
+def _running(term: Callable, plus: Callable, zero) -> Callable:
+    """``running_sum`` over the element sum plus with identity zero, such as
+    the reduced pairs' ``_padd`` and (0, 1)."""
+    sums = [zero]  # sums[n + 1] is the sum up to n
     lock = threading.Lock()
 
-    def total(n: int) -> Fraction:
+    def total(n: int):
         if n < 0:
-            return ZERO
+            return zero
         with lock:
             while len(sums) <= n + 1:
-                sums.append(sums[-1] + term(len(sums) - 1))
+                sums.append(plus(sums[-1], term(len(sums) - 1)))
             return sums[n + 1]
 
     return total

@@ -140,20 +140,28 @@ def test_gamma_closed_form_of_riesz_weights_is_sigma_closed_form():
 
 
 def test_cesaro_times_riesz_reads_partial_sums_linearly(monkeypatch):
-    # u_n = 1/Q_n is memoized, so a product with the Riesz mean on the right
-    # computes each 1/Q_n once, not once per (row, column) pair
+    # u_n = 1/Q_n is memoized over a running sum of q, so a product with the
+    # Riesz mean on the right reads each q_k once for the sums, not once per
+    # (row, column) pair; the sums read q_at on r, and v_at is the class's
     calls = []
     r = RieszWeights(Seq(lambda k: F(1, k + 1)))
-    big_q = r.big_q
+    q_at = r.q_at
 
-    def counted(n):
-        calls.append(n)
-        return big_q(n)
+    def counted(k):
+        calls.append(k)
+        return q_at(k)
 
-    monkeypatch.setattr(r, "big_q", counted)
+    monkeypatch.setattr(r, "q_at", counted)
     n_size = 64
     truncate(compose(cesaro(), riesz(r)), n_size)
-    assert len(calls) <= 2 * n_size
+    assert 0 < len(calls) <= n_size + 1
+
+
+@pytest.mark.parametrize("name", ["2^k", "1/(k+1)", "k+1"])
+def test_the_riesz_pair_sums_are_the_reciprocals_of_the_fraction_sums_at_depth(name):
+    # u_at sums q as reduced pairs; big_q, the Fraction running sum, is its oracle
+    r = RieszWeights(Seq(RIESZ_Q[name]))
+    assert all(r.u_at(n) * r.big_q(n) == 1 for n in range(2048))
 
 
 def test_riesz_rejects_nonpositive_weight():

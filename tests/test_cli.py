@@ -4,6 +4,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvdomains
-from bvdomains import cli, duals
+from bvdomains import builders, cli, duals, spaces
 from bvdomains.cli import (
     SpecError,
     _json_text,
@@ -25,6 +26,7 @@ from bvdomains.cli import (
     parse_matrix_spec,
     parse_seq_spec,
 )
+from bvdomains.core import InvalidWeightsError, _coprime
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +251,66 @@ def test_the_readme_names_every_kind_and_field_of_the_spec_tables():
     names += [name for fields, _, _ in cli._TAILS.values() for name, _, _ in fields]
     names += [field for fields in _WEIGHT_FIELDS.values() for field in fields]
     assert [name for name in names if f"`{name}`" not in section] == []
+
+
+def _assert_canonical(value, expected: F):
+    """value is the Fraction that the constructor makes for expected: the
+    same reduced pair, q > 0, so it compares, hashes and prints as one."""
+    p, q = value.as_integer_ratio()
+    assert (p, q) == (expected.numerator, expected.denominator)
+    assert q > 0 and math.gcd(p, q) == 1
+    assert value == expected and hash(value) == hash(expected)
+    try:
+        text = str(expected)
+    except ValueError:  # more digits than int-to-str conversion allows
+        with pytest.raises(ValueError):
+            spaces.fmt(value)
+    else:
+        assert spaces.fmt(value) == text
+
+
+def test_a_value_not_in_lowest_terms_is_not_canonical():
+    # what a leaf made by _coprime from an unreduced pair would be
+    for value, expected in ((_coprime(0, 8), F(0)), (_coprime(2, 4), F(1, 2))):
+        assert value != expected or spaces.fmt(value) != str(expected)
+        with pytest.raises(AssertionError):
+            _assert_canonical(value, expected)
+
+
+# each tail kind's field values and the Fraction its term is at k; r is a
+# geometric ratio of either sign, 0 and beyond 1
+_RATIOS = ["0", "1", "-1", "-1/3", "2", "7/5", "1e3"]
+_TAIL_TERMS = {
+    "zero": (st.just({}), lambda k: F(0)),
+    "const": (st.fixed_dictionaries({"c": st.sampled_from(_RATIOS)}), lambda k, c: F(c)),
+    "harmonic": (st.just({}), lambda k: F(1, k + 1)),
+    "power": (st.fixed_dictionaries({"p": st.integers(1, cli.MAX_POWER)}), lambda k, p: F(1, (k + 1) ** p)),
+    "geometric": (st.fixed_dictionaries({"r": st.sampled_from(_RATIOS)}), lambda k, r: F(r) ** k),
+    "unit": (st.fixed_dictionaries({"j": st.integers(0, 300)}), lambda k, j: F(int(k == j))),
+}
+
+
+def test_the_tail_terms_drawn_are_every_kind_of_the_table():
+    assert sorted(_TAIL_TERMS) == sorted(cli._TAILS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_TAIL_TERMS)).flatmap(lambda kind: st.tuples(st.just(kind), _TAIL_TERMS[kind][0])),
+    st.integers(0, 300),
+)
+def test_every_tail_term_and_mean_weight_is_the_fraction_the_constructor_makes(tail, k):
+    kind, fields = tail
+    x, _ = parse_seq_spec(json.dumps({"tail": {"kind": kind, **fields}}))
+    terms = [_TAIL_TERMS[kind][1](j, *fields.values()) for j in range(k + 1)]
+    _assert_canonical(x(k), terms[k])
+    mean = builders.cesaro()
+    [(weight, _)], _ = mean.structure
+    _assert_canonical(weight(k), F(1, k + 1))
+    _assert_canonical(mean.entry(k, k // 2), F(1, k + 1))
+    # a tail with no nonpositive term is a valid Riesz weight; u_k = 1/Q_k
+    if min(terms) > 0:
+        _assert_canonical(builders.RieszWeights(x).u_at(k), 1 / sum(terms, F(0)))
 
 
 _README_COMMANDS = _readme_section("CLI").split("```sh\n")[1].split("```")[0].replace("\\\n", " ").splitlines()
@@ -914,3 +976,20 @@ def test_invalid_riesz_weights_exit_3_naming_the_first_invalid_index(capsys, q, 
     code, out, err = run_cli(capsys, *_riesz_commands(q)[command], "--n", "32")
     assert (code, out) == (3, "")
     assert err == f"mathematical error: invalid weight {weight}: must be positive\n"
+
+
+@pytest.mark.parametrize("bad", ["0", "-1"])
+def test_the_riesz_pair_sums_and_their_oracle_name_the_same_invalid_q(capsys, bad):
+    # u_n = 1/Q_n is summed as reduced pairs and big_q, its oracle, as
+    # Fractions; each reads q in order, so both stop at q[7], as every
+    # command does
+    q = {"prefix": ["1"] * 7 + [bad], "tail": "harmonic"}
+    line = f"invalid weight q[7] = {bad}: must be positive"
+    for read in ("u_at", "big_q"):
+        r = builders.RieszWeights(parse_seq_spec(json.dumps(q))[0])
+        with pytest.raises(InvalidWeightsError) as info:
+            getattr(r, read)(9)
+        assert (info.value.name, info.value.index, info.value.value, str(info.value)) == ("q", 7, F(bad), line)
+    commands = _riesz_commands(q)
+    for command in ("riesz", "dual_alpha", "dual_beta", "dual_gamma"):
+        assert run_cli(capsys, *commands[command], "--n", "12") == (3, "", f"mathematical error: {line}\n")
