@@ -30,11 +30,11 @@ checked against.
 The oracles that work on whole rows are integer kernels, in the manner of
 the fraction-free elimination of Bareiss (1968): ``dense_mul`` scales each row
 of its left operand and each column of its right one to integers over its
-own denominator lcm, and forward substitution keeps each inverse row also
-as (lcm, integer numerators).  An entry is then one integer sum and one
-``Fraction`` reduction instead of a reduction per term.  ``_integers`` is
-the one scaling kernel, which the integer lists of ``_build_lists`` also
-use.
+own denominator lcm, and forward substitution keeps each inverse row once,
+as (lcm, integer numerators), and makes a cell's ``Fraction`` when it is
+read.  An entry is then one integer sum and one ``Fraction`` reduction
+instead of a reduction per term.  ``_integers`` is the one scaling kernel,
+which the integer lists of ``_build_lists`` also use.
 The lazy entry loops, the transform coordinate ``_coordinate`` and
 ``compose``'s band-overlap entry, sum their terms as they read them with
 ``_dot``: one integer numerator over the running lcm of the products'
@@ -932,13 +932,12 @@ def _list_ops(size: int, arith: tuple) -> tuple:
 
 def _build_inverse(t: Triangle) -> Triangle:
     # Forward substitution, row by row; rows are cached in order so deep
-    # compose/invert chains stay polynomial.  Each finished row is kept as
-    # the Fractions entry returns and as (lcm of their denominators, integer
-    # numerators).  Row m of T is scaled to integers over its own lcm and
-    # each inverse row it reads over the lcm of those rows, so an entry of
-    # row m is one integer sum divided once.
-    rows: list[list[Fraction]] = []
-    scaled: list[tuple] = []
+    # compose/invert chains stay polynomial.  Each row is kept once, as (lcm
+    # of its denominators, integer numerators); entry makes a cell's Fraction
+    # when it is read.  Row m of T and the inverse rows it reads are scaled to
+    # integers, so each cell is one integer sum over D = t_den inv_den d; with
+    # 1/d appended, the row is divided once by the gcd of D and all of them.
+    rows: list[tuple] = []
     lock = threading.RLock()
 
     def ensure(n: int):
@@ -950,22 +949,23 @@ def _build_inverse(t: Triangle) -> Triangle:
                     raise SingularMatrixError(m)
                 t_den, coeffs = _integers(t.entry(m, j).as_integer_ratio() for j in range(m))
                 used = [j for j, c in enumerate(coeffs) if c]
-                inv_den = lcm(*(scaled[j][0] for j in used))
+                inv_den = lcm(*(rows[j][0] for j in used))
                 sums = [0] * m
                 for j in used:
-                    c = coeffs[j] * (inv_den // scaled[j][0])
-                    for k, y in enumerate(scaled[j][1]):
+                    c = coeffs[j] * (inv_den // rows[j][0])
+                    for k, y in enumerate(rows[j][1]):
                         if y:
-                            sums[k] += c * y
-                den = t_den * inv_den * d.numerator
-                row = [Fraction(-s * d.denominator, den) if s else ZERO for s in sums]
-                row.append(ONE / d)
-                scaled.append(_integers(v.as_integer_ratio() for v in row))
-                rows.append(row)
+                            sums[k] -= c * y
+                den = t_den * inv_den
+                nums = [s * d.denominator for s in sums] + [den * d.denominator]
+                den *= d.numerator
+                g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+                rows.append((den // g, [x // g for x in nums]))
 
     def entry(n: int, k: int) -> Fraction:
         ensure(n)
-        return rows[n][k]
+        den, nums = rows[n]
+        return Fraction(nums[k], den) if nums[k] else ZERO
 
     return Triangle(entry)
 

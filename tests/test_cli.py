@@ -853,12 +853,10 @@ for _ in range(3):
         _VALID_TRIANGLES.map(_inverse_of),
         st.lists(_VALID_TRIANGLES, min_size=2, max_size=3).map(lambda of: {"kind": "compose", "of": of}),
     )
-_VALID_MATRICES = st.one_of(
-    _VALID_TRIANGLES,
-    st.lists(st.lists(st.sampled_from(["1", "-2/3", "0"]), min_size=1, max_size=3), min_size=1, max_size=3).map(
-        lambda rows: {"kind": "banded", "rows": rows}
-    ),
+_VALID_BANDED = st.lists(st.lists(st.sampled_from(["1", "-2/3", "0"]), min_size=1, max_size=3), min_size=1, max_size=3).map(
+    lambda rows: {"kind": "banded", "rows": rows}
 )
+_VALID_MATRICES = st.one_of(_VALID_TRIANGLES, _VALID_BANDED)
 _VALID_DOMAINS = _named(cli._DOMAINS, "label")
 _TAILS = st.one_of(
     st.sampled_from([*cli._TAILS, "cubic"]),

@@ -39,7 +39,7 @@ from bvdomains.core import (
     transform_seq,
     truncate,
 )
-from test_cli import _VALID_DOMAINS, _VALID_MATRICES, _spec
+from test_cli import _VALID_BANDED, _VALID_DOMAINS, _VALID_MATRICES, _VALID_SEQS, _spec
 
 N = 24
 
@@ -1252,6 +1252,40 @@ def test_every_command_prints_what_the_spec_without_structure_prints(spec, domai
         structured = _command_outcome([*argv, "--n", "8"])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "parse_matrix_spec", lambda text: (_parse_without_structure(text, patch), parse(text)[1]))
+            plain = _command_outcome([*argv, "--n", "8"])
+        assert structured == plain or _a_weight_the_entries_skip(structured, plain), argv
+
+
+def _parse_domain_without_structure(text, parse=cli.parse_domain_spec):
+    """The domain of text with no structure on its matrix nor on the mean
+    the constructor composes after delta, so that its inverse is the
+    forward substitution of the mean times the sum matrix.  ``parse`` is
+    the CLI's parser as this module found it, as in _parse_without_structure."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(builders, "compose", _compose_without_structure)
+        domain, spec = parse(text)
+    domain.matrix.structure = None
+    return domain, spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_VALID_SEQS, domain=_VALID_DOMAINS, banded=_VALID_BANDED)
+@example(a="harmonic", domain={"label": "G", "u": _ones_then(1, "0"), "v": "e"}, banded={"kind": "banded", "rows": [["1", "-2/3"]]})
+@example(a="e", domain={"label": "R", "q": _ones_then(2, "-1")}, banded={"kind": "banded", "rows": [["0"], ["1", "1"]]})
+def test_dual_and_from_domain_tests_print_what_the_domain_without_structure_prints(a, domain, banded):
+    """dual of every kind and matclass --direction from_domain into every
+    target give, for a drawn domain, the exit code, stdout and first stderr
+    line that the domain parsed with no structure gives, whose inverse is
+    forward substitution and not the derived bidiagonal."""
+    commands = [["dual", "--a", _spec(a), "--domain", _spec(domain), "--kind", kind] for kind in ("alpha", "beta", "gamma")]
+    commands += [
+        ["matclass", "--direction", "from_domain", "--matrix", _spec(banded), "--domain", _spec(domain), "--y", y]
+        for y in ("l1", "c", "linf")
+    ]
+    for argv in commands:
+        structured = _command_outcome([*argv, "--n", "8"])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "parse_domain_spec", _parse_domain_without_structure)
             plain = _command_outcome([*argv, "--n", "8"])
         assert structured == plain or _a_weight_the_entries_skip(structured, plain), argv
 
