@@ -44,12 +44,12 @@ weight is reported as the scans report it, or as the lists do when that
 row's entries read none.  The statistics scan any other matrix (E, a bare
 triangle domain), and the scans are also the oracle the lists are checked
 against.
-A scan reads only the cells the matrix's row supports leave possibly
-nonzero, in the order of a scan of the whole square, and does no
-arithmetic on a zero, so E of a finite matrix with r rows costs O(r N)
-entry reads, not O(N^2).  It keeps its running values as reduced pairs
-(p, q), q > 0: an absolute value is a sign flip, a sum is ``core._padd``
-and two values compare by cross-multiplication, and it makes one
+A scan reads the square row by row, of each row only the cells its
+support leaves possibly nonzero (``_row_cells``), and does no arithmetic
+on a zero, so E of a finite matrix with r rows costs O(r N) entry reads,
+not O(N^2).  It keeps its running values as reduced pairs (p, q), q > 0:
+an absolute value is a sign flip, a sum is ``core._padd`` and two values
+compare by cross-multiplication (``_pmax``), and it makes one
 ``Fraction`` per reported value.  It reads entries, never lists, so it
 stays an independent oracle of ``_AbsSums`` and the integer lists.
 """
@@ -283,31 +283,36 @@ class _AbsSums:
         return x * (self._slope - 2 * slope) + self._total - 2 * below
 
 
-def _borders(m, n: int):
-    """For each index last < n, what the leading square of size last + 1
-    adds to the one before it, restricted to m's row supports: the columns
-    i < last of row last, the rows i < last whose support reaches column
-    last, and whether the diagonal cell is in support.  Every other cell is
-    0 without its entry being evaluated, so a scan reads only these."""
-    supports = [m.row_support(row) for row in range(n)]
-    column: list[int] = []
-    for last, support in enumerate(supports):
-        if last:
-            column = [i for i in column + [last - 1] if supports[i].stop > last]
-        yield last, range(support.start, min(support.stop, last)), column, last in support
+def _row_cells(m, row: int, end: int):
+    """The nonzero cells (k, (p, q)) of m's row ``row`` at the columns k <
+    end of its support, in column order, each as a reduced pair.  Every
+    other entry is 0 and is not evaluated, so a scan reads only these."""
+    support = m.row_support(row)
+    for k in range(support.start, min(support.stop, end)):
+        if value := m.entry(row, k):
+            yield k, value.as_integer_ratio()
+
+
+def _pmax(pairs: list) -> tuple:
+    """The largest of a nonempty list of reduced pairs, by cross-multiplication."""
+    best = pairs[0]
+    for p, q in pairs:
+        if p * best[1] > best[0] * q:
+            best = p, q
+    return best
 
 
 def cond_l1_linf(m, n: int) -> tuple:
     """sup |entry| over the N/4, N/2, N leading squares (condition for (l1:linf)).
 
-    One pass grows the square by its last row and column, so each entry of
-    the N x N square in m's supports is read once and the smaller squares
-    are checkpoints.  With generator lists, the new row's entries below its
-    band are w[last] col[k] + row[last], extremal at the extremes of col
-    over k <= last - L, L the number of band lists, and then come its band
-    cells; the sup is taken on the integers and divided at checkpoints.
-    A scan keeps the sup as a reduced pair, compared with each |entry| by
-    cross-multiplication, and makes one Fraction per checkpoint.
+    One pass reads the N x N square row by row, each entry in m's supports
+    once, and the smaller squares are checkpoints.  With generator lists,
+    row last's entries below its band are w[last] col[k] + row[last],
+    extremal at the extremes of col over k <= last - L, L the number of
+    band lists, and then come its band cells; the sup is taken on the
+    integers and divided at checkpoints.  A scan keeps the sup of each
+    border b, over the cells (n, k) with max(n, k) = b, as a reduced pair,
+    and a checkpoint s is the max of the sups of the borders b < s.
     """
     marks = checkpoints(n)
     out = []
@@ -325,22 +330,13 @@ def cond_l1_linf(m, n: int) -> tuple:
             if last + 1 in marks:
                 out.append((last + 1, Fraction(best, d)))
         return tuple(out)
-    best = (0, 1)
-    for last, row, column, diagonal in _borders(m, n):
-        cells = [(last, i) for i in row]
-        if column:
-            # a full scan reads (last, i), then (i, last), for each i < last
-            cells = sorted(cells + [(i, last) for i in column], key=lambda c: (min(c), c[1]))
-        if diagonal:
-            cells.append((last, last))
-        for cell in cells:
-            if value := m.entry(*cell):
-                p, q = value.as_integer_ratio()
-                if abs(p) * best[1] > best[0] * q:
-                    best = abs(p), q
-        if last + 1 in marks:
-            out.append((last + 1, _coprime(*best)))
-    return tuple(out)
+    tops = [(0, 1)] * n  # tops[b]: the sup over the cells (row, k) with max(row, k) = b
+    for row in range(n):
+        for k, (p, q) in _row_cells(m, row, n):
+            top = tops[max(row, k)]
+            if abs(p) * top[1] > top[0] * q:
+                tops[max(row, k)] = abs(p), q
+    return tuple((s, _coprime(*_pmax(tops[:s]))) for s in marks)
 
 
 def cond_l1_c(m, n: int) -> tuple:
@@ -357,9 +353,8 @@ def cond_l1_c(m, n: int) -> tuple:
     several slopes, which only a structure with a two-sided term gives,
     are read directly at each column, in O(N^2) integer operations.  A
     band of more than N/4 + 1 parts would reach into the window, so such
-    a matrix is scanned.  A scan reads each column's window as reduced
-    pairs, finds its max and min by cross-multiplication and takes their
-    pair difference.
+    a matrix is scanned.  A scan reads the window's rows up to column N/4
+    as reduced pairs and takes each column's max less its min.
     """
     quarter, half, _ = checkpoints(n)
     narrow = m.structure is not None and len(m.structure[1]) <= half - quarter + 1
@@ -374,17 +369,12 @@ def cond_l1_c(m, n: int) -> tuple:
         oscillations = {span: Fraction(span, d) for span in set(spans)}
         columns = [(oscillations[span], Fraction(w[n] * x + row[n], d)) for span, x in zip(spans, xs)]
     else:
-        rows = [(row, m.row_support(row)) for row in range(half, n + 1)]
+        rows = [dict(_row_cells(m, row, quarter)) for row in range(half, n + 1)]
         columns = []
         for k in range(quarter):
-            window = [m.entry(row, k).as_integer_ratio() if k in support else (0, 1) for row, support in rows]
-            high = low = window[0]
-            for p, q in window:
-                if p * high[1] > high[0] * q:
-                    high = p, q
-                elif p * low[1] < low[0] * q:
-                    low = p, q
-            columns.append((_coprime(*_padd(high, _pneg(low))), _coprime(*window[-1])))
+            window = [cells.get(k, (0, 1)) for cells in rows]
+            spread = _padd(_pmax(window), _pmax(list(map(_pneg, window))))
+            columns.append((_coprime(*spread), _coprime(*window[-1])))
     return tuple(
         {
             "k": k,
@@ -399,15 +389,15 @@ def cond_l1_c(m, n: int) -> tuple:
 def cond_l1_l1(m, n: int) -> tuple:
     """max_k of column absolute sums over the three leading squares ((l1:l1)).
 
-    Like cond_l1_linf, one pass over the N x N square's supports: the
-    running column sums take the new last row, then the new last column is
-    summed.  With generator lists and L band lists, column k's sum at a
-    checkpoint size is the sum of its band cells plus the sum of
-    |w[j] col[k] + row[j]| over k + L <= j < size: the sum over rows
+    Like cond_l1_linf, one pass reads the N x N square row by row into
+    running column sums; checkpoint s, read after row s - 1, is the max
+    over the columns k < s.  With generator lists and L band lists, column
+    k's sum at a checkpoint size is the sum of its band cells plus the sum
+    of |w[j] col[k] + row[j]| over k + L <= j < size: the sum over rows
     L..size-1 less the one over rows L..k+L-1, both from ``_AbsSums``.  A
     column with no cell below the band in the square sums its band cells.
-    A scan keeps each column sum as a reduced pair (``core._padd``), takes
-    the max by cross-multiplication and makes one Fraction per checkpoint.
+    A scan keeps each column sum as a reduced pair (``core._padd``) and
+    makes one Fraction per checkpoint.
     """
     marks = checkpoints(n)
     out = []
@@ -432,24 +422,12 @@ def cond_l1_l1(m, n: int) -> tuple:
                 ]
                 out.append((last + 1, Fraction(max(sums), d)))
         return tuple(out)
-    sums: list[tuple] = []  # the reduced pairs of the column sums
-    for last, row, column, diagonal in _borders(m, n):
-        for col in row:
-            if value := m.entry(last, col):
-                p, q = value.as_integer_ratio()
-                sums[col] = _padd(sums[col], (abs(p), q))
-        total = (0, 1)
-        for i in column + ([last] if diagonal else []):
-            if value := m.entry(i, last):
-                p, q = value.as_integer_ratio()
-                total = _padd(total, (abs(p), q))
-        sums.append(total)
-        if last + 1 in marks:
-            best = sums[0]
-            for p, q in sums:
-                if p * best[1] > best[0] * q:
-                    best = p, q
-            out.append((last + 1, _coprime(*best)))
+    sums = [(0, 1)] * n  # the reduced pairs of the column sums over the rows read
+    for row in range(n):
+        for k, (p, q) in _row_cells(m, row, n):
+            sums[k] = _padd(sums[k], (abs(p), q))
+        if row + 1 in marks:
+            out.append((row + 1, _coprime(*_pmax(sums[: row + 1]))))
     return tuple(out)
 
 

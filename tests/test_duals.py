@@ -1238,24 +1238,17 @@ def test_compose_rows_and_scans_do_no_fraction_arithmetic(monkeypatch):
 
 
 def reference_l1_linf(m, n):
-    """The scan of cond_l1_linf over the whole N x N square."""
-    marks, out, best = checkpoints(n), [], F(0)
-    for last in range(n):
-        for i in range(last):
-            best = max(best, abs(m.entry(last, i)), abs(m.entry(i, last)))
-        best = max(best, abs(m.entry(last, last)))
-        if last + 1 in marks:
-            out.append((last + 1, best))
-    return tuple(out)
+    """The scan of cond_l1_linf over the whole N x N square, row by row."""
+    square = _entry_scan(m, n)
+    return tuple((s, max(abs(x) for row in square[:s] for x in row[:s])) for s in checkpoints(n))
 
 
 def reference_l1_c(m, n):
-    """The scan of cond_l1_c over rows [N/2, N] of the first N/4 columns."""
+    """The scan of cond_l1_c over rows [N/2, N] of the first N/4 columns,
+    row by row."""
     quarter, half, _ = checkpoints(n)
-    columns = []
-    for k in range(quarter):
-        window = [m.entry(row, k) for row in range(half, n + 1)]
-        columns.append((max(window) - min(window), m.entry(n, k)))
+    window = [[m.entry(row, k) for k in range(quarter)] for row in range(half, n + 1)]
+    columns = [(max(column) - min(column), column[-1]) for column in zip(*window)]
     return tuple(
         {"k": k, "oscillation": osc, "limit_estimate": limit, "converged": osc <= duals.OSCILLATION_TOL}
         for k, (osc, limit) in enumerate(columns)
@@ -1263,15 +1256,11 @@ def reference_l1_c(m, n):
 
 
 def reference_l1_l1(m, n):
-    """The scan of cond_l1_l1 over the whole N x N square."""
-    marks, out, sums = checkpoints(n), [], []
-    for last in range(n):
-        for col in range(last):
-            sums[col] += abs(m.entry(last, col))
-        sums.append(sum((abs(m.entry(row, last)) for row in range(last + 1)), F(0)))
-        if last + 1 in marks:
-            out.append((last + 1, max(sums)))
-    return tuple(out)
+    """The scan of cond_l1_l1 over the whole N x N square, row by row."""
+    square = _entry_scan(m, n)
+    return tuple(
+        (s, max(sum((abs(row[k]) for row in square[:s]), F(0)) for k in range(s))) for s in checkpoints(n)
+    )
 
 
 SCANS = {
@@ -1345,3 +1334,65 @@ def test_scans_of_a_finite_matrix_read_its_rows_only():
     for scan, reference in SCANS.values():
         assert scan(m, n) == reference(build(), n)
     assert 0 < len(calls) <= 3 * r * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([8, 12, 16]), data=st.data())
+def test_scans_equal_the_brute_force_statistics_property(n, data):
+    """A finite matrix of up to 6 rows, each up to N + 8 long, with zeros:
+    the three scans equal the full square scans, so a cell past the
+    diagonal counts in the squares that hold it and a checkpoint's max
+    takes only the columns of its square."""
+    cells = st.sampled_from(["0", "0", "1", "-1", "1/2", "-2/3", "3", "5/7"])
+    rows = data.draw(st.lists(st.lists(cells, max_size=n + 8), max_size=6))
+    for scan, reference in SCANS.values():
+        assert scan(BandedMatrix.from_rows(rows), n) == reference(BandedMatrix.from_rows(rows), n)
+
+
+def _invalid_domain(weight, r):
+    """A G or R domain whose weight is invalid at index r: u[r] = 0 or
+    v[r] = 0 for G, q[r] = 0 or -1 for R."""
+    varied = Seq(lambda k: F(k + 1, k + 2))
+    bad = Seq(lambda k: F(0) if k == r else varied(k))
+    if weight == "u":
+        return weighted_domain(WeightPair(bad, Seq(lambda k: F(k + 1))))
+    if weight == "v":
+        return weighted_domain(WeightPair(varied, bad))
+    return riesz_domain(RieszWeights(Seq(lambda k: F(weight) if k == r else varied(k))))
+
+
+_BANDED_ROWS = [["1", "-2/3", "0", "5"], ["0"], ["2", "1", "1/2"] + ["1/3"] * 17, ["0", "-1"] * 5]
+_SCANNED_PRODUCTS = {
+    "E": lambda dom: compose(BandedMatrix.from_rows(_BANDED_ROWS), invert(dom.matrix)),
+    "F.banded": lambda dom: compose(dom.matrix, BandedMatrix.from_rows(_BANDED_ROWS)),
+    "F.cesaro.cesaro": lambda dom: compose(dom.matrix, compose(cesaro(), cesaro())),
+}
+
+
+def _ending(run):
+    """None when run returns, else the message of the invalid weight it raises."""
+    try:
+        run()
+    except InvalidWeightsError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("matrix", sorted(_SCANNED_PRODUCTS))
+@pytest.mark.parametrize("weight", ["u", "v", "0", "-1"])
+def test_scans_raise_what_the_entry_scan_raises(weight, matrix):
+    """E of a from-domain test and F of an into-domain test, their structure
+    removed, over a domain with an invalid weight at r: cond_l1_linf and
+    cond_l1_l1 at N = 16 end as the entry scan of the square does: with the
+    same InvalidWeightsError and message, or with none."""
+    n = 16
+    for r in (0, 1, 2, 3, 5, 7, 9, 12, 15, 16, 17, 19):
+
+        def build():
+            m = _SCANNED_PRODUCTS[matrix](_invalid_domain(weight, r))
+            m.structure = None
+            return m
+
+        expected = _ending(lambda: _entry_scan(build(), n))
+        for scan in (cond_l1_linf, cond_l1_l1):
+            assert _ending(lambda: scan(build(), n)) == expected, (r, scan.__name__)

@@ -1269,24 +1269,27 @@ def _parse_domain_without_structure(text, parse=cli.parse_domain_spec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(a=_VALID_SEQS, domain=_VALID_DOMAINS, banded=_VALID_BANDED)
-@example(a="harmonic", domain={"label": "G", "u": _ones_then(1, "0"), "v": "e"}, banded={"kind": "banded", "rows": [["1", "-2/3"]]})
-@example(a="e", domain={"label": "R", "q": _ones_then(2, "-1")}, banded={"kind": "banded", "rows": [["0"], ["1", "1"]]})
-def test_dual_and_from_domain_tests_print_what_the_domain_without_structure_prints(a, domain, banded):
+@given(a=_VALID_SEQS, domain=_VALID_DOMAINS, banded=_VALID_BANDED, n=st.just(8))
+@example(a="harmonic", domain={"label": "G", "u": _ones_then(1, "0"), "v": "e"}, banded={"kind": "banded", "rows": [["1", "-2/3"]]}, n=8)
+@example(a="e", domain={"label": "R", "q": _ones_then(2, "-1")}, banded={"kind": "banded", "rows": [["0"], ["1", "1"]]}, n=8)
+@example(a="harmonic", domain={"label": "G", "u": "e", "v": _ones_then(13, "0")}, banded={"kind": "banded", "rows": [["1", "0", "-2/3"], ["1/2"] * 12]}, n=32)
+@example(a="e", domain={"label": "R", "q": _ones_then(21, "0")}, banded={"kind": "banded", "rows": [["0"], ["1", "1"], ["-1"] * 30]}, n=32)
+def test_dual_and_from_domain_tests_print_what_the_domain_without_structure_prints(a, domain, banded, n):
     """dual of every kind and matclass --direction from_domain into every
     target give, for a drawn domain, the exit code, stdout and first stderr
     line that the domain parsed with no structure gives, whose inverse is
-    forward substitution and not the derived bidiagonal."""
+    forward substitution and not the derived bidiagonal.  The examples at
+    N = 32 read E over 8 window columns, with an invalid weight below row 8."""
     commands = [["dual", "--a", _spec(a), "--domain", _spec(domain), "--kind", kind] for kind in ("alpha", "beta", "gamma")]
     commands += [
         ["matclass", "--direction", "from_domain", "--matrix", _spec(banded), "--domain", _spec(domain), "--y", y]
         for y in ("l1", "c", "linf")
     ]
     for argv in commands:
-        structured = _command_outcome([*argv, "--n", "8"])
+        structured = _command_outcome([*argv, "--n", str(n)])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "parse_domain_spec", _parse_domain_without_structure)
-            plain = _command_outcome([*argv, "--n", "8"])
+            plain = _command_outcome([*argv, "--n", str(n)])
         assert structured == plain or _a_weight_the_entries_skip(structured, plain), argv
 
 
